@@ -13,14 +13,12 @@ Exit codes: 0 success, 1 usage/config error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
+import dataclasses
 import hashlib
 import inspect
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -49,21 +47,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _dump_json(doc: dict, path: str) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    model._atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +61,7 @@ def default_config() -> dict:
         "out_dir": "out",
         "plant": {},
         "envelope": {},
-        "filter": {"order": 3, "cutoff_hz": 10.0, "sample_rate_hz": 100.0},
+        "filter": dataclasses.asdict(sig.FilterSpec()),
         "observer": {},
         "controller": {},
         "scenarios": [],
@@ -167,10 +152,12 @@ def _build_filter_spec(cfg: dict, args=None) -> sig.FilterSpec:
             block["cutoff_hz"] = args.fc
         if getattr(args, "fs", None) is not None:
             block["sample_rate_hz"] = args.fs
+    base = sig.FilterSpec()
     try:
-        return sig.FilterSpec(order=int(block.get("order", 3)),
-                              cutoff_hz=float(block.get("cutoff_hz", 10.0)),
-                              sample_rate_hz=float(block.get("sample_rate_hz", 100.0)))
+        return sig.FilterSpec(order=int(block.get("order", base.order)),
+                              cutoff_hz=float(block.get("cutoff_hz", base.cutoff_hz)),
+                              sample_rate_hz=float(block.get("sample_rate_hz",
+                                                             base.sample_rate_hz)))
     except ValueError as exc:
         raise ConfigError(f"filter: {exc}") from None
 
@@ -280,15 +267,6 @@ def _out_dir(cfg: dict, args) -> str:
     return out
 
 
-def _write_series_csv(path: str, columns: dict) -> None:
-    names = list(columns)
-    arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    lines = [",".join(names)]
-    for i in range(arrays[0].size):
-        lines.append(",".join(format(float(a[i]), ".12g") for a in arrays))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -354,9 +332,9 @@ def cmd_estimate(args, cfg, resolved) -> int:
     fspec = _build_filter_spec(cfg, args)
     dt_data = float(np.median(np.diff(ds.t))) if len(ds) > 1 else 1.0 / fspec.sample_rate_hz
     env = _build_envelope(cfg)
-    ocfg = observer.make_observer_config(ind_p, env, dt=dt_data,
-                                         noise_L=_build_plant_config(cfg).noise_L,
-                                         **resolved["observer"])
+    ocfg = observer.make_observer_config(
+        ind_p, env, dt=dt_data,
+        **{"noise_L": resolved["plant"].noise_L, **resolved["observer"]})
     est = observer.run_estimation(ds, ind_p, dyn, ocfg, filter_spec=fspec)
     ident.write_csv(ds, os.path.join(out, "estimates.csv"),
                     extra={"F_hat": est["F_hat"], "x_hat": est["x_hat"]})
@@ -379,13 +357,6 @@ def cmd_estimate(args, cfg, resolved) -> int:
     return EXIT_OK
 
 
-def _simulate_one(scenario, pcfg, out):
-    ds = plant.run_scenario(scenario, pcfg)
-    path = os.path.join(out, f"{scenario.name}.csv")
-    ident.write_csv(ds, path)
-    return scenario.name, len(ds)
-
-
 def cmd_simulate(args, cfg, resolved) -> int:
     out = _out_dir(cfg, args)
     pcfg = resolved["plant"]
@@ -395,14 +366,10 @@ def cmd_simulate(args, cfg, resolved) -> int:
         scenarios = [s for s in scenarios if s.name == args.scenario or s.kind == args.scenario]
     if not scenarios:
         raise ConfigError("no dataset scenarios selected (config 'scenarios' block)")
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(scenarios) == 1:
-        done = [_simulate_one(s, pcfg, out) for s in scenarios]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(lambda s: _simulate_one(s, pcfg, out), scenarios))
-    for name, n in done:
-        print(f"simulate: {name}: {n} rows")
+    for scenario in scenarios:
+        ds = plant.run_scenario(scenario, pcfg)
+        ident.write_csv(ds, os.path.join(out, f"{scenario.name}.csv"))
+        print(f"simulate: {scenario.name}: {len(ds)} rows")
     return EXIT_OK
 
 
@@ -413,13 +380,9 @@ def _default_tracking_scenarios() -> list:
     return out
 
 
-def _track_one(scenario, setup, out):
-    results = control.compare_tracking(scenario, setup)
-    for mode, res in results.items():
-        _write_series_csv(os.path.join(out, f"{scenario.name}_{mode}.csv"),
-                          {"t": res.t, "reference": res.reference, "truth": res.truth,
-                           "estimate": res.estimate, "command": res.command})
-    return scenario, results
+def _write_result_csv(path: str, res: control.TrackingResult) -> None:
+    ident.write_columns(path, {"t": res.t, "reference": res.reference, "truth": res.truth,
+                               "estimate": res.estimate, "command": res.command})
 
 
 def _table_rows(scenario, results) -> list:
@@ -458,17 +421,14 @@ def cmd_track(args, cfg, resolved) -> int:
         if not scenarios:
             raise ConfigError(f"no tracking scenario named '{args.scenario}'")
     setup = control.resolve_setup(setup)
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(scenarios) == 1:
-        done = [_track_one(s, setup, out) for s in scenarios]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(lambda s: _track_one(s, setup, out), scenarios))
     rows = []
-    for scenario, results in done:
+    for scenario in scenarios:
+        results = control.compare_tracking(scenario, setup)
+        for mode, res in results.items():
+            _write_result_csv(os.path.join(out, f"{scenario.name}_{mode}.csv"), res)
         rows.extend(_table_rows(scenario, results))
     table = _format_table(rows)
-    _atomic_write(os.path.join(out, "tracking_table.txt"), table)
+    model._atomic_write_text(os.path.join(out, "tracking_table.txt"), table)
     _dump_json({"rows": rows, "provenance": _provenance(cfg)},
                os.path.join(out, "tracking_metrics.json"))
     print(table, end="")
@@ -481,9 +441,7 @@ def cmd_perturb(args, cfg, resolved) -> int:
     scenarios = [s for s in resolved["scenarios"] if s.kind == "load_perturbation"]
     scenario = scenarios[0] if scenarios else plant.Scenario.load_perturbation()
     res = control.run_perturbation(setup, scenario)
-    _write_series_csv(os.path.join(out, "perturbation.csv"),
-                      {"t": res.t, "reference": res.reference, "truth": res.truth,
-                       "estimate": res.estimate, "command": res.command})
+    _write_result_csv(os.path.join(out, "perturbation.csv"), res)
     summary = {
         "estimation": res.estimation,
         "length_rmse_m": res.meta["x_rmse"],
@@ -517,7 +475,7 @@ def cmd_report(args, cfg, resolved) -> int:
     for key in sorted(sections):
         lines.append(f"  - {key}")
     text = "\n".join(lines) + "\n"
-    _atomic_write(os.path.join(out, "report.txt"), text)
+    model._atomic_write_text(os.path.join(out, "report.txt"), text)
     print(text, end="")
     return EXIT_OK
 
@@ -532,7 +490,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="run configuration (JSON)")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="identify model parameters from a dataset CSV")
@@ -542,9 +499,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="run the observer over a dataset CSV")
     p.add_argument("--data", help="dataset CSV (t,P,L[,F][,x])")
-    p.add_argument("--fc", type=float, help="filter cutoff Hz (default 10)")
-    p.add_argument("--fs", type=float, help="filter sample rate Hz (default 100)")
-    p.add_argument("--order", type=int, help="filter order (default 3)")
+    spec = sig.FilterSpec()
+    p.add_argument("--fc", type=float, help=f"filter cutoff Hz (default {spec.cutoff_hz:g})")
+    p.add_argument("--fs", type=float,
+                   help=f"filter sample rate Hz (default {spec.sample_rate_hz:g})")
+    p.add_argument("--order", type=int, help=f"filter order (default {spec.order})")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="generate plant datasets for config scenarios")
@@ -581,9 +540,6 @@ def main(argv=None) -> int:
     except (ident.DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ident.NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ acts on (measurement - ref).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -142,11 +141,10 @@ class TrackingSetup:
     ``dyn``/``ind`` are the nominal models used by feedforward and the
     observer; ``dyn=None`` triggers one identification sweep (cached by
     ``resolve_setup``), ``ind=None`` uses the plant's own map (a
-    bench-calibrated sensor model).  ``load_nominal`` is what the
-    feedforward believes the external load to be in displacement mode
-    (the true load is the scenario's); ``sensor_noise_x`` is the
-    external displacement sensor's noise used by the sensor-feedback
-    mode.
+    bench-calibrated sensor model).  In isotonic runs the feedforward
+    believes the external load to be ``load_nominal_scale`` times the
+    scenario's (the true load); ``sensor_noise_x`` is the external
+    displacement sensor's noise used by the sensor-feedback mode.
     """
 
     plant_cfg: PlantConfig
@@ -156,7 +154,6 @@ class TrackingSetup:
     gains_disp: PidGains = field(default_factory=lambda: PidGains(kp=40.0, ki=250.0, kd=1.0))
     p_max: float = 0.65
     integral_clamp_mpa: float = 0.3
-    load_nominal: float | None = None
     load_nominal_scale: float = 1.0
     sensor_noise_x: float = 3e-4
     filter_spec: sig.FilterSpec | None = None
@@ -174,8 +171,7 @@ def resolve_setup(setup: TrackingSetup) -> TrackingSetup:
     if out.ind is None:
         out.ind = out.plant_cfg.ind
     if out.filter_spec is None:
-        out.filter_spec = sig.FilterSpec(order=3, cutoff_hz=10.0,
-                                         sample_rate_hz=out.plant_cfg.sensor_rate_hz)
+        out.filter_spec = sig.FilterSpec(sample_rate_hz=out.plant_cfg.sensor_rate_hz)
     return out
 
 
@@ -202,32 +198,107 @@ class TrackingResult:
     meta: dict = field(default_factory=dict)
 
 
-def _observer_bundle(setup: TrackingSetup):
-    cfg = obs.make_observer_config(
-        setup.ind, setup.plant_cfg.envelope,
-        dt=1.0 / setup.plant_cfg.sensor_rate_hz,
-        noise_L=setup.plant_cfg.noise_L,
-        **setup.observer_overrides)
-    return cfg
+def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup) -> dict:
+    """The closed-loop engine: feedforward plus PID on ``mode``'s
+    feedback, with the observer stepping alongside the plant.
 
-
-def _start_observer(ocfg, setup, first_L: float, first_P: float,
-                    F0: float | None = None):
-    """Prime the inductance filter with the first reading and seed the
-    state.  The state's pressure filter is primed with ``first_P`` by
-    the first ``estimate_step``, which gets that same sample.
-
-    ``F0`` is the operating force the experimenter knows at start
-    (reference start or hanging load); without it the nearest preimage
-    of the first reading is used, which on a peaked curve can pick the
-    wrong branch.
+    Force tracking holds the length (kinematic plant) and ramps to it
+    during the pre-roll; every other kind balances the scenario's load
+    profile (isotonic plant), and displacement tracking runs
+    conditioning cycles after the pre-roll.  Neither is logged.  Returns
+    the logged channels ``t``, ``reference``, ``F``, ``x``, ``F_hat``,
+    ``x_hat`` and ``command``.
     """
-    filt = sig.design(setup.filter_spec)
-    sig.prime(filt, first_L)
-    if F0 is None:
-        F0 = obs.nearest_preimage(first_L, first_P, setup.ind, ocfg.envelope)
-    state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)), ocfg)
-    return filt, state
+    pcfg = setup.plant_cfg
+    force_mode = scenario.kind == "force_tracking"
+    dts = 1.0 / pcfg.sensor_rate_hz
+    sub = pcfg.decimation_factor
+    gains = setup.gains_force if force_mode else setup.gains_disp
+    ocfg = obs.make_observer_config(
+        setup.ind, pcfg.envelope, dt=dts,
+        **{"noise_L": pcfg.noise_L, **setup.observer_overrides})
+    ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
+    rng_x = np.random.default_rng([pcfg.seed, 77])  # external displacement sensor
+
+    if force_mode:
+        hold_x = scenario.hold_x
+        F0 = float(scenario.reference(0.0))
+
+        def feedforward(ref: float) -> float:
+            return feedforward_pressure(setup.dyn, F_ref=ref, x=hold_x, p_max=setup.p_max)[0]
+
+        def drive(p: float, t: float, x_cmd: float = hold_x):
+            return plant.step(p, dts, x_cmd=x_cmd)
+    else:
+        _, load_at = perturbation_load_profile(scenario, pcfg.seed)
+        F0 = scenario.load
+        load_ff = setup.load_nominal_scale * scenario.load
+
+        def feedforward(ref: float) -> float:
+            return feedforward_pressure(setup.dyn, x_ref=ref, F_load=load_ff,
+                                        p_max=setup.p_max)[0]
+
+        def drive(p: float, t: float):
+            return plant.step(p, dts, F_load=load_at(t))
+
+    p_ff0 = feedforward(float(scenario.reference(0.0)))
+    plant = Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
+
+    # Pre-roll: reach the operating point with the feedforward pressure
+    # applied, so the valve and the observer are settled at t = 0.
+    n_pre = int(round(setup.preroll_s / dts))
+    ramp_n = max(1, int(round(2.0 / dts)))
+    filt = state = last = None
+    for i in range(n_pre):
+        if force_mode:
+            frac = min(1.0, (i + 1) / ramp_n)
+            last = drive(p_ff0, 0.0, x_cmd=pcfg.dyn.x0 + frac * (hold_x - pcfg.dyn.x0))
+        else:
+            last = drive(p_ff0, 0.0)
+        if filt is None:
+            # Prime the inductance filter with the first reading and seed
+            # the state at the operating force the experimenter knows
+            # (reference start or hanging load): the nearest preimage of
+            # the reading can pick the wrong branch of the peaked curve.
+            # The first estimate_step primes the pressure filter.
+            filt = sig.design(setup.filter_spec)
+            sig.prime(filt, last.L_meas)
+            state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
+                              ocfg)
+        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
+                                                setup.ind, setup.dyn, ocfg, filt)
+    if scenario.kind == "displacement_tracking" and setup.condition_cycles > 0:
+        # exercise the loop region before measuring (standard practice)
+        period = setup.condition_cycles / scenario.frequency_hz
+        for i in range(int(round(period / dts))):
+            t = (i + 1) * dts - period
+            last = drive(feedforward(float(scenario.reference(t))), t)
+            state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
+                                                    setup.ind, setup.dyn, ocfg, filt)
+
+    n = int(round(scenario.duration_s / dts))
+    log = np.empty((n, 7))
+    F_hat = state.F_hat
+    x_hat = model.invert_dynamic_length(setup.dyn, F_hat, last.P)
+    p_cmd = p_ff0
+    for i in range(n):
+        t = i * dts
+        ref = float(scenario.reference(t))
+        if i % sub == 0:
+            dp = 0.0
+            if mode == "sensor_fb" and force_mode:
+                dp = pid_step(ctrl, ref - last.F_meas, gains)
+            elif mode == "sensor_fb":
+                x_meas = last.x + setup.sensor_noise_x * rng_x.standard_normal()
+                dp = pid_step(ctrl, x_meas - ref, gains)
+            elif mode == "self_sensing":
+                dp = pid_step(ctrl, ref - F_hat if force_mode else x_hat - ref, gains)
+            p_cmd = float(np.clip(feedforward(ref) + dp, 0.0, setup.p_max))
+        last = drive(p_cmd, t)
+        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
+                                                setup.ind, setup.dyn, ocfg, filt)
+        log[i] = t, ref, last.F, last.x, F_hat, x_hat, p_cmd
+    return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"), log.T))
 
 
 def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup) -> TrackingResult:
@@ -242,102 +313,14 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup) -> Trackin
     if scenario.kind not in ("force_tracking", "displacement_tracking"):
         raise ValueError(f"run_tracking needs a tracking scenario, got '{scenario.kind}'")
     setup = resolve_setup(setup)
-    pcfg = setup.plant_cfg
     force_mode = scenario.kind == "force_tracking"
-    dts = 1.0 / pcfg.sensor_rate_hz
-    sub = pcfg.decimation_factor
     gains = setup.gains_force if force_mode else setup.gains_disp
-    if abs(gains.rate_hz - pcfg.control_rate_hz) > 1e-9:
+    if abs(gains.rate_hz - setup.plant_cfg.control_rate_hz) > 1e-9:
         raise ValueError("PID rate must match the plant's control rate")
-    ocfg = _observer_bundle(setup)
-    ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
-    rng_x = np.random.default_rng([pcfg.seed, 77])  # external displacement sensor
-
-    if force_mode:
-        hold_x = scenario.hold_x
-        p_ff0, _ = feedforward_pressure(setup.dyn, F_ref=float(scenario.reference(0.0)),
-                                        x=hold_x, p_max=setup.p_max)
-        load_true = None
-    else:
-        load_true = scenario.load
-        load_ff = (setup.load_nominal if setup.load_nominal is not None
-                   else setup.load_nominal_scale * load_true)
-        p_ff0, _ = feedforward_pressure(setup.dyn, x_ref=float(scenario.reference(0.0)),
-                                        F_load=load_ff, p_max=setup.p_max)
-
-    plant = Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
-
-    # Pre-roll: reach the operating point with the feedforward pressure
-    # applied, so the valve and the observer are settled at t = 0.
-    n_pre = int(round(setup.preroll_s / dts))
-    ramp_n = max(1, int(round(2.0 / dts)))
-    filt = state = None
-    last = None
-    for i in range(n_pre):
-        if force_mode:
-            frac = min(1.0, (i + 1) / ramp_n)
-            x_cmd = pcfg.dyn.x0 + frac * (hold_x - pcfg.dyn.x0)
-            last = plant.step(p_ff0, dts, x_cmd=x_cmd)
-        else:
-            last = plant.step(p_ff0, dts, F_load=load_true)
-        if filt is None:
-            F0 = float(scenario.reference(0.0)) if force_mode else load_true
-            filt, state = _start_observer(ocfg, setup, last.L_meas, last.P, F0=F0)
-        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                setup.ind, setup.dyn, ocfg, filt)
-    if not force_mode and setup.condition_cycles > 0:
-        # exercise the loop region before measuring (standard practice)
-        n_cond = int(round(setup.condition_cycles / scenario.frequency_hz / dts))
-        for i in range(n_cond):
-            t = (i + 1) * dts - setup.condition_cycles / scenario.frequency_hz
-            ref_now = float(scenario.reference(t))
-            p_ff, _ = feedforward_pressure(setup.dyn, x_ref=ref_now, F_load=load_ff,
-                                           p_max=setup.p_max)
-            last = plant.step(p_ff, dts, F_load=load_true)
-            state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                    setup.ind, setup.dyn, ocfg, filt)
-
-    n = int(round(scenario.duration_s / dts))
-    t_log = np.empty(n)
-    ref_log = np.empty(n)
-    truth_log = np.empty(n)
-    est_log = np.empty(n)
-    cmd_log = np.empty(n)
-    F_hat = state.F_hat
-    x_hat = model.invert_dynamic_length(setup.dyn, F_hat, last.P)
-    p_cmd = p_ff0
-    for i in range(n):
-        t = i * dts
-        if i % sub == 0:
-            ref_now = float(scenario.reference(t))
-            if force_mode:
-                p_ff, _ = feedforward_pressure(setup.dyn, F_ref=ref_now, x=hold_x,
-                                               p_max=setup.p_max)
-                if mode == "sensor_fb":
-                    err = ref_now - last.F_meas
-                elif mode == "self_sensing":
-                    err = ref_now - F_hat
-            else:
-                p_ff, _ = feedforward_pressure(setup.dyn, x_ref=ref_now, F_load=load_ff,
-                                               p_max=setup.p_max)
-                if mode == "sensor_fb":
-                    x_meas = last.x + setup.sensor_noise_x * rng_x.standard_normal()
-                    err = x_meas - ref_now
-                elif mode == "self_sensing":
-                    err = x_hat - ref_now
-            dp = pid_step(ctrl, err, gains) if mode != "open_loop" else 0.0
-            p_cmd = float(np.clip(p_ff + dp, 0.0, setup.p_max))
-        if force_mode:
-            last = plant.step(p_cmd, dts, x_cmd=hold_x)
-        else:
-            last = plant.step(p_cmd, dts, F_load=load_true)
-        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                setup.ind, setup.dyn, ocfg, filt)
-        t_log[i] = t
-        ref_log[i] = float(scenario.reference(t))
-        truth_log[i] = last.F if force_mode else last.x
-        est_log[i] = F_hat if force_mode else x_hat
-        cmd_log[i] = p_cmd
+    log = _run_loop(scenario, mode, setup)
+    t_log, ref_log = log["t"], log["reference"]
+    truth_log = log["F"] if force_mode else log["x"]
+    est_log = log["F_hat"] if force_mode else log["x_hat"]
 
     skip = setup.metrics_skip_periods / scenario.frequency_hz
     win = t_log >= min(skip, 0.5 * scenario.duration_s)
@@ -349,9 +332,9 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup) -> Trackin
     }
     return TrackingResult(
         scenario=scenario.name, mode=mode, t=t_log, reference=ref_log,
-        truth=truth_log, estimate=est_log, command=cmd_log, metrics=metrics,
+        truth=truth_log, estimate=est_log, command=log["command"], metrics=metrics,
         estimation=estimation,
-        meta={"seed": pcfg.seed, "kind": scenario.kind,
+        meta={"seed": setup.plant_cfg.seed, "kind": scenario.kind,
               "metrics_window_start_s": float(min(skip, 0.5 * scenario.duration_s))},
     )
 
@@ -383,51 +366,11 @@ def run_perturbation(setup: TrackingSetup, scenario: Scenario | None = None) -> 
     if scenario.kind != "load_perturbation":
         raise ValueError(f"run_perturbation needs a load_perturbation scenario, got '{scenario.kind}'")
     setup = resolve_setup(setup)
-    pcfg = setup.plant_cfg
-    dts = 1.0 / pcfg.sensor_rate_hz
-    sub = pcfg.decimation_factor
-    gains = setup.gains_disp
-    ocfg = _observer_bundle(setup)
-    ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
-    _, load_at = perturbation_load_profile(scenario, pcfg.seed)
-    x_ref = scenario.hold_x
-    base_load = scenario.load
-    p_ff, _ = feedforward_pressure(setup.dyn, x_ref=x_ref, F_load=base_load,
-                                   p_max=setup.p_max)
-    plant = Plant(pcfg, x0=x_ref, P0=p_ff)
-    filt = state = None
-    last = None
-    for i in range(int(round(setup.preroll_s / dts))):
-        last = plant.step(p_ff, dts, F_load=load_at(0.0))
-        if filt is None:
-            filt, state = _start_observer(ocfg, setup, last.L_meas, last.P, F0=base_load)
-        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                setup.ind, setup.dyn, ocfg, filt)
-
-    n = int(round(scenario.duration_s / dts))
-    t_log = np.empty(n)
-    truth_log = np.empty(n)
-    est_log = np.empty(n)
-    cmd_log = np.empty(n)
-    x_log = np.empty(n)
-    p_cmd = p_ff
-    x_hat = model.invert_dynamic_length(setup.dyn, state.F_hat, last.P)
-    for i in range(n):
-        t = i * dts
-        if i % sub == 0:
-            dp = pid_step(ctrl, x_hat - x_ref, gains)
-            p_cmd = float(np.clip(p_ff + dp, 0.0, setup.p_max))
-        last = plant.step(p_cmd, dts, F_load=load_at(t))
-        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                setup.ind, setup.dyn, ocfg, filt)
-        t_log[i] = t
-        truth_log[i] = last.F
-        est_log[i] = F_hat
-        cmd_log[i] = p_cmd
-        x_log[i] = last.x
+    log = _run_loop(scenario, "self_sensing", setup)
+    truth_log, est_log = log["F"], log["F_hat"]
 
     err = est_log - truth_log
-    tail = slice(int(0.8 * n), None)
+    tail = slice(int(0.8 * err.size), None)
     estimation = {
         "max_abs_error": float(np.max(np.abs(err))),
         "rmse": float(np.sqrt(np.mean(err ** 2))),
@@ -437,9 +380,9 @@ def run_perturbation(setup: TrackingSetup, scenario: Scenario | None = None) -> 
     # (the regulated length is constant; its RMSE goes to meta)
     metrics = goodness(est_log, truth_log)
     return TrackingResult(
-        scenario=scenario.name, mode="self_sensing", t=t_log,
-        reference=np.full(n, x_ref), truth=truth_log, estimate=est_log, command=cmd_log,
-        metrics=metrics, estimation=estimation,
-        meta={"seed": pcfg.seed, "kind": scenario.kind,
-              "x_rmse": float(np.sqrt(np.mean((x_log - x_ref) ** 2)))},
+        scenario=scenario.name, mode="self_sensing", t=log["t"],
+        reference=log["reference"], truth=truth_log, estimate=est_log,
+        command=log["command"], metrics=metrics, estimation=estimation,
+        meta={"seed": setup.plant_cfg.seed, "kind": scenario.kind,
+              "x_rmse": float(np.sqrt(np.mean((log["x"] - scenario.hold_x) ** 2)))},
     )

@@ -30,9 +30,9 @@ __all__ = [
     "RankDeficientError",
     "InvalidBoundsError",
     "ConstantSeriesError",
-    "NonConvergenceError",
     "read_csv",
     "write_csv",
+    "write_columns",
     "goodness",
     "fit_dynamic",
     "fit_inductance",
@@ -68,10 +68,6 @@ class ConstantSeriesError(ValueError):
     """Observed series is constant; R^2 and NRMSE are undefined."""
 
 
-class NonConvergenceError(RuntimeError):
-    """Raised by callers that require a converged fit (the fit itself reports a flag)."""
-
-
 @dataclass(frozen=True)
 class Sample:
     """One timestamped record: time s, pressure MPa, inductance uH,
@@ -87,7 +83,8 @@ class Sample:
 class Dataset:
     """Ordered samples stored as column arrays, plus free-form meta tags.
 
-    Timestamps must be strictly increasing and pressures non-negative.
+    Timestamps must be strictly increasing, pressures non-negative, and
+    the ``t``, ``P``, ``L``, ``F`` and ``x`` channels finite.
     ``F`` and ``x`` are None when the channel is absent.  ``extra``
     maps the names of further columns (such as the ``F_hat`` and
     ``x_hat`` estimates that ``coilsense estimate`` appends) to arrays
@@ -108,8 +105,10 @@ class Dataset:
                           *self.extra.items()):
             if col is not None and col.size != n:
                 raise DataFormatError(f"column '{name}' has {col.size} rows, expected {n}")
-        if n and not np.all(np.isfinite(self.t)):
-            raise DataFormatError("timestamps must be finite")
+        for name, col in (("t", self.t), ("P", self.P), ("L", self.L), ("F", self.F),
+                          ("x", self.x)):
+            if col is not None and not np.all(np.isfinite(col)):
+                raise DataFormatError(f"column '{name}' has non-finite values")
         if n > 1 and not np.all(np.diff(self.t) > 0):
             raise DataFormatError("timestamps must be strictly increasing")
         if n and np.any(self.P < 0):
@@ -205,20 +204,21 @@ def write_csv(ds: Dataset, path: str, extra: dict | None = None) -> None:
     clash = [name for name in extras if name in _CSV_COLUMNS]
     if clash:
         raise DataFormatError(f"extra column(s) {clash} reuse a standard column name")
-    header = ["t", "P", "L"]
-    columns = [ds.t, ds.P, ds.L]
+    columns = {"t": ds.t, "P": ds.P, "L": ds.L}
     if ds.F is not None:
-        header.append("F")
-        columns.append(ds.F)
+        columns["F"] = ds.F
     if ds.x is not None:
-        header.append("x")
-        columns.append(ds.x)
-    for name, col in extras.items():
-        header.append(name)
-        columns.append(np.asarray(col, dtype=float))
-    lines = [",".join(header)]
-    for i in range(len(ds)):
-        lines.append(",".join(format(float(c[i]), ".12g") for c in columns))
+        columns["x"] = ds.x
+    write_columns(path, {**columns, **extras})
+
+
+def write_columns(path: str, columns: dict) -> None:
+    """Write equal-length named columns as a CSV atomically: a header
+    line, then one comma-joined row per sample, every value as ``.12g``."""
+    arrays = [np.asarray(col, dtype=float) for col in columns.values()]
+    lines = [",".join(columns)]
+    for i in range(arrays[0].size):
+        lines.append(",".join(format(float(a[i]), ".12g") for a in arrays))
     model._atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -254,7 +254,7 @@ def peak_force(params: InductanceParams, P: float) -> float:
 
 def _atomic_write_text(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".json")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

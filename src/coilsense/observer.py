@@ -323,8 +323,7 @@ def run_estimation(dataset, params: InductanceParams, dyn: DynamicParams,
     Returns arrays ``F_hat`` and ``x_hat`` aligned with the dataset.
     """
     if filter_spec is None:
-        filter_spec = sig.FilterSpec(order=3, cutoff_hz=10.0,
-                                     sample_rate_hz=1.0 / cfg.dt)
+        filter_spec = sig.FilterSpec(sample_rate_hz=1.0 / cfg.dt)
     filt = sig.design(filter_spec)
     sig.prime(filt, float(dataset.L[0]))
     if F0 is None:

@@ -114,6 +114,12 @@ class TestEstimate:
         second = {f: read_bytes(os.path.join(out, f)) for f in os.listdir(out)}
         assert first == second
 
+    def test_nan_inductance_is_a_data_error(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,P,L\n0,0,5\n0.01,0,nan\n0.02,0,5\n")
+        rc = cli.main(["--out", str(tmp_path / "o"), "estimate", "--data", str(path)])
+        assert rc == cli.EXIT_DATA
+
     def test_non_monotonic_timestamps(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,P,L\n0,0,5\n0,0,5\n")
@@ -179,6 +185,38 @@ class TestSimulateTrackPerturb:
         doc = json.load(open(os.path.join(out, "perturb_summary.json")))
         assert set(doc["estimation"]) == {"max_abs_error", "rmse", "drift"}
 
+    def test_observer_noise_key_overrides_plant(self, cal_csv, tmp_path):
+        cfg = {"seed": 1, "observer": {"noise_L": 0.02},
+               "scenarios": [{"kind": "load_perturbation", "duration_s": 20.0,
+                              "magnitudes": [0.2, -0.2]}]}
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(cfg, open(cfg_path, "w"))
+        for argv in (["estimate", "--data", cal_csv], ["perturb"]):
+            out = str(tmp_path / argv[0])
+            assert cli.main(["--config", cfg_path, "--out", out, *argv]) == 0
+
+    def test_track_and_perturb_rerun_byte_identical(self, tmp_path):
+        cfg = {"seed": 2,
+               "scenarios": [{"kind": "force_tracking", "waveform": "sine",
+                              "frequency_hz": 0.2, "duration_s": 10.0},
+                             {"kind": "load_perturbation", "duration_s": 20.0,
+                              "magnitudes": [0.2, -0.2]}]}
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(cfg, open(cfg_path, "w"))
+        runs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            for command in ("track", "perturb"):
+                assert cli.main(["--config", cfg_path, "--out", out, command]) == 0
+            runs.append({f: read_bytes(os.path.join(out, f))
+                         for f in sorted(os.listdir(out))
+                         if f.endswith((".csv", ".json"))})
+        assert sorted(runs[0]) == [
+            "force_sine_0.2Hz_open_loop.csv", "force_sine_0.2Hz_self_sensing.csv",
+            "force_sine_0.2Hz_sensor_fb.csv", "perturb_summary.json", "perturbation.csv",
+            "tracking_metrics.json"]
+        assert runs[0] == runs[1]
+
 
 class TestEntryPoint:
     def test_module_help(self):
@@ -192,3 +230,6 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "coilsense.cli", "frobnicate"],
                               capture_output=True, text=True)
         assert proc.returncode == cli.EXIT_USAGE
+
+    def test_jobs_flag_is_gone(self):
+        assert cli.main(["--jobs", "2", "track"]) == cli.EXIT_USAGE

@@ -69,6 +69,15 @@ class TestDataset:
         with pytest.raises(DataFormatError):
             Dataset(t=[0.0, 1.0], P=[0.1, -0.2], L=[5, 5])
 
+    @pytest.mark.parametrize("column", ["t", "P", "L", "F", "x"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_channel_rejected(self, column, bad):
+        cols = {"t": [0.0, 1.0, 2.0], "P": [0.1, 0.2, 0.3], "L": [5.0, 5.1, 5.2],
+                "F": [1.0, 1.1, 1.2], "x": [0.10, 0.11, 0.12]}
+        cols[column][1] = bad
+        with pytest.raises(DataFormatError, match=f"'{column}'"):
+            Dataset(**cols)
+
     def test_sample_round_trip(self):
         ds = Dataset(t=[0.0, 1.0], P=[0.1, 0.2], L=[5.0, 5.1], F=[1.0, 2.0])
         samples = ds.samples
