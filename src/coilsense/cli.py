@@ -174,13 +174,20 @@ def _observer_overrides(cfg: dict) -> dict:
     return block
 
 
-def _gains_from(block, name) -> control.PidGains:
+def _gains_from(block, name, control_rate_hz: float) -> control.PidGains:
+    """Gains of one controller block.  The PID runs on the plant's
+    control ticks, so ``rate_hz`` defaults to the plant's control rate
+    and any other value is an error."""
     try:
-        return control.PidGains(kp=block.get("kp", 0.0), ki=block.get("ki", 0.0),
-                                kd=block.get("kd", 0.0),
-                                rate_hz=block.get("rate_hz", 20.0))
-    except ValueError as exc:
+        gains = control.PidGains(kp=block.get("kp", 0.0), ki=block.get("ki", 0.0),
+                                 kd=block.get("kd", 0.0),
+                                 rate_hz=block.get("rate_hz", control_rate_hz))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"controller.{name}: {exc}") from None
+    if abs(gains.rate_hz - control_rate_hz) > 1e-9:
+        raise ConfigError(f"controller.{name}: rate_hz {gains.rate_hz} differs from "
+                          f"plant.control_rate_hz {control_rate_hz}")
+    return gains
 
 
 def _build_setup(cfg: dict, pcfg: plant.PlantConfig) -> control.TrackingSetup:
@@ -193,10 +200,15 @@ def _build_setup(cfg: dict, pcfg: plant.PlantConfig) -> control.TrackingSetup:
     setup = control.TrackingSetup(plant_cfg=pcfg,
                                   observer_overrides=_observer_overrides(cfg),
                                   filter_spec=_build_filter_spec(cfg))
+    rate = pcfg.control_rate_hz
     if "force_gains" in block:
-        setup.gains_force = _gains_from(block["force_gains"], "force_gains")
+        setup.gains_force = _gains_from(block["force_gains"], "force_gains", rate)
+    else:
+        setup.gains_force = dataclasses.replace(setup.gains_force, rate_hz=rate)
     if "disp_gains" in block:
-        setup.gains_disp = _gains_from(block["disp_gains"], "disp_gains")
+        setup.gains_disp = _gains_from(block["disp_gains"], "disp_gains", rate)
+    else:
+        setup.gains_disp = dataclasses.replace(setup.gains_disp, rate_hz=rate)
     setup.p_max = float(block.get("p_max", setup.p_max))
     setup.integral_clamp_mpa = float(block.get("integral_clamp_mpa", setup.integral_clamp_mpa))
     setup.sensor_noise_x = float(block.get("sensor_noise_x", setup.sensor_noise_x))
@@ -327,11 +339,20 @@ def _reversal_stats(ds: ident.Dataset, err: np.ndarray, window_s: float = 0.25) 
 
 def cmd_estimate(args, cfg, resolved) -> int:
     ds = _load_dataset(args, resolved)
-    out = _out_dir(cfg, args)
     dyn, ind_p = _nominal_models(resolved)
     fspec = _build_filter_spec(cfg, args)
     dt_data = float(np.median(np.diff(ds.t))) if len(ds) > 1 else 1.0 / fspec.sample_rate_hz
+    if abs(fspec.sample_rate_hz - 1.0 / dt_data) > 1e-6 * fspec.sample_rate_hz:
+        raise ConfigError(f"filter sample rate {fspec.sample_rate_hz:g} Hz differs from "
+                          f"the data's rate {1.0 / dt_data:g} Hz (1 / median dt)")
     env = _build_envelope(cfg)
+    outside = np.flatnonzero((ds.L < env.L_min) | (ds.L > env.L_max))
+    if outside.size:
+        i = int(outside[0])
+        raise ident.DataFormatError(
+            f"data row {i + 1} (t={ds.t[i]:g} s): inductance {ds.L[i]:g} uH outside "
+            f"the envelope [{env.L_min:g}, {env.L_max:g}] ({outside.size} rows outside)")
+    out = _out_dir(cfg, args)
     ocfg = observer.make_observer_config(
         ind_p, env, dt=dt_data,
         **{"noise_L": resolved["plant"].noise_L, **resolved["observer"]})

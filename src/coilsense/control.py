@@ -214,6 +214,8 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup) -> dict:
     dts = 1.0 / pcfg.sensor_rate_hz
     sub = pcfg.decimation_factor
     gains = setup.gains_force if force_mode else setup.gains_disp
+    if abs(gains.rate_hz - pcfg.control_rate_hz) > 1e-9:
+        raise ValueError("PID rate must match the plant's control rate")
     ocfg = obs.make_observer_config(
         setup.ind, pcfg.envelope, dt=dts,
         **{"noise_L": pcfg.noise_L, **setup.observer_overrides})
@@ -314,9 +316,6 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup) -> Trackin
         raise ValueError(f"run_tracking needs a tracking scenario, got '{scenario.kind}'")
     setup = resolve_setup(setup)
     force_mode = scenario.kind == "force_tracking"
-    gains = setup.gains_force if force_mode else setup.gains_disp
-    if abs(gains.rate_hz - setup.plant_cfg.control_rate_hz) > 1e-9:
-        raise ValueError("PID rate must match the plant's control rate")
     log = _run_loop(scenario, mode, setup)
     t_log, ref_log = log["t"], log["reference"]
     truth_log = log["F"] if force_mode else log["x"]

@@ -169,11 +169,28 @@ def invert_dynamic_length(params: DynamicParams, F, P):
     return params.x0 + (F - params.c * P) / params.k
 
 
-def _coeff_arrays(params: InductanceParams, P):
-    """The five coefficients as arrays broadcast against P."""
-    P = np.asarray(P, dtype=float)
+def _coeffs(params: InductanceParams, P):
+    """The five coefficients at P: floats for a float P, arrays
+    broadcast against an array P (the same IEEE products and sums)."""
     p = params.p
     return tuple(p[2 * i] * P + p[2 * i + 1] for i in range(5))
+
+
+def _inductance(F, l1, l2, l3, l4, l5):
+    """The inductance formula on already-evaluated coefficients.
+
+    No checks and no ``np.errstate``: callers supply both.  It stays on
+    numpy's ``power`` and ``exp`` for scalars too, whose results differ
+    from ``math``'s in the last bit, so scalar and array evaluations
+    agree exactly.
+    """
+    return l1 * np.power(F, l2) * np.exp(l3 * np.power(F, l4)) + l5
+
+
+def _d_inductance_dF(F, l1, l2, l3, l4):
+    """dL/dF on already-evaluated coefficients; see ``_inductance``."""
+    Fl4 = np.power(F, l4)
+    return l1 * np.power(F, l2 - 1.0) * np.exp(l3 * Fl4) * (l2 + l3 * l4 * Fl4)
 
 
 def eval_coeffs(params: InductanceParams, P: float, validate: bool = True) -> ModelCoeffs:
@@ -184,7 +201,7 @@ def eval_coeffs(params: InductanceParams, P: float, validate: bool = True) -> Mo
     map undefined at F = 0; ``validate=False`` returns the raw
     arithmetic instead.
     """
-    l1, l2, l3, l4, l5 = (float(v) for v in _coeff_arrays(params, float(P)))
+    l1, l2, l3, l4, l5 = _coeffs(params, float(P))
     if validate:
         if not all(math.isfinite(v) for v in (l1, l2, l3, l4, l5)):
             raise EnvelopeError(f"non-finite coefficients at P={P}")
@@ -211,9 +228,8 @@ def eval_inductance(params: InductanceParams, F, P, validate: bool = True):
             raise DomainError("force must be >= 0 for the inductance map")
         if np.ndim(P) == 0:
             eval_coeffs(params, float(P))  # raises on bad lambda2/lambda4
-    l1, l2, l3, l4, l5 = _coeff_arrays(params, P)
     with np.errstate(all="ignore"):
-        L = l1 * np.power(F_arr, l2) * np.exp(l3 * np.power(F_arr, l4)) + l5
+        L = _inductance(F_arr, *_coeffs(params, np.asarray(P, dtype=float)))
     return float(L) if scalar else L
 
 
@@ -230,10 +246,9 @@ def d_inductance_dF(params: InductanceParams, F, P, validate: bool = True):
             raise DomainError("sensitivity requires F > 0")
         if np.ndim(P) == 0:
             eval_coeffs(params, float(P))
-    l1, l2, l3, l4, _ = _coeff_arrays(params, P)
+    l1, l2, l3, l4, _ = _coeffs(params, np.asarray(P, dtype=float))
     with np.errstate(all="ignore"):
-        Fl4 = np.power(F_arr, l4)
-        g = l1 * np.power(F_arr, l2 - 1.0) * np.exp(l3 * Fl4) * (l2 + l3 * l4 * Fl4)
+        g = _d_inductance_dF(F_arr, l1, l2, l3, l4)
     return float(g) if scalar else g
 
 

@@ -97,6 +97,11 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class ObserverConfig:
+    """Observer tuning.  ``grid`` (the coarse inversion grid over the
+    feasible force interval) and ``transition`` (the constant-velocity
+    state matrix) are derived from the other fields on construction, so
+    ``dataclasses.replace`` rebuilds them."""
+
     dt: float
     Q: np.ndarray
     R: float
@@ -108,6 +113,8 @@ class ObserverConfig:
     median_gradient: float = 0.1
     gradient_guard_ratio: float = 1e-4
     gradient_guard_inflation: float = 10.0
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    transition: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float).reshape(2, 2))
@@ -120,6 +127,11 @@ class ObserverConfig:
             raise ValueError("grid_points must be >= 16")
         if np.any(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T)) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
+        grid = np.linspace(self.envelope.F_min, self.envelope.F_max, self.grid_points)
+        transition = np.array([[1.0, self.dt], [0.0, 1.0]])
+        for name, arr in (("grid", grid), ("transition", transition)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def median_force_gradient(params: InductanceParams, envelope: OperatingEnvelope,
@@ -184,7 +196,7 @@ def reset(F0: float, cfg: ObserverConfig) -> ObserverState:
 
 def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
     """Constant-velocity propagation over one sampling interval."""
-    A = np.array([[1.0, cfg.dt], [0.0, 1.0]])
+    A = cfg.transition
     mean = A @ state.mean
     cov = A @ state.cov @ A.T + cfg.Q
     return ObserverState(mean=mean, cov=0.5 * (cov + cov.T))
@@ -207,9 +219,11 @@ def _golden_section(fun, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _composite_cost(F, L_meas: float, P: float, prior_F: float,
-                    params: InductanceParams, w: CostWeights):
-    r = model.eval_inductance(params, F, P, validate=False) - L_meas
+def _composite_cost(F, L_meas: float, coeffs: tuple, prior_F: float, w: CostWeights):
+    """Inversion cost at force F (scalar or array); ``coeffs`` are the
+    five map coefficients at the inversion pressure.  Callers set
+    ``np.errstate``."""
+    r = model._inductance(F, *coeffs) - L_meas
     dF = F - prior_F
     return (w.w_fit * r * r + w.w_dyn * dF * dF
             + w.w_reg * (1.0 - 1.0 / (1.0 + w.gamma * dF * dF)))
@@ -229,15 +243,16 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
     w = cfg.weights
-    grid = np.linspace(env.F_min, env.F_max, cfg.grid_points)
-    costs = _composite_cost(grid, L_meas, P, prior_F, params, w)
-    i = int(np.nanargmin(costs))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, cfg.grid_points - 1)]
-    f_star = _golden_section(
-        lambda F: float(_composite_cost(F, L_meas, P, prior_F, params, w)),
-        float(a), float(b), cfg.refine_tol)
-    return float(np.clip(f_star, env.F_min, env.F_max))
+    grid = cfg.grid
+    coeffs = model.eval_coeffs(params, P, validate=False).as_tuple()
+    with np.errstate(all="ignore"):
+        i = int(np.nanargmin(_composite_cost(grid, L_meas, coeffs, prior_F, w)))
+        a = grid[max(i - 1, 0)]
+        b = grid[min(i + 1, cfg.grid_points - 1)]
+        f_star = _golden_section(
+            lambda F: float(_composite_cost(F, L_meas, coeffs, prior_F, w)),
+            float(a), float(b), cfg.refine_tol)
+    return min(max(f_star, env.F_min), env.F_max)
 
 
 def update(prior: ObserverState, F_star: float, cfg: ObserverConfig,
@@ -284,10 +299,12 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     L_f = sig.step(filt, L_raw)
     P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
     pred = predict(state, cfg)
-    prior_F = float(np.clip(pred.mean[0], env.F_min, env.F_max))
+    prior_F = min(max(float(pred.mean[0]), env.F_min), env.F_max)
     F_star = solve_pseudo_measurement(L_f, P_f, prior_F, params, cfg)
     g_at = max(F_star, 1e-3 * env.F_span + env.F_min)
-    grad = abs(model.d_inductance_dF(params, g_at, P_f, validate=False))
+    l1, l2, l3, l4, _ = model.eval_coeffs(params, P_f, validate=False).as_tuple()
+    with np.errstate(all="ignore"):
+        grad = abs(float(model._d_inductance_dF(g_at, l1, l2, l3, l4)))
     Rv = cfg.R
     if grad < cfg.gradient_guard_ratio * cfg.median_gradient:
         Rv = cfg.R * cfg.gradient_guard_inflation

@@ -120,6 +120,23 @@ class TestEstimate:
         rc = cli.main(["--out", str(tmp_path / "o"), "estimate", "--data", str(path)])
         assert rc == cli.EXIT_DATA
 
+    def test_out_of_envelope_inductance_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "spike.csv"
+        path.write_text("t,P,L\n0,0,5\n0.01,0,5\n0.02,0,1e9\n0.03,0,5\n")
+        out = tmp_path / "o"
+        rc = cli.main(["--out", str(out), "estimate", "--data", str(path)])
+        assert rc == cli.EXIT_DATA
+        assert "row 3 " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_filter_rate_must_match_data(self, cal_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.main(["--out", str(out), "estimate", "--data", cal_csv, "--fs", "200"])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "200 Hz" in err and "100 Hz" in err
+        assert not out.exists()
+
     def test_non_monotonic_timestamps(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,P,L\n0,0,5\n0,0,5\n")
@@ -184,6 +201,32 @@ class TestSimulateTrackPerturb:
         assert rc == 0
         doc = json.load(open(os.path.join(out, "perturb_summary.json")))
         assert set(doc["estimation"]) == {"max_abs_error", "rmse", "drift"}
+
+    @pytest.mark.parametrize("command,gains", [("track", "force_gains"),
+                                               ("perturb", "disp_gains")])
+    def test_pid_rate_must_match_control_rate(self, tmp_path, command, gains):
+        cfg = {"controller": {gains: {"kp": 0.3, "ki": 1.2, "kd": 0.05, "rate_hz": 10}},
+               "scenarios": [{"kind": "force_tracking", "duration_s": 2.0},
+                             {"kind": "load_perturbation", "duration_s": 5.0,
+                              "magnitudes": [0.2]}]}
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(cfg, open(cfg_path, "w"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg_path, "--out", str(out), command]) == cli.EXIT_USAGE
+        assert not out.exists()
+
+    def test_pid_rate_defaults_to_control_rate(self, tmp_path):
+        # a gain block without rate_hz (track) and the built-in gains (perturb)
+        cfg = {"plant": {"control_rate_hz": 50.0},
+               "controller": {"force_gains": {"kp": 0.3, "ki": 1.2, "kd": 0.05}},
+               "scenarios": [{"kind": "force_tracking", "duration_s": 2.0},
+                             {"kind": "load_perturbation", "duration_s": 5.0,
+                              "magnitudes": [0.2]}]}
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(cfg, open(cfg_path, "w"))
+        for command in ("track", "perturb"):
+            assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "out"),
+                             command]) == 0
 
     def test_observer_noise_key_overrides_plant(self, cal_csv, tmp_path):
         cfg = {"seed": 1, "observer": {"noise_L": 0.02},

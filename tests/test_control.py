@@ -147,6 +147,13 @@ class TestPerturbation:
         with pytest.raises(ValueError):
             control.run_perturbation(setup0, short_force_scenario())
 
+    def test_pid_rate_mismatch_rejected(self, setup0):
+        from dataclasses import replace
+        setup = replace(setup0, gains_disp=replace(setup0.gains_disp, rate_hz=10.0))
+        scn = plant.Scenario.load_perturbation(duration_s=5.0, magnitudes=(0.2,))
+        with pytest.raises(ValueError, match="control rate"):
+            control.run_perturbation(setup, scn)
+
     def test_zero_noise_zero_hysteresis_error_vanishes(self):
         pcfg = plant.default_plant_config(seed=0, noise_L=0.0, noise_F=0.0,
                                           hysteresis=())

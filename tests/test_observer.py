@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -148,9 +151,74 @@ class TestSolvePseudoMeasurement:
             L = model.eval_inductance(IND, rng.uniform(0, 5), P) + rng.normal(0, 0.01)
             prior = rng.uniform(0, 5)
             f_solver = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
-            costs = observer._composite_cost(grid, L, P, prior, IND, cfg.weights)
+            coeffs = model.eval_coeffs(IND, P, validate=False).as_tuple()
+            costs = observer._composite_cost(grid, L, coeffs, prior, cfg.weights)
             f_oracle = float(grid[np.argmin(costs)])
             assert abs(f_solver - f_oracle) <= tol
+
+
+def reference_cost(L_meas, P, prior_F, w):
+    """The composite inversion cost on the public ``model.eval_inductance``."""
+    def cost(F):
+        r = model.eval_inductance(IND, F, P, validate=False) - L_meas
+        dF = F - prior_F
+        return (w.w_fit * r * r + w.w_dyn * dF * dF
+                + w.w_reg * (1.0 - 1.0 / (1.0 + w.gamma * dF * dF)))
+    return cost
+
+
+def reference_inversion(L_meas, P, prior_F, cfg):
+    """Grid scan plus golden section on ``reference_cost``, written out
+    call by call: the solver, with its per-sample work hoisted, must
+    reproduce it bit for bit."""
+    env = cfg.envelope
+    cost = reference_cost(L_meas, P, prior_F, cfg.weights)
+    grid = np.linspace(env.F_min, env.F_max, cfg.grid_points)
+    i = int(np.nanargmin(cost(grid)))
+    a = float(grid[max(i - 1, 0)])
+    b = float(grid[min(i + 1, cfg.grid_points - 1)])
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = float(cost(c)), float(cost(d))
+    while b - a > cfg.refine_tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = float(cost(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = float(cost(d))
+    return float(np.clip(0.5 * (a + b), env.F_min, env.F_max))
+
+
+class TestInversionPinned:
+    @pytest.mark.parametrize("overrides", [{}, {"noise_L": 0.0}, {"grid_points": 33}])
+    def test_matches_reference_bit_for_bit(self, overrides):
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01,
+                                            **{"noise_L": 0.01, **overrides})
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            P = float(rng.uniform(ENV.P_min, ENV.P_max))
+            L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P)
+                      + rng.normal(0, 0.02))
+            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+            got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+            assert got == reference_inversion(L, P, prior, cfg)
+            # the scalar cost itself, whose last bits steer the golden pass
+            coeffs = model.eval_coeffs(IND, P, validate=False).as_tuple()
+            ref = reference_cost(L, P, prior, cfg.weights)
+            for F in (got, float(rng.uniform(ENV.F_min, ENV.F_max))):
+                assert observer._composite_cost(F, L, coeffs, prior, cfg.weights) == ref(F)
+
+    def test_replace_rebuilds_grid(self):
+        cfg = make_cfg()
+        assert cfg.grid.shape == (129,)
+        small = replace(cfg, grid_points=33)
+        assert np.array_equal(small.grid, np.linspace(ENV.F_min, ENV.F_max, 33))
+        assert cfg.grid.shape == (129,)
+        with pytest.raises(ValueError):
+            small.grid[0] = 1.0
 
 
 class TestEstimateStep:
