@@ -247,11 +247,32 @@ def scenario_from_config(block: dict) -> plant.Scenario:
         raise ConfigError(f"scenario '{kind}': {exc}") from None
 
 
+_OBJECT_BLOCKS = ("plant", "envelope", "filter", "observer", "controller", "paths")
+
+
+def _check_type(name: str, block, kind: type) -> None:
+    if block is not None and not isinstance(block, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{name}: expected {expected}, got {block!r}")
+
+
+def _check_block_types(cfg: dict) -> None:
+    """Each block and each controller gain block is an object and
+    ``scenarios`` is a list; a null block counts as empty."""
+    for name in _OBJECT_BLOCKS:
+        _check_type(name, cfg.get(name), dict)
+    _check_type("scenarios", cfg.get("scenarios"), list)
+    controller = cfg.get("controller") or {}
+    for name in ("force_gains", "disp_gains"):
+        _check_type(f"controller.{name}", controller.get(name), dict)
+
+
 def validate_config(cfg: dict) -> dict:
     """Build every block once; raises ConfigError before any side effects.
 
     Returns the resolved objects for reuse by the commands.
     """
+    _check_block_types(cfg)
     pcfg = _build_plant_config(cfg)
     resolved = {
         "plant": pcfg,
@@ -430,9 +451,18 @@ def _format_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_filter_rate(setup: control.TrackingSetup) -> None:
+    """The observer's filters run on the plant's sensor samples."""
+    fs, sensor = setup.filter_spec.sample_rate_hz, setup.plant_cfg.sensor_rate_hz
+    if abs(fs - sensor) > 1e-9 * sensor:
+        raise ConfigError(f"filter.sample_rate_hz {fs:g} Hz differs from "
+                          f"plant.sensor_rate_hz {sensor:g} Hz")
+
+
 def cmd_track(args, cfg, resolved) -> int:
-    out = _out_dir(cfg, args)
     setup = resolved["setup"]
+    _check_filter_rate(setup)
+    out = _out_dir(cfg, args)
     scenarios = [s for s in resolved["scenarios"]
                  if s.kind in ("force_tracking", "displacement_tracking")]
     if not scenarios:
@@ -457,8 +487,9 @@ def cmd_track(args, cfg, resolved) -> int:
 
 
 def cmd_perturb(args, cfg, resolved) -> int:
-    out = _out_dir(cfg, args)
     setup = resolved["setup"]
+    _check_filter_rate(setup)
+    out = _out_dir(cfg, args)
     scenarios = [s for s in resolved["scenarios"] if s.kind == "load_perturbation"]
     scenario = scenarios[0] if scenarios else plant.Scenario.load_perturbation()
     res = control.run_perturbation(setup, scenario)

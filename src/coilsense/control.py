@@ -216,6 +216,9 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup) -> dict:
     gains = setup.gains_force if force_mode else setup.gains_disp
     if abs(gains.rate_hz - pcfg.control_rate_hz) > 1e-9:
         raise ValueError("PID rate must match the plant's control rate")
+    if abs(setup.filter_spec.sample_rate_hz - pcfg.sensor_rate_hz) > 1e-9 * pcfg.sensor_rate_hz:
+        raise ValueError(f"filter sample rate {setup.filter_spec.sample_rate_hz:g} Hz must "
+                         f"match the plant's sensor rate {pcfg.sensor_rate_hz:g} Hz")
     ocfg = obs.make_observer_config(
         setup.ind, pcfg.envelope, dt=dts,
         **{"noise_L": pcfg.noise_L, **setup.observer_overrides})

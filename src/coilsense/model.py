@@ -210,6 +210,15 @@ def eval_coeffs(params: InductanceParams, P: float, validate: bool = True) -> Mo
     return ModelCoeffs(l1, l2, l3, l4, l5)
 
 
+def _coeffs_at(params: InductanceParams, P, validate: bool) -> tuple:
+    """The coefficients for ``eval_inductance`` and ``d_inductance_dF``:
+    one validated float evaluation for a scalar P, unchecked arrays for
+    an array P."""
+    if np.ndim(P) == 0:
+        return eval_coeffs(params, P, validate).as_tuple()
+    return _coeffs(params, np.asarray(P, dtype=float))
+
+
 def eval_inductance(params: InductanceParams, F, P, validate: bool = True):
     """Inductance (uH) at force F (N) and pressure P (MPa).
 
@@ -222,15 +231,12 @@ def eval_inductance(params: InductanceParams, F, P, validate: bool = True):
     non-finite values propagate silently (used inside fitting loops).
     """
     F_arr = np.asarray(F, dtype=float)
-    scalar = F_arr.ndim == 0 and np.ndim(P) == 0
-    if validate:
-        if np.any(F_arr < 0):
-            raise DomainError("force must be >= 0 for the inductance map")
-        if np.ndim(P) == 0:
-            eval_coeffs(params, float(P))  # raises on bad lambda2/lambda4
+    if validate and (F_arr < 0).any():
+        raise DomainError("force must be >= 0 for the inductance map")
+    coeffs = _coeffs_at(params, P, validate)
     with np.errstate(all="ignore"):
-        L = _inductance(F_arr, *_coeffs(params, np.asarray(P, dtype=float)))
-    return float(L) if scalar else L
+        L = _inductance(F_arr, *coeffs)
+    return float(L) if L.ndim == 0 else L
 
 
 def d_inductance_dF(params: InductanceParams, F, P, validate: bool = True):
@@ -240,16 +246,12 @@ def d_inductance_dF(params: InductanceParams, F, P, validate: bool = True):
     Requires F > 0 (the power term may be singular at 0).
     """
     F_arr = np.asarray(F, dtype=float)
-    scalar = F_arr.ndim == 0 and np.ndim(P) == 0
-    if validate:
-        if np.any(F_arr <= 0):
-            raise DomainError("sensitivity requires F > 0")
-        if np.ndim(P) == 0:
-            eval_coeffs(params, float(P))
-    l1, l2, l3, l4, _ = _coeffs(params, np.asarray(P, dtype=float))
+    if validate and (F_arr <= 0).any():
+        raise DomainError("sensitivity requires F > 0")
+    l1, l2, l3, l4, _ = _coeffs_at(params, P, validate)
     with np.errstate(all="ignore"):
         g = _d_inductance_dF(F_arr, l1, l2, l3, l4)
-    return float(g) if scalar else g
+    return float(g) if g.ndim == 0 else g
 
 
 def peak_force(params: InductanceParams, P: float) -> float:

@@ -178,34 +178,48 @@ class Plant:
         self.state = PlantState(x=x_init, P=float(P0),
                                 play_states=np.zeros(self._widths.size))
 
-    def _force_at(self, x: float, P: float, z: np.ndarray) -> tuple:
-        """Force and the advanced play states at a candidate length."""
+    def _force(self, x: float, P: float, z: np.ndarray) -> tuple:
+        """Unclamped force and the advanced play states at a candidate
+        length (the plant's force is ``max(F, 0)``)."""
         u = x - self.cfg.dyn.x0
         z_new = _play_update(z, u, self._widths)
         F = self.cfg.dyn.k * u + self.cfg.dyn.c * P + float(self._weights @ z_new)
-        return max(F, 0.0), z_new
+        return F, z_new
 
     def _solve_isotonic(self, F_load: float, P: float) -> float:
-        """Length at which the plant force balances the external load."""
+        """Length at which the plant force balances the external load.
+
+        With P and the play states fixed, the unclamped force is
+        continuous, piecewise linear and strictly increasing in x (slope
+        at least k), with knots at ``x0 + z +- width``.  Linear
+        interpolation in the first segment whose right end reaches the
+        load is exact.  It runs on the unclamped force, because the clamp
+        at 0 N adds a kink that is not a knot.
+        """
         env = self.cfg.envelope
         z = self.state.play_states
         lo, hi = env.x_min, env.x_max
-        f_lo, _ = self._force_at(lo, P, z)
-        f_hi, _ = self._force_at(hi, P, z)
-        if F_load < f_lo - 1e-12 or F_load > f_hi + 1e-12:
+        f_lo, f_hi = self._force(lo, P, z)[0], self._force(hi, P, z)[0]
+        F_lo, F_hi = max(f_lo, 0.0), max(f_hi, 0.0)
+        if F_load < F_lo - 1e-12 or F_load > F_hi + 1e-12:
             raise IsotonicInfeasibleError(
-                f"load {F_load} N unreachable in x=[{lo}, {hi}] (force range [{f_lo:.4g}, {f_hi:.4g}])"
+                f"load {F_load} N unreachable in x=[{lo}, {hi}] (force range [{F_lo:.4g}, {F_hi:.4g}])"
             )
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            f_mid, _ = self._force_at(mid, P, z)
-            if f_mid < F_load:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12:
+        if F_load <= F_lo:
+            return lo
+        if F_load >= f_hi:
+            return hi
+        knots = np.sort(np.concatenate((z - self._widths, z + self._widths)) + self.cfg.dyn.x0)
+        xa, fa = lo, f_lo
+        for xb in knots[(knots > lo) & (knots < hi)].tolist():
+            fb = self._force(xb, P, z)[0]
+            if fb >= F_load:
                 break
-        return 0.5 * (lo + hi)
+            xa, fa = xb, fb
+        else:
+            xb, fb = hi, f_hi
+        # fa < F_load <= fb, so fb > fa and xb > xa
+        return xa + (F_load - fa) * (xb - xa) / (fb - fa)
 
     def step(self, P_cmd: float, dt: float, x_cmd: float | None = None,
              F_load: float | None = None) -> StepResult:
@@ -227,7 +241,8 @@ class Plant:
             P = float(P_cmd)
         P = max(P, 0.0)
         x = float(x_cmd) if x_cmd is not None else self._solve_isotonic(float(F_load), P)
-        F, z_new = self._force_at(x, P, st.play_states)
+        F, z_new = self._force(x, P, st.play_states)
+        F = max(F, 0.0)
         L_clean = model.eval_inductance(cfg.ind, F, P)
         # Both sensor channels draw every step so the noise stream does
         # not depend on which channel a caller consumes.

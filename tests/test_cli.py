@@ -215,6 +215,37 @@ class TestSimulateTrackPerturb:
         assert cli.main(["--config", cfg_path, "--out", str(out), command]) == cli.EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"controller": {"force_gains": 5}}, {"controller": 5}, {"plant": 5},
+        {"filter": 5}, {"observer": 5}, {"paths": 5}, {"scenarios": 5},
+        {"envelope": [1]}],
+        ids=["force_gains", "controller", "plant", "filter", "observer", "paths",
+             "scenarios", "envelope"])
+    def test_malformed_block_is_a_config_error(self, tmp_path, doc):
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(doc, open(cfg_path, "w"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg_path, "--out", str(out), "track",
+                         "--scenario", "force_sine_0.2Hz"]) == cli.EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "perturb"])
+    def test_filter_rate_must_match_sensor_rate(self, tmp_path, capsys, command):
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"plant": {"sensor_rate_hz": 200}}, open(cfg_path, "w"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg_path, "--out", str(out), command]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "100 Hz" in err and "200 Hz" in err
+        assert not out.exists()
+
+    def test_filter_rate_follows_sensor_rate(self, tmp_path):
+        cfg = {"plant": {"sensor_rate_hz": 200}, "filter": {"sample_rate_hz": 200},
+               "scenarios": [{"kind": "force_tracking", "duration_s": 2.0}]}
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(cfg, open(cfg_path, "w"))
+        assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "out"), "track"]) == 0
+
     def test_pid_rate_defaults_to_control_rate(self, tmp_path):
         # a gain block without rate_hz (track) and the built-in gains (perturb)
         cfg = {"plant": {"control_rate_hz": 50.0},
@@ -261,18 +292,26 @@ class TestSimulateTrackPerturb:
         assert runs[0] == runs[1]
 
 
+def run_module(*args):
+    """``python -m coilsense.cli`` on the package these tests import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "coilsense.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_help(self):
-        proc = subprocess.run([sys.executable, "-m", "coilsense.cli", "--help"],
-                              capture_output=True, text=True)
+        proc = run_module("--help")
         assert proc.returncode == 0
         for sub in ("fit", "estimate", "simulate", "track", "perturb", "report"):
             assert sub in proc.stdout
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run([sys.executable, "-m", "coilsense.cli", "frobnicate"],
-                              capture_output=True, text=True)
+        proc = run_module("frobnicate")
         assert proc.returncode == cli.EXIT_USAGE
+        assert "usage: coilsense" in proc.stderr
 
     def test_jobs_flag_is_gone(self):
         assert cli.main(["--jobs", "2", "track"]) == cli.EXIT_USAGE

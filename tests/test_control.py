@@ -154,6 +154,15 @@ class TestPerturbation:
         with pytest.raises(ValueError, match="control rate"):
             control.run_perturbation(setup, scn)
 
+    def test_filter_rate_mismatch_rejected(self, setup0):
+        from dataclasses import replace
+        setup = replace(setup0, filter_spec=replace(setup0.filter_spec, sample_rate_hz=200.0))
+        scn = plant.Scenario.load_perturbation(duration_s=5.0, magnitudes=(0.2,))
+        with pytest.raises(ValueError, match="sensor rate"):
+            control.run_perturbation(setup, scn)
+        with pytest.raises(ValueError, match="sensor rate"):
+            control.run_tracking(short_force_scenario(duration_s=2.0), "open_loop", setup)
+
     def test_zero_noise_zero_hysteresis_error_vanishes(self):
         pcfg = plant.default_plant_config(seed=0, noise_L=0.0, noise_F=0.0,
                                           hysteresis=())

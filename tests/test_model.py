@@ -101,10 +101,28 @@ class TestInductance:
 
     def test_vectorized_matches_scalar(self):
         params = InductanceParams((0.1, 0.6, 0.2, 1.3, -0.15, -0.55, 0.3, 1.0, 0.5, 4.75))
-        F = np.linspace(0, 5, 37)
+        F = np.linspace(0, 5, 37)  # F[0] = 0 is on the boundary of the domain
+        P = np.linspace(0, 0.65, 37)
         vec = model.eval_inductance(params, F, 0.3)
+        vec_P = model.eval_inductance(params, F, P)
+        slope = model.d_inductance_dF(params, F[1:], P[1:])
         for i, f in enumerate(F):
             assert vec[i] == model.eval_inductance(params, float(f), 0.3)
+            for scalar in (float, np.float64, np.array):
+                L = model.eval_inductance(params, scalar(f), scalar(P[i]))
+                assert type(L) is float and L == vec_P[i]
+                if i:
+                    g = model.d_inductance_dF(params, scalar(f), scalar(P[i]))
+                    assert type(g) is float and g == slope[i - 1]
+        with pytest.raises(DomainError):
+            model.eval_inductance(params, -0.1, 0.3)
+        with pytest.raises(DomainError):
+            model.d_inductance_dF(params, 0.0, 0.3)
+        for P_bad in (-4.0, -7.0):  # lambda4 <= 0, then lambda2 <= 0 too
+            with pytest.raises(EnvelopeError):
+                model.eval_inductance(params, 1.0, P_bad)
+            with pytest.raises(EnvelopeError):
+                model.d_inductance_dF(params, 1.0, P_bad)
 
 
 class TestSensitivity:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,85 @@ class TestIsotonic:
         p = Plant(ideal_config())
         with pytest.raises(IsotonicInfeasibleError):
             p.step(0.0, 0.01, F_load=50.0)
+
+    @staticmethod
+    def force(p, x, P):
+        """The plant's clamped force at length x from its current play states."""
+        cfg = p.cfg
+        widths = np.array([h.width for h in cfg.hysteresis], dtype=float)
+        weights = np.array([h.weight for h in cfg.hysteresis], dtype=float)
+        u = x - cfg.dyn.x0
+        z = np.clip(p.state.play_states, u - widths, u + widths)
+        return max(cfg.dyn.k * u + cfg.dyn.c * P + float(weights @ z), 0.0)
+
+    @classmethod
+    def bisect(cls, p, F_load, P):
+        """Reference: the 64-step bisection the closed form replaced."""
+        lo, hi = p.cfg.envelope.x_min, p.cfg.envelope.x_max
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if cls.force(p, mid, P) < F_load:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-12:
+                break
+        return 0.5 * (lo + hi)
+
+    def check(self, p, F_load, P):
+        """Closed form against the bisection, then the stepped force
+        against the load (no valve lag, so the step runs at P)."""
+        x_ref = self.bisect(p, F_load, P)
+        r = p.step(P, 0.01, F_load=F_load)
+        assert abs(r.x - x_ref) <= 1e-12
+        assert abs(r.F - F_load) <= 1e-9
+
+    def test_matches_bisection(self):
+        cfg = plant.default_plant_config(noise_L=0.0, noise_F=0.0, valve_tau=0.0)
+        p = Plant(cfg, x0=0.12)
+        rng = np.random.default_rng(11)
+        env = cfg.envelope
+        for _ in range(200):
+            for _ in range(rng.integers(0, 4)):  # a random play history
+                p.step(rng.uniform(0.0, 0.65), 0.01, x_cmd=rng.uniform(env.x_min, env.x_max))
+            P = rng.uniform(0.0, 0.65)
+            F_load = rng.uniform(self.force(p, env.x_min, P), self.force(p, env.x_max, P))
+            self.check(p, F_load, P)
+
+    def test_segment_clamped_at_lower_end(self):
+        # after a stretch to 0.16 m the first segment runs from x_min,
+        # where the unclamped force is about -1.3 N at P = 0
+        p = Plant(ideal_config(hysteresis=plant.default_hysteresis()), x0=0.10)
+        p.step(0.0, 0.01, x_cmd=0.16)
+        assert self.force(p, p.cfg.envelope.x_min, 0.0) == 0.0
+        self.check(p, 0.5, 0.0)
+
+    def test_zero_load(self):
+        p = Plant(ideal_config(hysteresis=plant.default_hysteresis()), x0=0.12)
+        self.check(p, 0.0, 0.0)
+        assert p.state.x == p.cfg.envelope.x_min
+
+    def test_loads_at_envelope_ends(self):
+        env = replace(plant.default_envelope(), x_min=0.095)
+        cfg = ideal_config(hysteresis=plant.default_hysteresis(), envelope=env)
+        p = Plant(cfg, x0=0.12)
+        P = 0.6
+        f_lo, f_hi = self.force(p, env.x_min, P), self.force(p, env.x_max, P)
+        assert f_lo > 0.0
+        for F_load, x in ((f_lo, env.x_min), (f_hi, env.x_max), (f_hi + 5e-13, env.x_max)):
+            assert p._solve_isotonic(F_load, P) == x
+            assert abs(x - self.bisect(p, F_load, P)) <= 1e-12
+
+    def test_without_hysteresis(self):
+        p = Plant(ideal_config(), x0=0.12)
+        for F_load in (0.3, 1.5, 2.7):
+            self.check(p, F_load, 0.2)
+
+    def test_zero_width_play_element(self):
+        hyst = (PlayElement(width=0.0, weight=2.0), PlayElement(width=0.008, weight=2.0))
+        p = Plant(ideal_config(hysteresis=hyst), x0=0.12)
+        for F_load in (0.9, 1.8, 1.2, 0.4):
+            self.check(p, F_load, 0.3)
 
 
 class TestDeterminism:
