@@ -3,8 +3,11 @@ comparisons, load-perturbation runs, and report aggregation.
 
 One JSON config drives everything; every block falls back to the
 package defaults, and any invalid block is reported before a single
-file is written.  All outputs are plot-ready CSV or JSON, written
-atomically, and byte-identical for a fixed config and seed.
+file is written.  Each rate is stated once, in the ``plant`` block:
+``sensor_rate_hz`` is the rate of the observer's filters and of the
+data ``estimate`` reads, ``control_rate_hz`` the PID's.  All outputs
+are plot-ready CSV or JSON, written atomically, and byte-identical for
+a fixed config and seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error,
 3 non-convergence.
@@ -17,6 +20,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -92,15 +96,33 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _build_envelope(cfg: dict) -> model.OperatingEnvelope:
-    block = dict(cfg.get("envelope") or {})
-    base = plant.default_envelope()
-    fields = {k: getattr(base, k) for k in
-              ("P_min", "P_max", "F_min", "F_max", "x_min", "x_max", "L_min", "L_max")}
-    unknown = set(block) - set(fields)
+def _number(name: str, value, kind: type = float):
+    """``value`` as a finite ``kind`` (float or int); anything else,
+    booleans and numeric strings included, is a ConfigError."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        out = kind(value)
+        if (kind is int and out != value) or not math.isfinite(out):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{name}: expected {expected}, got {value!r}") from None
+    return out
+
+
+def _numbers(name: str, block: dict, kinds: dict) -> dict:
+    """The entries of a config block, each key one of ``kinds`` and each
+    value converted by ``_number`` to its kind."""
+    unknown = set(block) - set(kinds)
     if unknown:
-        raise ConfigError(f"envelope: unknown keys {sorted(unknown)}")
-    fields.update(block)
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+    return {k: _number(f"{name}.{k}", v, kinds[k]) for k, v in block.items()}
+
+
+def _build_envelope(cfg: dict) -> model.OperatingEnvelope:
+    fields = dataclasses.asdict(plant.default_envelope())
+    fields.update(_numbers("envelope", cfg.get("envelope") or {}, dict.fromkeys(fields, float)))
     try:
         return model.OperatingEnvelope(**fields)
     except ValueError as exc:
@@ -109,7 +131,8 @@ def _build_envelope(cfg: dict) -> model.OperatingEnvelope:
 
 def _build_plant_config(cfg: dict) -> plant.PlantConfig:
     block = dict(cfg.get("plant") or {})
-    kwargs = {"seed": int(cfg.get("seed", 0)), "envelope": _build_envelope(cfg)}
+    kwargs = {"seed": _number("seed", cfg.get("seed", 0), int),
+              "envelope": _build_envelope(cfg)}
     if "dyn" in block:
         d = block.pop("dyn")
         try:
@@ -129,91 +152,52 @@ def _build_plant_config(cfg: dict) -> plant.PlantConfig:
                 for h in block.pop("hysteresis"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"plant.hysteresis: {exc}") from None
-    allowed = {"valve_tau", "noise_L", "noise_F", "sensor_rate_hz", "control_rate_hz"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"plant: unknown keys {sorted(unknown)}")
-    kwargs.update(block)
+    kwargs.update(_numbers("plant", block, dict.fromkeys(
+        ("valve_tau", "noise_L", "noise_F", "sensor_rate_hz", "control_rate_hz"), float)))
     try:
         return plant.default_plant_config(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"plant: {exc}") from None
 
 
-def _build_filter_spec(cfg: dict, args=None) -> sig.FilterSpec:
-    block = dict(cfg.get("filter") or {})
-    unknown = set(block) - {"order", "cutoff_hz", "sample_rate_hz"}
-    if unknown:
-        raise ConfigError(f"filter: unknown keys {sorted(unknown)}")
-    if args is not None:
-        if getattr(args, "order", None) is not None:
-            block["order"] = args.order
-        if getattr(args, "fc", None) is not None:
-            block["cutoff_hz"] = args.fc
-        if getattr(args, "fs", None) is not None:
-            block["sample_rate_hz"] = args.fs
-    base = sig.FilterSpec()
+def _build_filter_spec(cfg: dict, sensor_rate_hz: float) -> sig.FilterSpec:
+    """The observer's filter spec; its cutoff must lie below the Nyquist
+    frequency of the plant's sensor rate."""
+    block = _numbers("filter", cfg.get("filter") or {}, {"order": int, "cutoff_hz": float})
     try:
-        return sig.FilterSpec(order=int(block.get("order", base.order)),
-                              cutoff_hz=float(block.get("cutoff_hz", base.cutoff_hz)),
-                              sample_rate_hz=float(block.get("sample_rate_hz",
-                                                             base.sample_rate_hz)))
+        spec = sig.FilterSpec(**block)
+        sig.check_cutoff(spec, sensor_rate_hz)
     except ValueError as exc:
         raise ConfigError(f"filter: {exc}") from None
+    return spec
 
 
-_OBSERVER_KEYS = {"grid_points", "refine_tol", "sigma_F", "sigma_Fdot",
-                  "noise_L", "gradient_guard_ratio", "gradient_guard_inflation"}
+_OBSERVER_KEYS = {"grid_points": int, "refine_tol": float, "sigma_F": float,
+                  "sigma_Fdot": float, "noise_L": float, "gradient_guard_ratio": float,
+                  "gradient_guard_inflation": float}
 
 
-def _observer_overrides(cfg: dict) -> dict:
-    block = dict(cfg.get("observer") or {})
-    unknown = set(block) - _OBSERVER_KEYS
-    if unknown:
-        raise ConfigError(f"observer: unknown keys {sorted(unknown)}")
-    return block
-
-
-def _gains_from(block, name, control_rate_hz: float) -> control.PidGains:
-    """Gains of one controller block.  The PID runs on the plant's
-    control ticks, so ``rate_hz`` defaults to the plant's control rate
-    and any other value is an error."""
+def _gains_from(block: dict, name: str) -> control.PidGains:
+    """Gains of one controller block; an omitted gain is 0."""
+    gains = {"kp": 0.0, "ki": 0.0, "kd": 0.0}
+    gains.update(_numbers(f"controller.{name}", block, dict.fromkeys(gains, float)))
     try:
-        gains = control.PidGains(kp=block.get("kp", 0.0), ki=block.get("ki", 0.0),
-                                 kd=block.get("kd", 0.0),
-                                 rate_hz=block.get("rate_hz", control_rate_hz))
-    except (TypeError, ValueError) as exc:
+        return control.PidGains(**gains)
+    except ValueError as exc:
         raise ConfigError(f"controller.{name}: {exc}") from None
-    if abs(gains.rate_hz - control_rate_hz) > 1e-9:
-        raise ConfigError(f"controller.{name}: rate_hz {gains.rate_hz} differs from "
-                          f"plant.control_rate_hz {control_rate_hz}")
-    return gains
 
 
 def _build_setup(cfg: dict, pcfg: plant.PlantConfig) -> control.TrackingSetup:
     block = dict(cfg.get("controller") or {})
-    allowed = {"force_gains", "disp_gains", "p_max", "integral_clamp_mpa",
-               "load_nominal_scale", "sensor_noise_x"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"controller: unknown keys {sorted(unknown)}")
-    setup = control.TrackingSetup(plant_cfg=pcfg,
-                                  observer_overrides=_observer_overrides(cfg),
-                                  filter_spec=_build_filter_spec(cfg))
-    rate = pcfg.control_rate_hz
-    if "force_gains" in block:
-        setup.gains_force = _gains_from(block["force_gains"], "force_gains", rate)
-    else:
-        setup.gains_force = dataclasses.replace(setup.gains_force, rate_hz=rate)
-    if "disp_gains" in block:
-        setup.gains_disp = _gains_from(block["disp_gains"], "disp_gains", rate)
-    else:
-        setup.gains_disp = dataclasses.replace(setup.gains_disp, rate_hz=rate)
-    setup.p_max = float(block.get("p_max", setup.p_max))
-    setup.integral_clamp_mpa = float(block.get("integral_clamp_mpa", setup.integral_clamp_mpa))
-    setup.sensor_noise_x = float(block.get("sensor_noise_x", setup.sensor_noise_x))
-    setup.load_nominal_scale = float(block.get("load_nominal_scale", 1.0))
-    return setup
+    gains = {}
+    for key, attr in (("force_gains", "gains_force"), ("disp_gains", "gains_disp")):
+        if key in block:
+            gains[attr] = _gains_from(block.pop(key) or {}, key)
+    return control.TrackingSetup(
+        plant_cfg=pcfg, filter_spec=_build_filter_spec(cfg, pcfg.sensor_rate_hz),
+        observer_overrides=_numbers("observer", cfg.get("observer") or {}, _OBSERVER_KEYS),
+        **gains, **_numbers("controller", block, dict.fromkeys(
+            ("p_max", "integral_clamp_mpa", "load_nominal_scale", "sensor_noise_x"), float)))
 
 
 _SCENARIO_FACTORIES = {
@@ -274,15 +258,12 @@ def validate_config(cfg: dict) -> dict:
     """
     _check_block_types(cfg)
     pcfg = _build_plant_config(cfg)
-    resolved = {
+    return {
         "plant": pcfg,
-        "filter": _build_filter_spec(cfg),
-        "observer": _observer_overrides(cfg),
         "setup": _build_setup(cfg, pcfg),
         "scenarios": [scenario_from_config(b) for b in (cfg.get("scenarios") or [])],
         "paths": dict(cfg.get("paths") or {}),
     }
-    return resolved
 
 
 def _config_hash(cfg: dict) -> str:
@@ -321,7 +302,7 @@ def cmd_fit(args, cfg, resolved) -> int:
               f"c={report.params.c:.6g}  rmse={report.rmse:.6g} r2={report.r2:.6g}")
         return EXIT_OK
     init = ident.heuristic_inductance_init(ds)
-    report = ident.fit_inductance(ds, init, seed=int(cfg.get("seed", 0)))
+    report = ident.fit_inductance(ds, init, seed=resolved["plant"].seed)
     model.save_inductance_params(report.params, os.path.join(out, "inductance_params.json"))
     report.to_json(os.path.join(out, "fit_inductance_report.json"))
     print(f"fit inductance: rmse={report.rmse:.6g} r2={report.r2:.6g} "
@@ -361,12 +342,13 @@ def _reversal_stats(ds: ident.Dataset, err: np.ndarray, window_s: float = 0.25) 
 def cmd_estimate(args, cfg, resolved) -> int:
     ds = _load_dataset(args, resolved)
     dyn, ind_p = _nominal_models(resolved)
-    fspec = _build_filter_spec(cfg, args)
-    dt_data = float(np.median(np.diff(ds.t))) if len(ds) > 1 else 1.0 / fspec.sample_rate_hz
-    if abs(fspec.sample_rate_hz - 1.0 / dt_data) > 1e-6 * fspec.sample_rate_hz:
-        raise ConfigError(f"filter sample rate {fspec.sample_rate_hz:g} Hz differs from "
+    pcfg, setup = resolved["plant"], resolved["setup"]
+    fs = pcfg.sensor_rate_hz
+    dt_data = float(np.median(np.diff(ds.t))) if len(ds) > 1 else 1.0 / fs
+    if abs(fs - 1.0 / dt_data) > 1e-6 * fs:
+        raise ConfigError(f"plant.sensor_rate_hz {fs:g} Hz differs from "
                           f"the data's rate {1.0 / dt_data:g} Hz (1 / median dt)")
-    env = _build_envelope(cfg)
+    env = pcfg.envelope
     outside = np.flatnonzero((ds.L < env.L_min) | (ds.L > env.L_max))
     if outside.size:
         i = int(outside[0])
@@ -376,8 +358,8 @@ def cmd_estimate(args, cfg, resolved) -> int:
     out = _out_dir(cfg, args)
     ocfg = observer.make_observer_config(
         ind_p, env, dt=dt_data,
-        **{"noise_L": resolved["plant"].noise_L, **resolved["observer"]})
-    est = observer.run_estimation(ds, ind_p, dyn, ocfg, filter_spec=fspec)
+        **{"noise_L": pcfg.noise_L, **setup.observer_overrides})
+    est = observer.run_estimation(ds, ind_p, dyn, ocfg, sig.design(setup.filter_spec, fs))
     ident.write_csv(ds, os.path.join(out, "estimates.csv"),
                     extra={"F_hat": est["F_hat"], "x_hat": est["x_hat"]})
     metrics: dict = {"provenance": _provenance(cfg)}
@@ -451,17 +433,8 @@ def _format_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_filter_rate(setup: control.TrackingSetup) -> None:
-    """The observer's filters run on the plant's sensor samples."""
-    fs, sensor = setup.filter_spec.sample_rate_hz, setup.plant_cfg.sensor_rate_hz
-    if abs(fs - sensor) > 1e-9 * sensor:
-        raise ConfigError(f"filter.sample_rate_hz {fs:g} Hz differs from "
-                          f"plant.sensor_rate_hz {sensor:g} Hz")
-
-
 def cmd_track(args, cfg, resolved) -> int:
     setup = resolved["setup"]
-    _check_filter_rate(setup)
     out = _out_dir(cfg, args)
     scenarios = [s for s in resolved["scenarios"]
                  if s.kind in ("force_tracking", "displacement_tracking")]
@@ -488,7 +461,6 @@ def cmd_track(args, cfg, resolved) -> int:
 
 def cmd_perturb(args, cfg, resolved) -> int:
     setup = resolved["setup"]
-    _check_filter_rate(setup)
     out = _out_dir(cfg, args)
     scenarios = [s for s in resolved["scenarios"] if s.kind == "load_perturbation"]
     scenario = scenarios[0] if scenarios else plant.Scenario.load_perturbation()
@@ -550,12 +522,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("estimate", help="run the observer over a dataset CSV")
-    p.add_argument("--data", help="dataset CSV (t,P,L[,F][,x])")
-    spec = sig.FilterSpec()
-    p.add_argument("--fc", type=float, help=f"filter cutoff Hz (default {spec.cutoff_hz:g})")
-    p.add_argument("--fs", type=float,
-                   help=f"filter sample rate Hz (default {spec.sample_rate_hz:g})")
-    p.add_argument("--order", type=int, help=f"filter order (default {spec.order})")
+    p.add_argument("--data", help="dataset CSV (t,P,L[,F][,x]) sampled at "
+                                  "plant.sensor_rate_hz; the filter is the config's "
+                                  "'filter' block")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="generate plant datasets for config scenarios")

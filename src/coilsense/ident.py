@@ -21,7 +21,6 @@ from . import model
 from .model import DynamicParams, InductanceParams
 
 __all__ = [
-    "Sample",
     "Dataset",
     "FitReport",
     "GoodnessMetrics",
@@ -68,20 +67,9 @@ class ConstantSeriesError(ValueError):
     """Observed series is constant; R^2 and NRMSE are undefined."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One timestamped record: time s, pressure MPa, inductance uH,
-    optional force N and length m."""
-
-    t: float
-    P: float
-    L: float
-    F: float | None = None
-    x: float | None = None
-
-
 class Dataset:
-    """Ordered samples stored as column arrays, plus free-form meta tags.
+    """Ordered samples stored as column arrays (time s, pressure MPa,
+    inductance uH, optional force N and length m), plus free-form meta tags.
 
     Timestamps must be strictly increasing, pressures non-negative, and
     the ``t``, ``P``, ``L``, ``F`` and ``x`` channels finite.
@@ -116,30 +104,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.t.size)
-
-    @property
-    def samples(self) -> list:
-        """Row view as Sample objects."""
-        out = []
-        for i in range(len(self)):
-            out.append(Sample(
-                t=float(self.t[i]), P=float(self.P[i]), L=float(self.L[i]),
-                F=None if self.F is None else float(self.F[i]),
-                x=None if self.x is None else float(self.x[i]),
-            ))
-        return out
-
-    @classmethod
-    def from_samples(cls, samples, meta: dict | None = None) -> "Dataset":
-        samples = list(samples)
-        has_F = samples and all(s.F is not None for s in samples)
-        has_x = samples and all(s.x is not None for s in samples)
-        return cls(
-            t=[s.t for s in samples], P=[s.P for s in samples], L=[s.L for s in samples],
-            F=[s.F for s in samples] if has_F else None,
-            x=[s.x for s in samples] if has_x else None,
-            meta=meta,
-        )
 
 
 _CSV_COLUMNS = ("t", "P", "L", "F", "x")

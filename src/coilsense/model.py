@@ -134,10 +134,6 @@ class OperatingEnvelope:
         if not (self.P_min <= P <= self.P_max):
             raise EnvelopeError(f"pressure {P} MPa outside [{self.P_min}, {self.P_max}]")
 
-    def check_F(self, F: float) -> None:
-        if not (self.F_min <= F <= self.F_max):
-            raise EnvelopeError(f"force {F} N outside [{self.F_min}, {self.F_max}]")
-
 
 @dataclass(frozen=True)
 class ModelCoeffs:

@@ -1,7 +1,7 @@
 """Hybrid EKF-plus-optimization observer for force and displacement.
 
-Per sample: low-pass the raw inductance and, through the same filter
-spec, the pressure (the static map holds only for an (L, P) pair taken
+Per sample: low-pass the raw inductance and, through the same filter,
+the pressure (the static map holds only for an (L, P) pair taken
 at the same instant, so the pressure must carry the same delay),
 propagate a constant-velocity force model, invert the inductance map
 through a composite scalar cost (model fidelity + continuity toward the
@@ -55,9 +55,9 @@ class ObserverState:
 
     ``pressure_filter`` is the delay line that matches the pressure to
     the filtered inductance.  It is None in a fresh state; the first
-    ``estimate_step`` designs it from the inductance filter's spec and
-    primes it with that step's raw pressure, as the inductance filter
-    is primed with the first raw reading.  Later states share it, and
+    ``estimate_step`` makes it as a copy of the inductance filter primed
+    with that step's raw pressure, as the inductance filter is primed
+    with the first raw reading.  Later states share it, and
     it advances in place.
     """
 
@@ -281,7 +281,7 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
 
     Returns ``(state, F_hat, x_hat)``.  The raw pressure must lie in
     the envelope.  It is passed through the state's pressure filter
-    (same spec as ``filt``, primed on the first step, see
+    (a copy of ``filt``, primed on the first step, see
     ``ObserverState``) so that the map is inverted at a time-matched
     (L, P) pair, and the filtered value is clamped to the envelope,
     since the filter overshoots on steps.  Length is inferred from
@@ -295,7 +295,7 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     env.check_P(P)
     p_filt = state.pressure_filter
     if p_filt is None:
-        p_filt = sig.prime(sig.design(filt.spec), P)
+        p_filt = sig.prime(filt.copy(), P)
     L_f = sig.step(filt, L_raw)
     P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
     pred = predict(state, cfg)
@@ -329,19 +329,17 @@ def nearest_preimage(L_meas: float, P: float, params: InductanceParams,
 
 
 def run_estimation(dataset, params: InductanceParams, dyn: DynamicParams,
-                   cfg: ObserverConfig, filter_spec: sig.FilterSpec | None = None,
+                   cfg: ObserverConfig, filt: sig.FilterState,
                    F0: float | None = None) -> dict:
     """Stream a dataset through the observer.
 
-    The filter is primed with the first raw sample (no startup
+    ``filt`` is the inductance filter, designed at the data's sample
+    rate; it is primed with the first raw sample (no startup
     transient), and so is the pressure filter on the first step; the
     state starts at the force whose modeled inductance matches that
     first sample unless ``F0`` is given.
     Returns arrays ``F_hat`` and ``x_hat`` aligned with the dataset.
     """
-    if filter_spec is None:
-        filter_spec = sig.FilterSpec(sample_rate_hz=1.0 / cfg.dt)
-    filt = sig.design(filter_spec)
     sig.prime(filt, float(dataset.L[0]))
     if F0 is None:
         F0 = nearest_preimage(float(dataset.L[0]), float(dataset.P[0]),

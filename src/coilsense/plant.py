@@ -121,10 +121,12 @@ class PlantConfig:
     def __post_init__(self):
         if self.valve_tau < 0 or self.noise_L < 0 or self.noise_F < 0:
             raise ValueError("valve_tau and noise levels must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.sensor_rate_hz <= 0 or self.control_rate_hz <= 0:
             raise ValueError("rates must be positive")
         ratio = self.sensor_rate_hz / self.control_rate_hz
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError(
                 f"sensor rate {self.sensor_rate_hz} must be an integer multiple "
                 f"of control rate {self.control_rate_hz}"

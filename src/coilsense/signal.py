@@ -2,15 +2,12 @@
 
 Butterworth low-pass design (bilinear transform with frequency
 pre-warping, realized as cascaded second-order sections) plus a
-streaming one-sample-at-a-time application and simple decimation to
-bridge the sensor rate to the control rate.  Batch filtering is defined
-as the fold of the streaming step, so the two are bit-identical by
-construction.
+streaming one-sample-at-a-time application.  A spec holds only the
+order and the cutoff; the sample rate is the stream's, given at design.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +17,10 @@ __all__ = [
     "InvalidFilterSpecError",
     "FilterSpec",
     "FilterState",
+    "check_cutoff",
     "design",
     "prime",
     "step",
-    "filter_series",
-    "decimate",
-    "frequency_response",
     "is_stable",
 ]
 
@@ -34,21 +29,24 @@ class InvalidFilterSpecError(ValueError):
     """Filter specification violates its invariants (e.g. cutoff >= Nyquist)."""
 
 
+#: Highest filter order: the cascade is stepped section by section in
+#: Python once per sample, and nothing here needs a steeper roll-off.
+MAX_ORDER = 20
+
+
 @dataclass(frozen=True)
 class FilterSpec:
-    """Low-pass design request: order, cutoff frequency, sampling rate (Hz)."""
+    """Low-pass design request: order and cutoff frequency (Hz)."""
 
     order: int = 3
     cutoff_hz: float = 10.0
-    sample_rate_hz: float = 100.0
 
     def __post_init__(self):
-        if int(self.order) != self.order or self.order < 1:
-            raise InvalidFilterSpecError(f"order must be a positive integer, got {self.order}")
-        if not (0.0 < self.cutoff_hz < self.sample_rate_hz / 2.0):
+        if int(self.order) != self.order or not 1 <= self.order <= MAX_ORDER:
             raise InvalidFilterSpecError(
-                f"cutoff {self.cutoff_hz} Hz must lie in (0, Nyquist={self.sample_rate_hz / 2} Hz)"
-            )
+                f"order must be an integer in [1, {MAX_ORDER}], got {self.order}")
+        if not self.cutoff_hz > 0.0:
+            raise InvalidFilterSpecError(f"cutoff must be positive, got {self.cutoff_hz} Hz")
 
 
 class FilterState:
@@ -58,29 +56,39 @@ class FilterState:
     delay line for an independent stream.
     """
 
-    def __init__(self, sos: np.ndarray, spec: FilterSpec):
+    def __init__(self, sos: np.ndarray):
         self.sos = np.array(sos, dtype=float)
-        self.spec = spec
         self.zi = np.zeros((self.sos.shape[0], 2))
 
     def copy(self) -> "FilterState":
-        st = FilterState(self.sos, self.spec)
+        st = FilterState(self.sos)
         st.zi = self.zi.copy()
         return st
 
 
-def design(spec: FilterSpec) -> FilterState:
-    """Design the discrete Butterworth low-pass for ``spec``.
+def check_cutoff(spec: FilterSpec, rate_hz: float) -> None:
+    """Raise InvalidFilterSpecError unless the cutoff of ``spec`` lies
+    below the Nyquist frequency of a stream sampled at ``rate_hz``."""
+    if not spec.cutoff_hz < rate_hz / 2.0:
+        raise InvalidFilterSpecError(f"cutoff {spec.cutoff_hz:g} Hz must lie below "
+                                     f"Nyquist ({rate_hz / 2.0:g} Hz)")
+
+
+def design(spec: FilterSpec, rate_hz: float) -> FilterState:
+    """Design the discrete Butterworth low-pass for ``spec`` on a stream
+    sampled at ``rate_hz`` (see ``check_cutoff``).
 
     Uses the bilinear transform with cutoff pre-warping; the cascade has
     unit DC gain and the half-power point at the cutoff.  The result is
     verified stable (all section poles strictly inside the unit circle).
     """
+    check_cutoff(spec, rate_hz)
     sos = _sps.butter(spec.order, spec.cutoff_hz, btype="low",
-                      fs=spec.sample_rate_hz, output="sos")
-    state = FilterState(sos, spec)
+                      fs=rate_hz, output="sos")
+    state = FilterState(sos)
     if not is_stable(state):
-        raise InvalidFilterSpecError(f"designed filter unstable for {spec}")
+        raise InvalidFilterSpecError(
+            f"designed filter unstable for {spec} at {rate_hz:g} Hz")
     return state
 
 
@@ -105,33 +113,6 @@ def step(state: FilterState, sample: float) -> float:
         zi[s, 1] = b2 * y - a2 * out
         y = out
     return y
-
-
-def filter_series(state: FilterState, samples) -> np.ndarray:
-    """Filter a whole series through ``state`` (advances its delay line).
-
-    Defined as sequential application of ``step``; bit-identical to
-    streaming the samples one at a time.
-    """
-    return np.array([step(state, v) for v in np.asarray(samples, dtype=float)])
-
-
-def decimate(series, factor: int) -> np.ndarray:
-    """Keep every ``factor``-th sample, phase-aligned to the first one.
-
-    The input must already be band-limited below the post-decimation
-    Nyquist (the designed low-pass does this at the default rates).
-    """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"decimation factor must be an integer >= 1, got {factor}")
-    return np.asarray(series, dtype=float)[:: int(factor)].copy()
-
-
-def frequency_response(state: FilterState, freqs_hz) -> np.ndarray:
-    """Complex response of the cascade at the given frequencies (Hz)."""
-    w = 2.0 * math.pi * np.asarray(freqs_hz, dtype=float) / state.spec.sample_rate_hz
-    _, h = _sps.sosfreqz(state.sos, worN=w)
-    return h
 
 
 def is_stable(state: FilterState) -> bool:

@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coilsense import cli, ident, plant
+from coilsense import signal as sig
 
 
 @pytest.fixture(scope="module")
@@ -130,11 +133,20 @@ class TestEstimate:
         assert not out.exists()
 
     def test_filter_rate_must_match_data(self, cal_csv, tmp_path, capsys):
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"plant": {"sensor_rate_hz": 200}}, open(cfg_path, "w"))
         out = tmp_path / "o"
-        rc = cli.main(["--out", str(out), "estimate", "--data", cal_csv, "--fs", "200"])
+        rc = cli.main(["--config", cfg_path, "--out", str(out), "estimate", "--data", cal_csv])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "200 Hz" in err and "100 Hz" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--fs", "--fc", "--order"])
+    def test_filter_flags_are_gone(self, cal_csv, tmp_path, flag):
+        out = tmp_path / "o"
+        rc = cli.main(["--out", str(out), "estimate", "--data", cal_csv, flag, "100"])
+        assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
     def test_non_monotonic_timestamps(self, tmp_path):
@@ -204,7 +216,8 @@ class TestSimulateTrackPerturb:
 
     @pytest.mark.parametrize("command,gains", [("track", "force_gains"),
                                                ("perturb", "disp_gains")])
-    def test_pid_rate_must_match_control_rate(self, tmp_path, command, gains):
+    def test_pid_rate_must_match_control_rate(self, tmp_path, capsys, command, gains):
+        # the PID runs at plant.control_rate_hz; a gain block has no rate to state
         cfg = {"controller": {gains: {"kp": 0.3, "ki": 1.2, "kd": 0.05, "rate_hz": 10}},
                "scenarios": [{"kind": "force_tracking", "duration_s": 2.0},
                              {"kind": "load_perturbation", "duration_s": 5.0,
@@ -213,14 +226,34 @@ class TestSimulateTrackPerturb:
         json.dump(cfg, open(cfg_path, "w"))
         out = tmp_path / "out"
         assert cli.main(["--config", cfg_path, "--out", str(out), command]) == cli.EXIT_USAGE
+        assert f"controller.{gains}: unknown keys ['rate_hz']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"controller": {"force_gains": {"kP": 0.3}}}, "'kP'"),
+        ({"filter": {"cutoff_hz": 50}}, "Nyquist"),
+        ({"plant": {"sensor_rate_hz": 20, "control_rate_hz": 20}}, "Nyquist"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"filter": {"order": 2.5}}, "filter.order"),
+        ({"plant": {"noise_L": True}}, "plant.noise_L"),
+        ({"envelope": {"F_max": "5"}}, "envelope.F_max")],
+        ids=["gain_typo", "cutoff_at_nyquist", "cutoff_at_plant_nyquist", "negative_seed",
+             "fractional_order", "boolean_scalar", "string_scalar"])
+    def test_config_rejected_before_output(self, tmp_path, capsys, doc, key):
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(doc, open(cfg_path, "w"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg_path, "--out", str(out), "simulate"]) == cli.EXIT_USAGE
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
         {"controller": {"force_gains": 5}}, {"controller": 5}, {"plant": 5},
         {"filter": 5}, {"observer": 5}, {"paths": 5}, {"scenarios": 5},
-        {"envelope": [1]}],
+        {"envelope": [1]}, {"seed": "abc"}, {"controller": {"p_max": "x"}},
+        {"plant": {"noise_L": "x"}}, {"envelope": {"F_max": "x"}}],
         ids=["force_gains", "controller", "plant", "filter", "observer", "paths",
-             "scenarios", "envelope"])
+             "scenarios", "envelope", "seed", "p_max", "noise_L", "F_max"])
     def test_malformed_block_is_a_config_error(self, tmp_path, doc):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump(doc, open(cfg_path, "w"))
@@ -231,20 +264,30 @@ class TestSimulateTrackPerturb:
 
     @pytest.mark.parametrize("command", ["track", "perturb"])
     def test_filter_rate_must_match_sensor_rate(self, tmp_path, capsys, command):
+        # the filter runs at plant.sensor_rate_hz; the filter block has no rate to state
         cfg_path = str(tmp_path / "cfg.json")
-        json.dump({"plant": {"sensor_rate_hz": 200}}, open(cfg_path, "w"))
+        json.dump({"plant": {"sensor_rate_hz": 200}, "filter": {"sample_rate_hz": 100}},
+                  open(cfg_path, "w"))
         out = tmp_path / "out"
         assert cli.main(["--config", cfg_path, "--out", str(out), command]) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "100 Hz" in err and "200 Hz" in err
+        assert "filter: unknown keys ['sample_rate_hz']" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_filter_rate_follows_sensor_rate(self, tmp_path):
-        cfg = {"plant": {"sensor_rate_hz": 200}, "filter": {"sample_rate_hz": 200},
-               "scenarios": [{"kind": "force_tracking", "duration_s": 2.0}]}
+    def test_filter_rate_follows_sensor_rate(self, tmp_path, monkeypatch):
+        rates = []
+        design = sig.design
+        monkeypatch.setattr(sig, "design", lambda spec, rate: rates.append(rate) or
+                            design(spec, rate))
+        cfg = {"plant": {"sensor_rate_hz": 200},
+               "scenarios": [{"kind": "force_tracking", "duration_s": 2.0},
+                             {"kind": "load_perturbation", "duration_s": 5.0,
+                              "magnitudes": [0.2]}]}
         cfg_path = str(tmp_path / "cfg.json")
         json.dump(cfg, open(cfg_path, "w"))
-        assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "out"), "track"]) == 0
+        for command in ("track", "perturb"):
+            assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "out"),
+                             command]) == 0
+        assert len(rates) > 2 and set(rates) == {200.0}
 
     def test_pid_rate_defaults_to_control_rate(self, tmp_path):
         # a gain block without rate_hz (track) and the built-in gains (perturb)
@@ -290,6 +333,32 @@ class TestSimulateTrackPerturb:
             "force_sine_0.2Hz_sensor_fb.csv", "perturb_summary.json", "perturbation.csv",
             "tracking_metrics.json"]
         assert runs[0] == runs[1]
+
+
+#: Paths of the numeric config scalars, and JSON values of every kind.
+SCALAR_PATHS = [("seed",), ("plant", "noise_L"), ("plant", "valve_tau"),
+                ("plant", "sensor_rate_hz"), ("plant", "control_rate_hz"),
+                ("envelope", "F_max"), ("envelope", "P_min"), ("envelope", "L_max"),
+                ("filter", "order"), ("filter", "cutoff_hz"), ("observer", "grid_points"),
+                ("controller", "p_max"), ("controller", "force_gains", "kp"),
+                ("controller", "disp_gains", "kd")]
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=4), st.lists(st.integers(), max_size=2))
+
+
+@pytest.mark.parametrize("path", SCALAR_PATHS, ids=".".join)
+@settings(max_examples=150, deadline=None, database=None)
+@given(value=JSON_VALUES)
+def test_validate_config_raises_only_config_error(path, value):
+    cfg = cli.default_config()
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    try:
+        cli.validate_config(cfg)
+    except cli.ConfigError:
+        pass
 
 
 def run_module(*args):

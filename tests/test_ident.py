@@ -4,7 +4,7 @@ import pytest
 from coilsense import ident, model, plant
 from coilsense.ident import (ConstantSeriesError, Dataset, DataFormatError,
                              InvalidBoundsError, MissingColumnError,
-                             RankDeficientError, Sample)
+                             RankDeficientError)
 from coilsense.model import DynamicParams, InductanceParams
 
 REF = plant.reference_inductance_params()
@@ -77,13 +77,6 @@ class TestDataset:
         cols[column][1] = bad
         with pytest.raises(DataFormatError, match=f"'{column}'"):
             Dataset(**cols)
-
-    def test_sample_round_trip(self):
-        ds = Dataset(t=[0.0, 1.0], P=[0.1, 0.2], L=[5.0, 5.1], F=[1.0, 2.0])
-        samples = ds.samples
-        assert samples[1] == Sample(t=1.0, P=0.2, L=5.1, F=2.0, x=None)
-        back = Dataset.from_samples(samples)
-        assert np.array_equal(back.F, ds.F) and back.x is None
 
     def test_csv_round_trip(self, tmp_path):
         _, ds = synth_dynamic(n=10)

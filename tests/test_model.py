@@ -181,8 +181,6 @@ class TestEnvelope:
         env.check_P(0.3)
         with pytest.raises(EnvelopeError):
             env.check_P(0.7)
-        with pytest.raises(EnvelopeError):
-            env.check_F(-0.1)
         assert env.F_span == 5.0
 
 

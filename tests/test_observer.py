@@ -227,7 +227,7 @@ class TestEstimateStep:
                                           hysteresis=(), valve_tau=0.0)
         p = plant.Plant(pcfg, x0=0.12, P0=0.2)
         cfg = make_cfg()
-        filt = sig.design(sig.FilterSpec(3, 10, 100))
+        filt = sig.design(sig.FilterSpec(3, 10), 100)
         first = p.step(0.2, 0.01, x_cmd=0.12)
         sig.prime(filt, first.L_meas)
         st = observer.reset(0.5, cfg)  # deliberately off
@@ -246,7 +246,7 @@ class TestEstimateStep:
         cfg = observer.make_observer_config(IND, ENV, dt=0.01, noise_L=0.0)
         P = np.where(np.arange(400) < 100, P0, P1)
         L = model.eval_inductance(IND, F, P)
-        filt = sig.design(sig.FilterSpec(3, 10, 100))
+        filt = sig.design(sig.FilterSpec(3, 10), 100)
         sig.prime(filt, L[0])
         st = observer.reset(F, cfg)
         F_hat = np.empty(P.size)
@@ -260,7 +260,7 @@ class TestEstimateStep:
     def test_covariance_psd_over_many_steps(self):
         cfg = make_cfg()
         rng = np.random.default_rng(1)
-        filt = sig.design(sig.FilterSpec(3, 10, 100))
+        filt = sig.design(sig.FilterSpec(3, 10), 100)
         sig.prime(filt, 5.0)
         st = observer.reset(1.0, cfg)
         worst_asym, worst_eig = 0.0, np.inf
@@ -278,8 +278,9 @@ class TestEstimateStep:
                              x_low=0.072, x_high=0.17)
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=9))
         cfg = make_cfg()
-        a = observer.run_estimation(ds, IND, DYN, cfg)
-        b = observer.run_estimation(ds, IND, DYN, cfg)
+        spec = sig.FilterSpec()
+        a = observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
+        b = observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
         assert np.array_equal(a["F_hat"], b["F_hat"])
         assert np.array_equal(a["x_hat"], b["x_hat"])
 
@@ -290,7 +291,7 @@ class TestBranchDisambiguation:
         p = plant.Plant(pcfg, x0=0.105, P0=0.2)
         cfg = make_cfg()
         dt = 0.01
-        filt = sig.design(sig.FilterSpec(3, 10, 100))
+        filt = sig.design(sig.FilterSpec(3, 10), 100)
         first = p.step(0.2, dt, x_cmd=0.105)
         sig.prime(filt, first.L_meas)
         st = observer.reset(first.F, cfg)

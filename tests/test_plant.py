@@ -307,3 +307,14 @@ class TestScenarios:
     def test_rates_must_divide(self):
         with pytest.raises(ValueError):
             plant.default_plant_config(sensor_rate_hz=100.0, control_rate_hz=30.0)
+
+    @pytest.mark.parametrize("rates,match", [
+        ({"sensor_rate_hz": 0.0}, "positive"),
+        ({"control_rate_hz": -20.0}, "positive"),
+        ({"sensor_rate_hz": 100.0, "control_rate_hz": 30.0}, "integer multiple"),
+        ({"control_rate_hz": 5e-324}, "integer multiple")],
+        ids=["zero_sensor", "negative_control", "not_a_multiple", "ratio_overflows"])
+    def test_rates_must_be_positive_multiples(self, rates, match):
+        # the plant is the only place either rate is stated or checked
+        with pytest.raises(ValueError, match=match):
+            plant.default_plant_config(**rates)

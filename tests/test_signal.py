@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import sosfilt, sosfreqz
 
 from coilsense import signal as sig
 from coilsense.signal import FilterSpec, InvalidFilterSpecError
@@ -9,28 +10,35 @@ def db(h):
     return 20.0 * np.log10(np.abs(h))
 
 
+def response(st, freqs_hz, fs):
+    """Complex response of a designed cascade at ``freqs_hz``."""
+    return sosfreqz(st.sos, worN=np.asarray(freqs_hz, dtype=float), fs=fs)[1]
+
+
 class TestDesign:
     def test_unity_dc_gain(self):
-        st = sig.design(FilterSpec(order=3, cutoff_hz=10, sample_rate_hz=100))
-        h0 = sig.frequency_response(st, [0.0])[0]
+        st = sig.design(FilterSpec(order=3, cutoff_hz=10), 100)
+        h0 = response(st, [0.0], 100)[0]
         assert abs(h0) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_power_at_cutoff(self):
-        st = sig.design(FilterSpec(order=3, cutoff_hz=10, sample_rate_hz=100))
-        mag_db = db(sig.frequency_response(st, [10.0])[0])
+        st = sig.design(FilterSpec(order=3, cutoff_hz=10), 100)
+        mag_db = db(response(st, [10.0], 100)[0])
         assert mag_db == pytest.approx(-3.0103, abs=0.1)
 
     def test_decade_attenuation(self):
-        st = sig.design(FilterSpec(order=3, cutoff_hz=10, sample_rate_hz=1000))
-        assert db(sig.frequency_response(st, [100.0])[0]) <= -55.0
+        st = sig.design(FilterSpec(order=3, cutoff_hz=10), 1000)
+        assert db(response(st, [100.0], 1000)[0]) <= -55.0
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidFilterSpecError):
-            FilterSpec(order=3, cutoff_hz=50, sample_rate_hz=100)  # at Nyquist
+            sig.design(FilterSpec(order=3, cutoff_hz=50), 100)  # at Nyquist
         with pytest.raises(InvalidFilterSpecError):
-            FilterSpec(order=0, cutoff_hz=10, sample_rate_hz=100)
+            FilterSpec(order=0, cutoff_hz=10)
         with pytest.raises(InvalidFilterSpecError):
-            FilterSpec(order=3, cutoff_hz=-1, sample_rate_hz=100)
+            FilterSpec(order=sig.MAX_ORDER + 1, cutoff_hz=10)
+        with pytest.raises(InvalidFilterSpecError):
+            FilterSpec(order=3, cutoff_hz=-1)
 
     def test_stable_for_valid_specs(self):
         rng = np.random.default_rng(0)
@@ -38,37 +46,36 @@ class TestDesign:
             fs = rng.uniform(50, 2000)
             fc = rng.uniform(0.01, 0.49) * fs
             order = int(rng.integers(1, 8))
-            st = sig.design(FilterSpec(order=order, cutoff_hz=fc, sample_rate_hz=fs))
+            st = sig.design(FilterSpec(order=order, cutoff_hz=fc), fs)
             assert sig.is_stable(st)
 
     def test_monotone_magnitude(self):
-        st = sig.design(FilterSpec(order=3, cutoff_hz=10, sample_rate_hz=100))
-        mags = np.abs(sig.frequency_response(st, np.linspace(0.0, 49.99, 400)))
+        st = sig.design(FilterSpec(order=3, cutoff_hz=10), 100)
+        mags = np.abs(response(st, np.linspace(0.0, 49.99, 400), 100))
         assert np.all(np.diff(mags) <= 1e-12)
 
 
 class TestStep:
     def test_dc_tracking(self):
-        st = sig.design(FilterSpec(3, 10, 100))
+        st = sig.design(FilterSpec(3, 10), 100)
         y = 0.0
         for _ in range(1000):
             y = sig.step(st, 1.0)
         assert y == pytest.approx(1.0, abs=1e-9)
 
     def test_impulse_sum_equals_dc_gain(self):
-        st = sig.design(FilterSpec(3, 10, 100))
+        st = sig.design(FilterSpec(3, 10), 100)
         total = sig.step(st, 1.0)
         for _ in range(4000):
             total += sig.step(st, 0.0)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_sine_at_cutoff_amplitude(self):
-        spec = FilterSpec(3, 10, 100)
-        st = sig.design(spec)
-        fs, fc = spec.sample_rate_hz, spec.cutoff_hz
+        fs, fc = 100.0, 10.0
+        st = sig.design(FilterSpec(3, fc), fs)
         n = int(20 * fs / fc)
         t = np.arange(n) / fs
-        y = sig.filter_series(st, np.sin(2 * np.pi * fc * t))
+        y = np.array([sig.step(st, v) for v in np.sin(2 * np.pi * fc * t)])
         # amplitude from a sine/cosine regression over the settled tail
         tail = slice(n // 2, None)
         A = np.column_stack([np.sin(2 * np.pi * fc * t[tail]),
@@ -78,39 +85,27 @@ class TestStep:
         assert amp == pytest.approx(0.7079, rel=0.01)
 
     def test_streaming_equals_batch_bitexact(self):
+        # the streaming step runs the same transposed direct form II
+        # recursion as scipy's batch sosfilt, operation for operation
         rng = np.random.default_rng(4)
         xs = rng.standard_normal(500)
-        st1 = sig.design(FilterSpec(3, 10, 100))
-        st2 = st1.copy()
-        batch = sig.filter_series(st1, xs)
-        stream = np.array([sig.step(st2, x) for x in xs])
-        assert np.array_equal(batch, stream)
-        assert np.array_equal(st1.zi, st2.zi)
+        for spec, fs in ((FilterSpec(3, 10), 100), (FilterSpec(6, 100), 1000)):
+            st = sig.design(spec, fs)
+            batch, zf = sosfilt(st.sos, xs, zi=np.zeros_like(st.zi))
+            stream = np.array([sig.step(st, x) for x in xs])
+            assert np.array_equal(batch, stream)
+            assert np.array_equal(zf, st.zi)
+
+    def test_copy_forks_the_delay_line(self):
+        st = sig.prime(sig.design(FilterSpec(3, 10), 100), 2.0)
+        fork = st.copy()
+        assert np.array_equal(fork.sos, st.sos) and np.array_equal(fork.zi, st.zi)
+        sig.step(fork, 5.0)
+        assert not np.array_equal(fork.zi, st.zi)
+        assert sig.step(st, 2.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_prime_removes_startup_transient(self):
-        st = sig.design(FilterSpec(3, 10, 100))
+        st = sig.design(FilterSpec(3, 10), 100)
         sig.prime(st, 2.5)
         for _ in range(10):
             assert sig.step(st, 2.5) == pytest.approx(2.5, abs=1e-9)
-
-
-class TestDecimate:
-    def test_identity(self):
-        x = np.arange(10.0)
-        assert np.array_equal(sig.decimate(x, 1), x)
-
-    def test_length_and_phase(self):
-        x = np.arange(101.0)
-        y = sig.decimate(x, 5)
-        assert y.size == int(np.ceil(101 / 5))
-        assert y[0] == x[0] and y[1] == x[5]
-
-    def test_dc_survives(self):
-        x = np.full(50, 3.3)
-        assert np.all(sig.decimate(x, 5) == 3.3)
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            sig.decimate(np.arange(4.0), 0)
-        with pytest.raises(ValueError):
-            sig.decimate(np.arange(4.0), 2.5)
