@@ -258,9 +258,16 @@ def validate_config(cfg: dict) -> dict:
     """
     _check_block_types(cfg)
     pcfg = _build_plant_config(cfg)
+    setup = _build_setup(cfg, pcfg)
+    try:
+        control.observer_config(setup, pcfg.ind, 1.0 / pcfg.sensor_rate_hz)
+    except ArithmeticError as exc:
+        raise ConfigError(f"observer: tuning out of floating-point range ({exc})") from None
+    except ValueError as exc:
+        raise ConfigError(f"observer: {exc}") from None
     return {
         "plant": pcfg,
-        "setup": _build_setup(cfg, pcfg),
+        "setup": setup,
         "scenarios": [scenario_from_config(b) for b in (cfg.get("scenarios") or [])],
         "paths": dict(cfg.get("paths") or {}),
     }
@@ -356,9 +363,7 @@ def cmd_estimate(args, cfg, resolved) -> int:
             f"data row {i + 1} (t={ds.t[i]:g} s): inductance {ds.L[i]:g} uH outside "
             f"the envelope [{env.L_min:g}, {env.L_max:g}] ({outside.size} rows outside)")
     out = _out_dir(cfg, args)
-    ocfg = observer.make_observer_config(
-        ind_p, env, dt=dt_data,
-        **{"noise_L": pcfg.noise_L, **setup.observer_overrides})
+    ocfg = control.observer_config(setup, ind_p, dt_data)
     est = observer.run_estimation(ds, ind_p, dyn, ocfg, sig.design(setup.filter_spec, fs))
     ident.write_csv(ds, os.path.join(out, "estimates.csv"),
                     extra={"F_hat": est["F_hat"], "x_hat": est["x_hat"]})

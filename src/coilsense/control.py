@@ -36,6 +36,7 @@ __all__ = [
     "feedforward_pressure",
     "identify_dynamic",
     "resolve_setup",
+    "observer_config",
     "run_tracking",
     "compare_tracking",
     "run_perturbation",
@@ -169,6 +170,16 @@ def resolve_setup(setup: TrackingSetup) -> TrackingSetup:
     return out
 
 
+def observer_config(setup: TrackingSetup, ind: InductanceParams,
+                    dt: float) -> obs.ObserverConfig:
+    """The observer tuning of ``setup`` for inductance map ``ind`` at
+    sampling interval ``dt``: scaled to the plant's sensor noise, then
+    the setup's overrides applied."""
+    return obs.make_observer_config(
+        ind, setup.plant_cfg.envelope, dt=dt,
+        **{"noise_L": setup.plant_cfg.noise_L, **setup.observer_overrides})
+
+
 @dataclass
 class TrackingResult:
     """Time series and metrics of one closed- or open-loop run.
@@ -209,9 +220,7 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup) -> dict:
     dtc = 1.0 / pcfg.control_rate_hz
     sub = pcfg.decimation_factor
     gains = setup.gains_force if force_mode else setup.gains_disp
-    ocfg = obs.make_observer_config(
-        setup.ind, pcfg.envelope, dt=dts,
-        **{"noise_L": pcfg.noise_L, **setup.observer_overrides})
+    ocfg = observer_config(setup, setup.ind, dts)
     ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
     rng_x = np.random.default_rng([pcfg.seed, 77])  # external displacement sensor
 

@@ -109,6 +109,16 @@ class Dataset:
 _CSV_COLUMNS = ("t", "P", "L", "F", "x")
 
 
+def _csv_rows(path: str, fh):
+    """The rows of CSV text ``fh``; undecodable or unsplittable text is a
+    DataFormatError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: unreadable CSV near line {reader.line_num}: {exc}") from None
+
+
 def read_csv(path: str) -> Dataset:
     """Read a dataset CSV with header ``t,P,L[,F][,x][,extra...]`` (UTF-8,
     comma, dot decimal).
@@ -116,10 +126,11 @@ def read_csv(path: str) -> Dataset:
     Columns are matched by name.  Every column other than the standard
     five is parsed like them and returned in ``Dataset.extra``, so the
     file ``write_csv`` writes with ``extra`` columns reads back whole.
-    Empty and duplicate column names are rejected.
+    Empty and duplicate column names are rejected, and so is text that
+    is not UTF-8 or that the CSV reader cannot split.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:

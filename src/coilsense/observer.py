@@ -48,6 +48,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: not go.  See ``make_observer_config``.
 NOISE_FLOOR_UH = 1e-3
 
+#: Most points of the coarse inversion grid: the whole grid is costed on
+#: every sample, and a config value must not ask for an unbounded array.
+MAX_GRID_POINTS = 65536
+
 
 @dataclass
 class ObserverState:
@@ -123,8 +127,14 @@ class ObserverConfig:
             raise ValueError("dt must be positive")
         if self.R <= 0:
             raise ValueError("R must be positive")
-        if self.grid_points < 16:
-            raise ValueError("grid_points must be >= 16")
+        if not 16 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be in [16, {MAX_GRID_POINTS}]")
+        if not self.refine_tol > 0:
+            raise ValueError("refine_tol must be > 0")
+        if not self.gradient_guard_ratio >= 0:
+            raise ValueError("gradient_guard_ratio must be >= 0")
+        if not self.gradient_guard_inflation >= 1:
+            raise ValueError("gradient_guard_inflation must be >= 1")
         if np.any(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T)) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
         grid = np.linspace(self.envelope.F_min, self.envelope.F_max, self.grid_points)
@@ -169,6 +179,9 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
     a floor it leaves the envelope.  At or above the floor the weights
     and R are the noise-scaled ones unchanged.
     """
+    if not (noise_L >= 0 and sigma_F >= 0 and sigma_Fdot >= 0):
+        raise ValueError(f"noise_L, sigma_F and sigma_Fdot must be >= 0, got "
+                         f"{noise_L}, {sigma_F} and {sigma_Fdot}")
     span = envelope.F_span
     noise_L = max(noise_L, NOISE_FLOOR_UH)
     w_dyn = (3.0 * noise_L) ** 2 / (0.05 * span) ** 2

@@ -4,6 +4,12 @@ Butterworth low-pass design (bilinear transform with frequency
 pre-warping, realized as cascaded second-order sections) plus a
 streaming one-sample-at-a-time application.  A spec holds only the
 order and the cutoff; the sample rate is the stream's, given at design.
+
+The design and the steady-state priming use numpy only.  They repeat
+SciPy's ``signal.butter(..., output="sos")`` and ``signal.sosfilt_zi``
+operation for operation, so their results equal SciPy's bit for bit
+(the tests check this); importing SciPy's signal package would cost
+more than a second of start-up on every command.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sps
 
 __all__ = [
     "InvalidFilterSpecError",
@@ -83,21 +88,76 @@ def design(spec: FilterSpec, rate_hz: float) -> FilterState:
     verified stable (all section poles strictly inside the unit circle).
     """
     check_cutoff(spec, rate_hz)
-    sos = _sps.butter(spec.order, spec.cutoff_hz, btype="low",
-                      fs=rate_hz, output="sos")
-    state = FilterState(sos)
+    state = FilterState(_butter_sos(spec.order, spec.cutoff_hz, rate_hz))
     if not is_stable(state):
         raise InvalidFilterSpecError(
             f"designed filter unstable for {spec} at {rate_hz:g} Hz")
     return state
 
 
+def _butter_sos(order: int, cutoff_hz: float, rate_hz: float) -> np.ndarray:
+    """Second-order sections of the digital Butterworth low-pass.
+
+    The analog prototype's poles are pre-warped to the cutoff and mapped
+    by the bilinear transform at fs = 2, which puts every zero at -1.
+    Poles and zeros are paired as SciPy's "nearest" pairing pairs them
+    (an odd order adds a pole and a zero at 0 to make a second-order
+    section): the pole nearest the unit circle, with its conjugate or
+    the worst remaining real pole, takes the two zeros nearest it and
+    goes last.  The gain goes into the first section's numerator.
+    """
+    wn = np.float64(cutoff_hz) / (float(rate_hz) / 2)
+    wo = float(4.0 * np.tan(np.pi * wn / 2.0))
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    s = wo * -np.exp(1j * np.pi * m / (2 * order))
+    gain = wo**order * np.real(1.0 / np.prod(4.0 - s))
+    poles = (4.0 + s) / (4.0 - s)
+    half = order // 2
+    # one pole per conjugate pair, averaged, by real part then |imag|; then the real poles
+    pairs = (poles[:half] + poles[::-1][:half].conj()) / 2
+    p = pairs[np.lexsort((abs(pairs.imag), pairs.real))]
+    if order % 2:
+        reals = np.sort([poles[half].real, 0.0])
+        p = np.concatenate((p, reals)) if half else reals
+    z = np.array([-1.0] * order + [0.0] * (order % 2))
+
+    def worst(q):
+        return np.argmin(np.abs(1 - np.abs(q)))
+
+    def pop(arr, i):
+        return arr[i], np.delete(arr, i)
+
+    sos = np.zeros(((order + 1) // 2, 6))
+    for si in range(sos.shape[0] - 1, -1, -1):
+        p1, p = pop(p, worst(p))
+        if np.isreal(p1):
+            real = np.flatnonzero(np.isreal(p))
+            p2, p = pop(p, real[worst(p[real])])
+        else:
+            p2 = p1.conj()
+        z1, z = pop(z, np.argmin(np.abs(z - p1)))
+        z2, z = pop(z, np.argmin(np.abs(z - p1)))
+        sos[si] = np.concatenate((np.poly([z1, z2]), np.poly([p1, p2])))
+    sos[0, :3] *= gain
+    return sos
+
+
 def prime(state: FilterState, value: float) -> FilterState:
     """Load the delay line with the steady state for a constant input.
 
     Avoids the startup transient when a stream begins near ``value``.
+    Each section's state solves ``zi = A zi + B`` for its state-space
+    form (A the transposed companion matrix of its denominator, whose
+    leading coefficient is 1), scaled by the DC gain of the sections
+    before it.
     """
-    state.zi = _sps.sosfilt_zi(state.sos) * float(value)
+    zi = np.empty_like(state.zi)
+    scale = 1.0
+    for s, (b, a) in enumerate(zip(state.sos[:, :3], state.sos[:, 3:])):
+        companion_t = np.array([[-a[1], 1.0], [-a[2], 0.0]])
+        zi[s] = scale * np.linalg.solve(np.eye(2) - companion_t, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    state.zi = zi * float(value)
     return state
 
 

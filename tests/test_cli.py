@@ -236,9 +236,13 @@ class TestSimulateTrackPerturb:
         ({"seed": -1}, "seed must be >= 0"),
         ({"filter": {"order": 2.5}}, "filter.order"),
         ({"plant": {"noise_L": True}}, "plant.noise_L"),
-        ({"envelope": {"F_max": "5"}}, "envelope.F_max")],
+        ({"envelope": {"F_max": "5"}}, "envelope.F_max"),
+        ({"observer": {"grid_points": 3}}, "grid_points"),
+        ({"observer": {"sigma_F": -0.05}}, "sigma_F"),
+        ({"observer": {"gradient_guard_inflation": -10.0}}, "gradient_guard_inflation")],
         ids=["gain_typo", "cutoff_at_nyquist", "cutoff_at_plant_nyquist", "negative_seed",
-             "fractional_order", "boolean_scalar", "string_scalar"])
+             "fractional_order", "boolean_scalar", "string_scalar", "coarse_grid",
+             "negative_sigma_F", "negative_guard_inflation"])
     def test_config_rejected_before_output(self, tmp_path, capsys, doc, key):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump(doc, open(cfg_path, "w"))
@@ -340,6 +344,8 @@ SCALAR_PATHS = [("seed",), ("plant", "noise_L"), ("plant", "valve_tau"),
                 ("plant", "sensor_rate_hz"), ("plant", "control_rate_hz"),
                 ("envelope", "F_max"), ("envelope", "P_min"), ("envelope", "L_max"),
                 ("filter", "order"), ("filter", "cutoff_hz"), ("observer", "grid_points"),
+                ("observer", "sigma_F"), ("observer", "refine_tol"),
+                ("observer", "gradient_guard_inflation"),
                 ("controller", "p_max"), ("controller", "force_gains", "kp"),
                 ("controller", "disp_gains", "kd")]
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
@@ -361,16 +367,29 @@ def test_validate_config_raises_only_config_error(path, value):
         pass
 
 
-def run_module(*args):
-    """``python -m coilsense.cli`` on the package these tests import."""
+def run_python(*args):
+    """The interpreter, with the package these tests import on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "coilsense.cli", *args],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
 
 
+def run_module(*args):
+    """``python -m coilsense.cli`` on the package these tests import."""
+    return run_python("-m", "coilsense.cli", *args)
+
+
 class TestEntryPoint:
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only; importing scipy.signal alone
+        # would add more than a second to every command
+        proc = run_python("-c", "import sys, coilsense.cli; "
+                                "print(sorted(m for m in sys.modules "
+                                "if m == 'scipy' or m.startswith('scipy.')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_help(self):
         proc = run_module("--help")
         assert proc.returncode == 0

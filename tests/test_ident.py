@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coilsense import ident, model, plant
 from coilsense.ident import (ConstantSeriesError, Dataset, DataFormatError,
@@ -125,6 +127,75 @@ class TestDataset:
         path.write_text("")
         with pytest.raises(DataFormatError):
             ident.read_csv(str(path))
+
+
+def written(v: float) -> float:
+    """``v`` as ``write_csv`` stores it: 12 significant digits."""
+    return float(format(v, ".12g"))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXTRA_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True).filter(
+    lambda name: name not in ("t", "P", "L", "F", "x"))
+
+
+@st.composite
+def datasets(draw):
+    """Finite datasets whose timestamps stay strictly increasing once
+    written, with or without ``F``, ``x`` and extra columns."""
+    t = sorted(draw(st.lists(FINITE, min_size=1, max_size=12, unique_by=written)))
+    n = len(t)
+    column = st.lists(FINITE, min_size=n, max_size=n)
+    return Dataset(
+        t=t, P=draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                             min_size=n, max_size=n)),
+        L=draw(column),
+        F=draw(st.none() | column), x=draw(st.none() | column),
+        extra={name: draw(column)
+               for name in draw(st.lists(EXTRA_NAMES, max_size=3, unique=True))})
+
+
+#: Fragments of CSV text: column names, numbers in several spellings,
+#: words, quotes, separators, line ends and characters a reader may choke on.
+CSV_PIECES = st.sampled_from(
+    ["t", "P", "L", "F", "x", "F_hat", "0", "1", "-1", "2.5e-3", "1e999", "nan", "-inf",
+     "1_0", "oops", "", " ", ",", ",,", '"', '"1,2"', "\n", "\r\n", "\r", "\x00",
+     "\ufeff", "\u0661"])
+MALFORMED = st.one_of(
+    st.lists(CSV_PIECES, max_size=40).map(lambda parts: "".join(parts).encode()),
+    st.text(max_size=80).map(lambda text: text.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=80))
+
+
+class TestCsvProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(ds=datasets())
+    def test_write_read_write(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        ident.write_csv(ds, str(path))
+        back = ident.read_csv(str(path))
+        for name in ("t", "P", "L", "F", "x"):
+            col = getattr(ds, name)
+            if col is None:
+                assert getattr(back, name) is None
+            else:
+                assert np.array_equal(getattr(back, name), [written(v) for v in col])
+        assert list(back.extra) == list(ds.extra)
+        for name, col in ds.extra.items():
+            assert np.array_equal(back.extra[name], [written(v) for v in col])
+        again = path.with_name("again.csv")
+        ident.write_csv(back, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=MALFORMED)
+    def test_malformed_text_is_a_data_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(data)
+        try:
+            assert isinstance(ident.read_csv(str(path)), Dataset)
+        except DataFormatError:
+            pass
 
 
 class TestFitDynamic:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.signal import sosfilt, sosfreqz
+from scipy.signal import butter, sosfilt, sosfilt_zi, sosfreqz
 
 from coilsense import signal as sig
 from coilsense.signal import FilterSpec, InvalidFilterSpecError
@@ -48,6 +48,23 @@ class TestDesign:
             order = int(rng.integers(1, 8))
             st = sig.design(FilterSpec(order=order, cutoff_hz=fc), fs)
             assert sig.is_stable(st)
+
+    @pytest.mark.parametrize("rate", [10.0, 100.0, 333.3, 1000.0, 44100.0, 50000.0])
+    def test_equals_scipy_butter_bit_for_bit(self, rate):
+        for order in range(1, sig.MAX_ORDER + 1):
+            for frac in np.geomspace(0.001, 0.499, 15):
+                spec = FilterSpec(order, frac * rate)
+                expected = butter(order, spec.cutoff_hz, fs=rate, output="sos")
+                assert np.array_equal(sig.design(spec, rate).sos, expected), (spec, rate)
+
+    def test_random_specs_equal_scipy_butter_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            rate = float(rng.uniform(5.0, 1e5))
+            spec = FilterSpec(int(rng.integers(1, sig.MAX_ORDER + 1)),
+                              float(rng.uniform(1e-4, 0.4999)) * rate)
+            expected = butter(spec.order, spec.cutoff_hz, fs=rate, output="sos")
+            assert np.array_equal(sig.design(spec, rate).sos, expected), (spec, rate)
 
     def test_monotone_magnitude(self):
         st = sig.design(FilterSpec(order=3, cutoff_hz=10), 100)
@@ -103,6 +120,16 @@ class TestStep:
         sig.step(fork, 5.0)
         assert not np.array_equal(fork.zi, st.zi)
         assert sig.step(st, 2.0) == pytest.approx(2.0, abs=1e-9)
+
+    def test_prime_equals_scipy_sosfilt_zi_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for order in range(1, sig.MAX_ORDER + 1):
+            for rate in (20.0, 100.0, 1000.0, 48000.0, 12345.6):
+                for frac in (0.001, 0.01, 0.1, 0.25, 0.4, 0.499):
+                    st = sig.design(FilterSpec(order, frac * rate), rate)
+                    value = float(rng.uniform(-10.0, 10.0))
+                    expected = sosfilt_zi(st.sos) * value
+                    assert np.array_equal(sig.prime(st, value).zi, expected), (order, rate, frac)
 
     def test_prime_removes_startup_transient(self):
         st = sig.design(FilterSpec(3, 10), 100)
