@@ -173,18 +173,43 @@ def write_csv(ds: Dataset, path: str, extra: dict | None = None) -> None:
     The dataset's own ``extra`` columns, then those of ``extra`` (which
     win on a shared name), follow the standard ones.  An extra column
     may not reuse a standard name, since ``read_csv`` would reject the
-    duplicate.
+    duplicate, and its name must read back unchanged (see
+    ``_check_column_name``).  Nothing is written when a name fails.
     """
     extras = {**ds.extra, **(extra or {})}
     clash = [name for name in extras if name in _CSV_COLUMNS]
     if clash:
         raise DataFormatError(f"extra column(s) {clash} reuse a standard column name")
+    for name in extras:
+        _check_column_name(name)
     columns = {"t": ds.t, "P": ds.P, "L": ds.L}
     if ds.F is not None:
         columns["F"] = ds.F
     if ds.x is not None:
         columns["x"] = ds.x
     write_columns(path, {**columns, **extras})
+
+
+#: Characters a header name may not hold: the separator, the quote and
+#: the line ends would split or quote the header, and the CSV reader
+#: refuses NUL.
+_HEADER_UNSAFE = frozenset(',"\r\n\x00')
+
+
+def _check_column_name(name) -> None:
+    """Raise DataFormatError unless ``read_csv`` returns the header name
+    ``name`` unchanged: text, encodable as UTF-8, not empty, with none of
+    ``_HEADER_UNSAFE`` and no whitespace at either end (the reader
+    strips it).  Names are written unquoted, so this is the whole rule."""
+    ok = (isinstance(name, str) and name != "" and name == name.strip()
+          and _HEADER_UNSAFE.isdisjoint(name))
+    if ok:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            ok = False
+    if not ok:
+        raise DataFormatError(f"extra column name {name!r} would not read back unchanged")
 
 
 def write_columns(path: str, columns: dict) -> None:

@@ -14,6 +14,14 @@ The inner minimization is a coarse global grid over the feasible force
 interval followed by golden-section refinement of the best bracket; the
 continuity term is what disambiguates the two force preimages of a
 reading on a rising-then-falling curve.
+
+Per sample, the map coefficients are evaluated once, for the inversion
+and the gradient guard.  Each of the about 21 golden-section cost
+evaluations, and the guard, takes both powers of F from one ``np.power``
+call on an exponent pair and does the rest on Python floats, in the
+order of ``model``'s formula and still through numpy's ``power`` and
+``exp``: the results equal a one-power-at-a-time evaluation bit for bit,
+at a fraction of the scalar ufunc overhead.
 """
 
 from __future__ import annotations
@@ -236,20 +244,28 @@ def _composite_cost(F, L_meas: float, coeffs: tuple, prior_F: float, w: CostWeig
     """Inversion cost at force F (scalar or array); ``coeffs`` are the
     five map coefficients at the inversion pressure.  Callers set
     ``np.errstate``."""
-    r = model._inductance(F, *coeffs) - L_meas
+    return _cost_of_inductance(model._inductance(F, *coeffs), F, L_meas, prior_F, w)
+
+
+def _cost_of_inductance(L_model, F, L_meas: float, prior_F: float, w: CostWeights):
+    """Inversion cost at force F whose modeled inductance is ``L_model``."""
+    r = L_model - L_meas
     dF = F - prior_F
     return (w.w_fit * r * r + w.w_dyn * dF * dF
             + w.w_reg * (1.0 - 1.0 / (1.0 + w.gamma * dF * dF)))
 
 
 def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
-                             params: InductanceParams, cfg: ObserverConfig) -> float:
+                             params: InductanceParams, cfg: ObserverConfig,
+                             coeffs: tuple | None = None) -> float:
     """Force minimizing the composite inversion cost over the feasible interval.
 
     Coarse global scan (``grid_points`` samples) picks the basin; a
     golden-section pass on the winning bracket refines it to
     ``refine_tol``.  The result always lies inside the interval; edge
-    minima are returned clamped, not raised.
+    minima are returned clamped, not raised.  ``coeffs`` are the map
+    coefficients at P (``eval_coeffs(params, P, validate=False)`` as a
+    tuple) when the caller already has them.
     """
     env = cfg.envelope
     env.check_P(P)
@@ -257,14 +273,25 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
         raise ValueError("prior force must be finite")
     w = cfg.weights
     grid = cfg.grid
-    coeffs = model.eval_coeffs(params, P, validate=False).as_tuple()
+    if coeffs is None:
+        coeffs = model.eval_coeffs(params, P, validate=False).as_tuple()
+    l1, l2, l3, l4, l5 = coeffs
+    exps = np.array((l2, l4))
+    powers = np.empty(2)
+
+    def cost(F):
+        F_l2, F_l4 = np.power(F, exps, out=powers).tolist()
+        L_model = float(model._inductance_of_powers(F_l2, F_l4, l1, l3, l5))
+        return _cost_of_inductance(L_model, F, L_meas, prior_F, w)
+
     with np.errstate(all="ignore"):
-        i = int(np.nanargmin(_composite_cost(grid, L_meas, coeffs, prior_F, w)))
+        costs = _composite_cost(grid, L_meas, coeffs, prior_F, w)
+        i = int(costs.argmin())
+        if math.isnan(costs[i]):  # argmin picks the first NaN; skip NaNs as before
+            i = int(np.nanargmin(costs))
         a = grid[max(i - 1, 0)]
         b = grid[min(i + 1, cfg.grid_points - 1)]
-        f_star = _golden_section(
-            lambda F: float(_composite_cost(F, L_meas, coeffs, prior_F, w)),
-            float(a), float(b), cfg.refine_tol)
+        f_star = _golden_section(cost, float(a), float(b), cfg.refine_tol)
     return min(max(f_star, env.F_min), env.F_max)
 
 
@@ -281,9 +308,9 @@ def update(prior: ObserverState, F_star: float, cfg: ObserverConfig,
     S = P[0, 0] + Rv
     K = P[:, 0] / S
     mean = prior.mean + K * (F_star - prior.mean[0])
-    ikh = np.eye(2)
-    ikh[:, 0] -= K
-    cov = ikh @ P @ ikh.T + np.outer(K, K) * Rv
+    k0, k1 = K.tolist()
+    ikh = np.array([[1.0 - k0, 0.0], [0.0 - k1, 1.0]])
+    cov = ikh @ P @ ikh.T + K[:, None] * K * Rv
     return ObserverState(mean=mean, cov=0.5 * (cov + cov.T))
 
 
@@ -313,11 +340,13 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
     pred = predict(state, cfg)
     prior_F = min(max(float(pred.mean[0]), env.F_min), env.F_max)
-    F_star = solve_pseudo_measurement(L_f, P_f, prior_F, params, cfg)
+    coeffs = model.eval_coeffs(params, P_f, validate=False).as_tuple()
+    F_star = solve_pseudo_measurement(L_f, P_f, prior_F, params, cfg, coeffs)
     g_at = max(F_star, 1e-3 * env.F_span + env.F_min)
-    l1, l2, l3, l4, _ = model.eval_coeffs(params, P_f, validate=False).as_tuple()
+    l1, l2, l3, l4, _ = coeffs
     with np.errstate(all="ignore"):
-        grad = abs(float(model._d_inductance_dF(g_at, l1, l2, l3, l4)))
+        F_l2m1, F_l4 = np.power(g_at, np.array((l2 - 1.0, l4))).tolist()
+        grad = abs(float(model._d_inductance_dF_of_powers(F_l2m1, F_l4, l1, l2, l3, l4)))
     Rv = cfg.R
     if grad < cfg.gradient_guard_ratio * cfg.median_gradient:
         Rv = cfg.R * cfg.gradient_guard_inflation

@@ -58,16 +58,27 @@ class FilterState:
     """Cascaded second-order sections with their delay lines.
 
     Single-owner mutable: one state per stream.  ``copy()`` forks the
-    delay line for an independent stream.
+    delay line for an independent stream.  The delay line is kept in
+    Python floats, which ``step`` advances without numpy scalar
+    overhead; ``zi`` reads it as a fresh (sections, 2) array and sets
+    it from one.
     """
 
     def __init__(self, sos: np.ndarray):
         self.sos = np.array(sos, dtype=float)
-        self.zi = np.zeros((self.sos.shape[0], 2))
+        self._z = [[0.0, 0.0] for _ in range(self.sos.shape[0])]
+
+    @property
+    def zi(self) -> np.ndarray:
+        return np.array(self._z, dtype=float)
+
+    @zi.setter
+    def zi(self, value) -> None:
+        self._z = np.asarray(value, dtype=float).reshape(self.sos.shape[0], 2).tolist()
 
     def copy(self) -> "FilterState":
         st = FilterState(self.sos)
-        st.zi = self.zi.copy()
+        st._z = [z[:] for z in self._z]
         return st
 
 
@@ -164,13 +175,10 @@ def prime(state: FilterState, value: float) -> FilterState:
 def step(state: FilterState, sample: float) -> float:
     """Advance the filter by one sample and return the filtered value."""
     y = float(sample)
-    sos = state.sos
-    zi = state.zi
-    for s in range(sos.shape[0]):
-        b0, b1, b2, _, a1, a2 = sos[s]
-        out = b0 * y + zi[s, 0]
-        zi[s, 0] = b1 * y - a1 * out + zi[s, 1]
-        zi[s, 1] = b2 * y - a2 * out
+    for (b0, b1, b2, _, a1, a2), z in zip(state.sos.tolist(), state._z):
+        out = b0 * y + z[0]
+        z[0] = b1 * y - a1 * out + z[1]
+        z[1] = b2 * y - a2 * out
         y = out
     return y
 

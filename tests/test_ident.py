@@ -109,6 +109,20 @@ class TestDataset:
         with pytest.raises(DataFormatError, match="standard"):
             ident.write_csv(ds, str(tmp_path / "w.csv"), extra={"F": [0.0, 0.0]})
 
+    @pytest.mark.parametrize("name", ["a,b", " pad", "pad ", "", 'a"b', "a\nb", "a\rb",
+                                      "a\x00b", "\ud800", 7])
+    def test_csv_unreadable_extra_name_rejected(self, tmp_path, name):
+        # before the check, "a,b" wrote a file read_csv rejected
+        # (expected 5 fields, got 4) and " pad" read back as "pad"
+        ds = Dataset(t=[0.0, 1.0], P=[0.1, 0.2], L=[5.0, 5.1])
+        path = tmp_path / "w.csv"
+        with pytest.raises(DataFormatError, match="read back"):
+            ident.write_csv(ds, str(path), extra={name: [0.0, 1.0]})
+        assert not path.exists()
+        with pytest.raises(DataFormatError, match="read back"):
+            ident.write_csv(Dataset(t=[0.0], P=[0.1], L=[5.0], extra={name: [2.0]}), str(path))
+        assert not path.exists()
+
     def test_csv_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,P\n0,0\n")
@@ -186,6 +200,20 @@ class TestCsvProperties:
         again = path.with_name("again.csv")
         ident.write_csv(back, str(again))
         assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(name=st.text(max_size=12).filter(lambda name: name not in ("t", "P", "L", "F", "x")))
+    def test_extra_name_reads_back_or_is_rejected(self, tmp_path_factory, name):
+        ds = Dataset(t=[0.0, 1.0], P=[0.1, 0.2], L=[5.0, 5.1])
+        path = tmp_path_factory.mktemp("csv") / "n.csv"
+        try:
+            ident.write_csv(ds, str(path), extra={name: [0.5, -2.0]})
+        except DataFormatError:
+            assert not path.exists()
+            return
+        back = ident.read_csv(str(path))
+        assert list(back.extra) == [name]
+        assert np.array_equal(back.extra[name], [0.5, -2.0])
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=MALFORMED)

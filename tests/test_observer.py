@@ -76,6 +76,21 @@ class TestUpdate:
             out = observer.update(st, rng.uniform(0, 5), cfg)
             assert out.cov[0, 0] <= st.cov[0, 0] + 1e-15
 
+    def test_equals_eye_and_outer_form_bit_for_bit(self):
+        cfg = make_cfg()
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            A = rng.normal(size=(2, 2))
+            st = ObserverState(mean=rng.normal(size=2), cov=A @ A.T + 1e-3 * np.eye(2))
+            F_star, R = float(rng.normal()), float(rng.uniform(1e-4, 1.0))
+            out = observer.update(st, F_star, cfg, R=R)
+            K = st.cov[:, 0] / (st.cov[0, 0] + R)
+            ikh = np.eye(2)
+            ikh[:, 0] -= K
+            cov = ikh @ st.cov @ ikh.T + np.outer(K, K) * R
+            assert np.array_equal(out.mean, st.mean + K * (F_star - st.mean[0]))
+            assert np.array_equal(out.cov, 0.5 * (cov + cov.T))
+
 
 class TestReset:
     def test_zero(self):
@@ -211,6 +226,18 @@ class TestInversionPinned:
             for F in (got, float(rng.uniform(ENV.F_min, ENV.F_max))):
                 assert observer._composite_cost(F, L, coeffs, prior, cfg.weights) == ref(F)
 
+    def test_matches_reference_with_other_weights(self):
+        w = CostWeights(w_fit=2.5, w_dyn=0.03, w_reg=0.004, gamma=0.37)
+        cfg = replace(make_cfg(), weights=w)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            P = float(rng.uniform(ENV.P_min, ENV.P_max))
+            L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P)
+                      + rng.normal(0, 0.02))
+            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+            got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+            assert got == reference_inversion(L, P, prior, cfg)
+
     def test_replace_rebuilds_grid(self):
         cfg = make_cfg()
         assert cfg.grid.shape == (129,)
@@ -219,6 +246,116 @@ class TestInversionPinned:
         assert cfg.grid.shape == (129,)
         with pytest.raises(ValueError):
             small.grid[0] = 1.0
+
+
+def scalar_inversion(L_meas, P, prior_F, params, cfg):
+    """The solver's grid scan by ``np.nanargmin`` and its golden pass on
+    the scalar ``_composite_cost`` (two ``np.power`` calls per cost)."""
+    coeffs = model.eval_coeffs(params, P, validate=False).as_tuple()
+    w, grid = cfg.weights, cfg.grid
+    with np.errstate(all="ignore"):
+        i = int(np.nanargmin(observer._composite_cost(grid, L_meas, coeffs, prior_F, w)))
+        a = float(grid[max(i - 1, 0)])
+        b = float(grid[min(i + 1, cfg.grid_points - 1)])
+        f = observer._golden_section(
+            lambda F: float(observer._composite_cost(F, L_meas, coeffs, prior_F, w)),
+            a, b, cfg.refine_tol)
+    return min(max(f, cfg.envelope.F_min), cfg.envelope.F_max)
+
+
+def flat_params(l1, l2, l3, l4, l5):
+    """Inductance parameters with pressure-independent coefficients."""
+    return model.InductanceParams((0.0, l1, 0.0, l2, 0.0, l3, 0.0, l4, 0.0, l5))
+
+
+class TestFusedInversion:
+    def test_power_pair_equals_two_scalar_calls(self):
+        # the golden pass takes F**l2 and F**l4 (and the gradient guard
+        # F**(l2 - 1) and F**l4) from one two-element np.power call
+        rng = np.random.default_rng(8)
+        forces = np.concatenate(([0.0, ENV.F_min, ENV.F_max], make_cfg().grid,
+                                 rng.uniform(ENV.F_min, ENV.F_max, 200))).tolist()
+        pressures = np.concatenate(([ENV.P_min, ENV.P_max],
+                                    rng.uniform(ENV.P_min, ENV.P_max, 60))).tolist()
+        out = np.empty(2)
+        for P in pressures:
+            _, l2, _, l4, _ = model.eval_coeffs(IND, P).as_tuple()
+            for a, b in ((l2, l4), (l2 - 1.0, l4)):
+                pair = np.array((a, b))
+                for F in forces:
+                    got = np.power(F, pair, out=out).tolist()
+                    assert got == [float(np.power(F, a)), float(np.power(F, b))], (F, a, b)
+
+    def test_golden_cost_equals_composite_cost(self, monkeypatch):
+        # the cost the golden pass minimizes, taken from the solver, gives
+        # the bits of the one-power-at-a-time _composite_cost everywhere
+        costs, golden = [], observer._golden_section
+
+        def capture(fun, a, b, tol):
+            costs.append(fun)
+            return golden(fun, a, b, tol)
+
+        monkeypatch.setattr(observer, "_golden_section", capture)
+        cfg = make_cfg()
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            P = float(rng.uniform(ENV.P_min, ENV.P_max))
+            L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P))
+            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+            observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+            cost = costs.pop()
+            coeffs = model.eval_coeffs(IND, P, validate=False).as_tuple()
+            for F in [0.0, *rng.uniform(ENV.F_min, ENV.F_max, 40).tolist()]:
+                assert cost(F) == observer._composite_cost(F, L, coeffs, prior, cfg.weights)
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.6, -0.5, -0.55, -0.5, 4.75),    # inf * exp(-inf) at F = 0 only
+        (0.6, 800.0, -1.0, 800.0, 4.75),   # F**800 overflows above about 2.4 N
+    ])
+    def test_nan_grid_points_match_nanargmin(self, coeffs):
+        params = flat_params(*coeffs)
+        cfg = make_cfg()
+        with np.errstate(all="ignore"):
+            costs = observer._composite_cost(cfg.grid, 5.0, coeffs, 1.0, cfg.weights)
+        assert np.isnan(costs).any() and not np.isnan(costs).all()
+        assert np.isnan(costs[np.argmin(costs)])  # a plain argmin would pick a NaN
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            L = float(rng.uniform(4.7, 5.2))
+            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+            got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
+            assert got == scalar_inversion(L, 0.3, prior, params, cfg)
+
+    def test_all_nan_grid_raises(self):
+        with pytest.raises(ValueError, match="All-NaN slice encountered"):
+            observer.solve_pseudo_measurement(float("nan"), 0.3, 1.0, IND, make_cfg())
+
+    def test_one_power_call_per_golden_evaluation(self, monkeypatch):
+        counts = {"power": 0, "evals": 0}
+        power, golden = np.power, observer._golden_section
+
+        def counting_power(*args, **kwargs):
+            counts["power"] += 1
+            return power(*args, **kwargs)
+
+        def counting_golden(fun, a, b, tol):
+            def counted(F):
+                counts["evals"] += 1
+                return fun(F)
+            return golden(counted, a, b, tol)
+
+        monkeypatch.setattr(np, "power", counting_power)
+        monkeypatch.setattr(observer, "_golden_section", counting_golden)
+        cfg = make_cfg()
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            P = float(rng.uniform(ENV.P_min, ENV.P_max))
+            L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P))
+            counts.update(power=0, evals=0)
+            observer.solve_pseudo_measurement(L, P, float(rng.uniform(0, 5)), IND, cfg)
+            assert counts["evals"] >= 20
+            # two calls for the grid (F**l2 and F**l4 over all points)
+            assert counts["power"] <= counts["evals"] + 2
 
 
 class TestEstimateStep:
