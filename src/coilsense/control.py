@@ -23,7 +23,7 @@ from . import observer as obs
 from . import signal as sig
 from .ident import GoodnessMetrics, fit_dynamic, goodness
 from .model import DegenerateModelError, DynamicParams, InductanceParams
-from .plant import (Plant, PlantConfig, Scenario, perturbation_load_profile,
+from .plant import (Plant, PlantConfig, Scenario, StepResult, perturbation_load_profile,
                     run_scenario)
 
 __all__ = [
@@ -203,62 +203,87 @@ class TrackingResult:
     meta: dict = field(default_factory=dict)
 
 
-def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup) -> dict:
-    """The closed-loop engine: feedforward plus PID on ``mode``'s
-    feedback, with the observer stepping alongside the plant.
+@dataclass
+class _LoopStart:
+    """A loop settled at t = 0 by ``_settle``: the observer tuning, the
+    plant (with its noise stream), the inductance filter, the observer
+    state (with its pressure filter), the last plant step and the
+    feedforward pressure at the reference's start."""
 
-    Force tracking holds the length (kinematic plant) and ramps to it
-    during the pre-roll; every other kind balances the scenario's load
-    profile (isotonic plant), and displacement tracking runs
-    conditioning cycles after the pre-roll.  Neither is logged.  Returns
-    the logged channels ``t``, ``reference``, ``F``, ``x``, ``F_hat``,
-    ``x_hat`` and ``command``.
+    ocfg: obs.ObserverConfig
+    plant: Plant
+    filt: sig.FilterState
+    state: obs.ObserverState
+    last: StepResult
+    p_ff0: float
+
+    def copy(self) -> "_LoopStart":
+        """An independent start: every mutable part is copied."""
+        pf = self.state.pressure_filter
+        state = replace(self.state, pressure_filter=None if pf is None else pf.copy())
+        return replace(self, plant=self.plant.copy(), filt=self.filt.copy(), state=state)
+
+
+def _drivers(scenario: Scenario, setup: TrackingSetup) -> tuple:
+    """The feedforward ``ref -> pressure`` and the plant drive
+    ``(plant, pressure, t) -> StepResult`` of ``scenario``.
+
+    Force tracking holds the length (kinematic plant); every other kind
+    balances the scenario's load profile (isotonic plant).
     """
     pcfg = setup.plant_cfg
-    force_mode = scenario.kind == "force_tracking"
     dts = 1.0 / pcfg.sensor_rate_hz
-    dtc = 1.0 / pcfg.control_rate_hz
-    sub = pcfg.decimation_factor
-    gains = setup.gains_force if force_mode else setup.gains_disp
-    ocfg = observer_config(setup, setup.ind, dts)
-    ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
-    rng_x = np.random.default_rng([pcfg.seed, 77])  # external displacement sensor
-
-    if force_mode:
+    if scenario.kind == "force_tracking":
         hold_x = scenario.hold_x
-        F0 = float(scenario.reference(0.0))
 
         def feedforward(ref: float) -> float:
             return feedforward_pressure(setup.dyn, F_ref=ref, x=hold_x, p_max=setup.p_max)[0]
 
-        def drive(p: float, t: float, x_cmd: float = hold_x):
-            return plant.step(p, dts, x_cmd=x_cmd)
+        def drive(plant: Plant, p: float, t: float) -> StepResult:
+            return plant.step(p, dts, x_cmd=hold_x)
     else:
         _, load_at = perturbation_load_profile(scenario, pcfg.seed)
-        F0 = scenario.load
         load_ff = setup.load_nominal_scale * scenario.load
 
         def feedforward(ref: float) -> float:
             return feedforward_pressure(setup.dyn, x_ref=ref, F_load=load_ff,
                                         p_max=setup.p_max)[0]
 
-        def drive(p: float, t: float):
+        def drive(plant: Plant, p: float, t: float) -> StepResult:
             return plant.step(p, dts, F_load=load_at(t))
+    return feedforward, drive
 
+
+def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
+    """Settle the loop before t = 0; nothing here depends on the mode.
+
+    The pre-roll reaches the operating point with the feedforward
+    pressure applied (force tracking also ramps to the held length), so
+    the valve and the observer are settled at t = 0; displacement
+    tracking then runs conditioning cycles on the feedforward alone.
+    Neither is logged.
+    """
+    pcfg = setup.plant_cfg
+    force_mode = scenario.kind == "force_tracking"
+    dts = 1.0 / pcfg.sensor_rate_hz
+    ocfg = observer_config(setup, setup.ind, dts)
+    feedforward, drive = _drivers(scenario, setup)
+    F0 = float(scenario.reference(0.0)) if force_mode else scenario.load
     p_ff0 = feedforward(float(scenario.reference(0.0)))
     plant = Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
 
-    # Pre-roll: reach the operating point with the feedforward pressure
-    # applied, so the valve and the observer are settled at t = 0.
     n_pre = int(round(setup.preroll_s / dts))
+    if n_pre < 1:  # the first pre-roll step primes the filter and the state
+        raise ValueError(f"preroll_s ({setup.preroll_s} s) must cover at least one sample")
     ramp_n = max(1, int(round(2.0 / dts)))
     filt = state = last = None
     for i in range(n_pre):
         if force_mode:
             frac = min(1.0, (i + 1) / ramp_n)
-            last = drive(p_ff0, 0.0, x_cmd=pcfg.dyn.x0 + frac * (hold_x - pcfg.dyn.x0))
+            x_cmd = pcfg.dyn.x0 + frac * (scenario.hold_x - pcfg.dyn.x0)
+            last = plant.step(p_ff0, dts, x_cmd=x_cmd)
         else:
-            last = drive(p_ff0, 0.0)
+            last = drive(plant, p_ff0, 0.0)
         if filt is None:
             # Prime the inductance filter with the first reading and seed
             # the state at the operating force the experimenter knows
@@ -269,25 +294,51 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup) -> dict:
             sig.prime(filt, last.L_meas)
             state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
                               ocfg)
-        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                setup.ind, setup.dyn, ocfg, filt)
+        state = obs.estimate_step(state, last.L_meas, last.P,
+                                  setup.ind, setup.dyn, ocfg, filt)[0]
     if scenario.kind == "displacement_tracking" and setup.condition_cycles > 0:
         # exercise the loop region before measuring (standard practice)
         period = setup.condition_cycles / scenario.frequency_hz
-        for i in range(int(round(period / dts))):
-            t = (i + 1) * dts - period
-            last = drive(feedforward(float(scenario.reference(t))), t)
-            state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                    setup.ind, setup.dyn, ocfg, filt)
+        n_cond = int(round(period / dts))
+        t_cond = (np.arange(n_cond) + 1) * dts - period
+        for t, ref in zip(t_cond.tolist(), scenario.reference(t_cond).tolist()):
+            last = drive(plant, feedforward(ref), t)
+            state = obs.estimate_step(state, last.L_meas, last.P,
+                                      setup.ind, setup.dyn, ocfg, filt)[0]
+    return _LoopStart(ocfg, plant, filt, state, last, p_ff0)
+
+
+def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
+              start: _LoopStart | None = None) -> dict:
+    """The closed-loop engine: feedforward plus PID on ``mode``'s
+    feedback, with the observer stepping alongside the plant.
+
+    It runs from ``start`` (which it consumes), or from a loop it
+    settles itself (``_settle``).  Returns the logged channels ``t``,
+    ``reference``, ``F``, ``x``, ``F_hat``, ``x_hat`` and ``command``.
+    """
+    if start is None:
+        start = _settle(scenario, setup)
+    pcfg = setup.plant_cfg
+    force_mode = scenario.kind == "force_tracking"
+    dts = 1.0 / pcfg.sensor_rate_hz
+    dtc = 1.0 / pcfg.control_rate_hz
+    sub = pcfg.decimation_factor
+    gains = setup.gains_force if force_mode else setup.gains_disp
+    ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
+    rng_x = np.random.default_rng([pcfg.seed, 77])  # external displacement sensor
+    feedforward, drive = _drivers(scenario, setup)
+    ocfg, plant, filt, state, last = start.ocfg, start.plant, start.filt, start.state, start.last
 
     n = int(round(scenario.duration_s / dts))
     log = np.empty((n, 7))
+    t_log = np.arange(n) * dts
+    log[:, 0] = t_log
+    log[:, 1] = refs = scenario.reference(t_log)
     F_hat = state.F_hat
     x_hat = model.invert_dynamic_length(setup.dyn, F_hat, last.P)
-    p_cmd = p_ff0
-    for i in range(n):
-        t = i * dts
-        ref = float(scenario.reference(t))
+    p_cmd = start.p_ff0
+    for i, (t, ref) in enumerate(zip(t_log.tolist(), refs.tolist())):
         if i % sub == 0:
             dp = 0.0
             if mode == "sensor_fb" and force_mode:
@@ -298,27 +349,35 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup) -> dict:
             elif mode == "self_sensing":
                 dp = pid_step(ctrl, ref - F_hat if force_mode else x_hat - ref, gains, dtc)
             p_cmd = float(np.clip(feedforward(ref) + dp, 0.0, setup.p_max))
-        last = drive(p_cmd, t)
+        last = drive(plant, p_cmd, t)
         state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
                                                 setup.ind, setup.dyn, ocfg, filt)
-        log[i] = t, ref, last.F, last.x, F_hat, x_hat, p_cmd
+        log[i, 2:] = last.F, last.x, F_hat, x_hat, p_cmd
     return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"), log.T))
 
 
-def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup) -> TrackingResult:
+def _check_tracking(scenario: Scenario, mode: str) -> None:
+    """Raise ValueError unless ``mode`` is known and ``scenario`` is a tracking kind."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode '{mode}' (known: {MODES})")
+    if scenario.kind not in ("force_tracking", "displacement_tracking"):
+        raise ValueError(f"run_tracking needs a tracking scenario, got '{scenario.kind}'")
+
+
+def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup,
+                 start: _LoopStart | None = None) -> TrackingResult:
     """Run one tracking scenario in one mode.
 
     The pre-roll (ramp to the operating point, plus conditioning cycles
     in displacement mode) is excluded from the logs; metrics skip the
     first ``metrics_skip_periods`` of the reference on top of that.
+    ``start`` is a loop already settled for this scenario and setup,
+    which ``compare_tracking`` passes so that its modes settle once.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode '{mode}' (known: {MODES})")
-    if scenario.kind not in ("force_tracking", "displacement_tracking"):
-        raise ValueError(f"run_tracking needs a tracking scenario, got '{scenario.kind}'")
+    _check_tracking(scenario, mode)
     setup = resolve_setup(setup)
     force_mode = scenario.kind == "force_tracking"
-    log = _run_loop(scenario, mode, setup)
+    log = _run_loop(scenario, mode, setup, start)
     t_log, ref_log = log["t"], log["reference"]
     truth_log = log["F"] if force_mode else log["x"]
     est_log = log["F_hat"] if force_mode else log["x_hat"]
@@ -343,9 +402,16 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup) -> Trackin
 def compare_tracking(scenario: Scenario, setup: TrackingSetup,
                      modes: tuple = MODES) -> dict:
     """Run the mode group on identical seeds and fill improvements
-    relative to the open-loop baseline (100 * (1 - rmse/rmse_open))."""
+    relative to the open-loop baseline (100 * (1 - rmse/rmse_open)).
+
+    The loop is settled once; each mode starts from its own copy of
+    that state, so the group equals separate ``run_tracking`` calls.
+    """
+    for mode in modes:
+        _check_tracking(scenario, mode)
     setup = resolve_setup(setup)
-    results = {mode: run_tracking(scenario, mode, setup) for mode in modes}
+    start = _settle(scenario, setup) if modes else None
+    results = {mode: run_tracking(scenario, mode, setup, start.copy()) for mode in modes}
     base = results.get("open_loop")
     if base is not None:
         for mode, res in results.items():

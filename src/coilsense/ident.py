@@ -455,7 +455,8 @@ def _inductance_residual_jacobian(F: np.ndarray, P: np.ndarray, L: np.ndarray):
     Jacobian columns for the linear-entering coefficients (amplitude
     and offset pairs) are analytic; the exponent/shape columns use
     forward differences, which also sidesteps the log(F) singularity of
-    the analytic forms at F = 0.
+    the analytic forms at F = 0.  The analytic columns take the map from
+    ``model``: dL/dl1 is the formula with l1 = 1 and l5 = 0.
     """
     fd_cols = (2, 3, 4, 5, 6, 7)
 
@@ -464,11 +465,9 @@ def _inductance_residual_jacobian(F: np.ndarray, P: np.ndarray, L: np.ndarray):
 
     def jacobian(p, r):
         J = np.empty((F.size, 10))
-        l2 = p[2] * P + p[3]
-        l3 = p[4] * P + p[5]
-        l4 = p[6] * P + p[7]
+        _, l2, l3, l4, _ = model._coeffs(InductanceParams(tuple(p)), P)
         with np.errstate(all="ignore"):
-            base = np.power(F, l2) * np.exp(l3 * np.power(F, l4))
+            base = model._inductance_of_powers(np.power(F, l2), np.power(F, l4), 1.0, l3, 0.0)
         J[:, 0] = P * base
         J[:, 1] = base
         J[:, 8] = P

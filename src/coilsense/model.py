@@ -207,6 +207,13 @@ def _inductance_of_powers(F_l2, F_l4, l1, l3, l5):
     return F_l2 + l5
 
 
+def _inductance_at(F: float, l1, l2, l3, l4, l5) -> float:
+    """The inductance formula at one float force, with F**l2 and F**l4
+    from one two-exponent ``np.power`` call.  Callers set ``np.errstate``."""
+    F_l2, F_l4 = np.power(F, np.array((l2, l4))).tolist()
+    return float(_inductance_of_powers(F_l2, F_l4, l1, l3, l5))
+
+
 def _d_inductance_dF(F, l1, l2, l3, l4):
     """dL/dF on already-evaluated coefficients; see ``_inductance``."""
     return _d_inductance_dF_of_powers(np.power(F, l2 - 1.0), np.power(F, l4), l1, l2, l3, l4)
@@ -215,6 +222,83 @@ def _d_inductance_dF(F, l1, l2, l3, l4):
 def _d_inductance_dF_of_powers(F_l2m1, F_l4, l1, l2, l3, l4):
     """dL/dF, given F**(l2 - 1) and F**l4."""
     return l1 * F_l2m1 * np.exp(l3 * F_l4) * (l2 + l3 * l4 * F_l4)
+
+
+#: Veltkamp's splitting constant for doubles, 2**27 + 1.
+_SPLITTER = 134217729.0
+#: ``_fma_chain`` takes a product between these two magnitudes by
+#: Dekker's two-product: below ``_FMA_TINY`` its rounding error may not
+#: be representable, and far below ``_FMA_HUGE`` the halves' products
+#: cannot overflow.
+_FMA_HUGE = 2.0 ** 995
+_FMA_TINY = 2.0 ** -960
+
+
+def _split(a: float) -> tuple:
+    """``(a, hi, lo)``: Veltkamp's split of ``a`` into two halves of at
+    most 26 significant bits each, whose sum is ``a`` exactly."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return a, hi, a - hi
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """``a * b + c`` with one rounding, as a fused multiply-add gives it
+    (Python 3.11 has no ``math.fma``); see ``_fma_chain``."""
+    return _fma_chain(c, (_split(a),), (b,))
+
+
+def _fma_chain(c: float, a_splits, bs) -> float:
+    """``c = a * b + c`` with one rounding for each factor pair in turn:
+    from ``c = 0.0`` it is the dot product of a BLAS kernel that fuses
+    its multiply-adds.  ``a_splits`` holds each ``_split(a)``.
+
+    The product is Dekker's exact two-product ``p + e`` (Numer. Math. 18,
+    1971) and ``math.fsum`` rounds ``p + e + c`` correctly; when ``e`` is
+    0 the product is exact and a plain sum is the same.  A split that
+    overflows makes ``e`` NaN.  Then, and for a product outside the
+    two-product's range or a sum that overflows ``fsum``, the exact sum
+    is taken with fractions.  Non-finite inputs give what IEEE
+    arithmetic gives.
+    """
+    for (a, a_hi, a_lo), b in zip(a_splits, bs):
+        p = a * b
+        if _FMA_TINY < abs(p) < _FMA_HUGE:
+            t = _SPLITTER * b
+            b_hi = t - (t - b)
+            b_lo = b - b_hi
+            e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+            if e == 0.0:
+                c = p + c
+                continue
+            if e == e:
+                try:
+                    c = math.fsum((p, e, c))
+                    continue
+                except OverflowError:
+                    pass
+        c = _fma_exact(a, b, c)
+    return c
+
+
+def _fma_exact(a: float, b: float, c: float) -> float:
+    """``_fma`` by exact rational arithmetic, for any inputs."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c
+    if not math.isfinite(c):
+        return c
+    if a == 0.0 or b == 0.0:
+        return a * b + c  # an exact signed zero, then IEEE addition
+    # imported here: with ``decimal`` it adds about 3.5 ms to start-up
+    from fractions import Fraction
+
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        return 0.0
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def eval_coeffs(params: InductanceParams, P: float, validate: bool = True) -> ModelCoeffs:

@@ -21,7 +21,16 @@ evaluations, and the guard, takes both powers of F from one ``np.power``
 call on an exponent pair and does the rest on Python floats, in the
 order of ``model``'s formula and still through numpy's ``power`` and
 ``exp``: the results equal a one-power-at-a-time evaluation bit for bit,
-at a fraction of the scalar ufunc overhead.
+at a fraction of the scalar ufunc overhead.  One ``np.errstate`` covers
+the inversion and the guard.
+
+The Kalman state is five Python floats (the mean and the three distinct
+covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
+products written out on them.  They repeat numpy's arithmetic operation
+for operation, including the multiply-adds that an OpenBLAS kernel
+fuses on a CPU with FMA instructions (``model._fma``), so there they
+equal the matrix form bit for bit with no array built.  The tests probe
+whether numpy fuses and skip that comparison where it does not.
 """
 
 from __future__ import annotations
@@ -61,9 +70,12 @@ NOISE_FLOOR_UH = 1e-3
 MAX_GRID_POINTS = 65536
 
 
-@dataclass
+@dataclass(slots=True)
 class ObserverState:
-    """Force / force-rate mean with its 2x2 covariance.
+    """Force / force-rate mean with its 2x2 covariance, as five floats.
+
+    The covariance is symmetric, so it is held as its three distinct
+    entries: ``var_F``, ``cov_F_Fdot`` and ``var_Fdot``.
 
     ``pressure_filter`` is the delay line that matches the pressure to
     the filtered inductance.  It is None in a fresh state; the first
@@ -73,21 +85,12 @@ class ObserverState:
     it advances in place.
     """
 
-    mean: np.ndarray
-    cov: np.ndarray
+    F_hat: float
+    Fdot_hat: float
+    var_F: float
+    cov_F_Fdot: float
+    var_Fdot: float
     pressure_filter: sig.FilterState | None = None
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(2)
-        self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
-
-    @property
-    def F_hat(self) -> float:
-        return float(self.mean[0])
-
-    @property
-    def Fdot_hat(self) -> float:
-        return float(self.mean[1])
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,10 @@ class CostWeights:
 @dataclass(frozen=True)
 class ObserverConfig:
     """Observer tuning.  ``grid`` (the coarse inversion grid over the
-    feasible force interval) and ``transition`` (the constant-velocity
-    state matrix) are derived from the other fields on construction, so
-    ``dataclasses.replace`` rebuilds them."""
+    feasible force interval) and ``Q_entries`` (``Q`` as four floats,
+    row by row) are derived from the other fields on construction, so
+    ``dataclasses.replace`` rebuilds them.  ``init_cov`` must be
+    symmetric, since a state holds one off-diagonal entry."""
 
     dt: float
     Q: np.ndarray
@@ -126,7 +130,7 @@ class ObserverConfig:
     gradient_guard_ratio: float = 1e-4
     gradient_guard_inflation: float = 10.0
     grid: np.ndarray = field(init=False, repr=False, compare=False)
-    transition: np.ndarray = field(init=False, repr=False, compare=False)
+    Q_entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float).reshape(2, 2))
@@ -145,11 +149,17 @@ class ObserverConfig:
             raise ValueError("gradient_guard_inflation must be >= 1")
         if np.any(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T)) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
+        C = self.init_cov
+        if not np.all(np.isfinite(C)):
+            raise ValueError("init_cov must be finite")
+        if C[0, 1] != C[1, 0]:
+            raise ValueError("init_cov must be symmetric")
+        if np.any(np.linalg.eigvalsh(C) < -1e-12):
+            raise ValueError("init_cov must be positive semidefinite")
         grid = np.linspace(self.envelope.F_min, self.envelope.F_max, self.grid_points)
-        transition = np.array([[1.0, self.dt], [0.0, 1.0]])
-        for name, arr in (("grid", grid), ("transition", transition)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "Q_entries", tuple(self.Q.ravel().tolist()))
 
 
 def median_force_gradient(params: InductanceParams, envelope: OperatingEnvelope,
@@ -212,15 +222,30 @@ def reset(F0: float, cfg: ObserverConfig) -> ObserverState:
     env = cfg.envelope
     if not (env.F_min <= F0 <= env.F_max):
         raise EnvelopeError(f"initial force {F0} outside [{env.F_min}, {env.F_max}]")
-    return ObserverState(mean=np.array([float(F0), 0.0]), cov=cfg.init_cov.copy())
+    (c00, c01), (_, c11) = cfg.init_cov.tolist()
+    return ObserverState(float(F0), 0.0, c00, c01, c11)
 
 
 def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
-    """Constant-velocity propagation over one sampling interval."""
-    A = cfg.transition
-    mean = A @ state.mean
-    cov = A @ state.cov @ A.T + cfg.Q
-    return ObserverState(mean=mean, cov=0.5 * (cov + cov.T))
+    """Constant-velocity propagation over one sampling interval.
+
+    The mean is A m and the covariance A C A^T + Q, for A = [[1, dt],
+    [0, 1]], written out on the state's floats in the order of numpy's
+    ``A @ m`` and ``A @ C @ A.T``.  Three entries of those 2x2 products
+    are ``c + dt * b`` with one rounding, because the BLAS kernel fuses
+    that multiply-add, so ``model._fma`` computes them; the symmetrized
+    off-diagonal is half the sum of the two, as ``0.5 * (C + C.T)`` is.
+    """
+    dt = cfg.dt
+    q00, q01, q10, q11 = cfg.Q_entries
+    c01, c11 = state.cov_F_Fdot, state.var_Fdot
+    ac00 = model._fma(dt, c01, state.var_F)   # (A C)[0, 0]
+    ac01 = model._fma(dt, c11, c01)           # (A C)[0, 1], and (A C A^T)[1, 0]
+    return ObserverState(
+        state.F_hat + dt * state.Fdot_hat, state.Fdot_hat,
+        model._fma(ac01, dt, ac00) + q00,
+        0.5 * ((ac01 + q01) + (ac01 + q10)),
+        c11 + q11)
 
 
 def _golden_section(fun, a: float, b: float, tol: float) -> float:
@@ -256,25 +281,28 @@ def _cost_of_inductance(L_model, F, L_meas: float, prior_F: float, w: CostWeight
 
 
 def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
-                             params: InductanceParams, cfg: ObserverConfig,
-                             coeffs: tuple | None = None) -> float:
+                             params: InductanceParams, cfg: ObserverConfig) -> float:
     """Force minimizing the composite inversion cost over the feasible interval.
 
     Coarse global scan (``grid_points`` samples) picks the basin; a
     golden-section pass on the winning bracket refines it to
     ``refine_tol``.  The result always lies inside the interval; edge
-    minima are returned clamped, not raised.  ``coeffs`` are the map
-    coefficients at P (``eval_coeffs(params, P, validate=False)`` as a
-    tuple) when the caller already has them.
+    minima are returned clamped, not raised.
     """
-    env = cfg.envelope
-    env.check_P(P)
+    cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
+    with np.errstate(all="ignore"):
+        return _solve_pseudo_measurement(L_meas, prior_F, cfg, model._coeffs(params, float(P)))
+
+
+def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig,
+                              coeffs: tuple) -> float:
+    """``solve_pseudo_measurement`` on the map coefficients at the
+    inversion pressure, without its checks; callers set ``np.errstate``."""
+    env = cfg.envelope
     w = cfg.weights
     grid = cfg.grid
-    if coeffs is None:
-        coeffs = model.eval_coeffs(params, P, validate=False).as_tuple()
     l1, l2, l3, l4, l5 = coeffs
     exps = np.array((l2, l4))
     powers = np.empty(2)
@@ -284,14 +312,13 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
         L_model = float(model._inductance_of_powers(F_l2, F_l4, l1, l3, l5))
         return _cost_of_inductance(L_model, F, L_meas, prior_F, w)
 
-    with np.errstate(all="ignore"):
-        costs = _composite_cost(grid, L_meas, coeffs, prior_F, w)
-        i = int(costs.argmin())
-        if math.isnan(costs[i]):  # argmin picks the first NaN; skip NaNs as before
-            i = int(np.nanargmin(costs))
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, cfg.grid_points - 1)]
-        f_star = _golden_section(cost, float(a), float(b), cfg.refine_tol)
+    costs = _composite_cost(grid, L_meas, coeffs, prior_F, w)
+    i = int(costs.argmin())
+    if math.isnan(costs[i]):  # argmin picks the first NaN; skip NaNs as before
+        i = int(np.nanargmin(costs))
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, cfg.grid_points - 1)]
+    f_star = _golden_section(cost, float(a), float(b), cfg.refine_tol)
     return min(max(f_star, env.F_min), env.F_max)
 
 
@@ -301,17 +328,26 @@ def update(prior: ObserverState, F_star: float, cfg: ObserverConfig,
 
     The pseudo-measurement observes the force directly, so the
     observation row is [1, 0]; the posterior force variance never
-    exceeds the prior's.
+    exceeds the prior's.  The covariance is (I - K H) C (I - K H)^T +
+    K K^T R, written out on floats in the order of numpy's products,
+    none of which fuses a multiply-add here.
     """
     Rv = cfg.R if R is None else float(R)
-    P = prior.cov
-    S = P[0, 0] + Rv
-    K = P[:, 0] / S
-    mean = prior.mean + K * (F_star - prior.mean[0])
-    k0, k1 = K.tolist()
-    ikh = np.array([[1.0 - k0, 0.0], [0.0 - k1, 1.0]])
-    cov = ikh @ P @ ikh.T + K[:, None] * K * Rv
-    return ObserverState(mean=mean, cov=0.5 * (cov + cov.T))
+    p00, p01, p11 = prior.var_F, prior.cov_F_Fdot, prior.var_Fdot
+    S = p00 + Rv
+    k0 = p00 / S
+    k1 = p01 / S
+    innovation = F_star - prior.F_hat
+    a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
+    b = 0.0 - k1
+    t00 = a * p00             # (I - K H) C
+    t01 = a * p01
+    t10 = b * p00 + p01
+    return ObserverState(
+        prior.F_hat + k0 * innovation, prior.Fdot_hat + k1 * innovation,
+        t00 * a + k0 * k0 * Rv,
+        0.5 * ((t00 * b + t01 + k0 * k1 * Rv) + (t10 * a + k1 * k0 * Rv)),
+        t10 * b + (b * p01 + p11) + k1 * k1 * Rv)
 
 
 def estimate_step(state: ObserverState, L_raw: float, P: float,
@@ -339,13 +375,15 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     L_f = sig.step(filt, L_raw)
     P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
     pred = predict(state, cfg)
-    prior_F = min(max(float(pred.mean[0]), env.F_min), env.F_max)
-    coeffs = model.eval_coeffs(params, P_f, validate=False).as_tuple()
-    F_star = solve_pseudo_measurement(L_f, P_f, prior_F, params, cfg, coeffs)
-    g_at = max(F_star, 1e-3 * env.F_span + env.F_min)
+    prior_F = min(max(pred.F_hat, env.F_min), env.F_max)
+    if not math.isfinite(prior_F):
+        raise ValueError("prior force must be finite")
+    coeffs = model._coeffs(params, P_f)
     l1, l2, l3, l4, _ = coeffs
+    g_floor = 1e-3 * env.F_span + env.F_min
     with np.errstate(all="ignore"):
-        F_l2m1, F_l4 = np.power(g_at, np.array((l2 - 1.0, l4))).tolist()
+        F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, coeffs)
+        F_l2m1, F_l4 = np.power(max(F_star, g_floor), np.array((l2 - 1.0, l4))).tolist()
         grad = abs(float(model._d_inductance_dF_of_powers(F_l2m1, F_l4, l1, l2, l3, l4)))
     Rv = cfg.R
     if grad < cfg.gradient_guard_ratio * cfg.median_gradient:

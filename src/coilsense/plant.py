@@ -7,10 +7,17 @@ inductance map evaluated on the true force and pressure.  Sensor
 channels add seeded Gaussian noise.  Inductance depends only on (F, P)
 by construction, so the force-inductance trace is hysteresis-free while
 the length-inductance trace is not.
+
+A step runs on Python floats: the play states are a tuple, the
+isotonic balance bisects a sorted list of knots, and the sensor map
+takes both powers of the force from one ``np.power`` call.  The results
+equal those of the array form (``np.clip`` and a BLAS dot product) bit
+for bit; the tests keep that form as their reference.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -61,13 +68,21 @@ class PlayElement:
     weight: float
 
     def __post_init__(self):
-        if self.width < 0 or self.weight < 0:
-            raise ValueError(f"width and weight must be >= 0, got {self}")
+        if not (0 <= self.width < math.inf and 0 <= self.weight < math.inf):
+            raise ValueError(f"width and weight must be finite and >= 0, got {self}")
 
 
-def _play_update(z: np.ndarray, u: float, widths: np.ndarray) -> np.ndarray:
-    """Advance play operators to input u (rate independent)."""
-    return np.clip(z, u - widths, u + widths)
+def _play_update(z: tuple, u: float, widths: tuple) -> tuple:
+    """Advance play operators to input u (rate independent): each state
+    is clipped to [u - width, u + width], taking the bound on a tie as
+    ``np.clip`` does."""
+    out = []
+    for zi, w in zip(z, widths):
+        lo = u - w
+        hi = u + w
+        zi = lo if zi <= lo else zi
+        out.append(hi if zi >= hi else zi)
+    return tuple(out)
 
 
 #: Reference ten-coefficient set for the synthetic actuator.  Frozen;
@@ -151,7 +166,7 @@ def default_plant_config(seed: int = 0, **overrides) -> PlantConfig:
 class PlantState:
     x: float
     P: float
-    play_states: np.ndarray
+    play_states: tuple
     t: float = 0.0
 
 
@@ -169,24 +184,40 @@ class StepResult:
 
 
 class Plant:
-    """Single-owner simulator instance: state plus a seeded noise stream."""
+    """Single-owner simulator instance: state plus a seeded noise stream.
+
+    The force's weighted sum of play states is what a BLAS dot product
+    gives: a left-to-right chain of fused multiply-adds
+    (``model._fma_chain``), with the weights split once here for the
+    exact products.  That chain is what the BLAS kernel computes for up
+    to 15 play elements; past that the kernel sums in blocks, so a larger
+    model rounds differently from a dot product, not less accurately.
+    """
 
     def __init__(self, cfg: PlantConfig, x0: float | None = None, P0: float = 0.0):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self._widths = np.array([h.width for h in cfg.hysteresis], dtype=float)
-        self._weights = np.array([h.weight for h in cfg.hysteresis], dtype=float)
+        self._widths = tuple(float(h.width) for h in cfg.hysteresis)
+        self._weights = tuple(model._split(float(h.weight)) for h in cfg.hysteresis)
         x_init = cfg.dyn.x0 if x0 is None else float(x0)
         self.state = PlantState(x=x_init, P=float(P0),
-                                play_states=np.zeros(self._widths.size))
+                                play_states=(0.0,) * len(self._widths))
 
-    def _force(self, x: float, P: float, z: np.ndarray) -> tuple:
+    def copy(self) -> "Plant":
+        """An independent plant in the same state, with its own copy of
+        the noise stream."""
+        twin = copy.copy(self)
+        twin.rng = copy.deepcopy(self.rng)
+        twin.state = replace(self.state)
+        return twin
+
+    def _force(self, x: float, P: float, z: tuple) -> tuple:
         """Unclamped force and the advanced play states at a candidate
         length (the plant's force is ``max(F, 0)``)."""
-        u = x - self.cfg.dyn.x0
+        dyn = self.cfg.dyn
+        u = x - dyn.x0
         z_new = _play_update(z, u, self._widths)
-        F = self.cfg.dyn.k * u + self.cfg.dyn.c * P + float(self._weights @ z_new)
-        return F, z_new
+        return dyn.k * u + dyn.c * P + model._fma_chain(0.0, self._weights, z_new), z_new
 
     def _solve_isotonic(self, F_load: float, P: float) -> float:
         """Length at which the plant force balances the external load.
@@ -197,6 +228,12 @@ class Plant:
         interpolation in the first segment whose right end reaches the
         load is exact.  It runs on the unclamped force, because the clamp
         at 0 N adds a kink that is not a knot.
+
+        That segment is found by bisection over the sorted knots.  The
+        computed force is non-decreasing in x too (k > 0 and the weights
+        are >= 0, and every operation is a monotone rounding), so
+        bisection ends on the same segment, with the same end forces, as
+        a scan from the left.
         """
         env = self.cfg.envelope
         z = self.state.play_states
@@ -211,15 +248,19 @@ class Plant:
             return lo
         if F_load >= f_hi:
             return hi
-        knots = np.sort(np.concatenate((z - self._widths, z + self._widths)) + self.cfg.dyn.x0)
-        xa, fa = lo, f_lo
-        for xb in knots[(knots > lo) & (knots < hi)].tolist():
-            fb = self._force(xb, P, z)[0]
-            if fb >= F_load:
-                break
-            xa, fa = xb, fb
-        else:
-            xb, fb = hi, f_hi
+        x0 = self.cfg.dyn.x0
+        knots = ([zi - w + x0 for zi, w in zip(z, self._widths)]
+                 + [zi + w + x0 for zi, w in zip(z, self._widths)])
+        knots = sorted(k for k in knots if lo < k < hi)
+        xa, fa, xb, fb = lo, f_lo, hi, f_hi
+        ia, ib = -1, len(knots)  # knot indices of xa and xb
+        while ib - ia > 1:
+            m = (ia + ib) // 2
+            fm = self._force(knots[m], P, z)[0]
+            if fm >= F_load:
+                ib, xb, fb = m, knots[m], fm
+            else:
+                ia, xa, fa = m, knots[m], fm
         # fa < F_load <= fb, so fb > fa and xb > xa
         return xa + (F_load - fa) * (xb - xa) / (fb - fa)
 
@@ -245,7 +286,9 @@ class Plant:
         x = float(x_cmd) if x_cmd is not None else self._solve_isotonic(float(F_load), P)
         F, z_new = self._force(x, P, st.play_states)
         F = max(F, 0.0)
-        L_clean = model.eval_inductance(cfg.ind, F, P)
+        coeffs = model.eval_coeffs(cfg.ind, P).as_tuple()
+        with np.errstate(all="ignore"):
+            L_clean = model._inductance_at(F, *coeffs)
         # Both sensor channels draw every step so the noise stream does
         # not depend on which channel a caller consumes.
         L_meas = L_clean + cfg.noise_L * self.rng.standard_normal()
@@ -406,10 +449,11 @@ def perturbation_load_profile(scenario: Scenario, seed: int):
     slots = np.linspace(t0, t1, n, endpoint=False)
     jitter = rng.uniform(0.0, 0.5 * (t1 - t0) / max(n, 1), size=n)
     times = slots + jitter
+    events = list(zip(times.tolist(), mags.tolist()))
 
     def load_at(t: float) -> float:
         f = scenario.load or 0.0
-        for ti, mi in zip(times, mags):
+        for ti, mi in events:
             if t >= ti + scenario.event_ramp_s:
                 f += mi
             elif t > ti:

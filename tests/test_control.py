@@ -124,6 +124,26 @@ class TestRunTracking:
         assert res["self_sensing"].metrics.rmse < res["open_loop"].metrics.rmse
         assert res["sensor_fb"].metrics.rmse < res["open_loop"].metrics.rmse
 
+    @pytest.mark.parametrize("scn", [
+        short_force_scenario(duration_s=4.0),
+        plant.Scenario.displacement_tracking(frequency_hz=0.5, duration_s=4.0)],
+        ids=["force", "displacement"])
+    def test_group_equals_single_runs_bit_for_bit(self, setup0, scn):
+        # the group settles once and hands each mode a copy of that state
+        group = control.compare_tracking(scn, setup0)
+        for mode in control.MODES:
+            single = control.run_tracking(scn, mode, setup0)
+            for name in ("t", "reference", "truth", "estimate", "command"):
+                assert getattr(group[mode], name).tobytes() == getattr(single, name).tobytes()
+            assert group[mode].metrics == single.metrics
+            assert group[mode].estimation == single.estimation
+
+    def test_preroll_shorter_than_a_sample_rejected(self, setup0):
+        from dataclasses import replace
+        with pytest.raises(ValueError, match="preroll_s"):
+            control.run_tracking(short_force_scenario(), "open_loop",
+                                 replace(setup0, preroll_s=0.004))
+
     def test_mode_and_kind_validation(self, setup0):
         with pytest.raises(ValueError):
             control.run_tracking(short_force_scenario(), "psychic", setup0)

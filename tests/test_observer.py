@@ -15,54 +15,140 @@ DYN = plant.reference_dynamic_params()
 ENV = plant.default_envelope()
 
 
+def state_of(mean, cov):
+    """An observer state from a mean pair and a symmetric 2x2 covariance."""
+    (c00, c01), (_, c11) = np.asarray(cov, dtype=float).tolist()
+    return ObserverState(*np.asarray(mean, dtype=float).tolist(), c00, c01, c11)
+
+
+def mean_of(st):
+    return np.array([st.F_hat, st.Fdot_hat])
+
+
+def cov_of(st):
+    return np.array([[st.var_F, st.cov_F_Fdot], [st.cov_F_Fdot, st.var_Fdot]])
+
+
 def make_cfg(**overrides):
     return observer.make_observer_config(IND, ENV, dt=0.01, noise_L=0.01, **overrides)
+
+
+def numpy_predict(mean, cov, dt, Q):
+    """The matrix form of ``predict``, its reference: A m and A C A^T + Q."""
+    A = np.array([[1.0, dt], [0.0, 1.0]])
+    cov = A @ cov @ A.T + Q
+    return A @ mean, 0.5 * (cov + cov.T)
+
+
+def matmul_fuses() -> bool:
+    """Whether numpy's 2x2 matmul rounds c + dt * b once, as a fused
+    multiply-add does, rather than twice: probed on the first (b, c)
+    where the two roundings differ."""
+    dt = 0.01
+    for k in range(1, 1000):
+        b, c = 1.0 + k / 997.0, 0.3 + k / 1009.0
+        if model._fma(dt, b, c) != c + dt * b:
+            got = (np.array([[1.0, dt], [0.0, 1.0]]) @ np.array([[c, b], [b, 1.0]]))[0, 0]
+            return got == model._fma(dt, b, c)
+    raise AssertionError("no probe pair found")
+
+
+needs_fused_matmul = pytest.mark.skipif(
+    not matmul_fuses(),
+    reason="numpy's matmul does not fuse multiply-adds on this host, so the "
+           "matrix form rounds twice where predict rounds once")
 
 
 class TestPredict:
     def test_mean_propagation(self):
         cfg = observer.make_observer_config(IND, ENV, dt=0.05)
-        st = ObserverState(mean=[1.0, 2.0], cov=np.eye(2))
+        st = state_of([1.0, 2.0], np.eye(2))
         out = observer.predict(st, cfg)
-        assert out.mean[0] == pytest.approx(1.1, abs=1e-15)
-        assert out.mean[1] == 2.0
+        assert mean_of(out)[0] == pytest.approx(1.1, abs=1e-15)
+        assert mean_of(out)[1] == 2.0
 
     def test_zero_rate_fixed_point(self):
         cfg = make_cfg()
-        st = ObserverState(mean=[2.5, 0.0], cov=np.eye(2))
+        st = state_of([2.5, 0.0], np.eye(2))
         out = observer.predict(st, cfg)
-        assert out.mean[0] == 2.5 and out.mean[1] == 0.0
+        assert mean_of(out)[0] == 2.5 and mean_of(out)[1] == 0.0
 
     def test_trace_grows_with_process_noise(self):
         cfg = make_cfg()
-        st = ObserverState(mean=[1.0, 0.0], cov=0.01 * np.eye(2))
+        st = state_of([1.0, 0.0], 0.01 * np.eye(2))
         out = observer.predict(st, cfg)
-        assert np.trace(out.cov) > np.trace(st.cov)
+        assert np.trace(cov_of(out)) > np.trace(cov_of(st))
+
+
+class TestFloatState:
+    @needs_fused_matmul
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.001])
+    def test_predict_equals_matrix_form_bit_for_bit(self, dt):
+        rng = np.random.default_rng(17)
+        cfgs = [observer.make_observer_config(IND, ENV, dt=dt)]
+        for _ in range(3):  # full, non-symmetric Q with a PSD symmetric part
+            B = rng.normal(size=(2, 2))
+            Q = B @ B.T + np.array([[0.0, 1e-3], [-1e-3, 0.0]]) * rng.uniform()
+            cfgs.append(replace(cfgs[0], Q=Q))
+        for cfg in cfgs:
+            for _ in range(2000):
+                A = rng.normal(size=(2, 2)) * rng.uniform(0.01, 3.0)
+                st = state_of(rng.normal(size=2) * 3.0, A @ A.T + 1e-4 * np.eye(2))
+                mean, cov = numpy_predict(mean_of(st), cov_of(st), dt, cfg.Q)
+                out = observer.predict(st, cfg)
+                assert mean_of(out).tobytes() == mean.tobytes()
+                assert cov_of(out).tobytes() == cov.tobytes()
+
+    def test_state_is_python_floats(self):
+        cfg = make_cfg()
+        st = observer.reset(1.0, cfg)
+        for out in (observer.predict(st, cfg), observer.update(st, 1.3, cfg)):
+            for name in ("F_hat", "Fdot_hat", "var_F", "cov_F_Fdot", "var_Fdot"):
+                assert type(getattr(out, name)) is float, name
+
+    def test_no_matrix_calls(self, monkeypatch):
+        # predict, update and Plant.step run on floats: no matmul, clip or dot
+        calls = []
+        for name in ("matmul", "clip", "dot"):
+            original = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        cfg = make_cfg()
+        st = observer.reset(1.0, cfg)
+        for _ in range(20):
+            st = observer.update(observer.predict(st, cfg), 1.2, cfg)
+        hyst = tuple(plant.PlayElement(width=w, weight=g)
+                     for w, g in ((0.003, 1.7), (0.009, 2.3), (0.014, 0.9)))
+        p = plant.Plant(plant.default_plant_config(seed=3, hysteresis=hyst), x0=0.12, P0=0.2)
+        for i in range(20):
+            p.step(0.2, 0.01, x_cmd=0.12 + 0.002 * i)
+            p.step(0.25, 0.01, F_load=1.0 + 0.02 * i)
+        assert calls == []
 
 
 class TestUpdate:
     def test_uninformative_measurement(self):
         cfg = make_cfg()
-        st = ObserverState(mean=[1.0, 0.5], cov=np.diag([0.2, 0.3]))
+        st = state_of([1.0, 0.5], np.diag([0.2, 0.3]))
         out = observer.update(st, 3.0, cfg, R=1e12)
-        assert out.mean == pytest.approx(st.mean, abs=1e-9)
-        assert out.cov == pytest.approx(st.cov, abs=1e-9)
+        assert mean_of(out) == pytest.approx(mean_of(st), abs=1e-9)
+        assert cov_of(out) == pytest.approx(cov_of(st), abs=1e-9)
 
     def test_scalar_kalman_arithmetic(self):
         cfg = make_cfg()
-        st = ObserverState(mean=[1.0, 0.0], cov=np.eye(2))
+        st = state_of([1.0, 0.0], np.eye(2))
         out = observer.update(st, 2.0, cfg, R=1.0)
         # K = [0.5, 0]; innovation 1
-        assert out.mean[0] == pytest.approx(1.5, abs=1e-12)
-        assert out.mean[1] == pytest.approx(0.0, abs=1e-12)
-        assert out.cov[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert mean_of(out)[0] == pytest.approx(1.5, abs=1e-12)
+        assert mean_of(out)[1] == pytest.approx(0.0, abs=1e-12)
+        assert cov_of(out)[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_innovation_contracts(self):
         cfg = make_cfg()
-        st = ObserverState(mean=[1.0, 0.0], cov=np.eye(2))
+        st = state_of([1.0, 0.0], np.eye(2))
         out = observer.update(st, 1.0, cfg)
-        assert np.array_equal(out.mean, st.mean)
-        assert out.cov[0, 0] < st.cov[0, 0]
+        assert np.array_equal(mean_of(out), mean_of(st))
+        assert cov_of(out)[0, 0] < cov_of(st)[0, 0]
 
     def test_posterior_variance_never_grows(self):
         cfg = make_cfg()
@@ -72,24 +158,24 @@ class TestUpdate:
             b = rng.uniform(-0.5, 0.5)
             cov = np.array([[a[0], b * np.sqrt(a[0] * a[1])],
                             [b * np.sqrt(a[0] * a[1]), a[1]]])
-            st = ObserverState(mean=[1.0, 0.0], cov=cov)
+            st = state_of([1.0, 0.0], cov)
             out = observer.update(st, rng.uniform(0, 5), cfg)
-            assert out.cov[0, 0] <= st.cov[0, 0] + 1e-15
+            assert cov_of(out)[0, 0] <= cov_of(st)[0, 0] + 1e-15
 
     def test_equals_eye_and_outer_form_bit_for_bit(self):
         cfg = make_cfg()
         rng = np.random.default_rng(6)
         for _ in range(500):
             A = rng.normal(size=(2, 2))
-            st = ObserverState(mean=rng.normal(size=2), cov=A @ A.T + 1e-3 * np.eye(2))
+            st = state_of(rng.normal(size=2), A @ A.T + 1e-3 * np.eye(2))
             F_star, R = float(rng.normal()), float(rng.uniform(1e-4, 1.0))
             out = observer.update(st, F_star, cfg, R=R)
-            K = st.cov[:, 0] / (st.cov[0, 0] + R)
+            K = cov_of(st)[:, 0] / (cov_of(st)[0, 0] + R)
             ikh = np.eye(2)
             ikh[:, 0] -= K
-            cov = ikh @ st.cov @ ikh.T + np.outer(K, K) * R
-            assert np.array_equal(out.mean, st.mean + K * (F_star - st.mean[0]))
-            assert np.array_equal(out.cov, 0.5 * (cov + cov.T))
+            cov = ikh @ cov_of(st) @ ikh.T + np.outer(K, K) * R
+            assert np.array_equal(mean_of(out), mean_of(st) + K * (F_star - mean_of(st)[0]))
+            assert np.array_equal(cov_of(out), 0.5 * (cov + cov.T))
 
 
 class TestReset:
@@ -404,8 +490,8 @@ class TestEstimateStep:
         for i in range(10_000):
             L = 4.9 + 0.2 * np.sin(0.002 * i) + 0.01 * rng.standard_normal()
             st, _, _ = observer.estimate_step(st, L, 0.3, IND, DYN, cfg, filt)
-            worst_asym = max(worst_asym, abs(st.cov[0, 1] - st.cov[1, 0]))
-            worst_eig = min(worst_eig, np.linalg.eigvalsh(st.cov).min())
+            worst_asym = max(worst_asym, abs(cov_of(st)[0, 1] - cov_of(st)[1, 0]))
+            worst_eig = min(worst_eig, np.linalg.eigvalsh(cov_of(st)).min())
         assert worst_asym <= 1e-12
         assert worst_eig >= -1e-12
 
@@ -454,6 +540,19 @@ class TestBranchDisambiguation:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("init_cov", [
+        [[np.nan, 0.0], [0.0, 1.0]], [[0.25, 0.0], [0.0, np.inf]],
+        [[0.25, 0.1], [0.0, 1.0]], [[0.25, 0.0], [0.0, -1.0]], [[0.25, 1.0], [1.0, 1.0]]],
+        ids=["nan", "inf", "asymmetric", "negative_variance", "indefinite"])
+    def test_init_cov_rejected(self, init_cov):
+        with pytest.raises(ValueError, match="init_cov"):
+            replace(make_cfg(), init_cov=np.array(init_cov))
+
+    def test_init_cov_seeds_the_state(self):
+        cfg = replace(make_cfg(), init_cov=np.array([[0.5, 0.2], [0.2, 0.3]]))
+        st = observer.reset(1.0, cfg)
+        assert (st.var_F, st.cov_F_Fdot, st.var_Fdot) == (0.5, 0.2, 0.3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ObserverConfig(dt=0.01, Q=np.eye(2), R=-1.0, envelope=ENV,

@@ -11,6 +11,55 @@ IND = plant.reference_inductance_params()
 DYN = plant.reference_dynamic_params()
 
 
+def dot_fuses() -> bool:
+    """Whether numpy's dot product of a short vector is a chain of fused
+    multiply-adds: probed on the first pair where it differs from a
+    chain that rounds every product."""
+    for k in range(1, 1000):
+        w = [1.0 + k / 997.0, 2.0 + k / 991.0]
+        z = [0.01 + k / 1e5, -0.02 + k / 3e5]
+        fused = model._fma_chain(0.0, [model._split(x) for x in w], z)
+        if fused != w[0] * z[0] + w[1] * z[1]:
+            return float(np.dot(w, z)) == fused
+    raise AssertionError("no probe pair found")
+
+
+def numpy_force(p, x, P, z):
+    """The array form of ``Plant._force``, its reference: ``np.clip`` for
+    the play operators and a BLAS dot product for their weighted sum."""
+    cfg = p.cfg
+    widths = np.array([h.width for h in cfg.hysteresis], dtype=float)
+    weights = np.array([h.weight for h in cfg.hysteresis], dtype=float)
+    u = x - cfg.dyn.x0
+    z_new = np.clip(np.asarray(z, dtype=float), u - widths, u + widths)
+    return cfg.dyn.k * u + cfg.dyn.c * P + float(weights @ z_new), z_new
+
+
+def numpy_solve_isotonic(p, F_load, P):
+    """The reference for ``Plant._solve_isotonic``: a left-to-right scan of
+    the sorted knots on ``numpy_force`` (the range checks are left out:
+    callers pass a reachable load)."""
+    env, z = p.cfg.envelope, p.state.play_states
+    widths = np.array([h.width for h in p.cfg.hysteresis], dtype=float)
+    lo, hi = env.x_min, env.x_max
+    f_lo, f_hi = numpy_force(p, lo, P, z)[0], numpy_force(p, hi, P, z)[0]
+    if F_load <= max(f_lo, 0.0):
+        return lo
+    if F_load >= f_hi:
+        return hi
+    knots = np.sort(np.concatenate((np.asarray(z) - widths, np.asarray(z) + widths))
+                    + p.cfg.dyn.x0)
+    xa, fa = lo, f_lo
+    for xb in knots[(knots > lo) & (knots < hi)].tolist():
+        fb = numpy_force(p, xb, P, z)[0]
+        if fb >= F_load:
+            break
+        xa, fa = xb, fb
+    else:
+        xb, fb = hi, f_hi
+    return xa + (F_load - fa) * (xb - xa) / (fb - fa)
+
+
 def ideal_config(**overrides):
     """No hysteresis, no noise, no valve lag."""
     base = dict(hysteresis=(), noise_L=0.0, noise_F=0.0, valve_tau=0.0, seed=0)
@@ -111,6 +160,13 @@ class TestHysteresis:
         with pytest.raises(ValueError):
             PlayElement(width=-0.001, weight=1.0)
 
+    @pytest.mark.parametrize("width,weight", [(float("nan"), 1.0), (0.01, float("nan")),
+                                              (float("inf"), 1.0), (0.01, float("inf"))])
+    def test_play_element_must_be_finite(self, width, weight):
+        # the isotonic bisection needs a force that is monotone in the length
+        with pytest.raises(ValueError, match="finite"):
+            PlayElement(width=width, weight=weight)
+
 
 class TestIsotonic:
     def test_balance_residual(self):
@@ -205,6 +261,49 @@ class TestIsotonic:
         p = Plant(ideal_config(hysteresis=hyst), x0=0.12)
         for F_load in (0.9, 1.8, 1.2, 0.4):
             self.check(p, F_load, 0.3)
+
+
+class TestFloatState:
+    @pytest.mark.skipif(not dot_fuses(), reason=(
+        "numpy's dot product does not fuse multiply-adds on this host, so "
+        "the array form rounds each product where Plant._force does not"))
+    @pytest.mark.parametrize("n_play", [1, 4, 15])
+    def test_force_and_isotonic_equal_array_form_bit_for_bit(self, n_play):
+        rng = np.random.default_rng(30 + n_play)
+        hyst = tuple(PlayElement(width=float(w), weight=float(g)) for w, g in
+                     zip(rng.uniform(0.001, 0.02, n_play), rng.uniform(0.3, 5.0, n_play)))
+        cfg = plant.default_plant_config(hysteresis=hyst, valve_tau=0.0, seed=n_play)
+        p = Plant(cfg, x0=0.12)
+        env = cfg.envelope
+        for _ in range(300):
+            P = float(rng.uniform(0.0, 0.65))
+            x = float(rng.uniform(env.x_min, env.x_max))
+            F, z_new = p._force(x, P, p.state.play_states)
+            F_ref, z_ref = numpy_force(p, x, P, p.state.play_states)
+            assert F == F_ref and np.array(z_new).tobytes() == z_ref.tobytes()
+            if rng.uniform() < 0.5:
+                p.step(P, 0.01, x_cmd=x)
+                continue
+            f_lo = max(numpy_force(p, env.x_min, P, p.state.play_states)[0], 0.0)
+            f_hi = numpy_force(p, env.x_max, P, p.state.play_states)[0]
+            F_load = float(rng.uniform(f_lo, f_hi))
+            assert p._solve_isotonic(F_load, P) == numpy_solve_isotonic(p, F_load, P)
+            p.step(P, 0.01, F_load=F_load)
+
+    def test_play_states_are_python_floats(self):
+        p = Plant(plant.default_plant_config(seed=0), x0=0.12)
+        p.step(0.2, 0.01, x_cmd=0.14)
+        p.step(0.2, 0.01, F_load=1.2)
+        assert all(type(z) is float for z in p.state.play_states)
+
+    def test_copy_is_independent_and_equal(self):
+        p = Plant(plant.default_plant_config(seed=5), x0=0.12, P0=0.2)
+        for i in range(50):
+            p.step(0.2, 0.01, x_cmd=0.12 + 0.001 * i)
+        twin = p.copy()
+        a = [p.step(0.3, 0.01, F_load=1.1) for _ in range(30)]
+        b = [twin.step(0.3, 0.01, F_load=1.1) for _ in range(30)]
+        assert a == b
 
 
 class TestDeterminism:
@@ -303,6 +402,15 @@ class TestScenarios:
         assert t1.max() + scn.event_ramp_s < 0.8 * scn.duration_s
         loads = np.array([f1(t) for t in ts])
         assert loads.min() >= 0.9 and loads.max() <= 1.6
+
+    @pytest.mark.parametrize("waveform", ["sine", "triangle", "steps"])
+    def test_reference_on_an_array_equals_per_sample_calls(self, waveform):
+        # the loop engine takes its logged reference from one array call
+        for f in (0.05, 0.2, 0.37, 2.3):
+            scn = Scenario.displacement_tracking(waveform=waveform, frequency_hz=f)
+            t = np.concatenate((np.arange(2000) * 0.01, (np.arange(500) + 1) * 0.01 - 1.0 / f))
+            got = scn.reference(t).tolist()
+            assert got == [float(scn.reference(ti)) for ti in t.tolist()]
 
     def test_rates_must_divide(self):
         with pytest.raises(ValueError):
