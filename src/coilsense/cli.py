@@ -200,6 +200,8 @@ def _build_setup(cfg: dict, pcfg: plant.PlantConfig) -> control.TrackingSetup:
             ("p_max", "integral_clamp_mpa", "load_nominal_scale", "sensor_noise_x"), float)))
 
 
+_TRACKING_KINDS = ("force_tracking", "displacement_tracking")
+
 _SCENARIO_FACTORIES = {
     "calibration_grid": plant.Scenario.calibration_grid,
     "isobaric_sweep": plant.Scenario.isobaric_sweep,
@@ -265,10 +267,15 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"observer: tuning out of floating-point range ({exc})") from None
     except ValueError as exc:
         raise ConfigError(f"observer: {exc}") from None
+    scenarios = [scenario_from_config(b) for b in (cfg.get("scenarios") or [])]
+    for s in scenarios:
+        if s.kind not in _TRACKING_KINDS and s.samples(pcfg.sensor_rate_hz) < 1:
+            raise ConfigError(f"scenario '{s.name}': {s.total_duration_s:g} s is shorter "
+                              f"than one sample at {pcfg.sensor_rate_hz:g} Hz")
     return {
         "plant": pcfg,
         "setup": setup,
-        "scenarios": [scenario_from_config(b) for b in (cfg.get("scenarios") or [])],
+        "scenarios": scenarios,
         "paths": dict(cfg.get("paths") or {}),
     }
 
@@ -390,7 +397,7 @@ def cmd_simulate(args, cfg, resolved) -> int:
     out = _out_dir(cfg, args)
     pcfg = resolved["plant"]
     scenarios = [s for s in resolved["scenarios"]
-                 if s.kind not in ("force_tracking", "displacement_tracking")]
+                 if s.kind not in _TRACKING_KINDS]
     if getattr(args, "scenario", None):
         scenarios = [s for s in scenarios if s.name == args.scenario or s.kind == args.scenario]
     if not scenarios:
@@ -442,7 +449,7 @@ def cmd_track(args, cfg, resolved) -> int:
     setup = resolved["setup"]
     out = _out_dir(cfg, args)
     scenarios = [s for s in resolved["scenarios"]
-                 if s.kind in ("force_tracking", "displacement_tracking")]
+                 if s.kind in _TRACKING_KINDS]
     if not scenarios:
         scenarios = _default_tracking_scenarios()
     if getattr(args, "scenario", None):

@@ -75,6 +75,14 @@ class ControllerState:
     clamp: tuple = (-0.3, 0.3)
 
 
+def _clamp(v: float, lo: float, hi: float) -> float:
+    """``float(np.clip(v, lo, hi))`` for floats, without its call
+    overhead: the strict comparisons keep ``v`` on a tie (so -0.0 stays
+    -0.0 against a bound of 0.0) and let NaN through, as ``np.clip``
+    does on a scalar."""
+    return lo if v < lo else hi if v > hi else v
+
+
 def pid_step(state: ControllerState, error: float, gains: PidGains, dt: float) -> float:
     """One positional PID update over a control period of ``dt`` seconds;
     returns the feedback pressure delta (MPa).
@@ -83,7 +91,7 @@ def pid_step(state: ControllerState, error: float, gains: PidGains, dt: float) -
     ``state.clamp`` (anti-windup); backward-difference derivative on
     the error.
     """
-    state.integral = float(np.clip(state.integral + gains.ki * error * dt, *state.clamp))
+    state.integral = _clamp(state.integral + gains.ki * error * dt, *state.clamp)
     derivative = (error - state.prev_error) / dt
     state.prev_error = error
     return gains.kp * error + state.integral + gains.kd * derivative
@@ -113,7 +121,7 @@ def feedforward_pressure(dyn: DynamicParams, F_ref: float | None = None,
         if F_load is None:
             raise ValueError("displacement mode needs the external load")
         p = (F_load - dyn.k * (x_ref - dyn.x0)) / dyn.c
-    clipped = float(np.clip(p, 0.0, p_max))
+    clipped = _clamp(p, 0.0, p_max)
     return clipped, clipped != p
 
 
@@ -348,7 +356,7 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
                 dp = pid_step(ctrl, x_meas - ref, gains, dtc)
             elif mode == "self_sensing":
                 dp = pid_step(ctrl, ref - F_hat if force_mode else x_hat - ref, gains, dtc)
-            p_cmd = float(np.clip(feedforward(ref) + dp, 0.0, setup.p_max))
+            p_cmd = _clamp(feedforward(ref) + dp, 0.0, setup.p_max)
         last = drive(plant, p_cmd, t)
         state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
                                                 setup.ind, setup.dyn, ocfg, filt)

@@ -457,26 +457,46 @@ def _inductance_residual_jacobian(F: np.ndarray, P: np.ndarray, L: np.ndarray):
     forward differences, which also sidesteps the log(F) singularity of
     the analytic forms at F = 0.  The analytic columns take the map from
     ``model``: dL/dl1 is the formula with l1 = 1 and l5 = 0.
+
+    J is allocated once, with the constant offset columns 8 and 9, and
+    each ``jacobian`` call overwrites the other columns in place and
+    returns it, so a caller must be done with one Jacobian before it
+    asks for the next (``_trf_minimize`` takes one per iteration).  A
+    call evaluates the coefficients and both powers of F once.  Entry j
+    of a difference column enters only coefficient j // 2, so the column
+    recomputes that coefficient, and its power if it is an exponent, and
+    reuses the rest: the bits of a full re-evaluation of the map at the
+    perturbed point.
     """
-    fd_cols = (2, 3, 4, 5, 6, 7)
+    J = np.empty((F.size, 10))
+    J[:, 8] = P
+    J[:, 9] = 1.0
 
     def residual(p):
         return model.eval_inductance(InductanceParams(tuple(p)), F, P, validate=False) - L
 
     def jacobian(p, r):
-        J = np.empty((F.size, 10))
-        _, l2, l3, l4, _ = model._coeffs(InductanceParams(tuple(p)), P)
+        params = InductanceParams(tuple(p))
+        p, coeffs = params.p, model._coeffs(params, P)
         with np.errstate(all="ignore"):
-            base = model._inductance_of_powers(np.power(F, l2), np.power(F, l4), 1.0, l3, 0.0)
-        J[:, 0] = P * base
-        J[:, 1] = base
-        J[:, 8] = P
-        J[:, 9] = 1.0
-        for j in fd_cols:
-            h = 1.4901161193847656e-08 * max(1.0, abs(float(p[j])))
-            pj = np.array(p, dtype=float)
-            pj[j] += h
-            J[:, j] = (residual(pj) - r) / h
+            F_l2, F_l4 = np.power(F, coeffs[1]), np.power(F, coeffs[3])
+            base = model._inductance_of_powers(F_l2, F_l4, 1.0, coeffs[2], 0.0)
+            np.multiply(P, base, out=J[:, 0])
+            J[:, 1] = base
+            del base
+            for j in range(2, 8):
+                h = 1.4901161193847656e-08 * max(1.0, abs(p[j]))
+                pj = list(p)
+                pj[j] += h
+                k = j // 2
+                c = list(coeffs)
+                c[k] = pj[2 * k] * P + pj[2 * k + 1]  # as model._coeffs has it
+                col = J[:, j]
+                np.subtract(model._inductance_of_powers(
+                    np.power(F, c[1]) if k == 1 else F_l2,
+                    np.power(F, c[3]) if k == 3 else F_l4, c[0], c[2], c[4]), L, out=col)
+                np.subtract(col, r, out=col)
+                np.divide(col, h, out=col)
         return J
 
     return residual, jacobian

@@ -8,18 +8,28 @@ channels add seeded Gaussian noise.  Inductance depends only on (F, P)
 by construction, so the force-inductance trace is hysteresis-free while
 the length-inductance trace is not.
 
-A step runs on Python floats: the play states are a tuple, the
-isotonic balance bisects a sorted list of knots, and the sensor map
-takes both powers of the force from one ``np.power`` call.  The results
-equal those of the array form (``np.clip`` and a BLAS dot product) bit
-for bit; the tests keep that form as their reference.
+The valve lag, the play operators and the force are a recurrence: each
+sample needs the last one's pressure and play states, so they run a
+sample at a time on Python floats (``Plant._advance``): the play states
+are a tuple and the isotonic balance bisects a sorted list of knots.
+The results equal those of the array form (``np.clip`` and a BLAS dot
+product) bit for bit; the tests keep that form as their reference.
+
+Nothing after the force feeds back, so a kinematic run, whose commands
+are all known before its first sample, takes the rest on whole arrays
+(``Plant.run_kinematic``): the map's coefficients and their envelope
+check, the sensor map, both noise channels from one draw, and time as a
+running sum of the step.  It gives the bits, the final state and the
+noise stream that ``Plant.step`` gives sample by sample; an isotonic
+run, whose length depends on the load at each sample, and the closed
+loop, whose commands depend on the sensed channels, step.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -278,14 +288,7 @@ class Plant:
             raise ValueError("provide exactly one of x_cmd or F_load")
         st = self.state
         cfg = self.cfg
-        if cfg.valve_tau > 0:
-            P = P_cmd + (st.P - P_cmd) * math.exp(-dt / cfg.valve_tau)
-        else:
-            P = float(P_cmd)
-        P = max(P, 0.0)
-        x = float(x_cmd) if x_cmd is not None else self._solve_isotonic(float(F_load), P)
-        F, z_new = self._force(x, P, st.play_states)
-        F = max(F, 0.0)
+        P, x, F, z_new = self._advance(P_cmd, dt, x_cmd, F_load)
         coeffs = model.eval_coeffs(cfg.ind, P).as_tuple()
         with np.errstate(all="ignore"):
             L_clean = model._inductance_at(F, *coeffs)
@@ -296,6 +299,60 @@ class Plant:
         st.x, st.P, st.play_states, st.t = x, P, z_new, st.t + dt
         return StepResult(t=st.t, P=P, x=x, F=F, L_clean=L_clean,
                           L_meas=L_meas, F_meas=F_meas)
+
+    def _advance(self, P_cmd: float, dt: float, x_cmd: float | None,
+                 F_load: float | None) -> tuple:
+        """The recurrence of one sample from the current state: valve
+        lag, length (commanded, or balancing ``F_load``) and hysteretic
+        force.  Returns ``(P, x, F, play_states)`` and writes no state."""
+        st = self.state
+        tau = self.cfg.valve_tau
+        P = P_cmd + (st.P - P_cmd) * math.exp(-dt / tau) if tau > 0 else float(P_cmd)
+        P = max(P, 0.0)
+        x = float(x_cmd) if x_cmd is not None else self._solve_isotonic(float(F_load), P)
+        F, z_new = self._force(x, P, st.play_states)
+        return P, x, max(F, 0.0), z_new
+
+    def run_kinematic(self, P_cmd, x_cmd, dt: float) -> dict:
+        """Drive the length through ``x_cmd`` under pressure commands
+        ``P_cmd``, one sample per pair, as ``step(P_cmd[i], dt,
+        x_cmd=x_cmd[i])`` in turn would.
+
+        Returns the ``StepResult`` channels as arrays, keyed by field
+        name.  Only the recurrence (``_advance``) runs per sample; the
+        rest runs once on its arrays, with the bits ``step`` gives, and
+        the plant ends in the state, noise stream included, that the
+        steps leave.  A coefficient outside the envelope raises the
+        EnvelopeError of its first sample, after the recurrence.
+        """
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        P_cmd, x_cmd = (np.asarray(a, dtype=float).tolist() for a in (P_cmd, x_cmd))
+        if len(P_cmd) != len(x_cmd) or not P_cmd:
+            raise ValueError("need equal, non-zero numbers of P and x commands")
+        st = self.state
+        cfg = self.cfg
+        P, F = [], []
+        for p, xc in zip(P_cmd, x_cmd):
+            Pi, _, Fi, st.play_states = self._advance(p, dt, xc, None)
+            st.P = Pi
+            P.append(Pi)
+            F.append(Fi)
+        P, F, x = np.array(P), np.array(F), np.array(x_cmd)
+        coeffs = model._coeffs(cfg.ind, P)
+        valid = np.isfinite(coeffs).all(axis=0) & (coeffs[1] > 0) & (coeffs[3] > 0)
+        if not valid.all():
+            model.eval_coeffs(cfg.ind, P[np.argmin(valid)].item())  # raises
+        with np.errstate(all="ignore"):
+            L_clean = model._inductance(F, *coeffs)
+        noise = self.rng.standard_normal(2 * P.size)  # per sample: L, then F
+        steps = np.full(P.size, dt)
+        steps[0] = st.t + dt
+        t = np.cumsum(steps)  # sequential, as st.t + dt is
+        st.x, st.t = x_cmd[-1], t[-1].item()
+        return {"t": t, "P": P, "x": x, "F": F, "L_clean": L_clean,
+                "L_meas": L_clean + cfg.noise_L * noise[0::2],
+                "F_meas": F + cfg.noise_F * noise[1::2]}
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +405,11 @@ class Scenario:
         if self.kind == "isometric_sweep":
             return len(self.x_levels) * self.cycles_per_level * self.cycle_period_s
         return self.duration_s
+
+    def samples(self, rate_hz: float) -> int:
+        """Number of samples of the scenario at ``rate_hz``; 0 when it is
+        shorter than half a sample."""
+        return int(round(self.total_duration_s / (1.0 / rate_hz)))
 
     @property
     def name(self) -> str:
@@ -482,7 +544,9 @@ def run_scenario(scenario: Scenario, cfg: PlantConfig, return_truth: bool = Fals
     if kind in ("force_tracking", "displacement_tracking"):
         raise ValueError(f"'{kind}' runs through the control harness, not run_scenario")
     dt = 1.0 / cfg.sensor_rate_hz
-    n = int(round(scenario.total_duration_s / dt))
+    n = scenario.samples(cfg.sensor_rate_hz)
+    if n < 1:
+        raise ValueError(f"scenario '{scenario.name}' is shorter than one sample")
     times = (np.arange(n) + 1) * dt
 
     if kind in ("isobaric_sweep", "calibration_grid", "cyclic_estimation"):
@@ -491,36 +555,29 @@ def run_scenario(scenario: Scenario, cfg: PlantConfig, return_truth: bool = Fals
         p_cmd = np.asarray(scenario.p_levels, dtype=float)[lvl]
         x_cmd = scenario.x_low + (scenario.x_high - scenario.x_low) * _tri01(
             times / scenario.cycle_period_s)
-        plant = Plant(cfg, x0=scenario.x_low)
-        results = [plant.step(p_cmd[i], dt, x_cmd=float(x_cmd[i])) for i in range(n)]
+        run = Plant(cfg, x0=scenario.x_low).run_kinematic(p_cmd, x_cmd, dt)
     elif kind == "isometric_sweep":
         block = scenario.cycles_per_level * scenario.cycle_period_s
         lvl = np.minimum((times / block).astype(int), len(scenario.x_levels) - 1)
         x_cmd = np.asarray(scenario.x_levels, dtype=float)[lvl]
         raw = scenario.p_cycle_max * _tri01(times / scenario.cycle_period_s)
         p_cmd = np.round(raw / scenario.p_cycle_step) * scenario.p_cycle_step
-        plant = Plant(cfg, x0=float(scenario.x_levels[0]))
-        results = [plant.step(float(p_cmd[i]), dt, x_cmd=float(x_cmd[i])) for i in range(n)]
+        run = Plant(cfg, x0=float(scenario.x_levels[0])).run_kinematic(p_cmd, x_cmd, dt)
     elif kind == "load_perturbation":
         _, load_at = perturbation_load_profile(scenario, cfg.seed)
         plant = Plant(cfg, x0=scenario.hold_x, P0=scenario.p_cmd)
         results = [plant.step(scenario.p_cmd, dt, F_load=load_at(float(t))) for t in times]
+        run = {f.name: np.array([getattr(r, f.name) for r in results])
+               for f in fields(StepResult)}
     else:
         raise ValueError(f"unhandled scenario kind '{kind}'")
 
     ds = Dataset(
-        t=[r.t for r in results], P=[r.P for r in results],
-        L=[r.L_meas for r in results], F=[r.F_meas for r in results],
-        x=[r.x for r in results],
+        t=run["t"], P=run["P"], L=run["L_meas"], F=run["F_meas"], x=run["x"],
         meta={"scenario": scenario.name, "kind": kind, "seed": cfg.seed,
               "sensor_rate_hz": cfg.sensor_rate_hz},
     )
     if not return_truth:
         return ds
-    truth = {
-        "F": np.array([r.F for r in results]),
-        "x": np.array([r.x for r in results]),
-        "L_clean": np.array([r.L_clean for r in results]),
-        "P": np.array([r.P for r in results]),
-    }
+    truth = {name: run[name] for name in ("F", "x", "L_clean", "P")}
     return ds, truth

@@ -176,6 +176,17 @@ class TestSimulateTrackPerturb:
         assert rc == cli.EXIT_USAGE
         assert not os.path.exists(out)
 
+    def test_scenario_shorter_than_one_sample_fails_before_output(self, tmp_path, capsys):
+        # it used to write a header-only CSV that read_csv then rejects
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"scenarios": [{"kind": "isobaric_sweep", "cycles": 1,
+                                  "cycle_period_s": 1e-9}]}, open(cfg_path, "w"))
+        out = str(tmp_path / "out")
+        rc = cli.main(["--config", cfg_path, "--out", out, "simulate"])
+        assert rc == cli.EXIT_USAGE
+        assert "shorter than one sample" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_unknown_config_key(self, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump({"scenariso": []}, open(cfg_path, "w"))

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,35 @@ class TestPid:
     def test_gain_validation(self):
         with pytest.raises(ValueError):
             PidGains(kp=-0.1)
+
+
+#: Floats where a clamp can differ from ``np.clip``: signed zeros,
+#: infinities, NaN, subnormals, the bounds below and their neighbours.
+CLAMP_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, -1e-310, 0.3, -0.3, 0.65, -0.65,
+                math.nextafter(0.65, 1.0), math.nextafter(0.65, 0.0),
+                math.nextafter(-0.3, -1.0), 1.3, -1e300)
+CLAMP_BOUNDS = ((0.0, 0.65), (-0.3, 0.3), (-0.0, 0.0), (0.0, 0.0), (-0.0, 0.65),
+                (5e-324, 1.0), (0.3, 0.3))
+
+
+def float_bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestClamp:
+    @pytest.mark.parametrize("lo,hi", CLAMP_BOUNDS)
+    def test_equals_np_clip_sign_included(self, lo, hi):
+        for v in CLAMP_VALUES:
+            got, ref = control._clamp(v, lo, hi), float(np.clip(v, lo, hi))
+            if math.isnan(ref):
+                assert math.isnan(got)
+            else:
+                assert float_bits(got) == float_bits(ref), (v, lo, hi)
+
+    def test_keeps_the_sign_of_zero_on_a_tie(self):
+        # a form that takes the bound on a tie would give +0.0 here
+        assert float_bits(control._clamp(-0.0, 0.0, 0.65)) == float_bits(-0.0)
 
 
 @pytest.fixture(scope="module")

@@ -314,3 +314,63 @@ class TestFitInductance:
         assert doc["converged"] is True
         assert len(doc["params"]["p"]) == 10
         assert doc["cost_log"][-1] <= doc["cost_log"][0]
+
+
+def recomputed_jacobian(F, P, L):
+    """The reference for ``ident._inductance_residual_jacobian``'s
+    Jacobian: a fresh matrix per call, and every difference column from
+    a full re-evaluation of the map at its perturbed point."""
+    def residual(p):
+        return model.eval_inductance(InductanceParams(tuple(p)), F, P, validate=False) - L
+
+    def jacobian(p, r):
+        J = np.empty((F.size, 10))
+        _, l2, l3, l4, _ = model._coeffs(InductanceParams(tuple(p)), P)
+        with np.errstate(all="ignore"):
+            base = model._inductance_of_powers(np.power(F, l2), np.power(F, l4), 1.0, l3, 0.0)
+        J[:, 0] = P * base
+        J[:, 1] = base
+        J[:, 8] = P
+        J[:, 9] = 1.0
+        for j in range(2, 8):
+            h = 1.4901161193847656e-08 * max(1.0, abs(float(p[j])))
+            pj = np.array(p, dtype=float)
+            pj[j] += h
+            J[:, j] = (residual(pj) - r) / h
+        return J
+
+    return residual, jacobian
+
+
+@pytest.fixture(scope="module")
+def grid_data():
+    """A short simulated calibration grid (noisy sensors, hysteresis)."""
+    scn = plant.Scenario(kind="calibration_grid", p_levels=(0.0, 0.15, 0.3, 0.45, 0.6),
+                         cycles_per_level=1, cycle_period_s=3.0, x_low=0.1, x_high=0.17)
+    return plant.run_scenario(scn, plant.default_plant_config(seed=4))
+
+
+class TestInductanceJacobian:
+    def test_equals_full_recompute(self, grid_data):
+        F, P, L = np.maximum(grid_data.F, 0.0), grid_data.P, grid_data.L
+        residual, jacobian = ident._inductance_residual_jacobian(F, P, L)
+        _, ref_jacobian = recomputed_jacobian(F, P, L)
+        init = np.asarray(ident.heuristic_inductance_init(grid_data).p)
+        rng = np.random.default_rng(12)
+        lo, hi = ident.default_inductance_bounds()
+        points = [init, np.asarray(REF.p)] + [
+            np.clip(np.asarray(REF.p) * (1.0 + rng.uniform(-0.3, 0.3, 10))
+                    + rng.uniform(-0.05, 0.05, 10), lo, hi) for _ in range(22)]
+        J_first = None
+        for p in points:
+            r = residual(p)
+            J = jacobian(p, r)
+            J_first = J if J_first is None else J_first
+            assert J is J_first  # filled in place, not reallocated
+            assert np.array_equal(J, ref_jacobian(p, r), equal_nan=True)
+
+    def test_fit_report_unchanged(self, grid_data, monkeypatch):
+        init = ident.heuristic_inductance_init(grid_data)
+        got = ident.fit_inductance(grid_data, init, seed=1).as_dict()
+        monkeypatch.setattr(ident, "_inductance_residual_jacobian", recomputed_jacobian)
+        assert got == ident.fit_inductance(grid_data, init, seed=1).as_dict()

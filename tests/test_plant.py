@@ -306,6 +306,117 @@ class TestFloatState:
         assert a == b
 
 
+def kinematic_commands(scenario, cfg):
+    """The pressure and length commands of a kinematic scenario, and
+    its starting length, as ``run_scenario`` makes them."""
+    dt = 1.0 / cfg.sensor_rate_hz
+    n = int(round(scenario.total_duration_s / dt))
+    times = (np.arange(n) + 1) * dt
+    block = scenario.cycles_per_level * scenario.cycle_period_s
+    if scenario.kind == "isometric_sweep":
+        lvl = np.minimum((times / block).astype(int), len(scenario.x_levels) - 1)
+        x_cmd = np.asarray(scenario.x_levels, dtype=float)[lvl]
+        raw = scenario.p_cycle_max * plant._tri01(times / scenario.cycle_period_s)
+        p_cmd = np.round(raw / scenario.p_cycle_step) * scenario.p_cycle_step
+        return p_cmd, x_cmd, float(scenario.x_levels[0])
+    lvl = np.minimum((times / block).astype(int), len(scenario.p_levels) - 1)
+    p_cmd = np.asarray(scenario.p_levels, dtype=float)[lvl]
+    x_cmd = scenario.x_low + (scenario.x_high - scenario.x_low) * plant._tri01(
+        times / scenario.cycle_period_s)
+    return p_cmd, x_cmd, scenario.x_low
+
+
+def stepped_scenario(scenario, cfg):
+    """The reference for the kinematic kinds of ``run_scenario``: one
+    ``Plant.step`` per sample.  Returns the channels keyed by
+    ``StepResult`` field and the plant the steps leave."""
+    p_cmd, x_cmd, x0 = kinematic_commands(scenario, cfg)
+    p = Plant(cfg, x0=x0)
+    dt = 1.0 / cfg.sensor_rate_hz
+    results = [p.step(p_cmd[i], dt, x_cmd=float(x_cmd[i])) for i in range(p_cmd.size)]
+    return {name: np.array([getattr(r, name) for r in results])
+            for name in ("t", "P", "x", "F", "L_clean", "L_meas", "F_meas")}, p
+
+
+KINEMATIC_SCENARIOS = {
+    "isobaric_sweep": Scenario.isobaric_sweep(cycles=1, cycle_period_s=1.0),
+    "calibration_grid": Scenario.calibration_grid(cycle_period_s=0.5),
+    "cyclic_estimation": Scenario.cyclic_estimation(cycle_period_s=1.0),
+    "isometric_sweep": Scenario.isometric_sweep(cycles=1, cycle_period_s=1.0),
+}
+
+
+class TestKinematicRun:
+    """``run_scenario`` runs the kinematic kinds on whole arrays; a
+    ``Plant.step`` per sample is the reference."""
+
+    @pytest.mark.parametrize("kind", sorted(KINEMATIC_SCENARIOS))
+    @pytest.mark.parametrize("overrides", [
+        {}, {"valve_tau": 0.0}, {"noise_L": 0.0, "noise_F": 0.0}, {"hysteresis": ()}],
+        ids=["default", "no_valve_lag", "no_noise", "no_hysteresis"])
+    def test_equals_stepping_bit_for_bit(self, kind, overrides):
+        scn = KINEMATIC_SCENARIOS[kind]
+        cfg = plant.default_plant_config(seed=11, **overrides)
+        ds, truth = plant.run_scenario(scn, cfg, return_truth=True)
+        ref, _ = stepped_scenario(scn, cfg)
+        for col, name in (("t", "t"), ("P", "P"), ("L", "L_meas"), ("F", "F_meas"),
+                          ("x", "x")):
+            assert np.array_equal(getattr(ds, col), ref[name]), col
+        assert sorted(truth) == ["F", "L_clean", "P", "x"]
+        for name, col in truth.items():
+            assert np.array_equal(col, ref[name]), name
+
+    @pytest.mark.parametrize("kind", sorted(KINEMATIC_SCENARIOS))
+    def test_leaves_the_state_and_noise_stream_of_stepping(self, kind):
+        scn = KINEMATIC_SCENARIOS[kind]
+        cfg = plant.default_plant_config(seed=3)
+        ref, stepped = stepped_scenario(scn, cfg)
+        p_cmd, x_cmd, x0 = kinematic_commands(scn, cfg)
+        p = Plant(cfg, x0=x0)
+        run = p.run_kinematic(p_cmd, x_cmd, 1.0 / cfg.sensor_rate_hz)
+        for name, col in ref.items():
+            assert np.array_equal(run[name], col), name
+        assert p.state == stepped.state
+        assert all(type(v) is float for v in (p.state.x, p.state.P, p.state.t))
+        assert p.rng.bit_generator.state == stepped.rng.bit_generator.state
+
+    def test_continues_from_a_stepped_plant(self):
+        cfg = plant.default_plant_config(seed=8)
+        a, b = Plant(cfg, x0=0.11), Plant(cfg, x0=0.11)
+        for p in (a, b):
+            for i in range(7):
+                p.step(0.1 * i, 0.01, x_cmd=0.11 + 0.002 * i)
+        P_cmd = np.linspace(0.0, 0.6, 50)
+        x_cmd = 0.12 + 0.02 * np.sin(np.arange(50) / 5.0)
+        run = a.run_kinematic(P_cmd, x_cmd, 0.01)
+        steps = [b.step(P, 0.01, x_cmd=x) for P, x in zip(P_cmd.tolist(), x_cmd.tolist())]
+        for name, col in run.items():
+            assert col.tolist() == [getattr(r, name) for r in steps], name
+        assert a.state == b.state
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    def test_map_leaving_the_envelope_still_raises(self):
+        # lambda2 = -3 P + 1.3 falls to 0 at P = 0.433 MPa, inside the grid's 0.65 MPa
+        p = list(plant._REFERENCE_P)
+        p[2] = -3.0
+        cfg = plant.default_plant_config(seed=0, ind=model.InductanceParams(tuple(p)))
+        scn = KINEMATIC_SCENARIOS["calibration_grid"]
+        with pytest.raises(model.EnvelopeError) as batched:
+            plant.run_scenario(scn, cfg)
+        with pytest.raises(model.EnvelopeError) as stepped:
+            stepped_scenario(scn, cfg)
+        assert "lambda2=" in str(batched.value)
+        assert str(batched.value) == str(stepped.value)
+
+    def test_shorter_than_one_sample_is_rejected(self):
+        scn = Scenario.isobaric_sweep(cycles=1, cycle_period_s=1e-9)
+        assert scn.samples(100.0) == 0
+        with pytest.raises(ValueError, match="shorter than one sample"):
+            plant.run_scenario(scn, plant.default_plant_config())
+        with pytest.raises(ValueError):
+            Plant(plant.default_plant_config()).run_kinematic([], [], 0.01)
+
+
 class TestDeterminism:
     def test_same_seed_same_dataset(self):
         scn = Scenario.cyclic_estimation(cycle_period_s=2.0)
