@@ -269,7 +269,11 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"observer: {exc}") from None
     scenarios = [scenario_from_config(b) for b in (cfg.get("scenarios") or [])]
     for s in scenarios:
-        if s.kind not in _TRACKING_KINDS and s.samples(pcfg.sensor_rate_hz) < 1:
+        if s.kind in _TRACKING_KINDS:
+            if control.metrics_window_samples(s, setup) < 2:
+                raise ConfigError(f"scenario '{s.name}': the metrics window of {s.duration_s:g} s "
+                                  f"holds fewer than 2 samples at {pcfg.sensor_rate_hz:g} Hz")
+        elif s.samples(pcfg.sensor_rate_hz) < 1:
             raise ConfigError(f"scenario '{s.name}': {s.total_duration_s:g} s is shorter "
                               f"than one sample at {pcfg.sensor_rate_hz:g} Hz")
     return {

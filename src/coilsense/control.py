@@ -37,6 +37,7 @@ __all__ = [
     "identify_dynamic",
     "resolve_setup",
     "observer_config",
+    "metrics_window_samples",
     "run_tracking",
     "compare_tracking",
     "run_perturbation",
@@ -338,9 +339,8 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
     feedforward, drive = _drivers(scenario, setup)
     ocfg, plant, filt, state, last = start.ocfg, start.plant, start.filt, start.state, start.last
 
-    n = int(round(scenario.duration_s / dts))
-    log = np.empty((n, 7))
-    t_log = np.arange(n) * dts
+    t_log = _log_times(scenario, pcfg.sensor_rate_hz)
+    log = np.empty((t_log.size, 7))
     log[:, 0] = t_log
     log[:, 1] = refs = scenario.reference(t_log)
     F_hat = state.F_hat
@@ -362,6 +362,26 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
                                                 setup.ind, setup.dyn, ocfg, filt)
         log[i, 2:] = last.F, last.x, F_hat, x_hat, p_cmd
     return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"), log.T))
+
+
+def _log_times(scenario: Scenario, rate_hz: float) -> np.ndarray:
+    """The times of a closed-loop run's logged samples, from t = 0."""
+    dt = 1.0 / rate_hz
+    return np.arange(int(round(scenario.duration_s / dt))) * dt
+
+
+def _metrics_start_s(scenario: Scenario, setup: TrackingSetup) -> float:
+    """Where a tracking run's metrics window starts: after
+    ``metrics_skip_periods`` of the reference, or at half the run if
+    that is sooner."""
+    return min(setup.metrics_skip_periods / scenario.frequency_hz, 0.5 * scenario.duration_s)
+
+
+def metrics_window_samples(scenario: Scenario, setup: TrackingSetup) -> int:
+    """How many logged samples the metrics of a tracking run cover;
+    they need at least 2."""
+    t = _log_times(scenario, setup.plant_cfg.sensor_rate_hz)
+    return int(np.count_nonzero(t >= _metrics_start_s(scenario, setup)))
 
 
 def _check_tracking(scenario: Scenario, mode: str) -> None:
@@ -390,8 +410,8 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup,
     truth_log = log["F"] if force_mode else log["x"]
     est_log = log["F_hat"] if force_mode else log["x_hat"]
 
-    skip = setup.metrics_skip_periods / scenario.frequency_hz
-    win = t_log >= min(skip, 0.5 * scenario.duration_s)
+    start_s = _metrics_start_s(scenario, setup)
+    win = t_log >= start_s
     metrics = goodness(truth_log[win], ref_log[win])
     err_est = est_log[win] - truth_log[win]
     estimation = {
@@ -403,7 +423,7 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup,
         truth=truth_log, estimate=est_log, command=log["command"], metrics=metrics,
         estimation=estimation,
         meta={"seed": setup.plant_cfg.seed, "kind": scenario.kind,
-              "metrics_window_start_s": float(min(skip, 0.5 * scenario.duration_s))},
+              "metrics_window_start_s": float(start_s)},
     )
 
 

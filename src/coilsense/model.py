@@ -178,13 +178,17 @@ def _inductance(F, l1, l2, l3, l4, l5):
     No checks and no ``np.errstate``: callers supply both.  It stays on
     numpy's ``power`` and ``exp`` for scalars too, whose results differ
     from ``math``'s in the last bit, so scalar and array evaluations
-    agree exactly.  The formula itself is ``_inductance_of_powers``: the
-    observer's golden-section pass calls it with F**l2 and F**l4 from
-    one two-exponent ``np.power`` call, as a scalar ``np.power`` call is
+    agree exactly.  The formula itself is ``_inductance_of_powers``:
+    ``_inductance_at`` calls it with F**l2 and F**l4 from one
+    two-exponent ``np.power`` call, as a scalar ``np.power`` call is
     mostly overhead.  ``np.power`` gives each element of an array the
     bits it gives that element alone, so all these paths agree bit for
     bit (the tests check this).  Fusing here instead would build an
-    exponent array on every call, which costs more than it saves.
+    exponent array on every call, which costs more than it saves.  The
+    observer's golden pass needs only the order of two costs, so it
+    evaluates the formula on ``math``'s ``pow`` and ``exp`` with an
+    error bound and comes back to ``_inductance_at`` for near-ties
+    (``observer._certified_golden``).
     """
     return _inductance_of_powers(np.power(F, l2), np.power(F, l4), l1, l3, l5)
 
@@ -209,7 +213,8 @@ def _inductance_of_powers(F_l2, F_l4, l1, l3, l5):
 
 def _inductance_at(F: float, l1, l2, l3, l4, l5) -> float:
     """The inductance formula at one float force, with F**l2 and F**l4
-    from one two-exponent ``np.power`` call.  Callers set ``np.errstate``."""
+    from one two-exponent ``np.power`` call: the plant's steps and the
+    observer's exact costs.  Callers set ``np.errstate``."""
     F_l2, F_l4 = np.power(F, np.array((l2, l4))).tolist()
     return float(_inductance_of_powers(F_l2, F_l4, l1, l3, l5))
 

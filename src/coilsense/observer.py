@@ -16,13 +16,18 @@ continuity term is what disambiguates the two force preimages of a
 reading on a rising-then-falling curve.
 
 Per sample, the map coefficients are evaluated once, for the inversion
-and the gradient guard.  Each of the about 21 golden-section cost
-evaluations, and the guard, takes both powers of F from one ``np.power``
-call on an exponent pair and does the rest on Python floats, in the
-order of ``model``'s formula and still through numpy's ``power`` and
-``exp``: the results equal a one-power-at-a-time evaluation bit for bit,
-at a fraction of the scalar ufunc overhead.  One ``np.errstate`` covers
-the inversion and the guard.
+and the gradient guard.  The golden pass returns the midpoint of its
+last bracket, which depends only on the outcomes of its cost
+comparisons, never on the cost values.  So each of its about 21 cost
+evaluations runs on Python floats with ``math.pow`` and ``math.exp``,
+which differ from numpy's loops in the last bit, and carries a bound on
+its distance from the numpy evaluation.  A comparison the bounds cannot
+decide (a near-tie, 1-4% of them on stretch cycles) is made on costs
+taken exactly through numpy (``_certified_golden``); the gradient
+guard's one threshold decision is made the same way.  The estimates
+equal those of an all-numpy evaluation bit for bit.  The coarse grid is
+costed on arrays, and one ``np.errstate`` covers the inversion and the
+guard.
 
 The Kalman state is five Python floats (the mean and the three distinct
 covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
@@ -248,21 +253,145 @@ def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
         c11 + q11)
 
 
-def _golden_section(fun, a: float, b: float, tol: float) -> float:
-    """Golden-section minimizer on [a, b] down to interval width tol."""
+#: The golden pass decides each comparison of two exact costs from fast
+#: ones on libm floats (``_cost_evaluators``) and their error bounds, and
+#: evaluates a cost exactly only when the bounds overlap (Shewchuk's
+#: filtered predicates).  The bounds assume that every ``pow`` or ``exp``
+#: result, libm's or numpy's, is within a relative ``_EPS_FN`` of the
+#: true value: 2**-40, 4096 times the 1 ulp by which the two differ.
+#: With u the unit roundoff, ``_ULP``, and t = l3 * F**l4, the fast and
+#: exact paths then differ by at most:
+#:
+#: - 2 eps relative in F**l2 and in F**l4, so 2 eps |t| (plus roundings)
+#:   in t, and 2 eps + 2 eps |t| in exp(t);
+#: - eps (4 + 2|t|) relative in m = l1 * F**l2 * exp(t), plus roundings,
+#:   taken as eps (5 + 3|t|);
+#: - that times |m|, plus 5u (|l5| + |L_meas|) for the roundings of
+#:   r = m + l5 - L_meas, in the residual: dr;
+#: - w_fit dr (2|r| + dr) plus 10u c in the cost c = w_fit r r + (terms
+#:   both paths compute alike), since every term is >= 0, plus
+#:   ``_UNDERFLOW_SLOP`` for w_fit r r falling below the normal floats.
+#:
+#: Each step keeps some slack (about eps |m|, or 2u c), more than the
+#: dropped second-order terms and the rounding of the comparison itself.
+#: The bound holds while F**l2, F**l4, exp(t), |l1| and w_fit lie in
+#: (``_LO``, ``_HI``) and c below ``_HI``: then l1 * F**l2 and m are
+#: normal floats, and nothing overflows in either path.  Outside that
+#: range, and for NaN, inf or an exception from ``math``, the cost is
+#: taken exactly.
+_EPS_FN = 2.0 ** -40
+_ULP = 2.0 ** -53
+_LO = 2.0 ** -300
+_HI = 2.0 ** 300
+_UNDERFLOW_SLOP = 2.0 ** -1000
+
+
+def _certified_golden(value, exact, a: float, b: float, tol: float) -> float:
+    """Golden-section minimizer on [a, b] down to interval width tol.
+
+    ``value(F)`` is ``(cost, bound)``, a cost within ``bound`` of
+    ``exact(F)``; a bound of 0 marks an exact cost.  A comparison whose
+    gap exceeds the two bounds has the exact costs' outcome; any other
+    is made on exact costs.  The result depends on the outcomes alone,
+    so it is the one that golden section on ``exact`` returns.
+    """
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
+    (fc, ec), (fd, ed) = value(c), value(d)
     while b - a > tol:
+        if not abs(fc - fd) > ec + ed:  # a near-tie, or NaN
+            if ec:
+                fc, ec = exact(c), 0.0
+            if ed:
+                fd, ed = exact(d), 0.0
         if fc < fd:
-            b, d, fd = d, c, fc
+            b, d, fd, ed = d, c, fc, ec
             c = b - _GOLDEN * (b - a)
-            fc = fun(c)
+            fc, ec = value(c)
         else:
-            a, c, fc = c, d, fd
+            a, c, fc, ec = c, d, fd, ed
             d = a + _GOLDEN * (b - a)
-            fd = fun(d)
+            fd, ed = value(d)
     return 0.5 * (a + b)
+
+
+def _cost_evaluators(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
+    """``(value, exact)`` for ``_certified_golden`` on the inversion cost
+    at the map coefficients ``coeffs``.
+
+    ``exact(F)`` takes F**l2 and F**l4 from one two-exponent ``np.power``
+    call (``model._inductance_at``): the bits of ``_composite_cost``.
+    ``value(F)`` repeats that arithmetic on ``math.pow`` and ``math.exp``
+    and bounds its distance from ``exact(F)`` as set out above
+    ``_EPS_FN``, or returns ``(exact(F), 0.0)``.  Callers set
+    ``np.errstate``.
+    """
+    l1, l2, l3, l4, l5 = coeffs
+    w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
+
+    def exact(F):
+        return _cost_of_inductance(model._inductance_at(F, *coeffs), F, L_meas, prior_F, w)
+
+    if not (_LO < abs(l1) < _HI and _LO < w_fit < _HI):
+        return (lambda F: (exact(F), 0.0)), exact
+    m_rel = 5.0 * _EPS_FN
+    m_rel_t = 3.0 * _EPS_FN * abs(l3)     # times F**l4 > 0 is 3 eps |t|
+    r_sums = 5.0 * _ULP * (abs(l5) + abs(L_meas))
+    c_rel = 10.0 * _ULP
+
+    def value(F):
+        try:
+            F_l2 = math.pow(F, l2)
+            F_l4 = math.pow(F, l4)
+            e = math.exp(l3 * F_l4)
+        except (ValueError, OverflowError):
+            return exact(F), 0.0
+        if _LO < F_l2 < _HI and _LO < F_l4 < _HI and _LO < e < _HI:
+            m = l1 * F_l2 * e
+            r = m + l5 - L_meas
+            dF = F - prior_F  # the rest is _cost_of_inductance's arithmetic
+            c = (w_fit * r * r + w_dyn * dF * dF
+                 + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF)))
+            if c < _HI:
+                dr = abs(m) * (m_rel + m_rel_t * F_l4) + r_sums
+                return c, w_fit * dr * (2.0 * abs(r) + dr) + c_rel * c + _UNDERFLOW_SLOP
+        return exact(F), 0.0
+
+    return value, exact
+
+
+def _gradient_below(F: float, coeffs: tuple, threshold: float) -> bool:
+    """Whether |dL/dF| at F, as ``model._d_inductance_dF_of_powers`` gives
+    it on one two-exponent ``np.power`` call, is below ``threshold``.
+
+    It is decided on ``math.pow`` and ``math.exp`` when their result is
+    further from ``threshold`` than its bound.  The bound is the one set
+    out above ``_EPS_FN`` for q = l1 * F**(l2 - 1) * exp(t), which the
+    derivative multiplies by s = l2 + k, where k = l3 * l4 * F**l4
+    carries 2 eps |k| plus roundings: eps |q| (|s| (5 + 3|t|) + 3|k|).
+    The same range rules hold, with |dL/dF| in (``_LO``, ``_HI``) in
+    place of the cost's.
+    """
+    l1, l2, l3, l4, _ = coeffs
+    try:
+        F_l2m1 = math.pow(F, l2 - 1.0)
+        F_l4 = math.pow(F, l4)
+        t = l3 * F_l4
+        e = math.exp(t)
+    except (ValueError, OverflowError):
+        pass
+    else:
+        q = l1 * F_l2m1 * e
+        k = l3 * l4 * F_l4
+        s = l2 + k
+        g = abs(q * s)
+        if (_LO < abs(l1) < _HI and _LO < F_l2m1 < _HI and _LO < F_l4 < _HI
+                and _LO < e < _HI and _LO < g < _HI):
+            bound = _EPS_FN * abs(q) * (abs(s) * (5.0 + 3.0 * abs(t)) + 3.0 * abs(k))
+            if abs(g - threshold) > bound:
+                return g < threshold
+    F_l2m1, F_l4 = np.power(F, np.array((l2 - 1.0, l4))).tolist()
+    return abs(float(model._d_inductance_dF_of_powers(F_l2m1, F_l4, l1, l2, l3, l4))) < threshold
 
 
 def _composite_cost(F, L_meas: float, coeffs: tuple, prior_F: float, w: CostWeights):
@@ -303,22 +432,14 @@ def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig
     env = cfg.envelope
     w = cfg.weights
     grid = cfg.grid
-    l1, l2, l3, l4, l5 = coeffs
-    exps = np.array((l2, l4))
-    powers = np.empty(2)
-
-    def cost(F):
-        F_l2, F_l4 = np.power(F, exps, out=powers).tolist()
-        L_model = float(model._inductance_of_powers(F_l2, F_l4, l1, l3, l5))
-        return _cost_of_inductance(L_model, F, L_meas, prior_F, w)
-
     costs = _composite_cost(grid, L_meas, coeffs, prior_F, w)
     i = int(costs.argmin())
     if math.isnan(costs[i]):  # argmin picks the first NaN; skip NaNs as before
         i = int(np.nanargmin(costs))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, cfg.grid_points - 1)]
-    f_star = _golden_section(cost, float(a), float(b), cfg.refine_tol)
+    value, exact = _cost_evaluators(L_meas, prior_F, coeffs, w)
+    f_star = _certified_golden(value, exact, float(a), float(b), cfg.refine_tol)
     return min(max(f_star, env.F_min), env.F_max)
 
 
@@ -379,15 +500,12 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
     coeffs = model._coeffs(params, P_f)
-    l1, l2, l3, l4, _ = coeffs
     g_floor = 1e-3 * env.F_span + env.F_min
     with np.errstate(all="ignore"):
         F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, coeffs)
-        F_l2m1, F_l4 = np.power(max(F_star, g_floor), np.array((l2 - 1.0, l4))).tolist()
-        grad = abs(float(model._d_inductance_dF_of_powers(F_l2m1, F_l4, l1, l2, l3, l4)))
-    Rv = cfg.R
-    if grad < cfg.gradient_guard_ratio * cfg.median_gradient:
-        Rv = cfg.R * cfg.gradient_guard_inflation
+        flat = _gradient_below(max(F_star, g_floor), coeffs,
+                               cfg.gradient_guard_ratio * cfg.median_gradient)
+    Rv = cfg.R * cfg.gradient_guard_inflation if flat else cfg.R
     post = update(pred, F_star, cfg, R=Rv)
     post.pressure_filter = p_filt
     F_hat = post.F_hat

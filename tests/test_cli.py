@@ -187,6 +187,30 @@ class TestSimulateTrackPerturb:
         assert "shorter than one sample" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("kind, duration_s", [
+        ("force_tracking", 1e-9), ("force_tracking", 0.03), ("displacement_tracking", 1e-9)])
+    def test_tracking_window_under_two_samples_fails_before_output(self, tmp_path, capsys,
+                                                                   kind, duration_s):
+        # the tracking metrics need 2 samples; a shorter window used to end
+        # in a traceback from ident.goodness
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"scenarios": [{"kind": kind, "duration_s": duration_s}]}, open(cfg_path, "w"))
+        out = str(tmp_path / "out")
+        rc = cli.main(["--config", cfg_path, "--out", out, "track"])
+        assert rc == cli.EXIT_USAGE
+        assert "fewer than 2 samples" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_tracking_window_of_two_samples_runs(self, tmp_path):
+        # 4 samples at 100 Hz; the window starts at half the run
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"scenarios": [{"kind": "force_tracking", "duration_s": 0.04}]},
+                  open(cfg_path, "w"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg_path, "--out", str(out), "track"]) == 0
+        doc = json.load(open(out / "tracking_metrics.json"))
+        assert len(doc["rows"]) == 3
+
     def test_unknown_config_key(self, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump({"scenariso": []}, open(cfg_path, "w"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,142 @@ class TestCsvProperties:
             assert isinstance(ident.read_csv(str(path)), Dataset)
         except DataFormatError:
             pass
+
+
+def cell_read(path):
+    """``read_csv`` on the cell-by-cell parser alone."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = ident._csv_rows(path, fh)
+        header = ident._csv_header(path, reader)
+        cols = ident._parse_cells(path, header, reader)
+    return Dataset(t=cols["t"], P=cols["P"], L=cols["L"], F=cols.get("F"), x=cols.get("x"),
+                   extra={h: c for h, c in cols.items() if h not in ("t", "P", "L", "F", "x")})
+
+
+def outcome(read, path):
+    """The columns ``read(path)`` returns, as bytes, or its DataFormatError."""
+    try:
+        ds = read(path)
+    except DataFormatError as exc:
+        return type(exc), str(exc)
+    cols = {name: getattr(ds, name) for name in ("t", "P", "L", "F", "x")}
+    return {name: None if col is None else col.tobytes()
+            for name, col in {**cols, **ds.extra}.items()}
+
+
+#: Numbers as ``repr`` and ``.12g`` write them, and spellings that both
+#: ``float`` and ``np.loadtxt`` take.
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: format(v, ".12g")),
+    st.sampled_from([" 2.5 ", "\t3", "4\x85", "\u20035", "-nan", "NaN", "-Infinity",
+                     "1e400", "1e-400", "+.5", "5.", "0" * 40 + "1"]))
+#: Cells in the spellings a CSV body may hold: numbers, and text that
+#: ``float`` and ``np.loadtxt`` may take differently or not at all,
+#: such as a number between arbitrary characters.
+CELLS = st.one_of(
+    NUMBERS,
+    st.sampled_from(["1_0", "\u0661\u0662", "#1", "1#", '"1.5"', '"1', "", " ", " 4",
+                     "\x1c5", "nan", "inf", "0x1p3", "1d3", "1 2", "1\x00", "nan(1)", "1j",
+                     "\ufeff1"]),
+    st.text(alphabet="0123456789.eE+-_ #\"\t\u0661\u2003naif", max_size=6),
+    st.builds("{}{}{}".format, st.text(max_size=2), st.sampled_from(["1", "-2.5", "nan"]),
+              st.text(max_size=2)))
+
+
+@st.composite
+def csv_bodies(draw):
+    """CSV text under a 3-5 column header, with one of the three line
+    ends: either valid rows of numbers with at most one odd cell, or a
+    mix of rows of the header's width whose ``t``, ``P`` and ``L`` are
+    valid or drawn cells, rows of other widths, blank and whitespace
+    lines and trailing commas."""
+    width = draw(st.integers(3, 5))
+    header = ["t", "P", "L", "F", "F_hat"][:width]
+    noisy = draw(st.booleans())  # else rows of numbers, at most one cell drawn from CELLS
+    odd = draw(st.integers(0, 20))
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        if not noisy:
+            cells = [str(i), "0.25", "5.1"] + draw(st.lists(NUMBERS, min_size=width - 3,
+                                                            max_size=width - 3))
+            if i == odd:
+                cells[draw(st.integers(0, width - 1))] = draw(CELLS)
+            rows.append(",".join(cells))
+            continue
+        kind = draw(st.integers(0, 9))
+        if kind < 6:
+            cells = draw(st.lists(CELLS, min_size=width, max_size=width))
+            if kind < 4:
+                cells[:3] = [str(i), "0.25", "5.1"]
+            rows.append(",".join(cells))
+        elif kind < 8:
+            rows.append(",".join(draw(st.lists(CELLS, min_size=1, max_size=width + 1))))
+        else:
+            rows.append(draw(st.sampled_from(["", " ", "\t", ",".join(["1"] * width) + ","])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ",".join(header) + end + end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+class TestCsvFastPaths:
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(text=csv_bodies())
+    def test_fast_reader_equals_cell_parser(self, tmp_path_factory, text):
+        path = str(tmp_path_factory.mktemp("csv") / "b.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert outcome(ident.read_csv, path) == outcome(cell_read, path)
+
+    def test_clean_body_skips_the_cell_parser(self, tmp_path, monkeypatch):
+        ds = Dataset(t=np.arange(5000) * 0.01, P=np.full(5000, 0.3),
+                     L=np.linspace(4.6, 5.4, 5000), extra={"q": np.full(5000, -0.0)})
+        path = str(tmp_path / "clean.csv")
+        ident.write_csv(ds, path)
+        want = outcome(cell_read, path)
+        monkeypatch.setattr(ident, "_parse_cells", None)
+        assert outcome(ident.read_csv, path) == want
+
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on a body with no data
+    @pytest.mark.parametrize("body", ["0,1,2,3\n1,1,2,3\n", "0,1\n1,1\n", "", "\n\r\n", " \n"],
+                             ids=["wider", "narrower", "empty", "blank_lines", "whitespace_line"])
+    def test_rows_of_another_width_or_none(self, tmp_path, body):
+        path = str(tmp_path / "b.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write("t,P,L\n" + body)
+        got = outcome(ident.read_csv, path)
+        assert got == outcome(cell_read, path)
+        assert got[0] is DataFormatError
+
+    def test_field_over_the_csv_limit_is_the_readers_error(self, tmp_path):
+        # np.loadtxt would take this 200,001-digit number; the CSV reader
+        # refuses the field, and that refusal is the result
+        path = str(tmp_path / "long.csv")
+        with open(path, "w") as fh:
+            fh.write("t,P,L\n0," + "0" * 200_000 + "1,5\n")
+        got = outcome(ident.read_csv, path)
+        assert got == outcome(cell_read, path)
+        assert "field larger than field limit" in got[1]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=20),
+           bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=20))
+    def test_writer_template_equals_format(self, tmp_path_factory, values, bits):
+        # every float, NaN, infinities, signed zeros and subnormals among
+        # them, is written as format(value, ".12g")
+        values = values + np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+        values += [-0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.nan]
+        path = tmp_path_factory.mktemp("csv") / "w.csv"
+        ident.write_columns(str(path), {"a": values, "b": values[::-1]})
+        want = ["a,b"] + [f"{format(u, '.12g')},{format(v, '.12g')}"
+                          for u, v in zip(values, values[::-1])]
+        assert path.read_text() == "\n".join(want) + "\n"
+
+    def test_writer_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ident, "_WRITE_BLOCK_ROWS", 3)
+        path = tmp_path / "blocks.csv"
+        ident.write_columns(str(path), {"a": np.arange(10) / 3.0})
+        want = ["a"] + [format(v / 3.0, ".12g") for v in range(10)]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 class TestFitDynamic:

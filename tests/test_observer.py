@@ -258,39 +258,48 @@ class TestSolvePseudoMeasurement:
             assert abs(f_solver - f_oracle) <= tol
 
 
-def reference_cost(L_meas, P, prior_F, w):
+def golden_section(fun, a, b, tol):
+    """Golden-section minimizer on [a, b] down to interval width tol: the
+    pass ``observer._certified_golden`` must reproduce on exact costs."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def reference_cost(L_meas, P, prior_F, w, params=IND):
     """The composite inversion cost on the public ``model.eval_inductance``."""
     def cost(F):
-        r = model.eval_inductance(IND, F, P, validate=False) - L_meas
+        r = model.eval_inductance(params, F, P, validate=False) - L_meas
         dF = F - prior_F
         return (w.w_fit * r * r + w.w_dyn * dF * dF
                 + w.w_reg * (1.0 - 1.0 / (1.0 + w.gamma * dF * dF)))
     return cost
 
 
-def reference_inversion(L_meas, P, prior_F, cfg):
-    """Grid scan plus golden section on ``reference_cost``, written out
-    call by call: the solver, with its per-sample work hoisted, must
-    reproduce it bit for bit."""
+def reference_inversion(L_meas, P, prior_F, cfg, params=IND):
+    """Grid scan plus golden section on ``reference_cost``, every cost
+    taken through numpy: the solver, with its per-sample work hoisted
+    and its comparisons certified on libm floats, must reproduce it bit
+    for bit."""
     env = cfg.envelope
-    cost = reference_cost(L_meas, P, prior_F, cfg.weights)
+    cost = reference_cost(L_meas, P, prior_F, cfg.weights, params)
     grid = np.linspace(env.F_min, env.F_max, cfg.grid_points)
-    i = int(np.nanargmin(cost(grid)))
+    with np.errstate(all="ignore"):
+        i = int(np.nanargmin(cost(grid)))
     a = float(grid[max(i - 1, 0)])
     b = float(grid[min(i + 1, cfg.grid_points - 1)])
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = float(cost(c)), float(cost(d))
-    while b - a > cfg.refine_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = float(cost(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = float(cost(d))
-    return float(np.clip(0.5 * (a + b), env.F_min, env.F_max))
+    f = golden_section(lambda F: float(cost(F)), a, b, cfg.refine_tol)
+    return float(np.clip(f, env.F_min, env.F_max))
 
 
 class TestInversionPinned:
@@ -343,7 +352,7 @@ def scalar_inversion(L_meas, P, prior_F, params, cfg):
         i = int(np.nanargmin(observer._composite_cost(grid, L_meas, coeffs, prior_F, w)))
         a = float(grid[max(i - 1, 0)])
         b = float(grid[min(i + 1, cfg.grid_points - 1)])
-        f = observer._golden_section(
+        f = golden_section(
             lambda F: float(observer._composite_cost(F, L_meas, coeffs, prior_F, w)),
             a, b, cfg.refine_tol)
     return min(max(f, cfg.envelope.F_min), cfg.envelope.F_max)
@@ -372,28 +381,6 @@ class TestFusedInversion:
                     got = np.power(F, pair, out=out).tolist()
                     assert got == [float(np.power(F, a)), float(np.power(F, b))], (F, a, b)
 
-    def test_golden_cost_equals_composite_cost(self, monkeypatch):
-        # the cost the golden pass minimizes, taken from the solver, gives
-        # the bits of the one-power-at-a-time _composite_cost everywhere
-        costs, golden = [], observer._golden_section
-
-        def capture(fun, a, b, tol):
-            costs.append(fun)
-            return golden(fun, a, b, tol)
-
-        monkeypatch.setattr(observer, "_golden_section", capture)
-        cfg = make_cfg()
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            P = float(rng.uniform(ENV.P_min, ENV.P_max))
-            L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P))
-            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
-            observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
-            cost = costs.pop()
-            coeffs = model.eval_coeffs(IND, P, validate=False).as_tuple()
-            for F in [0.0, *rng.uniform(ENV.F_min, ENV.F_max, 40).tolist()]:
-                assert cost(F) == observer._composite_cost(F, L, coeffs, prior, cfg.weights)
-
     @pytest.mark.parametrize("coeffs", [
         (0.6, -0.5, -0.55, -0.5, 4.75),    # inf * exp(-inf) at F = 0 only
         (0.6, 800.0, -1.0, 800.0, 4.75),   # F**800 overflows above about 2.4 N
@@ -416,32 +403,210 @@ class TestFusedInversion:
         with pytest.raises(ValueError, match="All-NaN slice encountered"):
             observer.solve_pseudo_measurement(float("nan"), 0.3, 1.0, IND, make_cfg())
 
-    def test_one_power_call_per_golden_evaluation(self, monkeypatch):
-        counts = {"power": 0, "evals": 0}
-        power, golden = np.power, observer._golden_section
 
-        def counting_power(*args, **kwargs):
-            counts["power"] += 1
-            return power(*args, **kwargs)
+FLAT_MAPS = [
+    (0.6, -0.5, -0.55, -0.5, 4.75),    # math.pow(0.0, -0.5) raises
+    (0.6, 800.0, -1.0, 800.0, 4.75),   # F**800 overflows or underflows
+]
 
-        def counting_golden(fun, a, b, tol):
-            def counted(F):
-                counts["evals"] += 1
-                return fun(F)
-            return golden(counted, a, b, tol)
 
-        monkeypatch.setattr(np, "power", counting_power)
-        monkeypatch.setattr(observer, "_golden_section", counting_golden)
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def golden_points(a, b, n):
+    """The first ``n`` interior points golden section visits on [a, b]
+    when every step keeps the lower part, then when every step keeps the
+    upper part: the points of brackets shrinking onto either edge."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    points = []
+    for keep_low in (True, False):
+        lo, hi = a, b
+        for _ in range(n):
+            c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+            points += [c, d]
+            lo, hi = (lo, d) if keep_low else (c, hi)
+    return points
+
+
+class TestCertifiedGolden:
+    def test_bound_holds(self):
+        # over 10^5 seeded points the fast cost stays far inside its bound,
+        # and the exact cost is the one-power-at-a-time _composite_cost
         cfg = make_cfg()
-        rng = np.random.default_rng(5)
+        other = CostWeights(w_fit=2.5, w_dyn=0.03, w_reg=0.004, gamma=0.37)
+        grid = cfg.grid.tolist()
+        edges = (golden_points(grid[0], grid[2], 25) + golden_points(grid[-3], grid[-1], 25)
+                 + [ENV.F_min, ENV.F_max, 1e-300, 1e-12])
+        rng = np.random.default_rng(30)
+        worst, certified, points = 0.0, 0, 0
+        with np.errstate(all="ignore"):
+            for k in range(1000):
+                params = flat_params(*FLAT_MAPS[k % 2]) if k % 10 < 2 else IND
+                P = float(rng.uniform(ENV.P_min, ENV.P_max))
+                coeffs = model._coeffs(params, P)
+                L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P)
+                          + rng.normal(0, 0.02))
+                prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+                w = other if k % 3 == 0 else cfg.weights
+                value, exact = observer._cost_evaluators(L, prior, coeffs, w)
+                forces = rng.uniform(ENV.F_min, ENV.F_max, 100 - len(edges) // 10).tolist()
+                for F in forces + edges[k % 10::10]:
+                    fast, bound = value(F)
+                    x = exact(F)
+                    assert same_float(x, observer._composite_cost(F, L, coeffs, prior, w))
+                    points += 1
+                    if bound == 0.0:
+                        assert same_float(fast, x)
+                    else:
+                        certified += 1
+                        worst = max(worst, abs(fast - x) / bound)
+        assert points >= 100_000
+        assert certified >= 0.75 * points
+        assert worst < 0.1
+
+    @pytest.mark.parametrize("coeffs, F", [
+        (FLAT_MAPS[0], 0.0),                  # ValueError from math.pow
+        (FLAT_MAPS[1], 5.0),                  # OverflowError from math.pow
+        (FLAT_MAPS[1], 0.3),                  # F**800 below the certified range
+        ((0.6, 1.3, 800.0, 1.0, 4.75), 1.0),  # OverflowError from math.exp
+        ((0.6, 1.3, -800.0, 1.0, 4.75), 1.0), # exp below the certified range
+        ((1e-200, 1.3, -0.55, 1.0, 4.75), 1.0),  # l1 below the certified range
+    ])
+    def test_uncertified_points_are_exact(self, coeffs, F):
+        w = make_cfg().weights
+        with np.errstate(all="ignore"):
+            value, exact = observer._cost_evaluators(4.9, 1.0, coeffs, w)
+            fast, bound = value(F)
+            assert bound == 0.0 and same_float(fast, exact(F))
+            assert same_float(fast, observer._composite_cost(F, 4.9, coeffs, 1.0, w))
+
+    @pytest.mark.parametrize("L", [math.inf, -math.inf, 1e200])
+    def test_non_finite_costs_are_exact(self, L):
+        coeffs = model._coeffs(IND, 0.3)
+        with np.errstate(all="ignore"):
+            value, exact = observer._cost_evaluators(L, 1.0, coeffs, make_cfg().weights)
+            for F in (0.5, 1.0, 4.0):
+                fast, bound = value(F)
+                assert bound == 0.0 and same_float(fast, exact(F))
+
+    def test_any_value_within_its_bound_gives_the_exact_pass(self):
+        # the decision may rest only on the bound: costs moved anywhere
+        # inside it, or bounds so wide that every comparison is a tie,
+        # give golden section on the exact costs
+        cfg = make_cfg()
+        rng = np.random.default_rng(31)
+        with np.errstate(all="ignore"):
+            for k in range(300):
+                P = float(rng.uniform(ENV.P_min, ENV.P_max))
+                L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P))
+                prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+                value, exact = observer._cost_evaluators(L, prior, model._coeffs(IND, P),
+                                                         cfg.weights)
+                exact_calls = []
+
+                def counted(F):
+                    exact_calls.append(F)
+                    return exact(F)
+
+                def moved(F):
+                    x, bound = exact(F), float(rng.uniform(0.0, 1e-6 if k % 3 else 1e3))
+                    return x + float(rng.uniform(-0.999, 0.999)) * bound, bound
+
+                i = int(rng.integers(1, cfg.grid_points - 1))
+                a, b = float(cfg.grid[i - 1]), float(cfg.grid[i + 1])
+                want = golden_section(exact, a, b, cfg.refine_tol)
+                assert observer._certified_golden(moved, counted, a, b, cfg.refine_tol) == want
+                if k % 3 == 0:  # every comparison was a tie
+                    assert len(exact_calls) >= 20
+                assert observer._certified_golden(value, exact, a, b, cfg.refine_tol) == want
+
+    def test_constant_cost_ties_take_the_upper_part(self):
+        calls = []
+
+        def exact(F):
+            calls.append(F)
+            return 1.0
+
+        got = observer._certified_golden(lambda F: (1.0, 1e-9), exact, 0.0, 1.0, 1e-5)
+        assert got == golden_section(lambda F: 1.0, 0.0, 1.0, 1e-5)
+        assert len(calls) >= 20
+
+    @pytest.mark.parametrize("coeffs", FLAT_MAPS)
+    def test_math_exception_maps_equal_reference_inversion(self, coeffs):
+        params = flat_params(*coeffs)
+        cfg = make_cfg()
+        rng = np.random.default_rng(32)
         for _ in range(20):
-            P = float(rng.uniform(ENV.P_min, ENV.P_max))
-            L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P))
-            counts.update(power=0, evals=0)
-            observer.solve_pseudo_measurement(L, P, float(rng.uniform(0, 5)), IND, cfg)
-            assert counts["evals"] >= 20
-            # two calls for the grid (F**l2 and F**l4 over all points)
-            assert counts["power"] <= counts["evals"] + 2
+            L = float(rng.uniform(4.7, 5.2))
+            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+            got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
+            assert got == reference_inversion(L, 0.3, prior, cfg, params)
+
+    def test_gradient_guard_decision(self):
+        # the guard's decision equals the numpy one, also for thresholds
+        # at the exact |dL/dF| and one ulp either side of it
+        rng = np.random.default_rng(33)
+        maps = [(IND, float(P)) for P in rng.uniform(ENV.P_min, ENV.P_max, 40)]
+        maps += [(flat_params(*c), 0.3) for c in FLAT_MAPS]
+        with np.errstate(all="ignore"):
+            for params, P in maps:
+                coeffs = model._coeffs(params, P)
+                forces = [1e-3, model.peak_force(IND, P) if params is IND else 2.0,
+                          *rng.uniform(ENV.F_min, ENV.F_max, 30).tolist()]
+                for F in forces:
+                    g = abs(model.d_inductance_dF(params, F, P, validate=False))
+                    for thr in (g, math.nextafter(g, 0.0), math.nextafter(g, math.inf),
+                                g * 1.5, g / 1.5, 1e-5, 0.0):
+                        got = observer._gradient_below(F, coeffs, thr)
+                        assert got == (g < thr), (F, P, thr)
+
+
+def reference_run(ds, params, dyn, cfg, spec):
+    """``run_estimation`` written out on the public API: filters, predict,
+    ``reference_inversion``, the gradient guard on ``d_inductance_dF`` and
+    the Joseph update.  Returns F_hat, x_hat and the guard's firings."""
+    env = cfg.envelope
+    filt = sig.prime(sig.design(spec, 100), float(ds.L[0]))
+    p_filt = None
+    F0 = observer.nearest_preimage(float(ds.L[0]), float(ds.P[0]), params, env)
+    st = observer.reset(float(np.clip(F0, env.F_min, env.F_max)), cfg)
+    F_hat, x_hat, fired = np.empty(len(ds)), np.empty(len(ds)), 0
+    for i in range(len(ds)):
+        L, P = float(ds.L[i]), float(ds.P[i])
+        if p_filt is None:
+            p_filt = sig.prime(filt.copy(), P)
+        L_f = sig.step(filt, L)
+        P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
+        pred = observer.predict(st, cfg)
+        prior = min(max(pred.F_hat, env.F_min), env.F_max)
+        F_star = reference_inversion(L_f, P_f, prior, cfg, params)
+        F_g = max(F_star, 1e-3 * env.F_span + env.F_min)
+        grad = abs(model.d_inductance_dF(params, F_g, P_f, validate=False))
+        R = cfg.R
+        if grad < cfg.gradient_guard_ratio * cfg.median_gradient:
+            R, fired = cfg.R * cfg.gradient_guard_inflation, fired + 1
+        st = observer.update(pred, F_star, cfg, R=R)
+        F_hat[i], x_hat[i] = st.F_hat, model.invert_dynamic_length(dyn, st.F_hat, P)
+    return F_hat, x_hat, fired
+
+
+class TestRunEstimationPinned:
+    @pytest.mark.parametrize("ratio", [1e-4, 0.05])
+    def test_equals_reference_loop(self, ratio):
+        # a 4 s stretch cycle at three pressures; at the larger ratio the
+        # gradient guard fires around the peak
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3, 0.6),
+                             cycles_per_level=1, cycle_period_s=4.0,
+                             x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=4))
+        cfg = make_cfg(gradient_guard_ratio=ratio)
+        spec = sig.FilterSpec()
+        got = observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
+        F_hat, x_hat, fired = reference_run(ds, IND, DYN, cfg, spec)
+        assert got["F_hat"].tobytes() == F_hat.tobytes()
+        assert got["x_hat"].tobytes() == x_hat.tobytes()
+        assert (fired > 0) == (ratio > 1e-3)
 
 
 class TestEstimateStep:
