@@ -201,6 +201,8 @@ def _build_setup(cfg: dict, pcfg: plant.PlantConfig) -> control.TrackingSetup:
 
 
 _TRACKING_KINDS = ("force_tracking", "displacement_tracking")
+#: Scenario kinds whose plant balances ``plant.perturbation_load_profile``.
+_LOAD_PROFILE_KINDS = ("displacement_tracking", "load_perturbation")
 
 _SCENARIO_FACTORIES = {
     "calibration_grid": plant.Scenario.calibration_grid,
@@ -276,6 +278,12 @@ def validate_config(cfg: dict) -> dict:
         elif s.samples(pcfg.sensor_rate_hz) < 1:
             raise ConfigError(f"scenario '{s.name}': {s.total_duration_s:g} s is shorter "
                               f"than one sample at {pcfg.sensor_rate_hz:g} Hz")
+        if (s.kind in _LOAD_PROFILE_KINDS
+                and plant.LOAD_EVENTS_END_FRACTION * s.duration_s < plant.LOAD_EVENTS_START_S):
+            raise ConfigError(
+                f"scenario '{s.name}': {s.duration_s:g} s is shorter than its load profile "
+                f"needs ({plant.LOAD_EVENTS_START_S:g} s / {plant.LOAD_EVENTS_END_FRACTION:g} "
+                f"= {plant.LOAD_EVENTS_START_S / plant.LOAD_EVENTS_END_FRACTION:.3g} s)")
     return {
         "plant": pcfg,
         "setup": setup,
@@ -357,22 +365,31 @@ def _reversal_stats(ds: ident.Dataset, err: np.ndarray, window_s: float = 0.25) 
     return out
 
 
+def _check_in_envelope(ds: ident.Dataset, name: str, values: np.ndarray,
+                       lo: float, hi: float, unit: str) -> None:
+    """Raise DataFormatError naming the first row whose value is outside [lo, hi]."""
+    outside = np.flatnonzero((values < lo) | (values > hi))
+    if outside.size:
+        i = int(outside[0])
+        raise ident.DataFormatError(
+            f"data row {i + 1} (t={ds.t[i]:g} s): {name} {values[i]:g} {unit} outside "
+            f"the envelope [{lo:g}, {hi:g}] ({outside.size} rows outside)")
+
+
 def cmd_estimate(args, cfg, resolved) -> int:
     ds = _load_dataset(args, resolved)
+    if len(ds) < 2:
+        raise ident.DataFormatError(f"estimate needs at least 2 data rows, got {len(ds)}")
     dyn, ind_p = _nominal_models(resolved)
     pcfg, setup = resolved["plant"], resolved["setup"]
     fs = pcfg.sensor_rate_hz
-    dt_data = float(np.median(np.diff(ds.t))) if len(ds) > 1 else 1.0 / fs
+    dt_data = float(np.median(np.diff(ds.t)))
     if abs(fs - 1.0 / dt_data) > 1e-6 * fs:
         raise ConfigError(f"plant.sensor_rate_hz {fs:g} Hz differs from "
                           f"the data's rate {1.0 / dt_data:g} Hz (1 / median dt)")
     env = pcfg.envelope
-    outside = np.flatnonzero((ds.L < env.L_min) | (ds.L > env.L_max))
-    if outside.size:
-        i = int(outside[0])
-        raise ident.DataFormatError(
-            f"data row {i + 1} (t={ds.t[i]:g} s): inductance {ds.L[i]:g} uH outside "
-            f"the envelope [{env.L_min:g}, {env.L_max:g}] ({outside.size} rows outside)")
+    _check_in_envelope(ds, "inductance", ds.L, env.L_min, env.L_max, "uH")
+    _check_in_envelope(ds, "pressure", ds.P, env.P_min, env.P_max, "MPa")
     out = _out_dir(cfg, args)
     ocfg = control.observer_config(setup, ind_p, dt_data)
     est = observer.run_estimation(ds, ind_p, dyn, ocfg, sig.design(setup.filter_spec, fs))

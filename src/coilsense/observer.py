@@ -25,9 +25,17 @@ its distance from the numpy evaluation.  A comparison the bounds cannot
 decide (a near-tie, 1-4% of them on stretch cycles) is made on costs
 taken exactly through numpy (``_certified_golden``); the gradient
 guard's one threshold decision is made the same way.  The estimates
-equal those of an all-numpy evaluation bit for bit.  The coarse grid is
-costed on arrays, and one ``np.errstate`` covers the inversion and the
-guard.
+equal those of an all-numpy evaluation bit for bit.
+
+The coarse grid's winner is found the same way.  Every grid cost is at
+least its continuity term (w_dyn dF) dF, which grows with the distance
+from the prior, so only a short run of grid points around the prior
+can hold the least cost; those points are costed one fast value at a
+time, and exact costs decide between the ones whose bounds overlap
+(``_window_index``).  Where that run would be wider than one array scan
+is worth, or a cost is NaN or inf, or w_dyn is 0, the whole grid is
+costed on arrays as before.  One ``np.errstate`` covers the inversion
+and the guard.
 
 The Kalman state is five Python floats (the mean and the three distinct
 covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
@@ -40,6 +48,7 @@ whether numpy fuses and skip that comparison where it does not.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -70,8 +79,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: not go.  See ``make_observer_config``.
 NOISE_FLOOR_UH = 1e-3
 
-#: Most points of the coarse inversion grid: the whole grid is costed on
-#: every sample, and a config value must not ask for an unbounded array.
+#: Most points of the coarse inversion grid: the whole grid may be costed
+#: on a sample, and a config value must not ask for an unbounded array.
 MAX_GRID_POINTS = 65536
 
 
@@ -118,8 +127,9 @@ class CostWeights:
 @dataclass(frozen=True)
 class ObserverConfig:
     """Observer tuning.  ``grid`` (the coarse inversion grid over the
-    feasible force interval) and ``Q_entries`` (``Q`` as four floats,
-    row by row) are derived from the other fields on construction, so
+    feasible force interval), ``grid_floats`` (the same as a tuple of
+    floats) and ``Q_entries`` (``Q`` as four floats, row by row) are
+    derived from the other fields on construction, so
     ``dataclasses.replace`` rebuilds them.  ``init_cov`` must be
     symmetric, since a state holds one off-diagonal entry."""
 
@@ -135,6 +145,7 @@ class ObserverConfig:
     gradient_guard_ratio: float = 1e-4
     gradient_guard_inflation: float = 10.0
     grid: np.ndarray = field(init=False, repr=False, compare=False)
+    grid_floats: tuple = field(init=False, repr=False, compare=False)
     Q_entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,6 +175,7 @@ class ObserverConfig:
         grid = np.linspace(self.envelope.F_min, self.envelope.F_max, self.grid_points)
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid_floats", tuple(grid.tolist()))
         object.__setattr__(self, "Q_entries", tuple(self.Q.ravel().tolist()))
 
 
@@ -285,6 +297,14 @@ _LO = 2.0 ** -300
 _HI = 2.0 ** 300
 _UNDERFLOW_SLOP = 2.0 ** -1000
 
+#: Widest run of grid points ``_window_index`` costs one ``value`` call
+#: at a time; a wider one is left to the array scan of the whole grid.
+#: On 3,000 samples of 8 s and 4 s replay data (2-vCPU x86-64 host,
+#: numpy 2.4), a run of k points took about 2.6 + 1.8 k us and the
+#: 129-point array scan about 30 us, so they break even near 16 points.
+#: It bounds the work only: either path gives the same index.
+_WINDOW_CAP = 16
+
 
 def _certified_golden(value, exact, a: float, b: float, tol: float) -> float:
     """Golden-section minimizer on [a, b] down to interval width tol.
@@ -316,8 +336,8 @@ def _certified_golden(value, exact, a: float, b: float, tol: float) -> float:
 
 
 def _cost_evaluators(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
-    """``(value, exact)`` for ``_certified_golden`` on the inversion cost
-    at the map coefficients ``coeffs``.
+    """``(value, exact)`` for ``_window_index`` and ``_certified_golden``
+    on the inversion cost at the map coefficients ``coeffs``.
 
     ``exact(F)`` takes F**l2 and F**l4 from one two-exponent ``np.power``
     call (``model._inductance_at``): the bits of ``_composite_cost``.
@@ -417,6 +437,14 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     golden-section pass on the winning bracket refines it to
     ``refine_tol``.  The result always lies inside the interval; edge
     minima are returned clamped, not raised.
+
+    The scan's winner is the first least grid cost.  Each grid cost is
+    at least w_dyn dF dF, dF its distance from ``prior_F``, so once that
+    bound exceeds a cost already seen, no grid point further out can
+    win: only the run of grid points inside the bound is costed.  The
+    whole grid is costed at once where that run would be long, where a
+    cost is NaN or inf, or where w_dyn is 0.  Either way the result is
+    the same float.
     """
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
@@ -425,22 +453,92 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
         return _solve_pseudo_measurement(L_meas, prior_F, cfg, model._coeffs(params, float(P)))
 
 
+def _window_index(value, exact, grid: tuple, prior_F: float, w_dyn: float) -> int | None:
+    """Index of the first least exact cost on ``grid``, found from the
+    grid points the continuity bound leaves open, or None where the
+    array scan must decide.
+
+    A grid cost is w_fit r r + (w_dyn dF) dF + reg, with the first and
+    last terms >= 0, so by monotone rounding it is at least the float
+    (w_dyn |dF|) |dF|, which never falls as |dF| grows.  The run of grid
+    points around ``prior_F`` widens, nearer side first, until the next
+    point's bound on either side exceeds U, the least ``c + e`` of the
+    run: every point left out costs more than the run's least exact
+    cost.  Points whose ``c - e`` exceeds U cannot be least either, and
+    if more than one is left their exact costs decide.  The exact costs
+    are floats and rounding is monotone, so the float ``c + e`` and
+    ``c - e`` bound them as the real sums do, without outward rounding.
+    A NaN or inf cost, or a U whose run could pass ``_WINDOW_CAP``
+    points, returns None.
+    """
+    n = len(grid)
+    u_cap = w_dyn * (0.5 * (_WINDOW_CAP - 1) * (grid[1] - grid[0])) ** 2
+    lo = hi = bisect.bisect_left(grid, prior_F)   # the run is grid[lo:hi]
+    U = math.inf
+    run = []
+    while True:
+        d_lo = prior_F - grid[lo - 1] if lo else math.inf
+        d_hi = grid[hi] - prior_F if hi < n else math.inf
+        if d_hi <= d_lo:
+            if w_dyn * d_hi * d_hi > U:
+                break
+            j = hi
+            hi += 1
+        else:
+            if w_dyn * d_lo * d_lo > U:
+                break
+            lo -= 1
+            j = lo
+        c, e = value(grid[j])
+        u = c + e
+        if not u < math.inf:  # NaN or inf
+            return None
+        if u < U:
+            if u > u_cap:
+                return None
+            U = u
+        run.append((j, c, e))
+    cands = [(j, c, e) for j, c, e in sorted(run) if c - e <= U]
+    if len(cands) == 1:
+        return cands[0][0]
+    best_j, best = None, math.inf
+    for j, c, e in cands:
+        x = exact(grid[j]) if e else c
+        if x < best:
+            best_j, best = j, x
+    return best_j
+
+
+def _grid_index(L_meas: float, prior_F: float, cfg: ObserverConfig, coeffs: tuple,
+                value, exact) -> int:
+    """Index of the coarse grid's first least cost, NaNs skipped: from
+    ``_window_index`` where it decides, else from the costs of the whole
+    grid on arrays.  Callers set ``np.errstate``."""
+    w = cfg.weights
+    if w.w_dyn > 0.0:
+        i = _window_index(value, exact, cfg.grid_floats, prior_F, w.w_dyn)
+        if i is not None:
+            return i
+    costs = _composite_cost(cfg.grid, L_meas, coeffs, prior_F, w)
+    i = int(costs.argmin())
+    if math.isnan(costs[i]):  # argmin picks the first NaN; skip NaNs as before
+        i = int(np.nanargmin(costs))
+    return i
+
+
 def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig,
                               coeffs: tuple) -> float:
     """``solve_pseudo_measurement`` on the map coefficients at the
     inversion pressure, without its checks; callers set ``np.errstate``."""
     env = cfg.envelope
-    w = cfg.weights
-    grid = cfg.grid
-    costs = _composite_cost(grid, L_meas, coeffs, prior_F, w)
-    i = int(costs.argmin())
-    if math.isnan(costs[i]):  # argmin picks the first NaN; skip NaNs as before
-        i = int(np.nanargmin(costs))
+    grid = cfg.grid_floats
+    value, exact = _cost_evaluators(L_meas, prior_F, coeffs, cfg.weights)
+    i = _grid_index(L_meas, prior_F, cfg, coeffs, value, exact)
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, cfg.grid_points - 1)]
-    value, exact = _cost_evaluators(L_meas, prior_F, coeffs, w)
-    f_star = _certified_golden(value, exact, float(a), float(b), cfg.refine_tol)
+    f_star = _certified_golden(value, exact, a, b, cfg.refine_tol)
     return min(max(f_star, env.F_min), env.F_max)
+
 
 
 def update(prior: ObserverState, F_star: float, cfg: ObserverConfig,

@@ -65,6 +65,11 @@ SCENARIO_KINDS = (
 
 WAVEFORMS = ("sine", "triangle", "steps")
 
+#: A load profile places its events between this time (s) and this
+#: fraction of the run, so a run with one is at least 3 / 0.78 s long.
+LOAD_EVENTS_START_S = 3.0
+LOAD_EVENTS_END_FRACTION = 0.78
+
 
 class IsotonicInfeasibleError(ValueError):
     """Requested external load unreachable within the length envelope."""
@@ -507,7 +512,7 @@ def perturbation_load_profile(scenario: Scenario, seed: int):
     mags = np.asarray(scenario.event_magnitudes, dtype=float)
     n = mags.size
     rng = np.random.default_rng([seed, 9173])
-    t0, t1 = 3.0, 0.78 * scenario.duration_s
+    t0, t1 = LOAD_EVENTS_START_S, LOAD_EVENTS_END_FRACTION * scenario.duration_s
     slots = np.linspace(t0, t1, n, endpoint=False)
     jitter = rng.uniform(0.0, 0.5 * (t1 - t0) / max(n, 1), size=n)
     times = slots + jitter

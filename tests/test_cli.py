@@ -132,6 +132,31 @@ class TestEstimate:
         assert "row 3 " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_row_is_a_data_error(self, cal_csv, tmp_path, capsys):
+        # it used to write estimates.csv, then end in a traceback from
+        # ident.goodness
+        with open(cal_csv) as fh:
+            header, row = fh.readline(), fh.readline()
+        path = tmp_path / "one.csv"
+        path.write_text(header + row)
+        out = tmp_path / "o"
+        rc = cli.main(["--out", str(out), "estimate", "--data", str(path)])
+        assert rc == cli.EXIT_DATA
+        assert "at least 2 data rows, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_envelope_pressure_is_a_data_error(self, tmp_path, capsys):
+        # it used to surface from the observer's per-sample check as a
+        # config error (exit 1)
+        path = tmp_path / "high.csv"
+        path.write_text("t,P,L\n0,0,5\n0.01,0.9,5\n0.02,0.3,5\n0.03,0.7,5\n")
+        out = tmp_path / "o"
+        rc = cli.main(["--out", str(out), "estimate", "--data", str(path)])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "row 2 " in err and "pressure 0.9 MPa" in err and "2 rows outside" in err
+        assert not out.exists()
+
     def test_filter_rate_must_match_data(self, cal_csv, tmp_path, capsys):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump({"plant": {"sensor_rate_hz": 200}}, open(cfg_path, "w"))
@@ -199,6 +224,21 @@ class TestSimulateTrackPerturb:
         rc = cli.main(["--config", cfg_path, "--out", out, "track"])
         assert rc == cli.EXIT_USAGE
         assert "fewer than 2 samples" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, kind, duration_s", [
+        ("track", "displacement_tracking", 3.0), ("perturb", "load_perturbation", 2.0),
+        ("perturb", "load_perturbation", 3.8)])
+    def test_run_shorter_than_its_load_profile_fails_before_output(self, tmp_path, capsys,
+                                                                   command, kind, duration_s):
+        # load events fall in [3 s, 0.78 x duration]; a shorter run used to
+        # end in a traceback from plant.perturbation_load_profile
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"scenarios": [{"kind": kind, "duration_s": duration_s}]}, open(cfg_path, "w"))
+        out = str(tmp_path / "out")
+        rc = cli.main(["--config", cfg_path, "--out", out, command])
+        assert rc == cli.EXIT_USAGE
+        assert "shorter than its load profile needs" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_tracking_window_of_two_samples_runs(self, tmp_path):

@@ -286,16 +286,26 @@ def reference_cost(L_meas, P, prior_F, w, params=IND):
     return cost
 
 
-def reference_inversion(L_meas, P, prior_F, cfg, params=IND):
-    """Grid scan plus golden section on ``reference_cost``, every cost
-    taken through numpy: the solver, with its per-sample work hoisted
-    and its comparisons certified on libm floats, must reproduce it bit
-    for bit."""
+def reference_index(L_meas, P, prior_F, cfg, params=IND):
+    """The first least ``reference_cost`` on the whole coarse grid, NaNs
+    skipped."""
     env = cfg.envelope
     cost = reference_cost(L_meas, P, prior_F, cfg.weights, params)
     grid = np.linspace(env.F_min, env.F_max, cfg.grid_points)
     with np.errstate(all="ignore"):
-        i = int(np.nanargmin(cost(grid)))
+        return int(np.nanargmin(cost(grid)))
+
+
+def reference_inversion(L_meas, P, prior_F, cfg, params=IND):
+    """Grid scan plus golden section on ``reference_cost``, every cost
+    taken through numpy: the solver, with its per-sample work hoisted,
+    its comparisons certified on libm floats and its grid costed only
+    where the continuity bound leaves it open, must reproduce it bit
+    for bit."""
+    env = cfg.envelope
+    cost = reference_cost(L_meas, P, prior_F, cfg.weights, params)
+    grid = np.linspace(env.F_min, env.F_max, cfg.grid_points)
+    i = reference_index(L_meas, P, prior_F, cfg, params)
     a = float(grid[max(i - 1, 0)])
     b = float(grid[min(i + 1, cfg.grid_points - 1)])
     f = golden_section(lambda F: float(cost(F)), a, b, cfg.refine_tol)
@@ -338,6 +348,7 @@ class TestInversionPinned:
         assert cfg.grid.shape == (129,)
         small = replace(cfg, grid_points=33)
         assert np.array_equal(small.grid, np.linspace(ENV.F_min, ENV.F_max, 33))
+        assert small.grid_floats == tuple(small.grid.tolist())
         assert cfg.grid.shape == (129,)
         with pytest.raises(ValueError):
             small.grid[0] = 1.0
@@ -400,6 +411,7 @@ class TestFusedInversion:
             assert got == scalar_inversion(L, 0.3, prior, params, cfg)
 
     def test_all_nan_grid_raises(self):
+        assert window_index(float("nan"), 0.3, 1.0, make_cfg()) is None
         with pytest.raises(ValueError, match="All-NaN slice encountered"):
             observer.solve_pseudo_measurement(float("nan"), 0.3, 1.0, IND, make_cfg())
 
@@ -534,12 +546,17 @@ class TestCertifiedGolden:
 
     @pytest.mark.parametrize("coeffs", FLAT_MAPS)
     def test_math_exception_maps_equal_reference_inversion(self, coeffs):
+        # NaN and inf grid costs and math exceptions, with priors at and
+        # between the edge grid points too
         params = flat_params(*coeffs)
         cfg = make_cfg()
         rng = np.random.default_rng(32)
-        for _ in range(20):
+        grid = cfg.grid_floats
+        priors = [grid[0], grid[1], grid[-2], grid[-1], 0.5 * (grid[0] + grid[1])]
+        for prior in priors + rng.uniform(ENV.F_min, ENV.F_max, 20).tolist():
             L = float(rng.uniform(4.7, 5.2))
-            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+            assert solver_index(L, 0.3, prior, cfg, params) == \
+                reference_index(L, 0.3, prior, cfg, params)
             got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
             assert got == reference_inversion(L, 0.3, prior, cfg, params)
 
@@ -560,6 +577,139 @@ class TestCertifiedGolden:
                                 g * 1.5, g / 1.5, 1e-5, 0.0):
                         got = observer._gradient_below(F, coeffs, thr)
                         assert got == (g < thr), (F, P, thr)
+
+
+def window_index(L, P, prior, cfg, params=IND):
+    """``observer._window_index`` on one sample: the grid index, or None
+    where the array scan decides."""
+    with np.errstate(all="ignore"):
+        value, exact = observer._cost_evaluators(L, prior, model._coeffs(params, P),
+                                                 cfg.weights)
+        return observer._window_index(value, exact, cfg.grid_floats, prior,
+                                      cfg.weights.w_dyn)
+
+
+def solver_index(L, P, prior, cfg, params=IND):
+    """The grid index ``_solve_pseudo_measurement`` brackets."""
+    coeffs = model._coeffs(params, P)
+    with np.errstate(all="ignore"):
+        value, exact = observer._cost_evaluators(L, prior, coeffs, cfg.weights)
+        return observer._grid_index(L, prior, cfg, coeffs, value, exact)
+
+
+def inversion_samples(rng, n, near):
+    """(L, P, prior) triples on the reference map: priors within about
+    0.05 N of the force that made the reading (where the window scan
+    decides), or anywhere in the envelope, always with both grid edges."""
+    out = []
+    for k in range(n):
+        P = float(rng.uniform(ENV.P_min, ENV.P_max))
+        F = float(rng.uniform(ENV.F_min, ENV.F_max))
+        L = float(model.eval_inductance(IND, F, P) + rng.normal(0, 0.01))
+        if k < 4:
+            prior = (ENV.F_min, ENV.F_max)[k % 2]
+        elif near:
+            prior = min(max(F + float(rng.normal(0, 0.05)), ENV.F_min), ENV.F_max)
+        else:
+            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+        out.append((L, P, prior))
+    return out
+
+
+class TestWindowScan:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"noise_L": 0.0}, {"noise_L": 0.03}, {"grid_points": 16}, {"grid_points": 33},
+        {"weights": CostWeights(w_fit=2.5, w_dyn=0.03, w_reg=0.004, gamma=0.37)},
+        {"weights": CostWeights(w_fit=1.0, w_dyn=0.0, w_reg=0.00144)},
+    ])
+    def test_equals_reference_bit_for_bit(self, overrides):
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01,
+                                            **{"noise_L": 0.01, **overrides})
+        rng = np.random.default_rng(40)
+        windowed = 0
+        for near in (True, False):
+            for L, P, prior in inversion_samples(rng, 150, near):
+                i = reference_index(L, P, prior, cfg)
+                assert solver_index(L, P, prior, cfg) == i
+                assert observer.solve_pseudo_measurement(L, P, prior, IND, cfg) == \
+                    reference_inversion(L, P, prior, cfg)
+                got = window_index(L, P, prior, cfg)
+                assert got in (None, i)
+                windowed += near and got is not None
+        if cfg.weights.w_dyn > 0:
+            assert windowed >= 30  # of the 150 priors near the preimage
+        else:
+            assert windowed == 0
+
+    @pytest.mark.parametrize("w_reg", [0.0, 0.00144])
+    @pytest.mark.parametrize("i", [0, 40, 127])
+    def test_exact_tie_takes_the_first_index(self, w_reg, i):
+        # with w_fit = 0 every cost is exact and depends on |dF| alone, so
+        # a prior half-way between two grid points ties them exactly
+        cfg = replace(make_cfg(), weights=CostWeights(w_fit=0.0, w_dyn=0.0144, w_reg=w_reg))
+        grid = cfg.grid_floats
+        prior = 0.5 * (grid[i] + grid[i + 1])
+        assert grid[i + 1] - prior == prior - grid[i]
+        L = float(model.eval_inductance(IND, 2.0, 0.3))
+        assert reference_index(L, 0.3, prior, cfg) == i
+        assert window_index(L, 0.3, prior, cfg) == i
+        assert solver_index(L, 0.3, prior, cfg) == i
+        assert observer.solve_pseudo_measurement(L, 0.3, prior, IND, cfg) == \
+            reference_inversion(L, 0.3, prior, cfg)
+
+    def test_any_value_within_its_bound_gives_the_reference_index(self):
+        # costs moved anywhere inside their bounds, with bounds wide enough
+        # that several grid points stay open, give the exact winner
+        cfg = make_cfg()
+        w = cfg.weights
+        rng = np.random.default_rng(42)
+        windowed = exact_ties = 0
+        with np.errstate(all="ignore"):
+            for k, (L, P, prior) in enumerate(inversion_samples(rng, 600, near=True)):
+                value, exact = observer._cost_evaluators(L, prior, model._coeffs(IND, P), w)
+                width = (1e-7, 1e-5, 1e-4)[k % 3]
+                exact_calls = []
+
+                def counted(F):
+                    exact_calls.append(F)
+                    return exact(F)
+
+                def moved(F):
+                    x, bound = exact(F), float(rng.uniform(0.5, 1.0)) * width
+                    return x + float(rng.uniform(-0.999, 0.999)) * bound, bound
+
+                got = observer._window_index(moved, counted, cfg.grid_floats, prior, w.w_dyn)
+                if got is not None:
+                    windowed += 1
+                    exact_ties += len(exact_calls) > 1
+                    assert got == reference_index(L, P, prior, cfg)
+        assert windowed >= 400
+        assert exact_ties >= 100
+
+    def test_tracking_samples_skip_the_array_scan(self, monkeypatch):
+        # a slow stretch cycle keeps the prior next to the preimage, so all
+        # but a few samples around the curve's peak leave the whole grid
+        # uncosted; with w_dyn = 0 every sample costs it
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,),
+                             cycles_per_level=1, cycle_period_s=8.0,
+                             x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=5))
+        scans = []
+        composite_cost = observer._composite_cost
+
+        def spy(F, *args):
+            scans.append(np.ndim(F))
+            return composite_cost(F, *args)
+
+        monkeypatch.setattr(observer, "_composite_cost", spy)
+        cfg = make_cfg()
+        spec = sig.FilterSpec()
+        observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
+        assert len(scans) < len(ds) // 100
+        scans.clear()
+        flat = replace(cfg, weights=replace(cfg.weights, w_dyn=0.0))
+        observer.run_estimation(ds, IND, DYN, flat, sig.design(spec, 100))
+        assert scans == [1] * len(ds)
 
 
 def reference_run(ds, params, dyn, cfg, spec):
@@ -594,10 +744,20 @@ def reference_run(ds, params, dyn, cfg, spec):
 class TestRunEstimationPinned:
     @pytest.mark.parametrize("ratio", [1e-4, 0.05])
     def test_equals_reference_loop(self, ratio):
-        # a 4 s stretch cycle at three pressures; at the larger ratio the
-        # gradient guard fires around the peak
+        # a 4 s stretch cycle at three pressures, on which the estimate
+        # locks onto the falling branch; at the larger ratio the gradient
+        # guard fires around the peak
+        self.check(ratio, 4.0)
+
+    def test_equals_reference_loop_on_an_8s_cycle(self):
+        # the estimate tracks the 8 s cycle, so the window scan decides
+        # nearly every sample
+        self.check(1e-4, 8.0)
+
+    @staticmethod
+    def check(ratio, period):
         scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3, 0.6),
-                             cycles_per_level=1, cycle_period_s=4.0,
+                             cycles_per_level=1, cycle_period_s=period,
                              x_low=0.072, x_high=0.17)
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=4))
         cfg = make_cfg(gradient_guard_ratio=ratio)
