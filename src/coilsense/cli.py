@@ -319,16 +319,22 @@ def _load_dataset(args, resolved) -> ident.Dataset:
 
 def cmd_fit(args, cfg, resolved) -> int:
     ds = _load_dataset(args, resolved)
-    out = _out_dir(cfg, args)
     if args.model == "dynamic":
         report = ident.fit_dynamic(ds)
+        out = _out_dir(cfg, args)
         model.save_dynamic_params(report.params, os.path.join(out, "dynamic_params.json"))
         report.to_json(os.path.join(out, "fit_dynamic_report.json"))
         print(f"fit dynamic: k={report.params.k:.6g} x0={report.params.x0:.6g} "
               f"c={report.params.c:.6g}  rmse={report.rmse:.6g} r2={report.r2:.6g}")
         return EXIT_OK
-    init = ident.heuristic_inductance_init(ds)
-    report = ident.fit_inductance(ds, init, seed=resolved["plant"].seed)
+    try:
+        report = ident.fit_inductance(ds, ident.heuristic_inductance_init(ds),
+                                      seed=resolved["plant"].seed)
+    except ident.InvalidBoundsError as exc:
+        # the box is the default one, so the data put the start outside it
+        raise ident.DataFormatError(f"the data's starting point for the inductance fit "
+                                    f"is out of range: {exc}") from None
+    out = _out_dir(cfg, args)
     model.save_inductance_params(report.params, os.path.join(out, "inductance_params.json"))
     report.to_json(os.path.join(out, "fit_inductance_report.json"))
     print(f"fit inductance: rmse={report.rmse:.6g} r2={report.r2:.6g} "

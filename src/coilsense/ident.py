@@ -56,7 +56,7 @@ class MissingColumnError(DataFormatError):
         super().__init__(msg)
 
 
-class RankDeficientError(ValueError):
+class RankDeficientError(DataFormatError):
     """The regression design matrix is singular."""
 
 
@@ -64,7 +64,7 @@ class InvalidBoundsError(ValueError):
     """Initial point violates the bound box, or the box is malformed."""
 
 
-class ConstantSeriesError(ValueError):
+class ConstantSeriesError(DataFormatError):
     """Observed series is constant; R^2 and NRMSE are undefined."""
 
 
@@ -389,16 +389,20 @@ class FitReport:
 def fit_dynamic(data: Dataset) -> FitReport:
     """Fit (k, x0, c) of F = k*(x - x0) + c*P by ordinary least squares.
 
-    Needs force and length channels, at least 3 samples, and at least
-    two distinct lengths and pressures; a singular design matrix raises
-    RankDeficientError.
+    Needs force and length channels, at least 3 samples, a force that
+    is not constant (else ConstantSeriesError), and at least two
+    distinct lengths and pressures (else RankDeficientError).  A fit
+    whose k, x0 or c is not positive, or whose squared residuals
+    overflow, is a DataFormatError too.
     """
     if data.F is None:
         raise MissingColumnError("F", context="fit_dynamic needs a force channel")
     if data.x is None:
         raise MissingColumnError("x", context="fit_dynamic needs a length channel")
     if len(data) < 3:
-        raise ValueError(f"need at least 3 samples, got {len(data)}")
+        raise DataFormatError(f"need at least 3 samples, got {len(data)}")
+    if np.ptp(data.F) == 0.0:
+        raise ConstantSeriesError(f"force column F is constant ({data.F[0]:g} N)")
     A = np.column_stack([data.x, data.P, np.ones(len(data))])
     if np.linalg.matrix_rank(A) < 3:
         raise RankDeficientError(
@@ -406,10 +410,17 @@ def fit_dynamic(data: Dataset) -> FitReport:
         )
     beta, _, _, _ = np.linalg.lstsq(A, data.F, rcond=None)
     k, c, intercept = (float(b) for b in beta)
-    params = DynamicParams(k=k, x0=-intercept / k, c=c)
+    try:
+        params = DynamicParams(k=k, x0=-intercept / k if k else math.nan, c=c)
+    except ValueError as exc:
+        raise DataFormatError(f"the fitted force model is not physical: {exc}") from None
     pred = model.eval_dynamic_force(params, data.x, data.P)
-    gm = goodness(pred, data.F)
-    cost = 0.5 * float(np.sum((pred - data.F) ** 2))
+    with np.errstate(over="ignore"):
+        gm = goodness(pred, data.F)
+        cost = 0.5 * float(np.sum((pred - data.F) ** 2))
+    if not math.isfinite(cost):
+        raise DataFormatError(f"the force fit's squared residuals overflow: |F| up to "
+                              f"{np.max(np.abs(data.F)):g} N is out of floating-point range")
     return FitReport(params=params, rmse=gm.rmse, r2=gm.r2, iterations=1,
                      converged=True, cost_log=[cost])
 
@@ -450,6 +461,12 @@ def _reflect_into_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return np.clip(x, lo, hi)
 
 
+def _half_sum_squares(r: np.ndarray) -> float:
+    """0.5 * r @ r by ``np.einsum``, whose sum does not depend on the
+    BLAS thread count as OpenBLAS's ``ddot`` on 25,200 rows does."""
+    return 0.5 * float(np.einsum("i,i->", r, r))
+
+
 def _trf_minimize(residual, jacobian, x0, lo, hi,
                   xtol: float = 1e-10, ftol: float = 1e-12,
                   max_iter: int = 500) -> _TrfResult:
@@ -461,12 +478,21 @@ def _trf_minimize(residual, jacobian, x0, lo, hi,
     reflected back in.  The radius adapts on the gain ratio (actual /
     predicted cost reduction), and only strictly improving steps are
     accepted, so the logged cost is monotone non-increasing.
+
+    Each iteration forms the normal matrix N = J^T J and the gradient
+    g = J^T r once; every quadratic form after that is taken from N, so
+    no other product runs over the samples.  The Gauss-Newton step
+    solves N p = -g with N scaled to unit diagonal (Jacobi scaling, as
+    More's Levenberg-Marquardt scales its columns; a zero column keeps
+    the scale 1), by ``lstsq`` on the 10 x 10 system so that a
+    rank-deficient J still gives the least-norm step.  ``jacobian`` is
+    always asked at the point ``residual`` last saw.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = residual(x)
     if not np.all(np.isfinite(r)):
         raise ValueError("residual not finite at the initial point")
-    cost = 0.5 * float(r @ r)
+    cost = _half_sum_squares(r)
     cost_log = [cost]
     delta = max(1.0, 0.1 * float(np.linalg.norm(x)))
     converged = False
@@ -474,20 +500,23 @@ def _trf_minimize(residual, jacobian, x0, lo, hi,
     while it < max_iter:
         it += 1
         J = jacobian(x, r)
+        N = J.T @ J
         g = J.T @ r
         if not np.all(np.isfinite(g)):
             break
         if float(np.max(np.abs(g))) < 1e-15:
             converged = True
             break
-        p_gn, _, _, _ = np.linalg.lstsq(J, -r, rcond=None)
+        s = np.sqrt(np.diag(N))
+        s[s == 0.0] = 1.0
+        q, _, _, _ = np.linalg.lstsq(N / np.outer(s, s), -g / s, rcond=None)
+        p_gn = q / s
         accepted = False
         while delta > 1e-14:
             if np.linalg.norm(p_gn) <= delta:
                 p = p_gn
             else:
-                Jg = J @ g
-                t_c = float(g @ g) / float(Jg @ Jg)
+                t_c = float(g @ g) / float(g @ N @ g)
                 p_sd = -t_c * g
                 n_sd = np.linalg.norm(p_sd)
                 if n_sd >= delta:
@@ -502,10 +531,9 @@ def _trf_minimize(residual, jacobian, x0, lo, hi,
                     p = p_sd + tau * d
             x_trial = _reflect_into_box(x + p, lo, hi)
             p_actual = x_trial - x
-            Jp = J @ p_actual
-            pred_red = -(float(g @ p_actual) + 0.5 * float(Jp @ Jp))
+            pred_red = -(float(g @ p_actual) + 0.5 * float(p_actual @ N @ p_actual))
             r_trial = residual(x_trial)
-            cost_trial = 0.5 * float(r_trial @ r_trial) if np.all(np.isfinite(r_trial)) else math.inf
+            cost_trial = _half_sum_squares(r_trial) if np.all(np.isfinite(r_trial)) else math.inf
             if pred_red > 0 and cost_trial < cost:
                 rho = (cost - cost_trial) / pred_red
                 step_norm = float(np.linalg.norm(p_actual))
@@ -535,51 +563,63 @@ def _trf_minimize(residual, jacobian, x0, lo, hi,
 def _inductance_residual_jacobian(F: np.ndarray, P: np.ndarray, L: np.ndarray):
     """Residual and Jacobian closures for the ten-coefficient fit.
 
-    Jacobian columns for the linear-entering coefficients (amplitude
-    and offset pairs) are analytic; the exponent/shape columns use
-    forward differences, which also sidesteps the log(F) singularity of
-    the analytic forms at F = 0.  The analytic columns take the map from
-    ``model``: dL/dl1 is the formula with l1 = 1 and l5 = 0.
+    With M = l1 * F**l2 * exp(l3 * F**l4) every column is analytic:
 
-    J is allocated once, with the constant offset columns 8 and 9, and
-    each ``jacobian`` call overwrites the other columns in place and
-    returns it, so a caller must be done with one Jacobian before it
-    asks for the next (``_trf_minimize`` takes one per iteration).  A
-    call evaluates the coefficients and both powers of F once.  Entry j
-    of a difference column enters only coefficient j // 2, so the column
-    recomputes that coefficient, and its power if it is an exponent, and
-    reuses the rest: the bits of a full re-evaluation of the map at the
-    perturbed point.
+        dL/dl1 = F**l2 * exp(l3 * F**l4)    dL/dl2 = M * ln F
+        dL/dl3 = M * F**l4                  dL/dl4 = l3 * M * F**l4 * ln F
+
+    and dL/dl5 = 1.  Coefficient k is p[2k] * P + p[2k+1], so column
+    2k + 1 is dL/dl(k+1) and column 2k is P times it.  ln F is taken
+    once per fit, with 0 where F = 0: M is 0 there (l2 > 0), so 0 is
+    the limit of every column that carries ln F.
+
+    ``residual`` evaluates the map in ``model._inductance_of_powers``'s
+    order, so its bits are those of ``model.eval_inductance`` - L, and
+    keeps F**l2, F**l4 and exp(l3 * F**l4) of the point it last saw.
+    ``jacobian`` reuses them when asked at that point, as
+    ``_trf_minimize`` always does, so it calls no ``np.power`` and no
+    ``np.exp``; at any other point it evaluates the residual first.
+
+    J is allocated once, column-major so that each column is written
+    contiguously, with the constant columns 8 and 9; each ``jacobian``
+    call overwrites the other columns in place and returns it, so a
+    caller must be done with one Jacobian before it asks for the next.
     """
-    J = np.empty((F.size, 10))
+    J = np.empty((10, F.size)).T
     J[:, 8] = P
     J[:, 9] = 1.0
+    ln_F = np.zeros_like(F)
+    np.log(F, out=ln_F, where=F > 0.0)
+    last = {}  # the point ``residual`` last saw, and its arrays
 
     def residual(p):
-        return model.eval_inductance(InductanceParams(tuple(p)), F, P, validate=False) - L
+        params = InductanceParams(tuple(p))
+        l1, l2, l3, l4, l5 = model._coeffs(params, P)
+        with np.errstate(all="ignore"):
+            F_l2, F_l4 = np.power(F, l2), np.power(F, l4)
+            E = np.exp(l3 * F_l4)
+            last["p"], last["arrays"] = params.p, (l1, l3, F_l2, F_l4, E)
+            r = l1 * F_l2
+            r *= E
+            r += l5
+            r -= L
+        return r
 
     def jacobian(p, r):
-        params = InductanceParams(tuple(p))
-        p, coeffs = params.p, model._coeffs(params, P)
+        if tuple(map(float, p)) != last.get("p"):
+            residual(p)
+        l1, l3, F_l2, F_l4, E = last["arrays"]
         with np.errstate(all="ignore"):
-            F_l2, F_l4 = np.power(F, coeffs[1]), np.power(F, coeffs[3])
-            base = model._inductance_of_powers(F_l2, F_l4, 1.0, coeffs[2], 0.0)
-            np.multiply(P, base, out=J[:, 0])
-            J[:, 1] = base
-            del base
-            for j in range(2, 8):
-                h = 1.4901161193847656e-08 * max(1.0, abs(p[j]))
-                pj = list(p)
-                pj[j] += h
-                k = j // 2
-                c = list(coeffs)
-                c[k] = pj[2 * k] * P + pj[2 * k + 1]  # as model._coeffs has it
-                col = J[:, j]
-                np.subtract(model._inductance_of_powers(
-                    np.power(F, c[1]) if k == 1 else F_l2,
-                    np.power(F, c[3]) if k == 3 else F_l4, c[0], c[2], c[4]), L, out=col)
-                np.subtract(col, r, out=col)
-                np.divide(col, h, out=col)
+            np.multiply(F_l2, E, out=J[:, 1])
+            M = l1 * F_l2
+            M *= E
+            np.multiply(M, ln_F, out=J[:, 3])
+            np.multiply(M, F_l4, out=J[:, 5])
+            del M
+            np.multiply(l3, J[:, 5], out=J[:, 7])
+            np.multiply(J[:, 7], ln_F, out=J[:, 7])
+            for k in range(4):
+                np.multiply(P, J[:, 2 * k + 1], out=J[:, 2 * k])
         return J
 
     return residual, jacobian
@@ -633,16 +673,20 @@ def fit_inductance(data: Dataset, init: InductanceParams,
     if data.F is None:
         raise MissingColumnError("F", context="fit_inductance needs a force channel")
     if len(data) < 20:
-        raise ValueError(f"need at least 20 samples, got {len(data)}")
+        raise DataFormatError(f"need at least 20 samples, got {len(data)}")
     if np.unique(np.round(data.P, 9)).size < 2:
-        raise ValueError("need samples at two or more pressure levels")
+        raise DataFormatError("need samples at two or more pressure levels")
+    if np.ptp(data.L) == 0.0:
+        raise ConstantSeriesError(f"inductance column L is constant ({data.L[0]:g} uH)")
     lo, hi = (np.asarray(b, dtype=float) for b in (bounds if bounds is not None
                                                    else default_inductance_bounds()))
     if lo.shape != (10,) or hi.shape != (10,) or np.any(lo >= hi):
         raise InvalidBoundsError("bounds must be two length-10 arrays with lo < hi")
     x0 = np.asarray(init.p, dtype=float)
-    if np.any(x0 < lo) or np.any(x0 > hi):
-        raise InvalidBoundsError("initial point violates the bound box")
+    outside = np.flatnonzero((x0 < lo) | (x0 > hi))
+    if outside.size:
+        raise InvalidBoundsError(f"initial point violates the bound box at coefficient(s) "
+                                 f"{outside.tolist()} (zero-based)")
 
     # load-cell noise can dip below zero at slack; the map's domain is F >= 0
     residual, jacobian = _inductance_residual_jacobian(np.maximum(data.F, 0.0),
@@ -664,7 +708,7 @@ def fit_inductance(data: Dataset, init: InductanceParams,
         if best is None or res.cost < best.cost:
             best = res
     if best is None:
-        raise ValueError("no start produced a finite residual")
+        raise DataFormatError("no start produced a finite residual")
     params = InductanceParams(tuple(best.x))
     pred = model.eval_inductance(params, np.maximum(data.F, 0.0), data.P, validate=False)
     gm = goodness(pred, data.L)

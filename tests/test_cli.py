@@ -71,6 +71,52 @@ class TestFit:
         assert rc == cli.EXIT_DATA
 
 
+def degenerate_csv(path, **columns):
+    """A 40-row fit dataset (four pressure levels, an affine force and a
+    smooth inductance) with the given columns replaced."""
+    n = 40
+    x = np.linspace(0.10, 0.17, n)
+    P = np.tile([0.0, 0.2, 0.4, 0.6], n // 4)
+    F = 38.6 * (x - 0.1) + 1.63 * P
+    cols = {"t": np.arange(n) * 0.01, "P": P, "L": 4.8 + 0.1 * F - 0.01 * F ** 2 + 0.1 * P,
+            "F": F, "x": x}
+    cols.update({name: make(cols) for name, make in columns.items()})
+    ident.write_columns(str(path), cols)
+    return str(path)
+
+
+#: Datasets each fit used to end on in a traceback (or, for the last,
+#: with rmse = inf and exit 0), and a word of the message that names why.
+DEGENERATE_FITS = {
+    "zero_force": ("dynamic", {"F": lambda c: np.zeros(40)}, "F is constant"),
+    "constant_inductance": ("inductance", {"L": lambda c: np.full(40, 5.0)}, "L is constant"),
+    "inductance_near_1e300": ("inductance", {"L": lambda c: 1e300 * (1.0 + 0.01 * c["F"])},
+                              "out of range"),
+    "negative_force": ("dynamic", {"F": lambda c: -c["F"] - 1.0}, "not physical"),
+    "force_near_1e300": ("dynamic",
+                         {"F": lambda c: 1e300 * (c["F"] + 0.01 * np.sin(c["t"] * 100))},
+                         "overflow"),
+}
+
+
+class TestFitDegenerateData:
+    @pytest.mark.parametrize("case", list(DEGENERATE_FITS))
+    def test_is_a_data_error_before_any_write(self, tmp_path, capsys, case):
+        kind, columns, cause = DEGENERATE_FITS[case]
+        data = degenerate_csv(tmp_path / "d.csv", **columns)
+        out = tmp_path / "o"
+        rc = cli.main(["--out", str(out), "fit", "--model", kind, "--data", data])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error: ") and cause in err
+        assert not out.exists()
+
+    def test_the_clean_dataset_fits(self, tmp_path):
+        data = degenerate_csv(tmp_path / "d.csv")
+        assert cli.main(["--out", str(tmp_path / "o"), "fit", "--model", "dynamic",
+                         "--data", data]) == cli.EXIT_OK
+
+
 class TestEstimate:
     def test_with_truth(self, cal_csv, tmp_path):
         out = str(tmp_path / "out")
@@ -443,17 +489,38 @@ def test_validate_config_raises_only_config_error(path, value):
         pass
 
 
-def run_python(*args):
-    """The interpreter, with the package these tests import on its path."""
+def run_python(*args, env=None):
+    """The interpreter, with the package these tests import on its path
+    and ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path})
 
 
-def run_module(*args):
+def run_module(*args, env=None):
     """``python -m coilsense.cli`` on the package these tests import."""
-    return run_python("-m", "coilsense.cli", *args)
+    return run_python("-m", "coilsense.cli", *args, env=env)
+
+
+class TestFitThreads:
+    def test_inductance_fit_is_blind_to_blas_threads(self, tmp_path):
+        # OpenBLAS splits a ddot over more than 10,000 rows across its
+        # threads, which changed this fit's iterations and parameters
+        data = str(tmp_path / "grid.csv")
+        ds = plant.run_scenario(plant.Scenario.calibration_grid(),
+                                plant.default_plant_config(seed=0))
+        assert len(ds) > 10_000
+        ident.write_csv(ds, data)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            proc = run_module("--out", str(out), "fit", "--model", "inductance", "--data", data,
+                              env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([read_bytes(out / name) for name in
+                            ("fit_inductance_report.json", "inductance_params.json")])
+        assert outputs[0] == outputs[1]
 
 
 class TestEntryPoint:
