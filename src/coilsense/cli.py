@@ -399,25 +399,27 @@ def cmd_estimate(args, cfg, resolved) -> int:
     out = _out_dir(cfg, args)
     ocfg = control.observer_config(setup, ind_p, dt_data)
     est = observer.run_estimation(ds, ind_p, dyn, ocfg, sig.design(setup.filter_spec, fs))
+    force = _truth_metrics(est["F_hat"], ds.F, "F")
+    metrics: dict = {"provenance": _provenance(cfg), "force": force,
+                     "displacement": _truth_metrics(est["x_hat"], ds.x, "x")}
+    if isinstance(force, dict) and ds.x is not None:
+        metrics["force_reversal_windows"] = _reversal_stats(ds, est["F_hat"] - ds.F)
     ident.write_csv(ds, os.path.join(out, "estimates.csv"),
                     extra={"F_hat": est["F_hat"], "x_hat": est["x_hat"]})
-    metrics: dict = {"provenance": _provenance(cfg)}
-    if ds.F is not None:
-        g = ident.goodness(est["F_hat"], ds.F)
-        metrics["force"] = g.as_dict()
-    else:
-        metrics["force"] = "unavailable (no F column)"
-    if ds.x is not None:
-        g = ident.goodness(est["x_hat"], ds.x)
-        metrics["displacement"] = g.as_dict()
-        if ds.F is not None:
-            metrics["force_reversal_windows"] = _reversal_stats(ds, est["F_hat"] - ds.F)
-    else:
-        metrics["displacement"] = "unavailable (no x column)"
     _dump_json(metrics, os.path.join(out, "estimate_metrics.json"))
     print(f"estimate: wrote {len(ds)} rows; force metrics "
-          f"{'available' if ds.F is not None else 'unavailable'}")
+          f"{'available' if isinstance(force, dict) else 'unavailable'}")
     return EXIT_OK
+
+
+def _truth_metrics(estimate: np.ndarray, truth, column: str):
+    """Goodness of an estimate against a truth column, or why there is none."""
+    if truth is None:
+        return f"unavailable (no {column} column)"
+    try:
+        return ident.goodness(estimate, truth).as_dict()
+    except ident.ConstantSeriesError:
+        return f"unavailable (column {column} is constant)"
 
 
 def cmd_simulate(args, cfg, resolved) -> int:

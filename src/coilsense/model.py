@@ -29,7 +29,6 @@ __all__ = [
     "DynamicParams",
     "InductanceParams",
     "OperatingEnvelope",
-    "ModelCoeffs",
     "eval_dynamic_force",
     "invert_dynamic_length",
     "eval_coeffs",
@@ -135,20 +134,6 @@ class OperatingEnvelope:
             raise EnvelopeError(f"pressure {P} MPa outside [{self.P_min}, {self.P_max}]")
 
 
-@dataclass(frozen=True)
-class ModelCoeffs:
-    """The five pressure-evaluated coefficients of the inductance map."""
-
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    lambda4: float
-    lambda5: float
-
-    def as_tuple(self) -> tuple:
-        return (self.lambda1, self.lambda2, self.lambda3, self.lambda4, self.lambda5)
-
-
 def eval_dynamic_force(params: DynamicParams, x, P):
     """Force of the affine model, F = k*(x - x0) + c*P.
 
@@ -229,85 +214,9 @@ def _d_inductance_dF_of_powers(F_l2m1, F_l4, l1, l2, l3, l4):
     return l1 * F_l2m1 * np.exp(l3 * F_l4) * (l2 + l3 * l4 * F_l4)
 
 
-#: Veltkamp's splitting constant for doubles, 2**27 + 1.
-_SPLITTER = 134217729.0
-#: ``_fma_chain`` takes a product between these two magnitudes by
-#: Dekker's two-product: below ``_FMA_TINY`` its rounding error may not
-#: be representable, and far below ``_FMA_HUGE`` the halves' products
-#: cannot overflow.
-_FMA_HUGE = 2.0 ** 995
-_FMA_TINY = 2.0 ** -960
-
-
-def _split(a: float) -> tuple:
-    """``(a, hi, lo)``: Veltkamp's split of ``a`` into two halves of at
-    most 26 significant bits each, whose sum is ``a`` exactly."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return a, hi, a - hi
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """``a * b + c`` with one rounding, as a fused multiply-add gives it
-    (Python 3.11 has no ``math.fma``); see ``_fma_chain``."""
-    return _fma_chain(c, (_split(a),), (b,))
-
-
-def _fma_chain(c: float, a_splits, bs) -> float:
-    """``c = a * b + c`` with one rounding for each factor pair in turn:
-    from ``c = 0.0`` it is the dot product of a BLAS kernel that fuses
-    its multiply-adds.  ``a_splits`` holds each ``_split(a)``.
-
-    The product is Dekker's exact two-product ``p + e`` (Numer. Math. 18,
-    1971) and ``math.fsum`` rounds ``p + e + c`` correctly; when ``e`` is
-    0 the product is exact and a plain sum is the same.  A split that
-    overflows makes ``e`` NaN.  Then, and for a product outside the
-    two-product's range or a sum that overflows ``fsum``, the exact sum
-    is taken with fractions.  Non-finite inputs give what IEEE
-    arithmetic gives.
-    """
-    for (a, a_hi, a_lo), b in zip(a_splits, bs):
-        p = a * b
-        if _FMA_TINY < abs(p) < _FMA_HUGE:
-            t = _SPLITTER * b
-            b_hi = t - (t - b)
-            b_lo = b - b_hi
-            e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-            if e == 0.0:
-                c = p + c
-                continue
-            if e == e:
-                try:
-                    c = math.fsum((p, e, c))
-                    continue
-                except OverflowError:
-                    pass
-        c = _fma_exact(a, b, c)
-    return c
-
-
-def _fma_exact(a: float, b: float, c: float) -> float:
-    """``_fma`` by exact rational arithmetic, for any inputs."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return a * b + c
-    if not math.isfinite(c):
-        return c
-    if a == 0.0 or b == 0.0:
-        return a * b + c  # an exact signed zero, then IEEE addition
-    # imported here: with ``decimal`` it adds about 3.5 ms to start-up
-    from fractions import Fraction
-
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    if exact == 0:
-        return 0.0
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
-def eval_coeffs(params: InductanceParams, P: float, validate: bool = True) -> ModelCoeffs:
-    """Evaluate the five pressure-dependent coefficients at pressure P.
+def eval_coeffs(params: InductanceParams, P: float, validate: bool = True) -> tuple:
+    """The five pressure-dependent coefficients at pressure P, as the
+    float tuple ``(lambda1, ..., lambda5)``.
 
     Raises EnvelopeError when the resulting exponent coefficients
     (lambda2, lambda4) are not strictly positive, which would make the
@@ -320,7 +229,7 @@ def eval_coeffs(params: InductanceParams, P: float, validate: bool = True) -> Mo
             raise EnvelopeError(f"non-finite coefficients at P={P}")
         if l2 <= 0 or l4 <= 0:
             raise EnvelopeError(f"lambda2={l2}, lambda4={l4} must be > 0 at P={P}")
-    return ModelCoeffs(l1, l2, l3, l4, l5)
+    return l1, l2, l3, l4, l5
 
 
 def _coeffs_at(params: InductanceParams, P, validate: bool) -> tuple:
@@ -328,7 +237,7 @@ def _coeffs_at(params: InductanceParams, P, validate: bool) -> tuple:
     one validated float evaluation for a scalar P, unchecked arrays for
     an array P."""
     if np.ndim(P) == 0:
-        return eval_coeffs(params, P, validate).as_tuple()
+        return eval_coeffs(params, P, validate)
     return _coeffs(params, np.asarray(P, dtype=float))
 
 
@@ -373,10 +282,10 @@ def peak_force(params: InductanceParams, P: float) -> float:
     Defined only for l3 < 0 (rising-then-falling curve); raises
     DomainError otherwise.
     """
-    co = eval_coeffs(params, P)
-    if co.lambda3 >= 0:
-        raise DomainError(f"no interior peak: lambda3={co.lambda3} >= 0 at P={P}")
-    return (co.lambda2 / (-co.lambda3 * co.lambda4)) ** (1.0 / co.lambda4)
+    _, l2, l3, l4, _ = eval_coeffs(params, P)
+    if l3 >= 0:
+        raise DomainError(f"no interior peak: lambda3={l3} >= 0 at P={P}")
+    return (l2 / (-l3 * l4)) ** (1.0 / l4)
 
 
 # ---------------------------------------------------------------------------

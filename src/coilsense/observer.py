@@ -39,11 +39,11 @@ and the guard.
 
 The Kalman state is five Python floats (the mean and the three distinct
 covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
-products written out on them.  They repeat numpy's arithmetic operation
-for operation, including the multiply-adds that an OpenBLAS kernel
-fuses on a CPU with FMA instructions (``model._fma``), so there they
-equal the matrix form bit for bit with no array built.  The tests probe
-whether numpy fuses and skip that comparison where it does not.
+products written out on them as plain left-to-right float arithmetic,
+with no array built.  They are deterministic on every host; a BLAS
+matrix product, which may fuse multiply-adds, can differ from them in
+the last bit, and the tests bound that difference by the standard
+rounding-error bound of a dot product.
 """
 
 from __future__ import annotations
@@ -247,20 +247,18 @@ def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
     """Constant-velocity propagation over one sampling interval.
 
     The mean is A m and the covariance A C A^T + Q, for A = [[1, dt],
-    [0, 1]], written out on the state's floats in the order of numpy's
-    ``A @ m`` and ``A @ C @ A.T``.  Three entries of those 2x2 products
-    are ``c + dt * b`` with one rounding, because the BLAS kernel fuses
-    that multiply-add, so ``model._fma`` computes them; the symmetrized
-    off-diagonal is half the sum of the two, as ``0.5 * (C + C.T)`` is.
+    [0, 1]], written out on the state's floats as plain left-to-right
+    products and sums, each rounded once; the symmetrized off-diagonal
+    is half the sum of the two, as ``0.5 * (C + C.T)`` is.
     """
     dt = cfg.dt
     q00, q01, q10, q11 = cfg.Q_entries
     c01, c11 = state.cov_F_Fdot, state.var_Fdot
-    ac00 = model._fma(dt, c01, state.var_F)   # (A C)[0, 0]
-    ac01 = model._fma(dt, c11, c01)           # (A C)[0, 1], and (A C A^T)[1, 0]
+    ac00 = state.var_F + dt * c01   # (A C)[0, 0]
+    ac01 = c01 + dt * c11           # (A C)[0, 1], and (A C A^T)[1, 0]
     return ObserverState(
         state.F_hat + dt * state.Fdot_hat, state.Fdot_hat,
-        model._fma(ac01, dt, ac00) + q00,
+        ac00 + ac01 * dt + q00,
         0.5 * ((ac01 + q01) + (ac01 + q10)),
         c11 + q11)
 
@@ -548,8 +546,7 @@ def update(prior: ObserverState, F_star: float, cfg: ObserverConfig,
     The pseudo-measurement observes the force directly, so the
     observation row is [1, 0]; the posterior force variance never
     exceeds the prior's.  The covariance is (I - K H) C (I - K H)^T +
-    K K^T R, written out on floats in the order of numpy's products,
-    none of which fuses a multiply-add here.
+    K K^T R, written out on floats in the order of numpy's products.
     """
     Rv = cfg.R if R is None else float(R)
     p00, p01, p11 = prior.var_F, prior.cov_F_Fdot, prior.var_Fdot

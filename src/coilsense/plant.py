@@ -11,9 +11,10 @@ the length-inductance trace is not.
 The valve lag, the play operators and the force are a recurrence: each
 sample needs the last one's pressure and play states, so they run a
 sample at a time on Python floats (``Plant._advance``): the play states
-are a tuple and the isotonic balance bisects a sorted list of knots.
-The results equal those of the array form (``np.clip`` and a BLAS dot
-product) bit for bit; the tests keep that form as their reference.
+are a tuple, their weighted sum is a plain left-to-right loop, and the
+isotonic balance bisects a sorted list of knots.  The tests keep the
+array form (``np.clip`` and a BLAS dot product) as their reference,
+within the rounding-error bound of a dot product.
 
 Nothing after the force feeds back, so a kinematic run, whose commands
 are all known before its first sample, takes the rest on whole arrays
@@ -201,19 +202,16 @@ class StepResult:
 class Plant:
     """Single-owner simulator instance: state plus a seeded noise stream.
 
-    The force's weighted sum of play states is what a BLAS dot product
-    gives: a left-to-right chain of fused multiply-adds
-    (``model._fma_chain``), with the weights split once here for the
-    exact products.  That chain is what the BLAS kernel computes for up
-    to 15 play elements; past that the kernel sums in blocks, so a larger
-    model rounds differently from a dot product, not less accurately.
+    The force's weighted sum of play states is summed left to right in
+    plain floats, one rounding per product and per sum, so it gives the
+    same bits on every host.
     """
 
     def __init__(self, cfg: PlantConfig, x0: float | None = None, P0: float = 0.0):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         self._widths = tuple(float(h.width) for h in cfg.hysteresis)
-        self._weights = tuple(model._split(float(h.weight)) for h in cfg.hysteresis)
+        self._weights = tuple(float(h.weight) for h in cfg.hysteresis)
         x_init = cfg.dyn.x0 if x0 is None else float(x0)
         self.state = PlantState(x=x_init, P=float(P0),
                                 play_states=(0.0,) * len(self._widths))
@@ -232,7 +230,10 @@ class Plant:
         dyn = self.cfg.dyn
         u = x - dyn.x0
         z_new = _play_update(z, u, self._widths)
-        return dyn.k * u + dyn.c * P + model._fma_chain(0.0, self._weights, z_new), z_new
+        acc = 0.0  # not sum(), whose float rounding changed in Python 3.12
+        for w, zi in zip(self._weights, z_new):
+            acc += w * zi
+        return dyn.k * u + dyn.c * P + acc, z_new
 
     def _solve_isotonic(self, F_load: float, P: float) -> float:
         """Length at which the plant force balances the external load.
@@ -294,7 +295,7 @@ class Plant:
         st = self.state
         cfg = self.cfg
         P, x, F, z_new = self._advance(P_cmd, dt, x_cmd, F_load)
-        coeffs = model.eval_coeffs(cfg.ind, P).as_tuple()
+        coeffs = model.eval_coeffs(cfg.ind, P)
         with np.errstate(all="ignore"):
             L_clean = model._inductance_at(F, *coeffs)
         # Both sensor channels draw every step so the noise stream does

@@ -155,6 +155,24 @@ class TestEstimate:
         assert "unavailable" in doc["force"]
         assert "unavailable" in doc["displacement"]
 
+    def test_constant_force_marked_unavailable(self, tmp_path):
+        # it used to write estimates.csv, then exit 2 without naming F
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,),
+                             cycles_per_level=1, cycle_period_s=2.0,
+                             x_low=0.1, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=1))
+        assert len(ds) == 200
+        zero = ident.Dataset(t=ds.t, P=ds.P, L=ds.L, F=np.zeros(len(ds)), x=ds.x)
+        path = str(tmp_path / "zero.csv")
+        ident.write_csv(zero, path)
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "estimate", "--data", path]) == cli.EXIT_OK
+        assert sorted(os.listdir(out)) == ["estimate_metrics.json", "estimates.csv"]
+        doc = json.load(open(out / "estimate_metrics.json"))
+        assert doc["force"] == "unavailable (column F is constant)"
+        assert isinstance(doc["displacement"], dict)
+        assert "force_reversal_windows" not in doc
+
     def test_rerun_byte_identical(self, cal_csv, tmp_path):
         out = str(tmp_path / "out")
         assert cli.main(["--out", out, "estimate", "--data", cal_csv]) == 0

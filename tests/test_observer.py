@@ -40,23 +40,8 @@ def numpy_predict(mean, cov, dt, Q):
     return A @ mean, 0.5 * (cov + cov.T)
 
 
-def matmul_fuses() -> bool:
-    """Whether numpy's 2x2 matmul rounds c + dt * b once, as a fused
-    multiply-add does, rather than twice: probed on the first (b, c)
-    where the two roundings differ."""
-    dt = 0.01
-    for k in range(1, 1000):
-        b, c = 1.0 + k / 997.0, 0.3 + k / 1009.0
-        if model._fma(dt, b, c) != c + dt * b:
-            got = (np.array([[1.0, dt], [0.0, 1.0]]) @ np.array([[c, b], [b, 1.0]]))[0, 0]
-            return got == model._fma(dt, b, c)
-    raise AssertionError("no probe pair found")
-
-
-needs_fused_matmul = pytest.mark.skipif(
-    not matmul_fuses(),
-    reason="numpy's matmul does not fuse multiply-adds on this host, so the "
-           "matrix form rounds twice where predict rounds once")
+#: The unit roundoff of doubles.
+U = 2.0 ** -53
 
 
 class TestPredict:
@@ -81,9 +66,14 @@ class TestPredict:
 
 
 class TestFloatState:
-    @needs_fused_matmul
     @pytest.mark.parametrize("dt", [0.01, 0.05, 0.001])
-    def test_predict_equals_matrix_form_bit_for_bit(self, dt):
+    def test_predict_matches_matrix_form(self, dt):
+        # Each entry of predict and of its matrix form rounds any of its
+        # terms at most five times, so each is within 5u/(1 - 5u) of the
+        # exact value times the sum of the terms' absolute values (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
+        # and the two are within 12u of each other by that measure.  The
+        # sums of absolute values are the matrix form on |m|, |C| and |Q|.
         rng = np.random.default_rng(17)
         cfgs = [observer.make_observer_config(IND, ENV, dt=dt)]
         for _ in range(3):  # full, non-symmetric Q with a PSD symmetric part
@@ -95,9 +85,11 @@ class TestFloatState:
                 A = rng.normal(size=(2, 2)) * rng.uniform(0.01, 3.0)
                 st = state_of(rng.normal(size=2) * 3.0, A @ A.T + 1e-4 * np.eye(2))
                 mean, cov = numpy_predict(mean_of(st), cov_of(st), dt, cfg.Q)
+                abs_mean, abs_cov = numpy_predict(np.abs(mean_of(st)), np.abs(cov_of(st)),
+                                                  dt, np.abs(cfg.Q))
                 out = observer.predict(st, cfg)
-                assert mean_of(out).tobytes() == mean.tobytes()
-                assert cov_of(out).tobytes() == cov.tobytes()
+                assert np.all(np.abs(mean_of(out) - mean) <= 12 * U * abs_mean)
+                assert np.all(np.abs(cov_of(out) - cov) <= 12 * U * abs_cov)
 
     def test_state_is_python_floats(self):
         cfg = make_cfg()
@@ -252,7 +244,7 @@ class TestSolvePseudoMeasurement:
             L = model.eval_inductance(IND, rng.uniform(0, 5), P) + rng.normal(0, 0.01)
             prior = rng.uniform(0, 5)
             f_solver = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
-            coeffs = model.eval_coeffs(IND, P, validate=False).as_tuple()
+            coeffs = model.eval_coeffs(IND, P, validate=False)
             costs = observer._composite_cost(grid, L, coeffs, prior, cfg.weights)
             f_oracle = float(grid[np.argmin(costs)])
             assert abs(f_solver - f_oracle) <= tol
@@ -326,7 +318,7 @@ class TestInversionPinned:
             got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
             assert got == reference_inversion(L, P, prior, cfg)
             # the scalar cost itself, whose last bits steer the golden pass
-            coeffs = model.eval_coeffs(IND, P, validate=False).as_tuple()
+            coeffs = model.eval_coeffs(IND, P, validate=False)
             ref = reference_cost(L, P, prior, cfg.weights)
             for F in (got, float(rng.uniform(ENV.F_min, ENV.F_max))):
                 assert observer._composite_cost(F, L, coeffs, prior, cfg.weights) == ref(F)
@@ -357,7 +349,7 @@ class TestInversionPinned:
 def scalar_inversion(L_meas, P, prior_F, params, cfg):
     """The solver's grid scan by ``np.nanargmin`` and its golden pass on
     the scalar ``_composite_cost`` (two ``np.power`` calls per cost)."""
-    coeffs = model.eval_coeffs(params, P, validate=False).as_tuple()
+    coeffs = model.eval_coeffs(params, P, validate=False)
     w, grid = cfg.weights, cfg.grid
     with np.errstate(all="ignore"):
         i = int(np.nanargmin(observer._composite_cost(grid, L_meas, coeffs, prior_F, w)))
@@ -385,7 +377,7 @@ class TestFusedInversion:
                                     rng.uniform(ENV.P_min, ENV.P_max, 60))).tolist()
         out = np.empty(2)
         for P in pressures:
-            _, l2, _, l4, _ = model.eval_coeffs(IND, P).as_tuple()
+            _, l2, _, l4, _ = model.eval_coeffs(IND, P)
             for a, b in ((l2, l4), (l2 - 1.0, l4)):
                 pair = np.array((a, b))
                 for F in forces:

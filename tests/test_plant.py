@@ -11,19 +11,6 @@ IND = plant.reference_inductance_params()
 DYN = plant.reference_dynamic_params()
 
 
-def dot_fuses() -> bool:
-    """Whether numpy's dot product of a short vector is a chain of fused
-    multiply-adds: probed on the first pair where it differs from a
-    chain that rounds every product."""
-    for k in range(1, 1000):
-        w = [1.0 + k / 997.0, 2.0 + k / 991.0]
-        z = [0.01 + k / 1e5, -0.02 + k / 3e5]
-        fused = model._fma_chain(0.0, [model._split(x) for x in w], z)
-        if fused != w[0] * z[0] + w[1] * z[1]:
-            return float(np.dot(w, z)) == fused
-    raise AssertionError("no probe pair found")
-
-
 def numpy_force(p, x, P, z):
     """The array form of ``Plant._force``, its reference: ``np.clip`` for
     the play operators and a BLAS dot product for their weighted sum."""
@@ -60,6 +47,40 @@ def numpy_solve_isotonic(p, F_load, P):
     return xa + (F_load - fa) * (xb - xa) / (fb - fa)
 
 
+#: The unit roundoff of doubles.
+U = 2.0 ** -53
+
+
+def force_error_bound(p, x, P, z):
+    """Bound on |Plant._force - numpy_force| at x.  Each rounds any term
+    of k u + c P + sum(w z) at most n + 3 times for n play elements, so
+    each is within (n + 3) u of the exact force times the sum of the
+    terms' absolute values (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1); the bound is twice that."""
+    cfg = p.cfg
+    _, z_new = numpy_force(p, x, P, z)
+    weights = np.array([h.weight for h in cfg.hysteresis], dtype=float)
+    terms = (abs(cfg.dyn.k * (x - cfg.dyn.x0)) + abs(cfg.dyn.c * P)
+             + float(np.abs(weights) @ np.abs(z_new)))
+    return 2 * (weights.size + 3) * U * terms
+
+
+def isotonic_error_bound(p, x, P):
+    """Bound on |Plant._solve_isotonic - numpy_solve_isotonic| near x.
+    The two interpolate on forces at the envelope ends and the knots,
+    which differ by at most delta (``force_error_bound``); that moves
+    the interpolated length by at most delta / k, as every segment's
+    slope is at least k.  Each interpolation rounds six times on
+    positive terms, so it is within 6 u x of its exact value, and the
+    two within 12 u x of each other."""
+    env, z = p.cfg.envelope, p.state.play_states
+    widths = np.array([h.width for h in p.cfg.hysteresis], dtype=float)
+    knots = np.concatenate((np.asarray(z) - widths, np.asarray(z) + widths)) + p.cfg.dyn.x0
+    ends = [env.x_min, env.x_max] + knots[(knots > env.x_min) & (knots < env.x_max)].tolist()
+    delta = max(force_error_bound(p, xk, P, z) for xk in ends)
+    return delta / p.cfg.dyn.k + 12 * U * abs(x)
+
+
 def ideal_config(**overrides):
     """No hysteresis, no noise, no valve lag."""
     base = dict(hysteresis=(), noise_L=0.0, noise_F=0.0, valve_tau=0.0, seed=0)
@@ -72,7 +93,7 @@ class TestStep:
         p = Plant(ideal_config())
         r = p.step(0.0, 0.01, x_cmd=DYN.x0)
         assert r.F == 0.0
-        assert r.L_clean == model.eval_coeffs(IND, 0.0).lambda5
+        assert r.L_clean == model.eval_coeffs(IND, 0.0)[4]
 
     def test_linear_degeneration(self):
         p = Plant(ideal_config())
@@ -264,11 +285,8 @@ class TestIsotonic:
 
 
 class TestFloatState:
-    @pytest.mark.skipif(not dot_fuses(), reason=(
-        "numpy's dot product does not fuse multiply-adds on this host, so "
-        "the array form rounds each product where Plant._force does not"))
     @pytest.mark.parametrize("n_play", [1, 4, 15])
-    def test_force_and_isotonic_equal_array_form_bit_for_bit(self, n_play):
+    def test_force_and_isotonic_match_array_form(self, n_play):
         rng = np.random.default_rng(30 + n_play)
         hyst = tuple(PlayElement(width=float(w), weight=float(g)) for w, g in
                      zip(rng.uniform(0.001, 0.02, n_play), rng.uniform(0.3, 5.0, n_play)))
@@ -278,16 +296,19 @@ class TestFloatState:
         for _ in range(300):
             P = float(rng.uniform(0.0, 0.65))
             x = float(rng.uniform(env.x_min, env.x_max))
-            F, z_new = p._force(x, P, p.state.play_states)
-            F_ref, z_ref = numpy_force(p, x, P, p.state.play_states)
-            assert F == F_ref and np.array(z_new).tobytes() == z_ref.tobytes()
+            z = p.state.play_states
+            F, z_new = p._force(x, P, z)
+            F_ref, z_ref = numpy_force(p, x, P, z)
+            assert abs(F - F_ref) <= force_error_bound(p, x, P, z)
+            assert np.array(z_new).tobytes() == z_ref.tobytes()
             if rng.uniform() < 0.5:
                 p.step(P, 0.01, x_cmd=x)
                 continue
             f_lo = max(numpy_force(p, env.x_min, P, p.state.play_states)[0], 0.0)
             f_hi = numpy_force(p, env.x_max, P, p.state.play_states)[0]
             F_load = float(rng.uniform(f_lo, f_hi))
-            assert p._solve_isotonic(F_load, P) == numpy_solve_isotonic(p, F_load, P)
+            x_ref = numpy_solve_isotonic(p, F_load, P)
+            assert abs(p._solve_isotonic(F_load, P) - x_ref) <= isotonic_error_bound(p, x_ref, P)
             p.step(P, 0.01, F_load=F_load)
 
     def test_play_states_are_python_floats(self):
@@ -436,11 +457,11 @@ class TestReferenceParams:
     def test_exponents_positive_over_envelope(self):
         for P in np.linspace(0.0, 0.65, 27):
             co = model.eval_coeffs(IND, float(P))
-            assert co.lambda2 > 0 and co.lambda4 > 0
+            assert co[1] > 0 and co[3] > 0
 
     def test_decay_negative_over_envelope(self):
         for P in np.linspace(0.0, 0.65, 27):
-            assert model.eval_coeffs(IND, float(P)).lambda3 < 0
+            assert model.eval_coeffs(IND, float(P))[2] < 0
 
     def test_zero_force_inductance_in_figure_range(self):
         for P in np.linspace(0.0, 0.65, 27):
