@@ -15,27 +15,16 @@ interval followed by golden-section refinement of the best bracket; the
 continuity term is what disambiguates the two force preimages of a
 reading on a rising-then-falling curve.
 
-Per sample, the map coefficients are evaluated once, for the inversion
-and the gradient guard.  The golden pass returns the midpoint of its
-last bracket, which depends only on the outcomes of its cost
-comparisons, never on the cost values.  So each of its about 21 cost
-evaluations runs on Python floats with ``math.pow`` and ``math.exp``,
-which differ from numpy's loops in the last bit, and carries a bound on
-its distance from the numpy evaluation.  A comparison the bounds cannot
-decide (a near-tie, 1-4% of them on stretch cycles) is made on costs
-taken exactly through numpy (``_certified_golden``); the gradient
-guard's one threshold decision is made the same way.  The estimates
-equal those of an all-numpy evaluation bit for bit.
-
-The coarse grid's winner is found the same way.  Every grid cost is at
-least its continuity term (w_dyn dF) dF, which grows with the distance
-from the prior, so only a short run of grid points around the prior
-can hold the least cost; those points are costed one fast value at a
-time, and exact costs decide between the ones whose bounds overlap
-(``_window_index``).  Where that run would be wider than one array scan
-is worth, or a cost is NaN or inf, or w_dyn is 0, the whole grid is
-costed on arrays as before.  One ``np.errstate`` covers the inversion
-and the guard.
+Per sample, the map coefficients are evaluated once, and the inversion
+and the gradient guard run on Python floats with ``math.pow`` and
+``math.exp`` (``_cost_function``, ``_abs_gradient``), one evaluation
+path with no array built.  Their results can differ from numpy's
+``power`` and ``exp`` in the last bit, and no agreement with numpy's
+evaluation of the map is claimed.  Every grid cost is at least its
+continuity term (w_dyn dF) dF, which grows with the distance from the
+prior, so the coarse grid is costed outward from the prior only until
+that term exceeds the least cost seen (``_grid_index``); a tracking
+sample costs a few grid points, not all of them.
 
 The Kalman state is five Python floats (the mean and the three distinct
 covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
@@ -127,11 +116,12 @@ class CostWeights:
 @dataclass(frozen=True)
 class ObserverConfig:
     """Observer tuning.  ``grid`` (the coarse inversion grid over the
-    feasible force interval), ``grid_floats`` (the same as a tuple of
-    floats) and ``Q_entries`` (``Q`` as four floats, row by row) are
-    derived from the other fields on construction, so
-    ``dataclasses.replace`` rebuilds them.  ``init_cov`` must be
-    symmetric, since a state holds one off-diagonal entry."""
+    feasible force interval, a tuple of floats) and ``Q_entries`` (``Q``
+    as four floats, row by row) are derived from the other fields on
+    construction, so ``dataclasses.replace`` rebuilds them.  ``init_cov``
+    must be symmetric, since a state holds one off-diagonal entry.
+    ``refine_tol`` must be at least four float spacings of the largest
+    force, or the golden pass's bracket could stop shrinking above it."""
 
     dt: float
     Q: np.ndarray
@@ -144,8 +134,7 @@ class ObserverConfig:
     median_gradient: float = 0.1
     gradient_guard_ratio: float = 1e-4
     gradient_guard_inflation: float = 10.0
-    grid: np.ndarray = field(init=False, repr=False, compare=False)
-    grid_floats: tuple = field(init=False, repr=False, compare=False)
+    grid: tuple = field(init=False, repr=False, compare=False)
     Q_entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,8 +146,10 @@ class ObserverConfig:
             raise ValueError("R must be positive")
         if not 16 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid_points must be in [16, {MAX_GRID_POINTS}]")
-        if not self.refine_tol > 0:
-            raise ValueError("refine_tol must be > 0")
+        tol_floor = 4.0 * math.ulp(self.envelope.F_max)   # F_max is the largest |F|
+        if not self.refine_tol >= tol_floor:
+            raise ValueError(f"refine_tol must be >= {tol_floor!r} (four float spacings "
+                             f"of the largest force)")
         if not self.gradient_guard_ratio >= 0:
             raise ValueError("gradient_guard_ratio must be >= 0")
         if not self.gradient_guard_inflation >= 1:
@@ -172,10 +163,8 @@ class ObserverConfig:
             raise ValueError("init_cov must be symmetric")
         if np.any(np.linalg.eigvalsh(C) < -1e-12):
             raise ValueError("init_cov must be positive semidefinite")
-        grid = np.linspace(self.envelope.F_min, self.envelope.F_max, self.grid_points)
-        grid.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "grid_floats", tuple(grid.tolist()))
+        object.__setattr__(self, "grid", tuple(
+            np.linspace(self.envelope.F_min, self.envelope.F_max, self.grid_points).tolist()))
         object.__setattr__(self, "Q_entries", tuple(self.Q.ravel().tolist()))
 
 
@@ -263,168 +252,101 @@ def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
         c11 + q11)
 
 
-#: The golden pass decides each comparison of two exact costs from fast
-#: ones on libm floats (``_cost_evaluators``) and their error bounds, and
-#: evaluates a cost exactly only when the bounds overlap (Shewchuk's
-#: filtered predicates).  The bounds assume that every ``pow`` or ``exp``
-#: result, libm's or numpy's, is within a relative ``_EPS_FN`` of the
-#: true value: 2**-40, 4096 times the 1 ulp by which the two differ.
-#: With u the unit roundoff, ``_ULP``, and t = l3 * F**l4, the fast and
-#: exact paths then differ by at most:
-#:
-#: - 2 eps relative in F**l2 and in F**l4, so 2 eps |t| (plus roundings)
-#:   in t, and 2 eps + 2 eps |t| in exp(t);
-#: - eps (4 + 2|t|) relative in m = l1 * F**l2 * exp(t), plus roundings,
-#:   taken as eps (5 + 3|t|);
-#: - that times |m|, plus 5u (|l5| + |L_meas|) for the roundings of
-#:   r = m + l5 - L_meas, in the residual: dr;
-#: - w_fit dr (2|r| + dr) plus 10u c in the cost c = w_fit r r + (terms
-#:   both paths compute alike), since every term is >= 0, plus
-#:   ``_UNDERFLOW_SLOP`` for w_fit r r falling below the normal floats.
-#:
-#: Each step keeps some slack (about eps |m|, or 2u c), more than the
-#: dropped second-order terms and the rounding of the comparison itself.
-#: The bound holds while F**l2, F**l4, exp(t), |l1| and w_fit lie in
-#: (``_LO``, ``_HI``) and c below ``_HI``: then l1 * F**l2 and m are
-#: normal floats, and nothing overflows in either path.  Outside that
-#: range, and for NaN, inf or an exception from ``math``, the cost is
-#: taken exactly.
-_EPS_FN = 2.0 ** -40
-_ULP = 2.0 ** -53
-_LO = 2.0 ** -300
-_HI = 2.0 ** 300
-_UNDERFLOW_SLOP = 2.0 ** -1000
-
-#: Widest run of grid points ``_window_index`` costs one ``value`` call
-#: at a time; a wider one is left to the array scan of the whole grid.
-#: On 3,000 samples of 8 s and 4 s replay data (2-vCPU x86-64 host,
-#: numpy 2.4), a run of k points took about 2.6 + 1.8 k us and the
-#: 129-point array scan about 30 us, so they break even near 16 points.
-#: It bounds the work only: either path gives the same index.
-_WINDOW_CAP = 16
+def _pow(x: float, y: float) -> float:
+    """``math.pow`` for x >= 0, inf where numpy's ``power`` gives it and
+    ``math`` raises: at x = 0 with y < 0, and on overflow."""
+    try:
+        return math.pow(x, y)
+    except (ValueError, OverflowError):
+        return math.inf
 
 
-def _certified_golden(value, exact, a: float, b: float, tol: float) -> float:
-    """Golden-section minimizer on [a, b] down to interval width tol.
-
-    ``value(F)`` is ``(cost, bound)``, a cost within ``bound`` of
-    ``exact(F)``; a bound of 0 marks an exact cost.  A comparison whose
-    gap exceeds the two bounds has the exact costs' outcome; any other
-    is made on exact costs.  The result depends on the outcomes alone,
-    so it is the one that golden section on ``exact`` returns.
-    """
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    (fc, ec), (fd, ed) = value(c), value(d)
-    while b - a > tol:
-        if not abs(fc - fd) > ec + ed:  # a near-tie, or NaN
-            if ec:
-                fc, ec = exact(c), 0.0
-            if ed:
-                fd, ed = exact(d), 0.0
-        if fc < fd:
-            b, d, fd, ed = d, c, fc, ec
-            c = b - _GOLDEN * (b - a)
-            fc, ec = value(c)
-        else:
-            a, c, fc, ec = c, d, fd, ed
-            d = a + _GOLDEN * (b - a)
-            fd, ed = value(d)
-    return 0.5 * (a + b)
+def _exp(x: float) -> float:
+    """``math.exp``, inf on overflow as numpy's ``exp`` gives it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _cost_evaluators(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
-    """``(value, exact)`` for ``_window_index`` and ``_certified_golden``
-    on the inversion cost at the map coefficients ``coeffs``.
-
-    ``exact(F)`` takes F**l2 and F**l4 from one two-exponent ``np.power``
-    call (``model._inductance_at``): the bits of ``_composite_cost``.
-    ``value(F)`` repeats that arithmetic on ``math.pow`` and ``math.exp``
-    and bounds its distance from ``exact(F)`` as set out above
-    ``_EPS_FN``, or returns ``(exact(F), 0.0)``.  Callers set
-    ``np.errstate``.
-    """
+def _cost_function(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
+    """The inversion cost as a function of one float force, on the map
+    coefficients ``coeffs``: the inductance in the order of
+    ``model._inductance_of_powers``, then the fit, continuity and
+    regularization terms."""
     l1, l2, l3, l4, l5 = coeffs
     w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
 
-    def exact(F):
-        return _cost_of_inductance(model._inductance_at(F, *coeffs), F, L_meas, prior_F, w)
-
-    if not (_LO < abs(l1) < _HI and _LO < w_fit < _HI):
-        return (lambda F: (exact(F), 0.0)), exact
-    m_rel = 5.0 * _EPS_FN
-    m_rel_t = 3.0 * _EPS_FN * abs(l3)     # times F**l4 > 0 is 3 eps |t|
-    r_sums = 5.0 * _ULP * (abs(l5) + abs(L_meas))
-    c_rel = 10.0 * _ULP
-
-    def value(F):
-        try:
-            F_l2 = math.pow(F, l2)
-            F_l4 = math.pow(F, l4)
-            e = math.exp(l3 * F_l4)
+    def cost(F):
+        try:  # inline math calls: about 15% less time per sample than _pow and _exp
+            m = l1 * math.pow(F, l2) * math.exp(l3 * math.pow(F, l4))
         except (ValueError, OverflowError):
-            return exact(F), 0.0
-        if _LO < F_l2 < _HI and _LO < F_l4 < _HI and _LO < e < _HI:
-            m = l1 * F_l2 * e
-            r = m + l5 - L_meas
-            dF = F - prior_F  # the rest is _cost_of_inductance's arithmetic
-            c = (w_fit * r * r + w_dyn * dF * dF
-                 + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF)))
-            if c < _HI:
-                dr = abs(m) * (m_rel + m_rel_t * F_l4) + r_sums
-                return c, w_fit * dr * (2.0 * abs(r) + dr) + c_rel * c + _UNDERFLOW_SLOP
-        return exact(F), 0.0
+            m = l1 * _pow(F, l2) * _exp(l3 * _pow(F, l4))
+        r = m + l5 - L_meas
+        dF = F - prior_F
+        return (w_fit * r * r + w_dyn * dF * dF
+                + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF)))
 
-    return value, exact
+    return cost
 
 
-def _gradient_below(F: float, coeffs: tuple, threshold: float) -> bool:
-    """Whether |dL/dF| at F, as ``model._d_inductance_dF_of_powers`` gives
-    it on one two-exponent ``np.power`` call, is below ``threshold``.
-
-    It is decided on ``math.pow`` and ``math.exp`` when their result is
-    further from ``threshold`` than its bound.  The bound is the one set
-    out above ``_EPS_FN`` for q = l1 * F**(l2 - 1) * exp(t), which the
-    derivative multiplies by s = l2 + k, where k = l3 * l4 * F**l4
-    carries 2 eps |k| plus roundings: eps |q| (|s| (5 + 3|t|) + 3|k|).
-    The same range rules hold, with |dL/dF| in (``_LO``, ``_HI``) in
-    place of the cost's.
-    """
+def _abs_gradient(F: float, coeffs: tuple) -> float:
+    """|dL/dF| at one float force, in the order of
+    ``model._d_inductance_dF``."""
     l1, l2, l3, l4, _ = coeffs
-    try:
-        F_l2m1 = math.pow(F, l2 - 1.0)
-        F_l4 = math.pow(F, l4)
-        t = l3 * F_l4
-        e = math.exp(t)
-    except (ValueError, OverflowError):
-        pass
-    else:
-        q = l1 * F_l2m1 * e
-        k = l3 * l4 * F_l4
-        s = l2 + k
-        g = abs(q * s)
-        if (_LO < abs(l1) < _HI and _LO < F_l2m1 < _HI and _LO < F_l4 < _HI
-                and _LO < e < _HI and _LO < g < _HI):
-            bound = _EPS_FN * abs(q) * (abs(s) * (5.0 + 3.0 * abs(t)) + 3.0 * abs(k))
-            if abs(g - threshold) > bound:
-                return g < threshold
-    F_l2m1, F_l4 = np.power(F, np.array((l2 - 1.0, l4))).tolist()
-    return abs(float(model._d_inductance_dF_of_powers(F_l2m1, F_l4, l1, l2, l3, l4))) < threshold
+    F_l4 = _pow(F, l4)
+    return abs(l1 * _pow(F, l2 - 1.0) * _exp(l3 * F_l4) * (l2 + l3 * l4 * F_l4))
 
 
-def _composite_cost(F, L_meas: float, coeffs: tuple, prior_F: float, w: CostWeights):
-    """Inversion cost at force F (scalar or array); ``coeffs`` are the
-    five map coefficients at the inversion pressure.  Callers set
-    ``np.errstate``."""
-    return _cost_of_inductance(model._inductance(F, *coeffs), F, L_meas, prior_F, w)
+def _golden_section(fun, a: float, b: float, tol: float) -> float:
+    """Golden-section minimizer of ``fun`` on [a, b] down to interval
+    width ``tol``: the midpoint of the last bracket."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
 
 
-def _cost_of_inductance(L_model, F, L_meas: float, prior_F: float, w: CostWeights):
-    """Inversion cost at force F whose modeled inductance is ``L_model``."""
-    r = L_model - L_meas
-    dF = F - prior_F
-    return (w.w_fit * r * r + w.w_dyn * dF * dF
-            + w.w_reg * (1.0 - 1.0 / (1.0 + w.gamma * dF * dF)))
+def _grid_index(cost, grid: tuple, prior_F: float, w_dyn: float) -> int:
+    """Index of the first least ``cost`` on ``grid``, NaNs skipped.
+
+    A grid cost is w_fit r r + (w_dyn dF) dF + reg, with the first and
+    last terms >= 0, so by monotone rounding it is at least the float
+    (w_dyn |dF|) |dF|, which never falls as |dF| grows.  The run of grid
+    points around ``prior_F`` widens, nearer side first, until the next
+    point's term exceeds the least cost of the run: no point further out
+    can win.  With w_dyn = 0, or while every cost is NaN or inf, that
+    never happens and the whole grid is costed.
+    """
+    n = len(grid)
+    lo = hi = bisect.bisect_left(grid, prior_F)   # the run is grid[lo:hi]
+    best_j, best = n, math.inf
+    while lo or hi < n:
+        d_lo = prior_F - grid[lo - 1] if lo else math.inf
+        d_hi = grid[hi] - prior_F if hi < n else math.inf
+        if d_hi <= d_lo:
+            d, j = d_hi, hi
+            hi += 1
+        else:
+            d, j = d_lo, lo - 1
+            lo -= 1
+        if w_dyn * d * d > best:
+            break
+        c = cost(grid[j])
+        if c < best or (c == best and j < best_j):  # False for NaN
+            best_j, best = j, c
+    if best_j == n:
+        raise ValueError("All-NaN slice encountered")
+    return best_j
 
 
 def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
@@ -434,109 +356,27 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     Coarse global scan (``grid_points`` samples) picks the basin; a
     golden-section pass on the winning bracket refines it to
     ``refine_tol``.  The result always lies inside the interval; edge
-    minima are returned clamped, not raised.
-
-    The scan's winner is the first least grid cost.  Each grid cost is
-    at least w_dyn dF dF, dF its distance from ``prior_F``, so once that
-    bound exceeds a cost already seen, no grid point further out can
-    win: only the run of grid points inside the bound is costed.  The
-    whole grid is costed at once where that run would be long, where a
-    cost is NaN or inf, or where w_dyn is 0.  Either way the result is
-    the same float.
+    minima are returned clamped, not raised.  The scan's winner is the
+    first least grid cost, NaNs skipped (``_grid_index``).
     """
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
-    with np.errstate(all="ignore"):
-        return _solve_pseudo_measurement(L_meas, prior_F, cfg, model._coeffs(params, float(P)))
-
-
-def _window_index(value, exact, grid: tuple, prior_F: float, w_dyn: float) -> int | None:
-    """Index of the first least exact cost on ``grid``, found from the
-    grid points the continuity bound leaves open, or None where the
-    array scan must decide.
-
-    A grid cost is w_fit r r + (w_dyn dF) dF + reg, with the first and
-    last terms >= 0, so by monotone rounding it is at least the float
-    (w_dyn |dF|) |dF|, which never falls as |dF| grows.  The run of grid
-    points around ``prior_F`` widens, nearer side first, until the next
-    point's bound on either side exceeds U, the least ``c + e`` of the
-    run: every point left out costs more than the run's least exact
-    cost.  Points whose ``c - e`` exceeds U cannot be least either, and
-    if more than one is left their exact costs decide.  The exact costs
-    are floats and rounding is monotone, so the float ``c + e`` and
-    ``c - e`` bound them as the real sums do, without outward rounding.
-    A NaN or inf cost, or a U whose run could pass ``_WINDOW_CAP``
-    points, returns None.
-    """
-    n = len(grid)
-    u_cap = w_dyn * (0.5 * (_WINDOW_CAP - 1) * (grid[1] - grid[0])) ** 2
-    lo = hi = bisect.bisect_left(grid, prior_F)   # the run is grid[lo:hi]
-    U = math.inf
-    run = []
-    while True:
-        d_lo = prior_F - grid[lo - 1] if lo else math.inf
-        d_hi = grid[hi] - prior_F if hi < n else math.inf
-        if d_hi <= d_lo:
-            if w_dyn * d_hi * d_hi > U:
-                break
-            j = hi
-            hi += 1
-        else:
-            if w_dyn * d_lo * d_lo > U:
-                break
-            lo -= 1
-            j = lo
-        c, e = value(grid[j])
-        u = c + e
-        if not u < math.inf:  # NaN or inf
-            return None
-        if u < U:
-            if u > u_cap:
-                return None
-            U = u
-        run.append((j, c, e))
-    cands = [(j, c, e) for j, c, e in sorted(run) if c - e <= U]
-    if len(cands) == 1:
-        return cands[0][0]
-    best_j, best = None, math.inf
-    for j, c, e in cands:
-        x = exact(grid[j]) if e else c
-        if x < best:
-            best_j, best = j, x
-    return best_j
-
-
-def _grid_index(L_meas: float, prior_F: float, cfg: ObserverConfig, coeffs: tuple,
-                value, exact) -> int:
-    """Index of the coarse grid's first least cost, NaNs skipped: from
-    ``_window_index`` where it decides, else from the costs of the whole
-    grid on arrays.  Callers set ``np.errstate``."""
-    w = cfg.weights
-    if w.w_dyn > 0.0:
-        i = _window_index(value, exact, cfg.grid_floats, prior_F, w.w_dyn)
-        if i is not None:
-            return i
-    costs = _composite_cost(cfg.grid, L_meas, coeffs, prior_F, w)
-    i = int(costs.argmin())
-    if math.isnan(costs[i]):  # argmin picks the first NaN; skip NaNs as before
-        i = int(np.nanargmin(costs))
-    return i
+    return _solve_pseudo_measurement(L_meas, prior_F, cfg, model._coeffs(params, float(P)))
 
 
 def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig,
                               coeffs: tuple) -> float:
     """``solve_pseudo_measurement`` on the map coefficients at the
-    inversion pressure, without its checks; callers set ``np.errstate``."""
+    inversion pressure, without its checks."""
     env = cfg.envelope
-    grid = cfg.grid_floats
-    value, exact = _cost_evaluators(L_meas, prior_F, coeffs, cfg.weights)
-    i = _grid_index(L_meas, prior_F, cfg, coeffs, value, exact)
+    grid = cfg.grid
+    cost = _cost_function(L_meas, prior_F, coeffs, cfg.weights)
+    i = _grid_index(cost, grid, prior_F, cfg.weights.w_dyn)
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, cfg.grid_points - 1)]
-    f_star = _certified_golden(value, exact, a, b, cfg.refine_tol)
+    f_star = _golden_section(cost, a, b, cfg.refine_tol)
     return min(max(f_star, env.F_min), env.F_max)
-
 
 
 def update(prior: ObserverState, F_star: float, cfg: ObserverConfig,
@@ -595,11 +435,10 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
     coeffs = model._coeffs(params, P_f)
+    F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, coeffs)
     g_floor = 1e-3 * env.F_span + env.F_min
-    with np.errstate(all="ignore"):
-        F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, coeffs)
-        flat = _gradient_below(max(F_star, g_floor), coeffs,
-                               cfg.gradient_guard_ratio * cfg.median_gradient)
+    flat = (_abs_gradient(max(F_star, g_floor), coeffs)
+            < cfg.gradient_guard_ratio * cfg.median_gradient)
     Rv = cfg.R * cfg.gradient_guard_inflation if flat else cfg.R
     post = update(pred, F_star, cfg, R=Rv)
     post.pressure_filter = p_filt

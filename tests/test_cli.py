@@ -390,6 +390,22 @@ class TestSimulateTrackPerturb:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("refine_tol", [1e-17, 1e-300])
+    @pytest.mark.parametrize("command", ["estimate", "track", "perturb"])
+    def test_refine_tol_below_float_spacing_fails_before_output(self, cal_csv, tmp_path, capsys,
+                                                              command, refine_tol):
+        # below four float spacings of the largest force the golden pass
+        # would never end; the config is rejected before any write
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"observer": {"refine_tol": refine_tol}}, open(cfg_path, "w"))
+        out = tmp_path / "out"
+        argv = ["--config", cfg_path, "--out", str(out), command]
+        if command == "estimate":
+            argv += ["--data", cal_csv]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "observer: refine_tol must be >=" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [
         {"controller": {"force_gains": 5}}, {"controller": 5}, {"plant": 5},
         {"filter": 5}, {"observer": 5}, {"paths": 5}, {"scenarios": 5},
