@@ -11,20 +11,28 @@ Joseph-form Kalman update, and infer length through the affine force
 model.
 
 The inner minimization is a coarse global grid over the feasible force
-interval followed by golden-section refinement of the best bracket; the
+interval, which picks the basin, followed by a safeguarded Newton
+iteration on the cost's derivative inside the best bracket; the
 continuity term is what disambiguates the two force preimages of a
-reading on a rising-then-falling curve.
+reading on a rising-then-falling curve.  The cost's first and second
+derivatives are closed-form from the same ``pow`` and ``exp`` terms as
+the map (``_cost_derivatives``), so the iteration converges in a few
+steps; a step that leaves the bracket, or a non-positive curvature, is
+replaced by bisection.  Only on a map outside the envelope, where a
+derivative is not finite, does a golden-section pass on the cost
+refine the bracket instead.
 
 Per sample, the map coefficients are evaluated once, and the inversion
 and the gradient guard run on Python floats with ``math.pow`` and
-``math.exp`` (``_cost_function``, ``_abs_gradient``), one evaluation
-path with no array built.  Their results can differ from numpy's
-``power`` and ``exp`` in the last bit, and no agreement with numpy's
-evaluation of the map is claimed.  Every grid cost is at least its
-continuity term (w_dyn dF) dF, which grows with the distance from the
-prior, so the coarse grid is costed outward from the prior only until
-that term exceeds the least cost seen (``_grid_index``); a tracking
-sample costs a few grid points, not all of them.
+``math.exp`` (``_cost_function``, ``_cost_derivatives``,
+``_abs_gradient``), one evaluation path with no array built.  Their
+results can differ from numpy's ``power`` and ``exp`` in the last bit,
+and no agreement with numpy's evaluation of the map is claimed.  Every
+grid cost is at least its continuity term (w_dyn dF) dF, which grows
+with the distance from the prior, so the coarse grid is costed outward
+from the prior only until that term exceeds the least cost seen
+(``_grid_index``); a tracking sample costs a few grid points, not all
+of them.
 
 The Kalman state is five Python floats (the mean and the three distinct
 covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
@@ -67,6 +75,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: Inductance noise floor (uH) under which the noise-scaled tuning does
 #: not go.  See ``make_observer_config``.
 NOISE_FLOOR_UH = 1e-3
+
+#: Most steps of one Newton refinement (``_newton``).  Bisection alone
+#: takes a bracket of two grid steps down to the floor of ``refine_tol``
+#: in at most 49 steps, at 16 grid points; the cap ends a pass whatever
+#: the tolerance.
+_MAX_NEWTON_STEPS = 100
 
 #: Most points of the coarse inversion grid: the whole grid may be costed
 #: on a sample, and a config value must not ask for an unbounded array.
@@ -121,7 +135,10 @@ class ObserverConfig:
     construction, so ``dataclasses.replace`` rebuilds them.  ``init_cov``
     must be symmetric, since a state holds one off-diagonal entry.
     ``refine_tol`` must be at least four float spacings of the largest
-    force, or the golden pass's bracket could stop shrinking above it."""
+    force: the refinement ends when its bracket is narrower than
+    ``refine_tol``, and a bracket a float spacing or two wide cannot be
+    split any further, so below that floor the golden-section fallback
+    would never end and the Newton pass would run to its step cap."""
 
     dt: float
     Q: np.ndarray
@@ -290,6 +307,73 @@ def _cost_function(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights)
     return cost
 
 
+def _cost_derivatives(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
+    """The first two derivatives of the map and of the inversion cost as
+    a function of one float force F > 0: ``(L', L'', C', C'')``.
+
+    With m = l1 F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, L' = m u / F
+    and L'' = m (u u - u + l3 l4 l4 F**l4) / (F F).  With r = m + l5 -
+    L_meas and d = F - prior_F, the cost's derivatives are C' = 2 w_fit r
+    L' + 2 w_dyn d + 2 w_reg gamma d q q and C'' = 2 w_fit (L' L' + r L'')
+    + 2 w_dyn + 2 w_reg gamma (1 - 3 gamma d d) q q q, where q = 1 / (1 +
+    gamma d d).  ``math`` exceptions propagate, and no value is mapped.
+    """
+    l1, l2, l3, l4, l5 = coeffs
+    w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
+    l34, l344 = l3 * l4, l3 * l4 * l4
+
+    def derivatives(F):
+        F_l4 = math.pow(F, l4)
+        m = l1 * math.pow(F, l2) * math.exp(l3 * F_l4)
+        u = l2 + l34 * F_l4
+        d1 = m * u / F
+        d2 = m * (u * u - u + l344 * F_l4) / (F * F)
+        r = m + l5 - L_meas
+        dF = F - prior_F
+        q = 1.0 / (1.0 + gamma * dF * dF)
+        rq = w_reg * gamma * q * q
+        return (d1, d2,
+                2.0 * (w_fit * r * d1 + w_dyn * dF + rq * dF),
+                2.0 * (w_fit * (d1 * d1 + r * d2) + w_dyn
+                       + rq * q * (1.0 - 3.0 * gamma * dF * dF)))
+
+    return derivatives
+
+
+def _newton(derivatives, a: float, b: float, x: float, tol: float) -> float:
+    """Minimizer of a cost on [a, b] by safeguarded Newton on its
+    derivative, from x in [a, b]; ``derivatives`` is ``_cost_derivatives``.
+
+    The sign of C'(x) moves one end of the bracket to x.  The Newton step
+    -C'/C'' is taken when C'' > 0 and it lands strictly inside the
+    bracket; otherwise the bracket is bisected.  The pass ends on C' = 0,
+    on a Newton step shorter than tol / 2, or once the bracket is
+    narrower than tol, and after ``_MAX_NEWTON_STEPS`` steps whatever the
+    tolerance.  Raises FloatingPointError on a non-finite derivative.
+    """
+    half_tol = 0.5 * tol
+    for _ in range(_MAX_NEWTON_STEPS):
+        _, _, g, h = derivatives(x)
+        if not (math.isfinite(g) and math.isfinite(h)):
+            raise FloatingPointError(f"non-finite cost derivative at F={x!r}")
+        if g > 0.0:
+            b = x
+        elif g < 0.0:
+            a = x
+        else:
+            return x
+        step = g / h if h > 0.0 else math.inf
+        if a < x - step < b:
+            if abs(step) < half_tol or b - a < tol:
+                return x - step
+            x -= step
+        else:
+            x = 0.5 * (a + b)
+            if b - a < tol:
+                return x
+    return x
+
+
 def _abs_gradient(F: float, coeffs: tuple) -> float:
     """|dL/dF| at one float force, in the order of
     ``model._d_inductance_dF``."""
@@ -354,8 +438,11 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     """Force minimizing the composite inversion cost over the feasible interval.
 
     Coarse global scan (``grid_points`` samples) picks the basin; a
-    golden-section pass on the winning bracket refines it to
-    ``refine_tol``.  The result always lies inside the interval; edge
+    safeguarded Newton iteration on the cost's derivative refines it
+    inside the winning bracket, the two grid steps around the winner, to
+    ``refine_tol`` (``_newton``).  On a map whose cost derivatives are
+    not finite there, a golden-section pass on the cost refines the
+    bracket instead.  The result always lies inside the interval; edge
     minima are returned clamped, not raised.  The scan's winner is the
     first least grid cost, NaNs skipped (``_grid_index``).
     """
@@ -371,11 +458,17 @@ def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig
     inversion pressure, without its checks."""
     env = cfg.envelope
     grid = cfg.grid
-    cost = _cost_function(L_meas, prior_F, coeffs, cfg.weights)
-    i = _grid_index(cost, grid, prior_F, cfg.weights.w_dyn)
+    w = cfg.weights
+    cost = _cost_function(L_meas, prior_F, coeffs, w)
+    i = _grid_index(cost, grid, prior_F, w.w_dyn)
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, cfg.grid_points - 1)]
-    f_star = _golden_section(cost, a, b, cfg.refine_tol)
+    x = grid[i] if grid[i] > 0.0 else 0.5 * (a + b)   # the derivatives need F > 0
+    try:
+        f_star = _newton(_cost_derivatives(L_meas, prior_F, coeffs, w), a, b, x,
+                         cfg.refine_tol)
+    except (ValueError, ArithmeticError):   # math exceptions and non-finite derivatives
+        f_star = _golden_section(cost, a, b, cfg.refine_tol)
     return min(max(f_star, env.F_min), env.F_max)
 
 

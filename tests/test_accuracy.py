@@ -1,0 +1,77 @@
+"""Accuracy ratchet: the observer's and the loops' errors against truth
+on fixed scenarios and seeds.
+
+Each bound is the figure's value when the bound was set, rounded up at
+its third significant digit.  A change that improves a figure lowers its
+bound; no bound is raised.
+"""
+
+import pytest
+
+from coilsense import control, ident, observer, plant
+from coilsense import signal as sig
+
+#: Force NRMSE (% of the truth range) of ``run_estimation`` on the
+#: cyclic_estimation scenario, default tuning at the plant's inductance
+#: noise, with noise_F = 0: {(cycle period s, noise_L uH): bounds for
+#: seeds 0, 1, 2 and 3}.
+SWEEP_NRMSE_BOUNDS = {
+    (2.0, 0.0): (3.30, 3.30, 3.30, 3.30),
+    (2.0, 0.01): (61.8, 48.6, 52.3, 52.3),
+    (2.0, 0.03): (61.7, 61.8, 61.8, 61.6),
+    (4.0, 0.0): (1.57, 1.57, 1.57, 1.57),
+    (4.0, 0.01): (73.2, 73.2, 73.2, 73.2),
+    (4.0, 0.03): (55.6, 55.7, 55.6, 55.5),
+    (8.0, 0.0): (0.760, 0.760, 0.760, 0.760),
+    (8.0, 0.01): (2.19, 2.12, 2.13, 2.06),
+    (8.0, 0.03): (69.2, 69.1, 69.2, 69.1),
+}
+
+#: RMSE against the reference (N for force, m for displacement) of the
+#: 0.2 Hz sine tracking runs at seed 0, by scenario and mode.
+TRACK_RMSE_BOUNDS = {
+    ("force_sine_0.2Hz", "open_loop"): 0.116,
+    ("force_sine_0.2Hz", "sensor_fb"): 0.0259,
+    ("force_sine_0.2Hz", "self_sensing"): 0.0190,
+    ("disp_sine_0.2Hz", "open_loop"): 0.00122,
+    ("disp_sine_0.2Hz", "sensor_fb"): 0.000656,
+    ("disp_sine_0.2Hz", "self_sensing"): 0.00149,
+}
+
+#: RMSE (N) of the self-sensed force against truth in the default load
+#: perturbation run at seed 0.
+PERTURB_RMSE_BOUND = 0.0178
+
+
+@pytest.mark.parametrize("period, noise_L", sorted(SWEEP_NRMSE_BOUNDS))
+def test_cyclic_estimation_force_nrmse(period, noise_L):
+    scenario = plant.Scenario.cyclic_estimation(cycle_period_s=period)
+    for seed, bound in enumerate(SWEEP_NRMSE_BOUNDS[period, noise_L]):
+        pcfg = plant.default_plant_config(seed=seed, noise_L=noise_L, noise_F=0.0)
+        ds = plant.run_scenario(scenario, pcfg)
+        fs = pcfg.sensor_rate_hz
+        cfg = observer.make_observer_config(pcfg.ind, pcfg.envelope, dt=1.0 / fs,
+                                            noise_L=noise_L)
+        est = observer.run_estimation(ds, pcfg.ind, plant.reference_dynamic_params(), cfg,
+                                      sig.design(sig.FilterSpec(), fs))
+        nrmse = ident.goodness(est["F_hat"], ds.F).nrmse
+        assert nrmse <= bound, f"seed {seed}: force NRMSE {nrmse:.4f}% > {bound}%"
+
+
+@pytest.fixture(scope="module")
+def setup():
+    return control.resolve_setup(control.TrackingSetup(plant_cfg=plant.default_plant_config(seed=0)))
+
+
+@pytest.mark.parametrize("scenario", [plant.Scenario.force_tracking("sine", 0.2),
+                                      plant.Scenario.displacement_tracking(frequency_hz=0.2)],
+                         ids=lambda s: s.name)
+def test_tracking_rmse(setup, scenario):
+    for mode, res in control.compare_tracking(scenario, setup).items():
+        bound = TRACK_RMSE_BOUNDS[scenario.name, mode]
+        assert res.metrics.rmse <= bound, f"{mode}: RMSE {res.metrics.rmse:.6g} > {bound}"
+
+
+def test_perturbation_force_rmse(setup):
+    rmse = control.run_perturbation(setup).estimation["rmse"]
+    assert rmse <= PERTURB_RMSE_BOUND, f"RMSE {rmse:.6g} N > {PERTURB_RMSE_BOUND} N"

@@ -394,8 +394,9 @@ class TestSimulateTrackPerturb:
     @pytest.mark.parametrize("command", ["estimate", "track", "perturb"])
     def test_refine_tol_below_float_spacing_fails_before_output(self, cal_csv, tmp_path, capsys,
                                                               command, refine_tol):
-        # below four float spacings of the largest force the golden pass
-        # would never end; the config is rejected before any write
+        # below four float spacings of the largest force the refinement's
+        # bracket could not shrink to the tolerance; the config is
+        # rejected before any write
         cfg_path = str(tmp_path / "cfg.json")
         json.dump({"observer": {"refine_tol": refine_tol}}, open(cfg_path, "w"))
         out = tmp_path / "out"

@@ -289,8 +289,8 @@ def reference_index(L_meas, P, prior_F, cfg, params=IND):
 
 def reference_inversion(L_meas, P, prior_F, cfg, params=IND):
     """Grid scan plus golden section on ``reference_cost``, every cost
-    taken through numpy: the oracle the solver's float path is held
-    to within a tolerance."""
+    taken through numpy: the oracle the solver is held to within
+    ``refine_tol``."""
     env = cfg.envelope
     cost = reference_cost(L_meas, P, prior_F, cfg.weights, params)
     grid = np.linspace(env.F_min, env.F_max, cfg.grid_points)
@@ -343,22 +343,12 @@ def float_index(L_meas, P, prior_F, cfg, params=IND):
     return min(numbers)[1]
 
 
-def float_inversion(L_meas, P, prior_F, cfg, params=IND):
-    """Grid scan plus golden section on ``float_cost``: the solver, which
-    costs only the part of the grid the continuity bound leaves open,
-    must reproduce it bit for bit."""
-    env = cfg.envelope
-    cost = float_cost(L_meas, P, prior_F, cfg.weights, params)
-    grid = np.linspace(env.F_min, env.F_max, cfg.grid_points).tolist()
-    i = float_index(L_meas, P, prior_F, cfg, params)
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, cfg.grid_points - 1)]
-    return min(max(golden_section(cost, a, b, cfg.refine_tol), env.F_min), env.F_max)
-
-
 class TestInversionPinned:
     @pytest.mark.parametrize("overrides", [{}, {"noise_L": 0.0}, {"grid_points": 33}])
     def test_matches_reference_bit_for_bit(self, overrides):
+        # the inversion is within refine_tol of the numpy oracle, and the
+        # scalar cost, whose last bits steer the grid scan, equals the
+        # float reference bit for bit
         cfg = observer.make_observer_config(IND, ENV, dt=0.01,
                                             **{"noise_L": 0.01, **overrides})
         rng = np.random.default_rng(20)
@@ -368,9 +358,7 @@ class TestInversionPinned:
                       + rng.normal(0, 0.02))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
             got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
-            assert got == float_inversion(L, P, prior, cfg)
             assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
-            # the scalar cost itself, whose last bits steer the golden pass
             cost = observer._cost_function(L, prior, model._coeffs(IND, P), cfg.weights)
             ref = float_cost(L, P, prior, cfg.weights)
             for F in (got, float(rng.uniform(ENV.F_min, ENV.F_max))):
@@ -386,7 +374,7 @@ class TestInversionPinned:
                       + rng.normal(0, 0.02))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
             got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
-            assert got == float_inversion(L, P, prior, cfg)
+            assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
 
     def test_replace_rebuilds_grid(self):
         cfg = make_cfg()
@@ -433,8 +421,10 @@ class TestFusedInversion:
         for _ in range(20):
             L = float(rng.uniform(4.7, 5.2))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+            assert solver_index(L, 0.3, prior, cfg, params) == \
+                float_index(L, 0.3, prior, cfg, params)
             got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
-            assert got == float_inversion(L, 0.3, prior, cfg, params)
+            assert abs(got - reference_inversion(L, 0.3, prior, cfg, params)) <= cfg.refine_tol
 
     def test_all_nan_grid_raises(self):
         with pytest.raises(ValueError, match="All-NaN slice encountered"):
@@ -565,7 +555,28 @@ class TestCertifiedGolden:
             assert solver_index(L, 0.3, prior, cfg, params) == \
                 float_index(L, 0.3, prior, cfg, params)
             got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
-            assert got == float_inversion(L, 0.3, prior, cfg, params)
+            assert abs(got - reference_inversion(L, 0.3, prior, cfg, params)) <= cfg.refine_tol
+
+    def test_non_finite_derivatives_take_the_golden_pass(self, monkeypatch):
+        # F**800 overflows above about 2.4 N, where the cost derivatives
+        # are inf or NaN: the golden pass on the cost refines the bracket
+        # in place of Newton, within refine_tol of the oracle
+        params = flat_params(*FLAT_MAPS[1])
+        cfg = make_cfg()
+        calls = []
+        golden = observer._golden_section
+        monkeypatch.setattr(observer, "_golden_section",
+                            lambda *a: calls.append(a) or golden(*a))
+        for prior in (2.2, 2.5, 3.0, 4.0):
+            got = observer.solve_pseudo_measurement(4.9, 0.3, prior, params, cfg)
+            assert abs(got - reference_inversion(4.9, 0.3, prior, cfg, params)) <= cfg.refine_tol
+        assert len(calls) >= 2
+        derivatives = observer._cost_derivatives(4.9, 3.0, model._coeffs(params, 0.3),
+                                                 cfg.weights)
+        with pytest.raises(FloatingPointError):   # 2**800 is finite, its square is not
+            observer._newton(derivatives, 1.9, 2.1, 2.0, cfg.refine_tol)
+        with pytest.raises(OverflowError):        # math.pow(3.0, 800.0) raises
+            observer._newton(derivatives, 2.9, 3.1, 3.0, cfg.refine_tol)
 
     def test_gradient_guard_decision(self):
         # the guard's |dL/dF| = |q s|, q = l1 F**(l2 - 1) exp(l3 F**l4) and
@@ -599,6 +610,70 @@ class TestCertifiedGolden:
                         decided += 1
                         assert (fast < thr) == (g < thr), (F, P, thr)
         assert decided >= 0.9 * 4 * 32 * len(maps)
+
+
+class TestNewtonRefinement:
+    @pytest.mark.parametrize("w", [
+        make_cfg().weights,
+        CostWeights(w_fit=2.5, w_dyn=0.03, w_reg=0.004, gamma=0.37),
+        CostWeights(w_fit=1.0, w_dyn=0.0, w_reg=0.00144),
+    ], ids=["default", "other", "w_dyn_0"])
+    def test_match_central_differences(self, w):
+        # L', L'', C' and C'' against central differences of the numpy map
+        # and cost, with steps of 1e-4 F (first) and 1e-3 F (second
+        # derivatives): near F = 0, at the peak and across the envelope,
+        # with readings off the map so that the residual r is not 0.  The
+        # differences' own error is below 1e-8 and 1e-5 relative to
+        # |value| + 1 here; the tolerances are ten times that.
+        rng = np.random.default_rng(50)
+        for _ in range(100):
+            P = float(rng.uniform(ENV.P_min, ENV.P_max))
+            L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P)
+                      + rng.normal(0, 0.05))
+            prior = float(rng.uniform(ENV.F_min, ENV.F_max))
+            derivatives = observer._cost_derivatives(L, prior, model._coeffs(IND, P), w)
+            cost = reference_cost(L, P, prior, w)
+
+            def inductance(F):
+                return model.eval_inductance(IND, F, P)
+
+            forces = [1e-3 * ENV.F_span, 0.01, model.peak_force(IND, P),
+                      *rng.uniform(0.05, ENV.F_max, 4).tolist()]
+            for F in forces:
+                got = derivatives(F)
+                h1, h2 = 1e-4 * F, 1e-3 * F
+                for k, f in ((0, inductance), (2, cost)):
+                    first = (f(F + h1) - f(F - h1)) / (2 * h1)
+                    second = (f(F + h2) - 2 * f(F) + f(F - h2)) / (h2 * h2)
+                    assert abs(got[k] - first) <= 1e-7 * (abs(got[k]) + 1), (k, F, P)
+                    assert abs(got[k + 1] - second) <= 1e-4 * (abs(got[k + 1]) + 1), (k, F, P)
+
+    @pytest.mark.parametrize("g, h, a, b, x", [
+        # C = F**4 / 4 - F**2 / 2: C'' < 0 at x, where Newton heads for the
+        # maximum at 0
+        (lambda F: F ** 3 - F, lambda F: 3 * F * F - 1, 0.5, 1.5, 0.5),
+        # C = sqrt(1 + (F - 1)**2): C'' > 0, but the Newton step from x
+        # lands at -7, and unguarded Newton diverges from there
+        (lambda F: (F - 1) / math.sqrt(1 + (F - 1) ** 2),
+         lambda F: (1 + (F - 1) ** 2) ** -1.5, 0.0, 3.1, 3.0),
+    ], ids=["negative_curvature", "step_leaves_bracket"])
+    def test_newton_bisects_instead_of_leaving_the_bracket(self, g, h, a, b, x):
+        got = observer._newton(lambda F: (0.0, 0.0, g(F), h(F)), a, b, x, 1e-5)
+        assert abs(got - 1.0) <= 1e-5
+
+    def test_step_cap_ends_a_pass_with_no_tolerance(self):
+        # C' = sign(F - 1/3) is never 0, and every Newton step leaves the
+        # bracket, so bisection runs until the bracket is two adjacent
+        # floats, which no tolerance of 0 ends
+        calls = []
+
+        def derivatives(F):
+            calls.append(F)
+            return 0.0, 0.0, math.copysign(1.0, F - 1.0 / 3.0), 1.0
+
+        got = observer._newton(derivatives, 0.0, 1.0, 0.9, 0.0)
+        assert abs(got - 1.0 / 3.0) <= 2 * math.ulp(1.0 / 3.0)
+        assert len(calls) == observer._MAX_NEWTON_STEPS
 
 
 def solver_index(L, P, prior, cfg, params=IND):
@@ -638,9 +713,11 @@ class TestWindowScan:
         rng = np.random.default_rng(40)
         for near in (True, False):
             for L, P, prior in inversion_samples(rng, 150, near):
+                # the grid index bit for bit, the refined force within
+                # refine_tol of the oracle
                 assert solver_index(L, P, prior, cfg) == float_index(L, P, prior, cfg)
-                assert observer.solve_pseudo_measurement(L, P, prior, IND, cfg) == \
-                    float_inversion(L, P, prior, cfg)
+                got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+                assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
 
     @pytest.mark.parametrize("w_reg", [0.0, 0.00144])
     @pytest.mark.parametrize("i", [0, 40, 127])
@@ -655,8 +732,8 @@ class TestWindowScan:
         assert reference_index(L, 0.3, prior, cfg) == i
         assert float_index(L, 0.3, prior, cfg) == i
         assert solver_index(L, 0.3, prior, cfg) == i
-        assert observer.solve_pseudo_measurement(L, 0.3, prior, IND, cfg) == \
-            float_inversion(L, 0.3, prior, cfg)
+        got = observer.solve_pseudo_measurement(L, 0.3, prior, IND, cfg)
+        assert abs(got - reference_inversion(L, 0.3, prior, cfg)) <= cfg.refine_tol
 
     def test_tracking_samples_cost_few_grid_points(self, monkeypatch):
         # a slow stretch cycle keeps the prior next to the preimage, so a
@@ -689,16 +766,16 @@ class TestWindowScan:
         assert counts == [cfg.grid_points] * len(ds)
 
 
-def reference_run(ds, params, dyn, cfg, spec):
+def reference_run(ds, params, cfg, spec):
     """``run_estimation`` written out on the public API: filters, predict,
-    ``float_inversion``, the gradient guard on ``float_abs_gradient`` and
-    the Joseph update.  Returns F_hat, x_hat and the guard's firings."""
+    ``reference_inversion``, the gradient guard on ``float_abs_gradient``
+    and the Joseph update.  Returns F_hat and the guard's firings."""
     env = cfg.envelope
     filt = sig.prime(sig.design(spec, 100), float(ds.L[0]))
     p_filt = None
     F0 = observer.nearest_preimage(float(ds.L[0]), float(ds.P[0]), params, env)
     st = observer.reset(float(np.clip(F0, env.F_min, env.F_max)), cfg)
-    F_hat, x_hat, fired = np.empty(len(ds)), np.empty(len(ds)), 0
+    F_hat, fired = np.empty(len(ds)), 0
     for i in range(len(ds)):
         L, P = float(ds.L[i]), float(ds.P[i])
         if p_filt is None:
@@ -707,15 +784,23 @@ def reference_run(ds, params, dyn, cfg, spec):
         P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
         pred = observer.predict(st, cfg)
         prior = min(max(pred.F_hat, env.F_min), env.F_max)
-        F_star = float_inversion(L_f, P_f, prior, cfg, params)
+        F_star = reference_inversion(L_f, P_f, prior, cfg, params)
         F_g = max(F_star, 1e-3 * env.F_span + env.F_min)
         grad = float_abs_gradient(F_g, P_f, params)
         R = cfg.R
         if grad < cfg.gradient_guard_ratio * cfg.median_gradient:
             R, fired = cfg.R * cfg.gradient_guard_inflation, fired + 1
         st = observer.update(pred, F_star, cfg, R=R)
-        F_hat[i], x_hat[i] = st.F_hat, model.invert_dynamic_length(dyn, st.F_hat, P)
-    return F_hat, x_hat, fired
+        F_hat[i] = st.F_hat
+    return F_hat, fired
+
+
+#: Bound on |F_hat - reference F_hat| (N) over a run.  Each inversion is
+#: within refine_tol (1e-5 N) of the oracle's, and the Kalman loop
+#: carries these differences from sample to sample.  They reach about
+#: 5e-6 N on the runs below, and 4.9e-5 N on the cycles of
+#: ``test_accuracy.py``; the bound is twice the larger.
+RUN_F_TOL = 1e-4
 
 
 class TestRunEstimationPinned:
@@ -740,9 +825,10 @@ class TestRunEstimationPinned:
         cfg = make_cfg(gradient_guard_ratio=ratio)
         spec = sig.FilterSpec()
         got = observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
-        F_hat, x_hat, fired = reference_run(ds, IND, DYN, cfg, spec)
-        assert got["F_hat"].tobytes() == F_hat.tobytes()
-        assert got["x_hat"].tobytes() == x_hat.tobytes()
+        F_hat, fired = reference_run(ds, IND, cfg, spec)
+        assert np.max(np.abs(got["F_hat"] - F_hat)) <= RUN_F_TOL
+        assert np.array_equal(got["x_hat"], [model.invert_dynamic_length(DYN, F, P)
+                                             for F, P in zip(got["F_hat"], ds.P)])
         assert (fired > 0) == (ratio > 1e-3)
 
 
@@ -881,7 +967,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="refine_tol"):
             make_cfg(refine_tol=refine_tol)
 
-    def test_golden_pass_ends_at_the_tolerance_floor(self):
+    def test_refinement_ends_at_the_tolerance_floor(self):
+        # at refine_tol = 4 ulp(F_max) the Newton pass still ends on its
+        # stopping rules, before the step cap, at a sign change of C' a
+        # tolerance either side of the result, unless the result is at an
+        # edge of the bracket; the golden fallback ends too
         floor = 4.0 * math.ulp(ENV.F_max)
         with pytest.raises(ValueError, match="refine_tol"):
             make_cfg(refine_tol=math.nextafter(floor, 0.0))
@@ -889,17 +979,32 @@ class TestConfig:
         rng = np.random.default_rng(40)
         for near in (True, False):
             for L, P, prior in inversion_samples(rng, 150, near):
-                cost = observer._cost_function(L, prior, model._coeffs(IND, P), cfg.weights)
+                coeffs = model._coeffs(IND, P)
+                cost = observer._cost_function(L, prior, coeffs, cfg.weights)
+                derivatives = observer._cost_derivatives(L, prior, coeffs, cfg.weights)
                 i = solver_index(L, P, prior, cfg)
                 a, b = cfg.grid[max(i - 1, 0)], cfg.grid[min(i + 1, cfg.grid_points - 1)]
-                calls = []
+                steps = []
 
                 def counted(F):
+                    steps.append(F)
+                    return derivatives(F)
+
+                x = cfg.grid[i] if cfg.grid[i] > 0 else 0.5 * (a + b)
+                got = observer._newton(counted, a, b, x, floor)
+                assert len(steps) < observer._MAX_NEWTON_STEPS
+                assert a <= got <= b
+                assert got == observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+                if got - floor > a:
+                    assert derivatives(got - floor)[2] <= 0.0, (L, P, prior)
+                if got + floor < b:
+                    assert derivatives(got + floor)[2] >= 0.0, (L, P, prior)
+                calls = []
+
+                def counted_cost(F):
                     calls.append(F)
                     if len(calls) > 200:
                         raise AssertionError(f"golden pass on [{a}, {b}] did not end")
                     return cost(F)
 
-                observer._golden_section(counted, a, b, floor)
-                assert observer.solve_pseudo_measurement(L, P, prior, IND, cfg) == \
-                    float_inversion(L, P, prior, cfg)
+                observer._golden_section(counted_cost, a, b, floor)
