@@ -153,8 +153,8 @@ def invert_dynamic_length(params: DynamicParams, F, P):
 def _coeffs(params: InductanceParams, P):
     """The five coefficients at P: floats for a float P, arrays
     broadcast against an array P (the same IEEE products and sums)."""
-    p = params.p
-    return tuple(p[2 * i] * P + p[2 * i + 1] for i in range(5))
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = params.p
+    return p0 * P + p1, p2 * P + p3, p4 * P + p5, p6 * P + p7, p8 * P + p9
 
 
 def _inductance(F, l1, l2, l3, l4, l5):
@@ -219,7 +219,8 @@ def eval_coeffs(params: InductanceParams, P: float, validate: bool = True) -> tu
     """
     l1, l2, l3, l4, l5 = _coeffs(params, float(P))
     if validate:
-        if not all(math.isfinite(v) for v in (l1, l2, l3, l4, l5)):
+        if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)
+                and math.isfinite(l4) and math.isfinite(l5)):
             raise EnvelopeError(f"non-finite coefficients at P={P}")
         if l2 <= 0 or l4 <= 0:
             raise EnvelopeError(f"lambda2={l2}, lambda4={l4} must be > 0 at P={P}")

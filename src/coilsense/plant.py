@@ -12,7 +12,8 @@ The valve lag, the play operators and the force are a recurrence: each
 sample needs the last one's pressure and play states, so they run a
 sample at a time on Python floats (``Plant._advance``): the play states
 are a tuple, their weighted sum is a plain left-to-right loop, and the
-isotonic balance bisects a sorted list of knots.  The tests keep the
+isotonic balance walks the sorted knots from the segment of the last
+length, which usually holds the new balance too.  The tests keep the
 array form (``np.clip`` and a BLAS dot product) as their reference,
 within the rounding-error bound of a dot product.
 
@@ -28,6 +29,7 @@ loop, whose commands depend on the sensed channels, step.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -86,19 +88,6 @@ class PlayElement:
     def __post_init__(self):
         if not (0 <= self.width < math.inf and 0 <= self.weight < math.inf):
             raise ValueError(f"width and weight must be finite and >= 0, got {self}")
-
-
-def _play_update(z: tuple, u: float, widths: tuple) -> tuple:
-    """Advance play operators to input u (rate independent): each state
-    is clipped to [u - width, u + width], taking the bound on a tie as
-    ``np.clip`` does."""
-    out = []
-    for zi, w in zip(z, widths):
-        lo = u - w
-        hi = u + w
-        zi = lo if zi <= lo else zi
-        out.append(hi if zi >= hi else zi)
-    return tuple(out)
 
 
 #: Reference ten-coefficient set for the synthetic actuator.  Frozen;
@@ -226,14 +215,46 @@ class Plant:
 
     def _force(self, x: float, P: float, z: tuple) -> tuple:
         """Unclamped force and the advanced play states at a candidate
-        length (the plant's force is ``max(F, 0)``)."""
+        length (the plant's force is ``max(F, 0)``).
+
+        Each play state is clipped to [u - width, u + width], taking the
+        bound on a tie as ``np.clip`` does, and its weighted term added
+        left to right (not sum(), whose float rounding changed in Python
+        3.12)."""
         dyn = self.cfg.dyn
         u = x - dyn.x0
-        z_new = _play_update(z, u, self._widths)
-        acc = 0.0  # not sum(), whose float rounding changed in Python 3.12
-        for w, zi in zip(self._weights, z_new):
-            acc += w * zi
-        return dyn.k * u + dyn.c * P + acc, z_new
+        z_new = []
+        acc = 0.0
+        for zi, w, g in zip(z, self._widths, self._weights):
+            lo = u - w
+            hi = u + w
+            zi = lo if zi <= lo else zi
+            zi = hi if zi >= hi else zi
+            z_new.append(zi)
+            acc += g * zi
+        return dyn.k * u + dyn.c * P + acc, tuple(z_new)
+
+    def _force_value(self, x: float, P: float, z: tuple) -> float:
+        """``_force(x, P, z)[0]``, the same operations, without the play
+        states."""
+        dyn = self.cfg.dyn
+        u = x - dyn.x0
+        acc = 0.0
+        for zi, w, g in zip(z, self._widths, self._weights):
+            lo = u - w
+            hi = u + w
+            zi = lo if zi <= lo else zi
+            acc += g * (hi if zi >= hi else zi)
+        return dyn.k * u + dyn.c * P + acc
+
+    def _unreachable(self, F_load: float, P: float, z: tuple) -> IsotonicInfeasibleError:
+        """The error for a load outside the force range of the envelope."""
+        env = self.cfg.envelope
+        F_lo = max(self._force_value(env.x_min, P, z), 0.0)
+        F_hi = max(self._force_value(env.x_max, P, z), 0.0)
+        return IsotonicInfeasibleError(
+            f"load {F_load} N unreachable in x=[{env.x_min}, {env.x_max}] "
+            f"(force range [{F_lo:.4g}, {F_hi:.4g}])")
 
     def _solve_isotonic(self, F_load: float, P: float) -> float:
         """Length at which the plant force balances the external load.
@@ -243,42 +264,62 @@ class Plant:
         at least k), with knots at ``x0 + z +- width``.  Linear
         interpolation in the first segment whose right end reaches the
         load is exact.  It runs on the unclamped force, because the clamp
-        at 0 N adds a kink that is not a knot.
+        at 0 N adds a kink that is not a knot.  A load more than 1e-12 N
+        outside [max(f(x_min), 0), f(x_max)] raises IsotonicInfeasibleError;
+        otherwise a load <= max(f(x_min), 0) gives x_min and one >=
+        f(x_max) gives x_max.
 
-        That segment is found by bisection over the sorted knots.  The
+        The search starts on the segment of the sorted knots (with the
+        envelope ends) that holds the last length ``state.x`` and walks
+        one segment at a time, right while the segment's right end falls
+        short of the load, left while its left end reaches it.  The
         computed force is non-decreasing in x too (k > 0 and the weights
-        are >= 0, and every operation is a monotone rounding), so
-        bisection ends on the same segment, with the same end forces, as
-        a scan from the left.
+        are >= 0, and every operation is a monotone rounding), so exactly
+        one pair of adjacent knots has fa < F_load <= fb.  From any start
+        the walk ends on the segment that a bisection, or a scan from the
+        left, ends on, with the same end forces, so it interpolates to the
+        same bits; it evaluates an end's force only on reaching that end,
+        or when the load equals fb, which may round to f(x_max).  The
+        start sets only the cost: the last step left every play state
+        within its width of that step's length, so the balance mostly
+        lies in the start segment, and the closed loops evaluate the
+        force at about 2.3 knots per step.
         """
         env = self.cfg.envelope
         z = self.state.play_states
         lo, hi = env.x_min, env.x_max
-        f_lo, f_hi = self._force(lo, P, z)[0], self._force(hi, P, z)[0]
-        F_lo, F_hi = max(f_lo, 0.0), max(f_hi, 0.0)
-        if F_load < F_lo - 1e-12 or F_load > F_hi + 1e-12:
-            raise IsotonicInfeasibleError(
-                f"load {F_load} N unreachable in x=[{lo}, {hi}] (force range [{F_lo:.4g}, {F_hi:.4g}])"
-            )
-        if F_load <= F_lo:
+        force = self._force_value
+        if F_load <= 0.0:
+            if F_load < max(force(lo, P, z), 0.0) - 1e-12:
+                raise self._unreachable(F_load, P, z)
             return lo
-        if F_load >= f_hi:
-            return hi
         x0 = self.cfg.dyn.x0
-        knots = ([zi - w + x0 for zi, w in zip(z, self._widths)]
-                 + [zi + w + x0 for zi, w in zip(z, self._widths)])
-        knots = sorted(k for k in knots if lo < k < hi)
-        xa, fa, xb, fb = lo, f_lo, hi, f_hi
-        ia, ib = -1, len(knots)  # knot indices of xa and xb
-        while ib - ia > 1:
-            m = (ia + ib) // 2
-            fm = self._force(knots[m], P, z)[0]
-            if fm >= F_load:
-                ib, xb, fb = m, knots[m], fm
-            else:
-                ia, xa, fa = m, knots[m], fm
-        # fa < F_load <= fb, so fb > fa and xb > xa
-        return xa + (F_load - fa) * (xb - xa) / (fb - fa)
+        xs = [lo]
+        xs += sorted([k for zi, w in zip(z, self._widths)
+                      for k in (zi - w + x0, zi + w + x0) if lo < k < hi])
+        xs.append(hi)
+        last = len(xs) - 1
+        a = bisect.bisect_right(xs, self.state.x, 1, last) - 1  # segment xs[a], xs[a + 1]
+        fa, fb = force(xs[a], P, z), force(xs[a + 1], P, z)
+        while fb < F_load:
+            if a + 1 == last:  # F_load > f(hi)
+                if F_load > max(fb, 0.0) + 1e-12:
+                    raise self._unreachable(F_load, P, z)
+                return hi
+            a += 1
+            fa, fb = fb, force(xs[a + 1], P, z)
+        while fa >= F_load:
+            if a == 0:  # 0 < F_load <= f(lo)
+                if F_load < fa - 1e-12:
+                    raise self._unreachable(F_load, P, z)
+                return lo
+            a -= 1
+            fa, fb = force(xs[a], P, z), fa
+        # fa < F_load <= fb <= f(hi), so fb > fa and xs[a + 1] > xs[a]
+        if F_load == fb and F_load >= force(hi, P, z):
+            return hi
+        xa = xs[a]
+        return xa + (F_load - fa) * (xs[a + 1] - xa) / (fb - fa)
 
     def step(self, P_cmd: float, dt: float, x_cmd: float | None = None,
              F_load: float | None = None) -> StepResult:

@@ -14,6 +14,7 @@ more than a second of start-up on every command.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +59,20 @@ class FilterState:
     """Cascaded second-order sections with their delay lines.
 
     Single-owner mutable: one state per stream.  ``copy()`` forks the
-    delay line for an independent stream.  The delay line is kept in
-    Python floats, which ``step`` advances without numpy scalar
-    overhead; ``zi`` reads it as a fresh (sections, 2) array and sets
-    it from one.
+    delay line for an independent stream.  The sections and the delay
+    line are kept in Python floats, which ``step`` reads and advances
+    without numpy scalar overhead; ``sos`` reads the sections as a fresh
+    (sections, 6) array, and ``zi`` reads the delay line as a fresh
+    (sections, 2) array and sets it from one.
     """
 
     def __init__(self, sos: np.ndarray):
-        self.sos = np.array(sos, dtype=float)
-        self._z = [[0.0, 0.0] for _ in range(self.sos.shape[0])]
+        self._sections = tuple(map(tuple, np.array(sos, dtype=float).tolist()))
+        self._z = [[0.0, 0.0] for _ in self._sections]
+
+    @property
+    def sos(self) -> np.ndarray:
+        return np.array(self._sections, dtype=float)
 
     @property
     def zi(self) -> np.ndarray:
@@ -74,10 +80,10 @@ class FilterState:
 
     @zi.setter
     def zi(self, value) -> None:
-        self._z = np.asarray(value, dtype=float).reshape(self.sos.shape[0], 2).tolist()
+        self._z = np.asarray(value, dtype=float).reshape(len(self._sections), 2).tolist()
 
     def copy(self) -> "FilterState":
-        st = FilterState(self.sos)
+        st = copy.copy(self)
         st._z = [z[:] for z in self._z]
         return st
 
@@ -162,9 +168,10 @@ def prime(state: FilterState, value: float) -> FilterState:
     leading coefficient is 1), scaled by the DC gain of the sections
     before it.
     """
+    sos = state.sos
     zi = np.empty_like(state.zi)
     scale = 1.0
-    for s, (b, a) in enumerate(zip(state.sos[:, :3], state.sos[:, 3:])):
+    for s, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
         companion_t = np.array([[-a[1], 1.0], [-a[2], 0.0]])
         zi[s] = scale * np.linalg.solve(np.eye(2) - companion_t, b[1:] - a[1:] * b[0])
         scale *= np.sum(b) / np.sum(a)
@@ -175,7 +182,7 @@ def prime(state: FilterState, value: float) -> FilterState:
 def step(state: FilterState, sample: float) -> float:
     """Advance the filter by one sample and return the filtered value."""
     y = float(sample)
-    for (b0, b1, b2, _, a1, a2), z in zip(state.sos.tolist(), state._z):
+    for (b0, b1, b2, _, a1, a2), z in zip(state._sections, state._z):
         out = b0 * y + z[0]
         z[0] = b1 * y - a1 * out + z[1]
         z[1] = b2 * y - a2 * out
@@ -185,8 +192,8 @@ def step(state: FilterState, sample: float) -> float:
 
 def is_stable(state: FilterState) -> bool:
     """True when every feedback polynomial has its roots strictly inside the unit circle."""
-    for s in range(state.sos.shape[0]):
-        roots = np.roots(state.sos[s, 3:])
+    for a in state.sos[:, 3:]:
+        roots = np.roots(a)
         if roots.size and np.max(np.abs(roots)) >= 1.0:
             return False
     return True

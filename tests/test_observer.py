@@ -735,6 +735,17 @@ class TestWindowScan:
         got = observer.solve_pseudo_measurement(L, 0.3, prior, IND, cfg)
         assert abs(got - reference_inversion(L, 0.3, prior, cfg)) <= cfg.refine_tol
 
+    @pytest.mark.parametrize("i", [0, 40, 127])
+    def test_equal_costs_at_every_distance_take_the_first_index(self, i):
+        # with every weight 0 each grid point costs 0 and, with w_dyn = 0,
+        # the whole grid is costed, nearest the prior first: the first
+        # index wins, not the last one costed
+        cfg = replace(make_cfg(), weights=CostWeights(w_fit=0.0, w_dyn=0.0, w_reg=0.0))
+        L = float(model.eval_inductance(IND, 2.0, 0.3))
+        for prior in (cfg.grid[i], cfg.grid[i] + 0.3 * (cfg.grid[1] - cfg.grid[0])):
+            assert reference_index(L, 0.3, prior, cfg) == 0
+            assert solver_index(L, 0.3, prior, cfg) == 0
+
     def test_tracking_samples_cost_few_grid_points(self, monkeypatch):
         # a slow stretch cycle keeps the prior next to the preimage, so a
         # sample costs a few grid points around it; with w_dyn = 0 every

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,40 @@ def numpy_solve_isotonic(p, F_load, P):
         xa, fa = xb, fb
     else:
         xb, fb = hi, f_hi
+    return xa + (F_load - fa) * (xb - xa) / (fb - fa)
+
+
+def bisection_solve_isotonic(p, F_load, P):
+    """The sort-plus-bisection ``Plant._solve_isotonic`` that the walk
+    from the last length replaced, on ``Plant._force``: the walk's
+    reference, bit for bit, end cases and error message included."""
+    env = p.cfg.envelope
+    z = p.state.play_states
+    widths = tuple(float(h.width) for h in p.cfg.hysteresis)
+    lo, hi = env.x_min, env.x_max
+    f_lo, f_hi = p._force(lo, P, z)[0], p._force(hi, P, z)[0]
+    F_lo, F_hi = max(f_lo, 0.0), max(f_hi, 0.0)
+    if F_load < F_lo - 1e-12 or F_load > F_hi + 1e-12:
+        raise IsotonicInfeasibleError(
+            f"load {F_load} N unreachable in x=[{lo}, {hi}] (force range [{F_lo:.4g}, {F_hi:.4g}])"
+        )
+    if F_load <= F_lo:
+        return lo
+    if F_load >= f_hi:
+        return hi
+    x0 = p.cfg.dyn.x0
+    knots = ([zi - w + x0 for zi, w in zip(z, widths)]
+             + [zi + w + x0 for zi, w in zip(z, widths)])
+    knots = sorted(k for k in knots if lo < k < hi)
+    xa, fa, xb, fb = lo, f_lo, hi, f_hi
+    ia, ib = -1, len(knots)  # knot indices of xa and xb
+    while ib - ia > 1:
+        m = (ia + ib) // 2
+        fm = p._force(knots[m], P, z)[0]
+        if fm >= F_load:
+            ib, xb, fb = m, knots[m], fm
+        else:
+            ia, xa, fa = m, knots[m], fm
     return xa + (F_load - fa) * (xb - xa) / (fb - fa)
 
 
@@ -184,7 +219,7 @@ class TestHysteresis:
     @pytest.mark.parametrize("width,weight", [(float("nan"), 1.0), (0.01, float("nan")),
                                               (float("inf"), 1.0), (0.01, float("inf"))])
     def test_play_element_must_be_finite(self, width, weight):
-        # the isotonic bisection needs a force that is monotone in the length
+        # the isotonic search needs a force that is monotone in the length
         with pytest.raises(ValueError, match="finite"):
             PlayElement(width=width, weight=weight)
 
@@ -298,6 +333,7 @@ class TestFloatState:
             x = float(rng.uniform(env.x_min, env.x_max))
             z = p.state.play_states
             F, z_new = p._force(x, P, z)
+            assert float.hex(p._force_value(x, P, z)) == float.hex(F)
             F_ref, z_ref = numpy_force(p, x, P, z)
             assert abs(F - F_ref) <= force_error_bound(p, x, P, z)
             assert np.array(z_new).tobytes() == z_ref.tobytes()
@@ -325,6 +361,118 @@ class TestFloatState:
         a = [p.step(0.3, 0.01, F_load=1.1) for _ in range(30)]
         b = [twin.step(0.3, 0.01, F_load=1.1) for _ in range(30)]
         assert a == b
+
+
+def solve_outcome(solve, F_load, P):
+    """A solve's length as its float bits, or its error message."""
+    try:
+        return float.hex(solve(F_load, P))
+    except IsotonicInfeasibleError as e:
+        return f"IsotonicInfeasibleError: {e}"
+
+
+def edge_loads(p, P, rng):
+    """Loads on every knot's force, at and around f(x_min), f(x_max) and
+    0, beyond both ends, and random ones in between."""
+    env, z, x0 = p.cfg.envelope, p.state.play_states, p.cfg.dyn.x0
+    widths = [h.width for h in p.cfg.hysteresis]
+    knots = [zi + s * w + x0 for zi, w in zip(z, widths) for s in (-1.0, 1.0)]
+    f_lo, f_hi = p._force(env.x_min, P, z)[0], p._force(env.x_max, P, z)[0]
+    loads = [p._force(k, P, z)[0] for k in knots]
+    for f in (f_lo, f_hi, 0.0):
+        loads += [f, f - 5e-13, f + 5e-13, f - 2e-12, f + 2e-12, f - 1.0, f + 1.0]
+    loads += [-0.0, math.inf, -math.inf]
+    loads += rng.uniform(min(f_lo, 0.0) - 0.1, f_hi + 0.1, 8).tolist()
+    return loads
+
+
+class TestWarmStartedBalance:
+    """``_solve_isotonic`` walks from the segment of the last length; it
+    must give the bits, and the errors, of the bisection it replaced."""
+
+    @pytest.mark.parametrize("x_min", [0.07, 0.095])
+    @pytest.mark.parametrize("n_play", [1, 4, 15])
+    def test_equals_bisection_bit_for_bit(self, n_play, x_min):
+        rng = np.random.default_rng(60 + n_play)
+        widths = rng.uniform(0.001, 0.02, n_play)
+        widths[rng.uniform(size=n_play) < 0.3] = 0.0  # zero-width: duplicate knots
+        widths[-1] = widths[0]  # a duplicate element: its knots coincide with the first's
+        hyst = tuple(PlayElement(width=float(w), weight=float(g))
+                     for w, g in zip(widths, rng.uniform(0.3, 5.0, n_play)))
+        env = replace(plant.default_envelope(), x_min=x_min)
+        cfg = plant.default_plant_config(hysteresis=hyst, envelope=env, valve_tau=0.0,
+                                         noise_L=0.0, noise_F=0.0)
+        p = Plant(cfg, x0=0.12)
+        checked = set()
+        for _ in range(30):
+            for _ in range(rng.integers(1, 5)):  # a random play history
+                x = float(rng.uniform(env.x_min - 0.01, env.x_max + 0.01))
+                p.step(float(rng.uniform(0.0, 0.65)), 0.01, x_cmd=x)
+            P = float(rng.uniform(0.0, 0.65))
+            x_last = p.state.x
+            for F_load in edge_loads(p, P, rng):
+                want = solve_outcome(lambda F, P: bisection_solve_isotonic(p, F, P), F_load, P)
+                checked.add(want.split(":")[0])
+                for x_start in (x_last, env.x_min - 0.02, env.x_max + 0.02,
+                                float(rng.uniform(env.x_min, env.x_max))):
+                    p.state.x = x_start  # the walk's start, outside the envelope too
+                    assert solve_outcome(p._solve_isotonic, F_load, P) == want, (F_load, x_start)
+                p.state.x = x_last
+            load = float(rng.uniform(max(p._force(env.x_min, P, p.state.play_states)[0], 0.0),
+                                     p._force(env.x_max, P, p.state.play_states)[0]))
+            p.step(P, 0.01, F_load=load)
+        assert "IsotonicInfeasibleError" in checked and len(checked) > 2
+
+    def test_knots_a_rounding_inside_the_ends(self):
+        # with a tiny stiffness and zero weights the force at a knot one
+        # float inside x_max (or x_min) rounds to the force at that end,
+        # so a load equal to both takes the end, as the bisection does
+        hyst = (PlayElement(width=0.004, weight=0.0), PlayElement(width=0.006, weight=0.0))
+        cfg = plant.default_plant_config(hysteresis=hyst, valve_tau=0.0,
+                                         dyn=replace(DYN, k=1e-6))
+        env, x0 = cfg.envelope, DYN.x0
+        p = Plant(cfg, x0=0.12)
+        p.state.play_states = (math.nextafter(env.x_max, 0.0) - x0 - 0.004,
+                               math.nextafter(env.x_min, 1.0) - x0 + 0.006)
+        z, P = p.state.play_states, 0.3
+        knots = (z[0] + 0.004 + x0, z[1] - 0.006 + x0)
+        assert env.x_min < knots[1] < knots[0] < env.x_max
+        assert p._force(knots[0], P, z)[0] == p._force(env.x_max, P, z)[0]
+        assert p._force(knots[1], P, z)[0] == p._force(env.x_min, P, z)[0]
+        rng = np.random.default_rng(7)
+        for F_load in edge_loads(p, P, rng):
+            want = solve_outcome(lambda F, P: bisection_solve_isotonic(p, F, P), F_load, P)
+            for x_start in (env.x_min, knots[1], 0.12, knots[0], env.x_max):
+                p.state.x = x_start
+                assert solve_outcome(p._solve_isotonic, F_load, P) == want, (F_load, x_start)
+
+    def test_a_slow_run_evaluates_few_forces(self, monkeypatch):
+        # the last step leaves every play state within its width of the
+        # last length, so a slowly moving balance mostly stays in the
+        # start segment: two force values per solve, and more only to
+        # step over knots bunched at the last length after a stretch
+        # (about 5 for a bisection over the 8 knots from the ends)
+        p = Plant(plant.default_plant_config(seed=2), x0=0.12, P0=0.25)
+        calls = []
+        force_value = Plant._force_value
+
+        def counted(self, *args):
+            calls[-1] += 1
+            return force_value(self, *args)
+
+        solve = Plant._solve_isotonic
+
+        def spy(self, *args):
+            calls.append(0)
+            return solve(self, *args)
+
+        monkeypatch.setattr(Plant, "_force_value", counted)
+        monkeypatch.setattr(Plant, "_solve_isotonic", spy)
+        for i in range(2000):
+            t = 0.01 * (i + 1)
+            p.step(0.25 + 0.1 * np.sin(0.5 * t), 0.01, F_load=1.1 + 0.4 * np.sin(1.3 * t))
+        assert len(calls) == 2000
+        assert np.median(calls) == 2 and np.mean(calls) <= 3
 
 
 def kinematic_commands(scenario, cfg):

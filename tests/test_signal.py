@@ -121,6 +121,17 @@ class TestStep:
         assert not np.array_equal(fork.zi, st.zi)
         assert sig.step(st, 2.0) == pytest.approx(2.0, abs=1e-9)
 
+    def test_sos_is_a_fresh_array(self):
+        # step reads the sections cached at construction, so writing to
+        # a returned array must change neither them nor the next read
+        st = sig.design(FilterSpec(3, 10), 100)
+        twin = st.copy()
+        sos = st.sos
+        sos[:] = 0.0
+        assert np.array_equal(st.sos, twin.sos) and st.sos is not st.sos
+        assert st.sos.flags.writeable
+        assert sig.step(st, 1.5) == sig.step(twin, 1.5)
+
     def test_prime_equals_scipy_sosfilt_zi_bit_for_bit(self):
         rng = np.random.default_rng(11)
         for order in range(1, sig.MAX_ORDER + 1):
