@@ -596,7 +596,7 @@ def main(argv=None) -> int:
             cfg["seed"] = int(args.seed)
         resolved = validate_config(cfg)
         return args.func(args, cfg, resolved)
-    except (ConfigError, model.EnvelopeError) as exc:
+    except (ConfigError, model.EnvelopeError, plant.IsotonicInfeasibleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ident.DataFormatError, FileNotFoundError) as exc:

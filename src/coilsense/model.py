@@ -157,22 +157,28 @@ def _coeffs(params: InductanceParams, P):
     return p0 * P + p1, p2 * P + p3, p4 * P + p5, p6 * P + p7, p8 * P + p9
 
 
-def _inductance(F, l1, l2, l3, l4, l5):
-    """The inductance formula on already-evaluated coefficients.
+def _pow(x: float, y: float) -> float:
+    """``math.pow`` for x >= 0, inf where numpy's ``power`` gives it and
+    ``math`` raises: at x = 0 with y < 0, and on overflow."""
+    try:
+        return math.pow(x, y)
+    except (ValueError, OverflowError):
+        return math.inf
 
-    No checks and no ``np.errstate``: callers supply both.  It stays on
-    numpy's ``power`` and ``exp`` for scalars too, so scalar and array
-    evaluations agree exactly.  The formula itself is
-    ``_inductance_of_powers``: ``_inductance_at`` calls it with F**l2 and
-    F**l4 from one two-exponent ``np.power`` call, as a scalar
-    ``np.power`` call is mostly overhead.  ``np.power`` gives each
-    element of an array the bits it gives that element alone, so these
-    paths agree bit for bit (the tests check this).  Fusing here instead
-    would build an exponent array on every call, which costs more than
-    it saves.  The observer evaluates the same formula on ``math``'s
-    ``pow`` and ``exp`` (``observer._cost_function``), which can differ
-    from these in the last bit.
-    """
+
+def _exp(x: float) -> float:
+    """``math.exp``, inf on overflow as numpy's ``exp`` gives it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _inductance(F, l1, l2, l3, l4, l5):
+    """The inductance formula on already-evaluated coefficients, on
+    numpy's ``power`` and ``exp``, which can differ from ``math``'s
+    (``_inductance_at``) in the last bit.  No checks and no
+    ``np.errstate``: callers supply both."""
     return _inductance_of_powers(np.power(F, l2), np.power(F, l4), l1, l3, l5)
 
 
@@ -195,11 +201,29 @@ def _inductance_of_powers(F_l2, F_l4, l1, l3, l5):
 
 
 def _inductance_at(F: float, l1, l2, l3, l4, l5) -> float:
-    """The inductance formula at one float force, with F**l2 and F**l4
-    from one two-exponent ``np.power`` call: the plant's steps.  Callers
-    set ``np.errstate``."""
-    F_l2, F_l4 = np.power(F, np.array((l2, l4))).tolist()
-    return float(_inductance_of_powers(F_l2, F_l4, l1, l3, l5))
+    """The inductance formula at one float force on ``math.pow`` and
+    ``math.exp``, as the observer's cost evaluates it: the plant's steps.
+    Where a ``math`` call raises, ``_pow`` and ``_exp`` give numpy's inf."""
+    try:
+        return l1 * math.pow(F, l2) * math.exp(l3 * math.pow(F, l4)) + l5
+    except (ValueError, OverflowError):
+        return l1 * _pow(F, l2) * _exp(l3 * _pow(F, l4)) + l5
+
+
+def _inductance_on_arrays(F, l1, l2, l3, l4, l5):
+    """``_inductance_at`` on equal-length arrays, with its bits: ``math``
+    powers and exponential per element, then numpy's products and sum,
+    rounded once each as a float's; per element through ``_inductance_at``
+    if a ``math`` call raises.  Callers set ``np.errstate``."""
+    n, F = len(F), F.tolist()
+    try:
+        F_l2 = np.fromiter(map(math.pow, F, l2.tolist()), float, n)
+        l3_F_l4 = l3 * np.fromiter(map(math.pow, F, l4.tolist()), float, n)
+        E = np.fromiter(map(math.exp, l3_F_l4.tolist()), float, n)
+    except (ValueError, OverflowError):
+        cols = (c.tolist() for c in (l1, l2, l3, l4, l5))
+        return np.fromiter(map(_inductance_at, F, *cols), float, n)
+    return l1 * F_l2 * E + l5
 
 
 def _d_inductance_dF(F, l1, l2, l3, l4):

@@ -25,9 +25,10 @@ refine the bracket instead.
 Per sample, the map coefficients are evaluated once, and the inversion
 and the gradient guard run on Python floats with ``math.pow`` and
 ``math.exp`` (``_cost_function``, ``_cost_derivatives``,
-``_abs_gradient``), one evaluation path with no array built.  Their
-results can differ from numpy's ``power`` and ``exp`` in the last bit,
-and no agreement with numpy's evaluation of the map is claimed.  Every
+``_abs_gradient``), with no array built.  The plant evaluates the map
+on the same calls in the same order (``model._inductance_at``), so the
+cost inverts the very bits of a noiseless reading; neither claims to
+agree with numpy's ``power`` and ``exp`` in the last bit.  Every
 grid cost is at least its continuity term (w_dyn dF) dF, which grows
 with the distance from the prior, so the coarse grid is costed outward
 from the prior only until that term exceeds the least cost seen
@@ -53,7 +54,8 @@ import numpy as np
 
 from . import model
 from . import signal as sig
-from .model import DynamicParams, EnvelopeError, InductanceParams, OperatingEnvelope
+from .model import (DynamicParams, EnvelopeError, InductanceParams, OperatingEnvelope,
+                    _exp, _pow)
 
 __all__ = [
     "ObserverState",
@@ -269,28 +271,10 @@ def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
         c11 + q11)
 
 
-def _pow(x: float, y: float) -> float:
-    """``math.pow`` for x >= 0, inf where numpy's ``power`` gives it and
-    ``math`` raises: at x = 0 with y < 0, and on overflow."""
-    try:
-        return math.pow(x, y)
-    except (ValueError, OverflowError):
-        return math.inf
-
-
-def _exp(x: float) -> float:
-    """``math.exp``, inf on overflow as numpy's ``exp`` gives it."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _cost_function(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
     """The inversion cost as a function of one float force, on the map
-    coefficients ``coeffs``: the inductance in the order of
-    ``model._inductance_of_powers``, then the fit, continuity and
-    regularization terms."""
+    coefficients ``coeffs``: the inductance as ``model._inductance_at``
+    evaluates it, then the fit, continuity and regularization terms."""
     l1, l2, l3, l4, l5 = coeffs
     w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
 

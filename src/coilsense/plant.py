@@ -20,9 +20,10 @@ within the rounding-error bound of a dot product.
 Nothing after the force feeds back, so a kinematic run, whose commands
 are all known before its first sample, takes the rest on whole arrays
 (``Plant.run_kinematic``): the map's coefficients and their envelope
-check, the sensor map, both noise channels from one draw, and time as a
-running sum of the step.  It gives the bits, the final state and the
-noise stream that ``Plant.step`` gives sample by sample; an isotonic
+check, the sensor map (its powers and exponential on ``math``, element
+by element), both noise channels from one draw, and time as a running
+sum of the step.  It gives the bits, the final state and the noise
+stream that ``Plant.step`` gives sample by sample; an isotonic
 run, whose length depends on the load at each sample, and the closed
 loop, whose commands depend on the sensed channels, step.
 """
@@ -193,7 +194,8 @@ class Plant:
 
     The force's weighted sum of play states is summed left to right in
     plain floats, one rounding per product and per sum, so it gives the
-    same bits on every host.
+    same bits on every host.  The inductance is the map on ``math``
+    floats (``model._inductance_at``), as the observer's cost inverts it.
     """
 
     def __init__(self, cfg: PlantConfig, x0: float | None = None, P0: float = 0.0):
@@ -336,9 +338,7 @@ class Plant:
         st = self.state
         cfg = self.cfg
         P, x, F, z_new = self._advance(P_cmd, dt, x_cmd, F_load)
-        coeffs = model.eval_coeffs(cfg.ind, P)
-        with np.errstate(all="ignore"):
-            L_clean = model._inductance_at(F, *coeffs)
+        L_clean = model._inductance_at(F, *model.eval_coeffs(cfg.ind, P))
         # Both sensor channels draw every step so the noise stream does
         # not depend on which channel a caller consumes.
         L_meas = L_clean + cfg.noise_L * self.rng.standard_normal()
@@ -367,10 +367,11 @@ class Plant:
 
         Returns the ``StepResult`` channels as arrays, keyed by field
         name.  Only the recurrence (``_advance``) runs per sample; the
-        rest runs once on its arrays, with the bits ``step`` gives, and
-        the plant ends in the state, noise stream included, that the
-        steps leave.  A coefficient outside the envelope raises the
-        EnvelopeError of its first sample, after the recurrence.
+        rest runs once on its arrays (``model._inductance_on_arrays``
+        for the map), with the bits ``step`` gives, and the plant ends
+        in the state, noise stream included, that the steps leave.  A
+        coefficient outside the envelope raises the EnvelopeError of its
+        first sample, after the recurrence.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -391,7 +392,7 @@ class Plant:
         if not valid.all():
             model.eval_coeffs(cfg.ind, P[np.argmin(valid)].item())  # raises
         with np.errstate(all="ignore"):
-            L_clean = model._inductance(F, *coeffs)
+            L_clean = model._inductance_on_arrays(F, *coeffs)
         noise = self.rng.standard_normal(2 * P.size)  # per sample: L, then F
         steps = np.full(P.size, dt)
         steps[0] = st.t + dt
@@ -518,8 +519,7 @@ class Scenario:
     def force_tracking(cls, waveform: str = "sine", frequency_hz: float = 0.2,
                        duration_s: float | None = None, center: float = 1.2,
                        amplitude: float = 0.3, hold_x: float = 0.115) -> "Scenario":
-        if duration_s is None:
-            duration_s = max(20.0, 3.0 / frequency_hz)
+        duration_s = _tracking_duration(frequency_hz, duration_s)
         return cls(kind="force_tracking", waveform=waveform, frequency_hz=frequency_hz,
                    duration_s=duration_s, center=center, amplitude=amplitude,
                    hold_x=hold_x, label=f"force_{waveform}_{frequency_hz:g}Hz")
@@ -529,8 +529,7 @@ class Scenario:
                               duration_s: float | None = None, center: float = 0.125,
                               amplitude: float = 0.010, load: float = 1.5,
                               waveform: str = "sine") -> "Scenario":
-        if duration_s is None:
-            duration_s = max(20.0, 3.0 / frequency_hz)
+        duration_s = _tracking_duration(frequency_hz, duration_s)
         return cls(kind="displacement_tracking", waveform=waveform,
                    frequency_hz=frequency_hz, duration_s=duration_s, center=center,
                    amplitude=amplitude, load=load,
@@ -546,6 +545,13 @@ class Scenario:
         return cls(kind="load_perturbation", duration_s=duration_s, center=hold_x,
                    hold_x=hold_x, load=load, event_magnitudes=tuple(magnitudes),
                    event_ramp_s=ramp_s, p_cmd=p_cmd)
+
+
+def _tracking_duration(frequency_hz, duration_s):
+    """``duration_s``, or by default three reference periods and at least 20 s."""
+    if not 0.0 < frequency_hz < math.inf:
+        raise ValueError(f"frequency_hz must be finite and > 0, got {frequency_hz}")
+    return max(20.0, 3.0 / frequency_hz) if duration_s is None else duration_s
 
 
 def perturbation_load_profile(scenario: Scenario, seed: int):

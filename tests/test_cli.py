@@ -378,10 +378,17 @@ class TestSimulateTrackPerturb:
         ({"envelope": {"F_max": "5"}}, "envelope.F_max"),
         ({"observer": {"grid_points": 3}}, "grid_points"),
         ({"observer": {"sigma_F": -0.05}}, "sigma_F"),
-        ({"observer": {"gradient_guard_inflation": -10.0}}, "gradient_guard_inflation")],
+        ({"observer": {"gradient_guard_inflation": -10.0}}, "gradient_guard_inflation"),
+        ({"scenarios": [{"kind": "force_tracking", "frequency_hz": 0.0}]}, "frequency_hz"),
+        ({"scenarios": [{"kind": "displacement_tracking", "frequency_hz": 0.0}]},
+         "frequency_hz"),
+        ({"scenarios": [{"kind": "force_tracking", "frequency_hz": -0.2}]}, "frequency_hz"),
+        ({"scenarios": [{"kind": "displacement_tracking", "frequency_hz": -0.2}]},
+         "frequency_hz")],
         ids=["gain_typo", "cutoff_at_nyquist", "cutoff_at_plant_nyquist", "negative_seed",
              "fractional_order", "boolean_scalar", "string_scalar", "coarse_grid",
-             "negative_sigma_F", "negative_guard_inflation"])
+             "negative_sigma_F", "negative_guard_inflation", "zero_force_frequency",
+             "zero_disp_frequency", "negative_force_frequency", "negative_disp_frequency"])
     def test_config_rejected_before_output(self, tmp_path, capsys, doc, key):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump(doc, open(cfg_path, "w"))
@@ -578,6 +585,21 @@ class TestEntryPoint:
         proc = run_module("frobnicate")
         assert proc.returncode == cli.EXIT_USAGE
         assert "usage: coilsense" in proc.stderr
+
+    @pytest.mark.parametrize("command,scenario", [
+        ("perturb", {"kind": "load_perturbation", "load": 100}),
+        ("simulate", {"kind": "load_perturbation", "load": 100}),
+        ("track", {"kind": "displacement_tracking", "load": 50})])
+    def test_unreachable_isotonic_load_is_a_config_error(self, tmp_path, command, scenario):
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"scenarios": [scenario]}, open(cfg_path, "w"))
+        proc = run_module("--config", cfg_path, "--out", str(tmp_path / "out"), command)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: load ")
+        assert f"load {float(scenario['load'])} N unreachable" in lines[0]
+        assert "force range [" in lines[0]
 
     def test_jobs_flag_is_gone(self):
         assert cli.main(["--jobs", "2", "track"]) == cli.EXIT_USAGE

@@ -391,22 +391,6 @@ def flat_params(l1, l2, l3, l4, l5):
 
 
 class TestFusedInversion:
-    def test_power_pair_equals_two_scalar_calls(self):
-        # the plant's steps take F**l2 and F**l4 from one two-element
-        # np.power call (model._inductance_at)
-        rng = np.random.default_rng(8)
-        forces = np.concatenate(([0.0, ENV.F_min, ENV.F_max], make_cfg().grid,
-                                 rng.uniform(ENV.F_min, ENV.F_max, 200))).tolist()
-        pressures = np.concatenate(([ENV.P_min, ENV.P_max],
-                                    rng.uniform(ENV.P_min, ENV.P_max, 60))).tolist()
-        out = np.empty(2)
-        for P in pressures:
-            _, l2, _, l4, _ = model.eval_coeffs(IND, P)
-            pair = np.array((l2, l4))
-            for F in forces:
-                got = np.power(F, pair, out=out).tolist()
-                assert got == [float(np.power(F, l2)), float(np.power(F, l4))], (F, l2, l4)
-
     @pytest.mark.parametrize("coeffs", [
         (0.6, -0.5, -0.55, -0.5, 4.75),    # inf * exp(-inf) at F = 0 only
         (0.6, 800.0, -1.0, 800.0, 4.75),   # F**800 overflows above about 2.4 N

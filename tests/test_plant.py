@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coilsense import model, plant
+from coilsense import model, observer, plant
 from coilsense.plant import (IsotonicInfeasibleError, Plant, PlayElement,
                              PlantConfig, Scenario)
 
@@ -144,7 +144,10 @@ class TestStep:
         rng = np.random.default_rng(1)
         for _ in range(100):
             r = p.step(rng.uniform(0, 0.6), 0.01, x_cmd=rng.uniform(0.08, 0.17))
-            assert r.L_clean == model.eval_inductance(IND, r.F, r.P)
+            assert r.L_clean == model._inductance_at(r.F, *model.eval_coeffs(IND, r.P))
+            # numpy's power and exp can differ from math's in the last bit
+            ref = model.eval_inductance(IND, r.F, r.P)
+            assert abs(r.L_clean - ref) <= 2 * math.ulp(ref)
 
     def test_valve_lag(self):
         cfg = ideal_config(valve_tau=0.1)
@@ -584,6 +587,53 @@ class TestKinematicRun:
             plant.run_scenario(scn, plant.default_plant_config())
         with pytest.raises(ValueError):
             Plant(plant.default_plant_config()).run_kinematic([], [], 0.01)
+
+
+class TestSharedFloatPath:
+    """The plant evaluates the inductance map as the observer's cost does,
+    on ``math`` floats, so the cost's fit term inverts the plant's bits."""
+
+    @staticmethod
+    def fit_cost(r):
+        w = observer.CostWeights(w_fit=1.0, w_dyn=0.0, w_reg=0.0)
+        return observer._cost_function(r.L_clean, r.F, model._coeffs(IND, r.P), w)(r.F)
+
+    def test_observer_inverts_the_kinematic_steps_exactly(self):
+        # numpy's power and exp differ from math's on about 1% of points
+        p = Plant(plant.default_plant_config(seed=2, noise_L=0.0, noise_F=0.0))
+        rng = np.random.default_rng(2)
+        for _ in range(3000):
+            r = p.step(rng.uniform(0.0, 0.65), 0.01, x_cmd=rng.uniform(0.07, 0.18))
+            assert r.L_meas == r.L_clean
+            assert self.fit_cost(r) == 0.0, (r.F, r.P)
+
+    def test_observer_inverts_the_isotonic_steps_exactly(self):
+        p = Plant(plant.default_plant_config(seed=2, noise_L=0.0, noise_F=0.0), x0=0.12)
+        rng = np.random.default_rng(4)
+        for _ in range(3000):
+            r = p.step(rng.uniform(0.0, 0.65), 0.01, F_load=rng.uniform(0.0, 3.5))
+            assert self.fit_cost(r) == 0.0, (r.F, r.P)
+
+    def test_overflowing_map_gives_numpys_nan_without_raising(self):
+        # F**800 overflows above about 2.43 N; inf * exp(-inf) is NaN
+        ind = model.InductanceParams((0.0, 0.6, 0.0, 800.0, 0.0, -1.0, 0.0, 800.0, 0.0, 4.75))
+        cfg = ideal_config(ind=ind)
+        x_cmd = np.linspace(0.10, 0.18, 400)
+        P_cmd = np.linspace(0.0, 0.6, 400)
+        p = Plant(cfg, x0=0.10)
+        with np.errstate(all="raise"):  # a step's map runs no numpy arithmetic
+            steps = [p.step(P, 0.01, x_cmd=x) for P, x in zip(P_cmd.tolist(), x_cmd.tolist())]
+        F = np.array([r.F for r in steps])
+        L = np.array([r.L_clean for r in steps])
+        assert F.max() > 2.4
+        ref = model.eval_inductance(ind, F, np.array([r.P for r in steps]), validate=False)
+        assert np.array_equal(np.isnan(L), np.isnan(ref)) and np.isnan(L).any()
+        assert np.array_equal(np.isinf(L), np.isinf(ref))
+        finite = np.isfinite(ref)
+        assert (np.abs(L - ref)[finite] <= 2 * np.spacing(ref[finite])).all()
+        run = Plant(cfg, x0=0.10).run_kinematic(P_cmd, x_cmd, 0.01)
+        for name, col in run.items():
+            assert np.array_equal(col, [getattr(r, name) for r in steps], equal_nan=True), name
 
 
 class TestDeterminism:
