@@ -423,7 +423,6 @@ def _truth_metrics(estimate: np.ndarray, truth, column: str):
 
 
 def cmd_simulate(args, cfg, resolved) -> int:
-    out = _out_dir(cfg, args)
     pcfg = resolved["plant"]
     scenarios = [s for s in resolved["scenarios"]
                  if s.kind not in _TRACKING_KINDS]
@@ -431,8 +430,9 @@ def cmd_simulate(args, cfg, resolved) -> int:
         scenarios = [s for s in scenarios if s.name == args.scenario or s.kind == args.scenario]
     if not scenarios:
         raise ConfigError("no dataset scenarios selected (config 'scenarios' block)")
-    for scenario in scenarios:
-        ds = plant.run_scenario(scenario, pcfg)
+    datasets = [plant.run_scenario(scenario, pcfg) for scenario in scenarios]
+    out = _out_dir(cfg, args)
+    for scenario, ds in zip(scenarios, datasets):
         ident.write_csv(ds, os.path.join(out, f"{scenario.name}.csv"))
         print(f"simulate: {scenario.name}: {len(ds)} rows")
     return EXIT_OK
@@ -452,10 +452,7 @@ def _write_result_csv(path: str, res: control.TrackingResult) -> None:
 
 def _table_rows(scenario, results) -> list:
     rows = []
-    for mode in control.MODES:
-        if mode not in results:
-            continue
-        r = results[mode]
+    for mode, r in results.items():
         rows.append({
             "trajectory": scenario.name, "method": mode,
             "rmse": r.metrics.rmse, "mae": r.metrics.mae,
@@ -476,7 +473,6 @@ def _format_table(rows) -> str:
 
 def cmd_track(args, cfg, resolved) -> int:
     setup = resolved["setup"]
-    out = _out_dir(cfg, args)
     scenarios = [s for s in resolved["scenarios"]
                  if s.kind in _TRACKING_KINDS]
     if not scenarios:
@@ -486,9 +482,10 @@ def cmd_track(args, cfg, resolved) -> int:
         if not scenarios:
             raise ConfigError(f"no tracking scenario named '{args.scenario}'")
     setup = control.resolve_setup(setup)
+    groups = [control.compare_tracking(scenario, setup) for scenario in scenarios]
+    out = _out_dir(cfg, args)
     rows = []
-    for scenario in scenarios:
-        results = control.compare_tracking(scenario, setup)
+    for scenario, results in zip(scenarios, groups):
         for mode, res in results.items():
             _write_result_csv(os.path.join(out, f"{scenario.name}_{mode}.csv"), res)
         rows.extend(_table_rows(scenario, results))
@@ -502,10 +499,10 @@ def cmd_track(args, cfg, resolved) -> int:
 
 def cmd_perturb(args, cfg, resolved) -> int:
     setup = resolved["setup"]
-    out = _out_dir(cfg, args)
     scenarios = [s for s in resolved["scenarios"] if s.kind == "load_perturbation"]
     scenario = scenarios[0] if scenarios else plant.Scenario.load_perturbation()
     res = control.run_perturbation(setup, scenario)
+    out = _out_dir(cfg, args)
     _write_result_csv(os.path.join(out, "perturbation.csv"), res)
     summary = {
         "estimation": res.estimation,
@@ -596,7 +593,8 @@ def main(argv=None) -> int:
             cfg["seed"] = int(args.seed)
         resolved = validate_config(cfg)
         return args.func(args, cfg, resolved)
-    except (ConfigError, model.EnvelopeError, plant.IsotonicInfeasibleError) as exc:
+    except (ConfigError, model.EnvelopeError, plant.IsotonicInfeasibleError,
+            control.PrerollError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ident.DataFormatError, FileNotFoundError) as exc:

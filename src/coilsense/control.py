@@ -31,6 +31,7 @@ __all__ = [
     "ControllerState",
     "TrackingSetup",
     "TrackingResult",
+    "PrerollError",
     "MODES",
     "pid_step",
     "feedforward_pressure",
@@ -46,6 +47,17 @@ __all__ = [
 MODES = ("open_loop", "sensor_fb", "self_sensing")
 
 _C_EPS = 1e-9
+
+#: Seconds of pre-roll that settle a closed loop before t = 0.
+PREROLL_S = 3.0
+#: Reference periods of conditioning that precede a displacement-tracking
+#: run, and of the run that the tracking metrics skip.
+CONDITION_CYCLES = 1.0
+METRICS_SKIP_PERIODS = 1.0
+
+
+class PrerollError(ValueError):
+    """The pre-roll of a closed loop holds no sample at the sensor rate."""
 
 
 @dataclass(frozen=True)
@@ -98,32 +110,17 @@ def pid_step(state: ControllerState, error: float, gains: PidGains, dt: float) -
     return gains.kp * error + state.integral + gains.kd * derivative
 
 
-def feedforward_pressure(dyn: DynamicParams, F_ref: float | None = None,
-                         x: float | None = None, x_ref: float | None = None,
-                         F_load: float | None = None,
-                         p_max: float = 0.65) -> tuple:
-    """Model-inverting pressure command, clamped to [0, p_max].
+def feedforward_pressure(dyn: DynamicParams, F: float, x: float, p_max: float) -> float:
+    """Model-inverting pressure command: the pressure at which the affine
+    model gives force ``F`` at length ``x``, P = (F - k(x - x0)) / c,
+    clamped to [0, p_max].
 
-    Force mode (``F_ref`` at fixed ``x``): P = (F_ref - k(x - x0)) / c.
-    Displacement mode (``x_ref`` at fixed ``F_load``):
-    P = (F_load - k(x_ref - x0)) / c.  Returns ``(pressure, saturated)``.
+    Force tracking asks for the reference force at the held length,
+    displacement tracking for the reference length under the load.
     """
     if abs(dyn.c) < _C_EPS:
         raise DegenerateModelError(f"pressure coefficient {dyn.c} too small to invert")
-    force_mode = F_ref is not None
-    disp_mode = x_ref is not None
-    if force_mode == disp_mode:
-        raise ValueError("give either (F_ref, x) or (x_ref, F_load)")
-    if force_mode:
-        if x is None:
-            raise ValueError("force mode needs the held length x")
-        p = (F_ref - dyn.k * (x - dyn.x0)) / dyn.c
-    else:
-        if F_load is None:
-            raise ValueError("displacement mode needs the external load")
-        p = (F_load - dyn.k * (x_ref - dyn.x0)) / dyn.c
-    clipped = _clamp(p, 0.0, p_max)
-    return clipped, clipped != p
+    return _clamp((F - dyn.k * (x - dyn.x0)) / dyn.c, 0.0, p_max)
 
 
 def identify_dynamic(plant_cfg: PlantConfig, seed_tag: int = 501) -> DynamicParams:
@@ -142,9 +139,9 @@ def identify_dynamic(plant_cfg: PlantConfig, seed_tag: int = 501) -> DynamicPara
 class TrackingSetup:
     """Everything a tracking or perturbation run needs besides the scenario.
 
-    ``dyn``/``ind`` are the nominal models used by feedforward and the
+    ``dyn`` is the nominal affine model of the feedforward and the
     observer; ``dyn=None`` triggers one identification sweep (cached by
-    ``resolve_setup``), ``ind=None`` uses the plant's own map (a
+    ``resolve_setup``).  The observer inverts the plant's own map (a
     bench-calibrated sensor model).  In isotonic runs the feedforward
     believes the external load to be ``load_nominal_scale`` times the
     scenario's (the true load); ``sensor_noise_x`` is the external
@@ -155,7 +152,6 @@ class TrackingSetup:
 
     plant_cfg: PlantConfig
     dyn: DynamicParams | None = None
-    ind: InductanceParams | None = None
     gains_force: PidGains = field(default_factory=lambda: PidGains(kp=0.30, ki=1.2, kd=0.05))
     gains_disp: PidGains = field(default_factory=lambda: PidGains(kp=40.0, ki=250.0, kd=1.0))
     p_max: float = 0.65
@@ -164,18 +160,13 @@ class TrackingSetup:
     sensor_noise_x: float = 3e-4
     filter_spec: sig.FilterSpec = sig.FilterSpec()
     observer_overrides: dict = field(default_factory=dict)
-    preroll_s: float = 3.0
-    condition_cycles: float = 1.0
-    metrics_skip_periods: float = 1.0
 
 
 def resolve_setup(setup: TrackingSetup) -> TrackingSetup:
-    """Fill the derived fields of a setup (identified model, sensor map)."""
+    """Fill the derived field of a setup, the identified model."""
     out = replace(setup)
     if out.dyn is None:
         out.dyn = identify_dynamic(out.plant_cfg)
-    if out.ind is None:
-        out.ind = out.plant_cfg.ind
     return out
 
 
@@ -246,7 +237,7 @@ def _drivers(scenario: Scenario, setup: TrackingSetup) -> tuple:
         hold_x = scenario.hold_x
 
         def feedforward(ref: float) -> float:
-            return feedforward_pressure(setup.dyn, F_ref=ref, x=hold_x, p_max=setup.p_max)[0]
+            return feedforward_pressure(setup.dyn, ref, hold_x, setup.p_max)
 
         def drive(plant: Plant, p: float, t: float) -> StepResult:
             return plant.step(p, dts, x_cmd=hold_x)
@@ -255,8 +246,7 @@ def _drivers(scenario: Scenario, setup: TrackingSetup) -> tuple:
         load_ff = setup.load_nominal_scale * scenario.load
 
         def feedforward(ref: float) -> float:
-            return feedforward_pressure(setup.dyn, x_ref=ref, F_load=load_ff,
-                                        p_max=setup.p_max)[0]
+            return feedforward_pressure(setup.dyn, load_ff, ref, setup.p_max)
 
         def drive(plant: Plant, p: float, t: float) -> StepResult:
             return plant.step(p, dts, F_load=load_at(t))
@@ -275,15 +265,16 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     pcfg = setup.plant_cfg
     force_mode = scenario.kind == "force_tracking"
     dts = 1.0 / pcfg.sensor_rate_hz
-    ocfg = observer_config(setup, setup.ind, dts)
+    n_pre = int(round(PREROLL_S / dts))
+    if n_pre < 1:  # the first pre-roll step primes the filter and the state
+        raise PrerollError(f"the {PREROLL_S:g} s pre-roll of a closed loop holds no "
+                           f"sample at {pcfg.sensor_rate_hz:g} Hz")
+    ocfg = observer_config(setup, pcfg.ind, dts)
     feedforward, drive = _drivers(scenario, setup)
     F0 = float(scenario.reference(0.0)) if force_mode else scenario.load
     p_ff0 = feedforward(float(scenario.reference(0.0)))
     plant = Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
 
-    n_pre = int(round(setup.preroll_s / dts))
-    if n_pre < 1:  # the first pre-roll step primes the filter and the state
-        raise ValueError(f"preroll_s ({setup.preroll_s} s) must cover at least one sample")
     ramp_n = max(1, int(round(2.0 / dts)))
     filt = state = last = None
     for i in range(n_pre):
@@ -304,16 +295,16 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
             state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
                               ocfg)
         state = obs.estimate_step(state, last.L_meas, last.P,
-                                  setup.ind, setup.dyn, ocfg, filt)[0]
-    if scenario.kind == "displacement_tracking" and setup.condition_cycles > 0:
+                                  pcfg.ind, setup.dyn, ocfg, filt)[0]
+    if scenario.kind == "displacement_tracking":
         # exercise the loop region before measuring (standard practice)
-        period = setup.condition_cycles / scenario.frequency_hz
+        period = CONDITION_CYCLES / scenario.frequency_hz
         n_cond = int(round(period / dts))
         t_cond = (np.arange(n_cond) + 1) * dts - period
         for t, ref in zip(t_cond.tolist(), scenario.reference(t_cond).tolist()):
             last = drive(plant, feedforward(ref), t)
             state = obs.estimate_step(state, last.L_meas, last.P,
-                                      setup.ind, setup.dyn, ocfg, filt)[0]
+                                      pcfg.ind, setup.dyn, ocfg, filt)[0]
     return _LoopStart(ocfg, plant, filt, state, last, p_ff0)
 
 
@@ -359,7 +350,7 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
             p_cmd = _clamp(feedforward(ref) + dp, 0.0, setup.p_max)
         last = drive(plant, p_cmd, t)
         state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                setup.ind, setup.dyn, ocfg, filt)
+                                                pcfg.ind, setup.dyn, ocfg, filt)
         log[i, 2:] = last.F, last.x, F_hat, x_hat, p_cmd
     return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"), log.T))
 
@@ -370,24 +361,22 @@ def _log_times(scenario: Scenario, rate_hz: float) -> np.ndarray:
     return np.arange(int(round(scenario.duration_s / dt))) * dt
 
 
-def _metrics_start_s(scenario: Scenario, setup: TrackingSetup) -> float:
+def _metrics_start_s(scenario: Scenario) -> float:
     """Where a tracking run's metrics window starts: after
-    ``metrics_skip_periods`` of the reference, or at half the run if
+    ``METRICS_SKIP_PERIODS`` of the reference, or at half the run if
     that is sooner."""
-    return min(setup.metrics_skip_periods / scenario.frequency_hz, 0.5 * scenario.duration_s)
+    return min(METRICS_SKIP_PERIODS / scenario.frequency_hz, 0.5 * scenario.duration_s)
 
 
 def metrics_window_samples(scenario: Scenario, setup: TrackingSetup) -> int:
     """How many logged samples the metrics of a tracking run cover;
     they need at least 2."""
     t = _log_times(scenario, setup.plant_cfg.sensor_rate_hz)
-    return int(np.count_nonzero(t >= _metrics_start_s(scenario, setup)))
+    return int(np.count_nonzero(t >= _metrics_start_s(scenario)))
 
 
-def _check_tracking(scenario: Scenario, mode: str) -> None:
-    """Raise ValueError unless ``mode`` is known and ``scenario`` is a tracking kind."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode '{mode}' (known: {MODES})")
+def _check_tracking(scenario: Scenario) -> None:
+    """Raise ValueError unless ``scenario`` is a tracking kind."""
     if scenario.kind not in ("force_tracking", "displacement_tracking"):
         raise ValueError(f"run_tracking needs a tracking scenario, got '{scenario.kind}'")
 
@@ -398,11 +387,13 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup,
 
     The pre-roll (ramp to the operating point, plus conditioning cycles
     in displacement mode) is excluded from the logs; metrics skip the
-    first ``metrics_skip_periods`` of the reference on top of that.
+    first ``METRICS_SKIP_PERIODS`` of the reference on top of that.
     ``start`` is a loop already settled for this scenario and setup,
     which ``compare_tracking`` passes so that its modes settle once.
     """
-    _check_tracking(scenario, mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode '{mode}' (known: {MODES})")
+    _check_tracking(scenario)
     setup = resolve_setup(setup)
     force_mode = scenario.kind == "force_tracking"
     log = _run_loop(scenario, mode, setup, start)
@@ -410,7 +401,7 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup,
     truth_log = log["F"] if force_mode else log["x"]
     est_log = log["F_hat"] if force_mode else log["x_hat"]
 
-    start_s = _metrics_start_s(scenario, setup)
+    start_s = _metrics_start_s(scenario)
     win = t_log >= start_s
     metrics = goodness(truth_log[win], ref_log[win])
     err_est = est_log[win] - truth_log[win]
@@ -427,24 +418,21 @@ def run_tracking(scenario: Scenario, mode: str, setup: TrackingSetup,
     )
 
 
-def compare_tracking(scenario: Scenario, setup: TrackingSetup,
-                     modes: tuple = MODES) -> dict:
-    """Run the mode group on identical seeds and fill improvements
+def compare_tracking(scenario: Scenario, setup: TrackingSetup) -> dict:
+    """Run the three modes on identical seeds and fill improvements
     relative to the open-loop baseline (100 * (1 - rmse/rmse_open)).
 
     The loop is settled once; each mode starts from its own copy of
     that state, so the group equals separate ``run_tracking`` calls.
     """
-    for mode in modes:
-        _check_tracking(scenario, mode)
+    _check_tracking(scenario)
     setup = resolve_setup(setup)
-    start = _settle(scenario, setup) if modes else None
-    results = {mode: run_tracking(scenario, mode, setup, start.copy()) for mode in modes}
-    base = results.get("open_loop")
-    if base is not None:
-        for mode, res in results.items():
-            if mode != "open_loop" and base.metrics.rmse > 0:
-                res.improvement_pct = 100.0 * (1.0 - res.metrics.rmse / base.metrics.rmse)
+    start = _settle(scenario, setup)
+    results = {mode: run_tracking(scenario, mode, setup, start.copy()) for mode in MODES}
+    base = results["open_loop"]
+    for mode, res in results.items():
+        if mode != "open_loop" and base.metrics.rmse > 0:
+            res.improvement_pct = 100.0 * (1.0 - res.metrics.rmse / base.metrics.rmse)
     return results
 
 

@@ -202,28 +202,13 @@ def _inductance_of_powers(F_l2, F_l4, l1, l3, l5):
 
 def _inductance_at(F: float, l1, l2, l3, l4, l5) -> float:
     """The inductance formula at one float force on ``math.pow`` and
-    ``math.exp``, as the observer's cost evaluates it: the plant's steps.
-    Where a ``math`` call raises, ``_pow`` and ``_exp`` give numpy's inf."""
+    ``math.exp``: the one copy the plant (a step, and each sample of a
+    kinematic run) and the observer's inversion cost evaluate.  Where a
+    ``math`` call raises, ``_pow`` and ``_exp`` give numpy's inf."""
     try:
         return l1 * math.pow(F, l2) * math.exp(l3 * math.pow(F, l4)) + l5
     except (ValueError, OverflowError):
         return l1 * _pow(F, l2) * _exp(l3 * _pow(F, l4)) + l5
-
-
-def _inductance_on_arrays(F, l1, l2, l3, l4, l5):
-    """``_inductance_at`` on equal-length arrays, with its bits: ``math``
-    powers and exponential per element, then numpy's products and sum,
-    rounded once each as a float's; per element through ``_inductance_at``
-    if a ``math`` call raises.  Callers set ``np.errstate``."""
-    n, F = len(F), F.tolist()
-    try:
-        F_l2 = np.fromiter(map(math.pow, F, l2.tolist()), float, n)
-        l3_F_l4 = l3 * np.fromiter(map(math.pow, F, l4.tolist()), float, n)
-        E = np.fromiter(map(math.exp, l3_F_l4.tolist()), float, n)
-    except (ValueError, OverflowError):
-        cols = (c.tolist() for c in (l1, l2, l3, l4, l5))
-        return np.fromiter(map(_inductance_at, F, *cols), float, n)
-    return l1 * F_l2 * E + l5
 
 
 def _d_inductance_dF(F, l1, l2, l3, l4):

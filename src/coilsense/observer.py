@@ -25,9 +25,9 @@ refine the bracket instead.
 Per sample, the map coefficients are evaluated once, and the inversion
 and the gradient guard run on Python floats with ``math.pow`` and
 ``math.exp`` (``_cost_function``, ``_cost_derivatives``,
-``_abs_gradient``), with no array built.  The plant evaluates the map
-on the same calls in the same order (``model._inductance_at``), so the
-cost inverts the very bits of a noiseless reading; neither claims to
+``_abs_gradient``), with no array built.  The cost evaluates the map
+through ``model._inductance_at``, the one copy the plant evaluates too,
+so it inverts the very bits of a noiseless reading; neither claims to
 agree with numpy's ``power`` and ``exp`` in the last bit.  Every
 grid cost is at least its continuity term (w_dyn dF) dF, which grows
 with the distance from the prior, so the coarse grid is costed outward
@@ -134,8 +134,8 @@ class ObserverConfig:
     """Observer tuning.  ``grid`` (the coarse inversion grid over the
     feasible force interval, a tuple of floats) and ``Q_entries`` (``Q``
     as four floats, row by row) are derived from the other fields on
-    construction, so ``dataclasses.replace`` rebuilds them.  ``init_cov``
-    must be symmetric, since a state holds one off-diagonal entry.
+    construction, so ``dataclasses.replace`` rebuilds them.  A fresh
+    state's covariance is fixed (``reset``), not tuned here.
     ``refine_tol`` must be at least four float spacings of the largest
     force: the refinement ends when its bracket is narrower than
     ``refine_tol``, and a bracket a float spacing or two wide cannot be
@@ -149,7 +149,6 @@ class ObserverConfig:
     weights: CostWeights
     grid_points: int = 129
     refine_tol: float = 1e-5
-    init_cov: np.ndarray = field(default_factory=lambda: np.diag([0.25, 1.0]))
     median_gradient: float = 0.1
     gradient_guard_ratio: float = 1e-4
     gradient_guard_inflation: float = 10.0
@@ -158,7 +157,6 @@ class ObserverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float).reshape(2, 2))
-        object.__setattr__(self, "init_cov", np.asarray(self.init_cov, dtype=float).reshape(2, 2))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.R <= 0:
@@ -175,13 +173,6 @@ class ObserverConfig:
             raise ValueError("gradient_guard_inflation must be >= 1")
         if np.any(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T)) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
-        C = self.init_cov
-        if not np.all(np.isfinite(C)):
-            raise ValueError("init_cov must be finite")
-        if C[0, 1] != C[1, 0]:
-            raise ValueError("init_cov must be symmetric")
-        if np.any(np.linalg.eigvalsh(C) < -1e-12):
-            raise ValueError("init_cov must be positive semidefinite")
         object.__setattr__(self, "grid", tuple(
             np.linspace(self.envelope.F_min, self.envelope.F_max, self.grid_points).tolist()))
         object.__setattr__(self, "Q_entries", tuple(self.Q.ravel().tolist()))
@@ -243,12 +234,12 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
 
 
 def reset(F0: float, cfg: ObserverConfig) -> ObserverState:
-    """Fresh state at force F0 (must lie in the feasible interval), zero rate."""
+    """Fresh state at force F0 (must lie in the feasible interval), zero
+    rate, force variance 0.25 N^2 and rate variance 1 (N/s)^2."""
     env = cfg.envelope
     if not (env.F_min <= F0 <= env.F_max):
         raise EnvelopeError(f"initial force {F0} outside [{env.F_min}, {env.F_max}]")
-    (c00, c01), (_, c11) = cfg.init_cov.tolist()
-    return ObserverState(float(F0), 0.0, c00, c01, c11)
+    return ObserverState(float(F0), 0.0, 0.25, 0.0, 1.0)
 
 
 def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
@@ -273,17 +264,14 @@ def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
 
 def _cost_function(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
     """The inversion cost as a function of one float force, on the map
-    coefficients ``coeffs``: the inductance as ``model._inductance_at``
-    evaluates it, then the fit, continuity and regularization terms."""
+    coefficients ``coeffs``: the residual of ``model._inductance_at``,
+    then the fit, continuity and regularization terms."""
     l1, l2, l3, l4, l5 = coeffs
     w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
+    inductance = model._inductance_at
 
     def cost(F):
-        try:  # inline math calls: about 15% less time per sample than _pow and _exp
-            m = l1 * math.pow(F, l2) * math.exp(l3 * math.pow(F, l4))
-        except (ValueError, OverflowError):
-            m = l1 * _pow(F, l2) * _exp(l3 * _pow(F, l4))
-        r = m + l5 - L_meas
+        r = inductance(F, l1, l2, l3, l4, l5) - L_meas
         dF = F - prior_F
         return (w_fit * r * r + w_dyn * dF * dF
                 + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF)))

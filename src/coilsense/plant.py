@@ -20,8 +20,8 @@ within the rounding-error bound of a dot product.
 Nothing after the force feeds back, so a kinematic run, whose commands
 are all known before its first sample, takes the rest on whole arrays
 (``Plant.run_kinematic``): the map's coefficients and their envelope
-check, the sensor map (its powers and exponential on ``math``, element
-by element), both noise channels from one draw, and time as a running
+check, the sensor map (``model._inductance_at``, the step's, mapped over
+the samples), both noise channels from one draw, and time as a running
 sum of the step.  It gives the bits, the final state and the noise
 stream that ``Plant.step`` gives sample by sample; an isotonic
 run, whose length depends on the load at each sample, and the closed
@@ -192,10 +192,12 @@ class StepResult:
 class Plant:
     """Single-owner simulator instance: state plus a seeded noise stream.
 
-    The force's weighted sum of play states is summed left to right in
+    The force (``_force``, the one copy the step and the isotonic
+    balance evaluate) sums its weighted play states left to right in
     plain floats, one rounding per product and per sum, so it gives the
     same bits on every host.  The inductance is the map on ``math``
-    floats (``model._inductance_at``), as the observer's cost inverts it.
+    floats (``model._inductance_at``), the one copy the observer's cost
+    inverts.
     """
 
     def __init__(self, cfg: PlantConfig, x0: float | None = None, P0: float = 0.0):
@@ -236,24 +238,11 @@ class Plant:
             acc += g * zi
         return dyn.k * u + dyn.c * P + acc, tuple(z_new)
 
-    def _force_value(self, x: float, P: float, z: tuple) -> float:
-        """``_force(x, P, z)[0]``, the same operations, without the play
-        states."""
-        dyn = self.cfg.dyn
-        u = x - dyn.x0
-        acc = 0.0
-        for zi, w, g in zip(z, self._widths, self._weights):
-            lo = u - w
-            hi = u + w
-            zi = lo if zi <= lo else zi
-            acc += g * (hi if zi >= hi else zi)
-        return dyn.k * u + dyn.c * P + acc
-
     def _unreachable(self, F_load: float, P: float, z: tuple) -> IsotonicInfeasibleError:
         """The error for a load outside the force range of the envelope."""
         env = self.cfg.envelope
-        F_lo = max(self._force_value(env.x_min, P, z), 0.0)
-        F_hi = max(self._force_value(env.x_max, P, z), 0.0)
+        F_lo = max(self._force(env.x_min, P, z)[0], 0.0)
+        F_hi = max(self._force(env.x_max, P, z)[0], 0.0)
         return IsotonicInfeasibleError(
             f"load {F_load} N unreachable in x=[{env.x_min}, {env.x_max}] "
             f"(force range [{F_lo:.4g}, {F_hi:.4g}])")
@@ -290,9 +279,9 @@ class Plant:
         env = self.cfg.envelope
         z = self.state.play_states
         lo, hi = env.x_min, env.x_max
-        force = self._force_value
+        force = self._force
         if F_load <= 0.0:
-            if F_load < max(force(lo, P, z), 0.0) - 1e-12:
+            if F_load < max(force(lo, P, z)[0], 0.0) - 1e-12:
                 raise self._unreachable(F_load, P, z)
             return lo
         x0 = self.cfg.dyn.x0
@@ -302,23 +291,23 @@ class Plant:
         xs.append(hi)
         last = len(xs) - 1
         a = bisect.bisect_right(xs, self.state.x, 1, last) - 1  # segment xs[a], xs[a + 1]
-        fa, fb = force(xs[a], P, z), force(xs[a + 1], P, z)
+        fa, fb = force(xs[a], P, z)[0], force(xs[a + 1], P, z)[0]
         while fb < F_load:
             if a + 1 == last:  # F_load > f(hi)
                 if F_load > max(fb, 0.0) + 1e-12:
                     raise self._unreachable(F_load, P, z)
                 return hi
             a += 1
-            fa, fb = fb, force(xs[a + 1], P, z)
+            fa, fb = fb, force(xs[a + 1], P, z)[0]
         while fa >= F_load:
             if a == 0:  # 0 < F_load <= f(lo)
                 if F_load < fa - 1e-12:
                     raise self._unreachable(F_load, P, z)
                 return lo
             a -= 1
-            fa, fb = force(xs[a], P, z), fa
+            fa, fb = force(xs[a], P, z)[0], fa
         # fa < F_load <= fb <= f(hi), so fb > fa and xs[a + 1] > xs[a]
-        if F_load == fb and F_load >= force(hi, P, z):
+        if F_load == fb and F_load >= force(hi, P, z)[0]:
             return hi
         xa = xs[a]
         return xa + (F_load - fa) * (xs[a + 1] - xa) / (fb - fa)
@@ -366,12 +355,12 @@ class Plant:
         x_cmd=x_cmd[i])`` in turn would.
 
         Returns the ``StepResult`` channels as arrays, keyed by field
-        name.  Only the recurrence (``_advance``) runs per sample; the
-        rest runs once on its arrays (``model._inductance_on_arrays``
-        for the map), with the bits ``step`` gives, and the plant ends
-        in the state, noise stream included, that the steps leave.  A
-        coefficient outside the envelope raises the EnvelopeError of its
-        first sample, after the recurrence.
+        name.  Only the recurrence (``_advance``) and the map
+        (``model._inductance_at``, as ``step`` calls it) run per sample;
+        the rest runs once on its arrays, with the bits ``step`` gives,
+        and the plant ends in the state, noise stream included, that the
+        steps leave.  A coefficient outside the envelope raises the
+        EnvelopeError of its first sample, after the recurrence.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -386,13 +375,14 @@ class Plant:
             st.P = Pi
             P.append(Pi)
             F.append(Fi)
-        P, F, x = np.array(P), np.array(F), np.array(x_cmd)
+        P = np.array(P)
         coeffs = model._coeffs(cfg.ind, P)
         valid = np.isfinite(coeffs).all(axis=0) & (coeffs[1] > 0) & (coeffs[3] > 0)
         if not valid.all():
             model.eval_coeffs(cfg.ind, P[np.argmin(valid)].item())  # raises
-        with np.errstate(all="ignore"):
-            L_clean = model._inductance_on_arrays(F, *coeffs)
+        L_clean = np.fromiter(map(model._inductance_at, F, *(c.tolist() for c in coeffs)),
+                              float, P.size)
+        F, x = np.array(F), np.array(x_cmd)
         noise = self.rng.standard_normal(2 * P.size)  # per sample: L, then F
         steps = np.full(P.size, dt)
         steps[0] = st.t + dt
@@ -434,7 +424,6 @@ class Scenario:
     p_cycle_max: float = 0.66
     p_cycle_step: float = 0.02
     p_cmd: float = 0.0
-    base_settle_s: float = 2.0
     event_magnitudes: tuple = ()
     event_ramp_s: float = 0.4
 

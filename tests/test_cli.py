@@ -305,6 +305,24 @@ class TestSimulateTrackPerturb:
         assert "shorter than its load profile needs" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command, scenario", [
+        ("track", {"kind": "force_tracking", "duration_s": 600.0}),
+        ("perturb", {"kind": "load_perturbation", "duration_s": 600.0})])
+    def test_preroll_without_a_sample_fails_before_output(self, tmp_path, capsys,
+                                                          command, scenario):
+        # at 0.1 Hz the 3 s pre-roll rounds to no sample; it used to end in
+        # a traceback and leave an empty output directory
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"plant": {"sensor_rate_hz": 0.1, "control_rate_hz": 0.1},
+                   "filter": {"cutoff_hz": 0.01}, "scenarios": [scenario]},
+                  open(cfg_path, "w"))
+        out = str(tmp_path / "out")
+        rc = cli.main(["--config", cfg_path, "--out", out, command])
+        assert rc == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: the 3 s pre-roll")
+        assert not os.path.exists(out)
+
     def test_tracking_window_of_two_samples_runs(self, tmp_path):
         # 4 samples at 100 Hz; the window starts at half the run
         cfg_path = str(tmp_path / "cfg.json")
@@ -591,9 +609,15 @@ class TestEntryPoint:
         ("simulate", {"kind": "load_perturbation", "load": 100}),
         ("track", {"kind": "displacement_tracking", "load": 50})])
     def test_unreachable_isotonic_load_is_a_config_error(self, tmp_path, command, scenario):
+        # a reachable scenario before it writes nothing either: every
+        # scenario runs before the output directory is made
         cfg_path = str(tmp_path / "cfg.json")
-        json.dump({"scenarios": [scenario]}, open(cfg_path, "w"))
+        before = {"kind": "cyclic_estimation", "cycle_period_s": 0.1}
+        if command == "track":
+            before = {"kind": "force_tracking", "duration_s": 0.1}
+        json.dump({"scenarios": [before, scenario]}, open(cfg_path, "w"))
         proc = run_module("--config", cfg_path, "--out", str(tmp_path / "out"), command)
+        assert not (tmp_path / "out").exists()
         assert proc.returncode == cli.EXIT_USAGE
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()

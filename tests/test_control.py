@@ -20,34 +20,25 @@ def short_force_scenario(**kw):
 
 class TestFeedforward:
     def test_slack_zero(self):
-        p, sat = feedforward_pressure(DYN, F_ref=0.0, x=DYN.x0)
-        assert p == 0.0 and not sat
+        assert feedforward_pressure(DYN, 0.0, DYN.x0, 0.65) == 0.0
 
     def test_hand_value(self):
-        p, sat = feedforward_pressure(DYN, F_ref=0.8155, x=0.100)
-        assert p == pytest.approx(0.5, abs=1e-12)
-        assert not sat
+        assert feedforward_pressure(DYN, 0.8155, 0.100, 0.65) == pytest.approx(0.5, abs=1e-12)
 
     def test_displacement_mode(self):
-        p, _ = feedforward_pressure(DYN, x_ref=0.125, F_load=1.5)
+        # the reference length under the load: the same formula
+        p = feedforward_pressure(DYN, 1.5, 0.125, 0.65)
         assert p == pytest.approx((1.5 - 38.6 * 0.025) / 1.6310, abs=1e-12)
 
     def test_clamp_and_flag(self):
-        p, sat = feedforward_pressure(DYN, F_ref=-5.0, x=DYN.x0)
-        assert p == 0.0 and sat
-        p, sat = feedforward_pressure(DYN, F_ref=50.0, x=DYN.x0, p_max=0.65)
-        assert p == 0.65 and sat
-
-    def test_mode_exclusivity(self):
-        with pytest.raises(ValueError):
-            feedforward_pressure(DYN)
-        with pytest.raises(ValueError):
-            feedforward_pressure(DYN, F_ref=1.0, x=0.1, x_ref=0.12, F_load=1.0)
+        assert feedforward_pressure(DYN, -5.0, DYN.x0, 0.65) == 0.0
+        assert feedforward_pressure(DYN, 50.0, DYN.x0, 0.65) == 0.65
+        assert feedforward_pressure(DYN, 50.0, DYN.x0, 0.4) == 0.4
 
     def test_degenerate_pressure_coefficient(self):
         tiny = DynamicParams(k=38.6, x0=0.1, c=1e-12)
         with pytest.raises(DegenerateModelError):
-            feedforward_pressure(tiny, F_ref=1.0, x=0.1)
+            feedforward_pressure(tiny, 1.0, 0.1, 0.65)
 
 
 class TestPid:
@@ -171,10 +162,12 @@ class TestRunTracking:
             assert group[mode].estimation == single.estimation
 
     def test_preroll_shorter_than_a_sample_rejected(self, setup0):
+        # the 3 s pre-roll holds no sample at 0.1 Hz (round(0.3) == 0)
         from dataclasses import replace
-        with pytest.raises(ValueError, match="preroll_s"):
-            control.run_tracking(short_force_scenario(), "open_loop",
-                                 replace(setup0, preroll_s=0.004))
+        slow = replace(setup0.plant_cfg, sensor_rate_hz=0.1, control_rate_hz=0.1)
+        with pytest.raises(control.PrerollError, match="3 s pre-roll"):
+            control.run_tracking(short_force_scenario(duration_s=100.0), "open_loop",
+                                 replace(setup0, plant_cfg=slow))
 
     def test_mode_and_kind_validation(self, setup0):
         with pytest.raises(ValueError):

@@ -175,6 +175,7 @@ class TestReset:
         cfg = make_cfg()
         st = observer.reset(0.0, cfg)
         assert st.F_hat == 0.0 and st.Fdot_hat == 0.0
+        assert (st.var_F, st.cov_F_Fdot, st.var_Fdot) == (0.25, 0.0, 1.0)
 
     def test_boundary_inclusive(self):
         cfg = make_cfg()
@@ -923,19 +924,6 @@ class TestBranchDisambiguation:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("init_cov", [
-        [[np.nan, 0.0], [0.0, 1.0]], [[0.25, 0.0], [0.0, np.inf]],
-        [[0.25, 0.1], [0.0, 1.0]], [[0.25, 0.0], [0.0, -1.0]], [[0.25, 1.0], [1.0, 1.0]]],
-        ids=["nan", "inf", "asymmetric", "negative_variance", "indefinite"])
-    def test_init_cov_rejected(self, init_cov):
-        with pytest.raises(ValueError, match="init_cov"):
-            replace(make_cfg(), init_cov=np.array(init_cov))
-
-    def test_init_cov_seeds_the_state(self):
-        cfg = replace(make_cfg(), init_cov=np.array([[0.5, 0.2], [0.2, 0.3]]))
-        st = observer.reset(1.0, cfg)
-        assert (st.var_F, st.cov_F_Fdot, st.var_Fdot) == (0.5, 0.2, 0.3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ObserverConfig(dt=0.01, Q=np.eye(2), R=-1.0, envelope=ENV,
