@@ -173,8 +173,7 @@ def _build_filter_spec(cfg: dict, sensor_rate_hz: float) -> sig.FilterSpec:
 
 
 _OBSERVER_KEYS = {"grid_points": int, "refine_tol": float, "sigma_F": float,
-                  "sigma_Fdot": float, "noise_L": float, "gradient_guard_ratio": float,
-                  "gradient_guard_inflation": float}
+                  "sigma_Fdot": float, "noise_L": float}
 
 
 def _gains_from(block: dict, name: str) -> control.PidGains:
@@ -245,14 +244,18 @@ def _check_type(name: str, block, kind: type) -> None:
 
 
 def _check_block_types(cfg: dict) -> None:
-    """Each block and each controller gain block is an object and
-    ``scenarios`` is a list; a null block counts as empty."""
+    """Each block and each controller gain block is an object,
+    ``scenarios`` is a list and each ``paths`` entry is a string; a null
+    block counts as empty."""
     for name in _OBJECT_BLOCKS:
         _check_type(name, cfg.get(name), dict)
     _check_type("scenarios", cfg.get("scenarios"), list)
     controller = cfg.get("controller") or {}
     for name in ("force_gains", "disp_gains"):
         _check_type(f"controller.{name}", controller.get(name), dict)
+    for key, path in (cfg.get("paths") or {}).items():
+        if not isinstance(path, str):
+            raise ConfigError(f"paths.{key}: expected a file name, got {path!r}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -342,13 +345,15 @@ def cmd_fit(args, cfg, resolved) -> int:
     return EXIT_OK if report.converged else EXIT_NOCONV
 
 
-def _nominal_models(resolved):
-    paths = resolved["paths"]
-    dyn = (model.load_dynamic_params(paths["dynamic_params"])
-           if "dynamic_params" in paths else plant.reference_dynamic_params())
-    ind_p = (model.load_inductance_params(paths["inductance_params"])
-             if "inductance_params" in paths else plant.reference_inductance_params())
-    return dyn, ind_p
+def _load_params(paths: dict, key: str, load, default):
+    """The parameters in the file ``paths[key]``, or ``default()`` when
+    the config names none; any problem with the file is a data error."""
+    if key not in paths:
+        return default()
+    try:
+        return load(paths[key])
+    except (OSError, ValueError) as exc:
+        raise ident.DataFormatError(f"paths.{key}: {exc}") from None
 
 
 def _reversal_stats(ds: ident.Dataset, err: np.ndarray, window_s: float = 0.25) -> dict:
@@ -386,8 +391,11 @@ def cmd_estimate(args, cfg, resolved) -> int:
     ds = _load_dataset(args, resolved)
     if len(ds) < 2:
         raise ident.DataFormatError(f"estimate needs at least 2 data rows, got {len(ds)}")
-    dyn, ind_p = _nominal_models(resolved)
-    pcfg, setup = resolved["plant"], resolved["setup"]
+    paths, pcfg, setup = resolved["paths"], resolved["plant"], resolved["setup"]
+    dyn = _load_params(paths, "dynamic_params", model.load_dynamic_params,
+                       plant.reference_dynamic_params)
+    ind_p = _load_params(paths, "inductance_params", model.load_inductance_params,
+                         plant.reference_inductance_params)
     fs = pcfg.sensor_rate_hz
     dt_data = float(np.median(np.diff(ds.t)))
     if abs(fs - 1.0 / dt_data) > 1e-6 * fs:
@@ -396,8 +404,14 @@ def cmd_estimate(args, cfg, resolved) -> int:
     env = pcfg.envelope
     _check_in_envelope(ds, "inductance", ds.L, env.L_min, env.L_max, "uH")
     _check_in_envelope(ds, "pressure", ds.P, env.P_min, env.P_max, "MPa")
+    try:
+        ocfg = control.observer_config(setup, ind_p, dt_data)
+    except (ValueError, ArithmeticError) as exc:
+        if "inductance_params" not in paths:
+            raise ConfigError(f"observer: {exc}") from None
+        raise ident.DataFormatError(f"paths.inductance_params: {paths['inductance_params']}: "
+                                    f"the observer cannot use this map: {exc}") from None
     out = _out_dir(cfg, args)
-    ocfg = control.observer_config(setup, ind_p, dt_data)
     est = observer.run_estimation(ds, ind_p, dyn, ocfg, sig.design(setup.filter_spec, fs))
     force = _truth_metrics(est["F_hat"], ds.F, "F")
     metrics: dict = {"provenance": _provenance(cfg), "force": force,

@@ -312,13 +312,21 @@ def save_dynamic_params(params: DynamicParams, path: str) -> None:
     _atomic_write_text(path, json.dumps({"k": params.k, "x0": params.x0, "c": params.c}, indent=2) + "\n")
 
 
-def load_dynamic_params(path: str) -> DynamicParams:
+def _load_params(path: str, kind: str, build):
+    """``build`` on the JSON document in ``path``; any problem with the
+    document (not JSON, a missing or bad field) is a ValueError naming it."""
     with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        return DynamicParams(k=float(doc["k"]), x0=float(doc["x0"]), c=float(doc["c"]))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc} in dynamic parameter file") from None
+        try:
+            return build(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc} in {kind} parameter file") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad {kind} parameter file: {exc}") from None
+
+
+def load_dynamic_params(path: str) -> DynamicParams:
+    return _load_params(path, "dynamic", lambda doc: DynamicParams(
+        k=float(doc["k"]), x0=float(doc["x0"]), c=float(doc["c"])))
 
 
 def save_inductance_params(params: InductanceParams, path: str) -> None:
@@ -326,8 +334,4 @@ def save_inductance_params(params: InductanceParams, path: str) -> None:
 
 
 def load_inductance_params(path: str) -> InductanceParams:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "p" not in doc:
-        raise ValueError(f"{path}: missing field 'p' in inductance parameter file")
-    return InductanceParams(p=tuple(doc["p"]))
+    return _load_params(path, "inductance", lambda doc: InductanceParams(p=tuple(doc["p"])))

@@ -18,22 +18,22 @@ reading on a rising-then-falling curve.  The cost's first and second
 derivatives are closed-form from the same ``pow`` and ``exp`` terms as
 the map (``_cost_derivatives``), so the iteration converges in a few
 steps; a step that leaves the bracket, or a non-positive curvature, is
-replaced by bisection.  Only on a map outside the envelope, where a
-derivative is not finite, does a golden-section pass on the cost
-refine the bracket instead.
+replaced by bisection.  Where a derivative raises or is not finite, a
+golden-section pass on the cost refines the bracket instead: on a map
+whose powers overflow, and on the reference map too for F below about
+1e-162 N, where F*F in L'' underflows to zero.
 
 Per sample, the map coefficients are evaluated once, and the inversion
-and the gradient guard run on Python floats with ``math.pow`` and
-``math.exp`` (``_cost_function``, ``_cost_derivatives``,
-``_abs_gradient``), with no array built.  The cost evaluates the map
-through ``model._inductance_at``, the one copy the plant evaluates too,
-so it inverts the very bits of a noiseless reading; neither claims to
-agree with numpy's ``power`` and ``exp`` in the last bit.  Every
-grid cost is at least its continuity term (w_dyn dF) dF, which grows
-with the distance from the prior, so the coarse grid is costed outward
-from the prior only until that term exceeds the least cost seen
-(``_grid_index``); a tracking sample costs a few grid points, not all
-of them.
+runs on Python floats with ``math.pow`` and ``math.exp``
+(``_cost_function``, ``_cost_derivatives``), with no array built.  The
+cost evaluates the map through ``model._inductance_at``, the one copy
+the plant evaluates too, so it inverts the very bits of a noiseless
+reading; neither claims to agree with numpy's ``power`` and ``exp`` in
+the last bit.  Every grid cost is at least its continuity term (w_dyn
+dF) dF, which grows with the distance from the prior, so the coarse
+grid is costed outward from the prior only until that term exceeds the
+least cost seen (``_grid_index``); a tracking sample costs a few grid
+points, not all of them.
 
 The Kalman state is five Python floats (the mean and the three distinct
 covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
@@ -54,8 +54,7 @@ import numpy as np
 
 from . import model
 from . import signal as sig
-from .model import (DynamicParams, EnvelopeError, InductanceParams, OperatingEnvelope,
-                    _exp, _pow)
+from .model import DynamicParams, EnvelopeError, InductanceParams, OperatingEnvelope
 
 __all__ = [
     "ObserverState",
@@ -149,9 +148,6 @@ class ObserverConfig:
     weights: CostWeights
     grid_points: int = 129
     refine_tol: float = 1e-5
-    median_gradient: float = 0.1
-    gradient_guard_ratio: float = 1e-4
-    gradient_guard_inflation: float = 10.0
     grid: tuple = field(init=False, repr=False, compare=False)
     Q_entries: tuple = field(init=False, repr=False, compare=False)
 
@@ -167,10 +163,6 @@ class ObserverConfig:
         if not self.refine_tol >= tol_floor:
             raise ValueError(f"refine_tol must be >= {tol_floor!r} (four float spacings "
                              f"of the largest force)")
-        if not self.gradient_guard_ratio >= 0:
-            raise ValueError("gradient_guard_ratio must be >= 0")
-        if not self.gradient_guard_inflation >= 1:
-            raise ValueError("gradient_guard_inflation must be >= 1")
         if np.any(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T)) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
         object.__setattr__(self, "grid", tuple(
@@ -178,11 +170,11 @@ class ObserverConfig:
         object.__setattr__(self, "Q_entries", tuple(self.Q.ravel().tolist()))
 
 
-def median_force_gradient(params: InductanceParams, envelope: OperatingEnvelope,
-                          n_f: int = 80, n_p: int = 16) -> float:
-    """Median |dL/dF| over the envelope (excluding the F=0 edge)."""
-    F = np.linspace(max(envelope.F_min, 1e-3 * envelope.F_span), envelope.F_max, n_f)
-    P = np.linspace(envelope.P_min, envelope.P_max, n_p)
+def median_force_gradient(params: InductanceParams, envelope: OperatingEnvelope) -> float:
+    """Median |dL/dF| over an 80 x 16 grid of the envelope (excluding
+    the F=0 edge)."""
+    F = np.linspace(max(envelope.F_min, 1e-3 * envelope.F_span), envelope.F_max, 80)
+    P = np.linspace(envelope.P_min, envelope.P_max, 16)
     FF, PP = np.meshgrid(F, P)
     return float(np.median(np.abs(model.d_inductance_dF(params, FF, PP, validate=False))))
 
@@ -212,10 +204,15 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
     sensor noise; that length grows as one over the noise, so without
     a floor it leaves the envelope.  At or above the floor the weights
     and R are the noise-scaled ones unchanged.
+
+    Raises EnvelopeError unless the map's lambda2 and lambda4 are
+    positive at both ends of the pressure range, so on all of it.
     """
     if not (noise_L >= 0 and sigma_F >= 0 and sigma_Fdot >= 0):
         raise ValueError(f"noise_L, sigma_F and sigma_Fdot must be >= 0, got "
                          f"{noise_L}, {sigma_F} and {sigma_Fdot}")
+    model.eval_coeffs(params, envelope.P_min)
+    model.eval_coeffs(params, envelope.P_max)
     span = envelope.F_span
     noise_L = max(noise_L, NOISE_FLOOR_UH)
     w_dyn = (3.0 * noise_L) ** 2 / (0.05 * span) ** 2
@@ -228,7 +225,6 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
         R=(noise_L / med) ** 2,
         envelope=envelope,
         weights=weights,
-        median_gradient=med,
     )
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -346,14 +342,6 @@ def _newton(derivatives, a: float, b: float, x: float, tol: float) -> float:
     return x
 
 
-def _abs_gradient(F: float, coeffs: tuple) -> float:
-    """|dL/dF| at one float force, in the order of
-    ``model._d_inductance_dF``."""
-    l1, l2, l3, l4, _ = coeffs
-    F_l4 = _pow(F, l4)
-    return abs(l1 * _pow(F, l2 - 1.0) * _exp(l3 * F_l4) * (l2 + l3 * l4 * F_l4))
-
-
 def _golden_section(fun, a: float, b: float, tol: float) -> float:
     """Golden-section minimizer of ``fun`` on [a, b] down to interval
     width ``tol``: the midpoint of the last bracket."""
@@ -412,9 +400,11 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     Coarse global scan (``grid_points`` samples) picks the basin; a
     safeguarded Newton iteration on the cost's derivative refines it
     inside the winning bracket, the two grid steps around the winner, to
-    ``refine_tol`` (``_newton``).  On a map whose cost derivatives are
-    not finite there, a golden-section pass on the cost refines the
-    bracket instead.  The result always lies inside the interval; edge
+    ``refine_tol`` (``_newton``).  Where a cost derivative raises or is
+    not finite, a golden-section pass on the cost refines the bracket
+    instead: on a map whose powers overflow, and on any map at an iterate
+    so near F = 0 that F*F underflows (below about 1e-162 N on the
+    reference map).  The result always lies inside the interval; edge
     minima are returned clamped, not raised.  The scan's winner is the
     first least grid cost, NaNs skipped (``_grid_index``).
     """
@@ -444,18 +434,18 @@ def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig
     return min(max(f_star, env.F_min), env.F_max)
 
 
-def update(prior: ObserverState, F_star: float, cfg: ObserverConfig,
-           R: float | None = None) -> ObserverState:
+def update(prior: ObserverState, F_star: float, cfg: ObserverConfig) -> ObserverState:
     """Scalar Kalman update of the force component (Joseph form).
 
     The pseudo-measurement observes the force directly, so the
     observation row is [1, 0]; the posterior force variance never
     exceeds the prior's.  The covariance is (I - K H) C (I - K H)^T +
-    K K^T R, written out on floats in the order of numpy's products.
+    K K^T R, for R = ``cfg.R``, written out on floats in the order of
+    numpy's products.
     """
-    Rv = cfg.R if R is None else float(R)
+    R = cfg.R
     p00, p01, p11 = prior.var_F, prior.cov_F_Fdot, prior.var_Fdot
-    S = p00 + Rv
+    S = p00 + R
     k0 = p00 / S
     k1 = p01 / S
     innovation = F_star - prior.F_hat
@@ -466,9 +456,9 @@ def update(prior: ObserverState, F_star: float, cfg: ObserverConfig,
     t10 = b * p00 + p01
     return ObserverState(
         prior.F_hat + k0 * innovation, prior.Fdot_hat + k1 * innovation,
-        t00 * a + k0 * k0 * Rv,
-        0.5 * ((t00 * b + t01 + k0 * k1 * Rv) + (t10 * a + k1 * k0 * Rv)),
-        t10 * b + (b * p01 + p11) + k1 * k1 * Rv)
+        t00 * a + k0 * k0 * R,
+        0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R)),
+        t10 * b + (b * p01 + p11) + k1 * k1 * R)
 
 
 def estimate_step(state: ObserverState, L_raw: float, P: float,
@@ -484,9 +474,6 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     since the filter overshoots on steps.  Length is inferred from
     ``F_hat`` at the raw pressure, the one acting now.  Both filter
     states advance in place; the observer state is returned fresh.
-    When the map gradient at the solution is nearly zero (curve peak),
-    the measurement noise is inflated for that step to reflect the lost
-    observability.
     """
     env = cfg.envelope
     env.check_P(P)
@@ -499,13 +486,8 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     prior_F = min(max(pred.F_hat, env.F_min), env.F_max)
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
-    coeffs = model._coeffs(params, P_f)
-    F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, coeffs)
-    g_floor = 1e-3 * env.F_span + env.F_min
-    flat = (_abs_gradient(max(F_star, g_floor), coeffs)
-            < cfg.gradient_guard_ratio * cfg.median_gradient)
-    Rv = cfg.R * cfg.gradient_guard_inflation if flat else cfg.R
-    post = update(pred, F_star, cfg, R=Rv)
+    F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, model._coeffs(params, P_f))
+    post = update(pred, F_star, cfg)
     post.pressure_filter = p_filt
     F_hat = post.F_hat
     x_hat = model.invert_dynamic_length(dyn, F_hat, P)
@@ -513,35 +495,32 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
 
 
 def nearest_preimage(L_meas: float, P: float, params: InductanceParams,
-                     envelope: OperatingEnvelope, n_grid: int = 4001) -> float:
+                     envelope: OperatingEnvelope) -> float:
     """Memoryless baseline inverter: the force whose modeled inductance
-    is closest to the reading, by dense scan.
+    is closest to the reading, by a dense scan of 4001 forces.
 
     Has no continuity prior, so on a non-monotonic curve it is free to
     jump between the two branches from one call to the next.
     """
-    grid = np.linspace(envelope.F_min, envelope.F_max, n_grid)
+    grid = np.linspace(envelope.F_min, envelope.F_max, 4001)
     r = model.eval_inductance(params, grid, P, validate=False) - L_meas
     return float(grid[int(np.nanargmin(r * r))])
 
 
 def run_estimation(dataset, params: InductanceParams, dyn: DynamicParams,
-                   cfg: ObserverConfig, filt: sig.FilterState,
-                   F0: float | None = None) -> dict:
+                   cfg: ObserverConfig, filt: sig.FilterState) -> dict:
     """Stream a dataset through the observer.
 
     ``filt`` is the inductance filter, designed at the data's sample
     rate; it is primed with the first raw sample (no startup
     transient), and so is the pressure filter on the first step; the
     state starts at the force whose modeled inductance matches that
-    first sample unless ``F0`` is given.
+    first sample (``nearest_preimage``, a point of the envelope).
     Returns arrays ``F_hat`` and ``x_hat`` aligned with the dataset.
     """
     sig.prime(filt, float(dataset.L[0]))
-    if F0 is None:
-        F0 = nearest_preimage(float(dataset.L[0]), float(dataset.P[0]),
-                              params, cfg.envelope)
-    state = reset(float(np.clip(F0, cfg.envelope.F_min, cfg.envelope.F_max)), cfg)
+    state = reset(nearest_preimage(float(dataset.L[0]), float(dataset.P[0]),
+                                   params, cfg.envelope), cfg)
     n = len(dataset)
     F_hat = np.empty(n)
     x_hat = np.empty(n)

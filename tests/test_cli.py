@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +116,29 @@ class TestFitDegenerateData:
         data = degenerate_csv(tmp_path / "d.csv")
         assert cli.main(["--out", str(tmp_path / "o"), "fit", "--model", "dynamic",
                          "--data", data]) == cli.EXIT_OK
+
+
+def _map_with(**entries):
+    """The reference map's JSON file text with some of its ten entries replaced."""
+    p = list(plant.reference_inductance_params().p)
+    for i, v in entries.items():
+        p[int(i[1:])] = v
+    return json.dumps({"p": p})
+
+
+#: Parameter files named in ``paths`` that ``estimate`` rejects: the
+#: config key, the file's text and a word of the message that names why.
+BAD_PARAMETER_FILES = {
+    "map_not_json": ("inductance_params", "{p: [", "Expecting"),
+    "map_without_p": ("inductance_params", '{"q": []}', "missing field 'p'"),
+    "map_of_9": ("inductance_params", json.dumps({"p": [1.0] * 9}), "got 9"),
+    "map_with_nan": ("inductance_params", _map_with(p9=math.nan), "finite"),
+    "lambda1_zero": ("inductance_params", _map_with(p0=0.0, p1=0.0), "cannot use this map"),
+    "lambda2_800": ("inductance_params", _map_with(p2=0.0, p3=800.0), "R must be positive"),
+    "lambda2_negative": ("inductance_params", _map_with(p2=0.0, p3=-1.0),
+                         "lambda2=-1.0"),
+    "dynamic_without_x0": ("dynamic_params", '{"k": 38.6, "c": 1.6}', "missing field 'x0'"),
+}
 
 
 class TestEstimate:
@@ -243,6 +267,23 @@ class TestEstimate:
         path.write_text("t,P,L\n0,0,5\n0,0,5\n")
         rc = cli.main(["--out", str(tmp_path / "o"), "estimate", "--data", str(path)])
         assert rc == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("case", list(BAD_PARAMETER_FILES))
+    def test_bad_parameter_file_is_a_data_error(self, cal_csv, tmp_path, capsys, case):
+        # each used to end in a traceback, or (lambda2 < 0) to run to exit 0
+        key, text, cause = BAD_PARAMETER_FILES[case]
+        params = tmp_path / "params.json"
+        params.write_text(text)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"paths": {key: str(params)}}))
+        out = tmp_path / "o"
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out), "estimate",
+                       "--data", cal_csv])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"data error: paths.{key}: ")
+        assert str(params) in err and cause in err
+        assert not out.exists()
 
 
 class TestSimulateTrackPerturb:
@@ -396,7 +437,9 @@ class TestSimulateTrackPerturb:
         ({"envelope": {"F_max": "5"}}, "envelope.F_max"),
         ({"observer": {"grid_points": 3}}, "grid_points"),
         ({"observer": {"sigma_F": -0.05}}, "sigma_F"),
-        ({"observer": {"gradient_guard_inflation": -10.0}}, "gradient_guard_inflation"),
+        ({"observer": {"gradient_guard_inflation": 10.0}},
+         "observer: unknown keys ['gradient_guard_inflation']"),
+        ({"paths": {"data": 0}}, "paths.data: expected a file name"),
         ({"scenarios": [{"kind": "force_tracking", "frequency_hz": 0.0}]}, "frequency_hz"),
         ({"scenarios": [{"kind": "displacement_tracking", "frequency_hz": 0.0}]},
          "frequency_hz"),
@@ -405,7 +448,8 @@ class TestSimulateTrackPerturb:
          "frequency_hz")],
         ids=["gain_typo", "cutoff_at_nyquist", "cutoff_at_plant_nyquist", "negative_seed",
              "fractional_order", "boolean_scalar", "string_scalar", "coarse_grid",
-             "negative_sigma_F", "negative_guard_inflation", "zero_force_frequency",
+             "negative_sigma_F", "removed_guard_key", "paths_entry_not_a_name",
+             "zero_force_frequency",
              "zero_disp_frequency", "negative_force_frequency", "negative_disp_frequency"])
     def test_config_rejected_before_output(self, tmp_path, capsys, doc, key):
         cfg_path = str(tmp_path / "cfg.json")
@@ -527,7 +571,6 @@ SCALAR_PATHS = [("seed",), ("plant", "noise_L"), ("plant", "valve_tau"),
                 ("envelope", "F_max"), ("envelope", "P_min"), ("envelope", "L_max"),
                 ("filter", "order"), ("filter", "cutoff_hz"), ("observer", "grid_points"),
                 ("observer", "sigma_F"), ("observer", "refine_tol"),
-                ("observer", "gradient_guard_inflation"),
                 ("controller", "p_max"), ("controller", "force_gains", "kp"),
                 ("controller", "disp_gains", "kd")]
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
