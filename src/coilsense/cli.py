@@ -274,6 +274,10 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"observer: {exc}") from None
     scenarios = [scenario_from_config(b) for b in (cfg.get("scenarios") or [])]
     for s in scenarios:
+        # a load perturbation runs as a dataset (simulate) and as a closed loop (perturb)
+        closed_loop = s.kind in _TRACKING_KINDS or s.kind == "load_perturbation"
+        plant.check_run_length(s.name, control.loop_seconds(s) if closed_loop
+                               else s.total_duration_s, pcfg.sensor_rate_hz)
         if s.kind in _TRACKING_KINDS:
             if control.metrics_window_samples(s, setup) < 2:
                 raise ConfigError(f"scenario '{s.name}': the metrics window of {s.duration_s:g} s "
@@ -608,7 +612,7 @@ def main(argv=None) -> int:
         resolved = validate_config(cfg)
         return args.func(args, cfg, resolved)
     except (ConfigError, model.EnvelopeError, plant.IsotonicInfeasibleError,
-            control.PrerollError) as exc:
+            plant.RunLengthError, control.PrerollError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ident.DataFormatError, FileNotFoundError) as exc:

@@ -23,8 +23,8 @@ from . import observer as obs
 from . import signal as sig
 from .ident import GoodnessMetrics, fit_dynamic, goodness
 from .model import DegenerateModelError, DynamicParams, InductanceParams
-from .plant import (Plant, PlantConfig, Scenario, StepResult, perturbation_load_profile,
-                    run_scenario)
+from .plant import (Plant, PlantConfig, Scenario, StepResult, check_run_length,
+                    perturbation_load_profile, run_scenario)
 
 __all__ = [
     "PidGains",
@@ -39,6 +39,7 @@ __all__ = [
     "resolve_setup",
     "observer_config",
     "metrics_window_samples",
+    "loop_seconds",
     "run_tracking",
     "compare_tracking",
     "run_perturbation",
@@ -130,7 +131,8 @@ def identify_dynamic(plant_cfg: PlantConfig, seed_tag: int = 501) -> DynamicPara
     absorbs the quasi-static part of the hysteresis, which matters for
     both feedforward quality and displacement inference.
     """
-    scn = Scenario.isobaric_sweep(x0=plant_cfg.dyn.x0, cycles=1, cycle_period_s=4.0)
+    scn = replace(Scenario.isobaric_sweep(x0=plant_cfg.dyn.x0, cycles=1, cycle_period_s=4.0),
+                  label="identification_sweep")
     ds = run_scenario(scn, replace(plant_cfg, seed=plant_cfg.seed + seed_tag))
     return fit_dynamic(ds).params
 
@@ -263,6 +265,7 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     Neither is logged.
     """
     pcfg = setup.plant_cfg
+    check_run_length(scenario.name, loop_seconds(scenario), pcfg.sensor_rate_hz)
     force_mode = scenario.kind == "force_tracking"
     dts = 1.0 / pcfg.sensor_rate_hz
     n_pre = int(round(PREROLL_S / dts))
@@ -331,9 +334,8 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
     ocfg, plant, filt, state, last = start.ocfg, start.plant, start.filt, start.state, start.last
 
     t_log = _log_times(scenario, pcfg.sensor_rate_hz)
-    log = np.empty((t_log.size, 7))
-    log[:, 0] = t_log
-    log[:, 1] = refs = scenario.reference(t_log)
+    refs = scenario.reference(t_log)
+    rows = []
     F_hat = state.F_hat
     x_hat = model.invert_dynamic_length(setup.dyn, F_hat, last.P)
     p_cmd = start.p_ff0
@@ -351,8 +353,19 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
         last = drive(plant, p_cmd, t)
         state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
                                                 pcfg.ind, setup.dyn, ocfg, filt)
-        log[i, 2:] = last.F, last.x, F_hat, x_hat, p_cmd
-    return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"), log.T))
+        rows.append((last.F, last.x, F_hat, x_hat, p_cmd))
+    log = np.array(rows).reshape(-1, 5).T
+    return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"),
+                    (t_log, refs, *log)))
+
+
+def loop_seconds(scenario: Scenario) -> float:
+    """Seconds a closed loop on ``scenario`` steps: the pre-roll, the
+    conditioning cycles of displacement tracking and the logged run."""
+    seconds = PREROLL_S + scenario.duration_s
+    if scenario.kind == "displacement_tracking":
+        seconds += CONDITION_CYCLES / scenario.frequency_hz
+    return seconds
 
 
 def _log_times(scenario: Scenario, rate_hz: float) -> np.ndarray:

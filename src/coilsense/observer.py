@@ -23,17 +23,22 @@ golden-section pass on the cost refines the bracket instead: on a map
 whose powers overflow, and on the reference map too for F below about
 1e-162 N, where F*F in L'' underflows to zero.
 
-Per sample, the map coefficients are evaluated once, and the inversion
-runs on Python floats with ``math.pow`` and ``math.exp``
-(``_cost_function``, ``_cost_derivatives``), with no array built.  The
-cost evaluates the map through ``model._inductance_at``, the one copy
-the plant evaluates too, so it inverts the very bits of a noiseless
-reading; neither claims to agree with numpy's ``power`` and ``exp`` in
-the last bit.  Every grid cost is at least its continuity term (w_dyn
-dF) dF, which grows with the distance from the prior, so the coarse
-grid is costed outward from the prior only until that term exceeds the
-least cost seen (``_grid_index``); a tracking sample costs a few grid
-points, not all of them.
+Per sample, the map coefficients are evaluated once and gathered with
+the reading, the prior and the weights into one tuple of floats
+(``_cost_args``).  The grid scan and the Newton pass hand that tuple to
+the module-level cost and derivative functions (``_cost``,
+``_cost_derivatives``), which run on Python floats with ``math.pow`` and
+``math.exp``: no array is built, and no function object is made on the
+scan or the Newton path; only the golden-section fallback wraps the
+cost in one.  The cost evaluates the map through
+``model._inductance_at``, the one copy the plant evaluates too, so it
+inverts the very bits of a noiseless reading; neither claims to agree
+with numpy's ``power`` and ``exp`` in the last bit.  Every grid cost is
+at least its continuity term (w_dyn dF) dF, which grows with the
+distance from the prior, so the coarse grid is costed outward from the
+prior only until that term exceeds the least cost seen
+(``_grid_index``); a tracking sample costs a few grid points, not all
+of them.
 
 The Kalman state is five Python floats (the mean and the three distinct
 covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
@@ -258,26 +263,28 @@ def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
         c11 + q11)
 
 
-def _cost_function(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
-    """The inversion cost as a function of one float force, on the map
-    coefficients ``coeffs``: the residual of ``model._inductance_at``,
-    then the fit, continuity and regularization terms."""
-    l1, l2, l3, l4, l5 = coeffs
-    w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
-    inductance = model._inductance_at
-
-    def cost(F):
-        r = inductance(F, l1, l2, l3, l4, l5) - L_meas
-        dF = F - prior_F
-        return (w_fit * r * r + w_dyn * dF * dF
-                + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF)))
-
-    return cost
+def _cost_args(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights) -> tuple:
+    """The floats the inversion cost of one sample depends on besides the
+    force: ``(L_meas, prior_F, l1, ..., l5, w_fit, w_dyn, w_reg, gamma)``,
+    for ``_cost``, ``_cost_derivatives`` and ``_grid_index``."""
+    return (L_meas, prior_F, *coeffs, w.w_fit, w.w_dyn, w.w_reg, w.gamma)
 
 
-def _cost_derivatives(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights):
-    """The first two derivatives of the map and of the inversion cost as
-    a function of one float force F > 0: ``(L', L'', C', C'')``.
+def _cost(F: float, args: tuple) -> float:
+    """The inversion cost at one float force, on the sample's
+    ``_cost_args``: the residual of ``model._inductance_at``, then the
+    fit, continuity and regularization terms."""
+    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
+    r = model._inductance_at(F, l1, l2, l3, l4, l5) - L_meas
+    dF = F - prior_F
+    return (w_fit * r * r + w_dyn * dF * dF
+            + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF)))
+
+
+def _cost_derivatives(F: float, args: tuple) -> tuple:
+    """The first two derivatives of the map and of the inversion cost at
+    one float force F > 0, on the sample's ``_cost_args``: ``(L', L'',
+    C', C'')``.
 
     With m = l1 F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, L' = m u / F
     and L'' = m (u u - u + l3 l4 l4 F**l4) / (F F).  With r = m + l5 -
@@ -286,31 +293,26 @@ def _cost_derivatives(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeigh
     + 2 w_dyn + 2 w_reg gamma (1 - 3 gamma d d) q q q, where q = 1 / (1 +
     gamma d d).  ``math`` exceptions propagate, and no value is mapped.
     """
-    l1, l2, l3, l4, l5 = coeffs
-    w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
-    l34, l344 = l3 * l4, l3 * l4 * l4
-
-    def derivatives(F):
-        F_l4 = math.pow(F, l4)
-        m = l1 * math.pow(F, l2) * math.exp(l3 * F_l4)
-        u = l2 + l34 * F_l4
-        d1 = m * u / F
-        d2 = m * (u * u - u + l344 * F_l4) / (F * F)
-        r = m + l5 - L_meas
-        dF = F - prior_F
-        q = 1.0 / (1.0 + gamma * dF * dF)
-        rq = w_reg * gamma * q * q
-        return (d1, d2,
-                2.0 * (w_fit * r * d1 + w_dyn * dF + rq * dF),
-                2.0 * (w_fit * (d1 * d1 + r * d2) + w_dyn
-                       + rq * q * (1.0 - 3.0 * gamma * dF * dF)))
-
-    return derivatives
+    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
+    F_l4 = math.pow(F, l4)
+    m = l1 * math.pow(F, l2) * math.exp(l3 * F_l4)
+    u = l2 + l3 * l4 * F_l4
+    d1 = m * u / F
+    d2 = m * (u * u - u + l3 * l4 * l4 * F_l4) / (F * F)
+    r = m + l5 - L_meas
+    dF = F - prior_F
+    q = 1.0 / (1.0 + gamma * dF * dF)
+    rq = w_reg * gamma * q * q
+    return (d1, d2,
+            2.0 * (w_fit * r * d1 + w_dyn * dF + rq * dF),
+            2.0 * (w_fit * (d1 * d1 + r * d2) + w_dyn
+                   + rq * q * (1.0 - 3.0 * gamma * dF * dF)))
 
 
-def _newton(derivatives, a: float, b: float, x: float, tol: float) -> float:
+def _newton(derivatives, args, a: float, b: float, x: float, tol: float) -> float:
     """Minimizer of a cost on [a, b] by safeguarded Newton on its
-    derivative, from x in [a, b]; ``derivatives`` is ``_cost_derivatives``.
+    derivative, from x in [a, b]; ``derivatives(F, args)`` is
+    ``_cost_derivatives``.
 
     The sign of C'(x) moves one end of the bracket to x.  The Newton step
     -C'/C'' is taken when C'' > 0 and it lands strictly inside the
@@ -321,7 +323,7 @@ def _newton(derivatives, a: float, b: float, x: float, tol: float) -> float:
     """
     half_tol = 0.5 * tol
     for _ in range(_MAX_NEWTON_STEPS):
-        _, _, g, h = derivatives(x)
+        _, _, g, h = derivatives(x, args)
         if not (math.isfinite(g) and math.isfinite(h)):
             raise FloatingPointError(f"non-finite cost derivative at F={x!r}")
         if g > 0.0:
@@ -360,8 +362,9 @@ def _golden_section(fun, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _grid_index(cost, grid: tuple, prior_F: float, w_dyn: float) -> int:
-    """Index of the first least ``cost`` on ``grid``, NaNs skipped.
+def _grid_index(grid: tuple, args: tuple) -> int:
+    """Index of the first least ``_cost`` on ``grid``, NaNs skipped, for
+    the sample's ``_cost_args``.
 
     A grid cost is w_fit r r + (w_dyn dF) dF + reg, with the first and
     last terms >= 0, so by monotone rounding it is at least the float
@@ -371,6 +374,7 @@ def _grid_index(cost, grid: tuple, prior_F: float, w_dyn: float) -> int:
     can win.  With w_dyn = 0, or while every cost is NaN or inf, that
     never happens and the whole grid is costed.
     """
+    _, prior_F, _, _, _, _, _, _, w_dyn, _, _ = args
     n = len(grid)
     lo = hi = bisect.bisect_left(grid, prior_F)   # the run is grid[lo:hi]
     best_j, best = n, math.inf
@@ -385,7 +389,7 @@ def _grid_index(cost, grid: tuple, prior_F: float, w_dyn: float) -> int:
             lo -= 1
         if w_dyn * d * d > best:
             break
-        c = cost(grid[j])
+        c = _cost(grid[j], args)
         if c < best or (c == best and j < best_j):  # False for NaN
             best_j, best = j, c
     if best_j == n:
@@ -420,17 +424,15 @@ def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig
     inversion pressure, without its checks."""
     env = cfg.envelope
     grid = cfg.grid
-    w = cfg.weights
-    cost = _cost_function(L_meas, prior_F, coeffs, w)
-    i = _grid_index(cost, grid, prior_F, w.w_dyn)
+    args = _cost_args(L_meas, prior_F, coeffs, cfg.weights)
+    i = _grid_index(grid, args)
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, cfg.grid_points - 1)]
     x = grid[i] if grid[i] > 0.0 else 0.5 * (a + b)   # the derivatives need F > 0
     try:
-        f_star = _newton(_cost_derivatives(L_meas, prior_F, coeffs, w), a, b, x,
-                         cfg.refine_tol)
+        f_star = _newton(_cost_derivatives, args, a, b, x, cfg.refine_tol)
     except (ValueError, ArithmeticError):   # math exceptions and non-finite derivatives
-        f_star = _golden_section(cost, a, b, cfg.refine_tol)
+        f_star = _golden_section(lambda F: _cost(F, args), a, b, cfg.refine_tol)
     return min(max(f_star, env.F_min), env.F_max)
 
 
@@ -521,10 +523,9 @@ def run_estimation(dataset, params: InductanceParams, dyn: DynamicParams,
     sig.prime(filt, float(dataset.L[0]))
     state = reset(nearest_preimage(float(dataset.L[0]), float(dataset.P[0]),
                                    params, cfg.envelope), cfg)
-    n = len(dataset)
-    F_hat = np.empty(n)
-    x_hat = np.empty(n)
-    for i in range(n):
-        state, F_hat[i], x_hat[i] = estimate_step(
-            state, float(dataset.L[i]), float(dataset.P[i]), params, dyn, cfg, filt)
-    return {"F_hat": F_hat, "x_hat": x_hat, "state": state}
+    F_hat, x_hat = [], []
+    for L, P in zip(dataset.L.tolist(), dataset.P.tolist()):
+        state, F, x = estimate_step(state, L, P, params, dyn, cfg, filt)
+        F_hat.append(F)
+        x_hat.append(x)
+    return {"F_hat": np.array(F_hat), "x_hat": np.array(x_hat), "state": state}

@@ -12,8 +12,9 @@ The valve lag, the play operators and the force are a recurrence: each
 sample needs the last one's pressure and play states, so they run a
 sample at a time on Python floats (``Plant._advance``): the play states
 are a tuple, their weighted sum is a plain left-to-right loop, and the
-isotonic balance walks the sorted knots from the segment of the last
-length, which usually holds the new balance too.  The tests keep the
+isotonic balance starts on the segment of the knots that holds the last
+length, which usually holds the new balance too, so the knots are
+sorted only when it does not.  The tests keep the
 array form (``np.clip`` and a BLAS dot product) as their reference,
 within the rounding-error bound of a dot product.
 
@@ -49,6 +50,8 @@ __all__ = [
     "Scenario",
     "Plant",
     "IsotonicInfeasibleError",
+    "RunLengthError",
+    "check_run_length",
     "run_scenario",
     "reference_inductance_params",
     "reference_dynamic_params",
@@ -75,8 +78,30 @@ LOAD_EVENTS_START_S = 3.0
 LOAD_EVENTS_END_FRACTION = 0.78
 
 
+#: Most samples one run may step, pre-roll and conditioning included.
+#: At its peak a run holds about 440 bytes a sample (``simulate`` of a
+#: calibration grid and its CSV; a closed loop about 300), and a closed
+#: loop steps about 25 us a sample, so a run stays under about 0.9 GB and
+#: a minute.  That is 5.5 h at the default 100 Hz, 80 times the longest
+#: run of the default configs (the 25,200-sample calibration grid).
+MAX_RUN_SAMPLES = 2_000_000
+
+
 class IsotonicInfeasibleError(ValueError):
     """Requested external load unreachable within the length envelope."""
+
+
+class RunLengthError(ValueError):
+    """A run would step more than ``MAX_RUN_SAMPLES`` samples."""
+
+
+def check_run_length(name: str, seconds: float, rate_hz: float) -> None:
+    """Raise RunLengthError unless ``seconds`` of scenario ``name`` at
+    ``rate_hz`` hold at most ``MAX_RUN_SAMPLES`` samples."""
+    if not seconds * rate_hz <= MAX_RUN_SAMPLES:
+        raise RunLengthError(
+            f"scenario '{name}': {seconds:g} s at {rate_hz:g} Hz is {seconds * rate_hz:.3g} "
+            f"samples, more than the {MAX_RUN_SAMPLES} a run may step")
 
 
 @dataclass(frozen=True)
@@ -176,9 +201,12 @@ class PlantState:
     t: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepResult:
-    """Truth channels (F, x, L_clean, P) and sensed channels (L_meas, F_meas)."""
+    """Truth channels (F, x, L_clean, P) and sensed channels (L_meas,
+    F_meas).  Slotted, not frozen: ``Plant.step`` builds one per sample,
+    positionally, and a frozen dataclass sets each field through
+    ``object.__setattr__`` (1.7 us a result against 0.3 us)."""
 
     t: float
     P: float
@@ -197,7 +225,8 @@ class Plant:
     plain floats, one rounding per product and per sum, so it gives the
     same bits on every host.  The inductance is the map on ``math``
     floats (``model._inductance_at``), the one copy the observer's cost
-    inverts.
+    inverts.  A step calls the validating ``model.eval_coeffs`` only when
+    a cheap check of the coefficients fails, to raise its EnvelopeError.
     """
 
     def __init__(self, cfg: PlantConfig, x0: float | None = None, P0: float = 0.0):
@@ -260,21 +289,21 @@ class Plant:
         otherwise a load <= max(f(x_min), 0) gives x_min and one >=
         f(x_max) gives x_max.
 
-        The search starts on the segment of the sorted knots (with the
-        envelope ends) that holds the last length ``state.x`` and walks
-        one segment at a time, right while the segment's right end falls
-        short of the load, left while its left end reaches it.  The
-        computed force is non-decreasing in x too (k > 0 and the weights
-        are >= 0, and every operation is a monotone rounding), so exactly
-        one pair of adjacent knots has fa < F_load <= fb.  From any start
-        the walk ends on the segment that a bisection, or a scan from the
-        left, ends on, with the same end forces, so it interpolates to the
-        same bits; it evaluates an end's force only on reaching that end,
-        or when the load equals fb, which may round to f(x_max).  The
-        start sets only the cost: the last step left every play state
-        within its width of that step's length, so the balance mostly
-        lies in the start segment, and the closed loops evaluate the
-        force at about 2.3 knots per step.
+        The search starts on the segment that holds the last length
+        ``state.x``, between the largest knot at or below it (or x_min)
+        and the smallest one above it (or x_max), found in one pass over
+        the unsorted knots.  The last step left every play state within
+        its width of that step's length, so the balance mostly lies in
+        this segment.  Otherwise the knots are sorted and the search walks
+        from it one segment at a time, right while the right end's force
+        falls short of the load, left while the left end's reaches it.
+        The computed force is non-decreasing in x too (k > 0, the weights
+        are >= 0 and every operation is a monotone rounding), so exactly
+        one pair of adjacent knots has fa < F_load <= fb: from any start
+        the walk ends on the segment that a bisection ends on, with the
+        same end forces and the same bits.  It evaluates an end's force
+        only on reaching that end, or when the load equals fb, which may
+        round to f(x_max).
         """
         env = self.cfg.envelope
         z = self.state.play_states
@@ -284,33 +313,40 @@ class Plant:
             if F_load < max(force(lo, P, z)[0], 0.0) - 1e-12:
                 raise self._unreachable(F_load, P, z)
             return lo
-        x0 = self.cfg.dyn.x0
-        xs = [lo]
-        xs += sorted([k for zi, w in zip(z, self._widths)
-                      for k in (zi - w + x0, zi + w + x0) if lo < k < hi])
-        xs.append(hi)
-        last = len(xs) - 1
-        a = bisect.bisect_right(xs, self.state.x, 1, last) - 1  # segment xs[a], xs[a + 1]
-        fa, fb = force(xs[a], P, z)[0], force(xs[a + 1], P, z)[0]
-        while fb < F_load:
-            if a + 1 == last:  # F_load > f(hi)
-                if F_load > max(fb, 0.0) + 1e-12:
-                    raise self._unreachable(F_load, P, z)
-                return hi
-            a += 1
-            fa, fb = fb, force(xs[a + 1], P, z)[0]
-        while fa >= F_load:
-            if a == 0:  # 0 < F_load <= f(lo)
-                if F_load < fa - 1e-12:
-                    raise self._unreachable(F_load, P, z)
-                return lo
-            a -= 1
-            fa, fb = force(xs[a], P, z)[0], fa
-        # fa < F_load <= fb <= f(hi), so fb > fa and xs[a + 1] > xs[a]
+        x0, x = self.cfg.dyn.x0, self.state.x
+        knots = [k for zi, w in zip(z, self._widths)
+                 for k in (zi - w + x0, zi + w + x0) if lo < k < hi]
+        xa, xb = lo, hi
+        for k in knots:
+            if k <= x:
+                if k > xa:
+                    xa = k
+            elif k < xb:
+                xb = k
+        fa, fb = force(xa, P, z)[0], force(xb, P, z)[0]
+        if not fa < F_load <= fb:  # walk the sorted knots from that segment
+            xs = [lo, *sorted(knots), hi]
+            last = len(xs) - 1
+            a = bisect.bisect_right(xs, xa, 1, last) - 1  # xs[a], xs[a + 1] are xa, xb
+            while fb < F_load:
+                if a + 1 == last:  # F_load > f(hi)
+                    if F_load > max(fb, 0.0) + 1e-12:
+                        raise self._unreachable(F_load, P, z)
+                    return hi
+                a += 1
+                fa, fb = fb, force(xs[a + 1], P, z)[0]
+            while fa >= F_load:
+                if a == 0:  # 0 < F_load <= f(lo)
+                    if F_load < fa - 1e-12:
+                        raise self._unreachable(F_load, P, z)
+                    return lo
+                a -= 1
+                fa, fb = force(xs[a], P, z)[0], fa
+            xa, xb = xs[a], xs[a + 1]
+        # fa < F_load <= fb <= f(hi), so fb > fa and xb > xa
         if F_load == fb and F_load >= force(hi, P, z)[0]:
             return hi
-        xa = xs[a]
-        return xa + (F_load - fa) * (xs[a + 1] - xa) / (fb - fa)
+        return xa + (F_load - fa) * (xb - xa) / (fb - fa)
 
     def step(self, P_cmd: float, dt: float, x_cmd: float | None = None,
              F_load: float | None = None) -> StepResult:
@@ -327,14 +363,16 @@ class Plant:
         st = self.state
         cfg = self.cfg
         P, x, F, z_new = self._advance(P_cmd, dt, x_cmd, F_load)
-        L_clean = model._inductance_at(F, *model.eval_coeffs(cfg.ind, P))
+        l1, l2, l3, l4, l5 = model._coeffs(cfg.ind, P)
+        if not (l2 > 0.0 and l4 > 0.0 and math.isfinite(l1 + l2 + l3 + l4 + l5)):
+            model.eval_coeffs(cfg.ind, P)  # raises its EnvelopeError
+        L_clean = model._inductance_at(F, l1, l2, l3, l4, l5)
         # Both sensor channels draw every step so the noise stream does
         # not depend on which channel a caller consumes.
         L_meas = L_clean + cfg.noise_L * self.rng.standard_normal()
         F_meas = F + cfg.noise_F * self.rng.standard_normal()
         st.x, st.P, st.play_states, st.t = x, P, z_new, st.t + dt
-        return StepResult(t=st.t, P=P, x=x, F=F, L_clean=L_clean,
-                          L_meas=L_meas, F_meas=F_meas)
+        return StepResult(st.t, P, x, F, L_clean, L_meas, F_meas)
 
     def _advance(self, P_cmd: float, dt: float, x_cmd: float | None,
                  F_load: float | None) -> tuple:
@@ -432,8 +470,9 @@ class Scenario:
             raise ValueError(f"unknown scenario kind '{self.kind}' (known: {SCENARIO_KINDS})")
         if self.waveform not in WAVEFORMS:
             raise ValueError(f"unknown waveform '{self.waveform}' (known: {WAVEFORMS})")
-        if self.total_duration_s <= 0:
-            raise ValueError("scenario duration must be positive")
+        if not 0.0 < self.total_duration_s < math.inf:
+            raise ValueError(f"scenario duration must be positive and finite, "
+                             f"got {self.total_duration_s} s")
 
     @property
     def total_duration_s(self) -> float:
@@ -585,6 +624,7 @@ def run_scenario(scenario: Scenario, cfg: PlantConfig, return_truth: bool = Fals
     kind = scenario.kind
     if kind in ("force_tracking", "displacement_tracking"):
         raise ValueError(f"'{kind}' runs through the control harness, not run_scenario")
+    check_run_length(scenario.name, scenario.total_duration_s, cfg.sensor_rate_hz)
     dt = 1.0 / cfg.sensor_rate_hz
     n = scenario.samples(cfg.sensor_rate_hz)
     if n < 1:

@@ -445,18 +445,47 @@ class TestSimulateTrackPerturb:
          "frequency_hz"),
         ({"scenarios": [{"kind": "force_tracking", "frequency_hz": -0.2}]}, "frequency_hz"),
         ({"scenarios": [{"kind": "displacement_tracking", "frequency_hz": -0.2}]},
-         "frequency_hz")],
+         "frequency_hz"),
+        # runs longer than plant.MAX_RUN_SAMPLES, each refused before any array is made
+        ({"scenarios": [{"kind": "force_tracking", "frequency_hz": 1e-9}]}, "a run may step"),
+        ({"scenarios": [{"kind": "displacement_tracking", "frequency_hz": 1e-7}]},
+         "a run may step"),
+        ({"scenarios": [{"kind": "cyclic_estimation", "cycle_period_s": 1e12}]},
+         "a run may step"),
+        ({"scenarios": [{"kind": "calibration_grid", "cycle_period_s": 1e300}]},
+         "a run may step"),
+        ({"scenarios": [{"kind": "load_perturbation", "duration_s": math.inf}]},
+         "duration must be positive and finite"),
+        ({"plant": {"sensor_rate_hz": 1e12, "control_rate_hz": 1e12},
+          "scenarios": [{"kind": "load_perturbation"}]}, "a run may step")],
         ids=["gain_typo", "cutoff_at_nyquist", "cutoff_at_plant_nyquist", "negative_seed",
              "fractional_order", "boolean_scalar", "string_scalar", "coarse_grid",
              "negative_sigma_F", "removed_guard_key", "paths_entry_not_a_name",
              "zero_force_frequency",
-             "zero_disp_frequency", "negative_force_frequency", "negative_disp_frequency"])
+             "zero_disp_frequency", "negative_force_frequency", "negative_disp_frequency",
+             "nanohertz_force_tracking", "slow_disp_tracking", "long_cycles",
+             "huge_calibration_cycles", "infinite_perturbation", "terahertz_plant"])
     def test_config_rejected_before_output(self, tmp_path, capsys, doc, key):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump(doc, open(cfg_path, "w"))
         out = tmp_path / "out"
         assert cli.main(["--config", cfg_path, "--out", str(out), "simulate"]) == cli.EXIT_USAGE
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "perturb"])
+    def test_identification_sweep_too_long_fails_before_output(self, tmp_path, capsys,
+                                                               command):
+        # with no scenario configured the loops still identify the affine
+        # model on a 56 s sweep, which at 1e12 Hz is far past the cap
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"plant": {"sensor_rate_hz": 1e12, "control_rate_hz": 1e12}},
+                  open(cfg_path, "w"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg_path, "--out", str(out), command]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scenario 'identification_sweep'")
+        assert "a run may step" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("refine_tol", [1e-17, 1e-300])

@@ -324,18 +324,6 @@ def float_cost(L_meas, P, prior_F, w, params=IND):
     return cost
 
 
-def float_index(L_meas, P, prior_F, cfg, params=IND):
-    """The first least ``float_cost`` on the whole coarse grid, NaNs
-    skipped."""
-    env = cfg.envelope
-    cost = float_cost(L_meas, P, prior_F, cfg.weights, params)
-    grid = np.linspace(env.F_min, env.F_max, cfg.grid_points).tolist()
-    numbers = [(c, j) for j, c in enumerate(map(cost, grid)) if not math.isnan(c)]
-    if not numbers:
-        raise ValueError("All-NaN slice encountered")
-    return min(numbers)[1]
-
-
 class TestInversionPinned:
     @pytest.mark.parametrize("overrides", [{}, {"noise_L": 0.0}, {"grid_points": 33}])
     def test_matches_reference_bit_for_bit(self, overrides):
@@ -352,10 +340,10 @@ class TestInversionPinned:
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
             got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
             assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
-            cost = observer._cost_function(L, prior, model._coeffs(IND, P), cfg.weights)
+            args = observer._cost_args(L, prior, model._coeffs(IND, P), cfg.weights)
             ref = float_cost(L, P, prior, cfg.weights)
             for F in (got, float(rng.uniform(ENV.F_min, ENV.F_max))):
-                assert cost(F) == ref(F)
+                assert observer._cost(F, args) == ref(F)
 
     def test_matches_reference_with_other_weights(self):
         w = CostWeights(w_fit=2.5, w_dyn=0.03, w_reg=0.004, gamma=0.37)
@@ -398,8 +386,7 @@ class TestFusedInversion:
         for _ in range(20):
             L = float(rng.uniform(4.7, 5.2))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
-            assert solver_index(L, 0.3, prior, cfg, params) == \
-                float_index(L, 0.3, prior, cfg, params)
+            check_stopping_rule(L, 0.3, prior, cfg, params)
             got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
             assert abs(got - reference_inversion(L, 0.3, prior, cfg, params)) <= cfg.refine_tol
 
@@ -462,12 +449,12 @@ class TestCertifiedGolden:
                       + rng.normal(0, 0.02))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
             w = other if k % 3 == 0 else cfg.weights
-            cost = observer._cost_function(L, prior, coeffs, w)
+            args = observer._cost_args(L, prior, coeffs, w)
             numpy_cost = reference_cost(L, P, prior, w, params)
             forces = rng.uniform(ENV.F_min, ENV.F_max, 100 - len(edges) // 10).tolist()
             for F in forces + edges[k % 10::10]:
                 with np.errstate(all="ignore"):
-                    fast, x = cost(F), float(numpy_cost(F))
+                    fast, x = observer._cost(F, args), float(numpy_cost(F))
                     m = float(model._inductance(F, *coeffs)) - l5
                 points += 1
                 if not (math.isfinite(fast) and math.isfinite(x)):
@@ -492,7 +479,7 @@ class TestCertifiedGolden:
     ])
     def test_math_edge_points_take_numpy_results(self, coeffs, F):
         w = make_cfg().weights
-        fast = observer._cost_function(4.9, 1.0, coeffs, w)(F)
+        fast = observer._cost(F, observer._cost_args(4.9, 1.0, coeffs, w))
         with np.errstate(all="ignore"):
             x = float(reference_cost(4.9, 0.3, 1.0, w, flat_params(*coeffs))(F))
         assert same_float(fast, x)
@@ -500,11 +487,11 @@ class TestCertifiedGolden:
     @pytest.mark.parametrize("L", [math.inf, -math.inf, 1e200])
     def test_non_finite_costs_are_exact(self, L):
         w = make_cfg().weights
-        cost = observer._cost_function(L, 1.0, model._coeffs(IND, 0.3), w)
+        args = observer._cost_args(L, 1.0, model._coeffs(IND, 0.3), w)
         for F in (0.5, 1.0, 4.0):
             with np.errstate(all="ignore"):
                 x = float(reference_cost(L, 0.3, 1.0, w)(F))
-            assert not math.isfinite(x) and same_float(cost(F), x)
+            assert not math.isfinite(x) and same_float(observer._cost(F, args), x)
 
     def test_constant_cost_ties_take_the_upper_part(self):
         calls = []
@@ -529,8 +516,7 @@ class TestCertifiedGolden:
         priors = [grid[0], grid[1], grid[-2], grid[-1], 0.5 * (grid[0] + grid[1])]
         for prior in priors + rng.uniform(ENV.F_min, ENV.F_max, 20).tolist():
             L = float(rng.uniform(4.7, 5.2))
-            assert solver_index(L, 0.3, prior, cfg, params) == \
-                float_index(L, 0.3, prior, cfg, params)
+            check_stopping_rule(L, 0.3, prior, cfg, params)
             got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
             assert abs(got - reference_inversion(L, 0.3, prior, cfg, params)) <= cfg.refine_tol
 
@@ -548,22 +534,21 @@ class TestCertifiedGolden:
             got = observer.solve_pseudo_measurement(4.9, 0.3, prior, params, cfg)
             assert abs(got - reference_inversion(4.9, 0.3, prior, cfg, params)) <= cfg.refine_tol
         assert len(calls) >= 2
-        derivatives = observer._cost_derivatives(4.9, 3.0, model._coeffs(params, 0.3),
-                                                 cfg.weights)
+        args = observer._cost_args(4.9, 3.0, model._coeffs(params, 0.3), cfg.weights)
+        derivatives = observer._cost_derivatives
         with pytest.raises(FloatingPointError):   # 2**800 is finite, its square is not
-            observer._newton(derivatives, 1.9, 2.1, 2.0, cfg.refine_tol)
+            observer._newton(derivatives, args, 1.9, 2.1, 2.0, cfg.refine_tol)
         with pytest.raises(OverflowError):        # math.pow(3.0, 800.0) raises
-            observer._newton(derivatives, 2.9, 3.1, 3.0, cfg.refine_tol)
+            observer._newton(derivatives, args, 2.9, 3.1, 3.0, cfg.refine_tol)
 
     @pytest.mark.parametrize("P", [ENV.P_min, 0.3, ENV.P_max])
     def test_reference_map_derivatives_raise_near_zero_force(self, P):
         # F * F underflows to 0 in L'' below about 1e-162 N, so a valid map
         # can reach the golden fallback too
-        derivatives = observer._cost_derivatives(4.9, 1.0, model._coeffs(IND, P),
-                                                 make_cfg().weights)
-        derivatives(1e-160)
+        args = observer._cost_args(4.9, 1.0, model._coeffs(IND, P), make_cfg().weights)
+        observer._cost_derivatives(1e-160, args)
         with pytest.raises(ArithmeticError):
-            derivatives(1e-200)
+            observer._cost_derivatives(1e-200, args)
 
 
 class TestNewtonRefinement:
@@ -585,7 +570,7 @@ class TestNewtonRefinement:
             L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P)
                       + rng.normal(0, 0.05))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
-            derivatives = observer._cost_derivatives(L, prior, model._coeffs(IND, P), w)
+            args = observer._cost_args(L, prior, model._coeffs(IND, P), w)
             cost = reference_cost(L, P, prior, w)
 
             def inductance(F):
@@ -594,7 +579,7 @@ class TestNewtonRefinement:
             forces = [1e-3 * ENV.F_span, 0.01, model.peak_force(IND, P),
                       *rng.uniform(0.05, ENV.F_max, 4).tolist()]
             for F in forces:
-                got = derivatives(F)
+                got = observer._cost_derivatives(F, args)
                 h1, h2 = 1e-4 * F, 1e-3 * F
                 for k, f in ((0, inductance), (2, cost)):
                     first = (f(F + h1) - f(F - h1)) / (2 * h1)
@@ -612,7 +597,7 @@ class TestNewtonRefinement:
          lambda F: (1 + (F - 1) ** 2) ** -1.5, 0.0, 3.1, 3.0),
     ], ids=["negative_curvature", "step_leaves_bracket"])
     def test_newton_bisects_instead_of_leaving_the_bracket(self, g, h, a, b, x):
-        got = observer._newton(lambda F: (0.0, 0.0, g(F), h(F)), a, b, x, 1e-5)
+        got = observer._newton(lambda F, _: (0.0, 0.0, g(F), h(F)), None, a, b, x, 1e-5)
         assert abs(got - 1.0) <= 1e-5
 
     def test_step_cap_ends_a_pass_with_no_tolerance(self):
@@ -621,19 +606,39 @@ class TestNewtonRefinement:
         # floats, which no tolerance of 0 ends
         calls = []
 
-        def derivatives(F):
+        def derivatives(F, _):
             calls.append(F)
             return 0.0, 0.0, math.copysign(1.0, F - 1.0 / 3.0), 1.0
 
-        got = observer._newton(derivatives, 0.0, 1.0, 0.9, 0.0)
+        got = observer._newton(derivatives, None, 0.0, 1.0, 0.9, 0.0)
         assert abs(got - 1.0 / 3.0) <= 2 * math.ulp(1.0 / 3.0)
         assert len(calls) == observer._MAX_NEWTON_STEPS
 
 
 def solver_index(L, P, prior, cfg, params=IND):
     """The grid index ``_solve_pseudo_measurement`` brackets."""
-    cost = observer._cost_function(L, prior, model._coeffs(params, P), cfg.weights)
-    return observer._grid_index(cost, cfg.grid, prior, cfg.weights.w_dyn)
+    return observer._grid_index(
+        cfg.grid, observer._cost_args(L, prior, model._coeffs(params, P), cfg.weights))
+
+
+def check_stopping_rule(L, P, prior, cfg, params=IND):
+    """The scan stops once a point's continuity term w_dyn d d exceeds the
+    least cost of the run; check that no point it leaves out is better.
+    Every grid point is costed here: each one past the stopping distance
+    costs more than the scan's winner, and the winner is the first least
+    cost of the whole grid, NaNs skipped."""
+    args = observer._cost_args(L, prior, model._coeffs(params, P), cfg.weights)
+    i = observer._grid_index(cfg.grid, args)
+    costs = [observer._cost(F, args) for F in cfg.grid]
+    best, w_dyn = costs[i], cfg.weights.w_dyn
+    for j, (F, c) in enumerate(zip(cfg.grid, costs)):
+        d = abs(F - prior)
+        if w_dyn * d * d > best:
+            assert c > best or math.isnan(c), (j, c, best)
+        if j < i:
+            assert not c <= best, (j, c, best)
+        else:
+            assert not c < best, (j, c, best)
 
 
 def inversion_samples(rng, n, near):
@@ -667,9 +672,9 @@ class TestWindowScan:
         rng = np.random.default_rng(40)
         for near in (True, False):
             for L, P, prior in inversion_samples(rng, 150, near):
-                # the grid index bit for bit, the refined force within
-                # refine_tol of the oracle
-                assert solver_index(L, P, prior, cfg) == float_index(L, P, prior, cfg)
+                # no grid point past where the scan stops is better, and
+                # the refined force is within refine_tol of the oracle
+                check_stopping_rule(L, P, prior, cfg)
                 got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
                 assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
 
@@ -684,7 +689,6 @@ class TestWindowScan:
         assert grid[i + 1] - prior == prior - grid[i]
         L = float(model.eval_inductance(IND, 2.0, 0.3))
         assert reference_index(L, 0.3, prior, cfg) == i
-        assert float_index(L, 0.3, prior, cfg) == i
         assert solver_index(L, 0.3, prior, cfg) == i
         got = observer.solve_pseudo_measurement(L, 0.3, prior, IND, cfg)
         assert abs(got - reference_inversion(L, 0.3, prior, cfg)) <= cfg.refine_tol
@@ -700,26 +704,40 @@ class TestWindowScan:
             assert reference_index(L, 0.3, prior, cfg) == 0
             assert solver_index(L, 0.3, prior, cfg) == 0
 
+    def test_zero_weights_take_the_first_index_from_any_prior(self):
+        # the mutation test of the scan's comparison: with every weight 0
+        # all costs tie, and from a prior at or between any grid points
+        # the first index wins; taking a point on c <= best would return
+        # the last point costed, an edge or a neighbour of the prior
+        cfg = replace(make_cfg(), weights=CostWeights(w_fit=0.0, w_dyn=0.0, w_reg=0.0))
+        grid = cfg.grid
+        L = float(model.eval_inductance(IND, 2.0, 0.3))
+        priors = list(grid) + [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+        for prior in priors:
+            assert solver_index(L, 0.3, prior, cfg) == 0, prior
+
     def test_tracking_samples_cost_few_grid_points(self, monkeypatch):
         # a slow stretch cycle keeps the prior next to the preimage, so a
-        # sample costs a few grid points around it; with w_dyn = 0 every
-        # sample costs the whole grid
+        # sample evaluates the map at a few grid points around it (the
+        # Newton pass evaluates its own terms, not the map); with w_dyn = 0
+        # every sample costs the whole grid
         scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,),
                              cycles_per_level=1, cycle_period_s=8.0,
                              x_low=0.072, x_high=0.17)
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=5))
         counts = []
-        grid_index = observer._grid_index
+        inductance, step = model._inductance_at, observer.estimate_step
 
-        def spy(cost, *args):
+        def counted_map(*args):
+            counts[-1] += 1
+            return inductance(*args)
+
+        def counted_step(*args):
             counts.append(0)
+            return step(*args)
 
-            def counted(F):
-                counts[-1] += 1
-                return cost(F)
-            return grid_index(counted, *args)
-
-        monkeypatch.setattr(observer, "_grid_index", spy)
+        monkeypatch.setattr(model, "_inductance_at", counted_map)
+        monkeypatch.setattr(observer, "estimate_step", counted_step)
         cfg = make_cfg()
         spec = sig.FilterSpec()
         observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
@@ -922,19 +940,21 @@ class TestConfig:
         rng = np.random.default_rng(40)
         for near in (True, False):
             for L, P, prior in inversion_samples(rng, 150, near):
-                coeffs = model._coeffs(IND, P)
-                cost = observer._cost_function(L, prior, coeffs, cfg.weights)
-                derivatives = observer._cost_derivatives(L, prior, coeffs, cfg.weights)
+                args = observer._cost_args(L, prior, model._coeffs(IND, P), cfg.weights)
+
+                def derivatives(F):
+                    return observer._cost_derivatives(F, args)
+
                 i = solver_index(L, P, prior, cfg)
                 a, b = cfg.grid[max(i - 1, 0)], cfg.grid[min(i + 1, cfg.grid_points - 1)]
                 steps = []
 
-                def counted(F):
+                def counted(F, args):
                     steps.append(F)
-                    return derivatives(F)
+                    return observer._cost_derivatives(F, args)
 
                 x = cfg.grid[i] if cfg.grid[i] > 0 else 0.5 * (a + b)
-                got = observer._newton(counted, a, b, x, floor)
+                got = observer._newton(counted, args, a, b, x, floor)
                 assert len(steps) < observer._MAX_NEWTON_STEPS
                 assert a <= got <= b
                 assert got == observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
@@ -948,6 +968,6 @@ class TestConfig:
                     calls.append(F)
                     if len(calls) > 200:
                         raise AssertionError(f"golden pass on [{a}, {b}] did not end")
-                    return cost(F)
+                    return observer._cost(F, args)
 
                 observer._golden_section(counted_cost, a, b, floor)

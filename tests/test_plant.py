@@ -1,8 +1,11 @@
+import bisect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coilsense import model, observer, plant
 from coilsense.plant import (IsotonicInfeasibleError, Plant, PlayElement,
@@ -483,6 +486,79 @@ class TestWarmStartedBalance:
         assert np.median(calls) == 2 and np.mean(calls) <= 3
 
 
+def sorted_walk_solve_isotonic(p, F_load, P):
+    """The walk that the one-pass start replaced: the knots sorted with the
+    envelope ends, the segment that holds the last length found by
+    bisection, then one segment at a time to the balance.  The reference
+    for ``Plant._solve_isotonic``, bit for bit, errors included."""
+    env = p.cfg.envelope
+    z = p.state.play_states
+    widths = tuple(float(h.width) for h in p.cfg.hysteresis)
+    lo, hi = env.x_min, env.x_max
+
+    def force(x):
+        return p._force(x, P, z)[0]
+
+    if F_load <= 0.0:
+        if F_load < max(force(lo), 0.0) - 1e-12:
+            raise p._unreachable(F_load, P, z)
+        return lo
+    x0 = p.cfg.dyn.x0
+    xs = [lo] + sorted(k for zi, w in zip(z, widths)
+                       for k in (zi - w + x0, zi + w + x0) if lo < k < hi) + [hi]
+    last = len(xs) - 1
+    a = bisect.bisect_right(xs, p.state.x, 1, last) - 1
+    fa, fb = force(xs[a]), force(xs[a + 1])
+    while fb < F_load:
+        if a + 1 == last:
+            if F_load > max(fb, 0.0) + 1e-12:
+                raise p._unreachable(F_load, P, z)
+            return hi
+        a += 1
+        fa, fb = fb, force(xs[a + 1])
+    while fa >= F_load:
+        if a == 0:
+            if F_load < fa - 1e-12:
+                raise p._unreachable(F_load, P, z)
+            return lo
+        a -= 1
+        fa, fb = force(xs[a]), fa
+    if F_load == fb and F_load >= force(hi):
+        return hi
+    return xs[a] + (F_load - fa) * (xs[a + 1] - xs[a]) / (fb - fa)
+
+
+@st.composite
+def isotonic_cases(draw):
+    """A plant with 1 to 6 play elements (zero widths and weights too), its
+    play states and last length (outside the envelope too), a pressure
+    and a load: random, on a knot's force, or on either side of one."""
+    n = draw(st.integers(1, 6))
+    unit = st.floats(0.0, 1.0)
+    hyst = tuple(PlayElement(width=0.02 * draw(unit), weight=5.0 * draw(unit)) for _ in range(n))
+    cfg = plant.default_plant_config(hysteresis=hyst, valve_tau=0.0, noise_L=0.0, noise_F=0.0)
+    p = Plant(cfg, x0=0.12)
+    p.state.play_states = tuple(draw(st.floats(-0.06, 0.1)) for _ in range(n))
+    p.state.x = draw(st.floats(0.05, 0.2))
+    P = draw(st.floats(0.0, 0.65))
+    z, x0 = p.state.play_states, cfg.dyn.x0
+    knots = [zi + s * h.width + x0 for zi, h in zip(z, hyst) for s in (-1.0, 1.0)]
+    knots += [cfg.envelope.x_min, cfg.envelope.x_max]
+    F_knot = p._force(draw(st.sampled_from(knots)), P, z)[0]
+    F_load = draw(st.one_of(st.floats(-1.0, 8.0), st.just(F_knot),
+                            st.just(math.nextafter(F_knot, math.inf)),
+                            st.just(math.nextafter(F_knot, -math.inf))))
+    return p, F_load, P
+
+
+@settings(max_examples=400, deadline=None)
+@given(isotonic_cases())
+def test_isotonic_balance_equals_a_sorted_knot_walk(case):
+    p, F_load, P = case
+    want = solve_outcome(lambda F, P: sorted_walk_solve_isotonic(p, F, P), F_load, P)
+    assert solve_outcome(p._solve_isotonic, F_load, P) == want
+
+
 def kinematic_commands(scenario, cfg):
     """The pressure and length commands of a kinematic scenario, and
     its starting length, as ``run_scenario`` makes them."""
@@ -601,7 +677,8 @@ class TestSharedFloatPath:
     @staticmethod
     def fit_cost(r):
         w = observer.CostWeights(w_fit=1.0, w_dyn=0.0, w_reg=0.0)
-        return observer._cost_function(r.L_clean, r.F, model._coeffs(IND, r.P), w)(r.F)
+        args = observer._cost_args(r.L_clean, r.F, model._coeffs(IND, r.P), w)
+        return observer._cost(r.F, args)
 
     def test_observer_inverts_the_kinematic_steps_exactly(self):
         # numpy's power and exp differ from math's on about 1% of points
@@ -725,6 +802,21 @@ class TestScenarios:
         scn = Scenario.force_tracking()
         with pytest.raises(ValueError):
             plant.run_scenario(scn, plant.default_plant_config())
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Scenario.load_perturbation(duration_s=duration)
+
+    def test_run_length_cap(self):
+        # the cap is checked on the run's seconds, before any array is made
+        plant.check_run_length("x", plant.MAX_RUN_SAMPLES / 100.0, 100.0)
+        with pytest.raises(plant.RunLengthError, match="a run may step"):
+            plant.check_run_length("x", math.nextafter(plant.MAX_RUN_SAMPLES / 100.0, math.inf),
+                                   100.0)
+        long = Scenario.cyclic_estimation(cycle_period_s=1e12)
+        with pytest.raises(plant.RunLengthError):
+            plant.run_scenario(long, plant.default_plant_config())
 
     def test_load_perturbation_profile_seeded(self):
         scn = Scenario.load_perturbation()
