@@ -199,7 +199,6 @@ def _build_setup(cfg: dict, pcfg: plant.PlantConfig) -> control.TrackingSetup:
             ("p_max", "integral_clamp_mpa", "load_nominal_scale", "sensor_noise_x"), float)))
 
 
-_TRACKING_KINDS = ("force_tracking", "displacement_tracking")
 #: Scenario kinds whose plant balances ``plant.perturbation_load_profile``.
 _LOAD_PROFILE_KINDS = ("displacement_tracking", "load_perturbation")
 
@@ -275,10 +274,10 @@ def validate_config(cfg: dict) -> dict:
     scenarios = [scenario_from_config(b) for b in (cfg.get("scenarios") or [])]
     for s in scenarios:
         # a load perturbation runs as a dataset (simulate) and as a closed loop (perturb)
-        closed_loop = s.kind in _TRACKING_KINDS or s.kind == "load_perturbation"
+        closed_loop = s.kind in plant.TRACKING_KINDS or s.kind == "load_perturbation"
         plant.check_run_length(s.name, control.loop_seconds(s) if closed_loop
                                else s.total_duration_s, pcfg.sensor_rate_hz)
-        if s.kind in _TRACKING_KINDS:
+        if s.kind in plant.TRACKING_KINDS:
             if control.metrics_window_samples(s, setup) < 2:
                 raise ConfigError(f"scenario '{s.name}': the metrics window of {s.duration_s:g} s "
                                   f"holds fewer than 2 samples at {pcfg.sensor_rate_hz:g} Hz")
@@ -416,7 +415,7 @@ def cmd_estimate(args, cfg, resolved) -> int:
         raise ident.DataFormatError(f"paths.inductance_params: {paths['inductance_params']}: "
                                     f"the observer cannot use this map: {exc}") from None
     out = _out_dir(cfg, args)
-    est = observer.run_estimation(ds, ind_p, dyn, ocfg, sig.design(setup.filter_spec, fs))
+    est = observer.run_estimation(ds, dyn, ocfg, sig.design(setup.filter_spec, fs))
     force = _truth_metrics(est["F_hat"], ds.F, "F")
     metrics: dict = {"provenance": _provenance(cfg), "force": force,
                      "displacement": _truth_metrics(est["x_hat"], ds.x, "x")}
@@ -443,7 +442,7 @@ def _truth_metrics(estimate: np.ndarray, truth, column: str):
 def cmd_simulate(args, cfg, resolved) -> int:
     pcfg = resolved["plant"]
     scenarios = [s for s in resolved["scenarios"]
-                 if s.kind not in _TRACKING_KINDS]
+                 if s.kind not in plant.TRACKING_KINDS]
     if getattr(args, "scenario", None):
         scenarios = [s for s in scenarios if s.name == args.scenario or s.kind == args.scenario]
     if not scenarios:
@@ -492,7 +491,7 @@ def _format_table(rows) -> str:
 def cmd_track(args, cfg, resolved) -> int:
     setup = resolved["setup"]
     scenarios = [s for s in resolved["scenarios"]
-                 if s.kind in _TRACKING_KINDS]
+                 if s.kind in plant.TRACKING_KINDS]
     if not scenarios:
         scenarios = _default_tracking_scenarios()
     if getattr(args, "scenario", None):

@@ -23,8 +23,8 @@ from . import observer as obs
 from . import signal as sig
 from .ident import GoodnessMetrics, fit_dynamic, goodness
 from .model import DegenerateModelError, DynamicParams, InductanceParams
-from .plant import (Plant, PlantConfig, Scenario, StepResult, check_run_length,
-                    perturbation_load_profile, run_scenario)
+from .plant import (TRACKING_KINDS, Plant, PlantConfig, Scenario, StepResult,
+                    check_run_length, perturbation_load_profile, run_scenario)
 
 __all__ = [
     "PidGains",
@@ -297,8 +297,7 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
             sig.prime(filt, last.L_meas)
             state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
                               ocfg)
-        state = obs.estimate_step(state, last.L_meas, last.P,
-                                  pcfg.ind, setup.dyn, ocfg, filt)[0]
+        state = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg, filt)[0]
     if scenario.kind == "displacement_tracking":
         # exercise the loop region before measuring (standard practice)
         period = CONDITION_CYCLES / scenario.frequency_hz
@@ -306,8 +305,7 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
         t_cond = (np.arange(n_cond) + 1) * dts - period
         for t, ref in zip(t_cond.tolist(), scenario.reference(t_cond).tolist()):
             last = drive(plant, feedforward(ref), t)
-            state = obs.estimate_step(state, last.L_meas, last.P,
-                                      pcfg.ind, setup.dyn, ocfg, filt)[0]
+            state = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg, filt)[0]
     return _LoopStart(ocfg, plant, filt, state, last, p_ff0)
 
 
@@ -352,7 +350,7 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
             p_cmd = _clamp(feedforward(ref) + dp, 0.0, setup.p_max)
         last = drive(plant, p_cmd, t)
         state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                pcfg.ind, setup.dyn, ocfg, filt)
+                                                setup.dyn, ocfg, filt)
         rows.append((last.F, last.x, F_hat, x_hat, p_cmd))
     log = np.array(rows).reshape(-1, 5).T
     return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"),
@@ -390,7 +388,7 @@ def metrics_window_samples(scenario: Scenario, setup: TrackingSetup) -> int:
 
 def _check_tracking(scenario: Scenario) -> None:
     """Raise ValueError unless ``scenario`` is a tracking kind."""
-    if scenario.kind not in ("force_tracking", "displacement_tracking"):
+    if scenario.kind not in TRACKING_KINDS:
         raise ValueError(f"run_tracking needs a tracking scenario, got '{scenario.kind}'")
 
 

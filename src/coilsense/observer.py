@@ -18,10 +18,10 @@ reading on a rising-then-falling curve.  The cost's first and second
 derivatives are closed-form from the same ``pow`` and ``exp`` terms as
 the map (``_cost_derivatives``), so the iteration converges in a few
 steps; a step that leaves the bracket, or a non-positive curvature, is
-replaced by bisection.  Where a derivative raises or is not finite, a
-golden-section pass on the cost refines the bracket instead: on a map
-whose powers overflow, and on the reference map too for F below about
-1e-162 N, where F*F in L'' underflows to zero.
+replaced by bisection.  The config owns the map it inverts and bounds
+that map's terms over Newton's domain once (``_map_bound``), and the
+bracket is floored at ``ObserverConfig.F_floor`` > 0, so every
+derivative Newton takes is finite.
 
 Per sample, the map coefficients are evaluated once and gathered with
 the reading, the prior and the weights into one tuple of floats
@@ -29,8 +29,7 @@ the reading, the prior and the weights into one tuple of floats
 the module-level cost and derivative functions (``_cost``,
 ``_cost_derivatives``), which run on Python floats with ``math.pow`` and
 ``math.exp``: no array is built, and no function object is made on the
-scan or the Newton path; only the golden-section fallback wraps the
-cost in one.  The cost evaluates the map through
+scan or the Newton path.  The cost evaluates the map through
 ``model._inductance_at``, the one copy the plant evaluates too, so it
 inverts the very bits of a noiseless reading; neither claims to agree
 with numpy's ``power`` and ``exp`` in the last bit.  Every grid cost is
@@ -76,8 +75,6 @@ __all__ = [
     "run_estimation",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 #: Inductance noise floor (uH) under which the noise-scaled tuning does
 #: not go.  See ``make_observer_config``.
 NOISE_FLOOR_UH = 1e-3
@@ -91,6 +88,10 @@ _MAX_NEWTON_STEPS = 100
 #: Most points of the coarse inversion grid: the whole grid may be costed
 #: on a sample, and a config value must not ask for an unbounded array.
 MAX_GRID_POINTS = 65536
+
+#: Limit on the map's terms over Newton's domain (``_map_bound``): a product
+#: of two stays below 1e200, far from overflow, as do residuals below 1e200 uH.
+MAP_LIMIT = 1e100
 
 
 @dataclass(slots=True)
@@ -135,44 +136,79 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class ObserverConfig:
-    """Observer tuning.  ``grid`` (the coarse inversion grid over the
-    feasible force interval, a tuple of floats) and ``Q_entries`` (``Q``
-    as four floats, row by row) are derived from the other fields on
-    construction, so ``dataclasses.replace`` rebuilds them.  A fresh
-    state's covariance is fixed (``reset``), not tuned here.
-    ``refine_tol`` must be at least four float spacings of the largest
-    force: the refinement ends when its bracket is narrower than
-    ``refine_tol``, and a bracket a float spacing or two wide cannot be
-    split any further, so below that floor the golden-section fallback
-    would never end and the Newton pass would run to its step cap."""
+    """Observer tuning for the inductance map ``ind`` it inverts.
+
+    ``grid`` (the coarse inversion grid, a tuple of floats), ``Q_entries``
+    (``Q`` as four floats, row by row) and ``F_floor`` (the floor of
+    Newton's bracket) are derived, and the map is checked (``_map_bound``),
+    on construction, so ``dataclasses.replace`` redoes both.  A fresh
+    state's covariance is fixed (``reset``).  ``refine_tol`` must be at
+    least four float spacings of the largest force: a bracket a spacing or
+    two wide cannot be split, so a smaller tolerance would run every
+    Newton pass to its step cap."""
 
     dt: float
     Q: np.ndarray
     R: float
     envelope: OperatingEnvelope
+    ind: InductanceParams
     weights: CostWeights
     grid_points: int = 129
     refine_tol: float = 1e-5
     grid: tuple = field(init=False, repr=False, compare=False)
     Q_entries: tuple = field(init=False, repr=False, compare=False)
+    F_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float).reshape(2, 2))
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.R <= 0:
+        env = self.envelope
+        # far below half a float spacing of any bracket end Newton reaches: no bit moves
+        object.__setattr__(self, "F_floor", env.F_max * 2.0 ** -80)
+        try:
+            bound = _map_bound(self.ind, env, self.F_floor)
+        except ArithmeticError:
+            bound = math.inf
+        if not bound < MAP_LIMIT:
+            raise EnvelopeError(f"the inductance map overflows: its terms reach {bound:.3g} > "
+                                f"{MAP_LIMIT:g} on [{self.F_floor:.3g}, {env.F_max:g}] N")
+        if not self.R > 0:
             raise ValueError("R must be positive")
         if not 16 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid_points must be in [16, {MAX_GRID_POINTS}]")
-        tol_floor = 4.0 * math.ulp(self.envelope.F_max)   # F_max is the largest |F|
+        tol_floor = 4.0 * math.ulp(env.F_max)   # F_max is the largest |F|
         if not self.refine_tol >= tol_floor:
             raise ValueError(f"refine_tol must be >= {tol_floor!r} (four float spacings "
                              f"of the largest force)")
         if np.any(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T)) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
         object.__setattr__(self, "grid", tuple(
-            np.linspace(self.envelope.F_min, self.envelope.F_max, self.grid_points).tolist()))
+            np.linspace(env.F_min, env.F_max, self.grid_points).tolist()))
         object.__setattr__(self, "Q_entries", tuple(self.Q.ravel().tolist()))
+
+
+def _map_bound(ind: InductanceParams, env: OperatingEnvelope, F_floor: float) -> float:
+    """The sum of the largest magnitudes of ``_cost_derivatives``'s map
+    terms (F**l2, F**l4, exp(l3 F**l4), 1 / (F F), m, l5, u, the
+    polynomial in u of L'', L' and L'') over F in [F_floor, F_max] and the
+    envelope's pressures; EnvelopeError unless l2, l4 > 0 at both ends of
+    the pressure range, so on all of it.  Derived, not sampled: the
+    coefficients are linear in P, F**l (l > 0) rises with F and is
+    monotone in l, so each factor's extremes, and those of l3 F**l4, lie
+    at corners; a product of the factors' extremes bounds the product.
+    """
+    lo, hi = model.eval_coeffs(ind, env.P_min), model.eval_coeffs(ind, env.P_max)
+    l1, l2, l3, l4, l5 = (max(abs(a), abs(b)) for a, b in zip(lo, hi))
+    F_l2 = max(math.pow(env.F_max, lo[1]), math.pow(env.F_max, hi[1]))
+    F_l4 = max(math.pow(env.F_max, lo[3]), math.pow(env.F_max, hi[3]))
+    F_l4_min = min(math.pow(F_floor, lo[3]), math.pow(F_floor, hi[3]))
+    e = math.exp(max(a * g for a in (lo[2], hi[2]) for g in (F_l4_min, F_l4)))
+    inv_FF = 1.0 / (F_floor * F_floor)
+    m = l1 * F_l2 * e
+    u = l2 + l3 * l4 * F_l4
+    v = u * u + u + l3 * l4 * l4 * F_l4
+    return F_l2 + F_l4 + e + inv_FF + m + l5 + u + v + m * u / F_floor + m * v * inv_FF
 
 
 def median_force_gradient(params: InductanceParams, envelope: OperatingEnvelope) -> float:
@@ -209,28 +245,18 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
     sensor noise; that length grows as one over the noise, so without
     a floor it leaves the envelope.  At or above the floor the weights
     and R are the noise-scaled ones unchanged.
-
-    Raises EnvelopeError unless the map's lambda2 and lambda4 are
-    positive at both ends of the pressure range, so on all of it.
     """
     if not (noise_L >= 0 and sigma_F >= 0 and sigma_Fdot >= 0):
         raise ValueError(f"noise_L, sigma_F and sigma_Fdot must be >= 0, got "
                          f"{noise_L}, {sigma_F} and {sigma_Fdot}")
-    model.eval_coeffs(params, envelope.P_min)
-    model.eval_coeffs(params, envelope.P_max)
     span = envelope.F_span
     noise_L = max(noise_L, NOISE_FLOOR_UH)
     w_dyn = (3.0 * noise_L) ** 2 / (0.05 * span) ** 2
     weights = CostWeights(w_fit=1.0, w_dyn=w_dyn, w_reg=0.1 * w_dyn,
                           gamma=25.0 / span ** 2)
-    med = median_force_gradient(params, envelope)
-    cfg = ObserverConfig(
-        dt=dt,
-        Q=np.diag([(sigma_F * dt) ** 2, sigma_Fdot ** 2 * dt]),
-        R=(noise_L / med) ** 2,
-        envelope=envelope,
-        weights=weights,
-    )
+    cfg = ObserverConfig(dt=dt, Q=np.diag([(sigma_F * dt) ** 2, sigma_Fdot ** 2 * dt]),
+                         R=(noise_L / median_force_gradient(params, envelope)) ** 2,
+                         envelope=envelope, ind=params, weights=weights)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -284,7 +310,8 @@ def _cost(F: float, args: tuple) -> float:
 def _cost_derivatives(F: float, args: tuple) -> tuple:
     """The first two derivatives of the map and of the inversion cost at
     one float force F > 0, on the sample's ``_cost_args``: ``(L', L'',
-    C', C'')``.
+    C', C'')``, all finite for F in [``F_floor``, F_max] on a map a config
+    accepts (``_map_bound``).
 
     With m = l1 F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, L' = m u / F
     and L'' = m (u u - u + l3 l4 l4 F**l4) / (F F).  With r = m + l5 -
@@ -344,24 +371,6 @@ def _newton(derivatives, args, a: float, b: float, x: float, tol: float) -> floa
     return x
 
 
-def _golden_section(fun, a: float, b: float, tol: float) -> float:
-    """Golden-section minimizer of ``fun`` on [a, b] down to interval
-    width ``tol``: the midpoint of the last bracket."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def _grid_index(grid: tuple, args: tuple) -> int:
     """Index of the first least ``_cost`` on ``grid``, NaNs skipped, for
     the sample's ``_cost_args``.
@@ -398,42 +407,34 @@ def _grid_index(grid: tuple, args: tuple) -> int:
 
 
 def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
-                             params: InductanceParams, cfg: ObserverConfig) -> float:
-    """Force minimizing the composite inversion cost over the feasible interval.
+                             cfg: ObserverConfig) -> float:
+    """Force minimizing the inversion cost of ``cfg.ind`` over the feasible interval.
 
     Coarse global scan (``grid_points`` samples) picks the basin; a
     safeguarded Newton iteration on the cost's derivative refines it
-    inside the winning bracket, the two grid steps around the winner, to
-    ``refine_tol`` (``_newton``).  Where a cost derivative raises or is
-    not finite, a golden-section pass on the cost refines the bracket
-    instead: on a map whose powers overflow, and on any map at an iterate
-    so near F = 0 that F*F underflows (below about 1e-162 N on the
-    reference map).  The result always lies inside the interval; edge
-    minima are returned clamped, not raised.  The scan's winner is the
-    first least grid cost, NaNs skipped (``_grid_index``).
+    inside the winning bracket, the two grid steps around the winner,
+    floored at ``cfg.F_floor``, to ``refine_tol`` (``_newton``).  The
+    result lies in that bracket, so inside the interval; an edge minimum
+    is returned within ``refine_tol`` of it, not raised.  The scan's
+    winner is the first least grid cost, NaNs skipped (``_grid_index``).
     """
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
-    return _solve_pseudo_measurement(L_meas, prior_F, cfg, model._coeffs(params, float(P)))
+    return _solve_pseudo_measurement(L_meas, prior_F, cfg, model._coeffs(cfg.ind, float(P)))
 
 
 def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig,
                               coeffs: tuple) -> float:
     """``solve_pseudo_measurement`` on the map coefficients at the
     inversion pressure, without its checks."""
-    env = cfg.envelope
     grid = cfg.grid
     args = _cost_args(L_meas, prior_F, coeffs, cfg.weights)
     i = _grid_index(grid, args)
-    a = grid[max(i - 1, 0)]
+    a = max(grid[max(i - 1, 0)], cfg.F_floor)
     b = grid[min(i + 1, cfg.grid_points - 1)]
-    x = grid[i] if grid[i] > 0.0 else 0.5 * (a + b)   # the derivatives need F > 0
-    try:
-        f_star = _newton(_cost_derivatives, args, a, b, x, cfg.refine_tol)
-    except (ValueError, ArithmeticError):   # math exceptions and non-finite derivatives
-        f_star = _golden_section(lambda F: _cost(F, args), a, b, cfg.refine_tol)
-    return min(max(f_star, env.F_min), env.F_max)
+    x = grid[i] if grid[i] >= a else 0.5 * (a + b)
+    return _newton(_cost_derivatives, args, a, b, x, cfg.refine_tol)
 
 
 def update(prior: ObserverState, F_star: float, cfg: ObserverConfig) -> ObserverState:
@@ -464,8 +465,7 @@ def update(prior: ObserverState, F_star: float, cfg: ObserverConfig) -> Observer
 
 
 def estimate_step(state: ObserverState, L_raw: float, P: float,
-                  params: InductanceParams, dyn: DynamicParams,
-                  cfg: ObserverConfig, filt: sig.FilterState):
+                  dyn: DynamicParams, cfg: ObserverConfig, filt: sig.FilterState):
     """One full observer cycle on a raw sample.
 
     Returns ``(state, F_hat, x_hat)``.  The raw pressure must lie in
@@ -488,7 +488,7 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     prior_F = min(max(pred.F_hat, env.F_min), env.F_max)
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
-    F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, model._coeffs(params, P_f))
+    F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, model._coeffs(cfg.ind, P_f))
     post = update(pred, F_star, cfg)
     post.pressure_filter = p_filt
     F_hat = post.F_hat
@@ -496,21 +496,20 @@ def estimate_step(state: ObserverState, L_raw: float, P: float,
     return post, F_hat, x_hat
 
 
-def nearest_preimage(L_meas: float, P: float, params: InductanceParams,
-                     envelope: OperatingEnvelope) -> float:
+def nearest_preimage(L_meas: float, P: float, cfg: ObserverConfig) -> float:
     """Memoryless baseline inverter: the force whose modeled inductance
-    is closest to the reading, by a dense scan of 4001 forces.
+    (``cfg.ind``) is closest to the reading, by a dense scan of 4001 forces.
 
     Has no continuity prior, so on a non-monotonic curve it is free to
     jump between the two branches from one call to the next.
     """
-    grid = np.linspace(envelope.F_min, envelope.F_max, 4001)
-    r = model.eval_inductance(params, grid, P, validate=False) - L_meas
+    grid = np.linspace(cfg.envelope.F_min, cfg.envelope.F_max, 4001)
+    r = model.eval_inductance(cfg.ind, grid, P, validate=False) - L_meas
     return float(grid[int(np.nanargmin(r * r))])
 
 
-def run_estimation(dataset, params: InductanceParams, dyn: DynamicParams,
-                   cfg: ObserverConfig, filt: sig.FilterState) -> dict:
+def run_estimation(dataset, dyn: DynamicParams, cfg: ObserverConfig,
+                   filt: sig.FilterState) -> dict:
     """Stream a dataset through the observer.
 
     ``filt`` is the inductance filter, designed at the data's sample
@@ -521,11 +520,10 @@ def run_estimation(dataset, params: InductanceParams, dyn: DynamicParams,
     Returns arrays ``F_hat`` and ``x_hat`` aligned with the dataset.
     """
     sig.prime(filt, float(dataset.L[0]))
-    state = reset(nearest_preimage(float(dataset.L[0]), float(dataset.P[0]),
-                                   params, cfg.envelope), cfg)
+    state = reset(nearest_preimage(float(dataset.L[0]), float(dataset.P[0]), cfg), cfg)
     F_hat, x_hat = [], []
     for L, P in zip(dataset.L.tolist(), dataset.P.tolist()):
-        state, F, x = estimate_step(state, L, P, params, dyn, cfg, filt)
+        state, F, x = estimate_step(state, L, P, dyn, cfg, filt)
         F_hat.append(F)
         x_hat.append(x)
     return {"F_hat": np.array(F_hat), "x_hat": np.array(x_hat), "state": state}

@@ -70,6 +70,9 @@ SCENARIO_KINDS = (
     "load_perturbation",
 )
 
+#: The closed-loop kinds, which run through the control harness.
+TRACKING_KINDS = ("force_tracking", "displacement_tracking")
+
 WAVEFORMS = ("sine", "triangle", "steps")
 
 #: A load profile places its events between this time (s) and this
@@ -622,7 +625,7 @@ def run_scenario(scenario: Scenario, cfg: PlantConfig, return_truth: bool = Fals
     config seed.
     """
     kind = scenario.kind
-    if kind in ("force_tracking", "displacement_tracking"):
+    if kind in TRACKING_KINDS:
         raise ValueError(f"'{kind}' runs through the control harness, not run_scenario")
     check_run_length(scenario.name, scenario.total_duration_s, cfg.sensor_rate_hz)
     dt = 1.0 / cfg.sensor_rate_hz

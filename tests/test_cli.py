@@ -126,6 +126,10 @@ def _map_with(**entries):
     return json.dumps({"p": p})
 
 
+#: A map whose powers overflow inside the envelope: F**800 passes 1e308
+#: above about 2.4 N.
+POWER_800_MAP = [0.0, 0.6, 0.0, 800.0, 0.0, -1.0, 0.0, 800.0, 0.0, 4.75]
+
 #: Parameter files named in ``paths`` that ``estimate`` rejects: the
 #: config key, the file's text and a word of the message that names why.
 BAD_PARAMETER_FILES = {
@@ -134,7 +138,8 @@ BAD_PARAMETER_FILES = {
     "map_of_9": ("inductance_params", json.dumps({"p": [1.0] * 9}), "got 9"),
     "map_with_nan": ("inductance_params", _map_with(p9=math.nan), "finite"),
     "lambda1_zero": ("inductance_params", _map_with(p0=0.0, p1=0.0), "cannot use this map"),
-    "lambda2_800": ("inductance_params", _map_with(p2=0.0, p3=800.0), "R must be positive"),
+    "lambda2_800": ("inductance_params", _map_with(p2=0.0, p3=800.0), "overflows"),
+    "power_800": ("inductance_params", json.dumps({"p": POWER_800_MAP}), "overflows"),
     "lambda2_negative": ("inductance_params", _map_with(p2=0.0, p3=-1.0),
                          "lambda2=-1.0"),
     "dynamic_without_x0": ("dynamic_params", '{"k": 38.6, "c": 1.6}', "missing field 'x0'"),
@@ -437,6 +442,7 @@ class TestSimulateTrackPerturb:
         ({"envelope": {"F_max": "5"}}, "envelope.F_max"),
         ({"observer": {"grid_points": 3}}, "grid_points"),
         ({"observer": {"sigma_F": -0.05}}, "sigma_F"),
+        ({"plant": {"ind": {"p": POWER_800_MAP}}}, "observer: the inductance map overflows"),
         ({"observer": {"gradient_guard_inflation": 10.0}},
          "observer: unknown keys ['gradient_guard_inflation']"),
         ({"paths": {"data": 0}}, "paths.data: expected a file name"),
@@ -460,8 +466,8 @@ class TestSimulateTrackPerturb:
           "scenarios": [{"kind": "load_perturbation"}]}, "a run may step")],
         ids=["gain_typo", "cutoff_at_nyquist", "cutoff_at_plant_nyquist", "negative_seed",
              "fractional_order", "boolean_scalar", "string_scalar", "coarse_grid",
-             "negative_sigma_F", "removed_guard_key", "paths_entry_not_a_name",
-             "zero_force_frequency",
+             "negative_sigma_F", "power_800_plant_map", "removed_guard_key",
+             "paths_entry_not_a_name", "zero_force_frequency",
              "zero_disp_frequency", "negative_force_frequency", "negative_disp_frequency",
              "nanohertz_force_tracking", "slow_disp_tracking", "long_cycles",
              "huge_calibration_cycles", "infinite_perturbation", "terahertz_plant"])

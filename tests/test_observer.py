@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import brentq
 
-from coilsense import model, observer, plant
+from coilsense import ident, model, observer, plant
 from coilsense import signal as sig
 from coilsense.model import EnvelopeError
 from coilsense.observer import CostWeights, ObserverConfig, ObserverState
@@ -206,13 +208,13 @@ class TestSolvePseudoMeasurement:
         # the feasible interval, so the preimage is unique
         assert model.eval_inductance(IND, F0, P) < model.eval_inductance(IND, ENV.F_max, P)
         L = model.eval_inductance(IND, F0, P)
-        f_star = observer.solve_pseudo_measurement(L, P, prior_F=2.5, params=IND, cfg=cfg)
+        f_star = observer.solve_pseudo_measurement(L, P, prior_F=2.5, cfg=cfg)
         assert f_star == pytest.approx(F0, abs=cfg.refine_tol * 10)
 
     def test_zero_fit_weight_returns_prior(self):
         from dataclasses import replace
         cfg = replace(make_cfg(), weights=CostWeights(w_fit=0.0, w_dyn=1.0, w_reg=0.1, gamma=1.0))
-        f_star = observer.solve_pseudo_measurement(5.0, 0.3, prior_F=1.7, params=IND, cfg=cfg)
+        f_star = observer.solve_pseudo_measurement(5.0, 0.3, prior_F=1.7, cfg=cfg)
         assert f_star == pytest.approx(1.7, abs=cfg.refine_tol * 10)
 
     def test_branch_selection_follows_prior(self):
@@ -223,17 +225,15 @@ class TestSolvePseudoMeasurement:
         L_off = model.eval_inductance(IND, 0.0, P)
         L_target = 0.5 * (L_peak + L_off)
         fa, fb = two_preimages(L_target, P)
-        near_a = observer.solve_pseudo_measurement(L_target, P, prior_F=fa + 0.05,
-                                                   params=IND, cfg=cfg)
-        near_b = observer.solve_pseudo_measurement(L_target, P, prior_F=fb - 0.05,
-                                                   params=IND, cfg=cfg)
+        near_a = observer.solve_pseudo_measurement(L_target, P, prior_F=fa + 0.05, cfg=cfg)
+        near_b = observer.solve_pseudo_measurement(L_target, P, prior_F=fb - 0.05, cfg=cfg)
         assert abs(near_a - fa) < 0.05
         assert abs(near_b - fb) < 0.05
 
     def test_envelope_check(self):
         cfg = make_cfg()
         with pytest.raises(EnvelopeError):
-            observer.solve_pseudo_measurement(5.0, 0.9, 1.0, IND, cfg)
+            observer.solve_pseudo_measurement(5.0, 0.9, 1.0, cfg)
 
     def test_oracle_equivalence(self):
         cfg = make_cfg()
@@ -244,7 +244,7 @@ class TestSolvePseudoMeasurement:
             P = rng.uniform(0.0, 0.65)
             L = model.eval_inductance(IND, rng.uniform(0, 5), P) + rng.normal(0, 0.01)
             prior = rng.uniform(0, 5)
-            f_solver = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+            f_solver = observer.solve_pseudo_measurement(L, P, prior, cfg)
             costs = reference_cost(L, P, prior, cfg.weights)(grid)
             f_oracle = float(grid[np.argmin(costs)])
             assert abs(f_solver - f_oracle) <= tol
@@ -252,7 +252,8 @@ class TestSolvePseudoMeasurement:
 
 def golden_section(fun, a, b, tol):
     """Golden-section minimizer on [a, b] down to interval width tol: the
-    reference for ``observer._golden_section``."""
+    refinement of ``reference_inversion``, an algorithm independent of
+    the observer's Newton pass."""
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = fun(c), fun(d)
@@ -278,24 +279,24 @@ def reference_cost(L_meas, P, prior_F, w, params=IND):
     return cost
 
 
-def reference_index(L_meas, P, prior_F, cfg, params=IND):
-    """The first least ``reference_cost`` on the whole coarse grid, NaNs
-    skipped."""
+def reference_index(L_meas, P, prior_F, cfg):
+    """The first least ``reference_cost`` of ``cfg.ind`` on the whole
+    coarse grid, NaNs skipped."""
     env = cfg.envelope
-    cost = reference_cost(L_meas, P, prior_F, cfg.weights, params)
+    cost = reference_cost(L_meas, P, prior_F, cfg.weights, cfg.ind)
     grid = np.linspace(env.F_min, env.F_max, cfg.grid_points)
     with np.errstate(all="ignore"):
         return int(np.nanargmin(cost(grid)))
 
 
-def reference_inversion(L_meas, P, prior_F, cfg, params=IND):
-    """Grid scan plus golden section on ``reference_cost``, every cost
-    taken through numpy: the oracle the solver is held to within
-    ``refine_tol``."""
+def reference_inversion(L_meas, P, prior_F, cfg):
+    """Grid scan plus golden section on ``reference_cost`` of ``cfg.ind``,
+    every cost taken through numpy: the oracle the solver is held to
+    within ``refine_tol``."""
     env = cfg.envelope
-    cost = reference_cost(L_meas, P, prior_F, cfg.weights, params)
+    cost = reference_cost(L_meas, P, prior_F, cfg.weights, cfg.ind)
     grid = np.linspace(env.F_min, env.F_max, cfg.grid_points)
-    i = reference_index(L_meas, P, prior_F, cfg, params)
+    i = reference_index(L_meas, P, prior_F, cfg)
     a = float(grid[max(i - 1, 0)])
     b = float(grid[min(i + 1, cfg.grid_points - 1)])
     f = golden_section(lambda F: float(cost(F)), a, b, cfg.refine_tol)
@@ -338,7 +339,7 @@ class TestInversionPinned:
             L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P)
                       + rng.normal(0, 0.02))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
-            got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+            got = observer.solve_pseudo_measurement(L, P, prior, cfg)
             assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
             args = observer._cost_args(L, prior, model._coeffs(IND, P), cfg.weights)
             ref = float_cost(L, P, prior, cfg.weights)
@@ -354,7 +355,7 @@ class TestInversionPinned:
             L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P)
                       + rng.normal(0, 0.02))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
-            got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+            got = observer.solve_pseudo_measurement(L, P, prior, cfg)
             assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
 
     def test_replace_rebuilds_grid(self):
@@ -377,6 +378,8 @@ class TestFusedInversion:
         (0.6, 800.0, -1.0, 800.0, 4.75),   # F**800 overflows above about 2.4 N
     ])
     def test_nan_grid_points_match_nanargmin(self, coeffs):
+        # the scan skips NaN grid costs, and a config does not take such a
+        # map: its inversion never runs
         params = flat_params(*coeffs)
         cfg = make_cfg()
         costs = np.array([float_cost(5.0, 0.3, 1.0, cfg.weights, params)(F) for F in cfg.grid])
@@ -387,12 +390,12 @@ class TestFusedInversion:
             L = float(rng.uniform(4.7, 5.2))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
             check_stopping_rule(L, 0.3, prior, cfg, params)
-            got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
-            assert abs(got - reference_inversion(L, 0.3, prior, cfg, params)) <= cfg.refine_tol
+        with pytest.raises(EnvelopeError):
+            replace(cfg, ind=params)
 
     def test_all_nan_grid_raises(self):
         with pytest.raises(ValueError, match="All-NaN slice encountered"):
-            observer.solve_pseudo_measurement(float("nan"), 0.3, 1.0, IND, make_cfg())
+            observer.solve_pseudo_measurement(float("nan"), 0.3, 1.0, make_cfg())
 
 
 FLAT_MAPS = [
@@ -493,62 +496,101 @@ class TestCertifiedGolden:
                 x = float(reference_cost(L, 0.3, 1.0, w)(F))
             assert not math.isfinite(x) and same_float(observer._cost(F, args), x)
 
-    def test_constant_cost_ties_take_the_upper_part(self):
-        calls = []
-
-        def constant(F):
-            calls.append(F)
-            return 1.0
-
-        got = observer._golden_section(constant, 0.0, 1.0, 1e-5)
-        assert got == golden_section(lambda F: 1.0, 0.0, 1.0, 1e-5)
-        assert 1.0 - 1e-5 < got < 1.0
-        assert len(calls) >= 20
-
-    @pytest.mark.parametrize("coeffs", FLAT_MAPS)
-    def test_math_exception_maps_equal_reference_inversion(self, coeffs):
-        # NaN and inf grid costs and math exceptions, with priors at and
-        # between the edge grid points too
+    @pytest.mark.parametrize("coeffs, cause", [
+        (FLAT_MAPS[0], "lambda2=-0.5"),
+        (FLAT_MAPS[1], "overflows: its terms reach inf"),
+        ((0.6, 1.3, -0.55, 800.0, 4.75), "reach inf"),      # F**800 in the exponent only
+        ((0.6, 1.3, -1e-110, 150.0, 4.75), r"reach 7\.01e\+104 > 1e\+100"),  # 5**150 is finite
+    ], ids=["negative_exponents", "power_800", "exponent_power_800", "exponent_power_150"])
+    def test_math_exception_maps_are_rejected(self, coeffs, cause):
+        # a config takes no map whose terms can overflow on Newton's
+        # domain, however it is built
         params = flat_params(*coeffs)
-        cfg = make_cfg()
-        rng = np.random.default_rng(32)
-        grid = cfg.grid
-        priors = [grid[0], grid[1], grid[-2], grid[-1], 0.5 * (grid[0] + grid[1])]
-        for prior in priors + rng.uniform(ENV.F_min, ENV.F_max, 20).tolist():
-            L = float(rng.uniform(4.7, 5.2))
-            check_stopping_rule(L, 0.3, prior, cfg, params)
-            got = observer.solve_pseudo_measurement(L, 0.3, prior, params, cfg)
-            assert abs(got - reference_inversion(L, 0.3, prior, cfg, params)) <= cfg.refine_tol
-
-    def test_non_finite_derivatives_take_the_golden_pass(self, monkeypatch):
-        # F**800 overflows above about 2.4 N, where the cost derivatives
-        # are inf or NaN: the golden pass on the cost refines the bracket
-        # in place of Newton, within refine_tol of the oracle
-        params = flat_params(*FLAT_MAPS[1])
-        cfg = make_cfg()
-        calls = []
-        golden = observer._golden_section
-        monkeypatch.setattr(observer, "_golden_section",
-                            lambda *a: calls.append(a) or golden(*a))
-        for prior in (2.2, 2.5, 3.0, 4.0):
-            got = observer.solve_pseudo_measurement(4.9, 0.3, prior, params, cfg)
-            assert abs(got - reference_inversion(4.9, 0.3, prior, cfg, params)) <= cfg.refine_tol
-        assert len(calls) >= 2
-        args = observer._cost_args(4.9, 3.0, model._coeffs(params, 0.3), cfg.weights)
-        derivatives = observer._cost_derivatives
-        with pytest.raises(FloatingPointError):   # 2**800 is finite, its square is not
-            observer._newton(derivatives, args, 1.9, 2.1, 2.0, cfg.refine_tol)
-        with pytest.raises(OverflowError):        # math.pow(3.0, 800.0) raises
-            observer._newton(derivatives, args, 2.9, 3.1, 3.0, cfg.refine_tol)
+        with pytest.raises(EnvelopeError, match=cause):
+            observer.make_observer_config(params, ENV, dt=0.01)
+        with pytest.raises(EnvelopeError, match=cause):
+            replace(make_cfg(), ind=params)
 
     @pytest.mark.parametrize("P", [ENV.P_min, 0.3, ENV.P_max])
-    def test_reference_map_derivatives_raise_near_zero_force(self, P):
-        # F * F underflows to 0 in L'' below about 1e-162 N, so a valid map
-        # can reach the golden fallback too
-        args = observer._cost_args(4.9, 1.0, model._coeffs(IND, P), make_cfg().weights)
-        observer._cost_derivatives(1e-160, args)
+    def test_reference_map_derivatives_raise_near_zero_force(self, P, monkeypatch):
+        # F * F underflows to 0 in L'' below about 1e-162 N; Newton's
+        # bracket is floored far above that, at F_floor, where every
+        # derivative is finite, and no iterate falls below the floor, also
+        # from readings below the map's intercept and priors at F = 0
+        cfg = make_cfg()
+        coeffs = model._coeffs(IND, P)
+        args = observer._cost_args(4.9, 1.0, coeffs, cfg.weights)
         with pytest.raises(ArithmeticError):
             observer._cost_derivatives(1e-200, args)
+        assert all(map(math.isfinite, observer._cost_derivatives(cfg.F_floor, args)))
+        seen = []
+        derivatives = observer._cost_derivatives
+        monkeypatch.setattr(observer, "_cost_derivatives",
+                            lambda F, a: seen.append(F) or derivatives(F, a))
+        l5 = coeffs[4]
+        for L in (l5 - 0.5, l5 - 1e-9, l5, l5 + 1e-9, l5 + 0.01):
+            for prior in (0.0, cfg.grid[1], 1.0):
+                observer.solve_pseudo_measurement(L, P, prior, cfg)
+        assert len(seen) > 15 and min(seen) >= cfg.F_floor
+
+        def toward_zero(F, a):
+            # every Newton step lands at 1e-12 F, inside an unfloored bracket
+            seen.append(F)
+            return 0.0, 0.0, 1.0, 1.0 / (F * (1.0 - 1e-12))
+
+        monkeypatch.setattr(observer, "_cost_derivatives", toward_zero)
+        seen.clear()
+        tight = make_cfg(refine_tol=4.0 * math.ulp(ENV.F_max))
+        got = observer.solve_pseudo_measurement(l5, P, 0.0, tight)
+        assert len(seen) > 2 and min(seen) >= tight.F_floor
+        assert got <= tight.refine_tol
+
+
+def box_maps():
+    """Ten map entries from the fit's default coefficient box, each drawn
+    from the whole box or from its part within 3 of 0, where more maps
+    pass the config's check."""
+    lo, hi = ident.default_inductance_bounds()
+    return hst.tuples(*[hst.one_of(hst.floats(max(a, -3.0), min(b, 3.0)), hst.floats(a, b))
+                        for a, b in zip(lo.tolist(), hi.tolist())])
+
+
+class TestMapCheck:
+    def test_accepted_maps_invert_with_finite_derivatives(self):
+        # for every map a config accepts, the cost derivatives are finite
+        # on Newton's domain, at readings up to 1 uH outside the envelope,
+        # and the inversion never raises
+        base = make_cfg()
+        f0 = base.F_floor
+        accepted = []
+        points = hst.tuples(hst.one_of(hst.just(f0), hst.floats(f0, ENV.F_max)),
+                            hst.floats(ENV.P_min, ENV.P_max),
+                            hst.floats(ENV.L_min - 1.0, ENV.L_max + 1.0),
+                            hst.floats(ENV.F_min, ENV.F_max))
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(box_maps(), hst.lists(points, min_size=1, max_size=8))
+        def check(p, samples):
+            try:
+                cfg = replace(base, ind=model.InductanceParams(p))
+            except EnvelopeError:
+                return
+            accepted.append(p)
+            for F, P, L, prior in samples:
+                args = observer._cost_args(L, prior, model._coeffs(cfg.ind, P), cfg.weights)
+                assert all(map(math.isfinite, observer._cost_derivatives(F, args))), (p, F, P, L)
+                got = observer.solve_pseudo_measurement(L, P, prior, cfg)
+                assert ENV.F_min <= got <= ENV.F_max
+
+        check()
+        assert len(accepted) >= 20
+
+    def test_reference_map_bound(self):
+        # the bound is derived at the corners; on the reference map it is
+        # about 2e49, dominated by L'' at F_floor
+        cfg = make_cfg()
+        bound = observer._map_bound(IND, ENV, cfg.F_floor)
+        assert 1e45 < bound < observer.MAP_LIMIT
 
 
 class TestNewtonRefinement:
@@ -614,6 +656,17 @@ class TestNewtonRefinement:
         assert abs(got - 1.0 / 3.0) <= 2 * math.ulp(1.0 / 3.0)
         assert len(calls) == observer._MAX_NEWTON_STEPS
 
+    def test_non_finite_derivative_raises(self):
+        # the safety check: F**800 overflows above about 2.4 N, which no
+        # config's map does (TestCertifiedGolden)
+        args = observer._cost_args(4.9, 3.0, model._coeffs(flat_params(*FLAT_MAPS[1]), 0.3),
+                                   make_cfg().weights)
+        derivatives = observer._cost_derivatives
+        with pytest.raises(FloatingPointError):   # 2**800 is finite, its square is not
+            observer._newton(derivatives, args, 1.9, 2.1, 2.0, 1e-5)
+        with pytest.raises(OverflowError):        # math.pow(3.0, 800.0) raises
+            observer._newton(derivatives, args, 2.9, 3.1, 3.0, 1e-5)
+
 
 def solver_index(L, P, prior, cfg, params=IND):
     """The grid index ``_solve_pseudo_measurement`` brackets."""
@@ -675,7 +728,7 @@ class TestWindowScan:
                 # no grid point past where the scan stops is better, and
                 # the refined force is within refine_tol of the oracle
                 check_stopping_rule(L, P, prior, cfg)
-                got = observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+                got = observer.solve_pseudo_measurement(L, P, prior, cfg)
                 assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
 
     @pytest.mark.parametrize("w_reg", [0.0, 0.00144])
@@ -690,7 +743,7 @@ class TestWindowScan:
         L = float(model.eval_inductance(IND, 2.0, 0.3))
         assert reference_index(L, 0.3, prior, cfg) == i
         assert solver_index(L, 0.3, prior, cfg) == i
-        got = observer.solve_pseudo_measurement(L, 0.3, prior, IND, cfg)
+        got = observer.solve_pseudo_measurement(L, 0.3, prior, cfg)
         assert abs(got - reference_inversion(L, 0.3, prior, cfg)) <= cfg.refine_tol
 
     @pytest.mark.parametrize("i", [0, 40, 127])
@@ -740,22 +793,22 @@ class TestWindowScan:
         monkeypatch.setattr(observer, "estimate_step", counted_step)
         cfg = make_cfg()
         spec = sig.FilterSpec()
-        observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
+        observer.run_estimation(ds, DYN, cfg, sig.design(spec, 100))
         assert len(counts) == len(ds)
         assert np.median(counts) <= 4
         counts.clear()
         flat = replace(cfg, weights=replace(cfg.weights, w_dyn=0.0))
-        observer.run_estimation(ds, IND, DYN, flat, sig.design(spec, 100))
+        observer.run_estimation(ds, DYN, flat, sig.design(spec, 100))
         assert counts == [cfg.grid_points] * len(ds)
 
 
-def reference_run(ds, params, cfg, spec):
+def reference_run(ds, cfg, spec):
     """``run_estimation`` written out on the public API: filters, predict,
     ``reference_inversion`` and the Joseph update.  Returns F_hat."""
     env = cfg.envelope
     filt = sig.prime(sig.design(spec, 100), float(ds.L[0]))
     p_filt = None
-    F0 = observer.nearest_preimage(float(ds.L[0]), float(ds.P[0]), params, env)
+    F0 = observer.nearest_preimage(float(ds.L[0]), float(ds.P[0]), cfg)
     st = observer.reset(float(np.clip(F0, env.F_min, env.F_max)), cfg)
     F_hat = np.empty(len(ds))
     for i in range(len(ds)):
@@ -766,7 +819,7 @@ def reference_run(ds, params, cfg, spec):
         P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
         pred = observer.predict(st, cfg)
         prior = min(max(pred.F_hat, env.F_min), env.F_max)
-        F_star = reference_inversion(L_f, P_f, prior, cfg, params)
+        F_star = reference_inversion(L_f, P_f, prior, cfg)
         st = observer.update(pred, F_star, cfg)
         F_hat[i] = st.F_hat
     return F_hat
@@ -799,8 +852,8 @@ class TestRunEstimationPinned:
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=4))
         cfg = make_cfg()
         spec = sig.FilterSpec()
-        got = observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
-        F_hat = reference_run(ds, IND, cfg, spec)
+        got = observer.run_estimation(ds, DYN, cfg, sig.design(spec, 100))
+        F_hat = reference_run(ds, cfg, spec)
         assert np.max(np.abs(got["F_hat"] - F_hat)) <= RUN_F_TOL
         assert np.array_equal(got["x_hat"], [model.invert_dynamic_length(DYN, F, P)
                                              for F, P in zip(got["F_hat"], ds.P)])
@@ -818,7 +871,7 @@ class TestEstimateStep:
         st = observer.reset(0.5, cfg)  # deliberately off
         for i in range(200):  # 2 s at 100 Hz
             r = p.step(0.2, 0.01, x_cmd=0.12)
-            st, F_hat, x_hat = observer.estimate_step(st, r.L_meas, r.P, IND, DYN, cfg, filt)
+            st, F_hat, x_hat = observer.estimate_step(st, r.L_meas, r.P, DYN, cfg, filt)
         assert F_hat == pytest.approx(r.F, rel=0.01)
         assert x_hat == pytest.approx(r.x, rel=0.01)
 
@@ -837,7 +890,7 @@ class TestEstimateStep:
         F_hat = np.empty(P.size)
         for i in range(P.size):
             st, F_hat[i], _ = observer.estimate_step(st, float(L[i]), float(P[i]),
-                                                     IND, DYN, cfg, filt)
+                                                     DYN, cfg, filt)
         assert np.all(F_hat < model.peak_force(IND, P1))
         assert np.max(np.abs(F_hat - F)) < 0.01
         assert np.max(np.abs(F_hat[-100:] - F)) < 1e-3
@@ -851,7 +904,7 @@ class TestEstimateStep:
         worst_asym, worst_eig = 0.0, np.inf
         for i in range(10_000):
             L = 4.9 + 0.2 * np.sin(0.002 * i) + 0.01 * rng.standard_normal()
-            st, _, _ = observer.estimate_step(st, L, 0.3, IND, DYN, cfg, filt)
+            st, _, _ = observer.estimate_step(st, L, 0.3, DYN, cfg, filt)
             worst_asym = max(worst_asym, abs(cov_of(st)[0, 1] - cov_of(st)[1, 0]))
             worst_eig = min(worst_eig, np.linalg.eigvalsh(cov_of(st)).min())
         assert worst_asym <= 1e-12
@@ -864,8 +917,8 @@ class TestEstimateStep:
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=9))
         cfg = make_cfg()
         spec = sig.FilterSpec()
-        a = observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
-        b = observer.run_estimation(ds, IND, DYN, cfg, sig.design(spec, 100))
+        a = observer.run_estimation(ds, DYN, cfg, sig.design(spec, 100))
+        b = observer.run_estimation(ds, DYN, cfg, sig.design(spec, 100))
         assert np.array_equal(a["F_hat"], b["F_hat"])
         assert np.array_equal(a["x_hat"], b["x_hat"])
 
@@ -885,8 +938,8 @@ class TestBranchDisambiguation:
             t = (i + 1) * dt
             x = 0.105 + 0.07 * 0.5 * (1 - np.cos(2 * np.pi * 0.1 * t))
             r = p.step(0.2, dt, x_cmd=x)
-            st, F_hat, _ = observer.estimate_step(st, r.L_meas, r.P, IND, DYN, cfg, filt)
-            F_inv.append(observer.nearest_preimage(r.L_meas, r.P, IND, ENV))
+            st, F_hat, _ = observer.estimate_step(st, r.L_meas, r.P, DYN, cfg, filt)
+            F_inv.append(observer.nearest_preimage(r.L_meas, r.P, cfg))
             F_true.append(r.F)
             F_obs.append(F_hat)
         F_true, F_obs, F_inv = map(np.array, (F_true, F_obs, F_inv))
@@ -903,11 +956,12 @@ class TestBranchDisambiguation:
 
 class TestConfig:
     def test_validation(self):
+        for dt, R in ((0.01, -1.0), (0.01, math.nan), (0.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="dt must|R must"):
+                ObserverConfig(dt=dt, Q=np.eye(2), R=R, envelope=ENV, ind=IND,
+                               weights=CostWeights())
         with pytest.raises(ValueError):
-            ObserverConfig(dt=0.01, Q=np.eye(2), R=-1.0, envelope=ENV,
-                           weights=CostWeights())
-        with pytest.raises(ValueError):
-            ObserverConfig(dt=0.01, Q=np.eye(2), R=1.0, envelope=ENV,
+            ObserverConfig(dt=0.01, Q=np.eye(2), R=1.0, envelope=ENV, ind=IND,
                            weights=CostWeights(), grid_points=8)
         with pytest.raises(ValueError):
             CostWeights(gamma=0.0)
@@ -923,8 +977,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("refine_tol", [1e-17, 1e-300])
     def test_refine_tol_below_float_spacing_rejected(self, refine_tol):
-        # a golden-section bracket a float spacing or two wide never
-        # shrinks, so such a tolerance would never end the pass
+        # a bracket a float spacing or two wide never shrinks, so such a
+        # tolerance would run every pass to the step cap
         with pytest.raises(ValueError, match="refine_tol"):
             make_cfg(refine_tol=refine_tol)
 
@@ -932,7 +986,7 @@ class TestConfig:
         # at refine_tol = 4 ulp(F_max) the Newton pass still ends on its
         # stopping rules, before the step cap, at a sign change of C' a
         # tolerance either side of the result, unless the result is at an
-        # edge of the bracket; the golden fallback ends too
+        # edge of the bracket
         floor = 4.0 * math.ulp(ENV.F_max)
         with pytest.raises(ValueError, match="refine_tol"):
             make_cfg(refine_tol=math.nextafter(floor, 0.0))
@@ -946,28 +1000,20 @@ class TestConfig:
                     return observer._cost_derivatives(F, args)
 
                 i = solver_index(L, P, prior, cfg)
-                a, b = cfg.grid[max(i - 1, 0)], cfg.grid[min(i + 1, cfg.grid_points - 1)]
+                a = max(cfg.grid[max(i - 1, 0)], cfg.F_floor)
+                b = cfg.grid[min(i + 1, cfg.grid_points - 1)]
                 steps = []
 
                 def counted(F, args):
                     steps.append(F)
                     return observer._cost_derivatives(F, args)
 
-                x = cfg.grid[i] if cfg.grid[i] > 0 else 0.5 * (a + b)
+                x = cfg.grid[i] if cfg.grid[i] >= a else 0.5 * (a + b)
                 got = observer._newton(counted, args, a, b, x, floor)
                 assert len(steps) < observer._MAX_NEWTON_STEPS
                 assert a <= got <= b
-                assert got == observer.solve_pseudo_measurement(L, P, prior, IND, cfg)
+                assert got == observer.solve_pseudo_measurement(L, P, prior, cfg)
                 if got - floor > a:
                     assert derivatives(got - floor)[2] <= 0.0, (L, P, prior)
                 if got + floor < b:
                     assert derivatives(got + floor)[2] >= 0.0, (L, P, prior)
-                calls = []
-
-                def counted_cost(F):
-                    calls.append(F)
-                    if len(calls) > 200:
-                        raise AssertionError(f"golden pass on [{a}, {b}] did not end")
-                    return observer._cost(F, args)
-
-                observer._golden_section(counted_cost, a, b, floor)
