@@ -161,12 +161,12 @@ def _build_plant_config(cfg: dict) -> plant.PlantConfig:
 
 
 def _build_filter_spec(cfg: dict, sensor_rate_hz: float) -> sig.FilterSpec:
-    """The observer's filter spec; its cutoff must lie below the Nyquist
-    frequency of the plant's sensor rate."""
+    """The observer's filter spec; it must design a stable filter at the
+    plant's sensor rate, so its cutoff lies below the Nyquist frequency."""
     block = _numbers("filter", cfg.get("filter") or {}, {"order": int, "cutoff_hz": float})
     try:
         spec = sig.FilterSpec(**block)
-        sig.check_cutoff(spec, sensor_rate_hz)
+        sig.design(spec, sensor_rate_hz)
     except ValueError as exc:
         raise ConfigError(f"filter: {exc}") from None
     return spec
@@ -415,7 +415,7 @@ def cmd_estimate(args, cfg, resolved) -> int:
         raise ident.DataFormatError(f"paths.inductance_params: {paths['inductance_params']}: "
                                     f"the observer cannot use this map: {exc}") from None
     out = _out_dir(cfg, args)
-    est = observer.run_estimation(ds, dyn, ocfg, sig.design(setup.filter_spec, fs))
+    est = observer.run_estimation(ds, dyn, ocfg)
     force = _truth_metrics(est["F_hat"], ds.F, "F")
     metrics: dict = {"provenance": _provenance(cfg), "force": force,
                      "displacement": _truth_metrics(est["x_hat"], ds.x, "x")}

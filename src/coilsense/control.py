@@ -148,8 +148,8 @@ class TrackingSetup:
     believes the external load to be ``load_nominal_scale`` times the
     scenario's (the true load); ``sensor_noise_x`` is the external
     displacement sensor's noise used by the sensor-feedback mode.
-    The observer's filters are designed from ``filter_spec`` at the
-    plant's sensor rate.
+    The observer's filter is designed from ``filter_spec`` at the
+    plant's sensor rate (``observer_config``).
     """
 
     plant_cfg: PlantConfig
@@ -176,10 +176,13 @@ def observer_config(setup: TrackingSetup, ind: InductanceParams,
                     dt: float) -> obs.ObserverConfig:
     """The observer tuning of ``setup`` for inductance map ``ind`` at
     sampling interval ``dt``: scaled to the plant's sensor noise, then
-    the setup's overrides applied."""
+    the setup's overrides applied.  The filter is designed at the
+    plant's sensor rate, not at 1 / ``dt``, which may differ from it in
+    the last bits."""
+    pcfg = setup.plant_cfg
     return obs.make_observer_config(
-        ind, setup.plant_cfg.envelope, dt=dt,
-        **{"noise_L": setup.plant_cfg.noise_L, **setup.observer_overrides})
+        ind, pcfg.envelope, dt=dt, filt=sig.design(setup.filter_spec, pcfg.sensor_rate_hz),
+        **{"noise_L": pcfg.noise_L, **setup.observer_overrides})
 
 
 @dataclass
@@ -208,22 +211,21 @@ class TrackingResult:
 @dataclass
 class _LoopStart:
     """A loop settled at t = 0 by ``_settle``: the observer tuning, the
-    plant (with its noise stream), the inductance filter, the observer
-    state (with its pressure filter), the last plant step and the
-    feedforward pressure at the reference's start."""
+    plant (with its noise stream), the observer state (with its
+    filters), the last plant step and the feedforward pressure at the
+    reference's start."""
 
     ocfg: obs.ObserverConfig
     plant: Plant
-    filt: sig.FilterState
     state: obs.ObserverState
     last: StepResult
     p_ff0: float
 
     def copy(self) -> "_LoopStart":
         """An independent start: every mutable part is copied."""
-        pf = self.state.pressure_filter
-        state = replace(self.state, pressure_filter=None if pf is None else pf.copy())
-        return replace(self, plant=self.plant.copy(), filt=self.filt.copy(), state=state)
+        state = replace(self.state, L_filter=self.state.L_filter.copy(),
+                        P_filter=self.state.P_filter.copy())
+        return replace(self, plant=self.plant.copy(), state=state)
 
 
 def _drivers(scenario: Scenario, setup: TrackingSetup) -> tuple:
@@ -269,7 +271,7 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     force_mode = scenario.kind == "force_tracking"
     dts = 1.0 / pcfg.sensor_rate_hz
     n_pre = int(round(PREROLL_S / dts))
-    if n_pre < 1:  # the first pre-roll step primes the filter and the state
+    if n_pre < 1:  # the first pre-roll step seeds the state and primes its filters
         raise PrerollError(f"the {PREROLL_S:g} s pre-roll of a closed loop holds no "
                            f"sample at {pcfg.sensor_rate_hz:g} Hz")
     ocfg = observer_config(setup, pcfg.ind, dts)
@@ -279,7 +281,7 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     plant = Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
 
     ramp_n = max(1, int(round(2.0 / dts)))
-    filt = state = last = None
+    state = last = None
     for i in range(n_pre):
         if force_mode:
             frac = min(1.0, (i + 1) / ramp_n)
@@ -287,17 +289,14 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
             last = plant.step(p_ff0, dts, x_cmd=x_cmd)
         else:
             last = drive(plant, p_ff0, 0.0)
-        if filt is None:
-            # Prime the inductance filter with the first reading and seed
-            # the state at the operating force the experimenter knows
-            # (reference start or hanging load): the nearest preimage of
-            # the reading can pick the wrong branch of the peaked curve.
-            # The first estimate_step primes the pressure filter.
-            filt = sig.design(setup.filter_spec, pcfg.sensor_rate_hz)
-            sig.prime(filt, last.L_meas)
+        if state is None:
+            # Seed the state at the operating force the experimenter knows
+            # (reference start or hanging load), with its filters primed at
+            # the first sample: the nearest preimage of the reading can
+            # pick the wrong branch of the peaked curve.
             state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
-                              ocfg)
-        state = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg, filt)[0]
+                              last.L_meas, last.P, ocfg)
+        state = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg)[0]
     if scenario.kind == "displacement_tracking":
         # exercise the loop region before measuring (standard practice)
         period = CONDITION_CYCLES / scenario.frequency_hz
@@ -305,8 +304,8 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
         t_cond = (np.arange(n_cond) + 1) * dts - period
         for t, ref in zip(t_cond.tolist(), scenario.reference(t_cond).tolist()):
             last = drive(plant, feedforward(ref), t)
-            state = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg, filt)[0]
-    return _LoopStart(ocfg, plant, filt, state, last, p_ff0)
+            state = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg)[0]
+    return _LoopStart(ocfg, plant, state, last, p_ff0)
 
 
 def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
@@ -329,7 +328,7 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
     ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
     rng_x = np.random.default_rng([pcfg.seed, 77])  # external displacement sensor
     feedforward, drive = _drivers(scenario, setup)
-    ocfg, plant, filt, state, last = start.ocfg, start.plant, start.filt, start.state, start.last
+    ocfg, plant, state, last = start.ocfg, start.plant, start.state, start.last
 
     t_log = _log_times(scenario, pcfg.sensor_rate_hz)
     refs = scenario.reference(t_log)
@@ -349,8 +348,7 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
                 dp = pid_step(ctrl, ref - F_hat if force_mode else x_hat - ref, gains, dtc)
             p_cmd = _clamp(feedforward(ref) + dp, 0.0, setup.p_max)
         last = drive(plant, p_cmd, t)
-        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P,
-                                                setup.dyn, ocfg, filt)
+        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg)
         rows.append((last.F, last.x, F_hat, x_hat, p_cmd))
     log = np.array(rows).reshape(-1, 5).T
     return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"),

@@ -2,7 +2,8 @@
 
 Per sample: low-pass the raw inductance and, through the same filter,
 the pressure (the static map holds only for an (L, P) pair taken
-at the same instant, so the pressure must carry the same delay),
+at the same instant, so the pressure must carry the same delay; the
+config holds the filter's design, and each state its two delay lines),
 propagate a constant-velocity force model, invert the inductance map
 through a composite scalar cost (model fidelity + continuity toward the
 prediction + a redescending regularizer that stabilizes the near-peak
@@ -101,12 +102,10 @@ class ObserverState:
     The covariance is symmetric, so it is held as its three distinct
     entries: ``var_F``, ``cov_F_Fdot`` and ``var_Fdot``.
 
-    ``pressure_filter`` is the delay line that matches the pressure to
-    the filtered inductance.  It is None in a fresh state; the first
-    ``estimate_step`` makes it as a copy of the inductance filter primed
-    with that step's raw pressure, as the inductance filter is primed
-    with the first raw reading.  Later states share it, and
-    it advances in place.
+    ``L_filter`` and ``P_filter`` are the inductance and pressure
+    filters, copies of the config's ``filt`` that ``reset`` primes.  The
+    states ``estimate_step`` returns share them, and they advance in
+    place; ``predict`` and ``update`` leave them None.
     """
 
     F_hat: float
@@ -114,7 +113,8 @@ class ObserverState:
     var_F: float
     cov_F_Fdot: float
     var_Fdot: float
-    pressure_filter: sig.FilterState | None = None
+    L_filter: sig.FilterState | None = None
+    P_filter: sig.FilterState | None = None
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,9 @@ class CostWeights:
 class ObserverConfig:
     """Observer tuning for the inductance map ``ind`` it inverts.
 
-    ``grid`` (the coarse inversion grid, a tuple of floats), ``Q_entries``
+    ``filt`` is the designed low-pass of the inductance and the pressure,
+    a template that ``reset`` copies and nothing steps.  ``grid`` (the
+    coarse inversion grid, a tuple of floats), ``Q_entries``
     (``Q`` as four floats, row by row) and ``F_floor`` (the floor of
     Newton's bracket) are derived, and the map is checked (``_map_bound``),
     on construction, so ``dataclasses.replace`` redoes both.  A fresh
@@ -153,6 +155,7 @@ class ObserverConfig:
     envelope: OperatingEnvelope
     ind: InductanceParams
     weights: CostWeights
+    filt: sig.FilterState = field(repr=False, compare=False)
     grid_points: int = 129
     refine_tol: float = 1e-5
     grid: tuple = field(init=False, repr=False, compare=False)
@@ -173,8 +176,8 @@ class ObserverConfig:
         if not bound < MAP_LIMIT:
             raise EnvelopeError(f"the inductance map overflows: its terms reach {bound:.3g} > "
                                 f"{MAP_LIMIT:g} on [{self.F_floor:.3g}, {env.F_max:g}] N")
-        if not self.R > 0:
-            raise ValueError("R must be positive")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError("R must be positive and finite")
         if not 16 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid_points must be in [16, {MAX_GRID_POINTS}]")
         tol_floor = 4.0 * math.ulp(env.F_max)   # F_max is the largest |F|
@@ -221,7 +224,7 @@ def median_force_gradient(params: InductanceParams, envelope: OperatingEnvelope)
 
 
 def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
-                         dt: float, noise_L: float = 0.01,
+                         dt: float, filt: sig.FilterState, noise_L: float = 0.01,
                          sigma_F: float = 0.05, sigma_Fdot: float = 0.5,
                          **overrides) -> ObserverConfig:
     """Noise-scaled default configuration.
@@ -245,6 +248,11 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
     sensor noise; that length grows as one over the noise, so without
     a floor it leaves the envelope.  At or above the floor the weights
     and R are the noise-scaled ones unchanged.
+
+    ``filt`` is the designed inductance filter (``ObserverConfig.filt``).
+    A map whose median gradient is 0 gives no R: EnvelopeError.  A NaN
+    median comes only from a map whose terms overflow, which the config
+    rejects with its own message.
     """
     if not (noise_L >= 0 and sigma_F >= 0 and sigma_Fdot >= 0):
         raise ValueError(f"noise_L, sigma_F and sigma_Fdot must be >= 0, got "
@@ -254,19 +262,26 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
     w_dyn = (3.0 * noise_L) ** 2 / (0.05 * span) ** 2
     weights = CostWeights(w_fit=1.0, w_dyn=w_dyn, w_reg=0.1 * w_dyn,
                           gamma=25.0 / span ** 2)
+    gradient = median_force_gradient(params, envelope)
+    if gradient == 0.0:
+        raise EnvelopeError("the inductance map is flat over the envelope (median |dL/dF| "
+                            "= 0), so the measurement variance R cannot be derived")
     cfg = ObserverConfig(dt=dt, Q=np.diag([(sigma_F * dt) ** 2, sigma_Fdot ** 2 * dt]),
-                         R=(noise_L / median_force_gradient(params, envelope)) ** 2,
-                         envelope=envelope, ind=params, weights=weights)
+                         R=(noise_L / gradient) ** 2,
+                         envelope=envelope, ind=params, weights=weights, filt=filt)
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def reset(F0: float, cfg: ObserverConfig) -> ObserverState:
+def reset(F0: float, L0: float, P0: float, cfg: ObserverConfig) -> ObserverState:
     """Fresh state at force F0 (must lie in the feasible interval), zero
-    rate, force variance 0.25 N^2 and rate variance 1 (N/s)^2."""
+    rate, force variance 0.25 N^2 and rate variance 1 (N/s)^2, with its
+    own copies of ``cfg.filt`` primed at the raw reading L0 and pressure
+    P0 (no startup transient when the stream begins there)."""
     env = cfg.envelope
     if not (env.F_min <= F0 <= env.F_max):
         raise EnvelopeError(f"initial force {F0} outside [{env.F_min}, {env.F_max}]")
-    return ObserverState(float(F0), 0.0, 0.25, 0.0, 1.0)
+    return ObserverState(float(F0), 0.0, 0.25, 0.0, 1.0,
+                         sig.prime(cfg.filt.copy(), L0), sig.prime(cfg.filt.copy(), P0))
 
 
 def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
@@ -421,15 +436,8 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
-    return _solve_pseudo_measurement(L_meas, prior_F, cfg, model._coeffs(cfg.ind, float(P)))
-
-
-def _solve_pseudo_measurement(L_meas: float, prior_F: float, cfg: ObserverConfig,
-                              coeffs: tuple) -> float:
-    """``solve_pseudo_measurement`` on the map coefficients at the
-    inversion pressure, without its checks."""
     grid = cfg.grid
-    args = _cost_args(L_meas, prior_F, coeffs, cfg.weights)
+    args = _cost_args(L_meas, prior_F, model._coeffs(cfg.ind, float(P)), cfg.weights)
     i = _grid_index(grid, args)
     a = max(grid[max(i - 1, 0)], cfg.F_floor)
     b = grid[min(i + 1, cfg.grid_points - 1)]
@@ -465,32 +473,27 @@ def update(prior: ObserverState, F_star: float, cfg: ObserverConfig) -> Observer
 
 
 def estimate_step(state: ObserverState, L_raw: float, P: float,
-                  dyn: DynamicParams, cfg: ObserverConfig, filt: sig.FilterState):
+                  dyn: DynamicParams, cfg: ObserverConfig):
     """One full observer cycle on a raw sample.
 
     Returns ``(state, F_hat, x_hat)``.  The raw pressure must lie in
-    the envelope.  It is passed through the state's pressure filter
-    (a copy of ``filt``, primed on the first step, see
-    ``ObserverState``) so that the map is inverted at a time-matched
-    (L, P) pair, and the filtered value is clamped to the envelope,
-    since the filter overshoots on steps.  Length is inferred from
-    ``F_hat`` at the raw pressure, the one acting now.  Both filter
-    states advance in place; the observer state is returned fresh.
+    the envelope.  The reading and the pressure pass through the state's
+    filters (``reset`` primes them), so that the map is inverted at a
+    time-matched (L, P) pair, and the filtered pressure is clamped to
+    the envelope, since the filter overshoots on steps.  Length is
+    inferred from ``F_hat`` at the raw pressure, the one acting now.
+    The filters advance in place and pass on to the returned state; the
+    rest of the state is returned fresh.
     """
     env = cfg.envelope
     env.check_P(P)
-    p_filt = state.pressure_filter
-    if p_filt is None:
-        p_filt = sig.prime(filt.copy(), P)
-    L_f = sig.step(filt, L_raw)
-    P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
+    L_filt, P_filt = state.L_filter, state.P_filter
+    L_f = sig.step(L_filt, L_raw)
+    P_f = min(max(sig.step(P_filt, P), env.P_min), env.P_max)
     pred = predict(state, cfg)
     prior_F = min(max(pred.F_hat, env.F_min), env.F_max)
-    if not math.isfinite(prior_F):
-        raise ValueError("prior force must be finite")
-    F_star = _solve_pseudo_measurement(L_f, prior_F, cfg, model._coeffs(cfg.ind, P_f))
-    post = update(pred, F_star, cfg)
-    post.pressure_filter = p_filt
+    post = update(pred, solve_pseudo_measurement(L_f, P_f, prior_F, cfg), cfg)
+    post.L_filter, post.P_filter = L_filt, P_filt
     F_hat = post.F_hat
     x_hat = model.invert_dynamic_length(dyn, F_hat, P)
     return post, F_hat, x_hat
@@ -508,22 +511,20 @@ def nearest_preimage(L_meas: float, P: float, cfg: ObserverConfig) -> float:
     return float(grid[int(np.nanargmin(r * r))])
 
 
-def run_estimation(dataset, dyn: DynamicParams, cfg: ObserverConfig,
-                   filt: sig.FilterState) -> dict:
+def run_estimation(dataset, dyn: DynamicParams, cfg: ObserverConfig) -> dict:
     """Stream a dataset through the observer.
 
-    ``filt`` is the inductance filter, designed at the data's sample
-    rate; it is primed with the first raw sample (no startup
-    transient), and so is the pressure filter on the first step; the
-    state starts at the force whose modeled inductance matches that
-    first sample (``nearest_preimage``, a point of the envelope).
-    Returns arrays ``F_hat`` and ``x_hat`` aligned with the dataset.
+    The state starts at the first row: at the force whose modeled
+    inductance matches that reading (``nearest_preimage``, a point of
+    the envelope), with its filters primed at the row's reading and
+    pressure (``reset``).  Returns arrays ``F_hat`` and ``x_hat`` aligned
+    with the dataset.
     """
-    sig.prime(filt, float(dataset.L[0]))
-    state = reset(nearest_preimage(float(dataset.L[0]), float(dataset.P[0]), cfg), cfg)
+    L0, P0 = float(dataset.L[0]), float(dataset.P[0])
+    state = reset(nearest_preimage(L0, P0, cfg), L0, P0, cfg)
     F_hat, x_hat = [], []
     for L, P in zip(dataset.L.tolist(), dataset.P.tolist()):
-        state, F, x = estimate_step(state, L, P, dyn, cfg, filt)
+        state, F, x = estimate_step(state, L, P, dyn, cfg)
         F_hat.append(F)
         x_hat.append(x)
-    return {"F_hat": np.array(F_hat), "x_hat": np.array(x_hat), "state": state}
+    return {"F_hat": np.array(F_hat), "x_hat": np.array(x_hat)}

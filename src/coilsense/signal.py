@@ -23,7 +23,6 @@ __all__ = [
     "InvalidFilterSpecError",
     "FilterSpec",
     "FilterState",
-    "check_cutoff",
     "design",
     "prime",
     "step",
@@ -88,23 +87,18 @@ class FilterState:
         return st
 
 
-def check_cutoff(spec: FilterSpec, rate_hz: float) -> None:
-    """Raise InvalidFilterSpecError unless the cutoff of ``spec`` lies
-    below the Nyquist frequency of a stream sampled at ``rate_hz``."""
-    if not spec.cutoff_hz < rate_hz / 2.0:
-        raise InvalidFilterSpecError(f"cutoff {spec.cutoff_hz:g} Hz must lie below "
-                                     f"Nyquist ({rate_hz / 2.0:g} Hz)")
-
-
 def design(spec: FilterSpec, rate_hz: float) -> FilterState:
     """Design the discrete Butterworth low-pass for ``spec`` on a stream
-    sampled at ``rate_hz`` (see ``check_cutoff``).
+    sampled at ``rate_hz``; the cutoff must lie below the Nyquist
+    frequency.
 
     Uses the bilinear transform with cutoff pre-warping; the cascade has
     unit DC gain and the half-power point at the cutoff.  The result is
     verified stable (all section poles strictly inside the unit circle).
     """
-    check_cutoff(spec, rate_hz)
+    if not spec.cutoff_hz < rate_hz / 2.0:
+        raise InvalidFilterSpecError(f"cutoff {spec.cutoff_hz:g} Hz must lie below "
+                                     f"Nyquist ({rate_hz / 2.0:g} Hz)")
     state = FilterState(_butter_sos(spec.order, spec.cutoff_hz, rate_hz))
     if not is_stable(state):
         raise InvalidFilterSpecError(

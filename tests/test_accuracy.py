@@ -69,9 +69,9 @@ def replay_nrmse(period, noise_L, seed, offset_uH=0.0):
     p = pcfg.ind.p
     ind = model.InductanceParams(p[:9] + (p[9] - offset_uH,))
     fs = pcfg.sensor_rate_hz
-    cfg = observer.make_observer_config(ind, pcfg.envelope, dt=1.0 / fs, noise_L=noise_L)
-    est = observer.run_estimation(ds, plant.reference_dynamic_params(), cfg,
-                                  sig.design(sig.FilterSpec(), fs))
+    cfg = observer.make_observer_config(ind, pcfg.envelope, dt=1.0 / fs,
+                                        filt=sig.design(sig.FilterSpec(), fs), noise_L=noise_L)
+    est = observer.run_estimation(ds, plant.reference_dynamic_params(), cfg)
     return ident.goodness(est["F_hat"], ds.F).nrmse
 
 

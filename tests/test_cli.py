@@ -130,6 +130,13 @@ def _map_with(**entries):
 #: above about 2.4 N.
 POWER_800_MAP = [0.0, 0.6, 0.0, 800.0, 0.0, -1.0, 0.0, 800.0, 0.0, 4.75]
 
+#: A map whose terms are bounded but whose median |dL/dF| over the
+#: envelope is 0 (exp(-1000 F) vanishes), so it gives the observer no R.
+FLAT_MAP = [0.0, 0.6, 0.0, 1.3, 0.0, -1000.0, 0.0, 1.0, 0.0, 4.75]
+
+#: A filter block whose design is unstable at the default 100 Hz.
+UNSTABLE_FILTER = {"order": 3, "cutoff_hz": 1e-9}
+
 #: Parameter files named in ``paths`` that ``estimate`` rejects: the
 #: config key, the file's text and a word of the message that names why.
 BAD_PARAMETER_FILES = {
@@ -140,6 +147,7 @@ BAD_PARAMETER_FILES = {
     "lambda1_zero": ("inductance_params", _map_with(p0=0.0, p1=0.0), "cannot use this map"),
     "lambda2_800": ("inductance_params", _map_with(p2=0.0, p3=800.0), "overflows"),
     "power_800": ("inductance_params", json.dumps({"p": POWER_800_MAP}), "overflows"),
+    "flat_map": ("inductance_params", json.dumps({"p": FLAT_MAP}), "flat over the envelope"),
     "lambda2_negative": ("inductance_params", _map_with(p2=0.0, p3=-1.0),
                          "lambda2=-1.0"),
     "dynamic_without_x0": ("dynamic_params", '{"k": 38.6, "c": 1.6}', "missing field 'x0'"),
@@ -435,6 +443,9 @@ class TestSimulateTrackPerturb:
     @pytest.mark.parametrize("doc,key", [
         ({"controller": {"force_gains": {"kP": 0.3}}}, "'kP'"),
         ({"filter": {"cutoff_hz": 50}}, "Nyquist"),
+        ({"filter": UNSTABLE_FILTER}, "filter: designed filter unstable"),
+        ({"plant": {"sensor_rate_hz": 1e12, "control_rate_hz": 1e12}},
+         "filter: designed filter unstable"),
         ({"plant": {"sensor_rate_hz": 20, "control_rate_hz": 20}}, "Nyquist"),
         ({"seed": -1}, "seed must be >= 0"),
         ({"filter": {"order": 2.5}}, "filter.order"),
@@ -443,6 +454,7 @@ class TestSimulateTrackPerturb:
         ({"observer": {"grid_points": 3}}, "grid_points"),
         ({"observer": {"sigma_F": -0.05}}, "sigma_F"),
         ({"plant": {"ind": {"p": POWER_800_MAP}}}, "observer: the inductance map overflows"),
+        ({"plant": {"ind": {"p": FLAT_MAP}}}, "observer: the inductance map is flat"),
         ({"observer": {"gradient_guard_inflation": 10.0}},
          "observer: unknown keys ['gradient_guard_inflation']"),
         ({"paths": {"data": 0}}, "paths.data: expected a file name"),
@@ -463,10 +475,12 @@ class TestSimulateTrackPerturb:
         ({"scenarios": [{"kind": "load_perturbation", "duration_s": math.inf}]},
          "duration must be positive and finite"),
         ({"plant": {"sensor_rate_hz": 1e12, "control_rate_hz": 1e12},
+          "filter": {"cutoff_hz": 1e10},
           "scenarios": [{"kind": "load_perturbation"}]}, "a run may step")],
-        ids=["gain_typo", "cutoff_at_nyquist", "cutoff_at_plant_nyquist", "negative_seed",
+        ids=["gain_typo", "cutoff_at_nyquist", "unstable_filter", "terahertz_default_filter",
+             "cutoff_at_plant_nyquist", "negative_seed",
              "fractional_order", "boolean_scalar", "string_scalar", "coarse_grid",
-             "negative_sigma_F", "power_800_plant_map", "removed_guard_key",
+             "negative_sigma_F", "power_800_plant_map", "flat_plant_map", "removed_guard_key",
              "paths_entry_not_a_name", "zero_force_frequency",
              "zero_disp_frequency", "negative_force_frequency", "negative_disp_frequency",
              "nanohertz_force_tracking", "slow_disp_tracking", "long_cycles",
@@ -483,10 +497,11 @@ class TestSimulateTrackPerturb:
     def test_identification_sweep_too_long_fails_before_output(self, tmp_path, capsys,
                                                                command):
         # with no scenario configured the loops still identify the affine
-        # model on a 56 s sweep, which at 1e12 Hz is far past the cap
+        # model on a 56 s sweep, which at 1e12 Hz is far past the cap (the
+        # default 10 Hz filter is unstable at that rate)
         cfg_path = str(tmp_path / "cfg.json")
-        json.dump({"plant": {"sensor_rate_hz": 1e12, "control_rate_hz": 1e12}},
-                  open(cfg_path, "w"))
+        json.dump({"plant": {"sensor_rate_hz": 1e12, "control_rate_hz": 1e12},
+                   "filter": {"cutoff_hz": 1e10}}, open(cfg_path, "w"))
         out = tmp_path / "out"
         assert cli.main(["--config", cfg_path, "--out", str(out), command]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -551,8 +566,10 @@ class TestSimulateTrackPerturb:
         for command in ("track", "perturb"):
             assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "out"),
                              command]) == 0
-        # one design per settled loop: track settles its mode group once
-        assert len(rates) == 2 and set(rates) == {200.0}
+        # per command, one design checks the filter spec, one makes the
+        # validated observer config and one each settled loop's config:
+        # track settles its mode group once
+        assert rates == [200.0] * 6
 
     def test_pid_rate_defaults_to_control_rate(self, tmp_path):
         # a gain block without rate_hz (track) and the built-in gains (perturb)
@@ -702,6 +719,21 @@ class TestEntryPoint:
         assert len(lines) == 1 and lines[0].startswith("config error: load ")
         assert f"load {float(scenario['load'])} N unreachable" in lines[0]
         assert "force range [" in lines[0]
+
+    @pytest.mark.parametrize("command", ["estimate", "track", "perturb"])
+    def test_unstable_filter_is_a_config_error(self, cal_csv, tmp_path, command):
+        # the filter is designed while the config is checked, not when a
+        # run first steps it
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump({"filter": UNSTABLE_FILTER}, open(cfg_path, "w"))
+        args = ["--config", cfg_path, "--out", str(tmp_path / "out"), command]
+        proc = run_module(*(args + ["--data", cal_csv] if command == "estimate" else args))
+        assert proc.returncode == cli.EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: filter: designed filter unstable")
+        assert not (tmp_path / "out").exists()
 
     def test_jobs_flag_is_gone(self):
         assert cli.main(["--jobs", "2", "track"]) == cli.EXIT_USAGE

@@ -15,6 +15,8 @@ from coilsense.observer import CostWeights, ObserverConfig, ObserverState
 IND = plant.reference_inductance_params()
 DYN = plant.reference_dynamic_params()
 ENV = plant.default_envelope()
+#: The observer's default filter at 100 Hz, the template of every config here.
+FILT = sig.design(sig.FilterSpec(), 100)
 
 
 def state_of(mean, cov):
@@ -32,7 +34,8 @@ def cov_of(st):
 
 
 def make_cfg(**overrides):
-    return observer.make_observer_config(IND, ENV, dt=0.01, noise_L=0.01, **overrides)
+    return observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT, noise_L=0.01,
+                                         **overrides)
 
 
 def numpy_predict(mean, cov, dt, Q):
@@ -48,7 +51,7 @@ U = 2.0 ** -53
 
 class TestPredict:
     def test_mean_propagation(self):
-        cfg = observer.make_observer_config(IND, ENV, dt=0.05)
+        cfg = observer.make_observer_config(IND, ENV, dt=0.05, filt=FILT)
         st = state_of([1.0, 2.0], np.eye(2))
         out = observer.predict(st, cfg)
         assert mean_of(out)[0] == pytest.approx(1.1, abs=1e-15)
@@ -77,7 +80,7 @@ class TestFloatState:
         # and the two are within 12u of each other by that measure.  The
         # sums of absolute values are the matrix form on |m|, |C| and |Q|.
         rng = np.random.default_rng(17)
-        cfgs = [observer.make_observer_config(IND, ENV, dt=dt)]
+        cfgs = [observer.make_observer_config(IND, ENV, dt=dt, filt=FILT)]
         for _ in range(3):  # full, non-symmetric Q with a PSD symmetric part
             B = rng.normal(size=(2, 2))
             Q = B @ B.T + np.array([[0.0, 1e-3], [-1e-3, 0.0]]) * rng.uniform()
@@ -95,7 +98,7 @@ class TestFloatState:
 
     def test_state_is_python_floats(self):
         cfg = make_cfg()
-        st = observer.reset(1.0, cfg)
+        st = observer.reset(1.0, 4.9, 0.3, cfg)
         for out in (observer.predict(st, cfg), observer.update(st, 1.3, cfg)):
             for name in ("F_hat", "Fdot_hat", "var_F", "cov_F_Fdot", "var_Fdot"):
                 assert type(getattr(out, name)) is float, name
@@ -108,7 +111,7 @@ class TestFloatState:
             monkeypatch.setattr(np, name, lambda *a, _f=original, _n=name, **k:
                                 calls.append(_n) or _f(*a, **k))
         cfg = make_cfg()
-        st = observer.reset(1.0, cfg)
+        st = observer.reset(1.0, 4.9, 0.3, cfg)
         for _ in range(20):
             st = observer.update(observer.predict(st, cfg), 1.2, cfg)
         hyst = tuple(plant.PlayElement(width=w, weight=g)
@@ -175,19 +178,19 @@ class TestUpdate:
 class TestReset:
     def test_zero(self):
         cfg = make_cfg()
-        st = observer.reset(0.0, cfg)
+        st = observer.reset(0.0, 4.9, 0.3, cfg)
         assert st.F_hat == 0.0 and st.Fdot_hat == 0.0
         assert (st.var_F, st.cov_F_Fdot, st.var_Fdot) == (0.25, 0.0, 1.0)
 
     def test_boundary_inclusive(self):
         cfg = make_cfg()
-        st = observer.reset(ENV.F_max, cfg)
+        st = observer.reset(ENV.F_max, 4.9, 0.3, cfg)
         assert st.F_hat == ENV.F_max
 
     def test_out_of_envelope(self):
         cfg = make_cfg()
         with pytest.raises(EnvelopeError):
-            observer.reset(-1.0, cfg)
+            observer.reset(-1.0, 4.9, 0.3, cfg)
 
 
 def two_preimages(L_target, P):
@@ -331,7 +334,7 @@ class TestInversionPinned:
         # the inversion is within refine_tol of the numpy oracle, and the
         # scalar cost, whose last bits steer the grid scan, equals the
         # float reference bit for bit
-        cfg = observer.make_observer_config(IND, ENV, dt=0.01,
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT,
                                             **{"noise_L": 0.01, **overrides})
         rng = np.random.default_rng(20)
         for _ in range(200):
@@ -507,7 +510,7 @@ class TestCertifiedGolden:
         # domain, however it is built
         params = flat_params(*coeffs)
         with pytest.raises(EnvelopeError, match=cause):
-            observer.make_observer_config(params, ENV, dt=0.01)
+            observer.make_observer_config(params, ENV, dt=0.01, filt=FILT)
         with pytest.raises(EnvelopeError, match=cause):
             replace(make_cfg(), ind=params)
 
@@ -669,7 +672,7 @@ class TestNewtonRefinement:
 
 
 def solver_index(L, P, prior, cfg, params=IND):
-    """The grid index ``_solve_pseudo_measurement`` brackets."""
+    """The grid index ``solve_pseudo_measurement`` brackets."""
     return observer._grid_index(
         cfg.grid, observer._cost_args(L, prior, model._coeffs(params, P), cfg.weights))
 
@@ -720,7 +723,7 @@ class TestWindowScan:
         {"weights": CostWeights(w_fit=1.0, w_dyn=0.0, w_reg=0.00144)},
     ])
     def test_equals_reference_bit_for_bit(self, overrides):
-        cfg = observer.make_observer_config(IND, ENV, dt=0.01,
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT,
                                             **{"noise_L": 0.01, **overrides})
         rng = np.random.default_rng(40)
         for near in (True, False):
@@ -792,13 +795,12 @@ class TestWindowScan:
         monkeypatch.setattr(model, "_inductance_at", counted_map)
         monkeypatch.setattr(observer, "estimate_step", counted_step)
         cfg = make_cfg()
-        spec = sig.FilterSpec()
-        observer.run_estimation(ds, DYN, cfg, sig.design(spec, 100))
+        observer.run_estimation(ds, DYN, cfg)
         assert len(counts) == len(ds)
         assert np.median(counts) <= 4
         counts.clear()
         flat = replace(cfg, weights=replace(cfg.weights, w_dyn=0.0))
-        observer.run_estimation(ds, DYN, flat, sig.design(spec, 100))
+        observer.run_estimation(ds, DYN, flat)
         assert counts == [cfg.grid_points] * len(ds)
 
 
@@ -806,15 +808,14 @@ def reference_run(ds, cfg, spec):
     """``run_estimation`` written out on the public API: filters, predict,
     ``reference_inversion`` and the Joseph update.  Returns F_hat."""
     env = cfg.envelope
-    filt = sig.prime(sig.design(spec, 100), float(ds.L[0]))
-    p_filt = None
-    F0 = observer.nearest_preimage(float(ds.L[0]), float(ds.P[0]), cfg)
-    st = observer.reset(float(np.clip(F0, env.F_min, env.F_max)), cfg)
+    L0, P0 = float(ds.L[0]), float(ds.P[0])
+    filt = sig.prime(sig.design(spec, 100), L0)
+    p_filt = sig.prime(sig.design(spec, 100), P0)
+    F0 = observer.nearest_preimage(L0, P0, cfg)
+    st = observer.reset(float(np.clip(F0, env.F_min, env.F_max)), L0, P0, cfg)
     F_hat = np.empty(len(ds))
     for i in range(len(ds)):
         L, P = float(ds.L[i]), float(ds.P[i])
-        if p_filt is None:
-            p_filt = sig.prime(filt.copy(), P)
         L_f = sig.step(filt, L)
         P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
         pred = observer.predict(st, cfg)
@@ -852,7 +853,7 @@ class TestRunEstimationPinned:
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=4))
         cfg = make_cfg()
         spec = sig.FilterSpec()
-        got = observer.run_estimation(ds, DYN, cfg, sig.design(spec, 100))
+        got = observer.run_estimation(ds, DYN, cfg)
         F_hat = reference_run(ds, cfg, spec)
         assert np.max(np.abs(got["F_hat"] - F_hat)) <= RUN_F_TOL
         assert np.array_equal(got["x_hat"], [model.invert_dynamic_length(DYN, F, P)
@@ -865,13 +866,11 @@ class TestEstimateStep:
                                           hysteresis=(), valve_tau=0.0)
         p = plant.Plant(pcfg, x0=0.12, P0=0.2)
         cfg = make_cfg()
-        filt = sig.design(sig.FilterSpec(3, 10), 100)
         first = p.step(0.2, 0.01, x_cmd=0.12)
-        sig.prime(filt, first.L_meas)
-        st = observer.reset(0.5, cfg)  # deliberately off
+        st = observer.reset(0.5, first.L_meas, first.P, cfg)  # deliberately off
         for i in range(200):  # 2 s at 100 Hz
             r = p.step(0.2, 0.01, x_cmd=0.12)
-            st, F_hat, x_hat = observer.estimate_step(st, r.L_meas, r.P, DYN, cfg, filt)
+            st, F_hat, x_hat = observer.estimate_step(st, r.L_meas, r.P, DYN, cfg)
         assert F_hat == pytest.approx(r.F, rel=0.01)
         assert x_hat == pytest.approx(r.x, rel=0.01)
 
@@ -881,16 +880,13 @@ class TestEstimateStep:
         # (L, P) pair, and the continuity prior must survive zero noise
         F, P0, P1 = 1.1, 0.2, 0.4
         assert F < model.peak_force(IND, P1) < model.peak_force(IND, P0)
-        cfg = observer.make_observer_config(IND, ENV, dt=0.01, noise_L=0.0)
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT, noise_L=0.0)
         P = np.where(np.arange(400) < 100, P0, P1)
         L = model.eval_inductance(IND, F, P)
-        filt = sig.design(sig.FilterSpec(3, 10), 100)
-        sig.prime(filt, L[0])
-        st = observer.reset(F, cfg)
+        st = observer.reset(F, L[0], P[0], cfg)
         F_hat = np.empty(P.size)
         for i in range(P.size):
-            st, F_hat[i], _ = observer.estimate_step(st, float(L[i]), float(P[i]),
-                                                     DYN, cfg, filt)
+            st, F_hat[i], _ = observer.estimate_step(st, float(L[i]), float(P[i]), DYN, cfg)
         assert np.all(F_hat < model.peak_force(IND, P1))
         assert np.max(np.abs(F_hat - F)) < 0.01
         assert np.max(np.abs(F_hat[-100:] - F)) < 1e-3
@@ -898,13 +894,11 @@ class TestEstimateStep:
     def test_covariance_psd_over_many_steps(self):
         cfg = make_cfg()
         rng = np.random.default_rng(1)
-        filt = sig.design(sig.FilterSpec(3, 10), 100)
-        sig.prime(filt, 5.0)
-        st = observer.reset(1.0, cfg)
+        st = observer.reset(1.0, 5.0, 0.3, cfg)
         worst_asym, worst_eig = 0.0, np.inf
         for i in range(10_000):
             L = 4.9 + 0.2 * np.sin(0.002 * i) + 0.01 * rng.standard_normal()
-            st, _, _ = observer.estimate_step(st, L, 0.3, DYN, cfg, filt)
+            st, _, _ = observer.estimate_step(st, L, 0.3, DYN, cfg)
             worst_asym = max(worst_asym, abs(cov_of(st)[0, 1] - cov_of(st)[1, 0]))
             worst_eig = min(worst_eig, np.linalg.eigvalsh(cov_of(st)).min())
         assert worst_asym <= 1e-12
@@ -916,11 +910,30 @@ class TestEstimateStep:
                              x_low=0.072, x_high=0.17)
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=9))
         cfg = make_cfg()
-        spec = sig.FilterSpec()
-        a = observer.run_estimation(ds, DYN, cfg, sig.design(spec, 100))
-        b = observer.run_estimation(ds, DYN, cfg, sig.design(spec, 100))
+        a = observer.run_estimation(ds, DYN, cfg)
+        b = observer.run_estimation(ds, DYN, cfg)
         assert np.array_equal(a["F_hat"], b["F_hat"])
         assert np.array_equal(a["x_hat"], b["x_hat"])
+
+    def test_config_filter_is_a_template(self):
+        # runs on one config do not share a delay line: the config's filter
+        # is copied by reset and never stepped
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,),
+                             cycles_per_level=1, cycle_period_s=2.0,
+                             x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=9))
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01,
+                                            filt=sig.design(sig.FilterSpec(), 100))
+        a = observer.run_estimation(ds, DYN, cfg)
+        b = observer.run_estimation(ds, DYN, cfg)
+        for name in ("F_hat", "x_hat"):
+            assert a[name].tobytes() == b[name].tobytes()
+        assert not cfg.filt.zi.any()
+        st = observer.reset(1.0, 4.9, 0.3, cfg)
+        assert len({id(cfg.filt), id(st.L_filter), id(st.P_filter)}) == 3
+        assert np.array_equal(st.L_filter.sos, cfg.filt.sos)
+        assert np.array_equal(st.L_filter.zi, sig.prime(cfg.filt.copy(), 4.9).zi)
+        assert np.array_equal(st.P_filter.zi, sig.prime(cfg.filt.copy(), 0.3).zi)
 
 
 class TestBranchDisambiguation:
@@ -929,16 +942,14 @@ class TestBranchDisambiguation:
         p = plant.Plant(pcfg, x0=0.105, P0=0.2)
         cfg = make_cfg()
         dt = 0.01
-        filt = sig.design(sig.FilterSpec(3, 10), 100)
         first = p.step(0.2, dt, x_cmd=0.105)
-        sig.prime(filt, first.L_meas)
-        st = observer.reset(first.F, cfg)
+        st = observer.reset(first.F, first.L_meas, first.P, cfg)
         F_true, F_obs, F_inv = [], [], []
         for i in range(int(20.0 / dt)):
             t = (i + 1) * dt
             x = 0.105 + 0.07 * 0.5 * (1 - np.cos(2 * np.pi * 0.1 * t))
             r = p.step(0.2, dt, x_cmd=x)
-            st, F_hat, _ = observer.estimate_step(st, r.L_meas, r.P, DYN, cfg, filt)
+            st, F_hat, _ = observer.estimate_step(st, r.L_meas, r.P, DYN, cfg)
             F_inv.append(observer.nearest_preimage(r.L_meas, r.P, cfg))
             F_true.append(r.F)
             F_obs.append(F_hat)
@@ -959,12 +970,26 @@ class TestConfig:
         for dt, R in ((0.01, -1.0), (0.01, math.nan), (0.0, 1.0), (math.nan, 1.0)):
             with pytest.raises(ValueError, match="dt must|R must"):
                 ObserverConfig(dt=dt, Q=np.eye(2), R=R, envelope=ENV, ind=IND,
-                               weights=CostWeights())
+                               weights=CostWeights(), filt=FILT)
         with pytest.raises(ValueError):
             ObserverConfig(dt=0.01, Q=np.eye(2), R=1.0, envelope=ENV, ind=IND,
-                           weights=CostWeights(), grid_points=8)
+                           weights=CostWeights(), filt=FILT, grid_points=8)
         with pytest.raises(ValueError):
             CostWeights(gamma=0.0)
+
+    def test_flat_map_rejected(self):
+        # exp(-1000 F) vanishes on the envelope, so the median |dL/dF| is 0
+        # and R = (noise / gradient)**2 has no value; the map's terms are bounded
+        params = flat_params(0.6, 1.3, -1000.0, 1.0, 4.75)
+        assert observer.median_force_gradient(params, ENV) == 0.0
+        assert observer._map_bound(params, ENV, ENV.F_max * 2.0 ** -80) < observer.MAP_LIMIT
+        with pytest.raises(EnvelopeError, match="flat over the envelope"):
+            observer.make_observer_config(params, ENV, dt=0.01, filt=FILT)
+        # a median gradient of 8e-315 would leave R = (noise / gradient)**2 infinite
+        nearly_flat = flat_params(0.6, 1.3, -295.0, 1.0, 4.75)
+        assert 0.0 < observer.median_force_gradient(nearly_flat, ENV) < 1e-310
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            observer.make_observer_config(nearly_flat, ENV, dt=0.01, filt=FILT)
 
     def test_noise_scaled_defaults(self):
         cfg = make_cfg()
