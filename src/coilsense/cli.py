@@ -160,16 +160,15 @@ def _build_plant_config(cfg: dict) -> plant.PlantConfig:
         raise ConfigError(f"plant: {exc}") from None
 
 
-def _build_filter_spec(cfg: dict, sensor_rate_hz: float) -> sig.FilterSpec:
-    """The observer's filter spec; it must design a stable filter at the
-    plant's sensor rate, so its cutoff lies below the Nyquist frequency."""
+def _build_filter(cfg: dict, sensor_rate_hz: float) -> sig.FilterState:
+    """The observer's filter, designed once from the ``filter`` block at
+    the plant's sensor rate; the design must be stable, so the cutoff
+    lies below the Nyquist frequency."""
     block = _numbers("filter", cfg.get("filter") or {}, {"order": int, "cutoff_hz": float})
     try:
-        spec = sig.FilterSpec(**block)
-        sig.design(spec, sensor_rate_hz)
+        return sig.design(sig.FilterSpec(**block), sensor_rate_hz)
     except ValueError as exc:
         raise ConfigError(f"filter: {exc}") from None
-    return spec
 
 
 _OBSERVER_KEYS = {"grid_points": int, "refine_tol": float, "sigma_F": float,
@@ -193,7 +192,7 @@ def _build_setup(cfg: dict, pcfg: plant.PlantConfig) -> control.TrackingSetup:
         if key in block:
             gains[attr] = _gains_from(block.pop(key) or {}, key)
     return control.TrackingSetup(
-        plant_cfg=pcfg, filter_spec=_build_filter_spec(cfg, pcfg.sensor_rate_hz),
+        plant_cfg=pcfg, filt=_build_filter(cfg, pcfg.sensor_rate_hz),
         observer_overrides=_numbers("observer", cfg.get("observer") or {}, _OBSERVER_KEYS),
         **gains, **_numbers("controller", block, dict.fromkeys(
             ("p_max", "integral_clamp_mpa", "load_nominal_scale", "sensor_noise_x"), float)))

@@ -148,8 +148,9 @@ class TrackingSetup:
     believes the external load to be ``load_nominal_scale`` times the
     scenario's (the true load); ``sensor_noise_x`` is the external
     displacement sensor's noise used by the sensor-feedback mode.
-    The observer's filter is designed from ``filter_spec`` at the
-    plant's sensor rate (``observer_config``).
+    ``filt`` is the observer's designed low-pass at the plant's sensor
+    rate, the template of every observer config made from the setup;
+    None designs the default ``FilterSpec`` there (``observer_config``).
     """
 
     plant_cfg: PlantConfig
@@ -160,7 +161,7 @@ class TrackingSetup:
     integral_clamp_mpa: float = 0.3
     load_nominal_scale: float = 1.0
     sensor_noise_x: float = 3e-4
-    filter_spec: sig.FilterSpec = sig.FilterSpec()
+    filt: sig.FilterState | None = field(default=None, repr=False, compare=False)
     observer_overrides: dict = field(default_factory=dict)
 
 
@@ -176,13 +177,15 @@ def observer_config(setup: TrackingSetup, ind: InductanceParams,
                     dt: float) -> obs.ObserverConfig:
     """The observer tuning of ``setup`` for inductance map ``ind`` at
     sampling interval ``dt``: scaled to the plant's sensor noise, then
-    the setup's overrides applied.  The filter is designed at the
-    plant's sensor rate, not at 1 / ``dt``, which may differ from it in
-    the last bits."""
+    the setup's overrides applied.  Its filter is the setup's, designed
+    at the plant's sensor rate, not at 1 / ``dt``, which may differ from
+    it in the last bits."""
     pcfg = setup.plant_cfg
-    return obs.make_observer_config(
-        ind, pcfg.envelope, dt=dt, filt=sig.design(setup.filter_spec, pcfg.sensor_rate_hz),
-        **{"noise_L": pcfg.noise_L, **setup.observer_overrides})
+    filt = setup.filt
+    if filt is None:
+        filt = sig.design(sig.FilterSpec(), pcfg.sensor_rate_hz)
+    return obs.make_observer_config(ind, pcfg.envelope, dt=dt, filt=filt,
+                                    **{"noise_L": pcfg.noise_L, **setup.observer_overrides})
 
 
 @dataclass

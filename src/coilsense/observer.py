@@ -24,29 +24,28 @@ that map's terms over Newton's domain once (``_map_bound``), and the
 bracket is floored at ``ObserverConfig.F_floor`` > 0, so every
 derivative Newton takes is finite.
 
-Per sample, the map coefficients are evaluated once and gathered with
-the reading, the prior and the weights into one tuple of floats
-(``_cost_args``).  The grid scan and the Newton pass hand that tuple to
-the module-level cost and derivative functions (``_cost``,
-``_cost_derivatives``), which run on Python floats with ``math.pow`` and
-``math.exp``: no array is built, and no function object is made on the
-scan or the Newton path.  The cost evaluates the map through
-``model._inductance_at``, the one copy the plant evaluates too, so it
-inverts the very bits of a noiseless reading; neither claims to agree
-with numpy's ``power`` and ``exp`` in the last bit.  Every grid cost is
-at least its continuity term (w_dyn dF) dF, which grows with the
-distance from the prior, so the coarse grid is costed outward from the
-prior only until that term exceeds the least cost seen
-(``_grid_index``); a tracking sample costs a few grid points, not all
-of them.
-
-The Kalman state is five Python floats (the mean and the three distinct
-covariance entries), and ``predict`` and ``update`` are the 2x2 matrix
-products written out on them as plain left-to-right float arithmetic,
-with no array built.  They are deterministic on every host; a BLAS
-matrix product, which may fuse multiply-adds, can differ from them in
-the last bit, and the tests bound that difference by the standard
-rounding-error bound of a dot product.
+A sample is one frame of float arithmetic (``estimate_step``): the
+filter pair advances in one pass (``sig.step_pair``), the Kalman state
+is five Python floats (the mean and the three distinct covariance
+entries), predict and update are the 2x2 matrix products written out on
+them as plain left-to-right float arithmetic, and one state object is
+made per sample.  They are deterministic on every host; a BLAS matrix
+product, which may fuse multiply-adds, can differ from them in the last
+bit, and the tests bound that difference by the standard rounding-error
+bound of a dot product.  The one call inside the frame is the inversion
+(``solve_pseudo_measurement``).  It gathers the map's coefficients at
+the pressure, the reading, the prior and the weights into one tuple of
+floats, which the grid scan (``_grid_index``) and the Newton pass
+(``_cost_derivatives``) read on ``math.pow`` and ``math.exp``: no array
+is built, and no function object is made.  The scan costs each point in
+its own loop, with the map written out in ``model._inductance_at``'s
+order, the copy the plant evaluates, so it inverts the very bits of a
+noiseless reading; neither claims to agree with numpy's ``power`` and
+``exp`` in the last bit.  Every grid cost is at least its continuity
+term (w_dyn dF) dF, which grows with the distance from the prior, so
+the coarse grid is costed outward from the prior only until that term
+exceeds the least cost seen; a tracking sample costs a few grid points,
+not all of them.
 """
 
 from __future__ import annotations
@@ -67,9 +66,7 @@ __all__ = [
     "ObserverConfig",
     "make_observer_config",
     "median_force_gradient",
-    "predict",
     "solve_pseudo_measurement",
-    "update",
     "reset",
     "estimate_step",
     "nearest_preimage",
@@ -105,7 +102,7 @@ class ObserverState:
     ``L_filter`` and ``P_filter`` are the inductance and pressure
     filters, copies of the config's ``filt`` that ``reset`` primes.  The
     states ``estimate_step`` returns share them, and they advance in
-    place; ``predict`` and ``update`` leave them None.
+    place; a state built without them cannot be stepped.
     """
 
     F_hat: float
@@ -250,9 +247,10 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
     and R are the noise-scaled ones unchanged.
 
     ``filt`` is the designed inductance filter (``ObserverConfig.filt``).
-    A map whose median gradient is 0 gives no R: EnvelopeError.  A NaN
-    median comes only from a map whose terms overflow, which the config
-    rejects with its own message.
+    A map whose median gradient is 0, or so small that R overflows, is
+    (nearly) flat and gives no R: EnvelopeError.  A NaN median comes only
+    from a map whose terms overflow, which the config rejects with its
+    own message.
     """
     if not (noise_L >= 0 and sigma_F >= 0 and sigma_Fdot >= 0):
         raise ValueError(f"noise_L, sigma_F and sigma_Fdot must be >= 0, got "
@@ -263,11 +261,15 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
     weights = CostWeights(w_fit=1.0, w_dyn=w_dyn, w_reg=0.1 * w_dyn,
                           gamma=25.0 / span ** 2)
     gradient = median_force_gradient(params, envelope)
-    if gradient == 0.0:
-        raise EnvelopeError("the inductance map is flat over the envelope (median |dL/dF| "
-                            "= 0), so the measurement variance R cannot be derived")
-    cfg = ObserverConfig(dt=dt, Q=np.diag([(sigma_F * dt) ** 2, sigma_Fdot ** 2 * dt]),
-                         R=(noise_L / gradient) ** 2,
+    try:
+        R = (noise_L / gradient) ** 2
+    except (ZeroDivisionError, OverflowError):
+        R = math.inf
+    if R == math.inf:
+        raise EnvelopeError(f"the inductance map is {'nearly ' if gradient else ''}flat over the "
+                            f"envelope (median |dL/dF| = {gradient:.3g}), so the measurement "
+                            f"variance R cannot be derived")
+    cfg = ObserverConfig(dt=dt, Q=np.diag([(sigma_F * dt) ** 2, sigma_Fdot ** 2 * dt]), R=R,
                          envelope=envelope, ind=params, weights=weights, filt=filt)
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -284,48 +286,11 @@ def reset(F0: float, L0: float, P0: float, cfg: ObserverConfig) -> ObserverState
                          sig.prime(cfg.filt.copy(), L0), sig.prime(cfg.filt.copy(), P0))
 
 
-def predict(state: ObserverState, cfg: ObserverConfig) -> ObserverState:
-    """Constant-velocity propagation over one sampling interval.
-
-    The mean is A m and the covariance A C A^T + Q, for A = [[1, dt],
-    [0, 1]], written out on the state's floats as plain left-to-right
-    products and sums, each rounded once; the symmetrized off-diagonal
-    is half the sum of the two, as ``0.5 * (C + C.T)`` is.
-    """
-    dt = cfg.dt
-    q00, q01, q10, q11 = cfg.Q_entries
-    c01, c11 = state.cov_F_Fdot, state.var_Fdot
-    ac00 = state.var_F + dt * c01   # (A C)[0, 0]
-    ac01 = c01 + dt * c11           # (A C)[0, 1], and (A C A^T)[1, 0]
-    return ObserverState(
-        state.F_hat + dt * state.Fdot_hat, state.Fdot_hat,
-        ac00 + ac01 * dt + q00,
-        0.5 * ((ac01 + q01) + (ac01 + q10)),
-        c11 + q11)
-
-
-def _cost_args(L_meas: float, prior_F: float, coeffs: tuple, w: CostWeights) -> tuple:
-    """The floats the inversion cost of one sample depends on besides the
-    force: ``(L_meas, prior_F, l1, ..., l5, w_fit, w_dyn, w_reg, gamma)``,
-    for ``_cost``, ``_cost_derivatives`` and ``_grid_index``."""
-    return (L_meas, prior_F, *coeffs, w.w_fit, w.w_dyn, w.w_reg, w.gamma)
-
-
-def _cost(F: float, args: tuple) -> float:
-    """The inversion cost at one float force, on the sample's
-    ``_cost_args``: the residual of ``model._inductance_at``, then the
-    fit, continuity and regularization terms."""
-    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
-    r = model._inductance_at(F, l1, l2, l3, l4, l5) - L_meas
-    dF = F - prior_F
-    return (w_fit * r * r + w_dyn * dF * dF
-            + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF)))
-
-
 def _cost_derivatives(F: float, args: tuple) -> tuple:
     """The first two derivatives of the map and of the inversion cost at
-    one float force F > 0, on the sample's ``_cost_args``: ``(L', L'',
-    C', C'')``, all finite for F in [``F_floor``, F_max] on a map a config
+    one float force F > 0, on the sample's cost tuple ``args`` = ``(L_meas,
+    prior_F, l1, ..., l5, w_fit, w_dyn, w_reg, gamma)``: ``(L', L'', C',
+    C'')``, all finite for F in [``F_floor``, F_max] on a map a config
     accepts (``_map_bound``).
 
     With m = l1 F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, L' = m u / F
@@ -387,33 +352,49 @@ def _newton(derivatives, args, a: float, b: float, x: float, tol: float) -> floa
 
 
 def _grid_index(grid: tuple, args: tuple) -> int:
-    """Index of the first least ``_cost`` on ``grid``, NaNs skipped, for
-    the sample's ``_cost_args``.
+    """Index of the first least inversion cost on ``grid``, NaNs skipped,
+    for the sample's cost tuple ``args`` (``_cost_derivatives``).
 
-    A grid cost is w_fit r r + (w_dyn dF) dF + reg, with the first and
-    last terms >= 0, so by monotone rounding it is at least the float
-    (w_dyn |dF|) |dF|, which never falls as |dF| grows.  The run of grid
-    points around ``prior_F`` widens, nearer side first, until the next
-    point's term exceeds the least cost of the run: no point further out
-    can win.  With w_dyn = 0, or while every cost is NaN or inf, that
-    never happens and the whole grid is costed.
+    A point's cost is w_fit r r + w_dyn dF dF + w_reg (1 - 1 / (1 + gamma
+    dF dF)), for dF = F - prior_F and the residual r = l1 F**l2 exp(l3
+    F**l4) + l5 - L_meas, each written out in this loop on ``math.pow``
+    and ``math.exp`` in ``model._inductance_at``'s order, so a point costs
+    no call beyond them; where a ``math`` call raises, the residual is
+    ``model._inductance_at``'s, which gives numpy's inf.  The distance d =
+    |dF| is exact (IEEE rounding is symmetric in sign), so the terms in
+    d d are the same floats as in dF dF.  The first and last terms are >=
+    0, so by monotone rounding a cost is at least its continuity term
+    (w_dyn d) d, which never falls as d grows.  The run of
+    grid points around ``prior_F`` widens, nearer side first (the upper
+    point on a tie), until the next point's term exceeds the least cost of
+    the run: no point further out can win.  With w_dyn = 0, or while every
+    cost is NaN or inf, that never happens and the whole grid is costed.
     """
-    _, prior_F, _, _, _, _, _, _, w_dyn, _, _ = args
+    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
+    pow_, exp = math.pow, math.exp
     n = len(grid)
     lo = hi = bisect.bisect_left(grid, prior_F)   # the run is grid[lo:hi]
+    d_lo = prior_F - grid[lo - 1] if lo else math.inf
+    d_hi = grid[hi] - prior_F if hi < n else math.inf
     best_j, best = n, math.inf
     while lo or hi < n:
-        d_lo = prior_F - grid[lo - 1] if lo else math.inf
-        d_hi = grid[hi] - prior_F if hi < n else math.inf
         if d_hi <= d_lo:
             d, j = d_hi, hi
             hi += 1
+            d_hi = grid[hi] - prior_F if hi < n else math.inf
         else:
             d, j = d_lo, lo - 1
             lo -= 1
-        if w_dyn * d * d > best:
+            d_lo = prior_F - grid[lo - 1] if lo else math.inf
+        t = w_dyn * d * d
+        if t > best:
             break
-        c = _cost(grid[j], args)
+        F = grid[j]
+        try:
+            r = l1 * pow_(F, l2) * exp(l3 * pow_(F, l4)) + l5 - L_meas
+        except (ValueError, OverflowError):
+            r = model._inductance_at(F, l1, l2, l3, l4, l5) - L_meas
+        c = w_fit * r * r + t + w_reg * (1.0 - 1.0 / (1.0 + gamma * d * d))
         if c < best or (c == best and j < best_j):  # False for NaN
             best_j, best = j, c
     if best_j == n:
@@ -425,19 +406,27 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
                              cfg: ObserverConfig) -> float:
     """Force minimizing the inversion cost of ``cfg.ind`` over the feasible interval.
 
-    Coarse global scan (``grid_points`` samples) picks the basin; a
-    safeguarded Newton iteration on the cost's derivative refines it
-    inside the winning bracket, the two grid steps around the winner,
+    The map's five coefficients at P (``model._coeffs``'s products and
+    sums), the reading, the prior and ``cfg.weights`` make the sample's
+    cost tuple.  A coarse global scan (``grid_points`` samples) picks the
+    basin; a safeguarded Newton iteration on the cost's derivative refines
+    it inside the winning bracket, the two grid steps around the winner,
     floored at ``cfg.F_floor``, to ``refine_tol`` (``_newton``).  The
     result lies in that bracket, so inside the interval; an edge minimum
     is returned within ``refine_tol`` of it, not raised.  The scan's
     winner is the first least grid cost, NaNs skipped (``_grid_index``).
+    EnvelopeError for P outside the envelope, ValueError for a
+    non-finite prior.
     """
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
+    P = float(P)
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
+    w = cfg.weights
+    args = (L_meas, prior_F, p0 * P + p1, p2 * P + p3, p4 * P + p5, p6 * P + p7, p8 * P + p9,
+            w.w_fit, w.w_dyn, w.w_reg, w.gamma)
     grid = cfg.grid
-    args = _cost_args(L_meas, prior_F, model._coeffs(cfg.ind, float(P)), cfg.weights)
     i = _grid_index(grid, args)
     a = max(grid[max(i - 1, 0)], cfg.F_floor)
     b = grid[min(i + 1, cfg.grid_points - 1)]
@@ -445,58 +434,69 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     return _newton(_cost_derivatives, args, a, b, x, cfg.refine_tol)
 
 
-def update(prior: ObserverState, F_star: float, cfg: ObserverConfig) -> ObserverState:
-    """Scalar Kalman update of the force component (Joseph form).
+def estimate_step(state: ObserverState, L_raw: float, P: float,
+                  dyn: DynamicParams, cfg: ObserverConfig):
+    """One full observer cycle on a raw sample, in one frame.
 
-    The pseudo-measurement observes the force directly, so the
-    observation row is [1, 0]; the posterior force variance never
-    exceeds the prior's.  The covariance is (I - K H) C (I - K H)^T +
-    K K^T R, for R = ``cfg.R``, written out on floats in the order of
-    numpy's products.
+    Returns ``(state, F_hat, x_hat)``; the raw pressure must lie in the
+    envelope.  The reading and the pressure pass through the state's
+    filters (``reset`` primes them), so that the map is inverted at a
+    time-matched (L, P) pair, and the filtered pressure is clamped to the
+    envelope, since the filter overshoots on steps.  The predict (mean A
+    m and covariance A C A^T + Q for A = [[1, dt], [0, 1]]; the
+    off-diagonal is half the sum of the two, as ``0.5 * (C + C.T)`` is)
+    and the scalar Joseph-form update of the force, (I - K H) C (I - K
+    H)^T + K K^T R, are written out on floats, each operation rounded
+    once, in the order of numpy's products.  Between them the prior force,
+    clamped to the envelope, is inverted (``solve_pseudo_measurement``).
+    Length is inferred from ``F_hat`` through the affine force model at
+    the raw pressure, the one acting now.  The clamps keep the value on a
+    tie and let NaN through, as ``min(max(v, lo), hi)`` does.  The filters
+    advance in place and pass on to the returned state, the one object
+    made per sample.
     """
+    env = cfg.envelope
+    env.check_P(P)
+    L_filt, P_filt = state.L_filter, state.P_filter
+    L_f, P_f = sig.step_pair(L_filt, P_filt, L_raw, P)
+    lo, hi = env.P_min, env.P_max
+    P_f = lo if P_f < lo else hi if P_f > hi else P_f
+    # predict
+    dt = cfg.dt
+    q00, q01, q10, q11 = cfg.Q_entries
+    Fdot = state.Fdot_hat
+    c01, c11 = state.cov_F_Fdot, state.var_Fdot
+    ac00 = state.var_F + dt * c01   # (A C)[0, 0]
+    ac01 = c01 + dt * c11           # (A C)[0, 1], and (A C A^T)[1, 0]
+    F = state.F_hat + dt * Fdot
+    p00 = ac00 + ac01 * dt + q00
+    p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
+    p11 = c11 + q11
+    lo, hi = env.F_min, env.F_max
+    F_star = solve_pseudo_measurement(L_f, P_f, lo if F < lo else hi if F > hi else F, cfg)
+    # update
     R = cfg.R
-    p00, p01, p11 = prior.var_F, prior.cov_F_Fdot, prior.var_Fdot
     S = p00 + R
     k0 = p00 / S
     k1 = p01 / S
-    innovation = F_star - prior.F_hat
+    innovation = F_star - F
     a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
     b = 0.0 - k1
     t00 = a * p00             # (I - K H) C
     t01 = a * p01
     t10 = b * p00 + p01
-    return ObserverState(
-        prior.F_hat + k0 * innovation, prior.Fdot_hat + k1 * innovation,
+    F_hat = F + k0 * innovation
+    post = ObserverState(
+        F_hat, Fdot + k1 * innovation,
         t00 * a + k0 * k0 * R,
         0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R)),
-        t10 * b + (b * p01 + p11) + k1 * k1 * R)
-
-
-def estimate_step(state: ObserverState, L_raw: float, P: float,
-                  dyn: DynamicParams, cfg: ObserverConfig):
-    """One full observer cycle on a raw sample.
-
-    Returns ``(state, F_hat, x_hat)``.  The raw pressure must lie in
-    the envelope.  The reading and the pressure pass through the state's
-    filters (``reset`` primes them), so that the map is inverted at a
-    time-matched (L, P) pair, and the filtered pressure is clamped to
-    the envelope, since the filter overshoots on steps.  Length is
-    inferred from ``F_hat`` at the raw pressure, the one acting now.
-    The filters advance in place and pass on to the returned state; the
-    rest of the state is returned fresh.
-    """
-    env = cfg.envelope
-    env.check_P(P)
-    L_filt, P_filt = state.L_filter, state.P_filter
-    L_f = sig.step(L_filt, L_raw)
-    P_f = min(max(sig.step(P_filt, P), env.P_min), env.P_max)
-    pred = predict(state, cfg)
-    prior_F = min(max(pred.F_hat, env.F_min), env.F_max)
-    post = update(pred, solve_pseudo_measurement(L_f, P_f, prior_F, cfg), cfg)
-    post.L_filter, post.P_filter = L_filt, P_filt
-    F_hat = post.F_hat
-    x_hat = model.invert_dynamic_length(dyn, F_hat, P)
-    return post, F_hat, x_hat
+        t10 * b + (b * p01 + p11) + k1 * k1 * R,
+        L_filt, P_filt)
+    k = dyn.k
+    if abs(k) < model.STIFFNESS_EPS:
+        raise model.DegenerateModelError(f"stiffness {k} below {model.STIFFNESS_EPS}, "
+                                         f"cannot invert")
+    return post, F_hat, dyn.x0 + (F_hat - dyn.c * P) / k
 
 
 def nearest_preimage(L_meas: float, P: float, cfg: ObserverConfig) -> float:

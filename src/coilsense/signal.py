@@ -2,8 +2,9 @@
 
 Butterworth low-pass design (bilinear transform with frequency
 pre-warping, realized as cascaded second-order sections) plus a
-streaming one-sample-at-a-time application.  A spec holds only the
-order and the cutoff; the sample rate is the stream's, given at design.
+streaming one-sample-at-a-time application to a pair of streams
+through one design (``step_pair``).  A spec holds only the order and
+the cutoff; the sample rate is the stream's, given at design.
 
 The design and the steady-state priming use numpy only.  They repeat
 SciPy's ``signal.butter(..., output="sos")`` and ``signal.sosfilt_zi``
@@ -25,7 +26,7 @@ __all__ = [
     "FilterState",
     "design",
     "prime",
-    "step",
+    "step_pair",
     "is_stable",
 ]
 
@@ -59,7 +60,7 @@ class FilterState:
 
     Single-owner mutable: one state per stream.  ``copy()`` forks the
     delay line for an independent stream.  The sections and the delay
-    line are kept in Python floats, which ``step`` reads and advances
+    line are kept in Python floats, which ``step_pair`` reads and advances
     without numpy scalar overhead; ``sos`` reads the sections as a fresh
     (sections, 6) array, and ``zi`` reads the delay line as a fresh
     (sections, 2) array and sets it from one.
@@ -173,15 +174,26 @@ def prime(state: FilterState, value: float) -> FilterState:
     return state
 
 
-def step(state: FilterState, sample: float) -> float:
-    """Advance the filter by one sample and return the filtered value."""
-    y = float(sample)
-    for (b0, b1, b2, _, a1, a2), z in zip(state._sections, state._z):
-        out = b0 * y + z[0]
-        z[0] = b1 * y - a1 * out + z[1]
-        z[1] = b2 * y - a2 * out
-        y = out
-    return y
+def step_pair(first: FilterState, second: FilterState, x: float, y: float) -> tuple:
+    """Advance two streams through one design by one sample each and
+    return both filtered values.
+
+    ``second`` is a copy of ``first`` (``copy``), so only ``first``'s
+    sections are read.  In one pass over the sections each delay line
+    advances by the section's transposed direct form II recurrence; the
+    streams do not mix.
+    """
+    u, v = float(x), float(y)
+    for (b0, b1, b2, _, a1, a2), z, w in zip(first._sections, first._z, second._z):
+        out = b0 * u + z[0]
+        z[0] = b1 * u - a1 * out + z[1]
+        z[1] = b2 * u - a2 * out
+        u = out
+        out = b0 * v + w[0]
+        w[0] = b1 * v - a1 * out + w[1]
+        w[1] = b2 * v - a2 * out
+        v = out
+    return u, v
 
 
 def is_stable(state: FilterState) -> bool:

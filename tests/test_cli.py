@@ -134,6 +134,10 @@ POWER_800_MAP = [0.0, 0.6, 0.0, 800.0, 0.0, -1.0, 0.0, 800.0, 0.0, 4.75]
 #: envelope is 0 (exp(-1000 F) vanishes), so it gives the observer no R.
 FLAT_MAP = [0.0, 0.6, 0.0, 1.3, 0.0, -1000.0, 0.0, 1.0, 0.0, 4.75]
 
+#: A map whose median |dL/dF| over the envelope is about 1e-297, so small
+#: that R = (noise_L / gradient)**2 leaves the float range.
+NEARLY_FLAT_MAP = [0.0, 0.6, 0.0, 1.3, 0.0, -285.0, 0.0, 1.0, 0.0, 4.75]
+
 #: A filter block whose design is unstable at the default 100 Hz.
 UNSTABLE_FILTER = {"order": 3, "cutoff_hz": 1e-9}
 
@@ -148,6 +152,8 @@ BAD_PARAMETER_FILES = {
     "lambda2_800": ("inductance_params", _map_with(p2=0.0, p3=800.0), "overflows"),
     "power_800": ("inductance_params", json.dumps({"p": POWER_800_MAP}), "overflows"),
     "flat_map": ("inductance_params", json.dumps({"p": FLAT_MAP}), "flat over the envelope"),
+    "nearly_flat_map": ("inductance_params", json.dumps({"p": NEARLY_FLAT_MAP}),
+                        "nearly flat over the envelope"),
     "lambda2_negative": ("inductance_params", _map_with(p2=0.0, p3=-1.0),
                          "lambda2=-1.0"),
     "dynamic_without_x0": ("dynamic_params", '{"k": 38.6, "c": 1.6}', "missing field 'x0'"),
@@ -455,6 +461,8 @@ class TestSimulateTrackPerturb:
         ({"observer": {"sigma_F": -0.05}}, "sigma_F"),
         ({"plant": {"ind": {"p": POWER_800_MAP}}}, "observer: the inductance map overflows"),
         ({"plant": {"ind": {"p": FLAT_MAP}}}, "observer: the inductance map is flat"),
+        ({"plant": {"ind": {"p": NEARLY_FLAT_MAP}}},
+         "observer: the inductance map is nearly flat over the envelope"),
         ({"observer": {"gradient_guard_inflation": 10.0}},
          "observer: unknown keys ['gradient_guard_inflation']"),
         ({"paths": {"data": 0}}, "paths.data: expected a file name"),
@@ -480,7 +488,8 @@ class TestSimulateTrackPerturb:
         ids=["gain_typo", "cutoff_at_nyquist", "unstable_filter", "terahertz_default_filter",
              "cutoff_at_plant_nyquist", "negative_seed",
              "fractional_order", "boolean_scalar", "string_scalar", "coarse_grid",
-             "negative_sigma_F", "power_800_plant_map", "flat_plant_map", "removed_guard_key",
+             "negative_sigma_F", "power_800_plant_map", "flat_plant_map",
+             "nearly_flat_plant_map", "removed_guard_key",
              "paths_entry_not_a_name", "zero_force_frequency",
              "zero_disp_frequency", "negative_force_frequency", "negative_disp_frequency",
              "nanohertz_force_tracking", "slow_disp_tracking", "long_cycles",
@@ -566,10 +575,10 @@ class TestSimulateTrackPerturb:
         for command in ("track", "perturb"):
             assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "out"),
                              command]) == 0
-        # per command, one design checks the filter spec, one makes the
-        # validated observer config and one each settled loop's config:
-        # track settles its mode group once
-        assert rates == [200.0] * 6
+        # one design per command: the one that checks the filter block is
+        # the template of the validated observer config and of each settled
+        # loop's config
+        assert rates == [200.0] * 2
 
     def test_pid_rate_defaults_to_control_rate(self, tmp_path):
         # a gain block without rate_hz (track) and the built-in gains (perturb)

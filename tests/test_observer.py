@@ -1,4 +1,6 @@
+import bisect
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import brentq
 
-from coilsense import ident, model, observer, plant
+from coilsense import control, ident, model, observer, plant
 from coilsense import signal as sig
 from coilsense.model import EnvelopeError
 from coilsense.observer import CostWeights, ObserverConfig, ObserverState
@@ -39,7 +41,7 @@ def make_cfg(**overrides):
 
 
 def numpy_predict(mean, cov, dt, Q):
-    """The matrix form of ``predict``, its reference: A m and A C A^T + Q."""
+    """The matrix form of ``layered_predict``, its reference: A m and A C A^T + Q."""
     A = np.array([[1.0, dt], [0.0, 1.0]])
     cov = A @ cov @ A.T + Q
     return A @ mean, 0.5 * (cov + cov.T)
@@ -49,31 +51,183 @@ def numpy_predict(mean, cov, dt, Q):
 U = 2.0 ** -53
 
 
+# ---------------------------------------------------------------------------
+# The layered observer step, the oracle of ``estimate_step``: a filter step
+# per channel, predict, the inversion (a scan calling the cost, which calls
+# the map, per grid point) and update, each its own function building its
+# own state.  ``estimate_step`` equals ``layered_step`` in every bit
+# (``TestOneFrameStep``), so the tests of ``layered_predict`` and
+# ``layered_update`` below hold for the step's arithmetic.
+
+def single_step(state, sample):
+    """Advance the filter by one sample and return the filtered value."""
+    y = float(sample)
+    for (b0, b1, b2, _, a1, a2), z in zip(state._sections, state._z):
+        out = b0 * y + z[0]
+        z[0] = b1 * y - a1 * out + z[1]
+        z[1] = b2 * y - a2 * out
+        y = out
+    return y
+
+
+def layered_predict(state, cfg):
+    """Constant-velocity propagation over one sampling interval.
+
+    The mean is A m and the covariance A C A^T + Q, for A = [[1, dt],
+    [0, 1]], written out on the state's floats as plain left-to-right
+    products and sums, each rounded once; the symmetrized off-diagonal
+    is half the sum of the two, as ``0.5 * (C + C.T)`` is.
+    """
+    dt = cfg.dt
+    q00, q01, q10, q11 = cfg.Q_entries
+    c01, c11 = state.cov_F_Fdot, state.var_Fdot
+    ac00 = state.var_F + dt * c01   # (A C)[0, 0]
+    ac01 = c01 + dt * c11           # (A C)[0, 1], and (A C A^T)[1, 0]
+    return ObserverState(
+        state.F_hat + dt * state.Fdot_hat, state.Fdot_hat,
+        ac00 + ac01 * dt + q00,
+        0.5 * ((ac01 + q01) + (ac01 + q10)),
+        c11 + q11)
+
+
+def cost_args(L_meas, prior_F, coeffs, w):
+    """The floats the inversion cost of one sample depends on besides the
+    force: ``(L_meas, prior_F, l1, ..., l5, w_fit, w_dyn, w_reg, gamma)``,
+    the tuple ``_grid_index`` and ``_cost_derivatives`` read."""
+    return (L_meas, prior_F, *coeffs, w.w_fit, w.w_dyn, w.w_reg, w.gamma)
+
+
+def layered_cost(F, args):
+    """The inversion cost at one float force, on the sample's
+    ``cost_args``: the residual of ``model._inductance_at``, then the
+    fit, continuity and regularization terms."""
+    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
+    r = model._inductance_at(F, l1, l2, l3, l4, l5) - L_meas
+    dF = F - prior_F
+    return (w_fit * r * r + w_dyn * dF * dF
+            + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF)))
+
+
+def layered_grid_index(grid, args):
+    """Index of the first least ``layered_cost`` on ``grid``, NaNs
+    skipped, costed outward from the prior until the continuity term of
+    the next point exceeds the least cost of the run."""
+    _, prior_F, _, _, _, _, _, _, w_dyn, _, _ = args
+    n = len(grid)
+    lo = hi = bisect.bisect_left(grid, prior_F)   # the run is grid[lo:hi]
+    best_j, best = n, math.inf
+    while lo or hi < n:
+        d_lo = prior_F - grid[lo - 1] if lo else math.inf
+        d_hi = grid[hi] - prior_F if hi < n else math.inf
+        if d_hi <= d_lo:
+            d, j = d_hi, hi
+            hi += 1
+        else:
+            d, j = d_lo, lo - 1
+            lo -= 1
+        if w_dyn * d * d > best:
+            break
+        c = layered_cost(grid[j], args)
+        if c < best or (c == best and j < best_j):  # False for NaN
+            best_j, best = j, c
+    if best_j == n:
+        raise ValueError("All-NaN slice encountered")
+    return best_j
+
+
+def layered_solve(L_meas, P, prior_F, cfg):
+    """Scan plus Newton refinement, as ``solve_pseudo_measurement``."""
+    cfg.envelope.check_P(P)
+    if not math.isfinite(prior_F):
+        raise ValueError("prior force must be finite")
+    grid = cfg.grid
+    args = cost_args(L_meas, prior_F, model._coeffs(cfg.ind, float(P)), cfg.weights)
+    i = layered_grid_index(grid, args)
+    a = max(grid[max(i - 1, 0)], cfg.F_floor)
+    b = grid[min(i + 1, cfg.grid_points - 1)]
+    x = grid[i] if grid[i] >= a else 0.5 * (a + b)
+    return observer._newton(observer._cost_derivatives, args, a, b, x, cfg.refine_tol)
+
+
+def layered_update(prior, F_star, cfg):
+    """Scalar Kalman update of the force component (Joseph form).
+
+    The covariance is (I - K H) C (I - K H)^T + K K^T R, for R =
+    ``cfg.R``, written out on floats in the order of numpy's products.
+    """
+    R = cfg.R
+    p00, p01, p11 = prior.var_F, prior.cov_F_Fdot, prior.var_Fdot
+    S = p00 + R
+    k0 = p00 / S
+    k1 = p01 / S
+    innovation = F_star - prior.F_hat
+    a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
+    b = 0.0 - k1
+    t00 = a * p00             # (I - K H) C
+    t01 = a * p01
+    t10 = b * p00 + p01
+    return ObserverState(
+        prior.F_hat + k0 * innovation, prior.Fdot_hat + k1 * innovation,
+        t00 * a + k0 * k0 * R,
+        0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R)),
+        t10 * b + (b * p01 + p11) + k1 * k1 * R)
+
+
+def layered_step(state, L_raw, P, dyn, cfg):
+    """One observer cycle on a raw sample through the layers above."""
+    env = cfg.envelope
+    env.check_P(P)
+    L_filt, P_filt = state.L_filter, state.P_filter
+    L_f = single_step(L_filt, L_raw)
+    P_f = min(max(single_step(P_filt, P), env.P_min), env.P_max)
+    pred = layered_predict(state, cfg)
+    prior_F = min(max(pred.F_hat, env.F_min), env.F_max)
+    post = layered_update(pred, layered_solve(L_f, P_f, prior_F, cfg), cfg)
+    post.L_filter, post.P_filter = L_filt, P_filt
+    F_hat = post.F_hat
+    x_hat = model.invert_dynamic_length(dyn, F_hat, P)
+    return post, F_hat, x_hat
+
+
+def step_bits(result):
+    """The bytes of a step's ``(state, F_hat, x_hat)``: the five floats,
+    both delay lines, F_hat and x_hat, so that equal bytes are equal bits."""
+    st, F_hat, x_hat = result
+    return (struct.pack("<7d", st.F_hat, st.Fdot_hat, st.var_F, st.cov_F_Fdot, st.var_Fdot,
+                        F_hat, x_hat),
+            st.L_filter.zi.tobytes(), st.P_filter.zi.tobytes())
+
+
+def forked(state):
+    """A copy of a state with its own delay lines."""
+    return replace(state, L_filter=state.L_filter.copy(), P_filter=state.P_filter.copy())
+
+
 class TestPredict:
     def test_mean_propagation(self):
         cfg = observer.make_observer_config(IND, ENV, dt=0.05, filt=FILT)
         st = state_of([1.0, 2.0], np.eye(2))
-        out = observer.predict(st, cfg)
+        out = layered_predict(st, cfg)
         assert mean_of(out)[0] == pytest.approx(1.1, abs=1e-15)
         assert mean_of(out)[1] == 2.0
 
     def test_zero_rate_fixed_point(self):
         cfg = make_cfg()
         st = state_of([2.5, 0.0], np.eye(2))
-        out = observer.predict(st, cfg)
+        out = layered_predict(st, cfg)
         assert mean_of(out)[0] == 2.5 and mean_of(out)[1] == 0.0
 
     def test_trace_grows_with_process_noise(self):
         cfg = make_cfg()
         st = state_of([1.0, 0.0], 0.01 * np.eye(2))
-        out = observer.predict(st, cfg)
+        out = layered_predict(st, cfg)
         assert np.trace(cov_of(out)) > np.trace(cov_of(st))
 
 
 class TestFloatState:
     @pytest.mark.parametrize("dt", [0.01, 0.05, 0.001])
     def test_predict_matches_matrix_form(self, dt):
-        # Each entry of predict and of its matrix form rounds any of its
+        # Each entry of the predict and of its matrix form rounds any of its
         # terms at most five times, so each is within 5u/(1 - 5u) of the
         # exact value times the sum of the terms' absolute values (Higham,
         # Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
@@ -92,19 +246,20 @@ class TestFloatState:
                 mean, cov = numpy_predict(mean_of(st), cov_of(st), dt, cfg.Q)
                 abs_mean, abs_cov = numpy_predict(np.abs(mean_of(st)), np.abs(cov_of(st)),
                                                   dt, np.abs(cfg.Q))
-                out = observer.predict(st, cfg)
+                out = layered_predict(st, cfg)
                 assert np.all(np.abs(mean_of(out) - mean) <= 12 * U * abs_mean)
                 assert np.all(np.abs(cov_of(out) - cov) <= 12 * U * abs_cov)
 
     def test_state_is_python_floats(self):
         cfg = make_cfg()
         st = observer.reset(1.0, 4.9, 0.3, cfg)
-        for out in (observer.predict(st, cfg), observer.update(st, 1.3, cfg)):
-            for name in ("F_hat", "Fdot_hat", "var_F", "cov_F_Fdot", "var_Fdot"):
-                assert type(getattr(out, name)) is float, name
+        out, F_hat, x_hat = observer.estimate_step(st, 4.9, 0.3, DYN, cfg)
+        for name in ("F_hat", "Fdot_hat", "var_F", "cov_F_Fdot", "var_Fdot"):
+            assert type(getattr(out, name)) is float, name
+        assert type(F_hat) is float and type(x_hat) is float
 
     def test_no_matrix_calls(self, monkeypatch):
-        # predict, update and Plant.step run on floats: no matmul, clip or dot
+        # the observer step and Plant.step run on floats: no matmul, clip or dot
         calls = []
         for name in ("matmul", "clip", "dot"):
             original = getattr(np, name)
@@ -112,8 +267,8 @@ class TestFloatState:
                                 calls.append(_n) or _f(*a, **k))
         cfg = make_cfg()
         st = observer.reset(1.0, 4.9, 0.3, cfg)
-        for _ in range(20):
-            st = observer.update(observer.predict(st, cfg), 1.2, cfg)
+        for i in range(20):
+            st = observer.estimate_step(st, 4.9 + 0.005 * i, 0.3, DYN, cfg)[0]
         hyst = tuple(plant.PlayElement(width=w, weight=g)
                      for w, g in ((0.003, 1.7), (0.009, 2.3), (0.014, 0.9)))
         p = plant.Plant(plant.default_plant_config(seed=3, hysteresis=hyst), x0=0.12, P0=0.2)
@@ -127,14 +282,14 @@ class TestUpdate:
     def test_uninformative_measurement(self):
         cfg = make_cfg()
         st = state_of([1.0, 0.5], np.diag([0.2, 0.3]))
-        out = observer.update(st, 3.0, replace(cfg, R=1e12))
+        out = layered_update(st, 3.0, replace(cfg, R=1e12))
         assert mean_of(out) == pytest.approx(mean_of(st), abs=1e-9)
         assert cov_of(out) == pytest.approx(cov_of(st), abs=1e-9)
 
     def test_scalar_kalman_arithmetic(self):
         cfg = make_cfg()
         st = state_of([1.0, 0.0], np.eye(2))
-        out = observer.update(st, 2.0, replace(cfg, R=1.0))
+        out = layered_update(st, 2.0, replace(cfg, R=1.0))
         # K = [0.5, 0]; innovation 1
         assert mean_of(out)[0] == pytest.approx(1.5, abs=1e-12)
         assert mean_of(out)[1] == pytest.approx(0.0, abs=1e-12)
@@ -143,7 +298,7 @@ class TestUpdate:
     def test_zero_innovation_contracts(self):
         cfg = make_cfg()
         st = state_of([1.0, 0.0], np.eye(2))
-        out = observer.update(st, 1.0, cfg)
+        out = layered_update(st, 1.0, cfg)
         assert np.array_equal(mean_of(out), mean_of(st))
         assert cov_of(out)[0, 0] < cov_of(st)[0, 0]
 
@@ -156,7 +311,7 @@ class TestUpdate:
             cov = np.array([[a[0], b * np.sqrt(a[0] * a[1])],
                             [b * np.sqrt(a[0] * a[1]), a[1]]])
             st = state_of([1.0, 0.0], cov)
-            out = observer.update(st, rng.uniform(0, 5), cfg)
+            out = layered_update(st, rng.uniform(0, 5), cfg)
             assert cov_of(out)[0, 0] <= cov_of(st)[0, 0] + 1e-15
 
     def test_equals_eye_and_outer_form_bit_for_bit(self):
@@ -166,7 +321,7 @@ class TestUpdate:
             A = rng.normal(size=(2, 2))
             st = state_of(rng.normal(size=2), A @ A.T + 1e-3 * np.eye(2))
             F_star, R = float(rng.normal()), float(rng.uniform(1e-4, 1.0))
-            out = observer.update(st, F_star, replace(cfg, R=R))
+            out = layered_update(st, F_star, replace(cfg, R=R))
             K = cov_of(st)[:, 0] / (cov_of(st)[0, 0] + R)
             ikh = np.eye(2)
             ikh[:, 0] -= K
@@ -331,9 +486,10 @@ def float_cost(L_meas, P, prior_F, w, params=IND):
 class TestInversionPinned:
     @pytest.mark.parametrize("overrides", [{}, {"noise_L": 0.0}, {"grid_points": 33}])
     def test_matches_reference_bit_for_bit(self, overrides):
-        # the inversion is within refine_tol of the numpy oracle, and the
-        # scalar cost, whose last bits steer the grid scan, equals the
-        # float reference bit for bit
+        # the inversion is within refine_tol of the numpy oracle, the scan's
+        # winner is the first least float cost of the grid (the cost's last
+        # bits steer it), and the float cost equals the layered cost, on
+        # the plant's copy of the map, bit for bit
         cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT,
                                             **{"noise_L": 0.01, **overrides})
         rng = np.random.default_rng(20)
@@ -344,10 +500,11 @@ class TestInversionPinned:
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
             got = observer.solve_pseudo_measurement(L, P, prior, cfg)
             assert abs(got - reference_inversion(L, P, prior, cfg)) <= cfg.refine_tol
-            args = observer._cost_args(L, prior, model._coeffs(IND, P), cfg.weights)
+            check_stopping_rule(L, P, prior, cfg)
+            args = cost_args(L, prior, model._coeffs(IND, P), cfg.weights)
             ref = float_cost(L, P, prior, cfg.weights)
             for F in (got, float(rng.uniform(ENV.F_min, ENV.F_max))):
-                assert observer._cost(F, args) == ref(F)
+                assert layered_cost(F, args) == ref(F)
 
     def test_matches_reference_with_other_weights(self):
         w = CostWeights(w_fit=2.5, w_dyn=0.03, w_reg=0.004, gamma=0.37)
@@ -455,12 +612,12 @@ class TestCertifiedGolden:
                       + rng.normal(0, 0.02))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
             w = other if k % 3 == 0 else cfg.weights
-            args = observer._cost_args(L, prior, coeffs, w)
+            fast_cost = float_cost(L, P, prior, w, params)
             numpy_cost = reference_cost(L, P, prior, w, params)
             forces = rng.uniform(ENV.F_min, ENV.F_max, 100 - len(edges) // 10).tolist()
             for F in forces + edges[k % 10::10]:
                 with np.errstate(all="ignore"):
-                    fast, x = observer._cost(F, args), float(numpy_cost(F))
+                    fast, x = fast_cost(F), float(numpy_cost(F))
                     m = float(model._inductance(F, *coeffs)) - l5
                 points += 1
                 if not (math.isfinite(fast) and math.isfinite(x)):
@@ -484,20 +641,27 @@ class TestCertifiedGolden:
         ((0.6, 800.0, -1.0, 1.0, 4.75), 5.0),    # F**800 overflows, cost inf
     ])
     def test_math_edge_points_take_numpy_results(self, coeffs, F):
+        # the float cost takes numpy's value, and the scan, costing the
+        # point beside another, picks as the float costs order them
         w = make_cfg().weights
-        fast = observer._cost(F, observer._cost_args(4.9, 1.0, coeffs, w))
+        cost = float_cost(4.9, 0.3, 1.0, w, flat_params(*coeffs))
         with np.errstate(all="ignore"):
             x = float(reference_cost(4.9, 0.3, 1.0, w, flat_params(*coeffs))(F))
-        assert same_float(fast, x)
+        assert same_float(cost(F), x)
+        for other in (0.1, 2.5):
+            check_scan(tuple(sorted({F, other})), cost_args(4.9, 1.0, coeffs, w), cost)
 
     @pytest.mark.parametrize("L", [math.inf, -math.inf, 1e200])
     def test_non_finite_costs_are_exact(self, L):
-        w = make_cfg().weights
-        args = observer._cost_args(L, 1.0, model._coeffs(IND, 0.3), w)
+        # every grid cost is inf, and the scan takes the first
+        cfg = make_cfg()
+        w = cfg.weights
+        cost = float_cost(L, 0.3, 1.0, w)
         for F in (0.5, 1.0, 4.0):
             with np.errstate(all="ignore"):
                 x = float(reference_cost(L, 0.3, 1.0, w)(F))
-            assert not math.isfinite(x) and same_float(observer._cost(F, args), x)
+            assert not math.isfinite(x) and same_float(cost(F), x)
+        check_scan(cfg.grid, cost_args(L, 1.0, model._coeffs(IND, 0.3), w), cost)
 
     @pytest.mark.parametrize("coeffs, cause", [
         (FLAT_MAPS[0], "lambda2=-0.5"),
@@ -522,7 +686,7 @@ class TestCertifiedGolden:
         # from readings below the map's intercept and priors at F = 0
         cfg = make_cfg()
         coeffs = model._coeffs(IND, P)
-        args = observer._cost_args(4.9, 1.0, coeffs, cfg.weights)
+        args = cost_args(4.9, 1.0, coeffs, cfg.weights)
         with pytest.raises(ArithmeticError):
             observer._cost_derivatives(1e-200, args)
         assert all(map(math.isfinite, observer._cost_derivatives(cfg.F_floor, args)))
@@ -552,10 +716,26 @@ class TestCertifiedGolden:
 def box_maps():
     """Ten map entries from the fit's default coefficient box, each drawn
     from the whole box or from its part within 3 of 0, where more maps
-    pass the config's check."""
+    pass the config's check; or such a draw with the exponent pairs (p2,
+    p3) and (p6, p7) set from lambda2 and lambda4 drawn in [0.05, 3] at
+    both ends of the pressure range, so that the map is defined on all of
+    it."""
     lo, hi = ident.default_inductance_bounds()
-    return hst.tuples(*[hst.one_of(hst.floats(max(a, -3.0), min(b, 3.0)), hst.floats(a, b))
-                        for a, b in zip(lo.tolist(), hi.tolist())])
+    entries = hst.tuples(*[hst.one_of(hst.floats(max(a, -3.0), min(b, 3.0)), hst.floats(a, b))
+                           for a, b in zip(lo.tolist(), hi.tolist())])
+
+    def slope_and_intercept(ends):
+        # the line through (P_min, l_lo) and (P_max, l_hi), inside the box
+        l_lo, l_hi = ends
+        slope = (l_hi - l_lo) / (ENV.P_max - ENV.P_min)
+        return slope, l_lo - slope * ENV.P_min
+
+    exponents = hst.tuples(hst.floats(0.05, 3.0), hst.floats(0.05, 3.0)).map(slope_and_intercept)
+
+    def with_exponents(p, lambda2, lambda4):
+        return p[:2] + lambda2 + p[4:6] + lambda4 + p[8:]
+
+    return hst.one_of(entries, hst.builds(with_exponents, entries, exponents, exponents))
 
 
 class TestMapCheck:
@@ -580,7 +760,7 @@ class TestMapCheck:
                 return
             accepted.append(p)
             for F, P, L, prior in samples:
-                args = observer._cost_args(L, prior, model._coeffs(cfg.ind, P), cfg.weights)
+                args = cost_args(L, prior, model._coeffs(cfg.ind, P), cfg.weights)
                 assert all(map(math.isfinite, observer._cost_derivatives(F, args))), (p, F, P, L)
                 got = observer.solve_pseudo_measurement(L, P, prior, cfg)
                 assert ENV.F_min <= got <= ENV.F_max
@@ -615,7 +795,7 @@ class TestNewtonRefinement:
             L = float(model.eval_inductance(IND, rng.uniform(ENV.F_min, ENV.F_max), P)
                       + rng.normal(0, 0.05))
             prior = float(rng.uniform(ENV.F_min, ENV.F_max))
-            args = observer._cost_args(L, prior, model._coeffs(IND, P), w)
+            args = cost_args(L, prior, model._coeffs(IND, P), w)
             cost = reference_cost(L, P, prior, w)
 
             def inductance(F):
@@ -662,8 +842,8 @@ class TestNewtonRefinement:
     def test_non_finite_derivative_raises(self):
         # the safety check: F**800 overflows above about 2.4 N, which no
         # config's map does (TestCertifiedGolden)
-        args = observer._cost_args(4.9, 3.0, model._coeffs(flat_params(*FLAT_MAPS[1]), 0.3),
-                                   make_cfg().weights)
+        args = cost_args(4.9, 3.0, model._coeffs(flat_params(*FLAT_MAPS[1]), 0.3),
+                         make_cfg().weights)
         derivatives = observer._cost_derivatives
         with pytest.raises(FloatingPointError):   # 2**800 is finite, its square is not
             observer._newton(derivatives, args, 1.9, 2.1, 2.0, 1e-5)
@@ -674,18 +854,18 @@ class TestNewtonRefinement:
 def solver_index(L, P, prior, cfg, params=IND):
     """The grid index ``solve_pseudo_measurement`` brackets."""
     return observer._grid_index(
-        cfg.grid, observer._cost_args(L, prior, model._coeffs(params, P), cfg.weights))
+        cfg.grid, cost_args(L, prior, model._coeffs(params, P), cfg.weights))
 
 
 def check_stopping_rule(L, P, prior, cfg, params=IND):
     """The scan stops once a point's continuity term w_dyn d d exceeds the
     least cost of the run; check that no point it leaves out is better.
-    Every grid point is costed here: each one past the stopping distance
-    costs more than the scan's winner, and the winner is the first least
-    cost of the whole grid, NaNs skipped."""
-    args = observer._cost_args(L, prior, model._coeffs(params, P), cfg.weights)
+    Every grid point is costed here, by ``float_cost``: each one past the
+    stopping distance costs more than the scan's winner, and the winner
+    is the first least cost of the whole grid, NaNs skipped."""
+    args = cost_args(L, prior, model._coeffs(params, P), cfg.weights)
     i = observer._grid_index(cfg.grid, args)
-    costs = [observer._cost(F, args) for F in cfg.grid]
+    costs = [float_cost(L, P, prior, cfg.weights, params)(F) for F in cfg.grid]
     best, w_dyn = costs[i], cfg.weights.w_dyn
     for j, (F, c) in enumerate(zip(cfg.grid, costs)):
         d = abs(F - prior)
@@ -695,6 +875,20 @@ def check_stopping_rule(L, P, prior, cfg, params=IND):
             assert not c <= best, (j, c, best)
         else:
             assert not c < best, (j, c, best)
+
+
+def check_scan(grid, args, cost):
+    """``_grid_index`` on ``grid`` picks the first least ``cost`` (the
+    sample's ``float_cost``), NaNs skipped, as ``np.nanargmin`` does, and
+    raises when every cost is NaN: however far the scan runs, a point it
+    leaves out costs more than its winner."""
+    costs = [cost(F) for F in grid]
+    numbers = [c for c in costs if not math.isnan(c)]
+    if not numbers:
+        with pytest.raises(ValueError, match="All-NaN slice encountered"):
+            observer._grid_index(grid, args)
+        return
+    assert observer._grid_index(grid, args) == costs.index(min(numbers))
 
 
 def inversion_samples(rng, n, near):
@@ -772,27 +966,63 @@ class TestWindowScan:
         for prior in priors:
             assert solver_index(L, 0.3, prior, cfg) == 0, prior
 
+    def test_equal_map_floats_tie_exactly(self):
+        # the scan's residual is float_cost's in every bit: two forces
+        # either side of the peak whose map floats are equal, with the
+        # prior half-way between them, tie exactly, and the first wins; a
+        # residual rounded otherwise than the plant's map breaks such ties
+        cfg = make_cfg()
+        rng = np.random.default_rng(8)
+        ties = 0
+        for _ in range(400):
+            P = float(rng.uniform(ENV.P_min, ENV.P_max))
+            coeffs = model._coeffs(IND, P)
+            f_peak = model.peak_force(IND, P)
+            F2 = float(rng.uniform(f_peak, ENV.F_max))
+            target = model._inductance_at(F2, *coeffs)
+            a, b = 0.0, f_peak    # the rising branch crosses target in [a, b]
+            while math.nextafter(a, b) < b:
+                m = 0.5 * (a + b)
+                a, b = (m, b) if model._inductance_at(m, *coeffs) < target else (a, m)
+            prior = 0.5 * (b + F2)
+            if model._inductance_at(b, *coeffs) != target or F2 - prior != prior - b:
+                continue
+            ties += 1
+            grid, L = (b, F2), target + float(rng.normal(0, 0.01))
+            cost = float_cost(L, P, prior, cfg.weights)
+            assert cost(b) == cost(F2)
+            assert observer._grid_index(grid, cost_args(L, prior, coeffs, cfg.weights)) == 0
+        assert ties >= 100
+
     def test_tracking_samples_cost_few_grid_points(self, monkeypatch):
         # a slow stretch cycle keeps the prior next to the preimage, so a
-        # sample evaluates the map at a few grid points around it (the
-        # Newton pass evaluates its own terms, not the map); with w_dyn = 0
-        # every sample costs the whole grid
+        # sample costs a few grid points around it; with w_dyn = 0 every
+        # sample costs the whole grid.  A grid point takes one math.exp,
+        # and so does a Newton step (_cost_derivatives), which is counted
+        # apart and subtracted
         scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,),
                              cycles_per_level=1, cycle_period_s=8.0,
                              x_low=0.072, x_high=0.17)
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=5))
-        counts = []
-        inductance, step = model._inductance_at, observer.estimate_step
+        exps, newton, counts = [0], [0], []
+        exp, derivatives, step = math.exp, observer._cost_derivatives, observer.estimate_step
 
-        def counted_map(*args):
-            counts[-1] += 1
-            return inductance(*args)
+        def counted_exp(x):
+            exps[0] += 1
+            return exp(x)
+
+        def counted_derivatives(*args):
+            newton[0] += 1
+            return derivatives(*args)
 
         def counted_step(*args):
-            counts.append(0)
-            return step(*args)
+            exps[0] = newton[0] = 0
+            out = step(*args)
+            counts.append(exps[0] - newton[0])
+            return out
 
-        monkeypatch.setattr(model, "_inductance_at", counted_map)
+        monkeypatch.setattr(math, "exp", counted_exp)
+        monkeypatch.setattr(observer, "_cost_derivatives", counted_derivatives)
         monkeypatch.setattr(observer, "estimate_step", counted_step)
         cfg = make_cfg()
         observer.run_estimation(ds, DYN, cfg)
@@ -805,8 +1035,8 @@ class TestWindowScan:
 
 
 def reference_run(ds, cfg, spec):
-    """``run_estimation`` written out on the public API: filters, predict,
-    ``reference_inversion`` and the Joseph update.  Returns F_hat."""
+    """``run_estimation`` written out on the layers of ``layered_step``,
+    with ``reference_inversion`` for the inversion.  Returns F_hat."""
     env = cfg.envelope
     L0, P0 = float(ds.L[0]), float(ds.P[0])
     filt = sig.prime(sig.design(spec, 100), L0)
@@ -816,12 +1046,12 @@ def reference_run(ds, cfg, spec):
     F_hat = np.empty(len(ds))
     for i in range(len(ds)):
         L, P = float(ds.L[i]), float(ds.P[i])
-        L_f = sig.step(filt, L)
-        P_f = min(max(sig.step(p_filt, P), env.P_min), env.P_max)
-        pred = observer.predict(st, cfg)
+        L_f = single_step(filt, L)
+        P_f = min(max(single_step(p_filt, P), env.P_min), env.P_max)
+        pred = layered_predict(st, cfg)
         prior = min(max(pred.F_hat, env.F_min), env.F_max)
         F_star = reference_inversion(L_f, P_f, prior, cfg)
-        st = observer.update(pred, F_star, cfg)
+        st = layered_update(pred, F_star, cfg)
         F_hat[i] = st.F_hat
     return F_hat
 
@@ -936,6 +1166,62 @@ class TestEstimateStep:
         assert np.array_equal(st.P_filter.zi, sig.prime(cfg.filt.copy(), 0.3).zi)
 
 
+class TestOneFrameStep:
+    @pytest.mark.parametrize("noise_L", [0.0, 0.01, 0.03])
+    @pytest.mark.parametrize("period", [8.0, 4.0, 2.0])
+    def test_equals_layered_step_bit_for_bit(self, period, noise_L):
+        # whole replay runs of the stretch cycle: every bit of the state,
+        # both delay lines, F_hat and x_hat after every sample
+        scn = plant.Scenario.cyclic_estimation(cycle_period_s=period)
+        pcfg = plant.default_plant_config(seed=3, noise_L=noise_L)
+        ds = plant.run_scenario(scn, pcfg)
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT, noise_L=noise_L)
+        L0, P0 = float(ds.L[0]), float(ds.P[0])
+        st = observer.reset(observer.nearest_preimage(L0, P0, cfg), L0, P0, cfg)
+        twin = forked(st)
+        for i, (L, P) in enumerate(zip(ds.L.tolist(), ds.P.tolist())):
+            got = observer.estimate_step(st, L, P, DYN, cfg)
+            want = layered_step(twin, L, P, DYN, cfg)
+            assert step_bits(got) == step_bits(want), i
+            st, twin = got[0], want[0]
+
+    def test_equals_layered_step_in_a_closed_loop(self, monkeypatch):
+        # every step of a self-sensing load perturbation run, its pre-roll
+        # included, against the layered step on a fork of the same state
+        step, calls = observer.estimate_step, []
+
+        def checked(state, L_raw, P, dyn, cfg):
+            want = layered_step(forked(state), L_raw, P, dyn, cfg)
+            got = step(state, L_raw, P, dyn, cfg)
+            assert step_bits(got) == step_bits(want), len(calls)
+            calls.append(P)
+            return got
+
+        monkeypatch.setattr(observer, "estimate_step", checked)
+        setup = control.TrackingSetup(plant_cfg=plant.default_plant_config(seed=1), dyn=DYN)
+        control.run_perturbation(setup, plant.Scenario.load_perturbation(duration_s=10.0))
+        assert len(calls) > 1000 and len(set(calls)) > 100
+
+    def test_degenerate_stiffness_raises(self):
+        cfg = make_cfg()
+        st = observer.reset(1.0, 4.9, 0.3, cfg)
+        with pytest.raises(model.DegenerateModelError, match="stiffness"):
+            observer.estimate_step(st, 4.9, 0.3, model.DynamicParams(k=1e-12, x0=0.1, c=1.6),
+                                   cfg)
+
+    def test_nan_passes_as_in_the_layered_step(self):
+        # a NaN reading makes every grid cost NaN, and a NaN force passes
+        # the prior's clamp, as min(max(...)) lets it: each raises the
+        # layered step's error
+        cfg = make_cfg()
+        st = observer.reset(1.0, 4.9, 0.3, cfg)
+        for state, L, match in ((st, math.nan, "All-NaN"),
+                                (replace(st, F_hat=math.nan), 4.9, "prior force must be finite")):
+            for step in (observer.estimate_step, layered_step):
+                with pytest.raises(ValueError, match=match):
+                    step(forked(state), L, 0.3, DYN, cfg)
+
+
 class TestBranchDisambiguation:
     def test_observer_smooth_inverter_jumps(self):
         pcfg = plant.default_plant_config(seed=0)
@@ -983,13 +1269,18 @@ class TestConfig:
         params = flat_params(0.6, 1.3, -1000.0, 1.0, 4.75)
         assert observer.median_force_gradient(params, ENV) == 0.0
         assert observer._map_bound(params, ENV, ENV.F_max * 2.0 ** -80) < observer.MAP_LIMIT
-        with pytest.raises(EnvelopeError, match="flat over the envelope"):
+        with pytest.raises(EnvelopeError, match=r"is flat over the envelope \(median \|dL/dF\| = 0\)"):
             observer.make_observer_config(params, ENV, dt=0.01, filt=FILT)
-        # a median gradient of 8e-315 would leave R = (noise / gradient)**2 infinite
-        nearly_flat = flat_params(0.6, 1.3, -295.0, 1.0, 4.75)
-        assert 0.0 < observer.median_force_gradient(nearly_flat, ENV) < 1e-310
-        with pytest.raises(ValueError, match="R must be positive and finite"):
-            observer.make_observer_config(nearly_flat, ENV, dt=0.01, filt=FILT)
+
+    @pytest.mark.parametrize("l3", [-285.0, -295.0])
+    def test_nearly_flat_map_rejected(self, l3):
+        # a median gradient of 1e-297 leaves (noise / gradient)**2 out of
+        # range (OverflowError), and one of 8e-315 makes noise / gradient
+        # inf; neither gives R, and the map is named as the cause
+        params = flat_params(0.6, 1.3, l3, 1.0, 4.75)
+        assert 0.0 < observer.median_force_gradient(params, ENV) < 1e-290
+        with pytest.raises(EnvelopeError, match="nearly flat over the envelope"):
+            observer.make_observer_config(params, ENV, dt=0.01, filt=FILT)
 
     def test_noise_scaled_defaults(self):
         cfg = make_cfg()
@@ -1019,7 +1310,7 @@ class TestConfig:
         rng = np.random.default_rng(40)
         for near in (True, False):
             for L, P, prior in inversion_samples(rng, 150, near):
-                args = observer._cost_args(L, prior, model._coeffs(IND, P), cfg.weights)
+                args = cost_args(L, prior, model._coeffs(IND, P), cfg.weights)
 
                 def derivatives(F):
                     return observer._cost_derivatives(F, args)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coilsense import model, observer, plant
 from coilsense.plant import (IsotonicInfeasibleError, Plant, PlayElement,
                              PlantConfig, Scenario)
+from test_observer import float_cost
 
 IND = plant.reference_inductance_params()
 DYN = plant.reference_dynamic_params()
@@ -672,13 +673,14 @@ class TestKinematicRun:
 
 class TestSharedFloatPath:
     """The plant evaluates the inductance map as the observer's cost does,
-    on ``math`` floats, so the cost's fit term inverts the plant's bits."""
+    on ``math`` floats, so the cost's fit term inverts the plant's bits.
+    The cost is the observer tests' ``float_cost``, which the grid scan
+    equals in its choices (``check_stopping_rule`` there)."""
 
     @staticmethod
     def fit_cost(r):
         w = observer.CostWeights(w_fit=1.0, w_dyn=0.0, w_reg=0.0)
-        args = observer._cost_args(r.L_clean, r.F, model._coeffs(IND, r.P), w)
-        return observer._cost(r.F, args)
+        return float_cost(r.L_clean, r.P, r.F, w, IND)(r.F)
 
     def test_observer_inverts_the_kinematic_steps_exactly(self):
         # numpy's power and exp differ from math's on about 1% of points

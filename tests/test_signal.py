@@ -10,6 +10,12 @@ def db(h):
     return 20.0 * np.log10(np.abs(h))
 
 
+def step(st, x):
+    """One sample through ``st`` alone: the first stream of a pair whose
+    second is a scratch copy."""
+    return sig.step_pair(st, st.copy(), x, 0.0)[0]
+
+
 def response(st, freqs_hz, fs):
     """Complex response of a designed cascade at ``freqs_hz``."""
     return sosfreqz(st.sos, worN=np.asarray(freqs_hz, dtype=float), fs=fs)[1]
@@ -77,14 +83,14 @@ class TestStep:
         st = sig.design(FilterSpec(3, 10), 100)
         y = 0.0
         for _ in range(1000):
-            y = sig.step(st, 1.0)
+            y = step(st, 1.0)
         assert y == pytest.approx(1.0, abs=1e-9)
 
     def test_impulse_sum_equals_dc_gain(self):
         st = sig.design(FilterSpec(3, 10), 100)
-        total = sig.step(st, 1.0)
+        total = step(st, 1.0)
         for _ in range(4000):
-            total += sig.step(st, 0.0)
+            total += step(st, 0.0)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_sine_at_cutoff_amplitude(self):
@@ -92,7 +98,7 @@ class TestStep:
         st = sig.design(FilterSpec(3, fc), fs)
         n = int(20 * fs / fc)
         t = np.arange(n) / fs
-        y = np.array([sig.step(st, v) for v in np.sin(2 * np.pi * fc * t)])
+        y = np.array([step(st, v) for v in np.sin(2 * np.pi * fc * t)])
         # amplitude from a sine/cosine regression over the settled tail
         tail = slice(n // 2, None)
         A = np.column_stack([np.sin(2 * np.pi * fc * t[tail]),
@@ -102,27 +108,32 @@ class TestStep:
         assert amp == pytest.approx(0.7079, rel=0.01)
 
     def test_streaming_equals_batch_bitexact(self):
-        # the streaming step runs the same transposed direct form II
-        # recursion as scipy's batch sosfilt, operation for operation
+        # each stream of the pair runs the same transposed direct form II
+        # recursion as scipy's batch sosfilt, operation for operation, and
+        # the two streams do not mix
         rng = np.random.default_rng(4)
-        xs = rng.standard_normal(500)
+        xs, ys = rng.standard_normal(500), 3.0 + rng.standard_normal(500)
         for spec, fs in ((FilterSpec(3, 10), 100), (FilterSpec(6, 100), 1000)):
             st = sig.design(spec, fs)
+            twin = sig.prime(st.copy(), 3.0)
+            zi_twin = twin.zi
+            out = np.array([sig.step_pair(st, twin, x, y) for x, y in zip(xs, ys)])
             batch, zf = sosfilt(st.sos, xs, zi=np.zeros_like(st.zi))
-            stream = np.array([sig.step(st, x) for x in xs])
-            assert np.array_equal(batch, stream)
-            assert np.array_equal(zf, st.zi)
+            assert np.array_equal(batch, out[:, 0]) and np.array_equal(zf, st.zi)
+            batch, zf = sosfilt(st.sos, ys, zi=zi_twin)
+            assert np.array_equal(batch, out[:, 1]) and np.array_equal(zf, twin.zi)
+            assert all(type(v) is float for v in sig.step_pair(st, twin, np.float64(1.0), 2))
 
     def test_copy_forks_the_delay_line(self):
         st = sig.prime(sig.design(FilterSpec(3, 10), 100), 2.0)
         fork = st.copy()
         assert np.array_equal(fork.sos, st.sos) and np.array_equal(fork.zi, st.zi)
-        sig.step(fork, 5.0)
+        step(fork, 5.0)
         assert not np.array_equal(fork.zi, st.zi)
-        assert sig.step(st, 2.0) == pytest.approx(2.0, abs=1e-9)
+        assert step(st, 2.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_sos_is_a_fresh_array(self):
-        # step reads the sections cached at construction, so writing to
+        # step_pair reads the sections cached at construction, so writing to
         # a returned array must change neither them nor the next read
         st = sig.design(FilterSpec(3, 10), 100)
         twin = st.copy()
@@ -130,7 +141,7 @@ class TestStep:
         sos[:] = 0.0
         assert np.array_equal(st.sos, twin.sos) and st.sos is not st.sos
         assert st.sos.flags.writeable
-        assert sig.step(st, 1.5) == sig.step(twin, 1.5)
+        assert step(st, 1.5) == step(twin, 1.5)
 
     def test_prime_equals_scipy_sosfilt_zi_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -146,4 +157,4 @@ class TestStep:
         st = sig.design(FilterSpec(3, 10), 100)
         sig.prime(st, 2.5)
         for _ in range(10):
-            assert sig.step(st, 2.5) == pytest.approx(2.5, abs=1e-9)
+            assert step(st, 2.5) == pytest.approx(2.5, abs=1e-9)
