@@ -8,25 +8,29 @@ channels add seeded Gaussian noise.  Inductance depends only on (F, P)
 by construction, so the force-inductance trace is hysteresis-free while
 the length-inductance trace is not.
 
-The valve lag, the play operators and the force are a recurrence: each
-sample needs the last one's pressure and play states, so they run a
-sample at a time on Python floats (``Plant._advance``): the play states
-are a tuple, their weighted sum is a plain left-to-right loop, and the
-isotonic balance starts on the segment of the knots that holds the last
-length, which usually holds the new balance too, so the knots are
-sorted only when it does not.  The tests keep the
-array form (``np.clip`` and a BLAS dot product) as their reference,
-within the rounding-error bound of a dot product.
+A step (``Plant._advance``) runs the valve lag, the play operators and
+the force on Python floats: the play states are a tuple, their weighted
+sum is a plain left-to-right loop, and the isotonic balance starts on
+the segment of the knots that holds the last length, which usually
+holds the new balance too, so the knots are sorted only when it does
+not.  The tests keep the array form (``np.clip`` and a BLAS dot
+product) as their reference, within the rounding-error bound of a dot
+product.  An isotonic run, whose length depends on the load at each
+sample, and the closed loop, whose commands depend on the sensed
+channels, step.
 
-Nothing after the force feeds back, so a kinematic run, whose commands
-are all known before its first sample, takes the rest on whole arrays
-(``Plant.run_kinematic``): the map's coefficients and their envelope
-check, the sensor map (``model._inductance_at``, the step's, mapped over
-the samples), both noise channels from one draw, and time as a running
-sum of the step.  It gives the bits, the final state and the noise
-stream that ``Plant.step`` gives sample by sample; an isotonic
-run, whose length depends on the load at each sample, and the closed
-loop, whose commands depend on the sensed channels, step.
+A kinematic run (``Plant.run_kinematic``) knows all its commands before
+its first sample.  Only the valve lag stays a scalar loop.  The play
+operators are solved in closed form over each monotone run of the
+length (``Plant._play_sum``): on a length that only rises a play
+state is the larger of its value before the run and u - w, on one that
+only falls the smaller of that value and u + w (Brokate and Sprekels,
+*Hysteresis and Phase Transitions*, 1996, ch. 2).  The force, the map's
+coefficients and their envelope check, both noise channels (one draw)
+and time (a running sum of the step) run on whole arrays, and the
+sensor map (``model._inductance_at``, the step's) per sample in blocks.
+The run gives the bits, the final state and the noise stream that
+``Plant.step`` gives sample by sample.
 """
 
 from __future__ import annotations
@@ -82,12 +86,17 @@ LOAD_EVENTS_END_FRACTION = 0.78
 
 
 #: Most samples one run may step, pre-roll and conditioning included.
-#: At its peak a run holds about 440 bytes a sample (``simulate`` of a
-#: calibration grid and its CSV; a closed loop about 300), and a closed
-#: loop steps about 25 us a sample, so a run stays under about 0.9 GB and
-#: a minute.  That is 5.5 h at the default 100 Hz, 80 times the longest
-#: run of the default configs (the 25,200-sample calibration grid).
+#: At its peak a run holds about 300 bytes a sample (a closed loop;
+#: ``simulate`` of a calibration grid and its CSV about 275, by
+#: ``tracemalloc``), and a closed loop steps about 25 us a sample, so a
+#: run stays under about 0.6 GB and a minute.  That is 5.5 h at the
+#: default 100 Hz, 80 times the longest run of the default configs (the
+#: 25,200-sample calibration grid).
 MAX_RUN_SAMPLES = 2_000_000
+
+#: Samples a kinematic run maps to the inductance at a time, so the
+#: Python floats it makes for the map stay few.
+MAP_BLOCK = 4096
 
 
 class IsotonicInfeasibleError(ValueError):
@@ -390,45 +399,116 @@ class Plant:
         F, z_new = self._force(x, P, st.play_states)
         return P, x, max(F, 0.0), z_new
 
+    def _play_sum(self, u, z) -> tuple:
+        """The weighted sum of the play states at the length offsets
+        ``u``, from the states ``z`` the first sample leaves (its entry
+        of the sum is 0), and the states at the last sample.
+
+        The samples after the first are cut into monotone runs of ``u``:
+        a run ends where the sign of the nonzero steps of ``u`` flips,
+        and a step that leaves ``u`` unchanged stays in the run it is
+        in.  A play state starts each run in its band at the sample
+        before, so over a run that does not fall the step's clip to
+        [u - w, u + w] keeps it at the larger of its value before the
+        run and u - w, and over one that does not rise at the smaller of
+        that value and u + w.  Those values chain from run to run on
+        floats, and only comparisons pick between floats, so every bit,
+        ties included, is the step's.
+        """
+        acc = np.zeros(u.size)
+        if u.size == 1:
+            return acc, z
+        up = u[1:] > u[:-1]
+        moves = np.flatnonzero(up | (u[1:] < u[:-1]))
+        flips = moves[1:][up[moves[1:]] != up[moves[:-1]]]
+        starts = np.concatenate(([0], flips))  # of the runs, in u[1:]
+        rising = up[np.concatenate((moves[:1], flips))] if moves.size else np.ones(1, bool)
+        u = u[1:]
+        lengths = np.diff(starts, append=u.size)
+        ends = u[starts + lengths - 1]
+        rising_at = np.repeat(rising, lengths)
+        rising = rising.tolist()
+        z_end = []
+        for a, w, g in zip(z, self._widths, self._weights):
+            anchors = []
+            for rises, lo, hi in zip(rising, (ends - w).tolist(), (ends + w).tolist()):
+                anchors.append(a)
+                if rises:
+                    if a <= lo:
+                        a = lo
+                elif a >= hi:
+                    a = hi
+            z_end.append(a)
+            za = np.repeat(anchors, lengths)
+            lo, hi = u - w, u + w
+            acc[1:] += g * np.where(rising_at, np.where(za <= lo, lo, za),
+                                    np.where(za >= hi, hi, za))
+        return acc, tuple(z_end)
+
     def run_kinematic(self, P_cmd, x_cmd, dt: float) -> dict:
         """Drive the length through ``x_cmd`` under pressure commands
         ``P_cmd``, one sample per pair, as ``step(P_cmd[i], dt,
         x_cmd=x_cmd[i])`` in turn would.
 
         Returns the ``StepResult`` channels as arrays, keyed by field
-        name.  Only the recurrence (``_advance``) and the map
-        (``model._inductance_at``, as ``step`` calls it) run per sample;
-        the rest runs once on its arrays, with the bits ``step`` gives,
-        and the plant ends in the state, noise stream included, that the
-        steps leave.  A coefficient outside the envelope raises the
-        EnvelopeError of its first sample, after the recurrence.
+        name, with the bits the steps give, and leaves the plant in the
+        state, noise stream included, that they leave.  The valve lag is
+        a scalar loop.  The play operators take the step's clip
+        (``_force``) at the first sample and are solved in closed form
+        over each monotone run of the length after it (``_play_sum``).
+        The force is summed on arrays in ``_force``'s order, and the map
+        (``model._inductance_at``, as ``step`` calls it) runs per sample,
+        ``MAP_BLOCK`` samples at a time.  A non-finite length command
+        raises ValueError, and a coefficient outside the envelope the
+        EnvelopeError of its first sample; either leaves the state as it
+        was.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
-        P_cmd, x_cmd = (np.asarray(a, dtype=float).tolist() for a in (P_cmd, x_cmd))
-        if len(P_cmd) != len(x_cmd) or not P_cmd:
+        P_cmd = np.asarray(P_cmd, dtype=float).tolist()
+        x = np.array(x_cmd, dtype=float)
+        if x.ndim != 1 or len(P_cmd) != x.size or not P_cmd:
             raise ValueError("need equal, non-zero numbers of P and x commands")
+        if not np.isfinite(x).all():
+            raise ValueError("length commands must be finite")
         st = self.state
         cfg = self.cfg
-        P, F = [], []
-        for p, xc in zip(P_cmd, x_cmd):
-            Pi, _, Fi, st.play_states = self._advance(p, dt, xc, None)
-            st.P = Pi
-            P.append(Pi)
-            F.append(Fi)
+        dyn = cfg.dyn
+        tau = cfg.valve_tau
+        if tau > 0:
+            decay = math.exp(-dt / tau)
+            Pi, P = st.P, []
+            append = P.append
+            for p in P_cmd:
+                Pi = p + (Pi - p) * decay
+                if 0.0 > Pi:  # max(Pi, 0.0), as the step takes it, without the call
+                    Pi = 0.0
+                append(Pi)
+        else:
+            P = [max(float(p), 0.0) for p in P_cmd]
         P = np.array(P)
         coeffs = model._coeffs(cfg.ind, P)
         valid = np.isfinite(coeffs).all(axis=0) & (coeffs[1] > 0) & (coeffs[3] > 0)
         if not valid.all():
             model.eval_coeffs(cfg.ind, P[np.argmin(valid)].item())  # raises
-        L_clean = np.fromiter(map(model._inductance_at, F, *(c.tolist() for c in coeffs)),
-                              float, P.size)
-        F, x = np.array(F), np.array(x_cmd)
+        F0, z = self._force(x[0].item(), P[0].item(), st.play_states)
+        u = x - dyn.x0
+        acc, z = self._play_sum(u, z)
+        F = dyn.k * u + dyn.c * P + acc
+        del acc
+        F[0] = F0
+        F = np.where(0.0 > F, 0.0, F)
+        L_clean = np.empty(P.size)
+        for i in range(0, P.size, MAP_BLOCK):
+            block = slice(i, i + MAP_BLOCK)
+            L_clean[block] = list(map(model._inductance_at, F[block].tolist(),
+                                      *(c[block].tolist() for c in coeffs)))
+        del coeffs
         noise = self.rng.standard_normal(2 * P.size)  # per sample: L, then F
-        steps = np.full(P.size, dt)
-        steps[0] = st.t + dt
-        t = np.cumsum(steps)  # sequential, as st.t + dt is
-        st.x, st.t = x_cmd[-1], t[-1].item()
+        t = np.full(P.size, dt)
+        t[0] = st.t + dt
+        np.cumsum(t, out=t)  # sequential, as st.t + dt is
+        st.x, st.P, st.play_states, st.t = x[-1].item(), P[-1].item(), z, t[-1].item()
         return {"t": t, "P": P, "x": x, "F": F, "L_clean": L_clean,
                 "L_meas": L_clean + cfg.noise_L * noise[0::2],
                 "F_meas": F + cfg.noise_F * noise[1::2]}
@@ -476,6 +556,11 @@ class Scenario:
         if not 0.0 < self.total_duration_s < math.inf:
             raise ValueError(f"scenario duration must be positive and finite, "
                              f"got {self.total_duration_s} s")
+        lengths = (self.x_low, self.x_high, self.hold_x, *self.x_levels)
+        if not all(math.isfinite(v) for v in lengths if v is not None):
+            raise ValueError(f"scenario lengths must be finite, got x_low={self.x_low}, "
+                             f"x_high={self.x_high}, hold_x={self.hold_x}, "
+                             f"x_levels={self.x_levels}")
 
     @property
     def total_duration_s(self) -> float:

@@ -482,6 +482,15 @@ class TestSimulateTrackPerturb:
          "a run may step"),
         ({"scenarios": [{"kind": "load_perturbation", "duration_s": math.inf}]},
          "duration must be positive and finite"),
+        # a non-finite length is refused before any sample is simulated
+        ({"scenarios": [{"kind": "calibration_grid", "x0": math.nan}]},
+         "scenario lengths must be finite"),
+        ({"scenarios": [{"kind": "calibration_grid", "x0": math.inf}]},
+         "scenario lengths must be finite"),
+        ({"scenarios": [{"kind": "isometric_sweep", "x0": math.inf}]},
+         "scenario lengths must be finite"),
+        ({"scenarios": [{"kind": "load_perturbation", "hold_x": math.nan}]},
+         "scenario lengths must be finite"),
         ({"plant": {"sensor_rate_hz": 1e12, "control_rate_hz": 1e12},
           "filter": {"cutoff_hz": 1e10},
           "scenarios": [{"kind": "load_perturbation"}]}, "a run may step")],
@@ -493,7 +502,9 @@ class TestSimulateTrackPerturb:
              "paths_entry_not_a_name", "zero_force_frequency",
              "zero_disp_frequency", "negative_force_frequency", "negative_disp_frequency",
              "nanohertz_force_tracking", "slow_disp_tracking", "long_cycles",
-             "huge_calibration_cycles", "infinite_perturbation", "terahertz_plant"])
+             "huge_calibration_cycles", "infinite_perturbation", "nan_calibration_length",
+             "infinite_calibration_length", "infinite_isometric_length", "nan_hold_length",
+             "terahertz_plant"])
     def test_config_rejected_before_output(self, tmp_path, capsys, doc, key):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump(doc, open(cfg_path, "w"))

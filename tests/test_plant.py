@@ -670,6 +670,73 @@ class TestKinematicRun:
         with pytest.raises(ValueError):
             Plant(plant.default_plant_config()).run_kinematic([], [], 0.01)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_is_rejected_before_any_state(self, bad):
+        # the run solve orders the lengths, which a NaN has no place in
+        p = Plant(plant.default_plant_config(seed=1), x0=0.11)
+        before, rng_before = replace(p.state), p.rng.bit_generator.state
+        with pytest.raises(ValueError, match="length commands must be finite"):
+            p.run_kinematic([0.1, 0.2, 0.3], [0.11, bad, 0.12], 0.01)
+        assert p.state == before
+        assert p.rng.bit_generator.state == rng_before
+
+
+def bits(values) -> bytes:
+    """The IEEE bits of a float or a sequence of floats (-0.0 and 0.0 differ)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def kinematic_cases(draw):
+    """A plant with 0 to 5 play elements (zero widths too), maybe stepped
+    first at other lengths so its play states lie outside the band of the
+    run's first sample, and pressure and length commands.  The lengths
+    reverse every sample, walk at random, hop between a few levels (so a
+    play state meets a bound it was clipped to before), or are flat at
+    the start, at the end or throughout; one sample is a run too."""
+    n_play = draw(st.integers(0, 5))
+    width = st.one_of(st.just(0.0), st.floats(0.0, 0.02))
+    hyst = tuple(PlayElement(width=draw(width), weight=draw(st.floats(0.0, 5.0)))
+                 for _ in range(n_play))
+    cfg = plant.default_plant_config(hysteresis=hyst, seed=draw(st.integers(0, 3)),
+                                     valve_tau=draw(st.sampled_from([0.0, 0.1])))
+    p = Plant(cfg, x0=draw(st.floats(0.07, 0.18)), P0=draw(st.floats(0.0, 0.65)))
+    for _ in range(draw(st.integers(0, 4))):
+        p.step(draw(st.floats(0.0, 0.65)), 0.01, x_cmd=draw(st.floats(0.07, 0.18)))
+    n = draw(st.integers(1, 80))
+    shape = draw(st.sampled_from(["reversal", "walk", "levels", "flat"]))
+    start = draw(st.floats(0.07, 0.18))
+    if shape == "reversal":
+        x = start + draw(st.floats(1e-9, 0.02)) * (-1.0) ** np.arange(n)
+    elif shape == "levels":
+        levels = [draw(st.floats(0.07, 0.18)) for _ in range(3)]
+        x = np.array([draw(st.sampled_from(levels)) for _ in range(n)])
+    else:
+        steps = np.zeros(n)
+        if shape == "walk":
+            lead, tail = draw(st.integers(0, n)), draw(st.integers(0, n))
+            steps[lead:max(lead, n - tail)] = [
+                draw(st.one_of(st.just(0.0), st.floats(-0.01, 0.01)))
+                for _ in range(lead, max(lead, n - tail))]
+        x = start + np.cumsum(steps)
+    P_cmd = [draw(st.floats(0.0, 0.65)) for _ in range(n)]
+    return p, P_cmd, x.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kinematic_cases())
+def test_kinematic_run_equals_stepping_bit_for_bit(case):
+    a, P_cmd, x_cmd = case
+    b = a.copy()
+    run = a.run_kinematic(P_cmd, x_cmd, 0.01)
+    steps = [b.step(P, 0.01, x_cmd=x) for P, x in zip(P_cmd, x_cmd)]
+    for name, col in run.items():
+        assert bits(col) == bits([getattr(r, name) for r in steps]), name
+    for name in ("x", "P", "t", "play_states"):
+        assert bits(getattr(a.state, name)) == bits(getattr(b.state, name)), name
+    assert all(type(v) is float for v in (a.state.x, a.state.P, a.state.t, *a.state.play_states))
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
 
 class TestSharedFloatPath:
     """The plant evaluates the inductance map as the observer's cost does,
