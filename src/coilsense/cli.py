@@ -191,11 +191,15 @@ def _build_setup(cfg: dict, pcfg: plant.PlantConfig) -> control.TrackingSetup:
     for key, attr in (("force_gains", "gains_force"), ("disp_gains", "gains_disp")):
         if key in block:
             gains[attr] = _gains_from(block.pop(key) or {}, key)
-    return control.TrackingSetup(
-        plant_cfg=pcfg, filt=_build_filter(cfg, pcfg.sensor_rate_hz),
-        observer_overrides=_numbers("observer", cfg.get("observer") or {}, _OBSERVER_KEYS),
-        **gains, **_numbers("controller", block, dict.fromkeys(
-            ("p_max", "integral_clamp_mpa", "load_nominal_scale", "sensor_noise_x"), float)))
+    filt = _build_filter(cfg, pcfg.sensor_rate_hz)
+    overrides = _numbers("observer", cfg.get("observer") or {}, _OBSERVER_KEYS)
+    numbers = _numbers("controller", block, dict.fromkeys(
+        ("p_max", "integral_clamp_mpa", "load_nominal_scale", "sensor_noise_x"), float))
+    try:
+        return control.TrackingSetup(plant_cfg=pcfg, filt=filt, observer_overrides=overrides,
+                                     **gains, **numbers)
+    except ValueError as exc:
+        raise ConfigError(f"controller: {exc}") from None
 
 
 #: Scenario kinds whose plant balances ``plant.perturbation_load_profile``.

@@ -15,6 +15,7 @@ acts on (measurement - ref).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -151,18 +152,29 @@ class TrackingSetup:
     ``filt`` is the observer's designed low-pass at the plant's sensor
     rate, the template of every observer config made from the setup;
     None designs the default ``FilterSpec`` there (``observer_config``).
+    ``p_max``, the highest pressure a loop commands, must lie in the
+    envelope's pressure range, where the observer can read it; None
+    takes the envelope's highest pressure.
     """
 
     plant_cfg: PlantConfig
     dyn: DynamicParams | None = None
     gains_force: PidGains = field(default_factory=lambda: PidGains(kp=0.30, ki=1.2, kd=0.05))
     gains_disp: PidGains = field(default_factory=lambda: PidGains(kp=40.0, ki=250.0, kd=1.0))
-    p_max: float = 0.65
+    p_max: float | None = None
     integral_clamp_mpa: float = 0.3
     load_nominal_scale: float = 1.0
     sensor_noise_x: float = 3e-4
     filt: sig.FilterState | None = field(default=None, repr=False, compare=False)
     observer_overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        env = self.plant_cfg.envelope
+        if self.p_max is None:
+            self.p_max = env.P_max
+        elif not env.P_min <= self.p_max <= env.P_max:
+            raise ValueError(f"p_max {self.p_max} MPa outside the envelope's pressures "
+                             f"[{env.P_min}, {env.P_max}]")
 
 
 def resolve_setup(setup: TrackingSetup) -> TrackingSetup:
@@ -260,6 +272,28 @@ def _drivers(scenario: Scenario, setup: TrackingSetup) -> tuple:
     return feedforward, drive
 
 
+def _observe(state: obs.ObserverState, steps, dyn: DynamicParams,
+             ocfg: obs.ObserverConfig) -> tuple:
+    """Step the plant through ``steps``, an iterable of plant steps, then
+    run the observer over their readings in one ``estimate_steps`` call.
+
+    Returns ``(state, results, F_hat, x_hat)``: the observer state after
+    the last sample, the plant's StepResults, and the estimates per
+    sample.  Nothing in ``steps`` may read the observer, so this equals
+    observing each sample as it comes.  If a plant step raises, the
+    samples before it go through the observer first: an observer error
+    among them is the one raised, as it would have been raised first.
+    """
+    results = []
+    try:
+        for result in steps:
+            results.append(result)
+    finally:
+        state, F_hat, x_hat = obs.estimate_steps(
+            state, [r.L_meas for r in results], [r.P for r in results], dyn, ocfg)
+    return state, results, F_hat, x_hat
+
+
 def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     """Settle the loop before t = 0; nothing here depends on the mode.
 
@@ -267,7 +301,10 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     pressure applied (force tracking also ramps to the held length), so
     the valve and the observer are settled at t = 0; displacement
     tracking then runs conditioning cycles on the feedforward alone.
-    Neither is logged.
+    Neither is logged.  The observer reads no pressure it commands, so
+    each stretch is stepped on the plant first and then observed in one
+    call (``_observe``): one for the pre-roll and one for the
+    conditioning cycles.
     """
     pcfg = setup.plant_cfg
     check_run_length(scenario.name, loop_seconds(scenario), pcfg.sensor_rate_hz)
@@ -284,47 +321,55 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     plant = Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
 
     ramp_n = max(1, int(round(2.0 / dts)))
-    state = last = None
-    for i in range(n_pre):
+
+    def preroll(i):
         if force_mode:
             frac = min(1.0, (i + 1) / ramp_n)
             x_cmd = pcfg.dyn.x0 + frac * (scenario.hold_x - pcfg.dyn.x0)
-            last = plant.step(p_ff0, dts, x_cmd=x_cmd)
-        else:
-            last = drive(plant, p_ff0, 0.0)
-        if state is None:
-            # Seed the state at the operating force the experimenter knows
-            # (reference start or hanging load), with its filters primed at
-            # the first sample: the nearest preimage of the reading can
-            # pick the wrong branch of the peaked curve.
-            state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
-                              last.L_meas, last.P, ocfg)
-        state = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg)[0]
+            return plant.step(p_ff0, dts, x_cmd=x_cmd)
+        return drive(plant, p_ff0, 0.0)
+
+    first = preroll(0)
+    # Seed the state at the operating force the experimenter knows
+    # (reference start or hanging load), with its filters primed at the
+    # first sample: the nearest preimage of the reading can pick the wrong
+    # branch of the peaked curve.
+    state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
+                      first.L_meas, first.P, ocfg)
+    state, results, _, _ = _observe(state, chain([first], map(preroll, range(1, n_pre))),
+                                    setup.dyn, ocfg)
+    last = results[-1]
     if scenario.kind == "displacement_tracking":
         # exercise the loop region before measuring (standard practice)
         period = CONDITION_CYCLES / scenario.frequency_hz
         n_cond = int(round(period / dts))
         t_cond = (np.arange(n_cond) + 1) * dts - period
-        for t, ref in zip(t_cond.tolist(), scenario.reference(t_cond).tolist()):
-            last = drive(plant, feedforward(ref), t)
-            state = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg)[0]
+        state, results, _, _ = _observe(
+            state, (drive(plant, feedforward(ref), t)
+                    for t, ref in zip(t_cond.tolist(), scenario.reference(t_cond).tolist())),
+            setup.dyn, ocfg)
+        last = results[-1] if results else last
     return _LoopStart(ocfg, plant, state, last, p_ff0)
 
 
 def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
               start: _LoopStart | None = None) -> dict:
     """The closed-loop engine: feedforward plus PID on ``mode``'s
-    feedback, with the observer stepping alongside the plant.
+    feedback, with the observer running alongside the plant.
 
     It runs from ``start`` (which it consumes), or from a loop it
-    settles itself (``_settle``).  Returns the logged channels ``t``,
-    ``reference``, ``F``, ``x``, ``F_hat``, ``x_hat`` and ``command``.
+    settles itself (``_settle``).  Each control period (the plant's
+    ``decimation_factor`` samples; the last may be shorter) sets the
+    command at its first sample from the estimates of the period before,
+    steps the plant through the period, then observes the period in one
+    call (``_observe``): the loop reads the estimates only at control
+    ticks.  Returns the logged channels ``t``, ``reference``, ``F``,
+    ``x``, ``F_hat``, ``x_hat`` and ``command``.
     """
     if start is None:
         start = _settle(scenario, setup)
     pcfg = setup.plant_cfg
     force_mode = scenario.kind == "force_tracking"
-    dts = 1.0 / pcfg.sensor_rate_hz
     dtc = 1.0 / pcfg.control_rate_hz
     sub = pcfg.decimation_factor
     gains = setup.gains_force if force_mode else setup.gains_disp
@@ -335,24 +380,25 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
 
     t_log = _log_times(scenario, pcfg.sensor_rate_hz)
     refs = scenario.reference(t_log)
+    times, ref_list = t_log.tolist(), refs.tolist()
     rows = []
     F_hat = state.F_hat
     x_hat = model.invert_dynamic_length(setup.dyn, F_hat, last.P)
-    p_cmd = start.p_ff0
-    for i, (t, ref) in enumerate(zip(t_log.tolist(), refs.tolist())):
-        if i % sub == 0:
-            dp = 0.0
-            if mode == "sensor_fb" and force_mode:
-                dp = pid_step(ctrl, ref - last.F_meas, gains, dtc)
-            elif mode == "sensor_fb":
-                x_meas = last.x + setup.sensor_noise_x * rng_x.standard_normal()
-                dp = pid_step(ctrl, x_meas - ref, gains, dtc)
-            elif mode == "self_sensing":
-                dp = pid_step(ctrl, ref - F_hat if force_mode else x_hat - ref, gains, dtc)
-            p_cmd = _clamp(feedforward(ref) + dp, 0.0, setup.p_max)
-        last = drive(plant, p_cmd, t)
-        state, F_hat, x_hat = obs.estimate_step(state, last.L_meas, last.P, setup.dyn, ocfg)
-        rows.append((last.F, last.x, F_hat, x_hat, p_cmd))
+    for i in range(0, len(times), sub):
+        ref = ref_list[i]
+        dp = 0.0
+        if mode == "sensor_fb" and force_mode:
+            dp = pid_step(ctrl, ref - last.F_meas, gains, dtc)
+        elif mode == "sensor_fb":
+            x_meas = last.x + setup.sensor_noise_x * rng_x.standard_normal()
+            dp = pid_step(ctrl, x_meas - ref, gains, dtc)
+        elif mode == "self_sensing":
+            dp = pid_step(ctrl, ref - F_hat if force_mode else x_hat - ref, gains, dtc)
+        p_cmd = _clamp(feedforward(ref) + dp, 0.0, setup.p_max)
+        state, results, F_seq, x_seq = _observe(
+            state, (drive(plant, p_cmd, t) for t in times[i:i + sub]), setup.dyn, ocfg)
+        rows.extend((r.F, r.x, F, x, p_cmd) for r, F, x in zip(results, F_seq, x_seq))
+        last, F_hat, x_hat = results[-1], F_seq[-1], x_seq[-1]
     log = np.array(rows).reshape(-1, 5).T
     return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"),
                     (t_log, refs, *log)))

@@ -17,35 +17,39 @@ iteration on the cost's derivative inside the best bracket; the
 continuity term is what disambiguates the two force preimages of a
 reading on a rising-then-falling curve.  The cost's first and second
 derivatives are closed-form from the same ``pow`` and ``exp`` terms as
-the map (``_cost_derivatives``), so the iteration converges in a few
-steps; a step that leaves the bracket, or a non-positive curvature, is
-replaced by bisection.  The config owns the map it inverts and bounds
-that map's terms over Newton's domain once (``_map_bound``), and the
-bracket is floored at ``ObserverConfig.F_floor`` > 0, so every
-derivative Newton takes is finite.
+the map, so the iteration converges in a few steps; a step that leaves
+the bracket, or a non-positive curvature, is replaced by bisection.  The
+config owns the map it inverts and bounds that map's terms over Newton's
+domain once (``_map_bound``), and the bracket is floored at
+``ObserverConfig.F_floor`` > 0, so every derivative Newton takes is
+finite.
 
-A sample is one frame of float arithmetic (``estimate_step``): the
-filter pair advances in one pass (``sig.step_pair``), the Kalman state
-is five Python floats (the mean and the three distinct covariance
-entries), predict and update are the 2x2 matrix products written out on
-them as plain left-to-right float arithmetic, and one state object is
-made per sample.  They are deterministic on every host; a BLAS matrix
-product, which may fuse multiply-adds, can differ from them in the last
-bit, and the tests bound that difference by the standard rounding-error
-bound of a dot product.  The one call inside the frame is the inversion
-(``solve_pseudo_measurement``).  It gathers the map's coefficients at
-the pressure, the reading, the prior and the weights into one tuple of
-floats, which the grid scan (``_grid_index``) and the Newton pass
-(``_cost_derivatives``) read on ``math.pow`` and ``math.exp``: no array
-is built, and no function object is made.  The scan costs each point in
-its own loop, with the map written out in ``model._inductance_at``'s
-order, the copy the plant evaluates, so it inverts the very bits of a
-noiseless reading; neither claims to agree with numpy's ``power`` and
-``exp`` in the last bit.  Every grid cost is at least its continuity
-term (w_dyn dF) dF, which grows with the distance from the prior, so
-the coarse grid is costed outward from the prior only until that term
-exceeds the least cost seen; a tracking sample costs a few grid points,
-not all of them.
+A call runs a sequence of samples in one frame of float arithmetic
+(``estimate_steps``): replay makes one call per recording, a closed
+loop one per control period.  The call reads the config's floats once
+and makes one state object; the Kalman state stays in five local floats
+(the mean and the three distinct covariance entries).  Per sample, the
+filter pair advances in one pass (``sig.step_pair``), and predict and
+update are the 2x2 matrix products written out on the floats as plain
+left-to-right float arithmetic.  They are deterministic on every host; a
+BLAS matrix product, which may fuse multiply-adds, can differ from them
+in the last bit, and the tests bound that difference by the standard
+rounding-error bound of a dot product.  The only other call of a sample
+is the inversion (``_invert``).  It takes one tuple of floats, the
+map's coefficients at the pressure, the reading, the prior and the
+weights, which the grid scan (``_grid_index``) and the Newton pass,
+written out in ``_invert`` with its derivatives, read on ``math.pow``
+and ``math.exp``: no array is built, and no function object is made.
+The scan costs each point in its own loop, with the map written out in
+``model._inductance_at``'s order, the copy the plant evaluates, so it
+inverts the very bits of a noiseless reading; neither claims to agree
+with numpy's ``power`` and ``exp`` in the last bit.  Every grid cost is
+at least its continuity term (w_dyn dF) dF, which grows with the
+distance from the prior, so the coarse grid is costed outward from the
+prior only until that term exceeds the least cost seen; a tracking
+sample costs a few grid points, not all of them.
+``solve_pseudo_measurement`` is the checked public entry to the same
+inversion.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ __all__ = [
     "median_force_gradient",
     "solve_pseudo_measurement",
     "reset",
-    "estimate_step",
+    "estimate_steps",
     "nearest_preimage",
     "run_estimation",
 ]
@@ -77,7 +81,7 @@ __all__ = [
 #: not go.  See ``make_observer_config``.
 NOISE_FLOOR_UH = 1e-3
 
-#: Most steps of one Newton refinement (``_newton``).  Bisection alone
+#: Most steps of one Newton refinement (``_invert``).  Bisection alone
 #: takes a bracket of two grid steps down to the floor of ``refine_tol``
 #: in at most 49 steps, at 16 grid points; the cap ends a pass whatever
 #: the tolerance.
@@ -101,7 +105,7 @@ class ObserverState:
 
     ``L_filter`` and ``P_filter`` are the inductance and pressure
     filters, copies of the config's ``filt`` that ``reset`` primes.  The
-    states ``estimate_step`` returns share them, and they advance in
+    states ``estimate_steps`` returns share them, and they advance in
     place; a state built without them cannot be stepped.
     """
 
@@ -137,8 +141,7 @@ class ObserverConfig:
 
     ``filt`` is the designed low-pass of the inductance and the pressure,
     a template that ``reset`` copies and nothing steps.  ``grid`` (the
-    coarse inversion grid, a tuple of floats), ``Q_entries``
-    (``Q`` as four floats, row by row) and ``F_floor`` (the floor of
+    coarse inversion grid, a tuple of floats) and ``F_floor`` (the floor of
     Newton's bracket) are derived, and the map is checked (``_map_bound``),
     on construction, so ``dataclasses.replace`` redoes both.  A fresh
     state's covariance is fixed (``reset``).  ``refine_tol`` must be at
@@ -156,7 +159,6 @@ class ObserverConfig:
     grid_points: int = 129
     refine_tol: float = 1e-5
     grid: tuple = field(init=False, repr=False, compare=False)
-    Q_entries: tuple = field(init=False, repr=False, compare=False)
     F_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -185,16 +187,15 @@ class ObserverConfig:
             raise ValueError("Q must be positive semidefinite")
         object.__setattr__(self, "grid", tuple(
             np.linspace(env.F_min, env.F_max, self.grid_points).tolist()))
-        object.__setattr__(self, "Q_entries", tuple(self.Q.ravel().tolist()))
 
 
 def _map_bound(ind: InductanceParams, env: OperatingEnvelope, F_floor: float) -> float:
-    """The sum of the largest magnitudes of ``_cost_derivatives``'s map
-    terms (F**l2, F**l4, exp(l3 F**l4), 1 / (F F), m, l5, u, the
-    polynomial in u of L'', L' and L'') over F in [F_floor, F_max] and the
-    envelope's pressures; EnvelopeError unless l2, l4 > 0 at both ends of
-    the pressure range, so on all of it.  Derived, not sampled: the
-    coefficients are linear in P, F**l (l > 0) rises with F and is
+    """The sum of the largest magnitudes of the map terms of Newton's
+    derivatives in ``_invert`` (F**l2, F**l4, exp(l3 F**l4), 1 / (F F), m,
+    l5, u, the polynomial in u of L'', L' and L'') over F in [F_floor,
+    F_max] and the envelope's pressures; EnvelopeError unless l2, l4 > 0 at
+    both ends of the pressure range, so on all of it.  Derived, not
+    sampled: the coefficients are linear in P, F**l (l > 0) rises with F and is
     monotone in l, so each factor's extremes, and those of l3 F**l4, lie
     at corners; a product of the factors' extremes bounds the product.
     """
@@ -286,74 +287,11 @@ def reset(F0: float, L0: float, P0: float, cfg: ObserverConfig) -> ObserverState
                          sig.prime(cfg.filt.copy(), L0), sig.prime(cfg.filt.copy(), P0))
 
 
-def _cost_derivatives(F: float, args: tuple) -> tuple:
-    """The first two derivatives of the map and of the inversion cost at
-    one float force F > 0, on the sample's cost tuple ``args`` = ``(L_meas,
-    prior_F, l1, ..., l5, w_fit, w_dyn, w_reg, gamma)``: ``(L', L'', C',
-    C'')``, all finite for F in [``F_floor``, F_max] on a map a config
-    accepts (``_map_bound``).
-
-    With m = l1 F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, L' = m u / F
-    and L'' = m (u u - u + l3 l4 l4 F**l4) / (F F).  With r = m + l5 -
-    L_meas and d = F - prior_F, the cost's derivatives are C' = 2 w_fit r
-    L' + 2 w_dyn d + 2 w_reg gamma d q q and C'' = 2 w_fit (L' L' + r L'')
-    + 2 w_dyn + 2 w_reg gamma (1 - 3 gamma d d) q q q, where q = 1 / (1 +
-    gamma d d).  ``math`` exceptions propagate, and no value is mapped.
-    """
-    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
-    F_l4 = math.pow(F, l4)
-    m = l1 * math.pow(F, l2) * math.exp(l3 * F_l4)
-    u = l2 + l3 * l4 * F_l4
-    d1 = m * u / F
-    d2 = m * (u * u - u + l3 * l4 * l4 * F_l4) / (F * F)
-    r = m + l5 - L_meas
-    dF = F - prior_F
-    q = 1.0 / (1.0 + gamma * dF * dF)
-    rq = w_reg * gamma * q * q
-    return (d1, d2,
-            2.0 * (w_fit * r * d1 + w_dyn * dF + rq * dF),
-            2.0 * (w_fit * (d1 * d1 + r * d2) + w_dyn
-                   + rq * q * (1.0 - 3.0 * gamma * dF * dF)))
-
-
-def _newton(derivatives, args, a: float, b: float, x: float, tol: float) -> float:
-    """Minimizer of a cost on [a, b] by safeguarded Newton on its
-    derivative, from x in [a, b]; ``derivatives(F, args)`` is
-    ``_cost_derivatives``.
-
-    The sign of C'(x) moves one end of the bracket to x.  The Newton step
-    -C'/C'' is taken when C'' > 0 and it lands strictly inside the
-    bracket; otherwise the bracket is bisected.  The pass ends on C' = 0,
-    on a Newton step shorter than tol / 2, or once the bracket is
-    narrower than tol, and after ``_MAX_NEWTON_STEPS`` steps whatever the
-    tolerance.  Raises FloatingPointError on a non-finite derivative.
-    """
-    half_tol = 0.5 * tol
-    for _ in range(_MAX_NEWTON_STEPS):
-        _, _, g, h = derivatives(x, args)
-        if not (math.isfinite(g) and math.isfinite(h)):
-            raise FloatingPointError(f"non-finite cost derivative at F={x!r}")
-        if g > 0.0:
-            b = x
-        elif g < 0.0:
-            a = x
-        else:
-            return x
-        step = g / h if h > 0.0 else math.inf
-        if a < x - step < b:
-            if abs(step) < half_tol or b - a < tol:
-                return x - step
-            x -= step
-        else:
-            x = 0.5 * (a + b)
-            if b - a < tol:
-                return x
-    return x
-
-
 def _grid_index(grid: tuple, args: tuple) -> int:
     """Index of the first least inversion cost on ``grid``, NaNs skipped,
-    for the sample's cost tuple ``args`` (``_cost_derivatives``).
+    for the sample's cost tuple ``args`` = ``(L_meas, prior_F, l1, ..., l5,
+    w_fit, w_dyn, w_reg, gamma)``: the reading, the prior, the map's
+    coefficients at the sample's pressure and the cost weights.
 
     A point's cost is w_fit r r + w_dyn dF dF + w_reg (1 - 1 / (1 + gamma
     dF dF)), for dF = F - prior_F and the residual r = l1 F**l2 exp(l3
@@ -402,21 +340,91 @@ def _grid_index(grid: tuple, args: tuple) -> int:
     return best_j
 
 
+def _invert(grid: tuple, args: tuple, F_floor: float, tol: float) -> float:
+    """Force minimizing the inversion cost of one sample, for its cost
+    tuple ``args`` (``_grid_index``): the scan's winner on ``grid``,
+    refined by a safeguarded Newton pass on the cost's derivative.
+
+    The bracket is the two grid steps around the winner, its lower end
+    floored at ``F_floor``; the pass starts at the winner, or at the
+    bracket's middle when the winner lies below the floor.  With m = l1
+    F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, the map's derivatives are
+    L' = m u / F and L'' = m (u u - u + l3 l4 l4 F**l4) / (F F).  With r = m
+    + l5 - L_meas, d = F - prior_F and q = 1 / (1 + gamma d d), the cost's
+    are C' = 2 w_fit r L' + 2 w_dyn d + 2 w_reg gamma d q q and C'' = 2
+    w_fit (L' L' + r L'') + 2 w_dyn + 2 w_reg gamma (1 - 3 gamma d d) q q q,
+    written out in the loop on ``math.pow`` and ``math.exp``, and all finite
+    on [``F_floor``, F_max] for a map a config accepts (``_map_bound``).
+    The products l3 l4, l3 l4 l4, w_reg gamma and 3 gamma are taken once,
+    each the left part of a left-to-right product, so the floats are those
+    of the formulas.  The sign of C' moves one end of the bracket to the
+    iterate.  The Newton step -C'/C'' is taken when C'' > 0 and it lands
+    strictly inside the bracket; otherwise the bracket is bisected.  The
+    pass ends on C' = 0, on a Newton step shorter than tol / 2, or once the
+    bracket is narrower than tol, and after ``_MAX_NEWTON_STEPS`` steps
+    whatever the tolerance.  FloatingPointError on a non-finite C' or C'';
+    ``math`` exceptions propagate.
+    """
+    i = _grid_index(grid, args)
+    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
+    n = len(grid)
+    a = grid[i - 1] if i else grid[0]
+    if F_floor > a:
+        a = F_floor
+    b = grid[i + 1] if i + 1 < n else grid[n - 1]
+    x = grid[i] if grid[i] >= a else 0.5 * (a + b)
+    pow_, exp, isfinite = math.pow, math.exp, math.isfinite
+    l34, wg, g3 = l3 * l4, w_reg * gamma, 3.0 * gamma
+    l344 = l34 * l4
+    half_tol = 0.5 * tol
+    for _ in range(_MAX_NEWTON_STEPS):
+        F_l4 = pow_(x, l4)
+        m = l1 * pow_(x, l2) * exp(l3 * F_l4)
+        u = l2 + l34 * F_l4
+        d1 = m * u / x
+        d2 = m * (u * u - u + l344 * F_l4) / (x * x)
+        r = m + l5 - L_meas
+        dF = x - prior_F
+        q = 1.0 / (1.0 + gamma * dF * dF)
+        rq = wg * q * q
+        g = 2.0 * (w_fit * r * d1 + w_dyn * dF + rq * dF)
+        h = 2.0 * (w_fit * (d1 * d1 + r * d2) + w_dyn + rq * q * (1.0 - g3 * dF * dF))
+        if not (isfinite(g) and isfinite(h)):
+            raise FloatingPointError(f"non-finite cost derivative at F={x!r}")
+        if g > 0.0:
+            b = x
+        elif g < 0.0:
+            a = x
+        else:
+            return x
+        step = g / h if h > 0.0 else math.inf
+        if a < x - step < b:
+            if abs(step) < half_tol or b - a < tol:
+                return x - step
+            x -= step
+        else:
+            x = 0.5 * (a + b)
+            if b - a < tol:
+                return x
+    return x
+
+
 def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
                              cfg: ObserverConfig) -> float:
     """Force minimizing the inversion cost of ``cfg.ind`` over the feasible interval.
 
-    The map's five coefficients at P (``model._coeffs``'s products and
-    sums), the reading, the prior and ``cfg.weights`` make the sample's
-    cost tuple.  A coarse global scan (``grid_points`` samples) picks the
-    basin; a safeguarded Newton iteration on the cost's derivative refines
-    it inside the winning bracket, the two grid steps around the winner,
-    floored at ``cfg.F_floor``, to ``refine_tol`` (``_newton``).  The
-    result lies in that bracket, so inside the interval; an edge minimum
-    is returned within ``refine_tol`` of it, not raised.  The scan's
-    winner is the first least grid cost, NaNs skipped (``_grid_index``).
-    EnvelopeError for P outside the envelope, ValueError for a
-    non-finite prior.
+    The checked entry to the inversion (``_invert``, which
+    ``estimate_steps`` calls directly): the map's five coefficients at P
+    (``model._coeffs``'s products and sums), the reading, the prior and
+    ``cfg.weights`` make the sample's cost.  A coarse global scan
+    (``grid_points`` samples) picks the basin; a safeguarded Newton
+    iteration on the cost's derivative refines it inside the winning
+    bracket, the two grid steps around the winner, floored at
+    ``cfg.F_floor``, to ``refine_tol``.  The result lies in that bracket,
+    so inside the interval; an edge minimum is returned within
+    ``refine_tol`` of it, not raised.  The scan's winner is the first least
+    grid cost, NaNs skipped.  EnvelopeError for P outside the envelope,
+    ValueError for a non-finite prior.
     """
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
@@ -426,77 +434,96 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     w = cfg.weights
     args = (L_meas, prior_F, p0 * P + p1, p2 * P + p3, p4 * P + p5, p6 * P + p7, p8 * P + p9,
             w.w_fit, w.w_dyn, w.w_reg, w.gamma)
-    grid = cfg.grid
-    i = _grid_index(grid, args)
-    a = max(grid[max(i - 1, 0)], cfg.F_floor)
-    b = grid[min(i + 1, cfg.grid_points - 1)]
-    x = grid[i] if grid[i] >= a else 0.5 * (a + b)
-    return _newton(_cost_derivatives, args, a, b, x, cfg.refine_tol)
+    return _invert(cfg.grid, args, cfg.F_floor, cfg.refine_tol)
 
 
-def estimate_step(state: ObserverState, L_raw: float, P: float,
-                  dyn: DynamicParams, cfg: ObserverConfig):
-    """One full observer cycle on a raw sample, in one frame.
+def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: ObserverConfig):
+    """The observer over a sequence of raw samples, in one frame.
 
-    Returns ``(state, F_hat, x_hat)``; the raw pressure must lie in the
-    envelope.  The reading and the pressure pass through the state's
-    filters (``reset`` primes them), so that the map is inverted at a
-    time-matched (L, P) pair, and the filtered pressure is clamped to the
-    envelope, since the filter overshoots on steps.  The predict (mean A
-    m and covariance A C A^T + Q for A = [[1, dt], [0, 1]]; the
-    off-diagonal is half the sum of the two, as ``0.5 * (C + C.T)`` is)
-    and the scalar Joseph-form update of the force, (I - K H) C (I - K
-    H)^T + K K^T R, are written out on floats, each operation rounded
-    once, in the order of numpy's products.  Between them the prior force,
-    clamped to the envelope, is inverted (``solve_pseudo_measurement``).
-    Length is inferred from ``F_hat`` through the affine force model at
-    the raw pressure, the one acting now.  The clamps keep the value on a
-    tie and let NaN through, as ``min(max(v, lo), hi)`` does.  The filters
-    advance in place and pass on to the returned state, the one object
-    made per sample.
+    ``L_raw`` and ``P`` are equal-length sequences of readings and raw
+    pressures; returns ``(state, F_hat, x_hat)``, the state after the last
+    sample and a list of each estimate per sample.  Each sample is one
+    observer cycle.  The raw pressure must lie in the envelope.  The
+    reading and the pressure pass through the state's filters (``reset``
+    primes them), so that the map is inverted at a time-matched (L, P)
+    pair, and the filtered pressure is clamped to the envelope, since the
+    filter overshoots on steps.  The predict (mean A m and covariance A C
+    A^T + Q for A = [[1, dt], [0, 1]]; the off-diagonal is half the sum of
+    the two, as ``0.5 * (C + C.T)`` is) and the scalar Joseph-form update of
+    the force, (I - K H) C (I - K H)^T + K K^T R, are written out on floats,
+    each operation rounded once, in the order of numpy's products.  Between
+    them the prior force, clamped to the envelope, is inverted
+    (``_invert``, at the map's coefficients at the filtered pressure).
+    Length is inferred from the force estimate through the affine force
+    model at the raw pressure, the one acting now.  The clamps keep the
+    value on a tie and let NaN through, as ``min(max(v, lo), hi)`` does.
+
+    The config's floats and ``dyn``'s are read once per call, the Kalman
+    mean and covariance stay in locals, the filters advance in place and
+    pass on to the returned state, the one object made per call.  A
+    sample's errors are those of the per-sample checks, raised at that
+    sample: EnvelopeError for a raw pressure outside the envelope
+    (``check_P``), the checked inversion's errors
+    (``solve_pseudo_measurement``) for a NaN filtered pressure or prior,
+    ValueError when every grid cost is NaN, and DegenerateModelError for a
+    stiffness below ``model.STIFFNESS_EPS``.  Cutting a sequence into
+    pieces and chaining the states gives the same bits as one call.
     """
-    env = cfg.envelope
-    env.check_P(P)
+    if len(L_raw) != len(P):
+        raise ValueError(f"{len(L_raw)} readings against {len(P)} pressures")
+    dt, R, env, w = cfg.dt, cfg.R, cfg.envelope, cfg.weights
+    q00, q01, q10, q11 = cfg.Q.ravel().tolist()
+    P_lo, P_hi, F_lo, F_hi = env.P_min, env.P_max, env.F_min, env.F_max
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
+    w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
+    grid, F_floor, tol = cfg.grid, cfg.F_floor, cfg.refine_tol
+    k, x0, c = dyn.k, dyn.x0, dyn.c
+    stiff = abs(k) >= model.STIFFNESS_EPS
+    step_pair, invert = sig.step_pair, _invert
     L_filt, P_filt = state.L_filter, state.P_filter
-    L_f, P_f = sig.step_pair(L_filt, P_filt, L_raw, P)
-    lo, hi = env.P_min, env.P_max
-    P_f = lo if P_f < lo else hi if P_f > hi else P_f
-    # predict
-    dt = cfg.dt
-    q00, q01, q10, q11 = cfg.Q_entries
-    Fdot = state.Fdot_hat
-    c01, c11 = state.cov_F_Fdot, state.var_Fdot
-    ac00 = state.var_F + dt * c01   # (A C)[0, 0]
-    ac01 = c01 + dt * c11           # (A C)[0, 1], and (A C A^T)[1, 0]
-    F = state.F_hat + dt * Fdot
-    p00 = ac00 + ac01 * dt + q00
-    p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
-    p11 = c11 + q11
-    lo, hi = env.F_min, env.F_max
-    F_star = solve_pseudo_measurement(L_f, P_f, lo if F < lo else hi if F > hi else F, cfg)
-    # update
-    R = cfg.R
-    S = p00 + R
-    k0 = p00 / S
-    k1 = p01 / S
-    innovation = F_star - F
-    a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
-    b = 0.0 - k1
-    t00 = a * p00             # (I - K H) C
-    t01 = a * p01
-    t10 = b * p00 + p01
-    F_hat = F + k0 * innovation
-    post = ObserverState(
-        F_hat, Fdot + k1 * innovation,
-        t00 * a + k0 * k0 * R,
-        0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R)),
-        t10 * b + (b * p01 + p11) + k1 * k1 * R,
-        L_filt, P_filt)
-    k = dyn.k
-    if abs(k) < model.STIFFNESS_EPS:
-        raise model.DegenerateModelError(f"stiffness {k} below {model.STIFFNESS_EPS}, "
-                                         f"cannot invert")
-    return post, F_hat, dyn.x0 + (F_hat - dyn.c * P) / k
+    F, Fdot = state.F_hat, state.Fdot_hat
+    c00, c01, c11 = state.var_F, state.cov_F_Fdot, state.var_Fdot
+    F_hat, x_hat = [], []
+    add_F, add_x = F_hat.append, x_hat.append
+    for L, p in zip(L_raw, P):
+        if not P_lo <= p <= P_hi:
+            env.check_P(p)   # raises
+        L_f, P_f = step_pair(L_filt, P_filt, L, p)
+        P_f = P_lo if P_f < P_lo else P_hi if P_f > P_hi else P_f
+        # predict
+        ac00 = c00 + dt * c01   # (A C)[0, 0]
+        ac01 = c01 + dt * c11   # (A C)[0, 1], and (A C A^T)[1, 0]
+        F += dt * Fdot
+        p00 = ac00 + ac01 * dt + q00
+        p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
+        p11 = c11 + q11
+        prior = F_lo if F < F_lo else F_hi if F > F_hi else F
+        if P_f != P_f or prior != prior:   # NaN: the clamps let it through
+            solve_pseudo_measurement(L_f, P_f, prior, cfg)   # raises
+        F_star = invert(grid, (L_f, prior, p0 * P_f + p1, p2 * P_f + p3, p4 * P_f + p5,
+                               p6 * P_f + p7, p8 * P_f + p9, w_fit, w_dyn, w_reg, gamma),
+                        F_floor, tol)
+        # update
+        S = p00 + R
+        k0 = p00 / S
+        k1 = p01 / S
+        innovation = F_star - F
+        a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
+        b = 0.0 - k1
+        t00 = a * p00             # (I - K H) C
+        t01 = a * p01
+        t10 = b * p00 + p01
+        F += k0 * innovation
+        Fdot += k1 * innovation
+        c00 = t00 * a + k0 * k0 * R
+        c01 = 0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R))
+        c11 = t10 * b + (b * p01 + p11) + k1 * k1 * R
+        if not stiff:
+            raise model.DegenerateModelError(f"stiffness {k} below {model.STIFFNESS_EPS}, "
+                                             f"cannot invert")
+        add_F(F)
+        add_x(x0 + (F - c * p) / k)
+    return ObserverState(F, Fdot, c00, c01, c11, L_filt, P_filt), F_hat, x_hat
 
 
 def nearest_preimage(L_meas: float, P: float, cfg: ObserverConfig) -> float:
@@ -517,14 +544,11 @@ def run_estimation(dataset, dyn: DynamicParams, cfg: ObserverConfig) -> dict:
     The state starts at the first row: at the force whose modeled
     inductance matches that reading (``nearest_preimage``, a point of
     the envelope), with its filters primed at the row's reading and
-    pressure (``reset``).  Returns arrays ``F_hat`` and ``x_hat`` aligned
-    with the dataset.
+    pressure (``reset``).  The whole recording then goes through one
+    ``estimate_steps`` call.  Returns arrays ``F_hat`` and ``x_hat``
+    aligned with the dataset.
     """
     L0, P0 = float(dataset.L[0]), float(dataset.P[0])
     state = reset(nearest_preimage(L0, P0, cfg), L0, P0, cfg)
-    F_hat, x_hat = [], []
-    for L, P in zip(dataset.L.tolist(), dataset.P.tolist()):
-        state, F, x = estimate_step(state, L, P, dyn, cfg)
-        F_hat.append(F)
-        x_hat.append(x)
+    _, F_hat, x_hat = estimate_steps(state, dataset.L.tolist(), dataset.P.tolist(), dyn, cfg)
     return {"F_hat": np.array(F_hat), "x_hat": np.array(x_hat)}

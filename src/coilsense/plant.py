@@ -517,6 +517,14 @@ class Plant:
 # ---------------------------------------------------------------------------
 # Scenarios
 
+#: The float fields of a ``Scenario``, lengths (m) first, that must be
+#: finite (every entry, for a tuple field).  A dataset run reads them in
+#: its commands, a closed loop in its feedforward and reference.
+_LENGTH_FIELDS = ("x_low", "x_high", "hold_x", "x_levels")
+_VALUE_FIELDS = ("amplitude", "frequency_hz", "center", "load", "p_levels", "p_cycle_max",
+                 "p_cycle_step", "p_cmd", "event_magnitudes", "event_ramp_s")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Protocol record for one experiment or control run.
@@ -556,11 +564,12 @@ class Scenario:
         if not 0.0 < self.total_duration_s < math.inf:
             raise ValueError(f"scenario duration must be positive and finite, "
                              f"got {self.total_duration_s} s")
-        lengths = (self.x_low, self.x_high, self.hold_x, *self.x_levels)
-        if not all(math.isfinite(v) for v in lengths if v is not None):
-            raise ValueError(f"scenario lengths must be finite, got x_low={self.x_low}, "
-                             f"x_high={self.x_high}, hold_x={self.hold_x}, "
-                             f"x_levels={self.x_levels}")
+        for name in _LENGTH_FIELDS + _VALUE_FIELDS:
+            value = getattr(self, name)
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if not all(math.isfinite(v) for v in values if v is not None):
+                what = "lengths" if name in _LENGTH_FIELDS else "values"
+                raise ValueError(f"scenario {what} must be finite, got {name}={value}")
 
     @property
     def total_duration_s(self) -> float:

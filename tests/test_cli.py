@@ -317,6 +317,34 @@ class TestSimulateTrackPerturb:
         ds = ident.read_csv(os.path.join(out, "cyclic_estimation.csv"))
         assert len(ds) == 14 * 200
 
+    def test_narrowed_envelope_runs_every_command(self, tmp_path):
+        # the loops' pressure limit follows the envelope unless it is set,
+        # so a config that only narrows the envelope runs every command
+        cfg = {"envelope": {"P_max": 0.6},
+               "scenarios": [{"kind": "cyclic_estimation", "cycle_period_s": 2.0},
+                             {"kind": "force_tracking", "duration_s": 2.0}]}
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(cfg, open(cfg_path, "w"))
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", cfg_path, "--out", out, "simulate"]) == 0
+        # the rows before the cycle's pressure first leaves the envelope
+        rows = open(os.path.join(out, "cyclic_estimation.csv")).read().splitlines()
+        low = [rows[0]]
+        for row in rows[1:]:
+            if float(row.split(",")[1]) > 0.6:
+                break
+            low.append(row)
+        assert 1000 < len(low) < len(rows)
+        data = tmp_path / "low.csv"
+        data.write_text("\n".join(low) + "\n")
+        assert cli.main(["--config", cfg_path, "--out", out, "estimate",
+                         "--data", str(data)]) == 0
+        assert cli.main(["--config", cfg_path, "--out", out, "track"]) == 0
+        for mode in ("open_loop", "sensor_fb", "self_sensing"):
+            run = np.genfromtxt(os.path.join(out, f"force_sine_0.2Hz_{mode}.csv"),
+                                delimiter=",", names=True)
+            assert 0.0 < run["command"].max() <= 0.6
+
     def test_unknown_scenario_kind_fails_before_output(self, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump({"scenarios": [{"kind": "nonsense"}]}, open(cfg_path, "w"))
@@ -491,6 +519,22 @@ class TestSimulateTrackPerturb:
          "scenario lengths must be finite"),
         ({"scenarios": [{"kind": "load_perturbation", "hold_x": math.nan}]},
          "scenario lengths must be finite"),
+        # a non-finite value in any other float field is refused too, and named
+        ({"scenarios": [{"kind": "load_perturbation", "p_cmd": math.nan}]},
+         "scenario values must be finite, got p_cmd=nan"),
+        ({"scenarios": [{"kind": "displacement_tracking", "center": math.nan,
+                         "duration_s": 5.0}]}, "scenario values must be finite, got center=nan"),
+        ({"scenarios": [{"kind": "load_perturbation", "magnitudes": [0.2, math.inf]}]},
+         "got event_magnitudes=(0.2, inf)"),
+        ({"scenarios": [{"kind": "force_tracking", "amplitude": -math.inf}]},
+         "got amplitude=-inf"),
+        ({"scenarios": [{"kind": "load_perturbation", "load": math.nan}]}, "got load=nan"),
+        ({"scenarios": [{"kind": "load_perturbation", "ramp_s": math.nan}]},
+         "got event_ramp_s=nan"),
+        # the loops' pressure limit must lie in the envelope, where the observer reads it
+        ({"controller": {"p_max": 0.9}},
+         "controller: p_max 0.9 MPa outside the envelope's pressures [0.0, 0.65]"),
+        ({"controller": {"p_max": -0.1}}, "controller: p_max -0.1 MPa outside"),
         ({"plant": {"sensor_rate_hz": 1e12, "control_rate_hz": 1e12},
           "filter": {"cutoff_hz": 1e10},
           "scenarios": [{"kind": "load_perturbation"}]}, "a run may step")],
@@ -504,13 +548,34 @@ class TestSimulateTrackPerturb:
              "nanohertz_force_tracking", "slow_disp_tracking", "long_cycles",
              "huge_calibration_cycles", "infinite_perturbation", "nan_calibration_length",
              "infinite_calibration_length", "infinite_isometric_length", "nan_hold_length",
-             "terahertz_plant"])
+             "nan_command_pressure", "nan_reference_center", "infinite_load_event",
+             "infinite_amplitude", "nan_load", "nan_event_ramp", "p_max_above_envelope",
+             "negative_p_max", "terahertz_plant"])
     def test_config_rejected_before_output(self, tmp_path, capsys, doc, key):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump(doc, open(cfg_path, "w"))
         out = tmp_path / "out"
         assert cli.main(["--config", cfg_path, "--out", str(out), "simulate"]) == cli.EXIT_USAGE
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "perturb"])
+    @pytest.mark.parametrize("doc,key", [
+        ({"scenarios": [{"kind": "load_perturbation", "p_cmd": math.nan}]}, "p_cmd=nan"),
+        ({"scenarios": [{"kind": "displacement_tracking", "center": math.nan,
+                         "duration_s": 5.0}]}, "center=nan"),
+        ({"controller": {"p_max": 0.9},
+          "scenarios": [{"kind": "force_tracking", "center": 2.1, "amplitude": 0.25}]},
+         "p_max 0.9 MPa outside")], ids=["nan_p_cmd", "nan_center", "p_max_above_envelope"])
+    def test_loop_config_rejected_before_output(self, tmp_path, capsys, command, doc, key):
+        # each used to run: a loop ignored the field, or blamed the map or the
+        # observer's pressure check mid-run
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(doc, open(cfg_path, "w"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg_path, "--out", str(out), command]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["track", "perturb"])

@@ -176,6 +176,151 @@ class TestRunTracking:
             control.run_tracking(plant.Scenario.cyclic_estimation(), "open_loop", setup0)
 
 
+def sample_step(state, L, P, dyn, ocfg):
+    """The observer on one sample, as ``(state, F_hat, x_hat)``."""
+    state, F_hat, x_hat = control.obs.estimate_steps(state, [L], [P], dyn, ocfg)
+    return state, F_hat[0], x_hat[0]
+
+
+def reference_loop(scenario, mode, setup):
+    """The closed-loop engine with the observer stepped after each plant
+    sample: ``control._settle`` and ``control._run_loop`` as they were
+    before a control period went through the observer in one call."""
+    pcfg = setup.plant_cfg
+    force_mode = scenario.kind == "force_tracking"
+    dts = 1.0 / pcfg.sensor_rate_hz
+    n_pre = int(round(control.PREROLL_S / dts))
+    ocfg = control.observer_config(setup, pcfg.ind, dts)
+    feedforward, drive = control._drivers(scenario, setup)
+    F0 = float(scenario.reference(0.0)) if force_mode else scenario.load
+    p_ff0 = feedforward(float(scenario.reference(0.0)))
+    plant_ = plant.Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
+    ramp_n = max(1, int(round(2.0 / dts)))
+    state = last = None
+    for i in range(n_pre):
+        if force_mode:
+            frac = min(1.0, (i + 1) / ramp_n)
+            x_cmd = pcfg.dyn.x0 + frac * (scenario.hold_x - pcfg.dyn.x0)
+            last = plant_.step(p_ff0, dts, x_cmd=x_cmd)
+        else:
+            last = drive(plant_, p_ff0, 0.0)
+        if state is None:
+            state = control.obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
+                                      last.L_meas, last.P, ocfg)
+        state = sample_step(state, last.L_meas, last.P, setup.dyn, ocfg)[0]
+    if scenario.kind == "displacement_tracking":
+        period = control.CONDITION_CYCLES / scenario.frequency_hz
+        n_cond = int(round(period / dts))
+        t_cond = (np.arange(n_cond) + 1) * dts - period
+        for t, ref in zip(t_cond.tolist(), scenario.reference(t_cond).tolist()):
+            last = drive(plant_, feedforward(ref), t)
+            state = sample_step(state, last.L_meas, last.P, setup.dyn, ocfg)[0]
+
+    dtc = 1.0 / pcfg.control_rate_hz
+    sub = pcfg.decimation_factor
+    gains = setup.gains_force if force_mode else setup.gains_disp
+    ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
+    rng_x = np.random.default_rng([pcfg.seed, 77])
+    t_log = control._log_times(scenario, pcfg.sensor_rate_hz)
+    refs = scenario.reference(t_log)
+    rows = []
+    F_hat = state.F_hat
+    x_hat = control.model.invert_dynamic_length(setup.dyn, F_hat, last.P)
+    p_cmd = p_ff0
+    for i, (t, ref) in enumerate(zip(t_log.tolist(), refs.tolist())):
+        if i % sub == 0:
+            dp = 0.0
+            if mode == "sensor_fb" and force_mode:
+                dp = pid_step(ctrl, ref - last.F_meas, gains, dtc)
+            elif mode == "sensor_fb":
+                x_meas = last.x + setup.sensor_noise_x * rng_x.standard_normal()
+                dp = pid_step(ctrl, x_meas - ref, gains, dtc)
+            elif mode == "self_sensing":
+                dp = pid_step(ctrl, ref - F_hat if force_mode else x_hat - ref, gains, dtc)
+            p_cmd = control._clamp(feedforward(ref) + dp, 0.0, setup.p_max)
+        last = drive(plant_, p_cmd, t)
+        state, F_hat, x_hat = sample_step(state, last.L_meas, last.P, setup.dyn, ocfg)
+        rows.append((last.F, last.x, F_hat, x_hat, p_cmd))
+    log = np.array(rows).reshape(-1, 5).T
+    return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"),
+                    (t_log, refs, *log)))
+
+
+class TestPeriodCalls:
+    @pytest.mark.parametrize("scn", [
+        short_force_scenario(duration_s=20.03),
+        plant.Scenario.displacement_tracking(frequency_hz=0.2, duration_s=20.03),
+        plant.Scenario.load_perturbation(duration_s=20.03)],
+        ids=["force", "displacement", "perturbation"])
+    def test_equals_stepping_the_observer_per_sample(self, setup0, scn):
+        # 2003 logged samples at 5 a control period: the last period holds
+        # 3; every logged channel in every bit, in each mode
+        modes = ("self_sensing",) if scn.kind == "load_perturbation" else control.MODES
+        for mode in modes:
+            got = control._run_loop(scn, mode, setup0)
+            want = reference_loop(scn, mode, setup0)
+            assert len(got["t"]) == 2003 and len(got["t"]) % setup0.plant_cfg.decimation_factor == 3
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (mode, name)
+
+    def test_one_call_per_control_period(self, setup0, monkeypatch):
+        # the pre-roll, the conditioning cycle and then each control period
+        # go through the observer in one call each
+        steps, sizes = control.obs.estimate_steps, []
+
+        def counted(state, L_raw, P, dyn, cfg):
+            sizes.append(len(P))
+            return steps(state, L_raw, P, dyn, cfg)
+
+        monkeypatch.setattr(control.obs, "estimate_steps", counted)
+        scn = plant.Scenario.displacement_tracking(frequency_hz=0.5, duration_s=4.03)
+        control._run_loop(scn, "self_sensing", setup0)
+        assert sizes == [300, 200] + [5] * 80 + [3]
+
+    def test_plant_error_comes_after_the_observed_samples(self, setup0):
+        # a plant step that raises inside a stretch: the samples before it
+        # are observed first, so an observer error among them is the one
+        # raised, as when each sample was observed as it came
+        ocfg = control.observer_config(setup0, setup0.plant_cfg.ind, 0.01)
+        good = plant.StepResult(0.0, 0.3, 0.12, 1.0, 4.9, 4.9, 1.0)
+        bad = plant.StepResult(0.01, 0.3, 0.12, 1.0, 4.9, math.nan, 1.0)
+
+        def steps(results):
+            yield from results
+            raise plant.IsotonicInfeasibleError("the plant's error")
+
+        state = control.obs.reset(1.0, 4.9, 0.3, ocfg)
+        with pytest.raises(ValueError, match="All-NaN"):
+            control._observe(state, steps([good, bad]), setup0.dyn, ocfg)
+        # with no observer error, the plant's, after its samples are observed
+        state, twin = (control.obs.reset(1.0, 4.9, 0.3, ocfg) for _ in range(2))
+        twin = control.obs.estimate_steps(twin, [4.9], [0.3], setup0.dyn, ocfg)[0]
+        with pytest.raises(plant.IsotonicInfeasibleError, match="the plant's error"):
+            control._observe(state, steps([good]), setup0.dyn, ocfg)
+        assert state.L_filter.zi.tobytes() == twin.L_filter.zi.tobytes()
+        assert state.P_filter.zi.tobytes() == twin.P_filter.zi.tobytes()
+
+
+class TestSetup:
+    @pytest.mark.parametrize("p_max", [0.66, -0.01, math.nan])
+    def test_p_max_outside_the_envelope_rejected(self, p_max):
+        with pytest.raises(ValueError, match="p_max"):
+            TrackingSetup(plant_cfg=plant.default_plant_config(seed=0), p_max=p_max)
+
+    @pytest.mark.parametrize("p_max", [0.0, 0.4, 0.65])
+    def test_p_max_inside_the_envelope_accepted(self, p_max):
+        setup = TrackingSetup(plant_cfg=plant.default_plant_config(seed=0), p_max=p_max)
+        assert setup.p_max == p_max
+
+    @pytest.mark.parametrize("P_max", [0.6, 0.65, 0.8])
+    def test_unset_p_max_is_the_envelope_top(self, P_max):
+        # a config that only narrows or widens the envelope keeps a valid setup
+        from dataclasses import replace
+        pcfg = plant.default_plant_config(seed=0)
+        pcfg = replace(pcfg, envelope=replace(pcfg.envelope, P_max=P_max))
+        assert TrackingSetup(plant_cfg=pcfg).p_max == P_max
+
+
 class TestPerturbation:
     def test_estimation_stats_present(self, setup0):
         scn = plant.Scenario.load_perturbation(duration_s=20.0,

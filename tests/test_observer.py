@@ -52,12 +52,19 @@ U = 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
-# The layered observer step, the oracle of ``estimate_step``: a filter step
-# per channel, predict, the inversion (a scan calling the cost, which calls
-# the map, per grid point) and update, each its own function building its
-# own state.  ``estimate_step`` equals ``layered_step`` in every bit
-# (``TestOneFrameStep``), so the tests of ``layered_predict`` and
-# ``layered_update`` below hold for the step's arithmetic.
+# The oracles of ``estimate_steps``, each one sample a call.
+#
+# ``layered_step`` is the layered observer step: a filter step per channel,
+# predict, the inversion (a scan calling the cost, which calls the map, per
+# grid point, then ``newton`` calling ``cost_derivatives``) and update, each
+# its own function building its own state.  ``frame_step`` is the one-frame
+# step that ``estimate_steps`` replaced, with ``newton`` and
+# ``cost_derivatives``, the Newton pass and derivatives it called, all
+# copied verbatim; its inversion is ``layered_solve``.  ``estimate_steps``
+# equals both in every bit, however a run is cut into calls
+# (``TestOneFrameStep``), so the tests of ``layered_predict``,
+# ``layered_update``, ``newton`` and ``cost_derivatives`` below hold for
+# its arithmetic.
 
 def single_step(state, sample):
     """Advance the filter by one sample and return the filtered value."""
@@ -70,6 +77,11 @@ def single_step(state, sample):
     return y
 
 
+def q_entries(cfg):
+    """``cfg.Q`` as four floats, row by row."""
+    return tuple(cfg.Q.ravel().tolist())
+
+
 def layered_predict(state, cfg):
     """Constant-velocity propagation over one sampling interval.
 
@@ -79,7 +91,7 @@ def layered_predict(state, cfg):
     is half the sum of the two, as ``0.5 * (C + C.T)`` is.
     """
     dt = cfg.dt
-    q00, q01, q10, q11 = cfg.Q_entries
+    q00, q01, q10, q11 = q_entries(cfg)
     c01, c11 = state.cov_F_Fdot, state.var_Fdot
     ac00 = state.var_F + dt * c01   # (A C)[0, 0]
     ac01 = c01 + dt * c11           # (A C)[0, 1], and (A C A^T)[1, 0]
@@ -93,7 +105,7 @@ def layered_predict(state, cfg):
 def cost_args(L_meas, prior_F, coeffs, w):
     """The floats the inversion cost of one sample depends on besides the
     force: ``(L_meas, prior_F, l1, ..., l5, w_fit, w_dyn, w_reg, gamma)``,
-    the tuple ``_grid_index`` and ``_cost_derivatives`` read."""
+    the tuple ``_grid_index`` and ``cost_derivatives`` read."""
     return (L_meas, prior_F, *coeffs, w.w_fit, w.w_dyn, w.w_reg, w.gamma)
 
 
@@ -140,13 +152,84 @@ def layered_solve(L_meas, P, prior_F, cfg):
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
-    grid = cfg.grid
     args = cost_args(L_meas, prior_F, model._coeffs(cfg.ind, float(P)), cfg.weights)
+    return layered_invert(cfg.grid, args, cfg.F_floor, cfg.refine_tol)
+
+
+def layered_invert(grid, args, F_floor, tol, derivatives=None):
+    """``observer._invert`` in layers: ``layered_grid_index``, then
+    ``newton`` on ``derivatives`` (``cost_derivatives`` by default) in the
+    winner's bracket, floored at ``F_floor``."""
     i = layered_grid_index(grid, args)
-    a = max(grid[max(i - 1, 0)], cfg.F_floor)
-    b = grid[min(i + 1, cfg.grid_points - 1)]
+    a = max(grid[max(i - 1, 0)], F_floor)
+    b = grid[min(i + 1, len(grid) - 1)]
     x = grid[i] if grid[i] >= a else 0.5 * (a + b)
-    return observer._newton(observer._cost_derivatives, args, a, b, x, cfg.refine_tol)
+    return newton(derivatives or cost_derivatives, args, a, b, x, tol)
+
+
+def cost_derivatives(F: float, args: tuple) -> tuple:
+    """The first two derivatives of the map and of the inversion cost at
+    one float force F > 0, on the sample's cost tuple ``args`` = ``(L_meas,
+    prior_F, l1, ..., l5, w_fit, w_dyn, w_reg, gamma)``: ``(L', L'', C',
+    C'')``, all finite for F in [``F_floor``, F_max] on a map a config
+    accepts (``_map_bound``).
+
+    With m = l1 F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, L' = m u / F
+    and L'' = m (u u - u + l3 l4 l4 F**l4) / (F F).  With r = m + l5 -
+    L_meas and d = F - prior_F, the cost's derivatives are C' = 2 w_fit r
+    L' + 2 w_dyn d + 2 w_reg gamma d q q and C'' = 2 w_fit (L' L' + r L'')
+    + 2 w_dyn + 2 w_reg gamma (1 - 3 gamma d d) q q q, where q = 1 / (1 +
+    gamma d d).  ``math`` exceptions propagate, and no value is mapped.
+    """
+    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
+    F_l4 = math.pow(F, l4)
+    m = l1 * math.pow(F, l2) * math.exp(l3 * F_l4)
+    u = l2 + l3 * l4 * F_l4
+    d1 = m * u / F
+    d2 = m * (u * u - u + l3 * l4 * l4 * F_l4) / (F * F)
+    r = m + l5 - L_meas
+    dF = F - prior_F
+    q = 1.0 / (1.0 + gamma * dF * dF)
+    rq = w_reg * gamma * q * q
+    return (d1, d2,
+            2.0 * (w_fit * r * d1 + w_dyn * dF + rq * dF),
+            2.0 * (w_fit * (d1 * d1 + r * d2) + w_dyn
+                   + rq * q * (1.0 - 3.0 * gamma * dF * dF)))
+
+
+def newton(derivatives, args, a: float, b: float, x: float, tol: float) -> float:
+    """Minimizer of a cost on [a, b] by safeguarded Newton on its
+    derivative, from x in [a, b]; ``derivatives(F, args)`` is
+    ``cost_derivatives``.
+
+    The sign of C'(x) moves one end of the bracket to x.  The Newton step
+    -C'/C'' is taken when C'' > 0 and it lands strictly inside the
+    bracket; otherwise the bracket is bisected.  The pass ends on C' = 0,
+    on a Newton step shorter than tol / 2, or once the bracket is
+    narrower than tol, and after ``_MAX_NEWTON_STEPS`` steps whatever the
+    tolerance.  Raises FloatingPointError on a non-finite derivative.
+    """
+    half_tol = 0.5 * tol
+    for _ in range(observer._MAX_NEWTON_STEPS):
+        _, _, g, h = derivatives(x, args)
+        if not (math.isfinite(g) and math.isfinite(h)):
+            raise FloatingPointError(f"non-finite cost derivative at F={x!r}")
+        if g > 0.0:
+            b = x
+        elif g < 0.0:
+            a = x
+        else:
+            return x
+        step = g / h if h > 0.0 else math.inf
+        if a < x - step < b:
+            if abs(step) < half_tol or b - a < tol:
+                return x - step
+            x -= step
+        else:
+            x = 0.5 * (a + b)
+            if b - a < tol:
+                return x
+    return x
 
 
 def layered_update(prior, F_star, cfg):
@@ -187,6 +270,77 @@ def layered_step(state, L_raw, P, dyn, cfg):
     F_hat = post.F_hat
     x_hat = model.invert_dynamic_length(dyn, F_hat, P)
     return post, F_hat, x_hat
+
+
+def frame_step(state: ObserverState, L_raw: float, P: float,
+               dyn: model.DynamicParams, cfg: ObserverConfig):
+    """One full observer cycle on a raw sample, in one frame.
+
+    Returns ``(state, F_hat, x_hat)``; the raw pressure must lie in the
+    envelope.  The reading and the pressure pass through the state's
+    filters (``reset`` primes them), so that the map is inverted at a
+    time-matched (L, P) pair, and the filtered pressure is clamped to the
+    envelope, since the filter overshoots on steps.  The predict (mean A
+    m and covariance A C A^T + Q for A = [[1, dt], [0, 1]]; the
+    off-diagonal is half the sum of the two, as ``0.5 * (C + C.T)`` is)
+    and the scalar Joseph-form update of the force, (I - K H) C (I - K
+    H)^T + K K^T R, are written out on floats, each operation rounded
+    once, in the order of numpy's products.  Between them the prior force,
+    clamped to the envelope, is inverted (``solve_pseudo_measurement``,
+    here ``layered_solve``).  Length is inferred from ``F_hat`` through the affine force model at
+    the raw pressure, the one acting now.  The clamps keep the value on a
+    tie and let NaN through, as ``min(max(v, lo), hi)`` does.  The filters
+    advance in place and pass on to the returned state, the one object
+    made per sample.
+    """
+    env = cfg.envelope
+    env.check_P(P)
+    L_filt, P_filt = state.L_filter, state.P_filter
+    L_f, P_f = sig.step_pair(L_filt, P_filt, L_raw, P)
+    lo, hi = env.P_min, env.P_max
+    P_f = lo if P_f < lo else hi if P_f > hi else P_f
+    # predict
+    dt = cfg.dt
+    q00, q01, q10, q11 = q_entries(cfg)
+    Fdot = state.Fdot_hat
+    c01, c11 = state.cov_F_Fdot, state.var_Fdot
+    ac00 = state.var_F + dt * c01   # (A C)[0, 0]
+    ac01 = c01 + dt * c11           # (A C)[0, 1], and (A C A^T)[1, 0]
+    F = state.F_hat + dt * Fdot
+    p00 = ac00 + ac01 * dt + q00
+    p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
+    p11 = c11 + q11
+    lo, hi = env.F_min, env.F_max
+    F_star = layered_solve(L_f, P_f, lo if F < lo else hi if F > hi else F, cfg)
+    # update
+    R = cfg.R
+    S = p00 + R
+    k0 = p00 / S
+    k1 = p01 / S
+    innovation = F_star - F
+    a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
+    b = 0.0 - k1
+    t00 = a * p00             # (I - K H) C
+    t01 = a * p01
+    t10 = b * p00 + p01
+    F_hat = F + k0 * innovation
+    post = ObserverState(
+        F_hat, Fdot + k1 * innovation,
+        t00 * a + k0 * k0 * R,
+        0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R)),
+        t10 * b + (b * p01 + p11) + k1 * k1 * R,
+        L_filt, P_filt)
+    k = dyn.k
+    if abs(k) < model.STIFFNESS_EPS:
+        raise model.DegenerateModelError(f"stiffness {k} below {model.STIFFNESS_EPS}, "
+                                         f"cannot invert")
+    return post, F_hat, dyn.x0 + (F_hat - dyn.c * P) / k
+
+
+def one_step(state, L_raw, P, dyn, cfg):
+    """``estimate_steps`` on one sample, as ``(state, F_hat, x_hat)``."""
+    state, F_hat, x_hat = observer.estimate_steps(state, [L_raw], [P], dyn, cfg)
+    return state, F_hat[0], x_hat[0]
 
 
 def step_bits(result):
@@ -253,7 +407,7 @@ class TestFloatState:
     def test_state_is_python_floats(self):
         cfg = make_cfg()
         st = observer.reset(1.0, 4.9, 0.3, cfg)
-        out, F_hat, x_hat = observer.estimate_step(st, 4.9, 0.3, DYN, cfg)
+        out, F_hat, x_hat = one_step(st, 4.9, 0.3, DYN, cfg)
         for name in ("F_hat", "Fdot_hat", "var_F", "cov_F_Fdot", "var_Fdot"):
             assert type(getattr(out, name)) is float, name
         assert type(F_hat) is float and type(x_hat) is float
@@ -267,8 +421,7 @@ class TestFloatState:
                                 calls.append(_n) or _f(*a, **k))
         cfg = make_cfg()
         st = observer.reset(1.0, 4.9, 0.3, cfg)
-        for i in range(20):
-            st = observer.estimate_step(st, 4.9 + 0.005 * i, 0.3, DYN, cfg)[0]
+        observer.estimate_steps(st, [4.9 + 0.005 * i for i in range(20)], [0.3] * 20, DYN, cfg)
         hyst = tuple(plant.PlayElement(width=w, weight=g)
                      for w, g in ((0.003, 1.7), (0.009, 2.3), (0.014, 0.9)))
         p = plant.Plant(plant.default_plant_config(seed=3, hysteresis=hyst), x0=0.12, P0=0.2)
@@ -683,33 +836,34 @@ class TestCertifiedGolden:
         # F * F underflows to 0 in L'' below about 1e-162 N; Newton's
         # bracket is floored far above that, at F_floor, where every
         # derivative is finite, and no iterate falls below the floor, also
-        # from readings below the map's intercept and priors at F = 0
+        # from readings below the map's intercept and priors at F = 0.  The
+        # iterates are the forces math.pow sees off the grid; without the
+        # floor, the first iterate of a pass from grid[0] = 0 divides by 0
         cfg = make_cfg()
         coeffs = model._coeffs(IND, P)
         args = cost_args(4.9, 1.0, coeffs, cfg.weights)
         with pytest.raises(ArithmeticError):
-            observer._cost_derivatives(1e-200, args)
-        assert all(map(math.isfinite, observer._cost_derivatives(cfg.F_floor, args)))
+            cost_derivatives(1e-200, args)
+        assert all(map(math.isfinite, cost_derivatives(cfg.F_floor, args)))
         seen = []
-        derivatives = observer._cost_derivatives
-        monkeypatch.setattr(observer, "_cost_derivatives",
-                            lambda F, a: seen.append(F) or derivatives(F, a))
+        pow_ = math.pow
+        monkeypatch.setattr(math, "pow", lambda F, y: seen.append(F) or pow_(F, y))
+
+        def iterates(grid):
+            on_grid = set(grid)
+            return [F for F in seen if F not in on_grid]
+
         l5 = coeffs[4]
         for L in (l5 - 0.5, l5 - 1e-9, l5, l5 + 1e-9, l5 + 0.01):
             for prior in (0.0, cfg.grid[1], 1.0):
                 observer.solve_pseudo_measurement(L, P, prior, cfg)
-        assert len(seen) > 15 and min(seen) >= cfg.F_floor
-
-        def toward_zero(F, a):
-            # every Newton step lands at 1e-12 F, inside an unfloored bracket
-            seen.append(F)
-            return 0.0, 0.0, 1.0, 1.0 / (F * (1.0 - 1e-12))
-
-        monkeypatch.setattr(observer, "_cost_derivatives", toward_zero)
+        assert 0.0 in seen   # the scan costs grid[0]
+        assert len(iterates(cfg.grid)) > 15 and min(iterates(cfg.grid)) >= cfg.F_floor
+        # at the tightest tolerance a pass toward F = 0 bisects down to the floor
         seen.clear()
         tight = make_cfg(refine_tol=4.0 * math.ulp(ENV.F_max))
         got = observer.solve_pseudo_measurement(l5, P, 0.0, tight)
-        assert len(seen) > 2 and min(seen) >= tight.F_floor
+        assert len(iterates(tight.grid)) > 2 and min(iterates(tight.grid)) >= tight.F_floor
         assert got <= tight.refine_tol
 
 
@@ -761,7 +915,7 @@ class TestMapCheck:
             accepted.append(p)
             for F, P, L, prior in samples:
                 args = cost_args(L, prior, model._coeffs(cfg.ind, P), cfg.weights)
-                assert all(map(math.isfinite, observer._cost_derivatives(F, args))), (p, F, P, L)
+                assert all(map(math.isfinite, cost_derivatives(F, args))), (p, F, P, L)
                 got = observer.solve_pseudo_measurement(L, P, prior, cfg)
                 assert ENV.F_min <= got <= ENV.F_max
 
@@ -804,7 +958,7 @@ class TestNewtonRefinement:
             forces = [1e-3 * ENV.F_span, 0.01, model.peak_force(IND, P),
                       *rng.uniform(0.05, ENV.F_max, 4).tolist()]
             for F in forces:
-                got = observer._cost_derivatives(F, args)
+                got = cost_derivatives(F, args)
                 h1, h2 = 1e-4 * F, 1e-3 * F
                 for k, f in ((0, inductance), (2, cost)):
                     first = (f(F + h1) - f(F - h1)) / (2 * h1)
@@ -822,7 +976,7 @@ class TestNewtonRefinement:
          lambda F: (1 + (F - 1) ** 2) ** -1.5, 0.0, 3.1, 3.0),
     ], ids=["negative_curvature", "step_leaves_bracket"])
     def test_newton_bisects_instead_of_leaving_the_bracket(self, g, h, a, b, x):
-        got = observer._newton(lambda F, _: (0.0, 0.0, g(F), h(F)), None, a, b, x, 1e-5)
+        got = newton(lambda F, _: (0.0, 0.0, g(F), h(F)), None, a, b, x, 1e-5)
         assert abs(got - 1.0) <= 1e-5
 
     def test_step_cap_ends_a_pass_with_no_tolerance(self):
@@ -835,20 +989,62 @@ class TestNewtonRefinement:
             calls.append(F)
             return 0.0, 0.0, math.copysign(1.0, F - 1.0 / 3.0), 1.0
 
-        got = observer._newton(derivatives, None, 0.0, 1.0, 0.9, 0.0)
+        got = newton(derivatives, None, 0.0, 1.0, 0.9, 0.0)
         assert abs(got - 1.0 / 3.0) <= 2 * math.ulp(1.0 / 3.0)
         assert len(calls) == observer._MAX_NEWTON_STEPS
 
+    @pytest.mark.parametrize("grid, args, tol, branch", [
+        # the regularizer alone, C = 1 - 1 / (1 + 10 d d): C'' < 0 at the
+        # winner 3.0, 0.9 N from the prior
+        ((1.0, 3.0, 5.0), (0.0, 2.1, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 10.0), 1e-5,
+         "negative_curvature"),
+        # C = 1 - 1 / (1 + d d): C'' > 0 but tiny at the winner 2.55, so the
+        # Newton step lands near -5
+        ((1.0, 2.55, 4.0), (0.0, 2.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0), 1e-5,
+         "step_leaves_bracket"),
+        # C = (sqrt(F) - 1)**2 + 0.01 (F - 3)**2 at tol 0: C' is never
+        # exactly 0 at the float iterates, so only the step cap ends the pass
+        ((0.5, 3.0, 6.0), (1.0, 3.0, 1.0, 0.5, 0.0, 1.0, 0.0, 1.0, 0.01, 0.0, 1.0), 0.0,
+         "step_cap")], ids=["negative_curvature", "step_leaves_bracket", "step_cap"])
+    def test_inversion_takes_the_oracles_branches(self, grid, args, tol, branch, monkeypatch):
+        # the pass written out in _invert against newton on cost_derivatives:
+        # the same iterates, read off math.pow's arguments after the scan's
+        # (Newton takes x**l4, then x**l2), and the same result, on a pass
+        # that takes the branch named
+        path = []
+
+        def derivatives(F, args):
+            out = cost_derivatives(F, args)
+            path.append((F, out[2], out[3]))
+            return out
+
+        want = layered_invert(grid, args, 1e-20, tol, derivatives)
+        seen = []
+        pow_ = math.pow
+        monkeypatch.setattr(math, "pow", lambda F, y: seen.append(F) or pow_(F, y))
+        observer._grid_index(grid, args)
+        n_scan = len(seen)
+        got = observer._invert(grid, args, 1e-20, tol)
+        assert same_float(got, want)
+        assert seen[2 * n_scan::2] == [F for F, _, _ in path]
+        bisected = [x1 != x - g / h for (x, g, h), (x1, _, _) in zip(path, path[1:])]
+        taken = {"negative_curvature": any(h <= 0.0 for _, _, h in path),
+                 "step_leaves_bracket": any(h > 0.0 and b for (_, _, h), b in zip(path, bisected)),
+                 "step_cap": len(path) == observer._MAX_NEWTON_STEPS}
+        assert taken[branch], taken
+
     def test_non_finite_derivative_raises(self):
         # the safety check: F**800 overflows above about 2.4 N, which no
-        # config's map does (TestCertifiedGolden)
-        args = cost_args(4.9, 3.0, model._coeffs(flat_params(*FLAT_MAPS[1]), 0.3),
-                         make_cfg().weights)
-        derivatives = observer._cost_derivatives
+        # config's map does (TestCertifiedGolden); the inversion's own pass
+        # raises as the oracle's does, from the grid winner's bracket
+        cfg = make_cfg()
+        args = cost_args(4.9, 3.0, model._coeffs(flat_params(*FLAT_MAPS[1]), 0.3), cfg.weights)
         with pytest.raises(FloatingPointError):   # 2**800 is finite, its square is not
-            observer._newton(derivatives, args, 1.9, 2.1, 2.0, 1e-5)
+            newton(cost_derivatives, args, 1.9, 2.1, 2.0, 1e-5)
         with pytest.raises(OverflowError):        # math.pow(3.0, 800.0) raises
-            observer._newton(derivatives, args, 2.9, 3.1, 3.0, 1e-5)
+            newton(cost_derivatives, args, 2.9, 3.1, 3.0, 1e-5)
+        with pytest.raises(FloatingPointError):   # the scan brackets a point of [1.9, 2.1]
+            observer._invert((1.9, 2.0, 2.1), args, cfg.F_floor, 1e-5)
 
 
 def solver_index(L, P, prior, cfg, params=IND):
@@ -998,35 +1194,35 @@ class TestWindowScan:
         # a slow stretch cycle keeps the prior next to the preimage, so a
         # sample costs a few grid points around it; with w_dyn = 0 every
         # sample costs the whole grid.  A grid point takes one math.exp,
-        # and so does a Newton step (_cost_derivatives), which is counted
-        # apart and subtracted
+        # counted in the scan; the recording goes through one estimate_steps
+        # call, which scans each sample once
         scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,),
                              cycles_per_level=1, cycle_period_s=8.0,
                              x_low=0.072, x_high=0.17)
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=5))
-        exps, newton, counts = [0], [0], []
-        exp, derivatives, step = math.exp, observer._cost_derivatives, observer.estimate_step
+        exps, counts, calls = [0], [], []
+        exp, scan, steps = math.exp, observer._grid_index, observer.estimate_steps
 
         def counted_exp(x):
             exps[0] += 1
             return exp(x)
 
-        def counted_derivatives(*args):
-            newton[0] += 1
-            return derivatives(*args)
-
-        def counted_step(*args):
-            exps[0] = newton[0] = 0
-            out = step(*args)
-            counts.append(exps[0] - newton[0])
+        def counted_scan(*args):
+            exps[0] = 0
+            out = scan(*args)
+            counts.append(exps[0])
             return out
 
+        def counted_steps(*args):
+            calls.append(len(args[1]))
+            return steps(*args)
+
         monkeypatch.setattr(math, "exp", counted_exp)
-        monkeypatch.setattr(observer, "_cost_derivatives", counted_derivatives)
-        monkeypatch.setattr(observer, "estimate_step", counted_step)
+        monkeypatch.setattr(observer, "_grid_index", counted_scan)
+        monkeypatch.setattr(observer, "estimate_steps", counted_steps)
         cfg = make_cfg()
         observer.run_estimation(ds, DYN, cfg)
-        assert len(counts) == len(ds)
+        assert calls == [len(ds)] and len(counts) == len(ds)
         assert np.median(counts) <= 4
         counts.clear()
         flat = replace(cfg, weights=replace(cfg.weights, w_dyn=0.0))
@@ -1100,7 +1296,7 @@ class TestEstimateStep:
         st = observer.reset(0.5, first.L_meas, first.P, cfg)  # deliberately off
         for i in range(200):  # 2 s at 100 Hz
             r = p.step(0.2, 0.01, x_cmd=0.12)
-            st, F_hat, x_hat = observer.estimate_step(st, r.L_meas, r.P, DYN, cfg)
+            st, F_hat, x_hat = one_step(st, r.L_meas, r.P, DYN, cfg)
         assert F_hat == pytest.approx(r.F, rel=0.01)
         assert x_hat == pytest.approx(r.x, rel=0.01)
 
@@ -1114,9 +1310,7 @@ class TestEstimateStep:
         P = np.where(np.arange(400) < 100, P0, P1)
         L = model.eval_inductance(IND, F, P)
         st = observer.reset(F, L[0], P[0], cfg)
-        F_hat = np.empty(P.size)
-        for i in range(P.size):
-            st, F_hat[i], _ = observer.estimate_step(st, float(L[i]), float(P[i]), DYN, cfg)
+        F_hat = np.array(observer.estimate_steps(st, L.tolist(), P.tolist(), DYN, cfg)[1])
         assert np.all(F_hat < model.peak_force(IND, P1))
         assert np.max(np.abs(F_hat - F)) < 0.01
         assert np.max(np.abs(F_hat[-100:] - F)) < 1e-3
@@ -1128,7 +1322,7 @@ class TestEstimateStep:
         worst_asym, worst_eig = 0.0, np.inf
         for i in range(10_000):
             L = 4.9 + 0.2 * np.sin(0.002 * i) + 0.01 * rng.standard_normal()
-            st, _, _ = observer.estimate_step(st, L, 0.3, DYN, cfg)
+            st, _, _ = one_step(st, L, 0.3, DYN, cfg)
             worst_asym = max(worst_asym, abs(cov_of(st)[0, 1] - cov_of(st)[1, 0]))
             worst_eig = min(worst_eig, np.linalg.eigvalsh(cov_of(st)).min())
         assert worst_asym <= 1e-12
@@ -1166,48 +1360,138 @@ class TestEstimateStep:
         assert np.array_equal(st.P_filter.zi, sig.prime(cfg.filt.copy(), 0.3).zi)
 
 
+def run_bits(state, F_hat, x_hat):
+    """The bytes of a call's returned state (``step_bits``) and of each of
+    its estimates, so that equal bytes are equal bits."""
+    return step_bits((state, math.nan, math.nan)), struct.pack(f"<{2 * len(F_hat)}d",
+                                                             *F_hat, *x_hat)
+
+
 class TestOneFrameStep:
     @pytest.mark.parametrize("noise_L", [0.0, 0.01, 0.03])
     @pytest.mark.parametrize("period", [8.0, 4.0, 2.0])
     def test_equals_layered_step_bit_for_bit(self, period, noise_L):
-        # whole replay runs of the stretch cycle: every bit of the state,
-        # both delay lines, F_hat and x_hat after every sample
+        # whole replay runs of the stretch cycle, one sample a call: every
+        # bit of the state, both delay lines, F_hat and x_hat after every
+        # sample; the whole run in one call ends on the same bits
         scn = plant.Scenario.cyclic_estimation(cycle_period_s=period)
         pcfg = plant.default_plant_config(seed=3, noise_L=noise_L)
         ds = plant.run_scenario(scn, pcfg)
         cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT, noise_L=noise_L)
         L0, P0 = float(ds.L[0]), float(ds.P[0])
         st = observer.reset(observer.nearest_preimage(L0, P0, cfg), L0, P0, cfg)
-        twin = forked(st)
+        whole, twin = forked(st), forked(st)
+        F_hat, x_hat = [], []
         for i, (L, P) in enumerate(zip(ds.L.tolist(), ds.P.tolist())):
-            got = observer.estimate_step(st, L, P, DYN, cfg)
+            got = one_step(st, L, P, DYN, cfg)
             want = layered_step(twin, L, P, DYN, cfg)
             assert step_bits(got) == step_bits(want), i
-            st, twin = got[0], want[0]
+            (st, F, x), twin = got, want[0]
+            F_hat.append(F)
+            x_hat.append(x)
+        one_call = observer.estimate_steps(whole, ds.L.tolist(), ds.P.tolist(), DYN, cfg)
+        assert run_bits(*one_call) == run_bits(st, F_hat, x_hat)
+
+    @pytest.mark.parametrize("noise_L", [0.0, 0.01, 0.03])
+    def test_pieces_equal_one_call_and_the_oracle(self, noise_L):
+        # a cycle cut into calls at random points, 1-sample pieces and
+        # empty ones included, against one call and against the one-frame
+        # step of each sample (frame_step): every bit of the state and both
+        # delay lines at each cut, and of F_hat and x_hat at every sample.
+        # A NaN reading raises the oracle's error at the oracle's sample:
+        # the delay lines have taken it, and no sample after it
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3, 0.6),
+                             cycles_per_level=1, cycle_period_s=2.0, x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=3, noise_L=noise_L))
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT, noise_L=noise_L)
+        L_all, P_all = ds.L.tolist(), ds.P.tolist()
+        n = len(L_all)
+        L0, P0 = L_all[0], P_all[0]
+
+        def fresh():
+            return observer.reset(observer.nearest_preimage(L0, P0, cfg), L0, P0, cfg)
+
+        def oracle(L_raw):
+            """frame_step over ``L_raw``: each sample's step_bits, and the
+            error and the delay lines where a sample raises."""
+            st, bits = fresh(), []
+            for L, P in zip(L_raw, P_all):
+                try:
+                    st, F, x = frame_step(st, L, P, DYN, cfg)
+                except ValueError as exc:
+                    return bits, (str(exc), step_bits((st, 0.0, 0.0))[1:])
+                bits.append(step_bits((st, F, x)))
+            return bits, None
+
+        want, _ = oracle(L_all)
+        F_want = [struct.unpack("<7d", b[0])[5] for b in want]
+        x_want = [struct.unpack("<7d", b[0])[6] for b in want]
+        one_call = observer.estimate_steps(fresh(), L_all, P_all, DYN, cfg)
+        assert step_bits((one_call[0], F_want[-1], x_want[-1])) == want[-1]
+        assert run_bits(*one_call)[1] == run_bits(one_call[0], F_want, x_want)[1]
+
+        @settings(max_examples=30, deadline=None, database=None)
+        @given(hst.lists(hst.integers(0, n), max_size=30),
+               hst.integers(0, n - 1), hst.integers(0, 6),
+               hst.one_of(hst.none(), hst.integers(0, n - 1)))
+        def check(cuts, run_start, run_len, nan_at):
+            # cuts at random points, and a run of 1-sample pieces
+            cuts = sorted(cuts + list(range(run_start, min(run_start + run_len, n))) + [0, n])
+            L_raw = list(L_all)
+            if nan_at is not None:
+                L_raw[nan_at] = math.nan
+                bits, raised = oracle(L_raw)
+            else:
+                bits, raised = want, None
+            st, F_hat, x_hat = fresh(), [], []
+            for a, b in zip(cuts, cuts[1:]):
+                try:
+                    st, F, x = observer.estimate_steps(st, L_raw[a:b], P_all[a:b], DYN, cfg)
+                except ValueError as exc:
+                    assert a <= nan_at < b
+                    assert (str(exc), step_bits((st, 0.0, 0.0))[1:]) == raised
+                    break
+                F_hat += F
+                x_hat += x
+                if b > a:
+                    assert step_bits((st, F[-1], x[-1])) == bits[b - 1], (a, b)
+            else:
+                assert nan_at is None and len(F_hat) == n
+            assert run_bits(st, F_hat, x_hat)[1] == run_bits(st, F_want[:len(F_hat)],
+                                                             x_want[:len(x_hat)])[1]
+
+        check()
 
     def test_equals_layered_step_in_a_closed_loop(self, monkeypatch):
-        # every step of a self-sensing load perturbation run, its pre-roll
-        # included, against the layered step on a fork of the same state
-        step, calls = observer.estimate_step, []
+        # every sample of a self-sensing load perturbation run, its pre-roll
+        # included, against the layered step on a fork of each call's
+        # state: one call for the pre-roll, then one per control period
+        steps, sizes, pressures = observer.estimate_steps, [], []
 
         def checked(state, L_raw, P, dyn, cfg):
-            want = layered_step(forked(state), L_raw, P, dyn, cfg)
-            got = step(state, L_raw, P, dyn, cfg)
-            assert step_bits(got) == step_bits(want), len(calls)
-            calls.append(P)
+            twin, F_want, x_want = forked(state), [], []
+            for L, p in zip(L_raw, P):
+                twin, F, x = layered_step(twin, L, p, dyn, cfg)
+                F_want.append(F)
+                x_want.append(x)
+            got = steps(state, L_raw, P, dyn, cfg)
+            assert run_bits(*got) == run_bits(twin, F_want, x_want), len(sizes)
+            sizes.append(len(P))
+            pressures.extend(P)
             return got
 
-        monkeypatch.setattr(observer, "estimate_step", checked)
+        monkeypatch.setattr(observer, "estimate_steps", checked)
         setup = control.TrackingSetup(plant_cfg=plant.default_plant_config(seed=1), dyn=DYN)
         control.run_perturbation(setup, plant.Scenario.load_perturbation(duration_s=10.0))
-        assert len(calls) > 1000 and len(set(calls)) > 100
+        assert sizes == [300] + [5] * 200
+        assert len(set(pressures)) > 100
 
     def test_degenerate_stiffness_raises(self):
         cfg = make_cfg()
         st = observer.reset(1.0, 4.9, 0.3, cfg)
         with pytest.raises(model.DegenerateModelError, match="stiffness"):
-            observer.estimate_step(st, 4.9, 0.3, model.DynamicParams(k=1e-12, x0=0.1, c=1.6),
-                                   cfg)
+            observer.estimate_steps(st, [4.9], [0.3],
+                                    model.DynamicParams(k=1e-12, x0=0.1, c=1.6), cfg)
 
     def test_nan_passes_as_in_the_layered_step(self):
         # a NaN reading makes every grid cost NaN, and a NaN force passes
@@ -1217,9 +1501,18 @@ class TestOneFrameStep:
         st = observer.reset(1.0, 4.9, 0.3, cfg)
         for state, L, match in ((st, math.nan, "All-NaN"),
                                 (replace(st, F_hat=math.nan), 4.9, "prior force must be finite")):
-            for step in (observer.estimate_step, layered_step):
+            for step in (one_step, layered_step, frame_step):
                 with pytest.raises(ValueError, match=match):
                     step(forked(state), L, 0.3, DYN, cfg)
+
+    def test_sequences_must_pair_up(self):
+        cfg = make_cfg()
+        st = observer.reset(1.0, 4.9, 0.3, cfg)
+        with pytest.raises(ValueError, match="2 readings against 1 pressures"):
+            observer.estimate_steps(st, [4.9, 4.9], [0.3], DYN, cfg)
+        out, F_hat, x_hat = observer.estimate_steps(st, [], [], DYN, cfg)
+        assert (F_hat, x_hat) == ([], [])
+        assert step_bits((out, 0.0, 0.0)) == step_bits((st, 0.0, 0.0))
 
 
 class TestBranchDisambiguation:
@@ -1235,7 +1528,7 @@ class TestBranchDisambiguation:
             t = (i + 1) * dt
             x = 0.105 + 0.07 * 0.5 * (1 - np.cos(2 * np.pi * 0.1 * t))
             r = p.step(0.2, dt, x_cmd=x)
-            st, F_hat, _ = observer.estimate_step(st, r.L_meas, r.P, DYN, cfg)
+            st, F_hat, _ = one_step(st, r.L_meas, r.P, DYN, cfg)
             F_inv.append(observer.nearest_preimage(r.L_meas, r.P, cfg))
             F_true.append(r.F)
             F_obs.append(F_hat)
@@ -1313,7 +1606,7 @@ class TestConfig:
                 args = cost_args(L, prior, model._coeffs(IND, P), cfg.weights)
 
                 def derivatives(F):
-                    return observer._cost_derivatives(F, args)
+                    return cost_derivatives(F, args)
 
                 i = solver_index(L, P, prior, cfg)
                 a = max(cfg.grid[max(i - 1, 0)], cfg.F_floor)
@@ -1322,10 +1615,10 @@ class TestConfig:
 
                 def counted(F, args):
                     steps.append(F)
-                    return observer._cost_derivatives(F, args)
+                    return cost_derivatives(F, args)
 
                 x = cfg.grid[i] if cfg.grid[i] >= a else 0.5 * (a + b)
-                got = observer._newton(counted, args, a, b, x, floor)
+                got = newton(counted, args, a, b, x, floor)
                 assert len(steps) < observer._MAX_NEWTON_STEPS
                 assert a <= got <= b
                 assert got == observer.solve_pseudo_measurement(L, P, prior, cfg)
