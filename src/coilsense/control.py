@@ -15,7 +15,6 @@ acts on (measurement - ref).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from . import observer as obs
 from . import signal as sig
 from .ident import GoodnessMetrics, fit_dynamic, goodness
 from .model import DegenerateModelError, DynamicParams, InductanceParams
-from .plant import (TRACKING_KINDS, Plant, PlantConfig, Scenario, StepResult,
-                    check_run_length, perturbation_load_profile, run_scenario)
+from .plant import (TRACKING_KINDS, Plant, PlantConfig, Scenario, check_run_length,
+                    perturbation_load_profile, run_scenario)
 
 __all__ = [
     "PidGains",
@@ -112,17 +111,18 @@ def pid_step(state: ControllerState, error: float, gains: PidGains, dt: float) -
     return gains.kp * error + state.integral + gains.kd * derivative
 
 
-def feedforward_pressure(dyn: DynamicParams, F: float, x: float, p_max: float) -> float:
+def feedforward_pressure(dyn: DynamicParams, F: float, x: float, p_min: float,
+                         p_max: float) -> float:
     """Model-inverting pressure command: the pressure at which the affine
     model gives force ``F`` at length ``x``, P = (F - k(x - x0)) / c,
-    clamped to [0, p_max].
+    clamped to [p_min, p_max].
 
     Force tracking asks for the reference force at the held length,
     displacement tracking for the reference length under the load.
     """
     if abs(dyn.c) < _C_EPS:
         raise DegenerateModelError(f"pressure coefficient {dyn.c} too small to invert")
-    return _clamp((F - dyn.k * (x - dyn.x0)) / dyn.c, 0.0, p_max)
+    return _clamp((F - dyn.k * (x - dyn.x0)) / dyn.c, p_min, p_max)
 
 
 def identify_dynamic(plant_cfg: PlantConfig, seed_tag: int = 501) -> DynamicParams:
@@ -227,14 +227,12 @@ class TrackingResult:
 class _LoopStart:
     """A loop settled at t = 0 by ``_settle``: the observer tuning, the
     plant (with its noise stream), the observer state (with its
-    filters), the last plant step and the feedforward pressure at the
-    reference's start."""
+    filters) and the sensed force of the last plant sample."""
 
     ocfg: obs.ObserverConfig
     plant: Plant
     state: obs.ObserverState
-    last: StepResult
-    p_ff0: float
+    F_meas: float
 
     def copy(self) -> "_LoopStart":
         """An independent start: every mutable part is copied."""
@@ -245,53 +243,53 @@ class _LoopStart:
 
 def _drivers(scenario: Scenario, setup: TrackingSetup) -> tuple:
     """The feedforward ``ref -> pressure`` and the plant drive
-    ``(plant, pressure, t) -> StepResult`` of ``scenario``.
+    ``(plant, pressures, times) -> channels``, one ``Plant.steps`` call
+    over the samples at ``times``, of ``scenario``.
 
     Force tracking holds the length (kinematic plant); every other kind
-    balances the scenario's load profile (isotonic plant).
+    balances the scenario's load profile (isotonic plant).  The
+    feedforward is clamped to the envelope's pressures up to the setup's
+    ``p_max``.
     """
     pcfg = setup.plant_cfg
     dts = 1.0 / pcfg.sensor_rate_hz
+    p_min = pcfg.envelope.P_min
     if scenario.kind == "force_tracking":
         hold_x = scenario.hold_x
 
         def feedforward(ref: float) -> float:
-            return feedforward_pressure(setup.dyn, ref, hold_x, setup.p_max)
+            return feedforward_pressure(setup.dyn, ref, hold_x, p_min, setup.p_max)
 
-        def drive(plant: Plant, p: float, t: float) -> StepResult:
-            return plant.step(p, dts, x_cmd=hold_x)
+        def drive(plant: Plant, P_cmd: list, times: list) -> dict:
+            return plant.steps(P_cmd, dts, x_cmd=[hold_x] * len(P_cmd))
     else:
         _, load_at = perturbation_load_profile(scenario, pcfg.seed)
         load_ff = setup.load_nominal_scale * scenario.load
 
         def feedforward(ref: float) -> float:
-            return feedforward_pressure(setup.dyn, load_ff, ref, setup.p_max)
+            return feedforward_pressure(setup.dyn, load_ff, ref, p_min, setup.p_max)
 
-        def drive(plant: Plant, p: float, t: float) -> StepResult:
-            return plant.step(p, dts, F_load=load_at(t))
+        def drive(plant: Plant, P_cmd: list, times: list) -> dict:
+            return plant.steps(P_cmd, dts, F_load=list(map(load_at, times)))
     return feedforward, drive
 
 
-def _observe(state: obs.ObserverState, steps, dyn: DynamicParams,
-             ocfg: obs.ObserverConfig) -> tuple:
-    """Step the plant through ``steps``, an iterable of plant steps, then
-    run the observer over their readings in one ``estimate_steps`` call.
-
-    Returns ``(state, results, F_hat, x_hat)``: the observer state after
-    the last sample, the plant's StepResults, and the estimates per
-    sample.  Nothing in ``steps`` may read the observer, so this equals
-    observing each sample as it comes.  If a plant step raises, the
-    samples before it go through the observer first: an observer error
-    among them is the one raised, as it would have been raised first.
-    """
-    results = []
+def _step(run_plant, take, observe=None) -> dict:
+    """``run_plant()``, one ``Plant.steps`` call, whose channels go to
+    ``take``.  If a sample raises, the samples before it go to ``take``
+    and then, with every sample taken before them, through ``observe``
+    before the plant's error is raised: an observer error among them is
+    the one raised, as it would have been when each sample was observed
+    as it came."""
     try:
-        for result in steps:
-            results.append(result)
-    finally:
-        state, F_hat, x_hat = obs.estimate_steps(
-            state, [r.L_meas for r in results], [r.P for r in results], dyn, ocfg)
-    return state, results, F_hat, x_hat
+        run = run_plant()
+    except ValueError as err:  # the plant's errors
+        take(err.completed)
+        if observe is not None:
+            observe()
+        raise
+    take(run)
+    return run
 
 
 def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
@@ -302,8 +300,8 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     the valve and the observer are settled at t = 0; displacement
     tracking then runs conditioning cycles on the feedforward alone.
     Neither is logged.  The observer reads no pressure it commands, so
-    each stretch is stepped on the plant first and then observed in one
-    call (``_observe``): one for the pre-roll and one for the
+    each stretch is one ``Plant.steps`` call, observed in one
+    ``estimate_steps`` call: one for the pre-roll and one for the
     conditioning cycles.
     """
     pcfg = setup.plant_cfg
@@ -319,52 +317,57 @@ def _settle(scenario: Scenario, setup: TrackingSetup) -> _LoopStart:
     F0 = float(scenario.reference(0.0)) if force_mode else scenario.load
     p_ff0 = feedforward(float(scenario.reference(0.0)))
     plant = Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
+    state = None
 
-    ramp_n = max(1, int(round(2.0 / dts)))
+    def observe(run: dict) -> None:
+        nonlocal state
+        if not run["P"]:
+            return
+        if state is None:
+            # Seed the state at the operating force the experimenter knows
+            # (reference start or hanging load), with its filters primed at
+            # the first sample: the nearest preimage of the reading can pick
+            # the wrong branch of the peaked curve.
+            state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
+                              run["L_meas"][0], run["P"][0], ocfg)
+        state = obs.estimate_steps(state, run["L_meas"], run["P"], setup.dyn, ocfg)[0]
 
-    def preroll(i):
-        if force_mode:
-            frac = min(1.0, (i + 1) / ramp_n)
-            x_cmd = pcfg.dyn.x0 + frac * (scenario.hold_x - pcfg.dyn.x0)
-            return plant.step(p_ff0, dts, x_cmd=x_cmd)
-        return drive(plant, p_ff0, 0.0)
-
-    first = preroll(0)
-    # Seed the state at the operating force the experimenter knows
-    # (reference start or hanging load), with its filters primed at the
-    # first sample: the nearest preimage of the reading can pick the wrong
-    # branch of the peaked curve.
-    state = obs.reset(float(np.clip(F0, ocfg.envelope.F_min, ocfg.envelope.F_max)),
-                      first.L_meas, first.P, ocfg)
-    state, results, _, _ = _observe(state, chain([first], map(preroll, range(1, n_pre))),
-                                    setup.dyn, ocfg)
-    last = results[-1]
+    if force_mode:
+        ramp_n = max(1, int(round(2.0 / dts)))
+        x0, hold_x = pcfg.dyn.x0, scenario.hold_x
+        x_pre = [x0 + min(1.0, (i + 1) / ramp_n) * (hold_x - x0) for i in range(n_pre)]
+        run = _step(lambda: plant.steps([p_ff0] * n_pre, dts, x_cmd=x_pre), observe)
+    else:
+        run = _step(lambda: drive(plant, [p_ff0] * n_pre, [0.0] * n_pre), observe)
+    F_meas = run["F_meas"][-1]
     if scenario.kind == "displacement_tracking":
         # exercise the loop region before measuring (standard practice)
         period = CONDITION_CYCLES / scenario.frequency_hz
         n_cond = int(round(period / dts))
         t_cond = (np.arange(n_cond) + 1) * dts - period
-        state, results, _, _ = _observe(
-            state, (drive(plant, feedforward(ref), t)
-                    for t, ref in zip(t_cond.tolist(), scenario.reference(t_cond).tolist())),
-            setup.dyn, ocfg)
-        last = results[-1] if results else last
-    return _LoopStart(ocfg, plant, state, last, p_ff0)
+        P_cond = list(map(feedforward, scenario.reference(t_cond).tolist()))
+        run = _step(lambda: drive(plant, P_cond, t_cond.tolist()), observe)
+        F_meas = run["F_meas"][-1] if run["F_meas"] else F_meas
+    return _LoopStart(ocfg, plant, state, F_meas)
 
 
 def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
               start: _LoopStart | None = None) -> dict:
     """The closed-loop engine: feedforward plus PID on ``mode``'s
-    feedback, with the observer running alongside the plant.
+    feedback, with the observer running behind the plant.
 
     It runs from ``start`` (which it consumes), or from a loop it
     settles itself (``_settle``).  Each control period (the plant's
     ``decimation_factor`` samples; the last may be shorter) sets the
-    command at its first sample from the estimates of the period before,
-    steps the plant through the period, then observes the period in one
-    call (``_observe``): the loop reads the estimates only at control
-    ticks.  Returns the logged channels ``t``, ``reference``, ``F``,
-    ``x``, ``F_hat``, ``x_hat`` and ``command``.
+    command at its first sample, clamped to the envelope's pressures up
+    to ``p_max``, then steps the plant through the period in one
+    ``Plant.steps`` call.  The observer runs, in one ``estimate_steps``
+    call over the samples it has not seen, only when the loop reads the
+    estimates: at each self-sensing control tick, for the period before,
+    and once at the end of the run.  A run cut into pieces gives the
+    observer's bits, so this equals observing each sample as it comes.
+    Returns the logged channels ``t``, ``reference``, ``F``, ``x``,
+    ``F_hat``, ``x_hat`` and ``command``.
     """
     if start is None:
         start = _settle(scenario, setup)
@@ -376,32 +379,50 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
     ctrl = ControllerState(clamp=(-setup.integral_clamp_mpa, setup.integral_clamp_mpa))
     rng_x = np.random.default_rng([pcfg.seed, 77])  # external displacement sensor
     feedforward, drive = _drivers(scenario, setup)
-    ocfg, plant, state, last = start.ocfg, start.plant, start.state, start.last
+    ocfg, plant, state, F_meas = start.ocfg, start.plant, start.state, start.F_meas
+    p_min = pcfg.envelope.P_min
 
     t_log = _log_times(scenario, pcfg.sensor_rate_hz)
     refs = scenario.reference(t_log)
     times, ref_list = t_log.tolist(), refs.tolist()
-    rows = []
-    F_hat = state.F_hat
-    x_hat = model.invert_dynamic_length(setup.dyn, F_hat, last.P)
+    F, x, L, P, command, F_hat, x_hat = [], [], [], [], [], [], []
+
+    def take(run: dict) -> None:
+        F.extend(run["F"])
+        x.extend(run["x"])
+        L.extend(run["L_meas"])
+        P.extend(run["P"])
+
+    def observe() -> None:
+        nonlocal state
+        seen = len(F_hat)
+        state, F_seq, x_seq = obs.estimate_steps(state, L[seen:], P[seen:], setup.dyn, ocfg)
+        F_hat.extend(F_seq)
+        x_hat.extend(x_seq)
+
+    F_est = state.F_hat
+    x_est = model.invert_dynamic_length(setup.dyn, F_est, plant.state.P)
     for i in range(0, len(times), sub):
         ref = ref_list[i]
         dp = 0.0
         if mode == "sensor_fb" and force_mode:
-            dp = pid_step(ctrl, ref - last.F_meas, gains, dtc)
+            dp = pid_step(ctrl, ref - F_meas, gains, dtc)
         elif mode == "sensor_fb":
-            x_meas = last.x + setup.sensor_noise_x * rng_x.standard_normal()
+            x_meas = plant.state.x + setup.sensor_noise_x * rng_x.standard_normal()
             dp = pid_step(ctrl, x_meas - ref, gains, dtc)
         elif mode == "self_sensing":
-            dp = pid_step(ctrl, ref - F_hat if force_mode else x_hat - ref, gains, dtc)
-        p_cmd = _clamp(feedforward(ref) + dp, 0.0, setup.p_max)
-        state, results, F_seq, x_seq = _observe(
-            state, (drive(plant, p_cmd, t) for t in times[i:i + sub]), setup.dyn, ocfg)
-        rows.extend((r.F, r.x, F, x, p_cmd) for r, F, x in zip(results, F_seq, x_seq))
-        last, F_hat, x_hat = results[-1], F_seq[-1], x_seq[-1]
-    log = np.array(rows).reshape(-1, 5).T
+            if i:
+                observe()
+                F_est, x_est = F_hat[-1], x_hat[-1]
+            dp = pid_step(ctrl, ref - F_est if force_mode else x_est - ref, gains, dtc)
+        period = times[i:i + sub]
+        P_cmd = [_clamp(feedforward(ref) + dp, p_min, setup.p_max)] * len(period)
+        run = _step(lambda: drive(plant, P_cmd, period), take, observe)
+        command += P_cmd
+        F_meas = run["F_meas"][-1]
+    observe()
     return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"),
-                    (t_log, refs, *log)))
+                    (t_log, refs, *map(np.array, (F, x, F_hat, x_hat, command)))))
 
 
 def loop_seconds(scenario: Scenario) -> float:

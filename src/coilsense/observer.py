@@ -26,7 +26,8 @@ finite.
 
 A call runs a sequence of samples in one frame of float arithmetic
 (``estimate_steps``): replay makes one call per recording, a closed
-loop one per control period.  The call reads the config's floats once
+loop one where it reads the estimates (each self-sensing control
+period, and the end of a run).  The call reads the config's floats once
 and makes one state object; the Kalman state stays in five local floats
 (the mean and the three distinct covariance entries).  Per sample, the
 filter pair advances in one pass (``sig.step_pair``), and predict and
@@ -183,6 +184,8 @@ class ObserverConfig:
         if not self.refine_tol >= tol_floor:
             raise ValueError(f"refine_tol must be >= {tol_floor!r} (four float spacings "
                              f"of the largest force)")
+        if not np.isfinite(self.Q).all():
+            raise ValueError("Q must be finite")
         if np.any(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T)) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
         object.__setattr__(self, "grid", tuple(

@@ -8,16 +8,18 @@ channels add seeded Gaussian noise.  Inductance depends only on (F, P)
 by construction, so the force-inductance trace is hysteresis-free while
 the length-inductance trace is not.
 
-A step (``Plant._advance``) runs the valve lag, the play operators and
-the force on Python floats: the play states are a tuple, their weighted
+A run of steps (``Plant.steps``) takes a sequence of commands and runs
+the valve lag, the play operators, the force and the map per sample on
+Python floats, in one loop: the play states are a tuple, their weighted
 sum is a plain left-to-right loop, and the isotonic balance starts on
 the segment of the knots that holds the last length, which usually
 holds the new balance too, so the knots are sorted only when it does
-not.  The tests keep the array form (``np.clip`` and a BLAS dot
-product) as their reference, within the rounding-error bound of a dot
-product.  An isotonic run, whose length depends on the load at each
-sample, and the closed loop, whose commands depend on the sensed
-channels, step.
+not.  Both noise channels are drawn after the loop in one call.  The
+tests keep a per-sample step as its reference, bit for bit, and the
+array form (``np.clip`` and a BLAS dot product) as the force's, within
+the rounding-error bound of a dot product.  An isotonic run, whose
+length depends on the load at each sample, and the closed loop, whose
+commands depend on the sensed channels, step.
 
 A kinematic run (``Plant.run_kinematic``) knows all its commands before
 its first sample.  Only the valve lag stays a scalar loop.  The play
@@ -28,9 +30,9 @@ only falls the smaller of that value and u + w (Brokate and Sprekels,
 *Hysteresis and Phase Transitions*, 1996, ch. 2).  The force, the map's
 coefficients and their envelope check, both noise channels (one draw)
 and time (a running sum of the step) run on whole arrays, and the
-sensor map (``model._inductance_at``, the step's) per sample in blocks.
+sensor map (``model._inductance_at``, the steps') per sample in blocks.
 The run gives the bits, the final state and the noise stream that
-``Plant.step`` gives sample by sample.
+``Plant.steps`` gives.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +52,6 @@ __all__ = [
     "PlayElement",
     "PlantConfig",
     "PlantState",
-    "StepResult",
     "Scenario",
     "Plant",
     "IsotonicInfeasibleError",
@@ -213,26 +214,10 @@ class PlantState:
     t: float = 0.0
 
 
-@dataclass(slots=True)
-class StepResult:
-    """Truth channels (F, x, L_clean, P) and sensed channels (L_meas,
-    F_meas).  Slotted, not frozen: ``Plant.step`` builds one per sample,
-    positionally, and a frozen dataclass sets each field through
-    ``object.__setattr__`` (1.7 us a result against 0.3 us)."""
-
-    t: float
-    P: float
-    x: float
-    F: float
-    L_clean: float
-    L_meas: float
-    F_meas: float
-
-
 class Plant:
     """Single-owner simulator instance: state plus a seeded noise stream.
 
-    The force (``_force``, the one copy the step and the isotonic
+    The force (``_force``, the one copy the steps and the isotonic
     balance evaluate) sums its weighted play states left to right in
     plain floats, one rounding per product and per sum, so it gives the
     same bits on every host.  The inductance is the map on ``math``
@@ -258,16 +243,13 @@ class Plant:
         twin.state = replace(self.state)
         return twin
 
-    def _force(self, x: float, P: float, z: tuple) -> tuple:
-        """Unclamped force and the advanced play states at a candidate
-        length (the plant's force is ``max(F, 0)``).
-
-        Each play state is clipped to [u - width, u + width], taking the
+    def _play(self, x: float, z: tuple) -> tuple:
+        """The play states ``z`` advanced to length ``x`` and their
+        weighted sum: each is clipped to [u - width, u + width], taking the
         bound on a tie as ``np.clip`` does, and its weighted term added
         left to right (not sum(), whose float rounding changed in Python
         3.12)."""
-        dyn = self.cfg.dyn
-        u = x - dyn.x0
+        u = x - self.cfg.dyn.x0
         z_new = []
         acc = 0.0
         for zi, w, g in zip(z, self._widths, self._weights):
@@ -277,19 +259,36 @@ class Plant:
             zi = hi if zi >= hi else zi
             z_new.append(zi)
             acc += g * zi
-        return dyn.k * u + dyn.c * P + acc, tuple(z_new)
+        return tuple(z_new), acc
+
+    def _force(self, x: float, P: float, z: tuple) -> float:
+        """Unclamped force at a candidate length from the play states
+        ``z`` (the plant's force is ``max(F, 0)``): k u + c P plus the
+        weighted sum of the states that ``_play`` advances to ``x``,
+        without building them."""
+        dyn = self.cfg.dyn
+        u = x - dyn.x0
+        acc = 0.0
+        for zi, w, g in zip(z, self._widths, self._weights):
+            lo = u - w
+            hi = u + w
+            zi = lo if zi <= lo else zi
+            zi = hi if zi >= hi else zi
+            acc += g * zi
+        return dyn.k * u + dyn.c * P + acc
 
     def _unreachable(self, F_load: float, P: float, z: tuple) -> IsotonicInfeasibleError:
         """The error for a load outside the force range of the envelope."""
         env = self.cfg.envelope
-        F_lo = max(self._force(env.x_min, P, z)[0], 0.0)
-        F_hi = max(self._force(env.x_max, P, z)[0], 0.0)
+        F_lo = max(self._force(env.x_min, P, z), 0.0)
+        F_hi = max(self._force(env.x_max, P, z), 0.0)
         return IsotonicInfeasibleError(
             f"load {F_load} N unreachable in x=[{env.x_min}, {env.x_max}] "
             f"(force range [{F_lo:.4g}, {F_hi:.4g}])")
 
-    def _solve_isotonic(self, F_load: float, P: float) -> float:
-        """Length at which the plant force balances the external load.
+    def _solve_isotonic(self, F_load: float, P: float, z: tuple, x: float) -> float:
+        """Length at which the plant force balances the external load,
+        from the play states ``z`` and the last length ``x``.
 
         With P and the play states fixed, the unclamped force is
         continuous, piecewise linear and strictly increasing in x (slope
@@ -301,43 +300,41 @@ class Plant:
         otherwise a load <= max(f(x_min), 0) gives x_min and one >=
         f(x_max) gives x_max.
 
-        The search starts on the segment that holds the last length
-        ``state.x``, between the largest knot at or below it (or x_min)
-        and the smallest one above it (or x_max), found in one pass over
-        the unsorted knots.  The last step left every play state within
-        its width of that step's length, so the balance mostly lies in
-        this segment.  Otherwise the knots are sorted and the search walks
-        from it one segment at a time, right while the right end's force
-        falls short of the load, left while the left end's reaches it.
-        The computed force is non-decreasing in x too (k > 0, the weights
-        are >= 0 and every operation is a monotone rounding), so exactly
-        one pair of adjacent knots has fa < F_load <= fb: from any start
-        the walk ends on the segment that a bisection ends on, with the
-        same end forces and the same bits.  It evaluates an end's force
-        only on reaching that end, or when the load equals fb, which may
-        round to f(x_max).
+        The search starts on the segment that holds ``x``, between the
+        largest knot at or below it (or x_min) and the smallest one above
+        it (or x_max), found in one pass over the unsorted knots.  The
+        last sample left every play state within its width of its length,
+        so the balance mostly lies in this segment.  Otherwise the knots
+        are sorted and the search walks from it one segment at a time,
+        right while the right end's force falls short of the load, left
+        while the left end's reaches it.  The computed force is
+        non-decreasing in x too (k > 0, the weights are >= 0 and every
+        operation is a monotone rounding), so exactly one pair of
+        adjacent knots has fa < F_load <= fb: from any start the walk ends
+        on the segment that a bisection ends on, with the same end forces
+        and the same bits.  It evaluates an end's force only on reaching
+        that end, or when the load equals fb, which may round to f(x_max).
         """
         env = self.cfg.envelope
-        z = self.state.play_states
         lo, hi = env.x_min, env.x_max
         force = self._force
         if F_load <= 0.0:
-            if F_load < max(force(lo, P, z)[0], 0.0) - 1e-12:
+            if F_load < max(force(lo, P, z), 0.0) - 1e-12:
                 raise self._unreachable(F_load, P, z)
             return lo
-        x0, x = self.cfg.dyn.x0, self.state.x
-        knots = [k for zi, w in zip(z, self._widths)
-                 for k in (zi - w + x0, zi + w + x0) if lo < k < hi]
+        x0 = self.cfg.dyn.x0
         xa, xb = lo, hi
-        for k in knots:
-            if k <= x:
-                if k > xa:
-                    xa = k
-            elif k < xb:
-                xb = k
-        fa, fb = force(xa, P, z)[0], force(xb, P, z)[0]
+        for zi, w in zip(z, self._widths):
+            for k in (zi - w + x0, zi + w + x0):
+                if k <= x:
+                    if xa < k < hi:
+                        xa = k
+                elif lo < k < xb:
+                    xb = k
+        fa, fb = force(xa, P, z), force(xb, P, z)
         if not fa < F_load <= fb:  # walk the sorted knots from that segment
-            xs = [lo, *sorted(knots), hi]
+            xs = [lo, *sorted(k for zi, w in zip(z, self._widths)
+                              for k in (zi - w + x0, zi + w + x0) if lo < k < hi), hi]
             last = len(xs) - 1
             a = bisect.bisect_right(xs, xa, 1, last) - 1  # xs[a], xs[a + 1] are xa, xb
             while fb < F_load:
@@ -346,58 +343,93 @@ class Plant:
                         raise self._unreachable(F_load, P, z)
                     return hi
                 a += 1
-                fa, fb = fb, force(xs[a + 1], P, z)[0]
+                fa, fb = fb, force(xs[a + 1], P, z)
             while fa >= F_load:
                 if a == 0:  # 0 < F_load <= f(lo)
                     if F_load < fa - 1e-12:
                         raise self._unreachable(F_load, P, z)
                     return lo
                 a -= 1
-                fa, fb = force(xs[a], P, z)[0], fa
+                fa, fb = force(xs[a], P, z), fa
             xa, xb = xs[a], xs[a + 1]
         # fa < F_load <= fb <= f(hi), so fb > fa and xb > xa
-        if F_load == fb and F_load >= force(hi, P, z)[0]:
+        if F_load == fb and F_load >= force(hi, P, z):
             return hi
         return xa + (F_load - fa) * (xb - xa) / (fb - fa)
 
-    def step(self, P_cmd: float, dt: float, x_cmd: float | None = None,
-             F_load: float | None = None) -> StepResult:
-        """Advance one sample: valve lag, length constraint, hysteretic
-        force, inductance, sensor noise.
+    def steps(self, P_cmd, dt: float, x_cmd=None, F_load=None) -> dict:
+        """Advance one sample per pressure command: valve lag, length
+        (``x_cmd``, kinematic drive, or the balance against ``F_load``,
+        isotonic), hysteretic force, inductance and sensor noise.
 
-        Exactly one of ``x_cmd`` (kinematic drive) or ``F_load``
-        (isotonic balance) must be given.
+        Exactly one of ``x_cmd`` or ``F_load`` must be given, a sequence
+        as long as ``P_cmd``.  Returns the channels ``t``, ``P``, ``x``,
+        ``F`` (truth), ``L_clean`` and the sensed ``L_meas`` and
+        ``F_meas``, each a list with one float per sample.  It is one
+        scalar loop on floats that reads the config once; both noise
+        channels are drawn after it in one call, L then F for each
+        sample, and the state is written once.  Cutting a run into pieces
+        gives the same bits.  An error at a sample (IsotonicInfeasibleError
+        for an unreachable load, the EnvelopeError of ``model.eval_coeffs``
+        for coefficients outside the envelope, and ValueError for bad
+        arguments at the first) is raised after the samples before it are
+        finished: their noise drawn, the state left after them, and their
+        channels set as the error's ``completed``.
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if (x_cmd is None) == (F_load is None):
-            raise ValueError("provide exactly one of x_cmd or F_load")
-        st = self.state
-        cfg = self.cfg
-        P, x, F, z_new = self._advance(P_cmd, dt, x_cmd, F_load)
-        l1, l2, l3, l4, l5 = model._coeffs(cfg.ind, P)
-        if not (l2 > 0.0 and l4 > 0.0 and math.isfinite(l1 + l2 + l3 + l4 + l5)):
-            model.eval_coeffs(cfg.ind, P)  # raises its EnvelopeError
-        L_clean = model._inductance_at(F, l1, l2, l3, l4, l5)
-        # Both sensor channels draw every step so the noise stream does
-        # not depend on which channel a caller consumes.
-        L_meas = L_clean + cfg.noise_L * self.rng.standard_normal()
-        F_meas = F + cfg.noise_F * self.rng.standard_normal()
-        st.x, st.P, st.play_states, st.t = x, P, z_new, st.t + dt
-        return StepResult(st.t, P, x, F, L_clean, L_meas, F_meas)
+        st, cfg = self.state, self.cfg
+        P, x, z, t = st.P, st.x, st.play_states, st.t
+        ts, Ps, xs, Fs, Ls = [], [], [], [], []
 
-    def _advance(self, P_cmd: float, dt: float, x_cmd: float | None,
-                 F_load: float | None) -> tuple:
-        """The recurrence of one sample from the current state: valve
-        lag, length (commanded, or balancing ``F_load``) and hysteretic
-        force.  Returns ``(P, x, F, play_states)`` and writes no state."""
-        st = self.state
-        tau = self.cfg.valve_tau
-        P = P_cmd + (st.P - P_cmd) * math.exp(-dt / tau) if tau > 0 else float(P_cmd)
-        P = max(P, 0.0)
-        x = float(x_cmd) if x_cmd is not None else self._solve_isotonic(float(F_load), P)
-        F, z_new = self._force(x, P, st.play_states)
-        return P, x, max(F, 0.0), z_new
+        def finish() -> dict:
+            noise = self.rng.standard_normal(2 * len(Ls)).tolist()  # per sample: L, then F
+            st.x, st.P, st.play_states, st.t = x, P, z, t
+            nL, nF = cfg.noise_L, cfg.noise_F
+            return {"t": ts, "P": Ps, "x": xs, "F": Fs, "L_clean": Ls,
+                    "L_meas": [L + nL * e for L, e in zip(Ls, noise[0::2])],
+                    "F_meas": [F + nF * e for F, e in zip(Fs, noise[1::2])]}
+
+        try:
+            if dt <= 0:
+                raise ValueError("dt must be positive")
+            if (x_cmd is None) == (F_load is None):
+                raise ValueError("provide exactly one of x_cmd or F_load")
+            kinematic = F_load is None
+            drive = x_cmd if kinematic else F_load
+            if len(drive) != len(P_cmd):
+                raise ValueError(f"{len(P_cmd)} pressure commands against {len(drive)} "
+                                 f"{'lengths' if kinematic else 'loads'}")
+            lag = cfg.valve_tau > 0
+            decay = math.exp(-dt / cfg.valve_tau) if lag else 0.0
+            k, x0, c = cfg.dyn.k, cfg.dyn.x0, cfg.dyn.c
+            p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
+            solve, play = self._solve_isotonic, self._play
+            inductance_at, finite = model._inductance_at, math.isfinite
+            for p_cmd, d in zip(P_cmd, drive):
+                p_cmd = float(p_cmd)
+                P_i = p_cmd + (P - p_cmd) * decay if lag else p_cmd
+                if 0.0 > P_i:  # max(P_i, 0.0) without the call
+                    P_i = 0.0
+                x_i = float(d) if kinematic else solve(float(d), P_i, z, x)
+                z_i, acc = play(x_i, z)
+                F = k * (x_i - x0) + c * P_i + acc  # as _force sums it
+                if 0.0 > F:
+                    F = 0.0
+                # the map's coefficients, as model._coeffs gives them
+                l1, l2, l3 = p0 * P_i + p1, p2 * P_i + p3, p4 * P_i + p5
+                l4, l5 = p6 * P_i + p7, p8 * P_i + p9
+                if not (l2 > 0.0 and l4 > 0.0 and finite(l1 + l2 + l3 + l4 + l5)):
+                    model.eval_coeffs(cfg.ind, P_i)  # raises its EnvelopeError
+                t += dt
+                P, x, z = P_i, x_i, z_i
+                ts.append(t)
+                Ps.append(P)
+                xs.append(x)
+                Fs.append(F)
+                Ls.append(inductance_at(F, l1, l2, l3, l4, l5))
+        except ValueError as err:
+            err.completed = finish()
+            raise
+        return finish()
 
     def _play_sum(self, u, z) -> tuple:
         """The weighted sum of the play states at the length offsets
@@ -447,21 +479,20 @@ class Plant:
 
     def run_kinematic(self, P_cmd, x_cmd, dt: float) -> dict:
         """Drive the length through ``x_cmd`` under pressure commands
-        ``P_cmd``, one sample per pair, as ``step(P_cmd[i], dt,
-        x_cmd=x_cmd[i])`` in turn would.
+        ``P_cmd``, one sample per pair, as ``steps(P_cmd, dt,
+        x_cmd=x_cmd)`` would.
 
-        Returns the ``StepResult`` channels as arrays, keyed by field
-        name, with the bits the steps give, and leaves the plant in the
-        state, noise stream included, that they leave.  The valve lag is
-        a scalar loop.  The play operators take the step's clip
-        (``_force``) at the first sample and are solved in closed form
-        over each monotone run of the length after it (``_play_sum``).
-        The force is summed on arrays in ``_force``'s order, and the map
-        (``model._inductance_at``, as ``step`` calls it) runs per sample,
-        ``MAP_BLOCK`` samples at a time.  A non-finite length command
-        raises ValueError, and a coefficient outside the envelope the
-        EnvelopeError of its first sample; either leaves the state as it
-        was.
+        Returns the channels of ``steps`` as arrays, with the bits it
+        gives, and leaves the plant in the state, noise stream included,
+        that it leaves.  The valve lag is a scalar loop.  The play
+        operators take ``_play``'s clip at the first sample and are solved
+        in closed form over each monotone run of the length after it
+        (``_play_sum``).  The force is summed on arrays in ``_force``'s
+        order, and the map (``model._inductance_at``, as ``steps`` calls
+        it) runs per sample, ``MAP_BLOCK`` samples at a time.  A
+        non-finite length command raises ValueError, and a coefficient
+        outside the envelope the EnvelopeError of its first sample; either
+        leaves the state as it was.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -481,7 +512,7 @@ class Plant:
             append = P.append
             for p in P_cmd:
                 Pi = p + (Pi - p) * decay
-                if 0.0 > Pi:  # max(Pi, 0.0), as the step takes it, without the call
+                if 0.0 > Pi:  # max(Pi, 0.0), as ``steps`` takes it, without the call
                     Pi = 0.0
                 append(Pi)
         else:
@@ -491,7 +522,8 @@ class Plant:
         valid = np.isfinite(coeffs).all(axis=0) & (coeffs[1] > 0) & (coeffs[3] > 0)
         if not valid.all():
             model.eval_coeffs(cfg.ind, P[np.argmin(valid)].item())  # raises
-        F0, z = self._force(x[0].item(), P[0].item(), st.play_states)
+        F0 = self._force(x[0].item(), P[0].item(), st.play_states)
+        z = self._play(x[0].item(), st.play_states)[0]
         u = x - dyn.x0
         acc, z = self._play_sum(u, z)
         F = dyn.k * u + dyn.c * P + acc
@@ -744,10 +776,9 @@ def run_scenario(scenario: Scenario, cfg: PlantConfig, return_truth: bool = Fals
         run = Plant(cfg, x0=float(scenario.x_levels[0])).run_kinematic(p_cmd, x_cmd, dt)
     elif kind == "load_perturbation":
         _, load_at = perturbation_load_profile(scenario, cfg.seed)
-        plant = Plant(cfg, x0=scenario.hold_x, P0=scenario.p_cmd)
-        results = [plant.step(scenario.p_cmd, dt, F_load=load_at(float(t))) for t in times]
-        run = {f.name: np.array([getattr(r, f.name) for r in results])
-               for f in fields(StepResult)}
+        run = Plant(cfg, x0=scenario.hold_x, P0=scenario.p_cmd).steps(
+            [scenario.p_cmd] * n, dt, F_load=list(map(load_at, times.tolist())))
+        run = {name: np.array(col) for name, col in run.items()}
     else:
         raise ValueError(f"unhandled scenario kind '{kind}'")
 

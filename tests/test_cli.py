@@ -345,6 +345,22 @@ class TestSimulateTrackPerturb:
                                 delimiter=",", names=True)
             assert 0.0 < run["command"].max() <= 0.6
 
+    def test_raised_lowest_pressure_runs_track(self, tmp_path):
+        # the loops clamp their commands to the envelope's pressures, so a
+        # force the actuator reaches only below P_min saturates there and
+        # the observer never reads a pressure outside the envelope
+        cfg = {"envelope": {"P_min": 0.1},
+               "scenarios": [{"kind": "force_tracking", "waveform": "sine", "center": 0.3,
+                              "amplitude": 0.25, "duration_s": 10.0}]}
+        cfg_path = str(tmp_path / "cfg.json")
+        json.dump(cfg, open(cfg_path, "w"))
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", cfg_path, "--out", out, "track"]) == 0
+        for mode in ("open_loop", "sensor_fb", "self_sensing"):
+            run = np.genfromtxt(os.path.join(out, f"force_sine_0.2Hz_{mode}.csv"),
+                                delimiter=",", names=True)
+            assert run["command"].min() >= 0.1
+
     def test_unknown_scenario_kind_fails_before_output(self, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
         json.dump({"scenarios": [{"kind": "nonsense"}]}, open(cfg_path, "w"))

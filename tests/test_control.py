@@ -8,6 +8,7 @@ from coilsense import control, plant
 from coilsense.control import (ControllerState, PidGains, TrackingSetup,
                                feedforward_pressure, pid_step)
 from coilsense.model import DegenerateModelError, DynamicParams
+from test_plant import oracle_step
 
 DYN = plant.reference_dynamic_params()
 
@@ -20,25 +21,26 @@ def short_force_scenario(**kw):
 
 class TestFeedforward:
     def test_slack_zero(self):
-        assert feedforward_pressure(DYN, 0.0, DYN.x0, 0.65) == 0.0
+        assert feedforward_pressure(DYN, 0.0, DYN.x0, 0.0, 0.65) == 0.0
 
     def test_hand_value(self):
-        assert feedforward_pressure(DYN, 0.8155, 0.100, 0.65) == pytest.approx(0.5, abs=1e-12)
+        assert feedforward_pressure(DYN, 0.8155, 0.100, 0.0, 0.65) == pytest.approx(0.5, abs=1e-12)
 
     def test_displacement_mode(self):
         # the reference length under the load: the same formula
-        p = feedforward_pressure(DYN, 1.5, 0.125, 0.65)
+        p = feedforward_pressure(DYN, 1.5, 0.125, 0.0, 0.65)
         assert p == pytest.approx((1.5 - 38.6 * 0.025) / 1.6310, abs=1e-12)
 
     def test_clamp_and_flag(self):
-        assert feedforward_pressure(DYN, -5.0, DYN.x0, 0.65) == 0.0
-        assert feedforward_pressure(DYN, 50.0, DYN.x0, 0.65) == 0.65
-        assert feedforward_pressure(DYN, 50.0, DYN.x0, 0.4) == 0.4
+        assert feedforward_pressure(DYN, -5.0, DYN.x0, 0.0, 0.65) == 0.0
+        assert feedforward_pressure(DYN, 50.0, DYN.x0, 0.0, 0.65) == 0.65
+        assert feedforward_pressure(DYN, 50.0, DYN.x0, 0.0, 0.4) == 0.4
+        assert feedforward_pressure(DYN, -5.0, DYN.x0, 0.1, 0.65) == 0.1
 
     def test_degenerate_pressure_coefficient(self):
         tiny = DynamicParams(k=38.6, x0=0.1, c=1e-12)
         with pytest.raises(DegenerateModelError):
-            feedforward_pressure(tiny, 1.0, 0.1, 0.65)
+            feedforward_pressure(tiny, 1.0, 0.1, 0.0, 0.65)
 
 
 class TestPid:
@@ -183,15 +185,24 @@ def sample_step(state, L, P, dyn, ocfg):
 
 
 def reference_loop(scenario, mode, setup):
-    """The closed-loop engine with the observer stepped after each plant
-    sample: ``control._settle`` and ``control._run_loop`` as they were
-    before a control period went through the observer in one call."""
+    """The closed-loop engine with the plant (``oracle_step``) and the
+    observer stepped one sample at a time: ``control._settle`` and
+    ``control._run_loop`` as they were before a control period went
+    through the observer in one call."""
     pcfg = setup.plant_cfg
     force_mode = scenario.kind == "force_tracking"
     dts = 1.0 / pcfg.sensor_rate_hz
     n_pre = int(round(control.PREROLL_S / dts))
     ocfg = control.observer_config(setup, pcfg.ind, dts)
-    feedforward, drive = control._drivers(scenario, setup)
+    feedforward, _ = control._drivers(scenario, setup)
+    if force_mode:
+        def drive(plant_, p, t):
+            return oracle_step(plant_, p, dts, x_cmd=scenario.hold_x)
+    else:
+        _, load_at = plant.perturbation_load_profile(scenario, pcfg.seed)
+
+        def drive(plant_, p, t):
+            return oracle_step(plant_, p, dts, F_load=load_at(t))
     F0 = float(scenario.reference(0.0)) if force_mode else scenario.load
     p_ff0 = feedforward(float(scenario.reference(0.0)))
     plant_ = plant.Plant(pcfg, x0=pcfg.dyn.x0, P0=p_ff0)
@@ -201,7 +212,7 @@ def reference_loop(scenario, mode, setup):
         if force_mode:
             frac = min(1.0, (i + 1) / ramp_n)
             x_cmd = pcfg.dyn.x0 + frac * (scenario.hold_x - pcfg.dyn.x0)
-            last = plant_.step(p_ff0, dts, x_cmd=x_cmd)
+            last = oracle_step(plant_, p_ff0, dts, x_cmd=x_cmd)
         else:
             last = drive(plant_, p_ff0, 0.0)
         if state is None:
@@ -263,9 +274,9 @@ class TestPeriodCalls:
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (mode, name)
 
-    def test_one_call_per_control_period(self, setup0, monkeypatch):
-        # the pre-roll, the conditioning cycle and then each control period
-        # go through the observer in one call each
+    @staticmethod
+    def observed_sizes(monkeypatch):
+        """The number of samples of each ``estimate_steps`` call, as they come."""
         steps, sizes = control.obs.estimate_steps, []
 
         def counted(state, L_raw, P, dyn, cfg):
@@ -273,32 +284,70 @@ class TestPeriodCalls:
             return steps(state, L_raw, P, dyn, cfg)
 
         monkeypatch.setattr(control.obs, "estimate_steps", counted)
+        return sizes
+
+    def test_one_call_per_control_period(self, setup0, monkeypatch):
+        # the pre-roll, the conditioning cycle and then each control period
+        # go through the observer in one call each
+        sizes = self.observed_sizes(monkeypatch)
         scn = plant.Scenario.displacement_tracking(frequency_hz=0.5, duration_s=4.03)
         control._run_loop(scn, "self_sensing", setup0)
         assert sizes == [300, 200] + [5] * 80 + [3]
 
-    def test_plant_error_comes_after_the_observed_samples(self, setup0):
-        # a plant step that raises inside a stretch: the samples before it
-        # are observed first, so an observer error among them is the one
-        # raised, as when each sample was observed as it came
-        ocfg = control.observer_config(setup0, setup0.plant_cfg.ind, 0.01)
-        good = plant.StepResult(0.0, 0.3, 0.12, 1.0, 4.9, 4.9, 1.0)
-        bad = plant.StepResult(0.01, 0.3, 0.12, 1.0, 4.9, math.nan, 1.0)
+    @pytest.mark.parametrize("mode", ["open_loop", "sensor_fb"])
+    def test_one_call_for_a_run_that_reads_no_estimate(self, setup0, monkeypatch, mode):
+        # the loop reads no estimate, so the whole logged run goes through
+        # the observer in one call at its end; the plant steps once per
+        # control period, and once each for the pre-roll and conditioning
+        sizes = self.observed_sizes(monkeypatch)
+        steps, plant_sizes = plant.Plant.steps, []
 
-        def steps(results):
-            yield from results
-            raise plant.IsotonicInfeasibleError("the plant's error")
+        def counted(self, P_cmd, dt, **drive):
+            plant_sizes.append(len(P_cmd))
+            return steps(self, P_cmd, dt, **drive)
 
-        state = control.obs.reset(1.0, 4.9, 0.3, ocfg)
-        with pytest.raises(ValueError, match="All-NaN"):
-            control._observe(state, steps([good, bad]), setup0.dyn, ocfg)
-        # with no observer error, the plant's, after its samples are observed
-        state, twin = (control.obs.reset(1.0, 4.9, 0.3, ocfg) for _ in range(2))
-        twin = control.obs.estimate_steps(twin, [4.9], [0.3], setup0.dyn, ocfg)[0]
-        with pytest.raises(plant.IsotonicInfeasibleError, match="the plant's error"):
-            control._observe(state, steps([good]), setup0.dyn, ocfg)
-        assert state.L_filter.zi.tobytes() == twin.L_filter.zi.tobytes()
-        assert state.P_filter.zi.tobytes() == twin.P_filter.zi.tobytes()
+        monkeypatch.setattr(plant.Plant, "steps", counted)
+        scn = plant.Scenario.displacement_tracking(frequency_hz=0.5, duration_s=4.03)
+        control._run_loop(scn, mode, setup0)
+        assert sizes == [300, 200, 403]
+        assert plant_sizes == [300, 200] + [5] * 80 + [3]
+
+    def test_plant_error_comes_after_the_observed_samples(self, setup0, monkeypatch):
+        # a plant error at the third sample of the eighth control period:
+        # the samples before it (those of earlier periods that no tick
+        # observed too) go through the observer first, so an observer error
+        # among them is the one raised, as when each sample was observed as
+        # it came
+        steps, calls = plant.Plant.steps, []
+
+        def failing(nan_reading):
+            def fake(self, P_cmd, dt, **drive):
+                calls.append(len(P_cmd))
+                if len(calls) < 10:  # the pre-roll, conditioning and 7 periods
+                    return steps(self, P_cmd, dt, **drive)
+                run = steps(self, P_cmd[:2], dt, **{k: v[:2] for k, v in drive.items()})
+                if nan_reading:
+                    run["L_meas"][1] = math.nan
+                err = plant.IsotonicInfeasibleError("the plant's error")
+                err.completed = run
+                raise err
+            return fake
+
+        scn = plant.Scenario.displacement_tracking(frequency_hz=0.5, duration_s=4.03)
+        sizes = self.observed_sizes(monkeypatch)
+        for mode, observed in (("open_loop", [300, 200, 37]),
+                               ("self_sensing", [300, 200] + [5] * 7 + [2])):
+            for nan_reading in (True, False):
+                monkeypatch.setattr(plant.Plant, "steps", failing(nan_reading))
+                calls.clear()
+                sizes.clear()
+                if nan_reading:
+                    with pytest.raises(ValueError, match="All-NaN"):
+                        control._run_loop(scn, mode, setup0)
+                else:  # with no observer error, the plant's, after its samples are observed
+                    with pytest.raises(plant.IsotonicInfeasibleError, match="the plant's error"):
+                        control._run_loop(scn, mode, setup0)
+                assert sizes == observed, (mode, nan_reading)
 
 
 class TestSetup:

@@ -413,7 +413,7 @@ class TestFloatState:
         assert type(F_hat) is float and type(x_hat) is float
 
     def test_no_matrix_calls(self, monkeypatch):
-        # the observer step and Plant.step run on floats: no matmul, clip or dot
+        # the observer and Plant.steps run on floats: no matmul, clip or dot
         calls = []
         for name in ("matmul", "clip", "dot"):
             original = getattr(np, name)
@@ -426,8 +426,8 @@ class TestFloatState:
                      for w, g in ((0.003, 1.7), (0.009, 2.3), (0.014, 0.9)))
         p = plant.Plant(plant.default_plant_config(seed=3, hysteresis=hyst), x0=0.12, P0=0.2)
         for i in range(20):
-            p.step(0.2, 0.01, x_cmd=0.12 + 0.002 * i)
-            p.step(0.25, 0.01, F_load=1.0 + 0.02 * i)
+            p.steps([0.2], 0.01, x_cmd=[0.12 + 0.002 * i])
+            p.steps([0.25, 0.25], 0.01, F_load=[1.0 + 0.02 * i, 1.01 + 0.02 * i])
         assert calls == []
 
 
@@ -1292,13 +1292,12 @@ class TestEstimateStep:
                                           hysteresis=(), valve_tau=0.0)
         p = plant.Plant(pcfg, x0=0.12, P0=0.2)
         cfg = make_cfg()
-        first = p.step(0.2, 0.01, x_cmd=0.12)
-        st = observer.reset(0.5, first.L_meas, first.P, cfg)  # deliberately off
-        for i in range(200):  # 2 s at 100 Hz
-            r = p.step(0.2, 0.01, x_cmd=0.12)
-            st, F_hat, x_hat = one_step(st, r.L_meas, r.P, DYN, cfg)
-        assert F_hat == pytest.approx(r.F, rel=0.01)
-        assert x_hat == pytest.approx(r.x, rel=0.01)
+        run = p.steps([0.2] * 201, 0.01, x_cmd=[0.12] * 201)
+        st = observer.reset(0.5, run["L_meas"][0], run["P"][0], cfg)  # deliberately off
+        for i in range(1, 201):  # 2 s at 100 Hz
+            st, F_hat, x_hat = one_step(st, run["L_meas"][i], run["P"][i], DYN, cfg)
+        assert F_hat == pytest.approx(run["F"][-1], rel=0.01)
+        assert x_hat == pytest.approx(run["x"][-1], rel=0.01)
 
     def test_zero_noise_pressure_step_keeps_branch(self):
         # exact readings of a constant force on the rising branch while
@@ -1521,16 +1520,17 @@ class TestBranchDisambiguation:
         p = plant.Plant(pcfg, x0=0.105, P0=0.2)
         cfg = make_cfg()
         dt = 0.01
-        first = p.step(0.2, dt, x_cmd=0.105)
-        st = observer.reset(first.F, first.L_meas, first.P, cfg)
+        first = p.steps([0.2], dt, x_cmd=[0.105])
+        st = observer.reset(first["F"][0], first["L_meas"][0], first["P"][0], cfg)
         F_true, F_obs, F_inv = [], [], []
         for i in range(int(20.0 / dt)):
             t = (i + 1) * dt
             x = 0.105 + 0.07 * 0.5 * (1 - np.cos(2 * np.pi * 0.1 * t))
-            r = p.step(0.2, dt, x_cmd=x)
-            st, F_hat, _ = one_step(st, r.L_meas, r.P, DYN, cfg)
-            F_inv.append(observer.nearest_preimage(r.L_meas, r.P, cfg))
-            F_true.append(r.F)
+            r = p.steps([0.2], dt, x_cmd=[x])
+            L, P = r["L_meas"][0], r["P"][0]
+            st, F_hat, _ = one_step(st, L, P, DYN, cfg)
+            F_inv.append(observer.nearest_preimage(L, P, cfg))
+            F_true.append(r["F"][0])
             F_obs.append(F_hat)
         F_true, F_obs, F_inv = map(np.array, (F_true, F_obs, F_inv))
         span = F_true.max() - F_true.min()
@@ -1555,6 +1555,15 @@ class TestConfig:
                            weights=CostWeights(), filt=FILT, grid_points=8)
         with pytest.raises(ValueError):
             CostWeights(gamma=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_Q_rejected(self, bad):
+        # checked before the eigenvalues, which a NaN or inf entry has none of
+        Q = np.eye(2)
+        Q[0, 1] = bad
+        with pytest.raises(ValueError, match="Q must be finite"):
+            ObserverConfig(dt=0.01, Q=Q, R=1.0, envelope=ENV, ind=IND,
+                           weights=CostWeights(), filt=FILT)
 
     def test_flat_map_rejected(self):
         # exp(-1000 F) vanishes on the envelope, so the median |dL/dF| is 0

@@ -1,6 +1,7 @@
 import bisect
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def bisection_solve_isotonic(p, F_load, P):
     z = p.state.play_states
     widths = tuple(float(h.width) for h in p.cfg.hysteresis)
     lo, hi = env.x_min, env.x_max
-    f_lo, f_hi = p._force(lo, P, z)[0], p._force(hi, P, z)[0]
+    f_lo, f_hi = p._force(lo, P, z), p._force(hi, P, z)
     F_lo, F_hi = max(f_lo, 0.0), max(f_hi, 0.0)
     if F_load < F_lo - 1e-12 or F_load > F_hi + 1e-12:
         raise IsotonicInfeasibleError(
@@ -78,12 +79,120 @@ def bisection_solve_isotonic(p, F_load, P):
     ia, ib = -1, len(knots)  # knot indices of xa and xb
     while ib - ia > 1:
         m = (ia + ib) // 2
-        fm = p._force(knots[m], P, z)[0]
+        fm = p._force(knots[m], P, z)
         if fm >= F_load:
             ib, xb, fb = m, knots[m], fm
         else:
             ia, xa, fa = m, knots[m], fm
     return xa + (F_load - fa) * (xb - xa) / (fb - fa)
+
+
+@dataclass(slots=True)
+class StepResult:
+    """Truth channels (F, x, L_clean, P) and sensed channels (L_meas,
+    F_meas) of one ``oracle_step``."""
+
+    t: float
+    P: float
+    x: float
+    F: float
+    L_clean: float
+    L_meas: float
+    F_meas: float
+
+
+#: The channels of ``Plant.steps`` and ``Plant.run_kinematic``.
+CHANNELS = ("t", "P", "x", "F", "L_clean", "L_meas", "F_meas")
+
+
+def oracle_force(self, x: float, P: float, z: tuple) -> tuple:
+    """Unclamped force and the advanced play states at a candidate
+    length (the plant's force is ``max(F, 0)``).
+
+    Each play state is clipped to [u - width, u + width], taking the
+    bound on a tie as ``np.clip`` does, and its weighted term added
+    left to right (not sum(), whose float rounding changed in Python
+    3.12)."""
+    dyn = self.cfg.dyn
+    u = x - dyn.x0
+    z_new = []
+    acc = 0.0
+    for zi, w, g in zip(z, self._widths, self._weights):
+        lo = u - w
+        hi = u + w
+        zi = lo if zi <= lo else zi
+        zi = hi if zi >= hi else zi
+        z_new.append(zi)
+        acc += g * zi
+    return dyn.k * u + dyn.c * P + acc, tuple(z_new)
+
+
+def oracle_step(self, P_cmd: float, dt: float, x_cmd: float | None = None,
+                F_load: float | None = None) -> StepResult:
+    """Advance one sample: valve lag, length constraint, hysteretic
+    force, inductance, sensor noise.
+
+    Exactly one of ``x_cmd`` (kinematic drive) or ``F_load``
+    (isotonic balance) must be given.
+
+    The per-sample oracle of ``Plant.steps`` and ``Plant.run_kinematic``:
+    the plant's one-sample step before those replaced it, with its force
+    (``oracle_force``) and its recurrence (``oracle_advance``), and the
+    balance called with the state it read.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if (x_cmd is None) == (F_load is None):
+        raise ValueError("provide exactly one of x_cmd or F_load")
+    st = self.state
+    cfg = self.cfg
+    P, x, F, z_new = oracle_advance(self, P_cmd, dt, x_cmd, F_load)
+    l1, l2, l3, l4, l5 = model._coeffs(cfg.ind, P)
+    if not (l2 > 0.0 and l4 > 0.0 and math.isfinite(l1 + l2 + l3 + l4 + l5)):
+        model.eval_coeffs(cfg.ind, P)  # raises its EnvelopeError
+    L_clean = model._inductance_at(F, l1, l2, l3, l4, l5)
+    # Both sensor channels draw every step so the noise stream does
+    # not depend on which channel a caller consumes.
+    L_meas = L_clean + cfg.noise_L * self.rng.standard_normal()
+    F_meas = F + cfg.noise_F * self.rng.standard_normal()
+    st.x, st.P, st.play_states, st.t = x, P, z_new, st.t + dt
+    return StepResult(st.t, P, x, F, L_clean, L_meas, F_meas)
+
+
+def oracle_advance(self, P_cmd: float, dt: float, x_cmd: float | None,
+                   F_load: float | None) -> tuple:
+    """The recurrence of one sample from the current state: valve
+    lag, length (commanded, or balancing ``F_load``) and hysteretic
+    force.  Returns ``(P, x, F, play_states)`` and writes no state."""
+    st = self.state
+    tau = self.cfg.valve_tau
+    P = P_cmd + (st.P - P_cmd) * math.exp(-dt / tau) if tau > 0 else float(P_cmd)
+    P = max(P, 0.0)
+    x = (float(x_cmd) if x_cmd is not None
+         else self._solve_isotonic(float(F_load), P, st.play_states, st.x))
+    F, z_new = oracle_force(self, x, P, st.play_states)
+    return P, x, max(F, 0.0), z_new
+
+
+def oracle_run(p, P_cmd, dt, x_cmd=None, F_load=None) -> tuple:
+    """``oracle_step`` over a sequence of commands: the channels of the
+    samples it stepped, keyed as ``Plant.steps`` keys them, and the error
+    of the sample that raised, or None."""
+    drive = [{"x_cmd": x} for x in x_cmd] if F_load is None else [{"F_load": f} for f in F_load]
+    results, error = [], None
+    try:
+        for P, d in zip(P_cmd, drive):
+            results.append(oracle_step(p, P, dt, **d))
+    except (IsotonicInfeasibleError, model.EnvelopeError) as e:
+        error = e
+    return {name: [getattr(r, name) for r in results] for name in CHANNELS}, error
+
+
+def step(p, P_cmd, dt, x_cmd=None, F_load=None):
+    """One sample of ``Plant.steps``, its channels as attributes."""
+    run = p.steps([P_cmd], dt, x_cmd=None if x_cmd is None else [x_cmd],
+                  F_load=None if F_load is None else [F_load])
+    return SimpleNamespace(**{name: col[0] for name, col in run.items()})
 
 
 #: The unit roundoff of doubles.
@@ -130,7 +239,7 @@ def ideal_config(**overrides):
 class TestStep:
     def test_slack_state(self):
         p = Plant(ideal_config())
-        r = p.step(0.0, 0.01, x_cmd=DYN.x0)
+        r = step(p, 0.0, 0.01, x_cmd=DYN.x0)
         assert r.F == 0.0
         assert r.L_clean == model.eval_coeffs(IND, 0.0)[4]
 
@@ -140,14 +249,14 @@ class TestStep:
         for _ in range(200):
             x = rng.uniform(0.10, 0.18)
             P = rng.uniform(0.0, 0.65)
-            r = p.step(P, 0.01, x_cmd=x)
+            r = step(p, P, 0.01, x_cmd=x)
             assert r.F == model.eval_dynamic_force(DYN, x, P)
 
     def test_truth_on_inductance_surface(self):
         p = Plant(plant.default_plant_config(seed=1))
         rng = np.random.default_rng(1)
         for _ in range(100):
-            r = p.step(rng.uniform(0, 0.6), 0.01, x_cmd=rng.uniform(0.08, 0.17))
+            r = step(p, rng.uniform(0, 0.6), 0.01, x_cmd=rng.uniform(0.08, 0.17))
             assert r.L_clean == model._inductance_at(r.F, *model.eval_coeffs(IND, r.P))
             # numpy's power and exp can differ from math's in the last bit
             ref = model.eval_inductance(IND, r.F, r.P)
@@ -156,17 +265,114 @@ class TestStep:
     def test_valve_lag(self):
         cfg = ideal_config(valve_tau=0.1)
         p = Plant(cfg, P0=0.0)
-        r = p.step(0.5, 0.1, x_cmd=0.12)
+        r = step(p, 0.5, 0.1, x_cmd=0.12)
         assert r.P == pytest.approx(0.5 * (1 - np.exp(-1.0)), rel=1e-12)
         p2 = Plant(ideal_config(), P0=0.0)
-        assert p2.step(0.5, 0.01, x_cmd=0.12).P == 0.5
+        assert step(p2, 0.5, 0.01, x_cmd=0.12).P == 0.5
 
     def test_requires_one_command(self):
         p = Plant(ideal_config())
-        with pytest.raises(ValueError):
-            p.step(0.1, 0.01)
-        with pytest.raises(ValueError):
-            p.step(0.1, 0.01, x_cmd=0.1, F_load=1.0)
+        with pytest.raises(ValueError, match="exactly one"):
+            p.steps([0.1], 0.01)
+        with pytest.raises(ValueError, match="exactly one"):
+            p.steps([0.1], 0.01, x_cmd=[0.1], F_load=[1.0])
+        with pytest.raises(ValueError, match="2 pressure commands against 1 loads"):
+            p.steps([0.1, 0.2], 0.01, F_load=[1.0])
+        with pytest.raises(ValueError, match="dt must be positive") as err:
+            p.steps([0.1], 0.0, x_cmd=[0.1])
+        # raised before the first sample: none completed, the state as it was
+        assert all(col == [] for col in err.value.completed.values())
+        fresh = Plant(ideal_config())
+        assert p.state == fresh.state and p.rng.bit_generator.state == fresh.rng.bit_generator.state
+
+
+#: Plant configs that switch off one part of a sample at a time.
+STEP_CONFIGS = {"default": {}, "no_valve_lag": {"valve_tau": 0.0},
+                "no_hysteresis": {"hysteresis": ()}, "no_noise": {"noise_L": 0.0, "noise_F": 0.0}}
+
+
+def check_steps(p, P_cmd, dt=0.01, **drive):
+    """``p.steps`` against ``oracle_step`` per sample on a copy of ``p``,
+    bit for bit: every channel (of the samples before an error, if one
+    raises), the error, the final state and the next noise draw.  Returns
+    the channels and the error, or None."""
+    twin = p.copy()
+    want, want_err = oracle_run(twin, P_cmd, dt, **drive)
+    try:
+        got, got_err = p.steps(P_cmd, dt, **drive), None
+    except (IsotonicInfeasibleError, model.EnvelopeError) as e:
+        got, got_err = e.completed, e
+    assert (type(got_err), str(got_err)) == (type(want_err), str(want_err))
+    assert sorted(got) == sorted(CHANNELS)
+    for name in CHANNELS:
+        assert bits(got[name]) == bits(want[name]), name
+        assert all(type(v) is float for v in got[name]), name
+    for name in ("x", "P", "t", "play_states"):
+        assert bits(getattr(p.state, name)) == bits(getattr(twin.state, name)), name
+    assert all(type(v) is float for v in (p.state.x, p.state.P, p.state.t, *p.state.play_states))
+    assert p.rng.standard_normal() == twin.rng.standard_normal()
+    return got, got_err
+
+
+class TestSteps:
+    """``Plant.steps`` gives the bits of ``oracle_step`` per sample."""
+
+    @pytest.mark.parametrize("overrides", STEP_CONFIGS.values(), ids=STEP_CONFIGS.keys())
+    @pytest.mark.parametrize("drive", ["kinematic", "isotonic"])
+    def test_equals_the_oracle_bit_for_bit(self, overrides, drive):
+        # a new pressure every sample, and a second run that continues
+        # from the state and the noise stream the first left
+        cfg = plant.default_plant_config(seed=5, **overrides)
+        p = Plant(cfg, x0=0.12, P0=0.2)
+        rng = np.random.default_rng(17)
+        for n in (300, 40):
+            P_cmd = rng.uniform(0.0, 0.65, n).tolist()
+            if drive == "kinematic":
+                got, err = check_steps(p, P_cmd, x_cmd=rng.uniform(0.07, 0.18, n).tolist())
+            else:
+                got, err = check_steps(p, P_cmd, F_load=rng.uniform(0.3, 2.5, n).tolist())
+            assert err is None and len(got["t"]) == n
+
+    def test_a_slow_isotonic_run_equals_the_oracle(self):
+        # the closed loop's case: the balance moves a little each sample
+        p = Plant(plant.default_plant_config(seed=9), x0=0.12, P0=0.25)
+        t = 0.01 * (np.arange(1500) + 1)
+        check_steps(p, (0.25 + 0.1 * np.sin(0.5 * t)).tolist(),
+                    F_load=(1.1 + 0.4 * np.sin(1.3 * t)).tolist())
+
+    def test_pieces_equal_one_call(self):
+        cfg = plant.default_plant_config(seed=4)
+        a, b = Plant(cfg, x0=0.12, P0=0.3), Plant(cfg, x0=0.12, P0=0.3)
+        rng = np.random.default_rng(5)
+        P_cmd = rng.uniform(0.0, 0.65, 200).tolist()
+        loads = rng.uniform(0.3, 2.5, 200).tolist()
+        whole = a.steps(P_cmd, 0.01, F_load=loads)
+        cuts = [0, 0, 1, 5, 6, 77, 150, 200]  # an empty piece too
+        pieces = [b.steps(P_cmd[i:j], 0.01, F_load=loads[i:j]) for i, j in zip(cuts, cuts[1:])]
+        for name in CHANNELS:
+            assert bits(whole[name]) == bits([v for run in pieces for v in run[name]]), name
+        assert a.state == b.state
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    @pytest.mark.parametrize("j", [0, 1, 7])
+    def test_an_unreachable_load_raises_after_the_samples_before_it(self, j):
+        p = Plant(plant.default_plant_config(seed=2), x0=0.12, P0=0.3)
+        loads = [1.1 + 0.01 * i for i in range(10)]
+        loads[j] = 50.0
+        got, err = check_steps(p, [0.3] * 10, F_load=loads)
+        assert isinstance(err, IsotonicInfeasibleError) and len(got["t"]) == j
+
+    def test_a_map_leaving_the_envelope_raises_at_its_sample(self):
+        # lambda2 = -3 P + 1.3 falls to 0 at P = 0.433 MPa, between the
+        # 14th and the 15th command
+        coeffs = list(plant._REFERENCE_P)
+        coeffs[2] = -3.0
+        cfg = plant.default_plant_config(seed=0, valve_tau=0.0,
+                                         ind=model.InductanceParams(tuple(coeffs)))
+        p = Plant(cfg, x0=0.12)
+        got, err = check_steps(p, [0.3 + 0.01 * i for i in range(21)], x_cmd=[0.12] * 21)
+        assert isinstance(err, model.EnvelopeError) and "lambda2=" in str(err)
+        assert len(got["t"]) == 14
 
 
 class TestHysteresis:
@@ -179,7 +385,7 @@ class TestHysteresis:
             t = (i + 1) * dt
             ph = (t / 8.0) % 1.0
             x = 0.10 + 0.07 * (2 * ph if ph < 0.5 else 2 - 2 * ph)
-            r = p.step(0.2, dt, x_cmd=x)
+            r = step(p, 0.2, dt, x_cmd=x)
             xs.append(r.x)
             fs.append(r.F)
         return np.array(xs), np.array(fs)
@@ -211,7 +417,7 @@ class TestHysteresis:
             t = (i + 1) * dt
             ph = (t / 16.0) % 1.0
             x = 0.10 + 0.07 * (2 * ph if ph < 0.5 else 2 - 2 * ph)
-            r = p.step(0.2, dt, x_cmd=x)
+            r = step(p, 0.2, dt, x_cmd=x)
             (up if ph < 0.5 else down).append((r.F, r.L_clean))
         up, down = np.array(up), np.array(down)
         pred_down = model.eval_inductance(IND, down[:, 0], 0.2)
@@ -238,13 +444,13 @@ class TestIsotonic:
         rng = np.random.default_rng(3)
         for _ in range(100):
             load = rng.uniform(0.5, 2.5)
-            r = p.step(rng.uniform(0.0, 0.4), 0.01, F_load=load)
+            r = step(p, rng.uniform(0.0, 0.4), 0.01, F_load=load)
             assert abs(r.F - load) <= 1e-6
 
     def test_infeasible_load(self):
         p = Plant(ideal_config())
         with pytest.raises(IsotonicInfeasibleError):
-            p.step(0.0, 0.01, F_load=50.0)
+            step(p, 0.0, 0.01, F_load=50.0)
 
     @staticmethod
     def force(p, x, P):
@@ -274,7 +480,7 @@ class TestIsotonic:
         """Closed form against the bisection, then the stepped force
         against the load (no valve lag, so the step runs at P)."""
         x_ref = self.bisect(p, F_load, P)
-        r = p.step(P, 0.01, F_load=F_load)
+        r = step(p, P, 0.01, F_load=F_load)
         assert abs(r.x - x_ref) <= 1e-12
         assert abs(r.F - F_load) <= 1e-9
 
@@ -285,7 +491,7 @@ class TestIsotonic:
         env = cfg.envelope
         for _ in range(200):
             for _ in range(rng.integers(0, 4)):  # a random play history
-                p.step(rng.uniform(0.0, 0.65), 0.01, x_cmd=rng.uniform(env.x_min, env.x_max))
+                step(p, rng.uniform(0.0, 0.65), 0.01, x_cmd=rng.uniform(env.x_min, env.x_max))
             P = rng.uniform(0.0, 0.65)
             F_load = rng.uniform(self.force(p, env.x_min, P), self.force(p, env.x_max, P))
             self.check(p, F_load, P)
@@ -294,7 +500,7 @@ class TestIsotonic:
         # after a stretch to 0.16 m the first segment runs from x_min,
         # where the unclamped force is about -1.3 N at P = 0
         p = Plant(ideal_config(hysteresis=plant.default_hysteresis()), x0=0.10)
-        p.step(0.0, 0.01, x_cmd=0.16)
+        step(p, 0.0, 0.01, x_cmd=0.16)
         assert self.force(p, p.cfg.envelope.x_min, 0.0) == 0.0
         self.check(p, 0.5, 0.0)
 
@@ -311,7 +517,7 @@ class TestIsotonic:
         f_lo, f_hi = self.force(p, env.x_min, P), self.force(p, env.x_max, P)
         assert f_lo > 0.0
         for F_load, x in ((f_lo, env.x_min), (f_hi, env.x_max), (f_hi + 5e-13, env.x_max)):
-            assert p._solve_isotonic(F_load, P) == x
+            assert solve_at_state(p, F_load, P) == x
             assert abs(x - self.bisect(p, F_load, P)) <= 1e-12
 
     def test_without_hysteresis(self):
@@ -339,34 +545,40 @@ class TestFloatState:
             P = float(rng.uniform(0.0, 0.65))
             x = float(rng.uniform(env.x_min, env.x_max))
             z = p.state.play_states
-            F, z_new = p._force(x, P, z)
+            F, (z_new, acc) = p._force(x, P, z), p._play(x, z)
+            assert F == cfg.dyn.k * (x - cfg.dyn.x0) + cfg.dyn.c * P + acc  # as steps sums it
             F_ref, z_ref = numpy_force(p, x, P, z)
             assert abs(F - F_ref) <= force_error_bound(p, x, P, z)
             assert np.array(z_new).tobytes() == z_ref.tobytes()
             if rng.uniform() < 0.5:
-                p.step(P, 0.01, x_cmd=x)
+                step(p, P, 0.01, x_cmd=x)
                 continue
             f_lo = max(numpy_force(p, env.x_min, P, p.state.play_states)[0], 0.0)
             f_hi = numpy_force(p, env.x_max, P, p.state.play_states)[0]
             F_load = float(rng.uniform(f_lo, f_hi))
             x_ref = numpy_solve_isotonic(p, F_load, P)
-            assert abs(p._solve_isotonic(F_load, P) - x_ref) <= isotonic_error_bound(p, x_ref, P)
-            p.step(P, 0.01, F_load=F_load)
+            assert abs(solve_at_state(p, F_load, P) - x_ref) <= isotonic_error_bound(p, x_ref, P)
+            step(p, P, 0.01, F_load=F_load)
 
     def test_play_states_are_python_floats(self):
         p = Plant(plant.default_plant_config(seed=0), x0=0.12)
-        p.step(0.2, 0.01, x_cmd=0.14)
-        p.step(0.2, 0.01, F_load=1.2)
+        step(p, 0.2, 0.01, x_cmd=0.14)
+        step(p, 0.2, 0.01, F_load=1.2)
         assert all(type(z) is float for z in p.state.play_states)
 
     def test_copy_is_independent_and_equal(self):
         p = Plant(plant.default_plant_config(seed=5), x0=0.12, P0=0.2)
         for i in range(50):
-            p.step(0.2, 0.01, x_cmd=0.12 + 0.001 * i)
+            step(p, 0.2, 0.01, x_cmd=0.12 + 0.001 * i)
         twin = p.copy()
-        a = [p.step(0.3, 0.01, F_load=1.1) for _ in range(30)]
-        b = [twin.step(0.3, 0.01, F_load=1.1) for _ in range(30)]
+        a = [step(p, 0.3, 0.01, F_load=1.1) for _ in range(30)]
+        b = [step(twin, 0.3, 0.01, F_load=1.1) for _ in range(30)]
         assert a == b
+
+
+def solve_at_state(p, F_load, P):
+    """``Plant._solve_isotonic`` from the plant's play states and last length."""
+    return p._solve_isotonic(F_load, P, p.state.play_states, p.state.x)
 
 
 def solve_outcome(solve, F_load, P):
@@ -383,8 +595,8 @@ def edge_loads(p, P, rng):
     env, z, x0 = p.cfg.envelope, p.state.play_states, p.cfg.dyn.x0
     widths = [h.width for h in p.cfg.hysteresis]
     knots = [zi + s * w + x0 for zi, w in zip(z, widths) for s in (-1.0, 1.0)]
-    f_lo, f_hi = p._force(env.x_min, P, z)[0], p._force(env.x_max, P, z)[0]
-    loads = [p._force(k, P, z)[0] for k in knots]
+    f_lo, f_hi = p._force(env.x_min, P, z), p._force(env.x_max, P, z)
+    loads = [p._force(k, P, z) for k in knots]
     for f in (f_lo, f_hi, 0.0):
         loads += [f, f - 5e-13, f + 5e-13, f - 2e-12, f + 2e-12, f - 1.0, f + 1.0]
     loads += [-0.0, math.inf, -math.inf]
@@ -413,7 +625,7 @@ class TestWarmStartedBalance:
         for _ in range(30):
             for _ in range(rng.integers(1, 5)):  # a random play history
                 x = float(rng.uniform(env.x_min - 0.01, env.x_max + 0.01))
-                p.step(float(rng.uniform(0.0, 0.65)), 0.01, x_cmd=x)
+                step(p, float(rng.uniform(0.0, 0.65)), 0.01, x_cmd=x)
             P = float(rng.uniform(0.0, 0.65))
             x_last = p.state.x
             for F_load in edge_loads(p, P, rng):
@@ -422,11 +634,12 @@ class TestWarmStartedBalance:
                 for x_start in (x_last, env.x_min - 0.02, env.x_max + 0.02,
                                 float(rng.uniform(env.x_min, env.x_max))):
                     p.state.x = x_start  # the walk's start, outside the envelope too
-                    assert solve_outcome(p._solve_isotonic, F_load, P) == want, (F_load, x_start)
+                    got = solve_outcome(lambda F, P: solve_at_state(p, F, P), F_load, P)
+                    assert got == want, (F_load, x_start)
                 p.state.x = x_last
-            load = float(rng.uniform(max(p._force(env.x_min, P, p.state.play_states)[0], 0.0),
-                                     p._force(env.x_max, P, p.state.play_states)[0]))
-            p.step(P, 0.01, F_load=load)
+            load = float(rng.uniform(max(p._force(env.x_min, P, p.state.play_states), 0.0),
+                                     p._force(env.x_max, P, p.state.play_states)))
+            step(p, P, 0.01, F_load=load)
         assert "IsotonicInfeasibleError" in checked and len(checked) > 2
 
     def test_knots_a_rounding_inside_the_ends(self):
@@ -443,14 +656,15 @@ class TestWarmStartedBalance:
         z, P = p.state.play_states, 0.3
         knots = (z[0] + 0.004 + x0, z[1] - 0.006 + x0)
         assert env.x_min < knots[1] < knots[0] < env.x_max
-        assert p._force(knots[0], P, z)[0] == p._force(env.x_max, P, z)[0]
-        assert p._force(knots[1], P, z)[0] == p._force(env.x_min, P, z)[0]
+        assert p._force(knots[0], P, z) == p._force(env.x_max, P, z)
+        assert p._force(knots[1], P, z) == p._force(env.x_min, P, z)
         rng = np.random.default_rng(7)
         for F_load in edge_loads(p, P, rng):
             want = solve_outcome(lambda F, P: bisection_solve_isotonic(p, F, P), F_load, P)
             for x_start in (env.x_min, knots[1], 0.12, knots[0], env.x_max):
                 p.state.x = x_start
-                assert solve_outcome(p._solve_isotonic, F_load, P) == want, (F_load, x_start)
+                got = solve_outcome(lambda F, P: solve_at_state(p, F, P), F_load, P)
+                assert got == want, (F_load, x_start)
 
     def test_a_slow_run_evaluates_few_forces(self, monkeypatch):
         # the last step leaves every play state within its width of the
@@ -464,7 +678,7 @@ class TestWarmStartedBalance:
         force = Plant._force
 
         def counted(self, *args):
-            if solving:  # the step's own force at the solved length is not counted
+            if solving:  # forces the balance evaluates, outside it none are counted
                 calls[-1] += 1
             return force(self, *args)
 
@@ -482,7 +696,7 @@ class TestWarmStartedBalance:
         monkeypatch.setattr(Plant, "_solve_isotonic", spy)
         for i in range(2000):
             t = 0.01 * (i + 1)
-            p.step(0.25 + 0.1 * np.sin(0.5 * t), 0.01, F_load=1.1 + 0.4 * np.sin(1.3 * t))
+            step(p, 0.25 + 0.1 * np.sin(0.5 * t), 0.01, F_load=1.1 + 0.4 * np.sin(1.3 * t))
         assert len(calls) == 2000
         assert np.median(calls) == 2 and np.mean(calls) <= 3
 
@@ -498,7 +712,7 @@ def sorted_walk_solve_isotonic(p, F_load, P):
     lo, hi = env.x_min, env.x_max
 
     def force(x):
-        return p._force(x, P, z)[0]
+        return p._force(x, P, z)
 
     if F_load <= 0.0:
         if F_load < max(force(lo), 0.0) - 1e-12:
@@ -545,7 +759,7 @@ def isotonic_cases(draw):
     z, x0 = p.state.play_states, cfg.dyn.x0
     knots = [zi + s * h.width + x0 for zi, h in zip(z, hyst) for s in (-1.0, 1.0)]
     knots += [cfg.envelope.x_min, cfg.envelope.x_max]
-    F_knot = p._force(draw(st.sampled_from(knots)), P, z)[0]
+    F_knot = p._force(draw(st.sampled_from(knots)), P, z)
     F_load = draw(st.one_of(st.floats(-1.0, 8.0), st.just(F_knot),
                             st.just(math.nextafter(F_knot, math.inf)),
                             st.just(math.nextafter(F_knot, -math.inf))))
@@ -557,7 +771,7 @@ def isotonic_cases(draw):
 def test_isotonic_balance_equals_a_sorted_knot_walk(case):
     p, F_load, P = case
     want = solve_outcome(lambda F, P: sorted_walk_solve_isotonic(p, F, P), F_load, P)
-    assert solve_outcome(p._solve_isotonic, F_load, P) == want
+    assert solve_outcome(lambda F, P: solve_at_state(p, F, P), F_load, P) == want
 
 
 def kinematic_commands(scenario, cfg):
@@ -582,12 +796,12 @@ def kinematic_commands(scenario, cfg):
 
 def stepped_scenario(scenario, cfg):
     """The reference for the kinematic kinds of ``run_scenario``: one
-    ``Plant.step`` per sample.  Returns the channels keyed by
+    ``oracle_step`` per sample.  Returns the channels keyed by
     ``StepResult`` field and the plant the steps leave."""
     p_cmd, x_cmd, x0 = kinematic_commands(scenario, cfg)
     p = Plant(cfg, x0=x0)
     dt = 1.0 / cfg.sensor_rate_hz
-    results = [p.step(p_cmd[i], dt, x_cmd=float(x_cmd[i])) for i in range(p_cmd.size)]
+    results = [oracle_step(p, p_cmd[i], dt, x_cmd=float(x_cmd[i])) for i in range(p_cmd.size)]
     return {name: np.array([getattr(r, name) for r in results])
             for name in ("t", "P", "x", "F", "L_clean", "L_meas", "F_meas")}, p
 
@@ -601,8 +815,8 @@ KINEMATIC_SCENARIOS = {
 
 
 class TestKinematicRun:
-    """``run_scenario`` runs the kinematic kinds on whole arrays; a
-    ``Plant.step`` per sample is the reference."""
+    """``run_scenario`` runs the kinematic kinds on whole arrays; an
+    ``oracle_step`` per sample is the reference."""
 
     @pytest.mark.parametrize("kind", sorted(KINEMATIC_SCENARIOS))
     @pytest.mark.parametrize("overrides", [
@@ -639,11 +853,11 @@ class TestKinematicRun:
         a, b = Plant(cfg, x0=0.11), Plant(cfg, x0=0.11)
         for p in (a, b):
             for i in range(7):
-                p.step(0.1 * i, 0.01, x_cmd=0.11 + 0.002 * i)
+                oracle_step(p, 0.1 * i, 0.01, x_cmd=0.11 + 0.002 * i)
         P_cmd = np.linspace(0.0, 0.6, 50)
         x_cmd = 0.12 + 0.02 * np.sin(np.arange(50) / 5.0)
         run = a.run_kinematic(P_cmd, x_cmd, 0.01)
-        steps = [b.step(P, 0.01, x_cmd=x) for P, x in zip(P_cmd.tolist(), x_cmd.tolist())]
+        steps = [oracle_step(b, P, 0.01, x_cmd=x) for P, x in zip(P_cmd.tolist(), x_cmd.tolist())]
         for name, col in run.items():
             assert col.tolist() == [getattr(r, name) for r in steps], name
         assert a.state == b.state
@@ -702,7 +916,7 @@ def kinematic_cases(draw):
                                      valve_tau=draw(st.sampled_from([0.0, 0.1])))
     p = Plant(cfg, x0=draw(st.floats(0.07, 0.18)), P0=draw(st.floats(0.0, 0.65)))
     for _ in range(draw(st.integers(0, 4))):
-        p.step(draw(st.floats(0.0, 0.65)), 0.01, x_cmd=draw(st.floats(0.07, 0.18)))
+        step(p, draw(st.floats(0.0, 0.65)), 0.01, x_cmd=draw(st.floats(0.07, 0.18)))
     n = draw(st.integers(1, 80))
     shape = draw(st.sampled_from(["reversal", "walk", "levels", "flat"]))
     start = draw(st.floats(0.07, 0.18))
@@ -729,13 +943,20 @@ def test_kinematic_run_equals_stepping_bit_for_bit(case):
     a, P_cmd, x_cmd = case
     b = a.copy()
     run = a.run_kinematic(P_cmd, x_cmd, 0.01)
-    steps = [b.step(P, 0.01, x_cmd=x) for P, x in zip(P_cmd, x_cmd)]
+    steps = [oracle_step(b, P, 0.01, x_cmd=x) for P, x in zip(P_cmd, x_cmd)]
     for name, col in run.items():
         assert bits(col) == bits([getattr(r, name) for r in steps]), name
     for name in ("x", "P", "t", "play_states"):
         assert bits(getattr(a.state, name)) == bits(getattr(b.state, name)), name
     assert all(type(v) is float for v in (a.state.x, a.state.P, a.state.t, *a.state.play_states))
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinematic_cases())
+def test_kinematic_steps_equal_the_oracle_bit_for_bit(case):
+    p, P_cmd, x_cmd = case
+    check_steps(p, P_cmd, x_cmd=x_cmd)
 
 
 class TestSharedFloatPath:
@@ -754,7 +975,7 @@ class TestSharedFloatPath:
         p = Plant(plant.default_plant_config(seed=2, noise_L=0.0, noise_F=0.0))
         rng = np.random.default_rng(2)
         for _ in range(3000):
-            r = p.step(rng.uniform(0.0, 0.65), 0.01, x_cmd=rng.uniform(0.07, 0.18))
+            r = step(p, rng.uniform(0.0, 0.65), 0.01, x_cmd=rng.uniform(0.07, 0.18))
             assert r.L_meas == r.L_clean
             assert self.fit_cost(r) == 0.0, (r.F, r.P)
 
@@ -762,7 +983,7 @@ class TestSharedFloatPath:
         p = Plant(plant.default_plant_config(seed=2, noise_L=0.0, noise_F=0.0), x0=0.12)
         rng = np.random.default_rng(4)
         for _ in range(3000):
-            r = p.step(rng.uniform(0.0, 0.65), 0.01, F_load=rng.uniform(0.0, 3.5))
+            r = step(p, rng.uniform(0.0, 0.65), 0.01, F_load=rng.uniform(0.0, 3.5))
             assert self.fit_cost(r) == 0.0, (r.F, r.P)
 
     def test_overflowing_map_gives_numpys_nan_without_raising(self):
@@ -773,7 +994,7 @@ class TestSharedFloatPath:
         P_cmd = np.linspace(0.0, 0.6, 400)
         p = Plant(cfg, x0=0.10)
         with np.errstate(all="raise"):  # a step's map runs no numpy arithmetic
-            steps = [p.step(P, 0.01, x_cmd=x) for P, x in zip(P_cmd.tolist(), x_cmd.tolist())]
+            steps = [step(p, P, 0.01, x_cmd=x) for P, x in zip(P_cmd.tolist(), x_cmd.tolist())]
         F = np.array([r.F for r in steps])
         L = np.array([r.L_clean for r in steps])
         assert F.max() > 2.4
