@@ -314,6 +314,9 @@ class Plant:
         on the segment that a bisection ends on, with the same end forces
         and the same bits.  It evaluates an end's force only on reaching
         that end, or when the load equals fb, which may round to f(x_max).
+        Knots equal to the end they pass, as the trailing knots of the
+        states a stretch dragged are, take its force without evaluating
+        it: a steady hold makes 4 evaluations a solve rather than 6.
         """
         env = self.cfg.envelope
         lo, hi = env.x_min, env.x_max
@@ -325,12 +328,18 @@ class Plant:
         x0 = self.cfg.dyn.x0
         xa, xb = lo, hi
         for zi, w in zip(z, self._widths):
-            for k in (zi - w + x0, zi + w + x0):
-                if k <= x:
-                    if xa < k < hi:
-                        xa = k
-                elif lo < k < xb:
-                    xb = k
+            k = zi - w + x0
+            if k <= x:
+                if xa < k < hi:
+                    xa = k
+            elif lo < k < xb:
+                xb = k
+            k = zi + w + x0
+            if k <= x:
+                if xa < k < hi:
+                    xa = k
+            elif lo < k < xb:
+                xb = k
         fa, fb = force(xa, P, z), force(xb, P, z)
         if not fa < F_load <= fb:  # walk the sorted knots from that segment
             xs = [lo, *sorted(k for zi, w in zip(z, self._widths)
@@ -343,14 +352,18 @@ class Plant:
                         raise self._unreachable(F_load, P, z)
                     return hi
                 a += 1
-                fa, fb = fb, force(xs[a + 1], P, z)
+                fa = fb  # a knot equal to the end it passes has its force
+                if xs[a + 1] != xs[a]:
+                    fb = force(xs[a + 1], P, z)
             while fa >= F_load:
                 if a == 0:  # 0 < F_load <= f(lo)
                     if F_load < fa - 1e-12:
                         raise self._unreachable(F_load, P, z)
                     return lo
                 a -= 1
-                fa, fb = force(xs[a], P, z), fa
+                fb = fa
+                if xs[a] != xs[a + 1]:
+                    fa = force(xs[a], P, z)
             xa, xb = xs[a], xs[a + 1]
         # fa < F_load <= fb <= f(hi), so fb > fa and xb > xa
         if F_load == fb and F_load >= force(hi, P, z):

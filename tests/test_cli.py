@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coilsense import cli, ident, plant
+from coilsense import cli, ident, model, plant
 from coilsense import signal as sig
 
 
@@ -51,6 +51,31 @@ class TestFit:
         assert len(doc["p"]) == 10
         rep = json.load(open(os.path.join(out, "fit_inductance_report.json")))
         assert rep["r2"] > 0.95
+
+    def test_fit_inductance_reports_its_screen(self, cal_csv, tmp_path):
+        # the 25,200-row grid screens every 6th row and polishes its one
+        # basin; a short file and one whose every 2nd row holds one
+        # pressure level screen on all rows and polish nothing
+        grid = str(tmp_path / "grid.csv")
+        ident.write_csv(plant.run_scenario(plant.Scenario.calibration_grid(),
+                                           plant.default_plant_config(seed=1)), grid)
+        n = 2 * ident.SCREEN_ROWS
+        i = np.arange(n)
+        P = np.where(i % 2 == 0, 0.3, np.array([0.0, 0.15, 0.45, 0.6])[(i // 2) % 4])
+        F = 4.5 * (0.5 - 0.5 * np.cos(2 * np.pi * i / 997.0))
+        L = model.eval_inductance(plant.reference_inductance_params(), F, P)
+        alternating = str(tmp_path / "alternating.csv")
+        ident.write_columns(alternating, {"t": i * 0.01, "P": P, "L": L + 0.002 * np.sin(i), "F": F})
+        short = len(ident.read_csv(cal_csv))
+        assert short < ident.SCREEN_ROWS
+        for data, screen_rows, polished in ((grid, 4200, 1), (cal_csv, short, 0),
+                                            (alternating, n, 0)):
+            out = tmp_path / ("out_" + os.path.basename(data))
+            rc = cli.main(["--out", str(out), "fit", "--model", "inductance", "--data", data])
+            assert rc == cli.EXIT_OK
+            rep = json.load(open(out / "fit_inductance_report.json"))
+            assert (rep["screen_rows"], rep["polished"]) == (screen_rows, polished)
+            assert rep["converged"] is True
 
     def test_missing_force_column(self, tmp_path):
         path = tmp_path / "noF.csv"

@@ -629,3 +629,96 @@ class TestTrfMinimize:
                                   np.full(10, -1e6), np.full(10, 1e6))
         assert res.converged
         assert np.all(np.abs(res.x - x_true) <= 1e-9 * np.abs(x_true))
+
+
+def recorded_starts(monkeypatch):
+    """Every ``_trf_minimize`` result from here on, in call order."""
+    runs = []
+    trf = ident._trf_minimize
+
+    def record(*args, **kwargs):
+        runs.append(trf(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(ident, "_trf_minimize", record)
+    return runs
+
+
+def alternating_pressure(n, stride):
+    """n rows of the reference map (noise 0.005 uH) whose pressure is 0.3
+    MPa on every ``stride``-th row and cycles through four other levels
+    on the rest, so the screen's strided rows hold one pressure level."""
+    rng = np.random.default_rng(9)
+    i = np.arange(n)
+    P = np.where(i % stride == 0, 0.3, np.array([0.0, 0.15, 0.45, 0.6])[(i // stride) % 4])
+    F = 4.5 * (0.5 - 0.5 * np.cos(2 * np.pi * i / 997.0))
+    L = model.eval_inductance(REF, F, P) + 0.005 * rng.standard_normal(n)
+    return Dataset(t=i * 0.01, P=P, L=L, F=F)
+
+
+class TestScreenedFit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_calibration_grid_matches_the_all_rows_fit(self, seed, monkeypatch):
+        ds = plant.run_scenario(plant.Scenario.calibration_grid(),
+                                plant.default_plant_config(seed=seed))
+        assert len(ds) == 25_200
+        init = ident.heuristic_inductance_init(ds)
+        got = ident.fit_inductance(ds, init, seed=seed)
+        assert got.converged
+        assert got.extra == {"n_starts": 8, "screen_rows": 4200, "polished": 1}
+        monkeypatch.setattr(ident, "SCREEN_ROWS", len(ds))
+        starts = recorded_starts(monkeypatch)
+        ref = ident.fit_inductance(ds, init, seed=seed)
+        assert ref.extra == {"n_starts": 8, "screen_rows": len(ds), "polished": 0}
+        assert len(starts) == 8
+        assert abs(got.rmse - ref.rmse) <= 1e-12 * ref.rmse
+        # each coefficient no farther from the all-rows fit than its farthest start
+        spread = np.max(np.abs([run.x - np.asarray(ref.params.p) for run in starts]), axis=0)
+        assert np.all(np.abs(np.subtract(got.params.p, ref.params.p)) <= spread)
+
+    def test_short_data_is_the_all_rows_fit(self, monkeypatch):
+        ds = synth_inductance(noise=0.01, seed=6, n_f=1020, n_p=8)
+        assert ident.SCREEN_ROWS < len(ds) < 2 * ident.SCREEN_ROWS
+        got = ident.fit_inductance(ds, REF, seed=1)
+        monkeypatch.setattr(ident, "SCREEN_ROWS", 10 * len(ds))
+        ref = ident.fit_inductance(ds, REF, seed=1)
+        for rep in (got, ref):
+            assert rep.extra == {"n_starts": 8, "screen_rows": len(ds), "polished": 0}
+        assert got.params == ref.params
+        assert (got.rmse, got.iterations, got.cost_log) == (ref.rmse, ref.iterations, ref.cost_log)
+
+    def test_one_pressure_on_the_strided_rows_screens_all_rows(self, monkeypatch):
+        n = 2 * ident.SCREEN_ROWS
+        ds = alternating_pressure(n, 2)
+        assert np.unique(ds.P[::2]).size == 1
+        starts = recorded_starts(monkeypatch)
+        rep = ident.fit_inductance(ds, REF, seed=0)
+        assert rep.converged
+        assert rep.extra == {"n_starts": 8, "screen_rows": n, "polished": 0}
+        assert len(starts) == 8
+        assert rep.rmse <= 0.01
+
+    def test_each_distinct_minimum_is_polished(self, monkeypatch):
+        # three starts end in two basins: the first two within 1e-5 of
+        # each other (a tie in screen cost, which the first start wins),
+        # the third 1% off in every coefficient and lowest in screen cost
+        ds = alternating_pressure(3 * ident.SCREEN_ROWS, 2)  # every third row screened
+        minima = [np.asarray(REF.p) * f for f in (1.0, 1.0 + 1e-5, 1.01)]
+        costs = (3.0, 3.0, 2.0)
+        trf = ident._trf_minimize
+        calls = []
+
+        def screen_then_polish(residual, jacobian, x0, lo, hi, **kwargs):
+            calls.append(np.array(x0))
+            if len(calls) <= 3:  # the screen: land on a set minimum
+                i = len(calls) - 1
+                return ident._TrfResult(x=minima[i], cost=costs[i], cost_log=[],
+                                        iterations=1, converged=True)
+            return trf(residual, jacobian, x0, lo, hi, **kwargs)
+
+        monkeypatch.setattr(ident, "_trf_minimize", screen_then_polish)
+        rep = ident.fit_inductance(ds, REF, n_starts=3, seed=0)
+        assert rep.extra == {"n_starts": 3, "screen_rows": ident.SCREEN_ROWS, "polished": 2}
+        assert len(calls) == 5
+        assert np.array_equal(calls[3], minima[2]) and np.array_equal(calls[4], minima[0])
+        assert rep.converged

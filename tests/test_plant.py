@@ -673,32 +673,53 @@ class TestWarmStartedBalance:
         # step over knots bunched at the last length after a stretch
         # (about 5 for a bisection over the 8 knots from the ends)
         p = Plant(plant.default_plant_config(seed=2), x0=0.12, P0=0.25)
-        calls = []
-        solving = []
-        force = Plant._force
 
-        def counted(self, *args):
-            if solving:  # forces the balance evaluates, outside it none are counted
-                calls[-1] += 1
-            return force(self, *args)
+        def run():
+            for i in range(2000):
+                t = 0.01 * (i + 1)
+                step(p, 0.25 + 0.1 * np.sin(0.5 * t), 0.01, F_load=1.1 + 0.4 * np.sin(1.3 * t))
 
-        solve = Plant._solve_isotonic
-
-        def spy(self, *args):
-            calls.append(0)
-            solving.append(True)
-            try:
-                return solve(self, *args)
-            finally:
-                solving.pop()
-
-        monkeypatch.setattr(Plant, "_force", counted)
-        monkeypatch.setattr(Plant, "_solve_isotonic", spy)
-        for i in range(2000):
-            t = 0.01 * (i + 1)
-            step(p, 0.25 + 0.1 * np.sin(0.5 * t), 0.01, F_load=1.1 + 0.4 * np.sin(1.3 * t))
+        calls = forces_per_solve(monkeypatch, run)
         assert len(calls) == 2000
         assert np.median(calls) == 2 and np.mean(calls) <= 3
+
+    def test_a_steady_hold_evaluates_each_knot_once(self, monkeypatch):
+        # a hold leaves the trailing knots of three dragged states at the
+        # held length; the walk passes their copies without evaluating
+        # the same force again (6 a solve when it evaluated each)
+        p = Plant(plant.default_plant_config(seed=2), x0=0.12, P0=0.3)
+        calls = forces_per_solve(
+            monkeypatch, lambda: p.steps([0.3] * 2000, 0.01, F_load=[1.1] * 2000))
+        assert len(calls) == 2000
+        assert max(calls) <= 4
+
+
+def forces_per_solve(monkeypatch, run) -> list:
+    """The number of force evaluations in each ``Plant._solve_isotonic``
+    call that ``run()`` makes, counted by a spy on ``Plant._force``."""
+    calls = []
+    solving = []
+    force = Plant._force
+
+    def counted(self, *args):
+        if solving:  # forces the balance evaluates, outside it none are counted
+            calls[-1] += 1
+        return force(self, *args)
+
+    solve = Plant._solve_isotonic
+
+    def spy(self, *args):
+        calls.append(0)
+        solving.append(True)
+        try:
+            return solve(self, *args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(Plant, "_force", counted)
+    monkeypatch.setattr(Plant, "_solve_isotonic", spy)
+    run()
+    return calls
 
 
 def sorted_walk_solve_isotonic(p, F_load, P):
