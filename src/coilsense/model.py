@@ -289,6 +289,15 @@ def peak_force(params: InductanceParams, P: float) -> float:
     _, l2, l3, l4, _ = eval_coeffs(params, P)
     if l3 >= 0:
         raise DomainError(f"no interior peak: lambda3={l3} >= 0 at P={P}")
+    return _peak_at(l2, l3, l4)
+
+
+def _peak_at(l2: float, l3: float, l4: float) -> float:
+    """The peak force (l2 / (-l3*l4))**(1/l4) on already-evaluated
+    coefficients with l2, l4 > 0 and l3 < 0: the one copy ``peak_force``
+    and the observer's grid scan evaluate.  Float ``**``, so it raises
+    OverflowError where the power overflows, and ZeroDivisionError where
+    -l3*l4 underflows to 0."""
     return (l2 / (-l3 * l4)) ** (1.0 / l4)
 
 

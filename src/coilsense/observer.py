@@ -29,13 +29,14 @@ A call runs a sequence of samples in one frame of float arithmetic
 loop one where it reads the estimates (each self-sensing control
 period, and the end of a run).  The call reads the config's floats once
 and makes one state object; the Kalman state stays in five local floats
-(the mean and the three distinct covariance entries).  Per sample, the
-filter pair advances in one pass (``sig.step_pair``), and predict and
-update are the 2x2 matrix products written out on the floats as plain
-left-to-right float arithmetic.  They are deterministic on every host; a
-BLAS matrix product, which may fuse multiply-adds, can differ from them
-in the last bit, and the tests bound that difference by the standard
-rounding-error bound of a dot product.  The only other call of a sample
+(the mean and the three distinct covariance entries).  Before its Kalman
+loop, the call runs both filters over all its samples (``sig.run``, one
+second-order section at a time, the floats of a sample at a time).  Per
+sample, predict and update are the 2x2 matrix products written out on
+the floats as plain left-to-right float arithmetic.  They are
+deterministic on every host; a BLAS matrix product, which may fuse
+multiply-adds, can differ from them in the last bit, and the tests bound
+that difference by the standard rounding-error bound of a dot product.  The only other call of a sample
 is the inversion (``_invert``).  It takes one tuple of floats, the
 map's coefficients at the pressure, the reading, the prior and the
 weights, which the grid scan (``_grid_index``) and the Newton pass,
@@ -48,7 +49,15 @@ with numpy's ``power`` and ``exp`` in the last bit.  Every grid cost is
 at least its continuity term (w_dyn dF) dF, which grows with the
 distance from the prior, so the coarse grid is costed outward from the
 prior only until that term exceeds the least cost seen; a tracking
-sample costs a few grid points, not all of them.
+sample costs a few grid points, not all of them.  The map is monotone
+on each side of its peak, so where going further out from a costed
+point moves the map away from the reading, every point on that side up
+to the peak (or the grid's end) has a residual at least as large, less
+a rounding margin the config derives once (``_map_slack``): the scan
+skips those points when that bound, with their continuity term, exceeds
+the least cost seen.  The index is the whole grid's first least cost
+either way; a sample locked onto the far side of the peak costs about
+five points rather than fifteen.
 ``solve_pseudo_measurement`` is the checked public entry to the same
 inversion.
 """
@@ -95,6 +104,12 @@ MAX_GRID_POINTS = 65536
 #: Limit on the map's terms over Newton's domain (``_map_bound``): a product
 #: of two stays below 1e200, far from overflow, as do residuals below 1e200 uH.
 MAP_LIMIT = 1e100
+
+#: The unit roundoff of doubles, and the factor the scan's skip test takes
+#: off a residual for the rounding of the residual's last subtraction
+#: (``_grid_index``).
+_U = 2.0 ** -53
+_SHRINK = 1.0 - 8.0 * _U
 
 
 @dataclass(slots=True)
@@ -144,7 +159,8 @@ class ObserverConfig:
     a template that ``reset`` copies and nothing steps.  ``grid`` (the
     coarse inversion grid, a tuple of floats) and ``F_floor`` (the floor of
     Newton's bracket) are derived, and the map is checked (``_map_bound``),
-    on construction, so ``dataclasses.replace`` redoes both.  A fresh
+    on construction, so ``dataclasses.replace`` redoes both, as it does
+    ``slack``, the scan's rounding margin on the map (``_map_slack``).  A fresh
     state's covariance is fixed (``reset``).  ``refine_tol`` must be at
     least four float spacings of the largest force: a bracket a spacing or
     two wide cannot be split, so a smaller tolerance would run every
@@ -161,6 +177,7 @@ class ObserverConfig:
     refine_tol: float = 1e-5
     grid: tuple = field(init=False, repr=False, compare=False)
     F_floor: float = field(init=False, repr=False, compare=False)
+    slack: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float).reshape(2, 2))
@@ -176,6 +193,7 @@ class ObserverConfig:
         if not bound < MAP_LIMIT:
             raise EnvelopeError(f"the inductance map overflows: its terms reach {bound:.3g} > "
                                 f"{MAP_LIMIT:g} on [{self.F_floor:.3g}, {env.F_max:g}] N")
+        object.__setattr__(self, "slack", _map_slack(self.ind, env))
         if not 0.0 < self.R < math.inf:
             raise ValueError("R must be positive and finite")
         if not 16 <= self.grid_points <= MAX_GRID_POINTS:
@@ -213,6 +231,41 @@ def _map_bound(ind: InductanceParams, env: OperatingEnvelope, F_floor: float) ->
     u = l2 + l3 * l4 * F_l4
     v = u * u + u + l3 * l4 * l4 * F_l4
     return F_l2 + F_l4 + e + inv_FF + m + l5 + u + v + m * u / F_floor + m * v * inv_FF
+
+
+def _map_slack(ind: InductanceParams, env: OperatingEnvelope) -> float:
+    """The grid scan's rounding margin (``_grid_index``): 4 E, for a bound
+    E on the error |v - L(F)| of the map value v = l1 F**l2 exp(l3 F**l4) +
+    l5 the scan computes against the exact map on the same float
+    coefficients, over F in [0, F_max] and the envelope's pressures; inf
+    where the bound fails.  The skip test needs 2 E, one E for each of two
+    points; the other factor of 2 covers the rounding of this arithmetic.
+    For a map that passed ``_map_bound``.
+
+    The terms are bounded at the corners as ``_map_bound`` bounds them,
+    now down to F = 0: F**l2 <= F2, F**l4 <= F4, the exponent |l3 F**l4|
+    <= A = max|l3| F4, exp(l3 F**l4) <= e = exp(max(0, l3 F4)), so |m| =
+    |l1 F**l2 exp(l3 F**l4)| <= M = max|l1| F2 e.  With ``math.pow`` and
+    ``math.exp`` within two units in the last place (4 u relative, u =
+    2**-53; glibc's are within one), F**l4 and the product l3 F**l4 carry
+    at most 5 u, which moves exp by at most a factor 1 + 6.1 A u while A u
+    <= 1/128; the two powers' 4 u each, exp's own 4 u and the two products'
+    u each bring m's relative error to theta <= (12 + 8 A) u.  Results
+    below the normal range are off by at most 2**-1073 each instead, which
+    the terms in 2**-1070 and 2**-1072 cover.  Adding l5 rounds once more,
+    by at most u (2 M + max|l5|).
+    """
+    lo, hi = model.eval_coeffs(ind, env.P_min), model.eval_coeffs(ind, env.P_max)
+    l1, _, l3, _, l5 = (max(abs(a), abs(b)) for a, b in zip(lo, hi))
+    F2 = max(math.pow(env.F_max, lo[1]), math.pow(env.F_max, hi[1]))
+    F4 = max(math.pow(env.F_max, lo[3]), math.pow(env.F_max, hi[3]))
+    e = math.exp(max(0.0, lo[2] * F4, hi[2] * F4))
+    M = l1 * F2 * e
+    theta = (12.0 + 8.0 * l3 * F4) * _U + (l3 + 1.0) * 2.0 ** -1070
+    if not theta <= 1.0 / 16.0:
+        return math.inf
+    E = theta * M + _U * (2.0 * M + l5) + (l1 * (e + F2) + e + 1.0) * 2.0 ** -1072
+    return 4.0 * E
 
 
 def median_force_gradient(params: InductanceParams, envelope: OperatingEnvelope) -> float:
@@ -290,11 +343,12 @@ def reset(F0: float, L0: float, P0: float, cfg: ObserverConfig) -> ObserverState
                          sig.prime(cfg.filt.copy(), L0), sig.prime(cfg.filt.copy(), P0))
 
 
-def _grid_index(grid: tuple, args: tuple) -> int:
+def _grid_index(grid: tuple, args: tuple, slack: float = math.inf) -> int:
     """Index of the first least inversion cost on ``grid``, NaNs skipped,
     for the sample's cost tuple ``args`` = ``(L_meas, prior_F, l1, ..., l5,
     w_fit, w_dyn, w_reg, gamma)``: the reading, the prior, the map's
-    coefficients at the sample's pressure and the cost weights.
+    coefficients at the sample's pressure and the cost weights.  ValueError
+    when every cost is NaN.
 
     A point's cost is w_fit r r + w_dyn dF dF + w_reg (1 - 1 / (1 + gamma
     dF dF)), for dF = F - prior_F and the residual r = l1 F**l2 exp(l3
@@ -308,28 +362,73 @@ def _grid_index(grid: tuple, args: tuple) -> int:
     (w_dyn d) d, which never falls as d grows.  The run of
     grid points around ``prior_F`` widens, nearer side first (the upper
     point on a tie), until the next point's term exceeds the least cost of
-    the run: no point further out can win.  With w_dyn = 0, or while every
-    cost is NaN or inf, that never happens and the whole grid is costed.
+    the run: no point further out can win.
+
+    A side also skips the points that its last costed point proves
+    costlier.  The map is monotone on each side of its peak F* = (l2 /
+    (-l3 l4))**(1/l4) (for l3 >= 0 throughout), rising with F below it for
+    l1 > 0 and falling for l1 < 0: u = l2 + l3 l4 F**l4, the sign of dL/dF
+    over that of l1, changes sign at F* only.  When a side's next point is
+    due, its last costed point F lies clear of the peak's rounding window
+    (``_peak_window``) and going further out moves the exact map away from
+    the reading, every point further out on that side, up to the window or
+    the grid's end, has an exact residual at least |r|'s.  ``slack``
+    (``ObserverConfig.slack``, ``_map_slack``) is at least twice the error
+    of a computed map value, and the last subtraction of each residual
+    rounds by a factor within 1 +- u (u = 2**-53), so their computed |r| is
+    at least rho = |r| (1 - 8 u) - slack, taken in floats.  For 0 < rho <
+    inf their costs are then at least (w_fit rho) rho + (w_dyn d) d, d the
+    due point's distance, by monotone rounding; the side jumps past them,
+    across the window or to its end, when that bound is strictly above the
+    least cost so far, so a point that could tie is costed.  With w_fit =
+    0 the bound is the continuity term, which the stop already applies;
+    with the default ``slack`` of inf, or a non-finite residual, nothing is
+    skipped.  Every point left out costs more than the winner: the index is
+    the whole grid's.  A point is tested when it is due, not when it is
+    costed, so a scan that stops at the next due point computes no window.
     """
     L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
-    pow_, exp = math.pow, math.exp
+    pow_, exp, inf = math.pow, math.exp, math.inf
     n = len(grid)
     lo = hi = bisect.bisect_left(grid, prior_F)   # the run is grid[lo:hi]
-    d_lo = prior_F - grid[lo - 1] if lo else math.inf
-    d_hi = grid[hi] - prior_F if hi < n else math.inf
-    best_j, best = n, math.inf
+    d_lo = prior_F - grid[lo - 1] if lo else inf
+    d_hi = grid[hi] - prior_F if hi < n else inf
+    best_j, best = n, inf
+    r_lo = r_hi = 0.0   # residuals of the last points costed below and above, 0 for none
+    peak = None
     while lo or hi < n:
         if d_hi <= d_lo:
-            d, j = d_hi, hi
+            d = d_hi
+            t = w_dyn * d * d
+            if t > best:
+                break
+            if r_hi:
+                peak = peak or _peak_window(l2, l3, l4)
+                k = _skip_to(grid, hi, True, r_hi, t, best, w_fit, slack, l1, peak)
+                r_hi = 0.0
+                if k != hi:
+                    hi = k
+                    d_hi = grid[hi] - prior_F if hi < n else inf
+                    continue
+            j, up = hi, True
             hi += 1
-            d_hi = grid[hi] - prior_F if hi < n else math.inf
+            d_hi = grid[hi] - prior_F if hi < n else inf
         else:
-            d, j = d_lo, lo - 1
+            d = d_lo
+            t = w_dyn * d * d
+            if t > best:
+                break
+            if r_lo:
+                peak = peak or _peak_window(l2, l3, l4)
+                k = _skip_to(grid, lo, False, r_lo, t, best, w_fit, slack, l1, peak)
+                r_lo = 0.0
+                if k != lo:
+                    lo = k
+                    d_lo = prior_F - grid[lo - 1] if lo else inf
+                    continue
             lo -= 1
-            d_lo = prior_F - grid[lo - 1] if lo else math.inf
-        t = w_dyn * d * d
-        if t > best:
-            break
+            j, up = lo, False
+            d_lo = prior_F - grid[lo - 1] if lo else inf
         F = grid[j]
         try:
             r = l1 * pow_(F, l2) * exp(l3 * pow_(F, l4)) + l5 - L_meas
@@ -338,15 +437,73 @@ def _grid_index(grid: tuple, args: tuple) -> int:
         c = w_fit * r * r + t + w_reg * (1.0 - 1.0 / (1.0 + gamma * d * d))
         if c < best or (c == best and j < best_j):  # False for NaN
             best_j, best = j, c
+        if up:
+            r_hi = r
+        else:
+            r_lo = r
     if best_j == n:
         raise ValueError("All-NaN slice encountered")
     return best_j
 
 
-def _invert(grid: tuple, args: tuple, F_floor: float, tol: float) -> float:
+def _skip_to(grid: tuple, k: int, up: bool, r: float, t: float, best: float,
+             w_fit: float, slack: float, l1: float, peak: tuple) -> int:
+    """Where a side of ``_grid_index``'s run resumes when its next point is
+    due: ``k`` (``hi`` above, ``lo`` below), or past the points its last
+    costed point, grid[k - 1] above or grid[k] below with residual ``r``,
+    proves costlier than ``best``, for the due point's continuity term
+    ``t`` and the window ``peak`` (``_peak_window``).
+    """
+    rho = (r if r > 0.0 else -r) * _SHRINK - slack
+    if not (0.0 < rho < math.inf and w_fit * rho * rho + t > best):
+        return k
+    F = grid[k - 1] if up else grid[k]
+    below = F < peak[0]
+    if not (below or F > peak[1]):
+        return k
+    # the map rises with F below the peak for l1 > 0 (for l1 = 0 it is flat)
+    if ((below == (l1 > 0.0)) == up) != (r > 0.0):
+        return k   # going out moves the map toward the reading
+    if up:
+        return bisect.bisect_left(grid, peak[0], k) if below else len(grid)
+    return 0 if below else bisect.bisect_right(grid, peak[1], 0, k)
+
+
+def _peak_window(l2: float, l3: float, l4: float) -> tuple:
+    """Floats ``(lo, hi)`` around the computed peak force
+    (``model._peak_at``) that hold the exact peak F* of the float
+    coefficients, l2, l4 > 0: ``(inf, inf)`` for l3 >= 0, which has no
+    peak, and ``(-inf, inf)`` where the computed peak overflows (or its
+    base does) or the window would be wider than an eighth of it.
+
+    The computed peak rounds the base l2 / (-l3 l4) twice (2 u, u =
+    2**-53) and the exponent y = 1 / l4 once (u), and ``**`` is within
+    two units in the last place (4 u): it is F* exp(e) (1 + 4 u) with |e|
+    <= u |ln F*| + 2.02 u y.  Where F* lies in the doubles' range, |ln F*|
+    <= 745, so the relative error stays below (900 + 2.5 y) u while that is
+    at most an eighth; a window of (1024 + 4 y) u of the peak leaves room
+    for its own rounding.  The absolute 2**-800 holds a peak that
+    underflows, and one below the range, which then underflows.
+    """
+    if l3 >= 0.0:
+        return math.inf, math.inf
+    delta = (1024.0 + 4.0 / l4) * _U
+    try:
+        F = model._peak_at(l2, l3, l4)
+    except (OverflowError, ZeroDivisionError):   # -l3 l4 underflows to 0
+        F = math.inf
+    if not (delta <= 0.125 and F < math.inf):
+        return -math.inf, math.inf
+    w = F * delta + 2.0 ** -800
+    return F - w, F + w
+
+
+def _invert(grid: tuple, args: tuple, F_floor: float, tol: float,
+            slack: float = math.inf) -> float:
     """Force minimizing the inversion cost of one sample, for its cost
-    tuple ``args`` (``_grid_index``): the scan's winner on ``grid``,
-    refined by a safeguarded Newton pass on the cost's derivative.
+    tuple ``args`` (``_grid_index``): the scan's winner on ``grid`` (whose
+    skip test reads ``slack``), refined by a safeguarded Newton pass on
+    the cost's derivative.
 
     The bracket is the two grid steps around the winner, its lower end
     floored at ``F_floor``; the pass starts at the winner, or at the
@@ -368,7 +525,7 @@ def _invert(grid: tuple, args: tuple, F_floor: float, tol: float) -> float:
     whatever the tolerance.  FloatingPointError on a non-finite C' or C'';
     ``math`` exceptions propagate.
     """
-    i = _grid_index(grid, args)
+    i = _grid_index(grid, args, slack)
     L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
     n = len(grid)
     a = grid[i - 1] if i else grid[0]
@@ -426,8 +583,10 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     ``cfg.F_floor``, to ``refine_tol``.  The result lies in that bracket,
     so inside the interval; an edge minimum is returned within
     ``refine_tol`` of it, not raised.  The scan's winner is the first least
-    grid cost, NaNs skipped.  EnvelopeError for P outside the envelope,
-    ValueError for a non-finite prior.
+    grid cost, NaNs skipped: it leaves out only points it proves costlier,
+    by the continuity term and by the map's monotone runs, with the
+    config's rounding margin ``cfg.slack``.  EnvelopeError for P outside
+    the envelope, ValueError for a non-finite prior.
     """
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
@@ -437,7 +596,7 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     w = cfg.weights
     args = (L_meas, prior_F, p0 * P + p1, p2 * P + p3, p4 * P + p5, p6 * P + p7, p8 * P + p9,
             w.w_fit, w.w_dyn, w.w_reg, w.gamma)
-    return _invert(cfg.grid, args, cfg.F_floor, cfg.refine_tol)
+    return _invert(cfg.grid, args, cfg.F_floor, cfg.refine_tol, cfg.slack)
 
 
 def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: ObserverConfig):
@@ -462,15 +621,19 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     value on a tie and let NaN through, as ``min(max(v, lo), hi)`` does.
 
     The config's floats and ``dyn``'s are read once per call, the Kalman
-    mean and covariance stay in locals, the filters advance in place and
-    pass on to the returned state, the one object made per call.  A
-    sample's errors are those of the per-sample checks, raised at that
-    sample: EnvelopeError for a raw pressure outside the envelope
-    (``check_P``), the checked inversion's errors
-    (``solve_pseudo_measurement``) for a NaN filtered pressure or prior,
-    ValueError when every grid cost is NaN, and DegenerateModelError for a
-    stiffness below ``model.STIFFNESS_EPS``.  Cutting a sequence into
-    pieces and chaining the states gives the same bits as one call.
+    mean and covariance stay in locals, and the filters run over all the
+    call's samples before the loop (``sig.run``), advance in place and pass
+    on to the returned state, the one object made per call.  A sample's
+    errors are those of the per-sample checks, raised at that sample:
+    EnvelopeError for a raw pressure outside the envelope (``check_P``),
+    the checked inversion's errors (``solve_pseudo_measurement``) for a
+    NaN filtered pressure or prior, ValueError when every grid cost is
+    NaN, and DegenerateModelError for a stiffness below
+    ``model.STIFFNESS_EPS``.  On an error the delay lines are run again
+    from the call's start to where a sample at a time leaves them: through
+    the sample that raised, or up to it for its raw pressure.  Cutting a
+    sequence into pieces and chaining the states gives the same bits as
+    one call.
     """
     if len(L_raw) != len(P):
         raise ValueError(f"{len(L_raw)} readings against {len(P)} pressures")
@@ -479,53 +642,63 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     P_lo, P_hi, F_lo, F_hi = env.P_min, env.P_max, env.F_min, env.F_max
     p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
     w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
-    grid, F_floor, tol = cfg.grid, cfg.F_floor, cfg.refine_tol
+    grid, F_floor, tol, slack = cfg.grid, cfg.F_floor, cfg.refine_tol, cfg.slack
     k, x0, c = dyn.k, dyn.x0, dyn.c
     stiff = abs(k) >= model.STIFFNESS_EPS
-    step_pair, invert = sig.step_pair, _invert
+    invert = _invert
     L_filt, P_filt = state.L_filter, state.P_filter
     F, Fdot = state.F_hat, state.Fdot_hat
     c00, c01, c11 = state.var_F, state.cov_F_Fdot, state.var_Fdot
     F_hat, x_hat = [], []
     add_F, add_x = F_hat.append, x_hat.append
-    for L, p in zip(L_raw, P):
-        if not P_lo <= p <= P_hi:
-            env.check_P(p)   # raises
-        L_f, P_f = step_pair(L_filt, P_filt, L, p)
-        P_f = P_lo if P_f < P_lo else P_hi if P_f > P_hi else P_f
-        # predict
-        ac00 = c00 + dt * c01   # (A C)[0, 0]
-        ac01 = c01 + dt * c11   # (A C)[0, 1], and (A C A^T)[1, 0]
-        F += dt * Fdot
-        p00 = ac00 + ac01 * dt + q00
-        p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
-        p11 = c11 + q11
-        prior = F_lo if F < F_lo else F_hi if F > F_hi else F
-        if P_f != P_f or prior != prior:   # NaN: the clamps let it through
-            solve_pseudo_measurement(L_f, P_f, prior, cfg)   # raises
-        F_star = invert(grid, (L_f, prior, p0 * P_f + p1, p2 * P_f + p3, p4 * P_f + p5,
-                               p6 * P_f + p7, p8 * P_f + p9, w_fit, w_dyn, w_reg, gamma),
-                        F_floor, tol)
-        # update
-        S = p00 + R
-        k0 = p00 / S
-        k1 = p01 / S
-        innovation = F_star - F
-        a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
-        b = 0.0 - k1
-        t00 = a * p00             # (I - K H) C
-        t01 = a * p01
-        t10 = b * p00 + p01
-        F += k0 * innovation
-        Fdot += k1 * innovation
-        c00 = t00 * a + k0 * k0 * R
-        c01 = 0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R))
-        c11 = t10 * b + (b * p01 + p11) + k1 * k1 * R
-        if not stiff:
-            raise model.DegenerateModelError(f"stiffness {k} below {model.STIFFNESS_EPS}, "
-                                             f"cannot invert")
-        add_F(F)
-        add_x(x0 + (F - c * p) / k)
+    L_start, P_start = L_filt.copy(), P_filt.copy()
+    try:
+        for L_f, P_f, p in zip(sig.run(L_filt, L_raw), sig.run(P_filt, P), P):
+            if not P_lo <= p <= P_hi:
+                env.check_P(p)   # raises
+            P_f = P_lo if P_f < P_lo else P_hi if P_f > P_hi else P_f
+            # predict
+            ac00 = c00 + dt * c01   # (A C)[0, 0]
+            ac01 = c01 + dt * c11   # (A C)[0, 1], and (A C A^T)[1, 0]
+            F += dt * Fdot
+            p00 = ac00 + ac01 * dt + q00
+            p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
+            p11 = c11 + q11
+            prior = F_lo if F < F_lo else F_hi if F > F_hi else F
+            if P_f != P_f or prior != prior:   # NaN: the clamps let it through
+                solve_pseudo_measurement(L_f, P_f, prior, cfg)   # raises
+            F_star = invert(grid, (L_f, prior, p0 * P_f + p1, p2 * P_f + p3, p4 * P_f + p5,
+                                   p6 * P_f + p7, p8 * P_f + p9, w_fit, w_dyn, w_reg, gamma),
+                            F_floor, tol, slack)
+            # update
+            S = p00 + R
+            k0 = p00 / S
+            k1 = p01 / S
+            innovation = F_star - F
+            a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
+            b = 0.0 - k1
+            t00 = a * p00             # (I - K H) C
+            t01 = a * p01
+            t10 = b * p00 + p01
+            F += k0 * innovation
+            Fdot += k1 * innovation
+            c00 = t00 * a + k0 * k0 * R
+            c01 = 0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R))
+            c11 = t10 * b + (b * p01 + p11) + k1 * k1 * R
+            if not stiff:
+                raise model.DegenerateModelError(f"stiffness {k} below {model.STIFFNESS_EPS}, "
+                                                 f"cannot invert")
+            add_F(F)
+            add_x(x0 + (F - c * p) / k)
+    except BaseException:
+        # the delay lines as a sample at a time leaves them: through the
+        # sample that raised, or up to it when its raw pressure did
+        j = len(F_hat)
+        taken = j if not P_lo <= P[j] <= P_hi else j + 1
+        L_filt.zi, P_filt.zi = L_start.zi, P_start.zi
+        sig.run(L_filt, L_raw[:taken])
+        sig.run(P_filt, P[:taken])
+        raise
     return ObserverState(F, Fdot, c00, c01, c11, L_filt, P_filt), F_hat, x_hat
 
 

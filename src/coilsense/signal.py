@@ -1,10 +1,12 @@
 """Causal signal conditioning for raw inductance readings.
 
 Butterworth low-pass design (bilinear transform with frequency
-pre-warping, realized as cascaded second-order sections) plus a
-streaming one-sample-at-a-time application to a pair of streams
-through one design (``step_pair``).  A spec holds only the order and
-the cutoff; the sample rate is the stream's, given at design.
+pre-warping, realized as cascaded second-order sections) plus its
+streaming application (``run``): a call advances one stream's delay
+line through a sequence of samples, one section at a time over all of
+them, and a stream cut into calls gives the same floats as one call.
+A spec holds only the order and the cutoff; the sample rate is the
+stream's, given at design.
 
 The design and the steady-state priming use numpy only.  They repeat
 SciPy's ``signal.butter(..., output="sos")`` and ``signal.sosfilt_zi``
@@ -15,7 +17,6 @@ more than a second of start-up on every command.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ __all__ = [
     "FilterState",
     "design",
     "prime",
-    "step_pair",
+    "run",
     "is_stable",
 ]
 
@@ -35,8 +36,8 @@ class InvalidFilterSpecError(ValueError):
     """Filter specification violates its invariants (e.g. cutoff >= Nyquist)."""
 
 
-#: Highest filter order: the cascade is stepped section by section in
-#: Python once per sample, and nothing here needs a steeper roll-off.
+#: Highest filter order: the cascade runs section by section in Python
+#: over every sample, and nothing here needs a steeper roll-off.
 MAX_ORDER = 20
 
 
@@ -60,7 +61,7 @@ class FilterState:
 
     Single-owner mutable: one state per stream.  ``copy()`` forks the
     delay line for an independent stream.  The sections and the delay
-    line are kept in Python floats, which ``step_pair`` reads and advances
+    line are kept in Python floats, which ``run`` reads and advances
     without numpy scalar overhead; ``sos`` reads the sections as a fresh
     (sections, 6) array, and ``zi`` reads the delay line as a fresh
     (sections, 2) array and sets it from one.
@@ -83,7 +84,8 @@ class FilterState:
         self._z = np.asarray(value, dtype=float).reshape(len(self._sections), 2).tolist()
 
     def copy(self) -> "FilterState":
-        st = copy.copy(self)
+        st = object.__new__(FilterState)
+        st._sections = self._sections
         st._z = [z[:] for z in self._z]
         return st
 
@@ -174,26 +176,28 @@ def prime(state: FilterState, value: float) -> FilterState:
     return state
 
 
-def step_pair(first: FilterState, second: FilterState, x: float, y: float) -> tuple:
-    """Advance two streams through one design by one sample each and
-    return both filtered values.
+def run(state: FilterState, samples) -> list:
+    """Advance ``state``'s delay line through ``samples`` and return the
+    filtered values, a list of floats.
 
-    ``second`` is a copy of ``first`` (``copy``), so only ``first``'s
-    sections are read.  In one pass over the sections each delay line
-    advances by the section's transposed direct form II recurrence; the
-    streams do not mix.
+    The cascade runs one section at a time over all the samples, each
+    section by its transposed direct form II recurrence: the operations
+    of a sample-at-a-time step, in its order, so the outputs and the
+    delay line are the same floats however a stream is cut into calls.
     """
-    u, v = float(x), float(y)
-    for (b0, b1, b2, _, a1, a2), z, w in zip(first._sections, first._z, second._z):
-        out = b0 * u + z[0]
-        z[0] = b1 * u - a1 * out + z[1]
-        z[1] = b2 * u - a2 * out
-        u = out
-        out = b0 * v + w[0]
-        w[0] = b1 * v - a1 * out + w[1]
-        w[1] = b2 * v - a2 * out
-        v = out
-    return u, v
+    ys = map(float, samples)
+    for (b0, b1, b2, _, a1, a2), z in zip(state._sections, state._z):
+        z0, z1 = z
+        out = []
+        add = out.append
+        for x in ys:
+            y = b0 * x + z0
+            z0 = b1 * x - a1 * y + z1
+            z1 = b2 * x - a2 * y
+            add(y)
+        z[0], z[1] = z0, z1
+        ys = out
+    return ys
 
 
 def is_stable(state: FilterState) -> bool:

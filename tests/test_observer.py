@@ -1,4 +1,5 @@
 import bisect
+import decimal
 import math
 import struct
 from dataclasses import replace
@@ -296,7 +297,7 @@ def frame_step(state: ObserverState, L_raw: float, P: float,
     env = cfg.envelope
     env.check_P(P)
     L_filt, P_filt = state.L_filter, state.P_filter
-    L_f, P_f = sig.step_pair(L_filt, P_filt, L_raw, P)
+    L_f, P_f = single_step(L_filt, L_raw), single_step(P_filt, P)
     lo, hi = env.P_min, env.P_max
     P_f = lo if P_f < lo else hi if P_f > hi else P_f
     # predict
@@ -867,6 +868,18 @@ class TestCertifiedGolden:
         assert got <= tight.refine_tol
 
 
+def exact_map(F, l1, l2, l3, l4, l5):
+    """The map l1 F**l2 exp(l3 F**l4) + l5 at one float force, on float
+    coefficients, in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        if F == 0.0:
+            return D(l5)
+        ln_F = D(F).ln()
+        return D(l1) * (D(l2) * ln_F).exp() * (D(l3) * (D(l4) * ln_F).exp()).exp() + D(l5)
+
+
 def box_maps():
     """Ten map entries from the fit's default coefficient box, each drawn
     from the whole box or from its part within 3 of 0, where more maps
@@ -1190,12 +1203,142 @@ class TestWindowScan:
             assert observer._grid_index(grid, cost_args(L, prior, coeffs, cfg.weights)) == 0
         assert ties >= 100
 
+    def test_skips_keep_the_unpruned_index(self, monkeypatch):
+        # with the config's slack the scan skips points a costed point
+        # proves costlier; its index is still the unpruned outward scan's
+        # (layered_grid_index) and the first least cost of the whole grid,
+        # on accepted box maps and on a trough (l1 < 0), monotone maps (l3
+        # >= 0) and the reference map; for readings on the map, above its
+        # every grid value, and below its value at F_max; for priors at
+        # both edges, at the peak, half-way between two grid points or
+        # anywhere; and with w_fit, w_dyn or w_reg at 0
+        base = make_cfg()
+        hand = [IND.p,
+                (-0.1, -0.6, 0.2, 1.3, -0.15, -0.55, 0.3, 1.0, 0.5, 6.0),
+                (0.1, 0.6, 0.2, 1.3, 0.0, 0.1, 0.3, 1.0, 0.5, 4.75),
+                (0.1, 0.6, 0.2, 1.3, 0.0, 0.0, 0.3, 1.0, 0.5, 4.75),
+                (-0.1, -0.6, 0.2, 1.3, 0.1, 0.0, 0.3, 1.0, 0.5, 6.0)]
+        weights = [base.weights, replace(base.weights, w_fit=0.0),
+                   replace(base.weights, w_dyn=0.0), replace(base.weights, w_reg=0.0)]
+        exps, tally = [0], {"examples": 0, "pruned": 0}
+        exp = math.exp
+
+        def counted_exp(x):
+            exps[0] += 1
+            return exp(x)
+
+        def points(grid, args, slack):
+            exps[0] = 0
+            out = observer._grid_index(grid, args, slack)
+            return out, exps[0]
+
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(hst.one_of(box_maps(), hst.sampled_from(hand)), hst.data())
+        def check(p, data):
+            try:
+                cfg = replace(base, ind=model.InductanceParams(p))
+            except EnvelopeError:
+                return
+            grid = cfg.grid
+            P = data.draw(hst.floats(ENV.P_min, ENV.P_max))
+            coeffs = model._coeffs(cfg.ind, P)
+            on_grid = [model._inductance_at(F, *coeffs) for F in grid]
+            noise = data.draw(hst.floats(0.0, 0.05))
+            kind = data.draw(hst.sampled_from(["on", "above", "below_end"]))
+            if kind == "on":
+                F = data.draw(hst.floats(ENV.F_min, ENV.F_max))
+                L = model._inductance_at(F, *coeffs) + data.draw(hst.sampled_from([-1, 1])) * noise
+            elif kind == "above":
+                L = max(on_grid) + noise
+            else:
+                L = on_grid[-1] - noise
+            _, l2, l3, l4, _ = coeffs
+            try:
+                peak = model._peak_at(l2, l3, l4) if l3 < 0 else ENV.F_max
+            except (OverflowError, ZeroDivisionError):
+                peak = ENV.F_max
+            i = data.draw(hst.integers(0, len(grid) - 2))
+            prior = data.draw(hst.one_of(
+                hst.sampled_from([ENV.F_min, ENV.F_max, min(max(peak, ENV.F_min), ENV.F_max),
+                                  0.5 * (grid[i] + grid[i + 1])]),
+                hst.floats(ENV.F_min, ENV.F_max)))
+            args = cost_args(L, prior, coeffs, data.draw(hst.sampled_from(weights)))
+            got, n_pruned = points(grid, args, cfg.slack)
+            want, n_full = points(grid, args, math.inf)
+            assert got == want == layered_grid_index(grid, args), (p, P, L, prior)
+            costs = [layered_cost(F, args) for F in grid]
+            assert got == costs.index(min(c for c in costs if not math.isnan(c)))
+            assert n_pruned <= n_full
+            tally["examples"] += 1
+            tally["pruned"] += n_pruned < n_full
+
+        monkeypatch.setattr(math, "exp", counted_exp)
+        check()
+        assert tally["examples"] >= 100 and tally["pruned"] >= tally["examples"] // 4, tally
+        # with every weight 0 every cost ties at 0, and so does every skip
+        # bound: the strict test skips nothing, and the first index wins
+        zero = CostWeights(w_fit=0.0, w_dyn=0.0, w_reg=0.0)
+        for p in hand:
+            cfg = replace(base, ind=model.InductanceParams(p), weights=zero)
+            grid, coeffs = cfg.grid, model._coeffs(cfg.ind, 0.3)
+            L = model._inductance_at(2.0, *coeffs) + 0.01
+            for prior in list(grid) + [0.5 * (a + b) for a, b in zip(grid, grid[1:])]:
+                args = cost_args(L, prior, coeffs, zero)
+                assert observer._grid_index(grid, args, cfg.slack) == 0, (p, prior)
+
+    def test_slack_bounds_the_map_error(self):
+        # the scan's map value is within slack / 2 of the exact map on its
+        # float coefficients (60 digits), at grid points and anywhere in
+        # [0, F_max], on accepted box maps and the hand-made ones above; on
+        # the reference map the margin is below 1e-12 uH
+        base = make_cfg()
+        assert base.slack < 1e-12
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(hst.one_of(box_maps(), hst.just(IND.p)), hst.floats(ENV.P_min, ENV.P_max),
+               hst.lists(hst.one_of(hst.sampled_from(base.grid), hst.floats(0.0, ENV.F_max)),
+                         min_size=1, max_size=8))
+        def check(p, P, forces):
+            try:
+                cfg = replace(base, ind=model.InductanceParams(p))
+            except EnvelopeError:
+                return
+            coeffs = model._coeffs(cfg.ind, P)
+            for F in forces:
+                err = abs(decimal.Decimal(model._inductance_at(F, *coeffs)) - exact_map(F, *coeffs))
+                assert err <= decimal.Decimal(cfg.slack) / 2, (p, P, F, err)
+
+        check()
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(hst.floats(0.05, 3.0), hst.one_of(hst.floats(-1e3, -1e-3), hst.floats(-1e-300, 0.0)),
+           hst.one_of(hst.floats(0.05, 3.0), hst.floats(1e-6, 0.05)))
+    def test_peak_window_holds_the_exact_peak(self, l2, l3, l4):
+        # the window around the computed peak holds the exact peak of the
+        # float coefficients (60 digits), and is at most a few hundred
+        # float spacings wide where the peak is a normal float
+        lo, hi = observer._peak_window(l2, l3, l4)
+        if l3 >= 0.0:
+            assert (lo, hi) == (math.inf, math.inf)
+            return
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = 60, decimal.MAX_EMAX, decimal.MIN_EMIN
+            D = decimal.Decimal
+            peak = ((D(l2) / (-D(l3) * D(l4))).ln() / D(l4)).exp()
+        assert D(lo) <= peak <= D(hi), (l2, l3, l4, lo, hi)
+        F = (lo + hi) / 2
+        if 2.0 ** -900 < F < 1e300 and l4 >= 0.05:
+            assert hi - lo <= 2e-12 * F
+
     def test_tracking_samples_cost_few_grid_points(self, monkeypatch):
         # a slow stretch cycle keeps the prior next to the preimage, so a
-        # sample costs a few grid points around it; with w_dyn = 0 every
-        # sample costs the whole grid.  A grid point takes one math.exp,
-        # counted in the scan; the recording goes through one estimate_steps
-        # call, which scans each sample once
+        # sample costs a few grid points around it.  With w_dyn = 0 no
+        # continuity stop ends the scan and only the skip test prunes it.
+        # On the 4 s cycle of TestRunEstimationPinned, where the estimate
+        # locks onto the falling branch, the skip test keeps the mean at a
+        # few points.  Every sample's index is the unpruned oracle's.  A
+        # grid point takes one math.exp, counted in the scan; a recording
+        # goes through one estimate_steps call, which scans each sample once
         scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,),
                              cycles_per_level=1, cycle_period_s=8.0,
                              x_low=0.072, x_high=0.17)
@@ -1207,10 +1350,11 @@ class TestWindowScan:
             exps[0] += 1
             return exp(x)
 
-        def counted_scan(*args):
+        def counted_scan(grid, args, *rest):
             exps[0] = 0
-            out = scan(*args)
+            out = scan(grid, args, *rest)
             counts.append(exps[0])
+            assert out == layered_grid_index(grid, args)
             return out
 
         def counted_steps(*args):
@@ -1227,7 +1371,14 @@ class TestWindowScan:
         counts.clear()
         flat = replace(cfg, weights=replace(cfg.weights, w_dyn=0.0))
         observer.run_estimation(ds, DYN, flat)
-        assert counts == [cfg.grid_points] * len(ds)
+        assert len(counts) == len(ds) and max(counts) <= cfg.grid_points
+        counts.clear()
+        locked = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3, 0.6),
+                                cycles_per_level=1, cycle_period_s=4.0,
+                                x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(locked, plant.default_plant_config(seed=4))
+        observer.run_estimation(ds, DYN, cfg)
+        assert len(counts) == len(ds) and np.mean(counts) <= 6
 
 
 def reference_run(ds, cfg, spec):
@@ -1458,6 +1609,52 @@ class TestOneFrameStep:
                 assert nan_at is None and len(F_hat) == n
             assert run_bits(st, F_hat, x_hat)[1] == run_bits(st, F_want[:len(F_hat)],
                                                              x_want[:len(x_hat)])[1]
+
+        check()
+
+    def test_pressure_outside_the_envelope_raises_before_its_sample(self):
+        # a raw pressure outside the envelope at a random sample raises the
+        # one-frame step's EnvelopeError at that sample, in one call and in
+        # pieces: the delay lines have taken every earlier sample, and not
+        # that one
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3),
+                             cycles_per_level=1, cycle_period_s=2.0, x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=6))
+        cfg = make_cfg()
+        L_all, P_all = ds.L.tolist(), ds.P.tolist()
+        n = len(L_all)
+
+        def fresh():
+            return observer.reset(observer.nearest_preimage(L_all[0], P_all[0], cfg),
+                                  L_all[0], P_all[0], cfg)
+
+        @settings(max_examples=30, deadline=None, database=None)
+        @given(hst.integers(0, n - 1),
+               hst.sampled_from([ENV.P_max + 0.01, -0.01, math.inf, math.nan]),
+               hst.lists(hst.integers(0, n), max_size=10))
+        def check(bad_at, bad_p, cuts):
+            P_raw = list(P_all)
+            P_raw[bad_at] = bad_p
+            st = fresh()
+            L_line, P_line = st.L_filter.copy(), st.P_filter.copy()
+            for L, P in zip(L_all[:bad_at], P_raw):
+                st = frame_step(st, L, P, DYN, cfg)[0]
+                single_step(L_line, L)
+                single_step(P_line, P)
+            with pytest.raises(EnvelopeError) as raised:
+                frame_step(st, L_all[bad_at], bad_p, DYN, cfg)
+            want = (str(raised.value), step_bits((st, 0.0, 0.0))[1:])
+            assert want[1] == (L_line.zi.tobytes(), P_line.zi.tobytes())
+            for cuts in ([0, n], sorted(cuts + [0, n])):
+                st = fresh()
+                for a, b in zip(cuts, cuts[1:]):
+                    if b <= bad_at:
+                        st = observer.estimate_steps(st, L_all[a:b], P_raw[a:b], DYN, cfg)[0]
+                        continue
+                    with pytest.raises(EnvelopeError) as raised:
+                        observer.estimate_steps(st, L_all[a:b], P_raw[a:b], DYN, cfg)
+                    assert (str(raised.value), step_bits((st, 0.0, 0.0))[1:]) == want, (a, b)
+                    break
 
         check()
 

@@ -11,9 +11,8 @@ def db(h):
 
 
 def step(st, x):
-    """One sample through ``st`` alone: the first stream of a pair whose
-    second is a scratch copy."""
-    return sig.step_pair(st, st.copy(), x, 0.0)[0]
+    """One sample through ``st``."""
+    return sig.run(st, [x])[0]
 
 
 def response(st, freqs_hz, fs):
@@ -108,21 +107,26 @@ class TestStep:
         assert amp == pytest.approx(0.7079, rel=0.01)
 
     def test_streaming_equals_batch_bitexact(self):
-        # each stream of the pair runs the same transposed direct form II
-        # recursion as scipy's batch sosfilt, operation for operation, and
-        # the two streams do not mix
+        # a stream cut into calls at random points, empty and 1-sample
+        # pieces included, runs the same transposed direct form II
+        # recursion as scipy's batch sosfilt, operation for operation: the
+        # outputs and the delay line at the end, for every order, odd and
+        # even, from a zero and from a primed delay line
         rng = np.random.default_rng(4)
-        xs, ys = rng.standard_normal(500), 3.0 + rng.standard_normal(500)
-        for spec, fs in ((FilterSpec(3, 10), 100), (FilterSpec(6, 100), 1000)):
-            st = sig.design(spec, fs)
-            twin = sig.prime(st.copy(), 3.0)
-            zi_twin = twin.zi
-            out = np.array([sig.step_pair(st, twin, x, y) for x, y in zip(xs, ys)])
-            batch, zf = sosfilt(st.sos, xs, zi=np.zeros_like(st.zi))
-            assert np.array_equal(batch, out[:, 0]) and np.array_equal(zf, st.zi)
-            batch, zf = sosfilt(st.sos, ys, zi=zi_twin)
-            assert np.array_equal(batch, out[:, 1]) and np.array_equal(zf, twin.zi)
-            assert all(type(v) is float for v in sig.step_pair(st, twin, np.float64(1.0), 2))
+        for order in range(1, sig.MAX_ORDER + 1):
+            fs = float(rng.uniform(50.0, 2000.0))
+            st = sig.design(FilterSpec(order, float(rng.uniform(0.01, 0.45)) * fs), fs)
+            for start, xs in ((0.0, rng.standard_normal(300)),
+                              (3.0, 3.0 + rng.standard_normal(300))):
+                st = sig.prime(st, start)
+                batch, zf = sosfilt(st.sos, xs, zi=st.zi)
+                cuts = sorted([0, 0, 1, 2, 2, 299, 300, 300]
+                              + rng.integers(0, 301, 10).tolist())
+                out = []
+                for a, b in zip(cuts, cuts[1:]):
+                    out += sig.run(st, xs[a:b].tolist())
+                assert np.array_equal(batch, out) and np.array_equal(zf, st.zi), order
+        assert all(type(v) is float for v in sig.run(st, [np.float64(1.0), 2]))
 
     def test_copy_forks_the_delay_line(self):
         st = sig.prime(sig.design(FilterSpec(3, 10), 100), 2.0)
@@ -133,7 +137,7 @@ class TestStep:
         assert step(st, 2.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_sos_is_a_fresh_array(self):
-        # step_pair reads the sections cached at construction, so writing to
+        # run reads the sections cached at construction, so writing to
         # a returned array must change neither them nor the next read
         st = sig.design(FilterSpec(3, 10), 100)
         twin = st.copy()
