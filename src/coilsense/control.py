@@ -361,7 +361,11 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
     ``decimation_factor`` samples; the last may be shorter) sets the
     command at its first sample, clamped to the envelope's pressures up
     to ``p_max``, then steps the plant through the period in one
-    ``Plant.steps`` call.  The observer runs, in one ``estimate_steps``
+    ``Plant.steps`` call.  An open-loop command reads nothing of the
+    plant, so that run builds its commands period by period first, with
+    the same arithmetic, and steps them in one call; a run cut into pieces
+    gives the plant's bits, and its errors are those of the period that
+    raises.  The observer runs, in one ``estimate_steps``
     call over the samples it has not seen, only when the loop reads the
     estimates: at each self-sensing control tick, for the period before,
     and once at the end of the run.  A run cut into pieces gives the
@@ -400,26 +404,36 @@ def _run_loop(scenario: Scenario, mode: str, setup: TrackingSetup,
         F_hat.extend(F_seq)
         x_hat.extend(x_seq)
 
+    def period_command(i: int, dp: float) -> list:
+        # dp = 0.0 too is added: it turns a -0.0 feedforward into 0.0
+        P_cmd = _clamp(feedforward(ref_list[i]) + dp, p_min, setup.p_max)
+        return [P_cmd] * len(times[i:i + sub])
+
+    periods = range(0, len(times), sub)
     F_est = state.F_hat
     x_est = model.invert_dynamic_length(setup.dyn, F_est, plant.state.P)
-    for i in range(0, len(times), sub):
-        ref = ref_list[i]
-        dp = 0.0
-        if mode == "sensor_fb" and force_mode:
-            dp = pid_step(ctrl, ref - F_meas, gains, dtc)
-        elif mode == "sensor_fb":
-            x_meas = plant.state.x + setup.sensor_noise_x * rng_x.standard_normal()
-            dp = pid_step(ctrl, x_meas - ref, gains, dtc)
-        elif mode == "self_sensing":
-            if i:
-                observe()
-                F_est, x_est = F_hat[-1], x_hat[-1]
-            dp = pid_step(ctrl, ref - F_est if force_mode else x_est - ref, gains, dtc)
-        period = times[i:i + sub]
-        P_cmd = [_clamp(feedforward(ref) + dp, p_min, setup.p_max)] * len(period)
-        run = _step(lambda: drive(plant, P_cmd, period), take, observe)
-        command += P_cmd
-        F_meas = run["F_meas"][-1]
+    if mode == "open_loop":
+        command = [P for i in periods for P in period_command(i, 0.0)]
+        _step(lambda: drive(plant, command, times), take, observe)
+    else:
+        for i in periods:
+            ref = ref_list[i]
+            dp = 0.0
+            if mode == "sensor_fb" and force_mode:
+                dp = pid_step(ctrl, ref - F_meas, gains, dtc)
+            elif mode == "sensor_fb":
+                x_meas = plant.state.x + setup.sensor_noise_x * rng_x.standard_normal()
+                dp = pid_step(ctrl, x_meas - ref, gains, dtc)
+            elif mode == "self_sensing":
+                if i:
+                    observe()
+                    F_est, x_est = F_hat[-1], x_hat[-1]
+                dp = pid_step(ctrl, ref - F_est if force_mode else x_est - ref, gains, dtc)
+            period = times[i:i + sub]
+            P_cmd = period_command(i, dp)
+            run = _step(lambda: drive(plant, P_cmd, period), take, observe)
+            command += P_cmd
+            F_meas = run["F_meas"][-1]
     observe()
     return dict(zip(("t", "reference", "F", "x", "F_hat", "x_hat", "command"),
                     (t_log, refs, *map(np.array, (F, x, F_hat, x_hat, command)))))

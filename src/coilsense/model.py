@@ -283,13 +283,18 @@ def d_inductance_dF(params: InductanceParams, F, P, validate: bool = True):
 def peak_force(params: InductanceParams, P: float) -> float:
     """Force at which dL/dF vanishes, (l2 / (-l3*l4))**(1/l4).
 
-    Defined only for l3 < 0 (rising-then-falling curve); raises
-    DomainError otherwise.
+    Defined only for l3 < 0 (rising-then-falling curve) whose peak is a
+    float; raises DomainError otherwise, also where the power overflows
+    or -l3*l4 underflows to 0, so that the peak lies beyond the floats.
     """
     _, l2, l3, l4, _ = eval_coeffs(params, P)
     if l3 >= 0:
         raise DomainError(f"no interior peak: lambda3={l3} >= 0 at P={P}")
-    return _peak_at(l2, l3, l4)
+    try:
+        return _peak_at(l2, l3, l4)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"no finite peak: lambda2={l2}, lambda3={l3}, lambda4={l4} "
+                          f"put it beyond the floats at P={P}") from None
 
 
 def _peak_at(l2: float, l3: float, l4: float) -> float:

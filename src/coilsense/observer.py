@@ -36,12 +36,24 @@ sample, predict and update are the 2x2 matrix products written out on
 the floats as plain left-to-right float arithmetic.  They are
 deterministic on every host; a BLAS matrix product, which may fuse
 multiply-adds, can differ from them in the last bit, and the tests bound
-that difference by the standard rounding-error bound of a dot product.  The only other call of a sample
-is the inversion (``_invert``).  It takes one tuple of floats, the
-map's coefficients at the pressure, the reading, the prior and the
-weights, which the grid scan (``_grid_index``) and the Newton pass,
-written out in ``_invert`` with its derivatives, read on ``math.pow``
-and ``math.exp``: no array is built, and no function object is made.
+that difference by the standard rounding-error bound of a dot product.
+The covariance's part of them (``_kalman_step``) reads no data, so the
+config derives once the float fixed point that it reaches from a fresh
+state's covariance (``_kalman_fixed_point``, after 355 samples at the
+default tuning and noise_L 0.01), with its gains: the discrete
+steady-state Kalman filter (Simon, *Optimal State Estimation*, 2006, ch.
+7), here an exact float, not a limit.  A sample whose covariance equals
+it, bit for bit, takes those gains and skips the covariance arithmetic,
+which would give the same floats.  The test is made per sample, so a
+covariance moved off the point runs the recursion on every sample until
+it equals the point again, as one reset to ``reset``'s does after the
+same samples; the floats may also repeat at a point next to it, where
+the recursion runs on.  The only other call of a sample is the
+inversion (``_invert``).  It takes one tuple of floats, the map's
+coefficients at the pressure, the reading, the prior and the weights,
+which the grid scan (``_grid_index``) and the Newton pass, written out
+in ``_invert`` with its derivatives, read on ``math.pow`` and
+``math.exp``: no array is built, and no function object is made.
 The scan costs each point in its own loop, with the map written out in
 ``model._inductance_at``'s order, the copy the plant evaluates, so it
 inverts the very bits of a noiseless reading; neither claims to agree
@@ -111,6 +123,19 @@ MAP_LIMIT = 1e100
 _U = 2.0 ** -53
 _SHRINK = 1.0 - 8.0 * _U
 
+#: ``reset``'s covariance: var_F, cov_F_Fdot and var_Fdot.
+_RESET_COV = (0.25, 0.0, 1.0)
+
+#: Most steps of the covariance recursion that ``_kalman_fixed_point``
+#: takes from ``_RESET_COV``.  The default tuning repeats after 355 at
+#: noise_L 0.01 and 614 at 0.03; a tuning that has not repeated by the cap
+#: stores no fixed point, at a cost of about 2 ms per config.
+_MAX_KALMAN_STEPS = 4096
+
+#: ``ObserverConfig.kalman`` where there is no fixed point: no covariance
+#: equals its NaNs.
+_NO_FIXED_POINT = ((math.nan,) * 3, (math.nan,) * 3, (math.nan,) * 2)
+
 
 @dataclass(slots=True)
 class ObserverState:
@@ -160,11 +185,12 @@ class ObserverConfig:
     coarse inversion grid, a tuple of floats) and ``F_floor`` (the floor of
     Newton's bracket) are derived, and the map is checked (``_map_bound``),
     on construction, so ``dataclasses.replace`` redoes both, as it does
-    ``slack``, the scan's rounding margin on the map (``_map_slack``).  A fresh
-    state's covariance is fixed (``reset``).  ``refine_tol`` must be at
-    least four float spacings of the largest force: a bracket a spacing or
-    two wide cannot be split, so a smaller tolerance would run every
-    Newton pass to its step cap."""
+    ``slack``, the scan's rounding margin on the map (``_map_slack``), and
+    ``kalman``, the float fixed point of the covariance recursion from a
+    fresh state's covariance (``reset``, ``_kalman_fixed_point``).
+    ``refine_tol`` must be at least four float spacings of the largest
+    force: a bracket a spacing or two wide cannot be split, so a smaller
+    tolerance would run every Newton pass to its step cap."""
 
     dt: float
     Q: np.ndarray
@@ -178,6 +204,7 @@ class ObserverConfig:
     grid: tuple = field(init=False, repr=False, compare=False)
     F_floor: float = field(init=False, repr=False, compare=False)
     slack: float = field(init=False, repr=False, compare=False)
+    kalman: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float).reshape(2, 2))
@@ -208,6 +235,57 @@ class ObserverConfig:
             raise ValueError("Q must be positive semidefinite")
         object.__setattr__(self, "grid", tuple(
             np.linspace(env.F_min, env.F_max, self.grid_points).tolist()))
+        object.__setattr__(self, "kalman", _kalman_fixed_point(
+            self.dt, tuple(self.Q.ravel().tolist()), self.R))
+
+
+def _kalman_step(cov: tuple, dt: float, q: tuple, R: float) -> tuple:
+    """One sample of the covariance recursion, which reads no data:
+    ``(pred, gains, cov)``, the predicted covariance A C A^T + Q (A = [[1,
+    dt], [0, 1]]; the off-diagonal is half the sum of the two, as ``0.5 *
+    (C + C.T)`` is), the gains K = C H^T / (H C H^T + R) of the force's
+    scalar measurement, and the Joseph-form update (I - K H) C (I - K H)^T
+    + K K^T R, each covariance as its three distinct entries (var_F,
+    cov_F_Fdot, var_Fdot), from ``cov`` and ``q``, Q's four entries row by
+    row.  Written out on floats, each operation rounded once, in the order
+    of numpy's products.
+    """
+    c00, c01, c11 = cov
+    q00, q01, q10, q11 = q
+    ac00 = c00 + dt * c01   # (A C)[0, 0]
+    ac01 = c01 + dt * c11   # (A C)[0, 1], and (A C A^T)[1, 0]
+    p00 = ac00 + ac01 * dt + q00
+    p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
+    p11 = c11 + q11
+    S = p00 + R
+    k0 = p00 / S
+    k1 = p01 / S
+    a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
+    b = 0.0 - k1
+    t00 = a * p00             # (I - K H) C
+    t01 = a * p01
+    t10 = b * p00 + p01
+    return ((p00, p01, p11), (k0, k1),
+            (t00 * a + k0 * k0 * R,
+             0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R)),
+             t10 * b + (b * p01 + p11) + k1 * k1 * R))
+
+
+def _kalman_fixed_point(dt: float, q: tuple, R: float) -> tuple | None:
+    """The covariance C* that ``_kalman_step`` maps to itself, bit for bit,
+    reached from ``_RESET_COV``, as ``(C*, pred, gains)`` (its predicted
+    covariance and gains): the discrete steady-state Kalman filter, here
+    an exact float, not a limit.  None when the recursion does not repeat
+    within ``_MAX_KALMAN_STEPS`` steps, or repeats on an entry of 0, which
+    == does not tell from -0.0.
+    """
+    cov = _RESET_COV
+    for _ in range(_MAX_KALMAN_STEPS):
+        pred, gains, step = _kalman_step(cov, dt, q, R)
+        if step == cov:
+            return (cov, pred, gains) if all(cov) else None
+        cov = step
+    return None
 
 
 def _map_bound(ind: InductanceParams, env: OperatingEnvelope, F_floor: float) -> float:
@@ -339,7 +417,7 @@ def reset(F0: float, L0: float, P0: float, cfg: ObserverConfig) -> ObserverState
     env = cfg.envelope
     if not (env.F_min <= F0 <= env.F_max):
         raise EnvelopeError(f"initial force {F0} outside [{env.F_min}, {env.F_max}]")
-    return ObserverState(float(F0), 0.0, 0.25, 0.0, 1.0,
+    return ObserverState(float(F0), 0.0, *_RESET_COV,
                          sig.prime(cfg.filt.copy(), L0), sig.prime(cfg.filt.copy(), P0))
 
 
@@ -609,13 +687,14 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     reading and the pressure pass through the state's filters (``reset``
     primes them), so that the map is inverted at a time-matched (L, P)
     pair, and the filtered pressure is clamped to the envelope, since the
-    filter overshoots on steps.  The predict (mean A m and covariance A C
-    A^T + Q for A = [[1, dt], [0, 1]]; the off-diagonal is half the sum of
-    the two, as ``0.5 * (C + C.T)`` is) and the scalar Joseph-form update of
-    the force, (I - K H) C (I - K H)^T + K K^T R, are written out on floats,
-    each operation rounded once, in the order of numpy's products.  Between
-    them the prior force, clamped to the envelope, is inverted
-    (``_invert``, at the map's coefficients at the filtered pressure).
+    filter overshoots on steps.  The predict (mean A m for A = [[1, dt], [0,
+    1]]) and the scalar update of the force are written out on floats, each
+    operation rounded once; the covariance's predict and Joseph-form update,
+    with the gains, are ``_kalman_step``'s, or the gains of the config's
+    fixed point (``ObserverConfig.kalman``) for a sample whose covariance
+    equals it.  Between them the prior force, clamped to the envelope, is
+    inverted (``_invert``, at the map's coefficients at the filtered
+    pressure).
     Length is inferred from the force estimate through the affine force
     model at the raw pressure, the one acting now.  The clamps keep the
     value on a tie and let NaN through, as ``min(max(v, lo), hi)`` does.
@@ -638,14 +717,15 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     if len(L_raw) != len(P):
         raise ValueError(f"{len(L_raw)} readings against {len(P)} pressures")
     dt, R, env, w = cfg.dt, cfg.R, cfg.envelope, cfg.weights
-    q00, q01, q10, q11 = cfg.Q.ravel().tolist()
+    q = tuple(cfg.Q.ravel().tolist())
+    (f00, f01, f11), _, (g0, g1) = cfg.kalman or _NO_FIXED_POINT
     P_lo, P_hi, F_lo, F_hi = env.P_min, env.P_max, env.F_min, env.F_max
     p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
     w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
     grid, F_floor, tol, slack = cfg.grid, cfg.F_floor, cfg.refine_tol, cfg.slack
     k, x0, c = dyn.k, dyn.x0, dyn.c
     stiff = abs(k) >= model.STIFFNESS_EPS
-    invert = _invert
+    invert, kalman_step = _invert, _kalman_step
     L_filt, P_filt = state.L_filter, state.P_filter
     F, Fdot = state.F_hat, state.Fdot_hat
     c00, c01, c11 = state.var_F, state.cov_F_Fdot, state.var_Fdot
@@ -657,34 +737,20 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
             if not P_lo <= p <= P_hi:
                 env.check_P(p)   # raises
             P_f = P_lo if P_f < P_lo else P_hi if P_f > P_hi else P_f
-            # predict
-            ac00 = c00 + dt * c01   # (A C)[0, 0]
-            ac01 = c01 + dt * c11   # (A C)[0, 1], and (A C A^T)[1, 0]
-            F += dt * Fdot
-            p00 = ac00 + ac01 * dt + q00
-            p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
-            p11 = c11 + q11
+            F += dt * Fdot   # predict the mean
             prior = F_lo if F < F_lo else F_hi if F > F_hi else F
             if P_f != P_f or prior != prior:   # NaN: the clamps let it through
                 solve_pseudo_measurement(L_f, P_f, prior, cfg)   # raises
             F_star = invert(grid, (L_f, prior, p0 * P_f + p1, p2 * P_f + p3, p4 * P_f + p5,
                                    p6 * P_f + p7, p8 * P_f + p9, w_fit, w_dyn, w_reg, gamma),
                             F_floor, tol, slack)
-            # update
-            S = p00 + R
-            k0 = p00 / S
-            k1 = p01 / S
-            innovation = F_star - F
-            a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
-            b = 0.0 - k1
-            t00 = a * p00             # (I - K H) C
-            t01 = a * p01
-            t10 = b * p00 + p01
+            if c00 == f00 and c01 == f01 and c11 == f11:
+                k0, k1 = g0, g1   # the fixed point's gains; the update keeps it
+            else:
+                _, (k0, k1), (c00, c01, c11) = kalman_step((c00, c01, c11), dt, q, R)
+            innovation = F_star - F   # update the mean
             F += k0 * innovation
             Fdot += k1 * innovation
-            c00 = t00 * a + k0 * k0 * R
-            c01 = 0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R))
-            c11 = t10 * b + (b * p01 + p11) + k1 * k1 * R
             if not stiff:
                 raise model.DegenerateModelError(f"stiffness {k} below {model.STIFFNESS_EPS}, "
                                                  f"cannot invert")

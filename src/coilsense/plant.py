@@ -381,7 +381,11 @@ class Plant:
         ``F_meas``, each a list with one float per sample.  It is one
         scalar loop on floats that reads the config once; both noise
         channels are drawn after it in one call, L then F for each
-        sample, and the state is written once.  Cutting a run into pieces
+        sample, and the state is written once.  A sample at the length of
+        the one before it in the call reuses that sample's play states and
+        their weighted sum: the clip is idempotent at one length, and equal
+        lengths give equal offsets u, as x0 > 0 (a held length, as force
+        tracking commands, clips once per call).  Cutting a run into pieces
         gives the same bits.  An error at a sample (IsotonicInfeasibleError
         for an unreachable load, the EnvelopeError of ``model.eval_coeffs``
         for coefficients outside the envelope, and ValueError for bad
@@ -417,13 +421,16 @@ class Plant:
             p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
             solve, play = self._solve_isotonic, self._play
             inductance_at, finite = model._inductance_at, math.isfinite
+            x_held = math.nan   # the length z_i and acc were clipped at
             for p_cmd, d in zip(P_cmd, drive):
                 p_cmd = float(p_cmd)
                 P_i = p_cmd + (P - p_cmd) * decay if lag else p_cmd
                 if 0.0 > P_i:  # max(P_i, 0.0) without the call
                     P_i = 0.0
                 x_i = float(d) if kinematic else solve(float(d), P_i, z, x)
-                z_i, acc = play(x_i, z)
+                if x_i != x_held:  # at the length held, the clip keeps z_i
+                    z_i, acc = play(x_i, z)
+                    x_held = x_i
                 F = k * (x_i - x0) + c * P_i + acc  # as _force sums it
                 if 0.0 > F:
                     F = 0.0

@@ -297,8 +297,9 @@ class TestPeriodCalls:
     @pytest.mark.parametrize("mode", ["open_loop", "sensor_fb"])
     def test_one_call_for_a_run_that_reads_no_estimate(self, setup0, monkeypatch, mode):
         # the loop reads no estimate, so the whole logged run goes through
-        # the observer in one call at its end; the plant steps once per
-        # control period, and once each for the pre-roll and conditioning
+        # the observer in one call at its end; the plant steps once each for
+        # the pre-roll and conditioning, then once per control period, or
+        # once for the whole open-loop run, whose commands read no plant
         sizes = self.observed_sizes(monkeypatch)
         steps, plant_sizes = plant.Plant.steps, []
 
@@ -310,22 +311,24 @@ class TestPeriodCalls:
         scn = plant.Scenario.displacement_tracking(frequency_hz=0.5, duration_s=4.03)
         control._run_loop(scn, mode, setup0)
         assert sizes == [300, 200, 403]
-        assert plant_sizes == [300, 200] + [5] * 80 + [3]
+        assert plant_sizes == [300, 200] + ([403] if mode == "open_loop" else [5] * 80 + [3])
 
     def test_plant_error_comes_after_the_observed_samples(self, setup0, monkeypatch):
-        # a plant error at the third sample of the eighth control period:
-        # the samples before it (those of earlier periods that no tick
-        # observed too) go through the observer first, so an observer error
-        # among them is the one raised, as when each sample was observed as
-        # it came
+        # a plant error at the third sample of the eighth control period
+        # (logged sample 37): the samples before it (those of earlier periods
+        # that no tick observed too) go through the observer first, so an
+        # observer error among them is the one raised, as when each sample
+        # was observed as it came
         steps, calls = plant.Plant.steps, []
 
         def failing(nan_reading):
             def fake(self, P_cmd, dt, **drive):
                 calls.append(len(P_cmd))
-                if len(calls) < 10:  # the pre-roll, conditioning and 7 periods
+                before = sum(calls[2:-1])  # logged samples of earlier calls
+                if len(calls) < 3 or before + len(P_cmd) <= 37:  # not past the bad sample
                     return steps(self, P_cmd, dt, **drive)
-                run = steps(self, P_cmd[:2], dt, **{k: v[:2] for k, v in drive.items()})
+                k = 37 - before
+                run = steps(self, P_cmd[:k], dt, **{key: v[:k] for key, v in drive.items()})
                 if nan_reading:
                     run["L_meas"][1] = math.nan
                 err = plant.IsotonicInfeasibleError("the plant's error")
@@ -348,6 +351,91 @@ class TestPeriodCalls:
                     with pytest.raises(plant.IsotonicInfeasibleError, match="the plant's error"):
                         control._run_loop(scn, mode, setup0)
                 assert sizes == observed, (mode, nan_reading)
+
+
+def open_loop_by_period(scenario, setup, start):
+    """The open-loop run of ``control._run_loop`` as it was before it
+    stepped the plant in one call: a ``Plant.steps`` call per control
+    period from ``start``, on the run's commands.  Returns the channels
+    ``F``, ``x``, ``L_meas`` and ``P`` of the samples stepped, the commands
+    of the periods stepped whole, and the plant's error, or None."""
+    feedforward, drive = control._drivers(scenario, setup)
+    t = control._log_times(scenario, setup.plant_cfg.sensor_rate_hz)
+    times, refs = t.tolist(), scenario.reference(t).tolist()
+    sub = setup.plant_cfg.decimation_factor
+    run, commands = {"F": [], "x": [], "L_meas": [], "P": []}, []
+    for i in range(0, len(times), sub):
+        dp = 0.0
+        P_cmd = [control._clamp(feedforward(refs[i]) + dp, setup.plant_cfg.envelope.P_min,
+                                setup.p_max)] * len(times[i:i + sub])
+        try:
+            got, error = drive(start.plant, P_cmd, times[i:i + sub]), None
+        except ValueError as err:
+            got, error = err.completed, err
+        for name in run:
+            run[name] += got[name]
+        if error is not None:
+            return run, commands, error
+        commands += P_cmd
+    return run, commands, None
+
+
+def seq_bits(values) -> bytes:
+    """The bytes of a sequence of floats, so that equal bytes are equal bits."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestOpenLoop:
+    @pytest.mark.parametrize("late_load", [None, 50.0], ids=["whole_run", "plant_error"])
+    def test_one_plant_call_equals_a_call_per_period(self, setup0, monkeypatch, late_load):
+        # the open-loop run steps the plant in one call; against a call per
+        # control period from a copy of the same settled loop: every bit of
+        # the commands (a -0.0 feedforward goes out as 0.0, as adding dp =
+        # 0.0 makes it), of the plant's channels, of the samples the
+        # observer takes and of the plant's state and noise stream after
+        # the run; an unreachable load from 1.37 s on raises the same error
+        # at the same sample
+        scn = plant.Scenario.displacement_tracking(frequency_hz=0.5, duration_s=4.03)
+        refs = scn.reference(control._log_times(scn, 100.0))
+        high = float(np.median(refs))
+        ff = control.feedforward_pressure
+
+        def signed_zero(dyn, F, x, p_min, p_max):
+            return -0.0 if x > high else ff(dyn, F, x, p_min, p_max)
+
+        monkeypatch.setattr(control, "feedforward_pressure", signed_zero)
+        if late_load is not None:
+            profile = control.perturbation_load_profile
+
+            def late(scenario, seed):
+                events, load_at = profile(scenario, seed)
+                return events, lambda t: late_load if t >= 1.37 else load_at(t)
+
+            monkeypatch.setattr(control, "perturbation_load_profile", late)
+        start = control._settle(scn, setup0)
+        one, by_period = start.copy(), start.copy()
+        want, commands, error = open_loop_by_period(scn, setup0, by_period)
+        steps, observed = control.obs.estimate_steps, []
+
+        def recorded(state, L_raw, P, dyn, cfg):
+            observed.append((seq_bits(L_raw), seq_bits(P)))
+            return steps(state, L_raw, P, dyn, cfg)
+
+        monkeypatch.setattr(control.obs, "estimate_steps", recorded)
+        if error is None:
+            log = control._run_loop(scn, "open_loop", setup0, one)
+            assert len(commands) == 403 and log["command"].tobytes() == seq_bits(commands)
+            assert 0.0 in commands and all(math.copysign(1.0, P) == 1.0 for P in commands)
+            for name in ("F", "x"):
+                assert log[name].tobytes() == seq_bits(want[name]), name
+        else:
+            assert len(want["P"]) == 137
+            with pytest.raises(type(error)) as raised:
+                control._run_loop(scn, "open_loop", setup0, one)
+            assert str(raised.value) == str(error)
+        assert observed == [(seq_bits(want["L_meas"]), seq_bits(want["P"]))]
+        assert one.plant.state == by_period.plant.state
+        assert one.plant.rng.standard_normal() == by_period.plant.rng.standard_normal()
 
 
 class TestSetup:

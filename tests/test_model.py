@@ -165,6 +165,12 @@ class TestSensitivity:
         with pytest.raises(DomainError):
             model.peak_force(lam(1, 1, 0.2, 1, 0), 0.0)
 
+    @pytest.mark.parametrize("l3", [-5e-324, -1e-300])
+    def test_peak_force_beyond_the_floats_is_a_domain_error(self, l3):
+        # -l3*l4 underflows to 0 (a zero division), or the power overflows
+        with pytest.raises(DomainError, match="beyond the floats"):
+            model.peak_force(lam(1, 1, l3, 0.5, 0), 0.0)
+
 
 class TestEnvelope:
     def test_validation(self):

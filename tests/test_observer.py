@@ -53,19 +53,19 @@ U = 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
-# The oracles of ``estimate_steps``, each one sample a call.
+# The oracle of ``estimate_steps``, one sample a call.
 #
 # ``layered_step`` is the layered observer step: a filter step per channel,
 # predict, the inversion (a scan calling the cost, which calls the map, per
 # grid point, then ``newton`` calling ``cost_derivatives``) and update, each
-# its own function building its own state.  ``frame_step`` is the one-frame
-# step that ``estimate_steps`` replaced, with ``newton`` and
-# ``cost_derivatives``, the Newton pass and derivatives it called, all
-# copied verbatim; its inversion is ``layered_solve``.  ``estimate_steps``
-# equals both in every bit, however a run is cut into calls
+# its own function building its own state; ``layered_run`` steps it over a
+# sequence.  It runs the whole covariance recursion on every sample, where
+# ``estimate_steps`` takes the config's fixed point (``ObserverConfig.kalman``).
+# ``estimate_steps`` equals it in every bit, however a run is cut into calls
 # (``TestOneFrameStep``), so the tests of ``layered_predict``,
-# ``layered_update``, ``newton`` and ``cost_derivatives`` below hold for
-# its arithmetic.
+# ``layered_update``, ``newton`` and ``cost_derivatives`` below hold for its
+# arithmetic.  Every test that pins a whole run builds on it:
+# ``reference_run`` passes it another inversion.
 
 def single_step(state, sample):
     """Advance the filter by one sample and return the filtered value."""
@@ -257,8 +257,9 @@ def layered_update(prior, F_star, cfg):
         t10 * b + (b * p01 + p11) + k1 * k1 * R)
 
 
-def layered_step(state, L_raw, P, dyn, cfg):
-    """One observer cycle on a raw sample through the layers above."""
+def layered_step(state, L_raw, P, dyn, cfg, solve=layered_solve):
+    """One observer cycle on a raw sample through the layers above, the
+    inversion by ``solve`` (``layered_solve``'s arguments)."""
     env = cfg.envelope
     env.check_P(P)
     L_filt, P_filt = state.L_filter, state.P_filter
@@ -266,76 +267,23 @@ def layered_step(state, L_raw, P, dyn, cfg):
     P_f = min(max(single_step(P_filt, P), env.P_min), env.P_max)
     pred = layered_predict(state, cfg)
     prior_F = min(max(pred.F_hat, env.F_min), env.F_max)
-    post = layered_update(pred, layered_solve(L_f, P_f, prior_F, cfg), cfg)
+    post = layered_update(pred, solve(L_f, P_f, prior_F, cfg), cfg)
     post.L_filter, post.P_filter = L_filt, P_filt
     F_hat = post.F_hat
     x_hat = model.invert_dynamic_length(dyn, F_hat, P)
     return post, F_hat, x_hat
 
 
-def frame_step(state: ObserverState, L_raw: float, P: float,
-               dyn: model.DynamicParams, cfg: ObserverConfig):
-    """One full observer cycle on a raw sample, in one frame.
-
-    Returns ``(state, F_hat, x_hat)``; the raw pressure must lie in the
-    envelope.  The reading and the pressure pass through the state's
-    filters (``reset`` primes them), so that the map is inverted at a
-    time-matched (L, P) pair, and the filtered pressure is clamped to the
-    envelope, since the filter overshoots on steps.  The predict (mean A
-    m and covariance A C A^T + Q for A = [[1, dt], [0, 1]]; the
-    off-diagonal is half the sum of the two, as ``0.5 * (C + C.T)`` is)
-    and the scalar Joseph-form update of the force, (I - K H) C (I - K
-    H)^T + K K^T R, are written out on floats, each operation rounded
-    once, in the order of numpy's products.  Between them the prior force,
-    clamped to the envelope, is inverted (``solve_pseudo_measurement``,
-    here ``layered_solve``).  Length is inferred from ``F_hat`` through the affine force model at
-    the raw pressure, the one acting now.  The clamps keep the value on a
-    tie and let NaN through, as ``min(max(v, lo), hi)`` does.  The filters
-    advance in place and pass on to the returned state, the one object
-    made per sample.
-    """
-    env = cfg.envelope
-    env.check_P(P)
-    L_filt, P_filt = state.L_filter, state.P_filter
-    L_f, P_f = single_step(L_filt, L_raw), single_step(P_filt, P)
-    lo, hi = env.P_min, env.P_max
-    P_f = lo if P_f < lo else hi if P_f > hi else P_f
-    # predict
-    dt = cfg.dt
-    q00, q01, q10, q11 = q_entries(cfg)
-    Fdot = state.Fdot_hat
-    c01, c11 = state.cov_F_Fdot, state.var_Fdot
-    ac00 = state.var_F + dt * c01   # (A C)[0, 0]
-    ac01 = c01 + dt * c11           # (A C)[0, 1], and (A C A^T)[1, 0]
-    F = state.F_hat + dt * Fdot
-    p00 = ac00 + ac01 * dt + q00
-    p01 = 0.5 * ((ac01 + q01) + (ac01 + q10))
-    p11 = c11 + q11
-    lo, hi = env.F_min, env.F_max
-    F_star = layered_solve(L_f, P_f, lo if F < lo else hi if F > hi else F, cfg)
-    # update
-    R = cfg.R
-    S = p00 + R
-    k0 = p00 / S
-    k1 = p01 / S
-    innovation = F_star - F
-    a = 1.0 - k0              # I - K H = [[a, 0], [b, 1]]
-    b = 0.0 - k1
-    t00 = a * p00             # (I - K H) C
-    t01 = a * p01
-    t10 = b * p00 + p01
-    F_hat = F + k0 * innovation
-    post = ObserverState(
-        F_hat, Fdot + k1 * innovation,
-        t00 * a + k0 * k0 * R,
-        0.5 * ((t00 * b + t01 + k0 * k1 * R) + (t10 * a + k1 * k0 * R)),
-        t10 * b + (b * p01 + p11) + k1 * k1 * R,
-        L_filt, P_filt)
-    k = dyn.k
-    if abs(k) < model.STIFFNESS_EPS:
-        raise model.DegenerateModelError(f"stiffness {k} below {model.STIFFNESS_EPS}, "
-                                         f"cannot invert")
-    return post, F_hat, dyn.x0 + (F_hat - dyn.c * P) / k
+def layered_run(state, L_raw, P, dyn, cfg, solve=layered_solve):
+    """``layered_step`` over a sequence, as ``estimate_steps`` returns it:
+    ``(state, F_hat, x_hat)``, the state after the last sample and lists
+    of the estimates."""
+    F_hat, x_hat = [], []
+    for L, p in zip(L_raw, P):
+        state, F, x = layered_step(state, L, p, dyn, cfg, solve)
+        F_hat.append(F)
+        x_hat.append(x)
+    return state, F_hat, x_hat
 
 
 def one_step(state, L_raw, P, dyn, cfg):
@@ -351,6 +299,11 @@ def step_bits(result):
     return (struct.pack("<7d", st.F_hat, st.Fdot_hat, st.var_F, st.cov_F_Fdot, st.var_Fdot,
                         F_hat, x_hat),
             st.L_filter.zi.tobytes(), st.P_filter.zi.tobytes())
+
+
+def cov_bits(state):
+    """The bytes of a state's three covariance entries."""
+    return struct.pack("<3d", state.var_F, state.cov_F_Fdot, state.var_Fdot)
 
 
 def forked(state):
@@ -747,6 +700,11 @@ COST_TOL = 16 * U
 
 
 class TestCertifiedGolden:
+    """``float_cost``, the cost on ``math`` floats that the scan computes,
+    against the numpy cost of ``reference_inversion`` (whose refinement is
+    the golden section), at random and at edge points, and the maps and
+    forces where ``math`` raises."""
+
     def test_bound_holds(self):
         # over 10^5 seeded points the float cost stays within COST_TOL of
         # the numpy cost, and equals it where either is not finite
@@ -1382,25 +1340,17 @@ class TestWindowScan:
 
 
 def reference_run(ds, cfg, spec):
-    """``run_estimation`` written out on the layers of ``layered_step``,
-    with ``reference_inversion`` for the inversion.  Returns F_hat."""
+    """``run_estimation`` on ``layered_run``, with ``reference_inversion``
+    for the inversion and the state's filters designed from ``spec``.
+    Returns F_hat."""
     env = cfg.envelope
     L0, P0 = float(ds.L[0]), float(ds.P[0])
-    filt = sig.prime(sig.design(spec, 100), L0)
-    p_filt = sig.prime(sig.design(spec, 100), P0)
     F0 = observer.nearest_preimage(L0, P0, cfg)
     st = observer.reset(float(np.clip(F0, env.F_min, env.F_max)), L0, P0, cfg)
-    F_hat = np.empty(len(ds))
-    for i in range(len(ds)):
-        L, P = float(ds.L[i]), float(ds.P[i])
-        L_f = single_step(filt, L)
-        P_f = min(max(single_step(p_filt, P), env.P_min), env.P_max)
-        pred = layered_predict(st, cfg)
-        prior = min(max(pred.F_hat, env.F_min), env.F_max)
-        F_star = reference_inversion(L_f, P_f, prior, cfg)
-        st = layered_update(pred, F_star, cfg)
-        F_hat[i] = st.F_hat
-    return F_hat
+    st = replace(st, L_filter=sig.prime(sig.design(spec, 100), L0),
+                 P_filter=sig.prime(sig.design(spec, 100), P0))
+    _, F_hat, _ = layered_run(st, ds.L.tolist(), ds.P.tolist(), DYN, cfg, reference_inversion)
+    return np.array(F_hat)
 
 
 #: Bound on |F_hat - reference F_hat| (N) over a run.  Each inversion is
@@ -1545,8 +1495,8 @@ class TestOneFrameStep:
     @pytest.mark.parametrize("noise_L", [0.0, 0.01, 0.03])
     def test_pieces_equal_one_call_and_the_oracle(self, noise_L):
         # a cycle cut into calls at random points, 1-sample pieces and
-        # empty ones included, against one call and against the one-frame
-        # step of each sample (frame_step): every bit of the state and both
+        # empty ones included, against one call and against the layered
+        # step of each sample (layered_step): every bit of the state and both
         # delay lines at each cut, and of F_hat and x_hat at every sample.
         # A NaN reading raises the oracle's error at the oracle's sample:
         # the delay lines have taken it, and no sample after it
@@ -1562,12 +1512,12 @@ class TestOneFrameStep:
             return observer.reset(observer.nearest_preimage(L0, P0, cfg), L0, P0, cfg)
 
         def oracle(L_raw):
-            """frame_step over ``L_raw``: each sample's step_bits, and the
+            """layered_step over ``L_raw``: each sample's step_bits, and the
             error and the delay lines where a sample raises."""
             st, bits = fresh(), []
             for L, P in zip(L_raw, P_all):
                 try:
-                    st, F, x = frame_step(st, L, P, DYN, cfg)
+                    st, F, x = layered_step(st, L, P, DYN, cfg)
                 except ValueError as exc:
                     return bits, (str(exc), step_bits((st, 0.0, 0.0))[1:])
                 bits.append(step_bits((st, F, x)))
@@ -1614,7 +1564,7 @@ class TestOneFrameStep:
 
     def test_pressure_outside_the_envelope_raises_before_its_sample(self):
         # a raw pressure outside the envelope at a random sample raises the
-        # one-frame step's EnvelopeError at that sample, in one call and in
+        # layered step's EnvelopeError at that sample, in one call and in
         # pieces: the delay lines have taken every earlier sample, and not
         # that one
         scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3),
@@ -1638,11 +1588,11 @@ class TestOneFrameStep:
             st = fresh()
             L_line, P_line = st.L_filter.copy(), st.P_filter.copy()
             for L, P in zip(L_all[:bad_at], P_raw):
-                st = frame_step(st, L, P, DYN, cfg)[0]
+                st = layered_step(st, L, P, DYN, cfg)[0]
                 single_step(L_line, L)
                 single_step(P_line, P)
             with pytest.raises(EnvelopeError) as raised:
-                frame_step(st, L_all[bad_at], bad_p, DYN, cfg)
+                layered_step(st, L_all[bad_at], bad_p, DYN, cfg)
             want = (str(raised.value), step_bits((st, 0.0, 0.0))[1:])
             assert want[1] == (L_line.zi.tobytes(), P_line.zi.tobytes())
             for cuts in ([0, n], sorted(cuts + [0, n])):
@@ -1665,13 +1615,9 @@ class TestOneFrameStep:
         steps, sizes, pressures = observer.estimate_steps, [], []
 
         def checked(state, L_raw, P, dyn, cfg):
-            twin, F_want, x_want = forked(state), [], []
-            for L, p in zip(L_raw, P):
-                twin, F, x = layered_step(twin, L, p, dyn, cfg)
-                F_want.append(F)
-                x_want.append(x)
+            want = layered_run(forked(state), L_raw, P, dyn, cfg)
             got = steps(state, L_raw, P, dyn, cfg)
-            assert run_bits(*got) == run_bits(twin, F_want, x_want), len(sizes)
+            assert run_bits(*got) == run_bits(*want), len(sizes)
             sizes.append(len(P))
             pressures.extend(P)
             return got
@@ -1681,6 +1627,56 @@ class TestOneFrameStep:
         control.run_perturbation(setup, plant.Scenario.load_perturbation(duration_s=10.0))
         assert sizes == [300] + [5] * 200
         assert len(set(pressures)) > 100
+
+    @pytest.mark.parametrize("noise_L", [0.0, 0.01, 0.03])
+    def test_kalman_fixed_point_equals_the_layered_step(self, noise_L):
+        # the covariance reaches the config's fixed point, where a sample
+        # takes the stored gains and skips the recursion; moved off it
+        # between two calls, to reset's covariance or a float spacing away,
+        # the next call runs the recursion until it equals the fixed point
+        # again (from reset's, it is back; from a spacing away it may settle
+        # on a neighbouring float fixed point, where it runs on): every bit
+        # of every sample against layered_run, which runs it on every sample
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT, noise_L=noise_L)
+        fixed, pred, (k0, k1) = cfg.kalman
+        twin = layered_predict(state_of((1.0, 0.0), [[fixed[0], fixed[1]], [fixed[1], fixed[2]]]),
+                               cfg)
+        assert cov_bits(twin) == struct.pack("<3d", *pred)
+        assert struct.pack("<2d", k0, k1) == struct.pack("<2d", pred[0] / (pred[0] + cfg.R),
+                                                         pred[1] / (pred[0] + cfg.R))
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.2, 0.4, 0.6),
+                             cycles_per_level=1, cycle_period_s=4.0, x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=8, noise_L=noise_L))
+        L_all, P_all = ds.L.tolist(), ds.P.tolist()
+        st = observer.reset(observer.nearest_preimage(L_all[0], P_all[0], cfg), L_all[0],
+                            P_all[0], cfg)
+        cut = 700   # the recursion reaches the fixed point in 114 to 614 samples
+        first = observer.estimate_steps(forked(st), L_all[:cut], P_all[:cut], DYN, cfg)
+        assert run_bits(*first) == run_bits(*layered_run(st, L_all[:cut], P_all[:cut], DYN, cfg))
+        assert cov_bits(first[0]) == struct.pack("<3d", *fixed)
+        L_rest, P_rest = L_all[cut:], P_all[cut:]
+        for moved in ((0.25, 0.0, 1.0), (math.nextafter(fixed[0], 1.0), *fixed[1:]),
+                      (*fixed[:2], math.nextafter(fixed[2], 0.0))):
+            st = forked(replace(first[0], var_F=moved[0], cov_F_Fdot=moved[1], var_Fdot=moved[2]))
+            got = observer.estimate_steps(forked(st), L_rest, P_rest, DYN, cfg)
+            assert run_bits(*got) == run_bits(*layered_run(st, L_rest, P_rest, DYN, cfg)), moved
+            if moved == (0.25, 0.0, 1.0):
+                assert cov_bits(got[0]) == struct.pack("<3d", *fixed)
+
+    def test_no_kalman_fixed_point_runs_the_recursion(self):
+        # with no process noise the covariance shrinks on every sample and
+        # never repeats: the config stores no fixed point, and every sample
+        # runs the recursion, as the layered step does
+        cfg = make_cfg(Q=np.zeros((2, 2)))
+        assert cfg.kalman is None
+        assert make_cfg().kalman is not None
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,), cycles_per_level=1,
+                             cycle_period_s=2.0, x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=8))
+        L_all, P_all = ds.L.tolist(), ds.P.tolist()
+        st = observer.reset(1.0, L_all[0], P_all[0], cfg)
+        got = observer.estimate_steps(forked(st), L_all, P_all, DYN, cfg)
+        assert run_bits(*got) == run_bits(*layered_run(st, L_all, P_all, DYN, cfg))
 
     def test_degenerate_stiffness_raises(self):
         cfg = make_cfg()
@@ -1697,7 +1693,7 @@ class TestOneFrameStep:
         st = observer.reset(1.0, 4.9, 0.3, cfg)
         for state, L, match in ((st, math.nan, "All-NaN"),
                                 (replace(st, F_hat=math.nan), 4.9, "prior force must be finite")):
-            for step in (one_step, layered_step, frame_step):
+            for step in (one_step, layered_step):
                 with pytest.raises(ValueError, match=match):
                     step(forked(state), L, 0.3, DYN, cfg)
 

@@ -340,6 +340,21 @@ class TestSteps:
         check_steps(p, (0.25 + 0.1 * np.sin(0.5 * t)).tolist(),
                     F_load=(1.1 + 0.4 * np.sin(1.3 * t)).tolist())
 
+    @pytest.mark.parametrize("overrides", STEP_CONFIGS.values(), ids=STEP_CONFIGS.keys())
+    def test_a_held_length_equals_the_oracle(self, overrides):
+        # at a length equal to the last sample's, the play states and their
+        # sum are reused, where the oracle clips them on every sample: a
+        # fresh plant's first sample at its own length (its states lie
+        # outside the band there), holds, lengths that leave and return, and
+        # a second call that starts at the length the first ended on
+        cfg = plant.default_plant_config(seed=6, **overrides)
+        p = Plant(cfg, x0=0.12, P0=0.2)
+        rng = np.random.default_rng(23)
+        first = [0.12] * 40 + [0.13] * 3 + [0.12] * 30 + [0.125, 0.12, 0.12] + [0.09] * 20
+        for x_cmd in (first, [0.09] * 10 + [0.12] * 5 + [0.09]):
+            got, err = check_steps(p, rng.uniform(0.0, 0.65, len(x_cmd)).tolist(), x_cmd=x_cmd)
+            assert err is None and got["x"] == x_cmd
+
     def test_pieces_equal_one_call(self):
         cfg = plant.default_plant_config(seed=4)
         a, b = Plant(cfg, x0=0.12, P0=0.3), Plant(cfg, x0=0.12, P0=0.3)
