@@ -421,7 +421,8 @@ def cmd_estimate(args, cfg, resolved) -> int:
     est = observer.run_estimation(ds, dyn, ocfg)
     force = _truth_metrics(est["F_hat"], ds.F, "F")
     metrics: dict = {"provenance": _provenance(cfg), "force": force,
-                     "displacement": _truth_metrics(est["x_hat"], ds.x, "x")}
+                     "displacement": _truth_metrics(est["x_hat"], ds.x, "x"),
+                     "observer": {"reseeds": est["reseeds"]}}
     if isinstance(force, dict) and ds.x is not None:
         metrics["force_reversal_windows"] = _reversal_stats(ds, est["F_hat"] - ds.F)
     ident.write_csv(ds, os.path.join(out, "estimates.csv"),

@@ -300,7 +300,7 @@ def peak_force(params: InductanceParams, P: float) -> float:
 def _peak_at(l2: float, l3: float, l4: float) -> float:
     """The peak force (l2 / (-l3*l4))**(1/l4) on already-evaluated
     coefficients with l2, l4 > 0 and l3 < 0: the one copy ``peak_force``
-    and the observer's grid scan evaluate.  Float ``**``, so it raises
+    and the observer's re-seed rule evaluate.  Float ``**``, so it raises
     OverflowError where the power overflows, and ZeroDivisionError where
     -l3*l4 underflows to 0."""
     return (l2 / (-l3 * l4)) ** (1.0 / l4)

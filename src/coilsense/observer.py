@@ -61,17 +61,16 @@ with numpy's ``power`` and ``exp`` in the last bit.  Every grid cost is
 at least its continuity term (w_dyn dF) dF, which grows with the
 distance from the prior, so the coarse grid is costed outward from the
 prior only until that term exceeds the least cost seen; a tracking
-sample costs a few grid points, not all of them.  The map is monotone
-on each side of its peak, so where going further out from a costed
-point moves the map away from the reading, every point on that side up
-to the peak (or the grid's end) has a residual at least as large, less
-a rounding margin the config derives once (``_map_slack``): the scan
-skips those points when that bound, with their continuity term, exceeds
-the least cost seen.  The index is the whole grid's first least cost
-either way; a sample locked onto the far side of the peak costs about
-five points rather than fifteen.
+sample costs a few grid points, not all of them.
 ``solve_pseudo_measurement`` is the checked public entry to the same
 inversion.
+
+The continuity term also holds the estimate on the wrong branch: where
+truth turns back just past the map's peak, the estimate can coast over
+it onto the mirror trajectory of the falling branch, which fits every
+reading.  That branch never reads below L(F_max, P), so
+``estimate_steps`` re-seeds an estimate above the peak onto the rising
+branch where the reading lies well below L(F_max, P).
 """
 
 from __future__ import annotations
@@ -117,12 +116,6 @@ MAX_GRID_POINTS = 65536
 #: of two stays below 1e200, far from overflow, as do residuals below 1e200 uH.
 MAP_LIMIT = 1e100
 
-#: The unit roundoff of doubles, and the factor the scan's skip test takes
-#: off a residual for the rounding of the residual's last subtraction
-#: (``_grid_index``).
-_U = 2.0 ** -53
-_SHRINK = 1.0 - 8.0 * _U
-
 #: ``reset``'s covariance: var_F, cov_F_Fdot and var_Fdot.
 _RESET_COV = (0.25, 0.0, 1.0)
 
@@ -136,6 +129,11 @@ _MAX_KALMAN_STEPS = 4096
 #: equals its NaNs.
 _NO_FIXED_POINT = ((math.nan,) * 3, (math.nan,) * 3, (math.nan,) * 2)
 
+#: Block length and most blocks of the impulse response that
+#: ``_noise_gain`` sums: the default design's decays within one block.
+_GAIN_BLOCK = 256
+_MAX_GAIN_BLOCKS = 256
+
 
 @dataclass(slots=True)
 class ObserverState:
@@ -148,6 +146,9 @@ class ObserverState:
     filters, copies of the config's ``filt`` that ``reset`` primes.  The
     states ``estimate_steps`` returns share them, and they advance in
     place; a state built without them cannot be stepped.
+
+    ``reseeds`` counts the re-seeds ``estimate_steps`` has made since
+    ``reset``; it is no argument, so ``dataclasses.replace`` starts it at 0.
     """
 
     F_hat: float
@@ -157,6 +158,7 @@ class ObserverState:
     var_Fdot: float
     L_filter: sig.FilterState | None = None
     P_filter: sig.FilterState | None = None
+    reseeds: int = field(default=0, init=False)
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,12 @@ class ObserverConfig:
     coarse inversion grid, a tuple of floats) and ``F_floor`` (the floor of
     Newton's bracket) are derived, and the map is checked (``_map_bound``),
     on construction, so ``dataclasses.replace`` redoes both, as it does
-    ``slack``, the scan's rounding margin on the map (``_map_slack``), and
     ``kalman``, the float fixed point of the covariance recursion from a
-    fresh state's covariance (``reset``, ``_kalman_fixed_point``).
+    fresh state's covariance (``reset``, ``_kalman_fixed_point``), and
+    ``sigma_L``, the filtered reading's noise deviation, g sqrt(R)
+    ``median_force_gradient`` for g the filter's noise gain
+    (``_noise_gain``): g times the sensor noise for
+    ``make_observer_config``'s R.
     ``refine_tol`` must be at least four float spacings of the largest
     force: a bracket a spacing or two wide cannot be split, so a smaller
     tolerance would run every Newton pass to its step cap."""
@@ -203,8 +208,8 @@ class ObserverConfig:
     refine_tol: float = 1e-5
     grid: tuple = field(init=False, repr=False, compare=False)
     F_floor: float = field(init=False, repr=False, compare=False)
-    slack: float = field(init=False, repr=False, compare=False)
     kalman: tuple | None = field(init=False, repr=False, compare=False)
+    sigma_L: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float).reshape(2, 2))
@@ -220,7 +225,6 @@ class ObserverConfig:
         if not bound < MAP_LIMIT:
             raise EnvelopeError(f"the inductance map overflows: its terms reach {bound:.3g} > "
                                 f"{MAP_LIMIT:g} on [{self.F_floor:.3g}, {env.F_max:g}] N")
-        object.__setattr__(self, "slack", _map_slack(self.ind, env))
         if not 0.0 < self.R < math.inf:
             raise ValueError("R must be positive and finite")
         if not 16 <= self.grid_points <= MAX_GRID_POINTS:
@@ -237,6 +241,8 @@ class ObserverConfig:
             np.linspace(env.F_min, env.F_max, self.grid_points).tolist()))
         object.__setattr__(self, "kalman", _kalman_fixed_point(
             self.dt, tuple(self.Q.ravel().tolist()), self.R))
+        object.__setattr__(self, "sigma_L", _noise_gain(self.filt) * math.sqrt(self.R)
+                           * median_force_gradient(self.ind, env))
 
 
 def _kalman_step(cov: tuple, dt: float, q: tuple, R: float) -> tuple:
@@ -288,6 +294,42 @@ def _kalman_fixed_point(dt: float, q: tuple, R: float) -> tuple | None:
     return None
 
 
+def _noise_gain(filt: sig.FilterState) -> float:
+    """sqrt(sum h_k h_k) for the impulse response h of ``filt``'s sections
+    from a zero delay line: the standard deviation of its output on unit
+    white noise, 0.4546 for the default design at 100 Hz.  The sum runs
+    over blocks of ``_GAIN_BLOCK`` samples until a block leaves it
+    unchanged, or over the first ``_MAX_GAIN_BLOCKS`` blocks of a response
+    that lasts longer.
+    """
+    st = sig.FilterState(filt.sos)
+    total, x = 0.0, [1.0] + [0.0] * (_GAIN_BLOCK - 1)
+    for _ in range(_MAX_GAIN_BLOCKS):
+        block = math.fsum(h * h for h in sig.run(st, x))
+        if total + block == total:
+            break
+        total += block
+        x = [0.0] * _GAIN_BLOCK
+    return math.sqrt(total)
+
+
+def _rising_preimage(L: float, a: float, b: float, tol: float,
+                     l1: float, l2: float, l3: float, l4: float, l5: float) -> float:
+    """Where the map on its coefficients (``model._inductance_at``),
+    rising over [a, b], crosses the reading L: the lower end of a
+    bisection bracket narrowed below ``tol``, so ``a`` for a reading below
+    the map on all of [a, b] (or for b < a).
+    """
+    inductance_at = model._inductance_at
+    while b - a >= tol:
+        m = 0.5 * (a + b)
+        if inductance_at(m, l1, l2, l3, l4, l5) < L:
+            a = m
+        else:
+            b = m
+    return a
+
+
 def _map_bound(ind: InductanceParams, env: OperatingEnvelope, F_floor: float) -> float:
     """The sum of the largest magnitudes of the map terms of Newton's
     derivatives in ``_invert`` (F**l2, F**l4, exp(l3 F**l4), 1 / (F F), m,
@@ -309,41 +351,6 @@ def _map_bound(ind: InductanceParams, env: OperatingEnvelope, F_floor: float) ->
     u = l2 + l3 * l4 * F_l4
     v = u * u + u + l3 * l4 * l4 * F_l4
     return F_l2 + F_l4 + e + inv_FF + m + l5 + u + v + m * u / F_floor + m * v * inv_FF
-
-
-def _map_slack(ind: InductanceParams, env: OperatingEnvelope) -> float:
-    """The grid scan's rounding margin (``_grid_index``): 4 E, for a bound
-    E on the error |v - L(F)| of the map value v = l1 F**l2 exp(l3 F**l4) +
-    l5 the scan computes against the exact map on the same float
-    coefficients, over F in [0, F_max] and the envelope's pressures; inf
-    where the bound fails.  The skip test needs 2 E, one E for each of two
-    points; the other factor of 2 covers the rounding of this arithmetic.
-    For a map that passed ``_map_bound``.
-
-    The terms are bounded at the corners as ``_map_bound`` bounds them,
-    now down to F = 0: F**l2 <= F2, F**l4 <= F4, the exponent |l3 F**l4|
-    <= A = max|l3| F4, exp(l3 F**l4) <= e = exp(max(0, l3 F4)), so |m| =
-    |l1 F**l2 exp(l3 F**l4)| <= M = max|l1| F2 e.  With ``math.pow`` and
-    ``math.exp`` within two units in the last place (4 u relative, u =
-    2**-53; glibc's are within one), F**l4 and the product l3 F**l4 carry
-    at most 5 u, which moves exp by at most a factor 1 + 6.1 A u while A u
-    <= 1/128; the two powers' 4 u each, exp's own 4 u and the two products'
-    u each bring m's relative error to theta <= (12 + 8 A) u.  Results
-    below the normal range are off by at most 2**-1073 each instead, which
-    the terms in 2**-1070 and 2**-1072 cover.  Adding l5 rounds once more,
-    by at most u (2 M + max|l5|).
-    """
-    lo, hi = model.eval_coeffs(ind, env.P_min), model.eval_coeffs(ind, env.P_max)
-    l1, _, l3, _, l5 = (max(abs(a), abs(b)) for a, b in zip(lo, hi))
-    F2 = max(math.pow(env.F_max, lo[1]), math.pow(env.F_max, hi[1]))
-    F4 = max(math.pow(env.F_max, lo[3]), math.pow(env.F_max, hi[3]))
-    e = math.exp(max(0.0, lo[2] * F4, hi[2] * F4))
-    M = l1 * F2 * e
-    theta = (12.0 + 8.0 * l3 * F4) * _U + (l3 + 1.0) * 2.0 ** -1070
-    if not theta <= 1.0 / 16.0:
-        return math.inf
-    E = theta * M + _U * (2.0 * M + l5) + (l1 * (e + F2) + e + 1.0) * 2.0 ** -1072
-    return 4.0 * E
 
 
 def median_force_gradient(params: InductanceParams, envelope: OperatingEnvelope) -> float:
@@ -421,7 +428,7 @@ def reset(F0: float, L0: float, P0: float, cfg: ObserverConfig) -> ObserverState
                          sig.prime(cfg.filt.copy(), L0), sig.prime(cfg.filt.copy(), P0))
 
 
-def _grid_index(grid: tuple, args: tuple, slack: float = math.inf) -> int:
+def _grid_index(grid: tuple, args: tuple) -> int:
     """Index of the first least inversion cost on ``grid``, NaNs skipped,
     for the sample's cost tuple ``args`` = ``(L_meas, prior_F, l1, ..., l5,
     w_fit, w_dyn, w_reg, gamma)``: the reading, the prior, the map's
@@ -437,33 +444,10 @@ def _grid_index(grid: tuple, args: tuple, slack: float = math.inf) -> int:
     |dF| is exact (IEEE rounding is symmetric in sign), so the terms in
     d d are the same floats as in dF dF.  The first and last terms are >=
     0, so by monotone rounding a cost is at least its continuity term
-    (w_dyn d) d, which never falls as d grows.  The run of
-    grid points around ``prior_F`` widens, nearer side first (the upper
-    point on a tie), until the next point's term exceeds the least cost of
-    the run: no point further out can win.
-
-    A side also skips the points that its last costed point proves
-    costlier.  The map is monotone on each side of its peak F* = (l2 /
-    (-l3 l4))**(1/l4) (for l3 >= 0 throughout), rising with F below it for
-    l1 > 0 and falling for l1 < 0: u = l2 + l3 l4 F**l4, the sign of dL/dF
-    over that of l1, changes sign at F* only.  When a side's next point is
-    due, its last costed point F lies clear of the peak's rounding window
-    (``_peak_window``) and going further out moves the exact map away from
-    the reading, every point further out on that side, up to the window or
-    the grid's end, has an exact residual at least |r|'s.  ``slack``
-    (``ObserverConfig.slack``, ``_map_slack``) is at least twice the error
-    of a computed map value, and the last subtraction of each residual
-    rounds by a factor within 1 +- u (u = 2**-53), so their computed |r| is
-    at least rho = |r| (1 - 8 u) - slack, taken in floats.  For 0 < rho <
-    inf their costs are then at least (w_fit rho) rho + (w_dyn d) d, d the
-    due point's distance, by monotone rounding; the side jumps past them,
-    across the window or to its end, when that bound is strictly above the
-    least cost so far, so a point that could tie is costed.  With w_fit =
-    0 the bound is the continuity term, which the stop already applies;
-    with the default ``slack`` of inf, or a non-finite residual, nothing is
-    skipped.  Every point left out costs more than the winner: the index is
-    the whole grid's.  A point is tested when it is due, not when it is
-    costed, so a scan that stops at the next due point computes no window.
+    (w_dyn d) d, which never falls as d grows.  The run of grid points
+    around ``prior_F`` widens, nearer side first (the upper point on a
+    tie), until the next point's term exceeds the least cost of the run:
+    no point further out can win, so the index is the whole grid's.
     """
     L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
     pow_, exp, inf = math.pow, math.exp, math.inf
@@ -472,41 +456,18 @@ def _grid_index(grid: tuple, args: tuple, slack: float = math.inf) -> int:
     d_lo = prior_F - grid[lo - 1] if lo else inf
     d_hi = grid[hi] - prior_F if hi < n else inf
     best_j, best = n, inf
-    r_lo = r_hi = 0.0   # residuals of the last points costed below and above, 0 for none
-    peak = None
     while lo or hi < n:
         if d_hi <= d_lo:
-            d = d_hi
-            t = w_dyn * d * d
-            if t > best:
-                break
-            if r_hi:
-                peak = peak or _peak_window(l2, l3, l4)
-                k = _skip_to(grid, hi, True, r_hi, t, best, w_fit, slack, l1, peak)
-                r_hi = 0.0
-                if k != hi:
-                    hi = k
-                    d_hi = grid[hi] - prior_F if hi < n else inf
-                    continue
-            j, up = hi, True
+            j, d = hi, d_hi
             hi += 1
             d_hi = grid[hi] - prior_F if hi < n else inf
         else:
-            d = d_lo
-            t = w_dyn * d * d
-            if t > best:
-                break
-            if r_lo:
-                peak = peak or _peak_window(l2, l3, l4)
-                k = _skip_to(grid, lo, False, r_lo, t, best, w_fit, slack, l1, peak)
-                r_lo = 0.0
-                if k != lo:
-                    lo = k
-                    d_lo = prior_F - grid[lo - 1] if lo else inf
-                    continue
             lo -= 1
-            j, up = lo, False
+            j, d = lo, d_lo
             d_lo = prior_F - grid[lo - 1] if lo else inf
+        t = w_dyn * d * d
+        if t > best:
+            break
         F = grid[j]
         try:
             r = l1 * pow_(F, l2) * exp(l3 * pow_(F, l4)) + l5 - L_meas
@@ -515,73 +476,15 @@ def _grid_index(grid: tuple, args: tuple, slack: float = math.inf) -> int:
         c = w_fit * r * r + t + w_reg * (1.0 - 1.0 / (1.0 + gamma * d * d))
         if c < best or (c == best and j < best_j):  # False for NaN
             best_j, best = j, c
-        if up:
-            r_hi = r
-        else:
-            r_lo = r
     if best_j == n:
         raise ValueError("All-NaN slice encountered")
     return best_j
 
 
-def _skip_to(grid: tuple, k: int, up: bool, r: float, t: float, best: float,
-             w_fit: float, slack: float, l1: float, peak: tuple) -> int:
-    """Where a side of ``_grid_index``'s run resumes when its next point is
-    due: ``k`` (``hi`` above, ``lo`` below), or past the points its last
-    costed point, grid[k - 1] above or grid[k] below with residual ``r``,
-    proves costlier than ``best``, for the due point's continuity term
-    ``t`` and the window ``peak`` (``_peak_window``).
-    """
-    rho = (r if r > 0.0 else -r) * _SHRINK - slack
-    if not (0.0 < rho < math.inf and w_fit * rho * rho + t > best):
-        return k
-    F = grid[k - 1] if up else grid[k]
-    below = F < peak[0]
-    if not (below or F > peak[1]):
-        return k
-    # the map rises with F below the peak for l1 > 0 (for l1 = 0 it is flat)
-    if ((below == (l1 > 0.0)) == up) != (r > 0.0):
-        return k   # going out moves the map toward the reading
-    if up:
-        return bisect.bisect_left(grid, peak[0], k) if below else len(grid)
-    return 0 if below else bisect.bisect_right(grid, peak[1], 0, k)
-
-
-def _peak_window(l2: float, l3: float, l4: float) -> tuple:
-    """Floats ``(lo, hi)`` around the computed peak force
-    (``model._peak_at``) that hold the exact peak F* of the float
-    coefficients, l2, l4 > 0: ``(inf, inf)`` for l3 >= 0, which has no
-    peak, and ``(-inf, inf)`` where the computed peak overflows (or its
-    base does) or the window would be wider than an eighth of it.
-
-    The computed peak rounds the base l2 / (-l3 l4) twice (2 u, u =
-    2**-53) and the exponent y = 1 / l4 once (u), and ``**`` is within
-    two units in the last place (4 u): it is F* exp(e) (1 + 4 u) with |e|
-    <= u |ln F*| + 2.02 u y.  Where F* lies in the doubles' range, |ln F*|
-    <= 745, so the relative error stays below (900 + 2.5 y) u while that is
-    at most an eighth; a window of (1024 + 4 y) u of the peak leaves room
-    for its own rounding.  The absolute 2**-800 holds a peak that
-    underflows, and one below the range, which then underflows.
-    """
-    if l3 >= 0.0:
-        return math.inf, math.inf
-    delta = (1024.0 + 4.0 / l4) * _U
-    try:
-        F = model._peak_at(l2, l3, l4)
-    except (OverflowError, ZeroDivisionError):   # -l3 l4 underflows to 0
-        F = math.inf
-    if not (delta <= 0.125 and F < math.inf):
-        return -math.inf, math.inf
-    w = F * delta + 2.0 ** -800
-    return F - w, F + w
-
-
-def _invert(grid: tuple, args: tuple, F_floor: float, tol: float,
-            slack: float = math.inf) -> float:
+def _invert(grid: tuple, args: tuple, F_floor: float, tol: float) -> float:
     """Force minimizing the inversion cost of one sample, for its cost
-    tuple ``args`` (``_grid_index``): the scan's winner on ``grid`` (whose
-    skip test reads ``slack``), refined by a safeguarded Newton pass on
-    the cost's derivative.
+    tuple ``args`` (``_grid_index``): the scan's winner on ``grid``,
+    refined by a safeguarded Newton pass on the cost's derivative.
 
     The bracket is the two grid steps around the winner, its lower end
     floored at ``F_floor``; the pass starts at the winner, or at the
@@ -603,7 +506,7 @@ def _invert(grid: tuple, args: tuple, F_floor: float, tol: float,
     whatever the tolerance.  FloatingPointError on a non-finite C' or C'';
     ``math`` exceptions propagate.
     """
-    i = _grid_index(grid, args, slack)
+    i = _grid_index(grid, args)
     L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
     n = len(grid)
     a = grid[i - 1] if i else grid[0]
@@ -661,10 +564,9 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     ``cfg.F_floor``, to ``refine_tol``.  The result lies in that bracket,
     so inside the interval; an edge minimum is returned within
     ``refine_tol`` of it, not raised.  The scan's winner is the first least
-    grid cost, NaNs skipped: it leaves out only points it proves costlier,
-    by the continuity term and by the map's monotone runs, with the
-    config's rounding margin ``cfg.slack``.  EnvelopeError for P outside
-    the envelope, ValueError for a non-finite prior.
+    grid cost, NaNs skipped: it leaves out only points whose continuity
+    term alone proves them costlier.  EnvelopeError for P outside the
+    envelope, ValueError for a non-finite prior.
     """
     cfg.envelope.check_P(P)
     if not math.isfinite(prior_F):
@@ -674,7 +576,7 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     w = cfg.weights
     args = (L_meas, prior_F, p0 * P + p1, p2 * P + p3, p4 * P + p5, p6 * P + p7, p8 * P + p9,
             w.w_fit, w.w_dyn, w.w_reg, w.gamma)
-    return _invert(cfg.grid, args, cfg.F_floor, cfg.refine_tol, cfg.slack)
+    return _invert(cfg.grid, args, cfg.F_floor, cfg.refine_tol)
 
 
 def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: ObserverConfig):
@@ -694,7 +596,14 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     fixed point (``ObserverConfig.kalman``) for a sample whose covariance
     equals it.  Between them the prior force, clamped to the envelope, is
     inverted (``_invert``, at the map's coefficients at the filtered
-    pressure).
+    pressure).  Before it, where the map at the filtered pressure has an
+    interior peak (l1 > 0, l3 < 0 and a float ``model._peak_at``), a
+    predicted force above the peak whose filtered reading lies more than
+    3 ``cfg.sigma_L`` below L(F_max) is re-seeded: the force becomes the
+    reading's rising-branch preimage (``_rising_preimage`` on [F_min,
+    min(peak, F_max)]), the rate 0 and the covariance ``reset``'s, and the
+    returned state counts it (``ObserverState.reseeds``).  The peak is
+    tested first, at one power, and the rule never raises.
     Length is inferred from the force estimate through the affine force
     model at the raw pressure, the one acting now.  The clamps keep the
     value on a tie and let NaN through, as ``min(max(v, lo), hi)`` does.
@@ -722,13 +631,16 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     P_lo, P_hi, F_lo, F_hi = env.P_min, env.P_max, env.F_min, env.F_max
     p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
     w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
-    grid, F_floor, tol, slack = cfg.grid, cfg.F_floor, cfg.refine_tol, cfg.slack
+    grid, F_floor, tol = cfg.grid, cfg.F_floor, cfg.refine_tol
+    margin = 3.0 * cfg.sigma_L
+    peak_at, inductance_at, inf = model._peak_at, model._inductance_at, math.inf
     k, x0, c = dyn.k, dyn.x0, dyn.c
     stiff = abs(k) >= model.STIFFNESS_EPS
     invert, kalman_step = _invert, _kalman_step
     L_filt, P_filt = state.L_filter, state.P_filter
     F, Fdot = state.F_hat, state.Fdot_hat
     c00, c01, c11 = state.var_F, state.cov_F_Fdot, state.var_Fdot
+    reseeds = state.reseeds
     F_hat, x_hat = [], []
     add_F, add_x = F_hat.append, x_hat.append
     L_start, P_start = L_filt.copy(), P_filt.copy()
@@ -738,12 +650,22 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
                 env.check_P(p)   # raises
             P_f = P_lo if P_f < P_lo else P_hi if P_f > P_hi else P_f
             F += dt * Fdot   # predict the mean
+            l1, l2, l3, l4, l5 = (p0 * P_f + p1, p2 * P_f + p3, p4 * P_f + p5, p6 * P_f + p7,
+                                  p8 * P_f + p9)
+            if l1 > 0.0 and l3 < 0.0:   # re-seed a force on the falling branch's mirror
+                try:
+                    peak = peak_at(l2, l3, l4)
+                except (OverflowError, ZeroDivisionError):
+                    peak = inf
+                if F > peak and L_f < inductance_at(F_hi, l1, l2, l3, l4, l5) - margin:
+                    F = _rising_preimage(L_f, F_lo, min(peak, F_hi), tol, l1, l2, l3, l4, l5)
+                    Fdot, (c00, c01, c11) = 0.0, _RESET_COV
+                    reseeds += 1
             prior = F_lo if F < F_lo else F_hi if F > F_hi else F
             if P_f != P_f or prior != prior:   # NaN: the clamps let it through
                 solve_pseudo_measurement(L_f, P_f, prior, cfg)   # raises
-            F_star = invert(grid, (L_f, prior, p0 * P_f + p1, p2 * P_f + p3, p4 * P_f + p5,
-                                   p6 * P_f + p7, p8 * P_f + p9, w_fit, w_dyn, w_reg, gamma),
-                            F_floor, tol, slack)
+            F_star = invert(grid, (L_f, prior, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma),
+                            F_floor, tol)
             if c00 == f00 and c01 == f01 and c11 == f11:
                 k0, k1 = g0, g1   # the fixed point's gains; the update keeps it
             else:
@@ -765,7 +687,9 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
         sig.run(L_filt, L_raw[:taken])
         sig.run(P_filt, P[:taken])
         raise
-    return ObserverState(F, Fdot, c00, c01, c11, L_filt, P_filt), F_hat, x_hat
+    out = ObserverState(F, Fdot, c00, c01, c11, L_filt, P_filt)
+    out.reseeds = reseeds
+    return out, F_hat, x_hat
 
 
 def nearest_preimage(L_meas: float, P: float, cfg: ObserverConfig) -> float:
@@ -788,9 +712,9 @@ def run_estimation(dataset, dyn: DynamicParams, cfg: ObserverConfig) -> dict:
     the envelope), with its filters primed at the row's reading and
     pressure (``reset``).  The whole recording then goes through one
     ``estimate_steps`` call.  Returns arrays ``F_hat`` and ``x_hat``
-    aligned with the dataset.
+    aligned with the dataset, and the run's re-seed count ``reseeds``.
     """
     L0, P0 = float(dataset.L[0]), float(dataset.P[0])
     state = reset(nearest_preimage(L0, P0, cfg), L0, P0, cfg)
-    _, F_hat, x_hat = estimate_steps(state, dataset.L.tolist(), dataset.P.tolist(), dyn, cfg)
-    return {"F_hat": np.array(F_hat), "x_hat": np.array(x_hat)}
+    state, F_hat, x_hat = estimate_steps(state, dataset.L.tolist(), dataset.P.tolist(), dyn, cfg)
+    return {"F_hat": np.array(F_hat), "x_hat": np.array(x_hat), "reseeds": state.reseeds}

@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -576,6 +576,12 @@ _LENGTH_FIELDS = ("x_low", "x_high", "hold_x", "x_levels")
 _VALUE_FIELDS = ("amplitude", "frequency_hz", "center", "load", "p_levels", "p_cycle_max",
                  "p_cycle_step", "p_cmd", "event_magnitudes", "event_ramp_s")
 
+#: The fields that default to None but that a kind reads: its constraint
+#: (``hold_x`` for force tracking, ``load`` for displacement tracking) and
+#: the perturbation's held length and base load.
+_REQUIRED_FIELDS = {"force_tracking": ("hold_x",), "displacement_tracking": ("load",),
+                    "load_perturbation": ("hold_x", "load")}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -613,6 +619,11 @@ class Scenario:
             raise ValueError(f"unknown scenario kind '{self.kind}' (known: {SCENARIO_KINDS})")
         if self.waveform not in WAVEFORMS:
             raise ValueError(f"unknown waveform '{self.waveform}' (known: {WAVEFORMS})")
+        for name in _REQUIRED_FIELDS.get(self.kind, ()) + tuple(
+                f.name for f in fields(self) if f.default is not None):
+            if getattr(self, name) is None:
+                raise ValueError(f"scenario field {name} must be set for kind "
+                                 f"'{self.kind}', got None")
         if not 0.0 < self.total_duration_s < math.inf:
             raise ValueError(f"scenario duration must be positive and finite, "
                              f"got {self.total_duration_s} s")
@@ -744,7 +755,7 @@ def perturbation_load_profile(scenario: Scenario, seed: int):
     events = list(zip(times.tolist(), mags.tolist()))
 
     def load_at(t: float) -> float:
-        f = scenario.load or 0.0
+        f = scenario.load
         for ti, mi in events:
             if t >= ti + scenario.event_ramp_s:
                 f += mi

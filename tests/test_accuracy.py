@@ -17,14 +17,14 @@ from coilsense import signal as sig
 #: seeds 0, 1, 2 and 3}.
 SWEEP_NRMSE_BOUNDS = {
     (2.0, 0.0): (3.30, 3.30, 3.30, 3.30),
-    (2.0, 0.01): (61.8, 48.6, 52.3, 52.3),
-    (2.0, 0.03): (61.7, 61.8, 61.8, 61.6),
+    (2.0, 0.01): (20.4, 20.2, 20.1, 20.0),
+    (2.0, 0.03): (29.5, 29.6, 29.5, 29.5),
     (4.0, 0.0): (1.57, 1.57, 1.57, 1.57),
-    (4.0, 0.01): (73.2, 73.2, 73.2, 73.2),
-    (4.0, 0.03): (55.6, 55.7, 55.6, 55.5),
+    (4.0, 0.01): (8.46, 8.27, 9.08, 8.23),
+    (4.0, 0.03): (36.7, 36.5, 36.7, 36.3),
     (8.0, 0.0): (0.760, 0.760, 0.760, 0.760),
     (8.0, 0.01): (2.19, 2.12, 2.13, 2.06),
-    (8.0, 0.03): (69.2, 69.1, 69.2, 69.1),
+    (8.0, 0.03): (19.7, 19.8, 19.8, 19.8),
 }
 
 #: Force NRMSE (%) of the same runs at seed 0 when the readings carry a
@@ -36,9 +36,9 @@ SWEEP_NRMSE_BOUNDS = {
 OFFSETS_UH = (-0.002, 0.002)
 OFFSET_NRMSE_BOUNDS = {
     (2.0, 0.0): (28.6, 3.28),
-    (2.0, 0.01): (48.8, 61.8),
+    (2.0, 0.01): (20.7, 20.0),
     (4.0, 0.0): (28.5, 1.71),
-    (4.0, 0.01): (73.2, 73.1),
+    (4.0, 0.01): (9.27, 8.10),
     (8.0, 0.0): (28.4, 21.1),
     (8.0, 0.01): (2.49, 2.03),
 }

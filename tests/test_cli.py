@@ -241,6 +241,17 @@ class TestEstimate:
         assert isinstance(doc["displacement"], dict)
         assert "force_reversal_windows" not in doc
 
+    def test_metrics_count_the_reseeds(self, tmp_path):
+        # the 4 s stretch cycle at seed 0 re-seeds the estimate twice
+        scn = plant.Scenario.cyclic_estimation(cycle_period_s=4.0)
+        pcfg = plant.default_plant_config(seed=0)
+        path = str(tmp_path / "cycle.csv")
+        ident.write_csv(plant.run_scenario(scn, pcfg), path)
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "estimate", "--data", path]) == cli.EXIT_OK
+        doc = json.load(open(out / "estimate_metrics.json"))
+        assert doc["observer"] == {"reseeds": 2}
+
     def test_rerun_byte_identical(self, cal_csv, tmp_path):
         out = str(tmp_path / "out")
         assert cli.main(["--out", out, "estimate", "--data", cal_csv]) == 0
@@ -572,6 +583,21 @@ class TestSimulateTrackPerturb:
         ({"scenarios": [{"kind": "load_perturbation", "load": math.nan}]}, "got load=nan"),
         ({"scenarios": [{"kind": "load_perturbation", "ramp_s": math.nan}]},
          "got event_ramp_s=nan"),
+        # a null in a field a kind reads is refused too, and named
+        ({"scenarios": [{"kind": "force_tracking", "hold_x": None}]},
+         "scenario field hold_x must be set for kind 'force_tracking', got None"),
+        ({"scenarios": [{"kind": "force_tracking", "center": None}]}, "field center must be set"),
+        ({"scenarios": [{"kind": "force_tracking", "amplitude": None}]},
+         "field amplitude must be set"),
+        ({"scenarios": [{"kind": "displacement_tracking", "load": None}]},
+         "field load must be set"),
+        ({"scenarios": [{"kind": "load_perturbation", "hold_x": None}]},
+         "field hold_x must be set"),
+        ({"scenarios": [{"kind": "load_perturbation", "load": None}]}, "field load must be set"),
+        ({"scenarios": [{"kind": "load_perturbation", "ramp_s": None}]},
+         "field event_ramp_s must be set"),
+        ({"scenarios": [{"kind": "load_perturbation", "duration_s": None}]},
+         "field duration_s must be set"),
         # the loops' pressure limit must lie in the envelope, where the observer reads it
         ({"controller": {"p_max": 0.9}},
          "controller: p_max 0.9 MPa outside the envelope's pressures [0.0, 0.65]"),
@@ -590,7 +616,10 @@ class TestSimulateTrackPerturb:
              "huge_calibration_cycles", "infinite_perturbation", "nan_calibration_length",
              "infinite_calibration_length", "infinite_isometric_length", "nan_hold_length",
              "nan_command_pressure", "nan_reference_center", "infinite_load_event",
-             "infinite_amplitude", "nan_load", "nan_event_ramp", "p_max_above_envelope",
+             "infinite_amplitude", "nan_load", "nan_event_ramp", "null_force_hold_length",
+             "null_force_center", "null_force_amplitude", "null_disp_load",
+             "null_perturbation_hold_length", "null_perturbation_load",
+             "null_perturbation_ramp", "null_perturbation_duration", "p_max_above_envelope",
              "negative_p_max", "terahertz_plant"])
     def test_config_rejected_before_output(self, tmp_path, capsys, doc, key):
         cfg_path = str(tmp_path / "cfg.json")
@@ -605,9 +634,11 @@ class TestSimulateTrackPerturb:
         ({"scenarios": [{"kind": "load_perturbation", "p_cmd": math.nan}]}, "p_cmd=nan"),
         ({"scenarios": [{"kind": "displacement_tracking", "center": math.nan,
                          "duration_s": 5.0}]}, "center=nan"),
+        ({"scenarios": [{"kind": "load_perturbation", "hold_x": None}]}, "hold_x must be set"),
         ({"controller": {"p_max": 0.9},
           "scenarios": [{"kind": "force_tracking", "center": 2.1, "amplitude": 0.25}]},
-         "p_max 0.9 MPa outside")], ids=["nan_p_cmd", "nan_center", "p_max_above_envelope"])
+         "p_max 0.9 MPa outside")],
+        ids=["nan_p_cmd", "nan_center", "null_hold_x", "p_max_above_envelope"])
     def test_loop_config_rejected_before_output(self, tmp_path, capsys, command, doc, key):
         # each used to run: a loop ignored the field, or blamed the map or the
         # observer's pressure check mid-run

@@ -1,5 +1,4 @@
 import bisect
-import decimal
 import math
 import struct
 from dataclasses import replace
@@ -60,7 +59,8 @@ U = 2.0 ** -53
 # grid point, then ``newton`` calling ``cost_derivatives``) and update, each
 # its own function building its own state; ``layered_run`` steps it over a
 # sequence.  It runs the whole covariance recursion on every sample, where
-# ``estimate_steps`` takes the config's fixed point (``ObserverConfig.kalman``).
+# ``estimate_steps`` takes the config's fixed point (``ObserverConfig.kalman``),
+# and holds the same re-seed rule (``layered_reseed``).
 # ``estimate_steps`` equals it in every bit, however a run is cut into calls
 # (``TestOneFrameStep``), so the tests of ``layered_predict``,
 # ``layered_update``, ``newton`` and ``cost_derivatives`` below hold for its
@@ -257,18 +257,53 @@ def layered_update(prior, F_star, cfg):
         t10 * b + (b * p01 + p11) + k1 * k1 * R)
 
 
+def layered_reseed(F, L_f, P_f, cfg):
+    """The force the re-seed rule moves a predicted force F to, or None
+    where it does not fire: where the map at P_f has an interior peak
+    (l1 > 0, l3 < 0 and a float ``model._peak_at``), F lies above it and
+    the reading L_f more than 3 ``cfg.sigma_L`` below L(F_max, P_f), the
+    lower end of the bisection bracket, narrowed below ``refine_tol`` from
+    [F_min, min(peak, F_max)], of the rising branch's crossing of L_f."""
+    env = cfg.envelope
+    coeffs = model._coeffs(cfg.ind, P_f)
+    l1, l2, l3, l4, _ = coeffs
+    if not (l1 > 0.0 and l3 < 0.0):
+        return None
+    try:
+        peak = model._peak_at(l2, l3, l4)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not (F > peak
+            and L_f < model._inductance_at(env.F_max, *coeffs) - 3.0 * cfg.sigma_L):
+        return None
+    a, b = env.F_min, min(peak, env.F_max)
+    while b - a >= cfg.refine_tol:
+        m = 0.5 * (a + b)
+        if model._inductance_at(m, *coeffs) < L_f:
+            a = m
+        else:
+            b = m
+    return a
+
+
 def layered_step(state, L_raw, P, dyn, cfg, solve=layered_solve):
     """One observer cycle on a raw sample through the layers above, the
-    inversion by ``solve`` (``layered_solve``'s arguments)."""
+    inversion by ``solve`` (``layered_solve``'s arguments).  A re-seeded
+    sample (``layered_reseed``) predicts from the re-seeded force, a zero
+    rate and ``reset``'s covariance instead."""
     env = cfg.envelope
     env.check_P(P)
     L_filt, P_filt = state.L_filter, state.P_filter
     L_f = single_step(L_filt, L_raw)
     P_f = min(max(single_step(P_filt, P), env.P_min), env.P_max)
     pred = layered_predict(state, cfg)
+    F_seed = layered_reseed(pred.F_hat, L_f, P_f, cfg)
+    if F_seed is not None:
+        pred = layered_predict(ObserverState(F_seed, 0.0, *observer._RESET_COV), cfg)
     prior_F = min(max(pred.F_hat, env.F_min), env.F_max)
     post = layered_update(pred, solve(L_f, P_f, prior_F, cfg), cfg)
     post.L_filter, post.P_filter = L_filt, P_filt
+    post.reseeds = state.reseeds + (F_seed is not None)
     F_hat = post.F_hat
     x_hat = model.invert_dynamic_length(dyn, F_hat, P)
     return post, F_hat, x_hat
@@ -826,18 +861,6 @@ class TestCertifiedGolden:
         assert got <= tight.refine_tol
 
 
-def exact_map(F, l1, l2, l3, l4, l5):
-    """The map l1 F**l2 exp(l3 F**l4) + l5 at one float force, on float
-    coefficients, in 60-digit decimal arithmetic."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        D = decimal.Decimal
-        if F == 0.0:
-            return D(l5)
-        ln_F = D(F).ln()
-        return D(l1) * (D(l2) * ln_F).exp() * (D(l3) * (D(l4) * ln_F).exp()).exp() + D(l5)
-
-
 def box_maps():
     """Ten map entries from the fit's default coefficient box, each drawn
     from the whole box or from its part within 3 of 0, where more maps
@@ -1161,142 +1184,16 @@ class TestWindowScan:
             assert observer._grid_index(grid, cost_args(L, prior, coeffs, cfg.weights)) == 0
         assert ties >= 100
 
-    def test_skips_keep_the_unpruned_index(self, monkeypatch):
-        # with the config's slack the scan skips points a costed point
-        # proves costlier; its index is still the unpruned outward scan's
-        # (layered_grid_index) and the first least cost of the whole grid,
-        # on accepted box maps and on a trough (l1 < 0), monotone maps (l3
-        # >= 0) and the reference map; for readings on the map, above its
-        # every grid value, and below its value at F_max; for priors at
-        # both edges, at the peak, half-way between two grid points or
-        # anywhere; and with w_fit, w_dyn or w_reg at 0
-        base = make_cfg()
-        hand = [IND.p,
-                (-0.1, -0.6, 0.2, 1.3, -0.15, -0.55, 0.3, 1.0, 0.5, 6.0),
-                (0.1, 0.6, 0.2, 1.3, 0.0, 0.1, 0.3, 1.0, 0.5, 4.75),
-                (0.1, 0.6, 0.2, 1.3, 0.0, 0.0, 0.3, 1.0, 0.5, 4.75),
-                (-0.1, -0.6, 0.2, 1.3, 0.1, 0.0, 0.3, 1.0, 0.5, 6.0)]
-        weights = [base.weights, replace(base.weights, w_fit=0.0),
-                   replace(base.weights, w_dyn=0.0), replace(base.weights, w_reg=0.0)]
-        exps, tally = [0], {"examples": 0, "pruned": 0}
-        exp = math.exp
-
-        def counted_exp(x):
-            exps[0] += 1
-            return exp(x)
-
-        def points(grid, args, slack):
-            exps[0] = 0
-            out = observer._grid_index(grid, args, slack)
-            return out, exps[0]
-
-        @settings(max_examples=400, deadline=None, database=None)
-        @given(hst.one_of(box_maps(), hst.sampled_from(hand)), hst.data())
-        def check(p, data):
-            try:
-                cfg = replace(base, ind=model.InductanceParams(p))
-            except EnvelopeError:
-                return
-            grid = cfg.grid
-            P = data.draw(hst.floats(ENV.P_min, ENV.P_max))
-            coeffs = model._coeffs(cfg.ind, P)
-            on_grid = [model._inductance_at(F, *coeffs) for F in grid]
-            noise = data.draw(hst.floats(0.0, 0.05))
-            kind = data.draw(hst.sampled_from(["on", "above", "below_end"]))
-            if kind == "on":
-                F = data.draw(hst.floats(ENV.F_min, ENV.F_max))
-                L = model._inductance_at(F, *coeffs) + data.draw(hst.sampled_from([-1, 1])) * noise
-            elif kind == "above":
-                L = max(on_grid) + noise
-            else:
-                L = on_grid[-1] - noise
-            _, l2, l3, l4, _ = coeffs
-            try:
-                peak = model._peak_at(l2, l3, l4) if l3 < 0 else ENV.F_max
-            except (OverflowError, ZeroDivisionError):
-                peak = ENV.F_max
-            i = data.draw(hst.integers(0, len(grid) - 2))
-            prior = data.draw(hst.one_of(
-                hst.sampled_from([ENV.F_min, ENV.F_max, min(max(peak, ENV.F_min), ENV.F_max),
-                                  0.5 * (grid[i] + grid[i + 1])]),
-                hst.floats(ENV.F_min, ENV.F_max)))
-            args = cost_args(L, prior, coeffs, data.draw(hst.sampled_from(weights)))
-            got, n_pruned = points(grid, args, cfg.slack)
-            want, n_full = points(grid, args, math.inf)
-            assert got == want == layered_grid_index(grid, args), (p, P, L, prior)
-            costs = [layered_cost(F, args) for F in grid]
-            assert got == costs.index(min(c for c in costs if not math.isnan(c)))
-            assert n_pruned <= n_full
-            tally["examples"] += 1
-            tally["pruned"] += n_pruned < n_full
-
-        monkeypatch.setattr(math, "exp", counted_exp)
-        check()
-        assert tally["examples"] >= 100 and tally["pruned"] >= tally["examples"] // 4, tally
-        # with every weight 0 every cost ties at 0, and so does every skip
-        # bound: the strict test skips nothing, and the first index wins
-        zero = CostWeights(w_fit=0.0, w_dyn=0.0, w_reg=0.0)
-        for p in hand:
-            cfg = replace(base, ind=model.InductanceParams(p), weights=zero)
-            grid, coeffs = cfg.grid, model._coeffs(cfg.ind, 0.3)
-            L = model._inductance_at(2.0, *coeffs) + 0.01
-            for prior in list(grid) + [0.5 * (a + b) for a, b in zip(grid, grid[1:])]:
-                args = cost_args(L, prior, coeffs, zero)
-                assert observer._grid_index(grid, args, cfg.slack) == 0, (p, prior)
-
-    def test_slack_bounds_the_map_error(self):
-        # the scan's map value is within slack / 2 of the exact map on its
-        # float coefficients (60 digits), at grid points and anywhere in
-        # [0, F_max], on accepted box maps and the hand-made ones above; on
-        # the reference map the margin is below 1e-12 uH
-        base = make_cfg()
-        assert base.slack < 1e-12
-
-        @settings(max_examples=200, deadline=None, database=None)
-        @given(hst.one_of(box_maps(), hst.just(IND.p)), hst.floats(ENV.P_min, ENV.P_max),
-               hst.lists(hst.one_of(hst.sampled_from(base.grid), hst.floats(0.0, ENV.F_max)),
-                         min_size=1, max_size=8))
-        def check(p, P, forces):
-            try:
-                cfg = replace(base, ind=model.InductanceParams(p))
-            except EnvelopeError:
-                return
-            coeffs = model._coeffs(cfg.ind, P)
-            for F in forces:
-                err = abs(decimal.Decimal(model._inductance_at(F, *coeffs)) - exact_map(F, *coeffs))
-                assert err <= decimal.Decimal(cfg.slack) / 2, (p, P, F, err)
-
-        check()
-
-    @settings(max_examples=500, deadline=None, database=None)
-    @given(hst.floats(0.05, 3.0), hst.one_of(hst.floats(-1e3, -1e-3), hst.floats(-1e-300, 0.0)),
-           hst.one_of(hst.floats(0.05, 3.0), hst.floats(1e-6, 0.05)))
-    def test_peak_window_holds_the_exact_peak(self, l2, l3, l4):
-        # the window around the computed peak holds the exact peak of the
-        # float coefficients (60 digits), and is at most a few hundred
-        # float spacings wide where the peak is a normal float
-        lo, hi = observer._peak_window(l2, l3, l4)
-        if l3 >= 0.0:
-            assert (lo, hi) == (math.inf, math.inf)
-            return
-        with decimal.localcontext() as ctx:
-            ctx.prec, ctx.Emax, ctx.Emin = 60, decimal.MAX_EMAX, decimal.MIN_EMIN
-            D = decimal.Decimal
-            peak = ((D(l2) / (-D(l3) * D(l4))).ln() / D(l4)).exp()
-        assert D(lo) <= peak <= D(hi), (l2, l3, l4, lo, hi)
-        F = (lo + hi) / 2
-        if 2.0 ** -900 < F < 1e300 and l4 >= 0.05:
-            assert hi - lo <= 2e-12 * F
-
     def test_tracking_samples_cost_few_grid_points(self, monkeypatch):
         # a slow stretch cycle keeps the prior next to the preimage, so a
         # sample costs a few grid points around it.  With w_dyn = 0 no
-        # continuity stop ends the scan and only the skip test prunes it.
-        # On the 4 s cycle of TestRunEstimationPinned, where the estimate
-        # locks onto the falling branch, the skip test keeps the mean at a
-        # few points.  Every sample's index is the unpruned oracle's.  A
-        # grid point takes one math.exp, counted in the scan; a recording
-        # goes through one estimate_steps call, which scans each sample once
+        # continuity stop ends the scan, which costs the whole grid.  On
+        # the 4 s cycle of TestRunEstimationPinned, which the estimate
+        # would follow onto the falling branch but for its re-seeds, the
+        # mean stays at a few points.  Every sample's index is the
+        # layered oracle's.  A grid point takes one math.exp, counted in
+        # the scan; a recording goes through one estimate_steps call,
+        # which scans each sample once
         scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.3,),
                              cycles_per_level=1, cycle_period_s=8.0,
                              x_low=0.072, x_high=0.17)
@@ -1331,10 +1228,10 @@ class TestWindowScan:
         observer.run_estimation(ds, DYN, flat)
         assert len(counts) == len(ds) and max(counts) <= cfg.grid_points
         counts.clear()
-        locked = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3, 0.6),
-                                cycles_per_level=1, cycle_period_s=4.0,
-                                x_low=0.072, x_high=0.17)
-        ds = plant.run_scenario(locked, plant.default_plant_config(seed=4))
+        fast = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3, 0.6),
+                              cycles_per_level=1, cycle_period_s=4.0,
+                              x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(fast, plant.default_plant_config(seed=4))
         observer.run_estimation(ds, DYN, cfg)
         assert len(counts) == len(ds) and np.mean(counts) <= 6
 
@@ -1364,7 +1261,7 @@ RUN_F_TOL = 1e-4
 class TestRunEstimationPinned:
     def test_equals_reference_loop(self):
         # a 4 s stretch cycle at three pressures, on which the estimate
-        # locks onto the falling branch
+        # would lock onto the falling branch but for its re-seed
         self.check(4.0)
 
     def test_equals_reference_loop_on_an_8s_cycle(self):
@@ -1644,13 +1541,17 @@ class TestOneFrameStep:
         assert cov_bits(twin) == struct.pack("<3d", *pred)
         assert struct.pack("<2d", k0, k1) == struct.pack("<2d", pred[0] / (pred[0] + cfg.R),
                                                          pred[1] / (pred[0] + cfg.R))
-        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.2, 0.4, 0.6),
-                             cycles_per_level=1, cycle_period_s=4.0, x_low=0.072, x_high=0.17)
+        # the recursion reaches the fixed point in 114 to 614 samples from
+        # reset's covariance, and a re-seed puts it back there: at noise_L
+        # 0.03 this run re-seeds once, at sample 681, after the cut and
+        # more than 614 samples before the end
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.2, 0.4),
+                             cycles_per_level=1, cycle_period_s=8.0, x_low=0.072, x_high=0.17)
         ds = plant.run_scenario(scn, plant.default_plant_config(seed=8, noise_L=noise_L))
         L_all, P_all = ds.L.tolist(), ds.P.tolist()
         st = observer.reset(observer.nearest_preimage(L_all[0], P_all[0], cfg), L_all[0],
                             P_all[0], cfg)
-        cut = 700   # the recursion reaches the fixed point in 114 to 614 samples
+        cut = 650
         first = observer.estimate_steps(forked(st), L_all[:cut], P_all[:cut], DYN, cfg)
         assert run_bits(*first) == run_bits(*layered_run(st, L_all[:cut], P_all[:cut], DYN, cfg))
         assert cov_bits(first[0]) == struct.pack("<3d", *fixed)
@@ -1705,6 +1606,119 @@ class TestOneFrameStep:
         out, F_hat, x_hat = observer.estimate_steps(st, [], [], DYN, cfg)
         assert (F_hat, x_hat) == ([], [])
         assert step_bits((out, 0.0, 0.0)) == step_bits((st, 0.0, 0.0))
+
+
+class TestReseed:
+    @pytest.mark.parametrize("spec, n", [(sig.FilterSpec(), 4096),
+                                         (sig.FilterSpec(order=5, cutoff_hz=2.0), 4096),
+                                         (sig.FilterSpec(order=1, cutoff_hz=0.05), 1 << 15),
+                                         (sig.FilterSpec(order=1, cutoff_hz=1e-4), 1 << 16)])
+    def test_noise_gain_sums_the_impulse_response(self, spec, n):
+        # g = sqrt(sum h h) over scipy's impulse response of the design,
+        # which has decayed within n samples; a response that outlasts the
+        # sum's cap of 65536 samples (the 1e-4 Hz design) is summed over
+        # them; the default design's is 0.4546.  The config's sigma_L is g
+        # times the sensor noise, raised to the noise floor, and the
+        # template's delay line plays no part
+        from scipy import signal as ss
+        filt = sig.design(spec, 100)
+        h = ss.sosfilt(filt.sos, np.r_[1.0, np.zeros(n - 1)])
+        g = observer._noise_gain(filt)
+        assert g == pytest.approx(math.sqrt(math.fsum(h * h)), rel=1e-12)
+        assert spec != sig.FilterSpec() or abs(g - 0.4546) < 5e-5
+        for noise_L in (0.0, 0.01, 0.03):
+            cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=filt, noise_L=noise_L)
+            assert cfg.sigma_L == pytest.approx(g * max(noise_L, observer.NOISE_FLOOR_UH),
+                                                rel=1e-12)
+        primed = replace(cfg, filt=sig.prime(filt.copy(), 4.9))
+        assert primed.sigma_L == cfg.sigma_L
+
+    def test_a_mirror_estimate_moves_to_the_rising_branch(self):
+        # an estimate above the peak at a reading that the falling branch
+        # cannot give, more than 3 sigma_L below L(F_max), is re-seeded
+        # once, at the first sample, onto the reading's rising preimage, and
+        # then tracks it; 3 sigma_L above L(F_max) the falling branch can
+        # give the reading, and the estimate stays there
+        cfg, P = make_cfg(), 0.3
+        coeffs = model._coeffs(IND, P)
+        peak = model.peak_force(IND, P)
+        L_end = model._inductance_at(ENV.F_max, *coeffs)
+        for L, reseeds in ((L_end - 0.05, 1), (L_end - 2.0 * cfg.sigma_L, 0)):
+            F_rise = brentq(lambda F: model._inductance_at(F, *coeffs) - L, 1e-9, peak)
+            st = observer.reset(3.0, L, P, cfg)
+            first = observer.estimate_steps(st, [L], [P], DYN, cfg)[0]
+            assert first.reseeds == reseeds
+            assert (abs(first.F_hat - F_rise) < 0.05) == bool(reseeds)
+            st, F_hat, _ = observer.estimate_steps(first, [L] * 200, [P] * 200, DYN, cfg)
+            assert st.reseeds == reseeds
+            assert (abs(F_hat[-1] - F_rise) < 1e-3) == bool(reseeds)
+
+    @pytest.mark.parametrize("l3", [-5e-324, -1e-300])
+    def test_a_peak_beyond_the_floats_never_fires(self, l3):
+        # box maps with lambda3 = l3 at every pressure, for which -l3 l4
+        # underflows to 0 or the peak's power overflows where l4 is small:
+        # the rule neither raises nor fires, from a state at F_max on
+        # readings anywhere around the envelope, and every bit equals the
+        # layered step's
+        base, tally = make_cfg(), {"accepted": 0, "no_peak": 0}
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(box_maps(), hst.floats(ENV.P_min, ENV.P_max),
+               hst.lists(hst.floats(ENV.L_min - 1.0, ENV.L_max + 1.0), min_size=1, max_size=12))
+        def check(p, P, L_raw):
+            p = p[:4] + (0.0, l3) + p[6:]
+            try:
+                cfg = replace(base, ind=model.InductanceParams(p))
+            except EnvelopeError:
+                return
+            tally["accepted"] += 1
+            _, l2, _, l4, _ = model._coeffs(cfg.ind, P)
+            try:
+                model._peak_at(l2, l3, l4)
+            except (OverflowError, ZeroDivisionError):
+                tally["no_peak"] += 1
+            st = observer.reset(ENV.F_max, L_raw[0], P, cfg)
+            got = observer.estimate_steps(forked(st), L_raw, [P] * len(L_raw), DYN, cfg)
+            assert run_bits(*got) == run_bits(*layered_run(st, L_raw, [P] * len(L_raw), DYN, cfg))
+            assert got[0].reseeds == 0
+
+        check()
+        assert tally["accepted"] >= 20 and tally["no_peak"] >= 5, tally
+
+    def test_pieces_across_a_reseed_equal_one_call(self):
+        # the 2 s cycle of test_pieces_equal_one_call_and_the_oracle
+        # re-seeds at samples 157 and 377 at noise_L 0.01.  Cut just before,
+        # just after, and into 1-sample pieces around each re-seed, the
+        # pieces give one call's bits, and the count they pass on is its 2
+        scn = plant.Scenario(kind="cyclic_estimation", p_levels=(0.0, 0.3, 0.6),
+                             cycles_per_level=1, cycle_period_s=2.0, x_low=0.072, x_high=0.17)
+        ds = plant.run_scenario(scn, plant.default_plant_config(seed=3, noise_L=0.01))
+        cfg = observer.make_observer_config(IND, ENV, dt=0.01, filt=FILT, noise_L=0.01)
+        L_all, P_all = ds.L.tolist(), ds.P.tolist()
+        n = len(L_all)
+
+        def fresh():
+            return observer.reset(observer.nearest_preimage(L_all[0], P_all[0], cfg),
+                                  L_all[0], P_all[0], cfg)
+
+        whole = observer.estimate_steps(fresh(), L_all, P_all, DYN, cfg)
+        assert whole[0].reseeds == 2
+        st, at = fresh(), []
+        for i in range(n):
+            before = st.reseeds
+            st = observer.estimate_steps(st, L_all[i:i + 1], P_all[i:i + 1], DYN, cfg)[0]
+            if st.reseeds > before:
+                at.append(i)
+        assert at == [157, 377]
+        for cuts in ([157], [158], [377], [378], [157, 158, 377, 378],
+                     list(range(154, 161)) + list(range(375, 381))):
+            st, F_hat, x_hat = fresh(), [], []
+            for a, b in zip([0] + cuts, cuts + [n]):
+                st, F, x = observer.estimate_steps(st, L_all[a:b], P_all[a:b], DYN, cfg)
+                F_hat += F
+                x_hat += x
+            assert run_bits(st, F_hat, x_hat) == run_bits(*whole), cuts
+            assert st.reseeds == 2
 
 
 class TestBranchDisambiguation:
