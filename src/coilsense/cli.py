@@ -171,8 +171,8 @@ def _build_filter(cfg: dict, sensor_rate_hz: float) -> sig.FilterState:
         raise ConfigError(f"filter: {exc}") from None
 
 
-_OBSERVER_KEYS = {"grid_points": int, "refine_tol": float, "sigma_F": float,
-                  "sigma_Fdot": float, "noise_L": float}
+_OBSERVER_KEYS = {"refine_tol": float, "sigma_F": float, "sigma_Fdot": float,
+                  "noise_L": float}
 
 
 def _gains_from(block: dict, name: str) -> control.PidGains:

@@ -11,18 +11,20 @@ zero-gradient region), feed the resulting pseudo-measurement to a
 Joseph-form Kalman update, and infer length through the affine force
 model.
 
-The inner minimization is a coarse global grid over the feasible force
-interval, which picks the basin, followed by a safeguarded Newton
-iteration on the cost's derivative inside the best bracket; the
-continuity term is what disambiguates the two force preimages of a
-reading on a rising-then-falling curve.  The cost's first and second
-derivatives are closed-form from the same ``pow`` and ``exp`` terms as
-the map, so the iteration converges in a few steps; a step that leaves
-the bracket, or a non-positive curvature, is replaced by bisection.  The
-config owns the map it inverts and bounds that map's terms over Newton's
-domain once (``_map_bound``), and the bracket is floored at
-``ObserverConfig.F_floor`` > 0, so every derivative Newton takes is
-finite.
+The inner minimization is by branch: the map's peak, in closed form
+(``model._peak_at``), splits the feasible force interval into two
+branches, each holding one force preimage of a reading.  A safeguarded
+Newton iteration on the cost's derivative runs on the prior's branch,
+from the prior, and on the other branch, from the reading's preimage
+there, only where the continuity term alone does not price that branch
+out; that term is what disambiguates the two preimages of a reading on
+a rising-then-falling curve.  The cost's first and second derivatives
+are closed-form from the same ``pow`` and ``exp`` terms as the map, so
+the iteration converges in a few steps; a step that leaves the branch,
+or a non-positive curvature, is replaced by bisection.  The config owns
+the map it inverts and bounds that map's terms over Newton's domain once
+(``_map_bound``), and the domain is floored at ``ObserverConfig.F_floor``
+> 0, so every derivative Newton takes is finite.
 
 A call runs a sequence of samples in one frame of float arithmetic
 (``estimate_steps``): replay makes one call per recording, a closed
@@ -51,17 +53,14 @@ same samples; the floats may also repeat at a point next to it, where
 the recursion runs on.  The only other call of a sample is the
 inversion (``_invert``).  It takes one tuple of floats, the map's
 coefficients at the pressure, the reading, the prior and the weights,
-which the grid scan (``_grid_index``) and the Newton pass, written out
-in ``_invert`` with its derivatives, read on ``math.pow`` and
-``math.exp``: no array is built, and no function object is made.
-The scan costs each point in its own loop, with the map written out in
+which the Newton pass, written out in ``_newton`` with its derivatives,
+reads on ``math.pow`` and ``math.exp``: no array is built, and no
+function object is made.  Its residual is written out in
 ``model._inductance_at``'s order, the copy the plant evaluates, so it
-inverts the very bits of a noiseless reading; neither claims to agree
-with numpy's ``power`` and ``exp`` in the last bit.  Every grid cost is
-at least its continuity term (w_dyn dF) dF, which grows with the
-distance from the prior, so the coarse grid is costed outward from the
-prior only until that term exceeds the least cost seen; a tracking
-sample costs a few grid points, not all of them.
+inverts the very bits of a noiseless reading; it does not claim to
+agree with numpy's ``power`` and ``exp`` in the last bit.  A tracking
+sample's prior lies near its preimage, and far from the other branch,
+so it runs one pass of a few steps.
 ``solve_pseudo_measurement`` is the checked public entry to the same
 inversion.
 
@@ -75,7 +74,6 @@ branch where the reading lies well below L(F_max, P).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -102,15 +100,11 @@ __all__ = [
 #: not go.  See ``make_observer_config``.
 NOISE_FLOOR_UH = 1e-3
 
-#: Most steps of one Newton refinement (``_invert``).  Bisection alone
-#: takes a bracket of two grid steps down to the floor of ``refine_tol``
-#: in at most 49 steps, at 16 grid points; the cap ends a pass whatever
-#: the tolerance.
+#: Most steps of one Newton pass (``_newton``).  Bisection alone takes a
+#: whole branch, at most F_max wide, down to the floor of ``refine_tol``
+#: (four float spacings of F_max) in about 50 halvings; the cap ends a
+#: pass whatever the tolerance.
 _MAX_NEWTON_STEPS = 100
-
-#: Most points of the coarse inversion grid: the whole grid may be costed
-#: on a sample, and a config value must not ask for an unbounded array.
-MAX_GRID_POINTS = 65536
 
 #: Limit on the map's terms over Newton's domain (``_map_bound``): a product
 #: of two stays below 1e200, far from overflow, as do residuals below 1e200 uH.
@@ -183,11 +177,10 @@ class ObserverConfig:
     """Observer tuning for the inductance map ``ind`` it inverts.
 
     ``filt`` is the designed low-pass of the inductance and the pressure,
-    a template that ``reset`` copies and nothing steps.  ``grid`` (the
-    coarse inversion grid, a tuple of floats) and ``F_floor`` (the floor of
-    Newton's bracket) are derived, and the map is checked (``_map_bound``),
-    on construction, so ``dataclasses.replace`` redoes both, as it does
-    ``kalman``, the float fixed point of the covariance recursion from a
+    a template that ``reset`` copies and nothing steps.  ``F_floor`` (the
+    floor of the inversion's domain) is derived, and the map is checked
+    (``_map_bound``), on construction, so ``dataclasses.replace`` redoes
+    both, as it does ``kalman``, the float fixed point of the covariance recursion from a
     fresh state's covariance (``reset``, ``_kalman_fixed_point``), and
     ``sigma_L``, the filtered reading's noise deviation, g sqrt(R)
     ``median_force_gradient`` for g the filter's noise gain
@@ -204,9 +197,7 @@ class ObserverConfig:
     ind: InductanceParams
     weights: CostWeights
     filt: sig.FilterState = field(repr=False, compare=False)
-    grid_points: int = 129
     refine_tol: float = 1e-5
-    grid: tuple = field(init=False, repr=False, compare=False)
     F_floor: float = field(init=False, repr=False, compare=False)
     kalman: tuple | None = field(init=False, repr=False, compare=False)
     sigma_L: float = field(init=False, repr=False, compare=False)
@@ -216,7 +207,7 @@ class ObserverConfig:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         env = self.envelope
-        # far below half a float spacing of any bracket end Newton reaches: no bit moves
+        # the inversion's floor, within any refine_tol (>= 2**-50 F_max) of F = 0
         object.__setattr__(self, "F_floor", env.F_max * 2.0 ** -80)
         try:
             bound = _map_bound(self.ind, env, self.F_floor)
@@ -227,8 +218,6 @@ class ObserverConfig:
                                 f"{MAP_LIMIT:g} on [{self.F_floor:.3g}, {env.F_max:g}] N")
         if not 0.0 < self.R < math.inf:
             raise ValueError("R must be positive and finite")
-        if not 16 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid_points must be in [16, {MAX_GRID_POINTS}]")
         tol_floor = 4.0 * math.ulp(env.F_max)   # F_max is the largest |F|
         if not self.refine_tol >= tol_floor:
             raise ValueError(f"refine_tol must be >= {tol_floor!r} (four float spacings "
@@ -237,8 +226,6 @@ class ObserverConfig:
             raise ValueError("Q must be finite")
         if np.any(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T)) < -1e-12):
             raise ValueError("Q must be positive semidefinite")
-        object.__setattr__(self, "grid", tuple(
-            np.linspace(env.F_min, env.F_max, self.grid_points).tolist()))
         object.__setattr__(self, "kalman", _kalman_fixed_point(
             self.dt, tuple(self.Q.ravel().tolist()), self.R))
         object.__setattr__(self, "sigma_L", _noise_gain(self.filt) * math.sqrt(self.R)
@@ -313,17 +300,21 @@ def _noise_gain(filt: sig.FilterState) -> float:
     return math.sqrt(total)
 
 
-def _rising_preimage(L: float, a: float, b: float, tol: float,
-                     l1: float, l2: float, l3: float, l4: float, l5: float) -> float:
+def _preimage(L: float, a: float, b: float, above: bool, tol: float,
+              l1: float, l2: float, l3: float, l4: float, l5: float) -> float:
     """Where the map on its coefficients (``model._inductance_at``),
-    rising over [a, b], crosses the reading L: the lower end of a
-    bisection bracket narrowed below ``tol``, so ``a`` for a reading below
-    the map on all of [a, b] (or for b < a).
+    monotone over [a, b], crosses the reading L: the lower end of a
+    bisection bracket narrowed below ``tol``.  [a, b] lies below the map's
+    peak (``_peak_or_inf``), or above it for ``above``; the map rises there
+    for l1 > 0 below the peak and for l1 < 0 above it, and falls otherwise.
+    A reading the map does not reach on [a, b] gives the end where the map
+    comes nearest it, ``a`` for b < a.
     """
     inductance_at = model._inductance_at
+    rising = (l1 > 0.0) != above
     while b - a >= tol:
         m = 0.5 * (a + b)
-        if inductance_at(m, l1, l2, l3, l4, l5) < L:
+        if (inductance_at(m, l1, l2, l3, l4, l5) < L) == rising:
             a = m
         else:
             b = m
@@ -332,7 +323,7 @@ def _rising_preimage(L: float, a: float, b: float, tol: float,
 
 def _map_bound(ind: InductanceParams, env: OperatingEnvelope, F_floor: float) -> float:
     """The sum of the largest magnitudes of the map terms of Newton's
-    derivatives in ``_invert`` (F**l2, F**l4, exp(l3 F**l4), 1 / (F F), m,
+    derivatives in ``_newton`` (F**l2, F**l4, exp(l3 F**l4), 1 / (F F), m,
     l5, u, the polynomial in u of L'', L' and L'') over F in [F_floor,
     F_max] and the envelope's pressures; EnvelopeError unless l2, l4 > 0 at
     both ends of the pressure range, so on all of it.  Derived, not
@@ -376,17 +367,17 @@ def make_observer_config(params: InductanceParams, envelope: OperatingEnvelope,
     These are artifact defaults, all overridable.
 
     ``noise_L`` is raised to ``NOISE_FLOOR_UH`` first.  The continuity
-    term is what keeps the estimate on its branch, and its weight
-    scales with the noise squared: for a near-noiseless sensor it
-    vanishes, and the coarse grid then picks the basin by its
-    discretisation alone, so the estimate can jump to the other force
-    preimage.  With the floor, the continuity price of a jump longer
-    than about 0.7 N (14% of the span of the reference envelope)
-    exceeds the largest residual a grid point can leave, half a grid
-    step times the steepest slope of the reference map, whatever the
-    sensor noise; that length grows as one over the noise, so without
-    a floor it leaves the envelope.  At or above the floor the weights
-    and R are the noise-scaled ones unchanged.
+    term is what keeps the estimate on its branch: the inversion moves
+    to the other force preimage only where the continuity price of the
+    jump is below the squared residual the prior's branch leaves, such
+    as the filter's lag on a moving force.  That price scales with the
+    noise squared, so for a near-noiseless sensor it vanishes, and any
+    such residual, however small, moves the estimate to the other
+    branch.  With the floor, a jump of 5% of the span costs as much as a
+    residual of three times the floor, 3 nH, and the price grows with
+    the square of the jump's length, whatever the sensor noise.  At or
+    above the floor the weights and R are the noise-scaled ones
+    unchanged.
 
     ``filt`` is the designed inductance filter (``ObserverConfig.filt``).
     A map whose median gradient is 0, or so small that R overflows, is
@@ -428,96 +419,62 @@ def reset(F0: float, L0: float, P0: float, cfg: ObserverConfig) -> ObserverState
                          sig.prime(cfg.filt.copy(), L0), sig.prime(cfg.filt.copy(), P0))
 
 
-def _grid_index(grid: tuple, args: tuple) -> int:
-    """Index of the first least inversion cost on ``grid``, NaNs skipped,
-    for the sample's cost tuple ``args`` = ``(L_meas, prior_F, l1, ..., l5,
-    w_fit, w_dyn, w_reg, gamma)``: the reading, the prior, the map's
-    coefficients at the sample's pressure and the cost weights.  ValueError
-    when every cost is NaN.
-
-    A point's cost is w_fit r r + w_dyn dF dF + w_reg (1 - 1 / (1 + gamma
-    dF dF)), for dF = F - prior_F and the residual r = l1 F**l2 exp(l3
-    F**l4) + l5 - L_meas, each written out in this loop on ``math.pow``
-    and ``math.exp`` in ``model._inductance_at``'s order, so a point costs
-    no call beyond them; where a ``math`` call raises, the residual is
-    ``model._inductance_at``'s, which gives numpy's inf.  The distance d =
-    |dF| is exact (IEEE rounding is symmetric in sign), so the terms in
-    d d are the same floats as in dF dF.  The first and last terms are >=
-    0, so by monotone rounding a cost is at least its continuity term
-    (w_dyn d) d, which never falls as d grows.  The run of grid points
-    around ``prior_F`` widens, nearer side first (the upper point on a
-    tie), until the next point's term exceeds the least cost of the run:
-    no point further out can win, so the index is the whole grid's.
-    """
-    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
-    pow_, exp, inf = math.pow, math.exp, math.inf
-    n = len(grid)
-    lo = hi = bisect.bisect_left(grid, prior_F)   # the run is grid[lo:hi]
-    d_lo = prior_F - grid[lo - 1] if lo else inf
-    d_hi = grid[hi] - prior_F if hi < n else inf
-    best_j, best = n, inf
-    while lo or hi < n:
-        if d_hi <= d_lo:
-            j, d = hi, d_hi
-            hi += 1
-            d_hi = grid[hi] - prior_F if hi < n else inf
-        else:
-            lo -= 1
-            j, d = lo, d_lo
-            d_lo = prior_F - grid[lo - 1] if lo else inf
-        t = w_dyn * d * d
-        if t > best:
-            break
-        F = grid[j]
+def _peak_or_inf(l2: float, l3: float, l4: float) -> float:
+    """The force where the map on its coefficients turns (``model._peak_at``)
+    where l3 < 0 and it is a float; inf for a monotone map (l3 >= 0) and
+    for a peak beyond the floats."""
+    if l3 < 0.0:
         try:
-            r = l1 * pow_(F, l2) * exp(l3 * pow_(F, l4)) + l5 - L_meas
-        except (ValueError, OverflowError):
-            r = model._inductance_at(F, l1, l2, l3, l4, l5) - L_meas
-        c = w_fit * r * r + t + w_reg * (1.0 - 1.0 / (1.0 + gamma * d * d))
-        if c < best or (c == best and j < best_j):  # False for NaN
-            best_j, best = j, c
-    if best_j == n:
-        raise ValueError("All-NaN slice encountered")
-    return best_j
+            return model._peak_at(l2, l3, l4)
+        except (OverflowError, ZeroDivisionError):
+            pass
+    return math.inf
 
 
-def _invert(grid: tuple, args: tuple, F_floor: float, tol: float) -> float:
-    """Force minimizing the inversion cost of one sample, for its cost
-    tuple ``args`` (``_grid_index``): the scan's winner on ``grid``,
-    refined by a safeguarded Newton pass on the cost's derivative.
+def _cost(F: float, args: tuple) -> float:
+    """The inversion cost at one float force F >= ``F_floor``, for the
+    sample's cost tuple ``args`` (``_invert``): w_fit r r + w_dyn dF dF +
+    w_reg (1 - 1 / (1 + gamma dF dF)), for dF = F - prior_F and the residual
+    r of ``model._inductance_at``."""
+    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
+    r = model._inductance_at(F, l1, l2, l3, l4, l5) - L_meas
+    dF = F - prior_F
+    return w_fit * r * r + w_dyn * dF * dF + w_reg * (1.0 - 1.0 / (1.0 + gamma * dF * dF))
 
-    The bracket is the two grid steps around the winner, its lower end
-    floored at ``F_floor``; the pass starts at the winner, or at the
-    bracket's middle when the winner lies below the floor.  With m = l1
-    F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, the map's derivatives are
-    L' = m u / F and L'' = m (u u - u + l3 l4 l4 F**l4) / (F F).  With r = m
-    + l5 - L_meas, d = F - prior_F and q = 1 / (1 + gamma d d), the cost's
-    are C' = 2 w_fit r L' + 2 w_dyn d + 2 w_reg gamma d q q and C'' = 2
-    w_fit (L' L' + r L'') + 2 w_dyn + 2 w_reg gamma (1 - 3 gamma d d) q q q,
-    written out in the loop on ``math.pow`` and ``math.exp``, and all finite
-    on [``F_floor``, F_max] for a map a config accepts (``_map_bound``).
-    The products l3 l4, l3 l4 l4, w_reg gamma and 3 gamma are taken once,
-    each the left part of a left-to-right product, so the floats are those
-    of the formulas.  The sign of C' moves one end of the bracket to the
-    iterate.  The Newton step -C'/C'' is taken when C'' > 0 and it lands
-    strictly inside the bracket; otherwise the bracket is bisected.  The
-    pass ends on C' = 0, on a Newton step shorter than tol / 2, or once the
+
+def _newton(args: tuple, a: float, b: float, x: float, tol: float) -> tuple:
+    """A safeguarded Newton pass on the inversion cost's derivative over
+    the bracket [a, b], F_floor <= a, from x in it, for the sample's cost
+    tuple ``args`` (``_invert``): ``(F, C(x))``, the force it ends at and
+    the cost at its start, ``_cost``'s float.
+
+    With m = l1 F**l2 exp(l3 F**l4) and u = l2 + l3 l4 F**l4, the map's
+    derivatives are L' = m u / F and L'' = m (u u - u + l3 l4 l4 F**l4) / (F
+    F).  With r = m + l5 - L_meas, d = F - prior_F and q = 1 / (1 + gamma d
+    d), the cost's are C' = 2 w_fit r L' + 2 w_dyn d + 2 w_reg gamma d q q
+    and C'' = 2 w_fit (L' L' + r L'') + 2 w_dyn + 2 w_reg gamma (1 - 3
+    gamma d d) q q q, written out in the loop on ``math.pow`` and
+    ``math.exp``, and all finite on [``F_floor``, F_max] for a map a config
+    accepts (``_map_bound``).  The products l3 l4, l3 l4 l4, w_reg gamma and
+    3 gamma are taken once, each the left part of a left-to-right product,
+    so the floats are those of the formulas.  The sign of C' moves one end
+    of the bracket to the iterate.  The Newton step -C'/C'' is taken when
+    C'' > 0, the iterate lies above a and the step lands strictly inside the
+    bracket; otherwise the bracket is bisected.  So a pass started at a,
+    which may be the floor, bisects first: near F = 0 the map's curvature,
+    unbounded for l2 < 2, can shrink the Newton step to about F / |1 - l2|,
+    below tol / 2, while the cost still falls into the bracket.  The pass
+    ends on C' = 0, on a Newton step shorter than tol / 2, or once the
     bracket is narrower than tol, and after ``_MAX_NEWTON_STEPS`` steps
     whatever the tolerance.  FloatingPointError on a non-finite C' or C'';
     ``math`` exceptions propagate.
     """
-    i = _grid_index(grid, args)
     L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
-    n = len(grid)
-    a = grid[i - 1] if i else grid[0]
-    if F_floor > a:
-        a = F_floor
-    b = grid[i + 1] if i + 1 < n else grid[n - 1]
-    x = grid[i] if grid[i] >= a else 0.5 * (a + b)
     pow_, exp, isfinite = math.pow, math.exp, math.isfinite
     l34, wg, g3 = l3 * l4, w_reg * gamma, 3.0 * gamma
     l344 = l34 * l4
     half_tol = 0.5 * tol
+    start = None
     for _ in range(_MAX_NEWTON_STEPS):
         F_l4 = pow_(x, l4)
         m = l1 * pow_(x, l2) * exp(l3 * F_l4)
@@ -527,27 +484,64 @@ def _invert(grid: tuple, args: tuple, F_floor: float, tol: float) -> float:
         r = m + l5 - L_meas
         dF = x - prior_F
         q = 1.0 / (1.0 + gamma * dF * dF)
+        if start is None:
+            start = w_fit * r * r + w_dyn * dF * dF + w_reg * (1.0 - q)
         rq = wg * q * q
         g = 2.0 * (w_fit * r * d1 + w_dyn * dF + rq * dF)
         h = 2.0 * (w_fit * (d1 * d1 + r * d2) + w_dyn + rq * q * (1.0 - g3 * dF * dF))
         if not (isfinite(g) and isfinite(h)):
             raise FloatingPointError(f"non-finite cost derivative at F={x!r}")
+        step = g / h if h > 0.0 and x > a else math.inf
         if g > 0.0:
             b = x
         elif g < 0.0:
             a = x
         else:
-            return x
-        step = g / h if h > 0.0 else math.inf
+            return x, start
         if a < x - step < b:
             if abs(step) < half_tol or b - a < tol:
-                return x - step
+                return x - step, start
             x -= step
         else:
             x = 0.5 * (a + b)
             if b - a < tol:
-                return x
-    return x
+                return x, start
+    return x, start
+
+
+def _invert(args: tuple, lo: float, hi: float, peak: float, tol: float) -> float:
+    """Force minimizing the inversion cost of one sample over [lo, hi], for
+    its cost tuple ``args`` = ``(L_meas, prior_F, l1, ..., l5, w_fit,
+    w_dyn, w_reg, gamma)``: the reading, the prior, the map's coefficients
+    at the sample's pressure and the cost weights, and the map's ``peak``
+    (``_peak_or_inf``).
+
+    A peak strictly inside (lo, hi) splits the interval into two branches,
+    on each of which the map is monotone; otherwise it is one branch.  A
+    ``_newton`` pass runs on the prior's branch (the lower one for a prior
+    at the peak), started at the prior clamped to [lo, hi], so to the
+    branch.  Every force on the other branch lies at least d = |prior_F -
+    peak| from the prior, so its cost is at least w_dyn d d + w_reg (1 - 1
+    / (1 + gamma d d)); only where that bound is below the cost at the
+    pass's start does a second pass run there, started at the branch's
+    preimage of the reading (``_preimage``).  The lower ``_cost`` wins, the
+    prior's branch on a tie.  The result lies in [lo, hi]; an edge minimum
+    is returned within ``tol`` of it, not raised.
+    """
+    L_meas, prior_F, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma = args
+    x = lo if prior_F < lo else hi if prior_F > hi else prior_F
+    if not lo < peak < hi:
+        return _newton(args, lo, hi, x, tol)[0]
+    above = prior_F > peak
+    a, b = (peak, hi) if above else (lo, peak)
+    F, start = _newton(args, a, b, x, tol)
+    d = prior_F - peak
+    if not w_dyn * d * d + w_reg * (1.0 - 1.0 / (1.0 + gamma * d * d)) < start:
+        return F
+    a, b = (lo, peak) if above else (peak, hi)
+    x = _preimage(L_meas, a, b, not above, tol, l1, l2, l3, l4, l5)
+    other = _newton(args, a, b, x, tol)[0]
+    return other if _cost(other, args) < _cost(F, args) else F
 
 
 def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
@@ -557,26 +551,28 @@ def solve_pseudo_measurement(L_meas: float, P: float, prior_F: float,
     The checked entry to the inversion (``_invert``, which
     ``estimate_steps`` calls directly): the map's five coefficients at P
     (``model._coeffs``'s products and sums), the reading, the prior and
-    ``cfg.weights`` make the sample's cost.  A coarse global scan
-    (``grid_points`` samples) picks the basin; a safeguarded Newton
-    iteration on the cost's derivative refines it inside the winning
-    bracket, the two grid steps around the winner, floored at
-    ``cfg.F_floor``, to ``refine_tol``.  The result lies in that bracket,
-    so inside the interval; an edge minimum is returned within
-    ``refine_tol`` of it, not raised.  The scan's winner is the first least
-    grid cost, NaNs skipped: it leaves out only points whose continuity
-    term alone proves them costlier.  EnvelopeError for P outside the
-    envelope, ValueError for a non-finite prior.
+    ``cfg.weights`` make the sample's cost.  The map's peak splits
+    [max(F_min, ``cfg.F_floor``), F_max] into its two branches; a
+    safeguarded Newton iteration on the cost's derivative runs on the
+    prior's branch from the prior, and on the other branch from the
+    reading's preimage there only where the continuity cost of reaching
+    that branch is below the cost at the prior, each to ``refine_tol``.
+    The result lies inside the interval; an edge minimum is returned
+    within ``refine_tol`` of it, not raised.  EnvelopeError for P outside
+    the envelope, ValueError for a non-finite reading or prior.
     """
     cfg.envelope.check_P(P)
+    if not math.isfinite(L_meas):
+        raise ValueError("inductance reading must be finite")
     if not math.isfinite(prior_F):
         raise ValueError("prior force must be finite")
     P = float(P)
     p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
-    w = cfg.weights
-    args = (L_meas, prior_F, p0 * P + p1, p2 * P + p3, p4 * P + p5, p6 * P + p7, p8 * P + p9,
-            w.w_fit, w.w_dyn, w.w_reg, w.gamma)
-    return _invert(cfg.grid, args, cfg.F_floor, cfg.refine_tol)
+    w, env = cfg.weights, cfg.envelope
+    l1, l2, l3, l4, l5 = p0 * P + p1, p2 * P + p3, p4 * P + p5, p6 * P + p7, p8 * P + p9
+    args = (L_meas, prior_F, l1, l2, l3, l4, l5, w.w_fit, w.w_dyn, w.w_reg, w.gamma)
+    return _invert(args, max(env.F_min, cfg.F_floor), env.F_max, _peak_or_inf(l2, l3, l4),
+                   cfg.refine_tol)
 
 
 def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: ObserverConfig):
@@ -595,15 +591,16 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     with the gains, are ``_kalman_step``'s, or the gains of the config's
     fixed point (``ObserverConfig.kalman``) for a sample whose covariance
     equals it.  Between them the prior force, clamped to the envelope, is
-    inverted (``_invert``, at the map's coefficients at the filtered
-    pressure).  Before it, where the map at the filtered pressure has an
-    interior peak (l1 > 0, l3 < 0 and a float ``model._peak_at``), a
-    predicted force above the peak whose filtered reading lies more than
-    3 ``cfg.sigma_L`` below L(F_max) is re-seeded: the force becomes the
-    reading's rising-branch preimage (``_rising_preimage`` on [F_min,
-    min(peak, F_max)]), the rate 0 and the covariance ``reset``'s, and the
-    returned state counts it (``ObserverState.reseeds``).  The peak is
-    tested first, at one power, and the rule never raises.
+    inverted (``_invert``, at the map's coefficients and peak at the
+    filtered pressure, over [max(F_min, ``cfg.F_floor``), F_max]).  Before
+    it, where the map at the filtered pressure has a peak (l1 > 0, l3 < 0
+    and a float ``model._peak_at``), a predicted force above the peak whose
+    filtered reading lies more than 3 ``cfg.sigma_L`` below L(F_max) is
+    re-seeded: the force becomes the reading's rising-branch preimage
+    (``_preimage`` on [F_min, min(peak, F_max)]), the rate 0 and the
+    covariance ``reset``'s, and the returned state counts it
+    (``ObserverState.reseeds``).  The peak is found at one power, and the
+    rule never raises.
     Length is inferred from the force estimate through the affine force
     model at the raw pressure, the one acting now.  The clamps keep the
     value on a tie and let NaN through, as ``min(max(v, lo), hi)`` does.
@@ -615,8 +612,8 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     errors are those of the per-sample checks, raised at that sample:
     EnvelopeError for a raw pressure outside the envelope (``check_P``),
     the checked inversion's errors (``solve_pseudo_measurement``) for a
-    NaN filtered pressure or prior, ValueError when every grid cost is
-    NaN, and DegenerateModelError for a stiffness below
+    NaN filtered pressure or prior or a non-finite filtered reading, and
+    DegenerateModelError for a stiffness below
     ``model.STIFFNESS_EPS``.  On an error the delay lines are run again
     from the call's start to where a sample at a time leaves them: through
     the sample that raised, or up to it for its raw pressure.  Cutting a
@@ -631,9 +628,9 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
     P_lo, P_hi, F_lo, F_hi = env.P_min, env.P_max, env.F_min, env.F_max
     p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 = cfg.ind.p
     w_fit, w_dyn, w_reg, gamma = w.w_fit, w.w_dyn, w.w_reg, w.gamma
-    grid, F_floor, tol = cfg.grid, cfg.F_floor, cfg.refine_tol
+    F_low, tol = max(F_lo, cfg.F_floor), cfg.refine_tol
     margin = 3.0 * cfg.sigma_L
-    peak_at, inductance_at, inf = model._peak_at, model._inductance_at, math.inf
+    peak_or_inf, inductance_at = _peak_or_inf, model._inductance_at
     k, x0, c = dyn.k, dyn.x0, dyn.c
     stiff = abs(k) >= model.STIFFNESS_EPS
     invert, kalman_step = _invert, _kalman_step
@@ -652,20 +649,18 @@ def estimate_steps(state: ObserverState, L_raw, P, dyn: DynamicParams, cfg: Obse
             F += dt * Fdot   # predict the mean
             l1, l2, l3, l4, l5 = (p0 * P_f + p1, p2 * P_f + p3, p4 * P_f + p5, p6 * P_f + p7,
                                   p8 * P_f + p9)
-            if l1 > 0.0 and l3 < 0.0:   # re-seed a force on the falling branch's mirror
-                try:
-                    peak = peak_at(l2, l3, l4)
-                except (OverflowError, ZeroDivisionError):
-                    peak = inf
-                if F > peak and L_f < inductance_at(F_hi, l1, l2, l3, l4, l5) - margin:
-                    F = _rising_preimage(L_f, F_lo, min(peak, F_hi), tol, l1, l2, l3, l4, l5)
-                    Fdot, (c00, c01, c11) = 0.0, _RESET_COV
-                    reseeds += 1
+            peak = peak_or_inf(l2, l3, l4)
+            if (l1 > 0.0 and F > peak   # re-seed a force on the falling branch's mirror
+                    and L_f < inductance_at(F_hi, l1, l2, l3, l4, l5) - margin):
+                F = _preimage(L_f, F_lo, min(peak, F_hi), False, tol, l1, l2, l3, l4, l5)
+                Fdot, (c00, c01, c11) = 0.0, _RESET_COV
+                reseeds += 1
             prior = F_lo if F < F_lo else F_hi if F > F_hi else F
-            if P_f != P_f or prior != prior:   # NaN: the clamps let it through
+            # NaN, which the clamps let through, or an infinite reading
+            if P_f != P_f or prior != prior or L_f - L_f != 0.0:
                 solve_pseudo_measurement(L_f, P_f, prior, cfg)   # raises
-            F_star = invert(grid, (L_f, prior, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma),
-                            F_floor, tol)
+            F_star = invert((L_f, prior, l1, l2, l3, l4, l5, w_fit, w_dyn, w_reg, gamma),
+                            F_low, F_hi, peak, tol)
             if c00 == f00 and c01 == f01 and c11 == f11:
                 k0, k1 = g0, g1   # the fixed point's gains; the update keeps it
             else:

@@ -537,7 +537,7 @@ class TestSimulateTrackPerturb:
         ({"filter": {"order": 2.5}}, "filter.order"),
         ({"plant": {"noise_L": True}}, "plant.noise_L"),
         ({"envelope": {"F_max": "5"}}, "envelope.F_max"),
-        ({"observer": {"grid_points": 3}}, "grid_points"),
+        ({"observer": {"grid_points": 3}}, "observer: unknown keys ['grid_points']"),
         ({"observer": {"sigma_F": -0.05}}, "sigma_F"),
         ({"plant": {"ind": {"p": POWER_800_MAP}}}, "observer: the inductance map overflows"),
         ({"plant": {"ind": {"p": FLAT_MAP}}}, "observer: the inductance map is flat"),
@@ -778,10 +778,9 @@ class TestSimulateTrackPerturb:
 SCALAR_PATHS = [("seed",), ("plant", "noise_L"), ("plant", "valve_tau"),
                 ("plant", "sensor_rate_hz"), ("plant", "control_rate_hz"),
                 ("envelope", "F_max"), ("envelope", "P_min"), ("envelope", "L_max"),
-                ("filter", "order"), ("filter", "cutoff_hz"), ("observer", "grid_points"),
-                ("observer", "sigma_F"), ("observer", "refine_tol"),
-                ("controller", "p_max"), ("controller", "force_gains", "kp"),
-                ("controller", "disp_gains", "kd")]
+                ("filter", "order"), ("filter", "cutoff_hz"), ("observer", "sigma_F"),
+                ("observer", "refine_tol"), ("controller", "p_max"),
+                ("controller", "force_gains", "kp"), ("controller", "disp_gains", "kd")]
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                         st.text(max_size=4), st.lists(st.integers(), max_size=2))
 

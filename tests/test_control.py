@@ -345,7 +345,7 @@ class TestPeriodCalls:
                 calls.clear()
                 sizes.clear()
                 if nan_reading:
-                    with pytest.raises(ValueError, match="All-NaN"):
+                    with pytest.raises(ValueError, match="inductance reading must be finite"):
                         control._run_loop(scn, mode, setup0)
                 else:  # with no observer error, the plant's, after its samples are observed
                     with pytest.raises(plant.IsotonicInfeasibleError, match="the plant's error"):
